@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .splats import GaussianScene, GaussianBlob
+from .splats import GaussianScene
 
 
 class AlignmentError(RuntimeError):
@@ -128,7 +128,6 @@ def apply_transform(scene: GaussianScene, T: RigidTransform) -> GaussianScene:
     """Rigidly move a scene: mu <- R mu + t, Sigma <- R Sigma R^T; density is
     transform-equivariant: rho'(R x + t) = rho(x)."""
     R = T.rotation
-    blobs = [GaussianBlob(R @ m + T.translation, R @ c @ R.T, float(a))
-             for m, c, a in zip(scene.means, scene.covariances, scene.opacities)]
-    return GaussianScene(blobs, opacity_floor=scene.opacity_floor,
-                         rejected_count=scene.rejected_count)
+    return GaussianScene.from_arrays(T.apply(scene.means), R @ scene.covariances @ R.T,
+                                     scene.opacities, opacity_floor=scene.opacity_floor,
+                                     rejected_count=scene.rejected_count)

@@ -2,25 +2,24 @@
 
 A scene is a set of anisotropic 3D Gaussians (mean, covariance, opacity).
 The opacity-weighted kernel sum rho(x) acts as a smooth occupancy proxy; a
-uniform-grid spatial index keeps per-query work local.  Contributions are
-truncated at a fixed cutoff of CUTOFF_SIGMA standard deviations (bounding
-radius per blob), which keeps the truncation error below 1e-6 relative on
-scenes whose blob spacing exceeds the cutoff radius.
+cKDTree neighbour index over the blob means keeps per-query work local.
+Contributions are truncated at a fixed cutoff of CUTOFF_SIGMA standard
+deviations (bounding radius per blob), which keeps the truncation error below
+1e-6 relative on scenes whose blob spacing exceeds the cutoff radius.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import struct
+import re
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 CUTOFF_SIGMA = 4.0
 DEFAULT_OPACITY_FLOOR = 0.05
 DEFAULT_GRADIENT_STEP = 1e-3
-GRID_MIN_BLOBS = 256
 
 
 class SceneFormatError(ValueError):
@@ -38,59 +37,13 @@ class GaussianBlob:
         object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float))
 
 
-def _validate_covariance(cov: np.ndarray) -> bool:
-    if cov.shape != (3, 3) or not np.all(np.isfinite(cov)):
-        return False
-    if np.max(np.abs(cov - cov.T)) > 1e-9:
-        return False
-    return bool(np.min(np.linalg.eigvalsh(cov)) > 1e-12)
-
-
-class _FlatIndex:
-    def __init__(self, means, radii):
-        self.means = means
-        self.radii = radii
-
-    def query(self, x, radius):
-        d = np.linalg.norm(self.means - x, axis=1)
-        return np.nonzero(d <= radius + self.radii)[0]
-
-
-class _GridIndex:
-    """Uniform grid over blob means; cell size is the median bounding radius."""
-
-    def __init__(self, means, radii):
-        self.means = means
-        self.radii = radii
-        self.max_radius = float(np.max(radii)) if len(radii) else 0.0
-        cell = float(np.median(radii))
-        self.cell = cell if cell > 0 else 1.0
-        self.cells = {}
-        keys = np.floor(means / self.cell).astype(np.int64)
-        for i, key in enumerate(map(tuple, keys)):
-            self.cells.setdefault(key, []).append(i)
-        self.cells = {k: np.array(v) for k, v in self.cells.items()}
-
-    def query(self, x, radius):
-        reach = radius + self.max_radius
-        lo = np.floor((x - reach) / self.cell).astype(np.int64)
-        hi = np.floor((x + reach) / self.cell).astype(np.int64)
-        n_cells = int(np.prod(hi - lo + 1))
-        if n_cells >= len(self.cells):
-            cand = np.arange(len(self.means))
-        else:
-            chunks = []
-            for i in range(lo[0], hi[0] + 1):
-                for j in range(lo[1], hi[1] + 1):
-                    for k in range(lo[2], hi[2] + 1):
-                        hit = self.cells.get((i, j, k))
-                        if hit is not None:
-                            chunks.append(hit)
-            if not chunks:
-                return np.empty(0, dtype=np.int64)
-            cand = np.concatenate(chunks)
-        d = np.linalg.norm(self.means[cand] - x, axis=1)
-        return cand[d <= radius + self.radii[cand]]
+def _valid_covariances(covs: np.ndarray) -> np.ndarray:
+    """Mask of the (n, 3, 3) covariances that are finite, symmetric and
+    positive definite."""
+    ok = np.all(np.isfinite(covs), axis=(1, 2))
+    ok &= np.max(np.abs(covs - covs.transpose(0, 2, 1)), axis=(1, 2), initial=0.0) <= 1e-9
+    ok[ok] = np.linalg.eigvalsh(covs[ok])[:, 0] > 1e-12
+    return ok
 
 
 class GaussianScene:
@@ -98,39 +51,49 @@ class GaussianScene:
 
     def __init__(self, blobs, opacity_floor: float = DEFAULT_OPACITY_FLOOR,
                  rejected_count: int = 0):
-        kept = [b for b in blobs if b.opacity >= opacity_floor]
+        blobs = list(blobs)
+        self._set_up(np.array([b.mean for b in blobs]), np.array([b.covariance for b in blobs]),
+                     np.array([b.opacity for b in blobs]), opacity_floor, rejected_count)
+
+    @classmethod
+    def from_arrays(cls, means, covariances, opacities,
+                    opacity_floor: float = DEFAULT_OPACITY_FLOOR,
+                    rejected_count: int = 0) -> "GaussianScene":
+        """Scene from (n, 3) means, (n, 3, 3) covariances and (n,) opacities."""
+        scene = cls.__new__(cls)
+        scene._set_up(means, covariances, opacities, opacity_floor, rejected_count)
+        return scene
+
+    def _set_up(self, means, covariances, opacities, opacity_floor, rejected_count):
+        opacities = np.asarray(opacities, dtype=float).reshape(-1)
+        kept = opacities >= opacity_floor
         self.opacity_floor = float(opacity_floor)
         self.rejected_count = int(rejected_count)
-        self.means = np.array([b.mean for b in kept], dtype=float).reshape(-1, 3)
-        self.covariances = np.array([b.covariance for b in kept], dtype=float).reshape(-1, 3, 3)
-        self.opacities = np.array([b.opacity for b in kept], dtype=float)
-        n = len(kept)
-        if n:
-            self.inv_covariances = np.linalg.inv(self.covariances)
-            lam_max = np.linalg.eigvalsh(self.covariances)[:, -1]
-            self.radii = CUTOFF_SIGMA * np.sqrt(lam_max)
-        else:
-            self.inv_covariances = np.empty((0, 3, 3))
-            self.radii = np.empty(0)
-        if n < GRID_MIN_BLOBS:
-            self.index = _FlatIndex(self.means, self.radii)
-        else:
-            self.index = _GridIndex(self.means, self.radii)
+        self.means = np.asarray(means, dtype=float).reshape(-1, 3)[kept]
+        self.covariances = np.asarray(covariances, dtype=float).reshape(-1, 3, 3)[kept]
+        self.opacities = opacities[kept]
+        self.inv_covariances = np.linalg.inv(self.covariances)
+        self.radii = CUTOFF_SIGMA * np.sqrt(np.linalg.eigvalsh(self.covariances)[:, -1])
+        self.max_radius = float(np.max(self.radii, initial=0.0))
+        self.tree = cKDTree(self.means)
 
     def __len__(self) -> int:
         return len(self.means)
 
-    @property
-    def blobs(self):
-        return [GaussianBlob(m, c, a) for m, c, a in
-                zip(self.means, self.covariances, self.opacities)]
-
 
 def query_neighbors(scene: GaussianScene, x, radius: float):
     """Indices of blobs whose bounding sphere intersects the ball (x, radius)."""
-    if len(scene) == 0:
-        return np.empty(0, dtype=np.int64)
-    return scene.index.query(np.asarray(x, dtype=float), float(radius))
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        return np.empty(0, dtype=np.intp)   # no blob is a finite distance away
+    # The tree's reach is padded so that rounding in its squared-distance test
+    # never drops a blob that the exact per-blob test below keeps.
+    reach = (radius + scene.max_radius) * (1.0 + 1e-9)
+    cand = np.array(scene.tree.query_ball_point(x, reach, return_sorted=True), dtype=np.intp)
+    if len(cand) == 0:
+        return cand
+    d = np.linalg.norm(scene.means[cand] - x, axis=1)
+    return cand[d <= radius + scene.radii[cand]]
 
 
 def _kernel_sum(scene: GaussianScene, x, idx) -> float:
@@ -187,46 +150,54 @@ def density_gradient_analytic(scene: GaussianScene, x) -> np.ndarray:
 
 # ---- loading ---------------------------------------------------------------
 
-def _blobs_from_json(data):
+def _arrays_from_json(data):
     if "blobs" not in data:
         raise SceneFormatError("scene JSON missing 'blobs' key")
-    blobs = []
+    means, covs, opacities = [], [], []
     rejected = 0
     for entry in data["blobs"]:
         for key in ("mu", "cov", "alpha"):
             if key not in entry:
                 raise SceneFormatError(f"blob entry missing '{key}'")
+        mu = np.asarray(entry["mu"], dtype=float)
+        if mu.shape != (3,):
+            raise SceneFormatError(f"blob 'mu' must hold 3 numbers, got shape {mu.shape}")
         cov = np.asarray(entry["cov"], dtype=float)
-        if not _validate_covariance(cov):
+        if cov.shape != (3, 3):
             rejected += 1
             continue
-        blobs.append(GaussianBlob(np.asarray(entry["mu"], dtype=float), cov, float(entry["alpha"])))
-    return blobs, rejected
+        means.append(mu)
+        covs.append(cov)
+        opacities.append(float(entry["alpha"]))
+    covs = np.array(covs).reshape(-1, 3, 3)
+    valid = _valid_covariances(covs)
+    rejected += int(np.count_nonzero(~valid))
+    return np.array(means).reshape(-1, 3)[valid], covs[valid], np.array(opacities)[valid], rejected
 
 
 _PLY_REQUIRED = ["x", "y", "z", "scale_0", "scale_1", "scale_2",
                  "rot_0", "rot_1", "rot_2", "rot_3", "opacity"]
 
 _PLY_TYPES = {
-    "float": ("f", 4), "float32": ("f", 4),
-    "double": ("d", 8), "float64": ("d", 8),
-    "int": ("i", 4), "int32": ("i", 4),
-    "uint": ("I", 4), "uint32": ("I", 4),
-    "uchar": ("B", 1), "uint8": ("B", 1),
-    "char": ("b", 1), "int8": ("b", 1),
-    "short": ("h", 2), "ushort": ("H", 2),
+    "float": "f4", "float32": "f4",
+    "double": "f8", "float64": "f8",
+    "int": "i4", "int32": "i4",
+    "uint": "u4", "uint32": "u4",
+    "uchar": "u1", "uint8": "u1",
+    "char": "i1", "int8": "i1",
+    "short": "i2", "ushort": "u2",
 }
 
 
 def _parse_ply(path):
-    """Return (property_names, rows ndarray) for a single-element PLY."""
+    """Return the columns of a single-element PLY, indexable by property name."""
     with open(path, "rb") as f:
         raw = f.read()
-    end = raw.find(b"end_header\n")
-    if not raw.startswith(b"ply") or end < 0:
+    end = re.search(rb"end_header\r?\n", raw)
+    if not raw.startswith(b"ply") or end is None:
         raise SceneFormatError(f"{path}: not a PLY file")
-    header = raw[:end].decode("ascii").splitlines()
-    body = raw[end + len(b"end_header\n"):]
+    header = raw[:end.start()].decode("ascii").splitlines()
+    body = raw[end.end():]
     fmt = None
     count = None
     props = []
@@ -240,6 +211,8 @@ def _parse_ply(path):
             if count is not None:
                 raise SceneFormatError(f"{path}: multiple PLY elements unsupported")
             count = int(tok[2])
+            if count < 0:
+                raise SceneFormatError(f"{path}: negative PLY element count {count}")
         elif tok[0] == "property":
             if tok[1] == "list":
                 raise SceneFormatError(f"{path}: list properties unsupported")
@@ -250,57 +223,52 @@ def _parse_ply(path):
     missing = [k for k in _PLY_REQUIRED if k not in names]
     if missing:
         raise SceneFormatError(f"{path}: PLY missing fields {missing}")
+    if len(set(names)) != len(names):
+        raise SceneFormatError(f"{path}: duplicate PLY property names")
     if fmt == "ascii":
-        rows = np.array([[float(v) for v in line.split()] for line in
-                         body.decode("ascii").split("\n") if line.strip()], dtype=float)
-        if rows.shape != (count, len(props)):
+        values = np.array([float(v) for v in body.split()])
+        if values.size != count * len(props):
             raise SceneFormatError(f"{path}: PLY body shape mismatch")
-    elif fmt == "binary_little_endian":
-        codes = []
+        rows = values.reshape(count, len(props))
+        return {name: rows[:, i] for i, name in enumerate(names)}
+    if fmt == "binary_little_endian":
         for _, t in props:
             if t not in _PLY_TYPES:
                 raise SceneFormatError(f"{path}: unsupported PLY type {t}")
-            codes.append(_PLY_TYPES[t][0])
-        rec = struct.Struct("<" + "".join(codes))
-        if len(body) < rec.size * count:
+        record = np.dtype([(name, "<" + _PLY_TYPES[t]) for name, t in props])
+        if len(body) < record.itemsize * count:
             raise SceneFormatError(f"{path}: truncated PLY body")
-        rows = np.array([rec.unpack_from(body, i * rec.size) for i in range(count)], dtype=float)
-    else:
-        raise SceneFormatError(f"{path}: unsupported PLY format {fmt}")
-    return names, rows
+        return np.frombuffer(body, dtype=record, count=count)
+    raise SceneFormatError(f"{path}: unsupported PLY format {fmt}")
 
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _blobs_from_ply(path, scale_convention: str):
-    from .geometry import quat_normalize, quat_to_matrix
+def _arrays_from_ply(path, scale_convention: str):
+    from .geometry import quat_to_matrix
 
-    names, rows = _parse_ply(path)
-    col = {n: i for i, n in enumerate(names)}
-    blobs = []
-    rejected = 0
-    for row in rows:
-        mu = row[[col["x"], col["y"], col["z"]]]
-        scales = row[[col["scale_0"], col["scale_1"], col["scale_2"]]]
-        quat = row[[col["rot_0"], col["rot_1"], col["rot_2"], col["rot_3"]]]
-        opacity = row[col["opacity"]]
-        if scale_convention == "preactivation":
-            scales = np.exp(scales)
-            opacity = float(_sigmoid(opacity))
-        try:
-            rot = quat_to_matrix(quat_normalize(quat))
-        except ValueError:
-            rejected += 1
-            continue
-        cov = rot @ np.diag(scales ** 2) @ rot.T
-        cov = 0.5 * (cov + cov.T)
-        if not _validate_covariance(cov):
-            rejected += 1
-            continue
-        blobs.append(GaussianBlob(mu, cov, float(opacity)))
-    return blobs, rejected
+    cols = _parse_ply(path)
+
+    def stack(*names):
+        return np.stack([np.asarray(cols[n], dtype=float) for n in names], axis=1)
+
+    means = stack("x", "y", "z")
+    scales = stack("scale_0", "scale_1", "scale_2")
+    quats = stack("rot_0", "rot_1", "rot_2", "rot_3")
+    opacities = np.asarray(cols["opacity"], dtype=float)
+    if scale_convention == "preactivation":
+        scales = np.exp(scales)
+        opacities = _sigmoid(opacities)
+    norms = np.linalg.norm(quats, axis=1)
+    nonzero = norms != 0.0
+    rot = quat_to_matrix((quats[nonzero] / norms[nonzero, None]).T).transpose(2, 0, 1)
+    covs = (rot * scales[nonzero, None, :] ** 2) @ rot.transpose(0, 2, 1)
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    valid = _valid_covariances(covs)
+    rejected = int(np.count_nonzero(~nonzero) + np.count_nonzero(~valid))
+    return means[nonzero][valid], covs[valid], opacities[nonzero][valid], rejected
 
 
 def load_scene(path, opacity_floor: float = DEFAULT_OPACITY_FLOOR,
@@ -313,12 +281,13 @@ def load_scene(path, opacity_floor: float = DEFAULT_OPACITY_FLOOR,
     if scale_convention not in ("preactivation", "raw"):
         raise ValueError(f"unknown scale_convention: {scale_convention}")
     if str(path).endswith(".ply"):
-        blobs, rejected = _blobs_from_ply(path, scale_convention)
+        means, covs, opacities, rejected = _arrays_from_ply(path, scale_convention)
     else:
         with open(path) as f:
             data = json.load(f)
-        blobs, rejected = _blobs_from_json(data)
-    return GaussianScene(blobs, opacity_floor=opacity_floor, rejected_count=rejected)
+        means, covs, opacities, rejected = _arrays_from_json(data)
+    return GaussianScene.from_arrays(means, covs, opacities, opacity_floor=opacity_floor,
+                                     rejected_count=rejected)
 
 
 def save_scene_json(scene: GaussianScene, path) -> None:

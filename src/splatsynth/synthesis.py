@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -141,3 +141,8 @@ class TestApplyTransform:
         rng = np.random.default_rng(seed + 40)
         for x in rng.uniform(-1, 1, size=(50, 3)):
             assert abs(density(out, T.apply(x[None])[0]) - density(scene, x)) < 1e-9
+
+    def test_empty_scene(self):
+        out = apply_transform(GaussianScene([]), random_rigid(3))
+        assert len(out) == 0
+        assert density(out, [0, 0, 0]) == 0.0

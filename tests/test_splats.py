@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from splatsynth.geometry import quat_normalize, quat_to_matrix
 from splatsynth.splats import (
     GaussianBlob,
     GaussianScene,
@@ -108,13 +109,25 @@ class TestNeighbors:
     def test_empty(self):
         assert len(query_neighbors(GaussianScene([]), [0, 0, 0], 1.0)) == 0
 
+    def test_non_finite_query_finds_nothing(self):
+        scene = GaussianScene([unit_blob()])
+        for x in ([np.nan, 0, 0], [0, np.inf, 0]):
+            assert len(query_neighbors(scene, x, 1.0)) == 0
+            assert density(scene, x) == 0.0
+
     def test_nearby_blob_included(self):
         scene = GaussianScene([unit_blob(mu=(0.1, 0, 0))])
         assert 0 in query_neighbors(scene, [0, 0, 0], 1.0)
 
+    @staticmethod
+    def _assert_matches_linear_scan(scene, x, radius):
+        got = query_neighbors(scene, x, radius)
+        d = np.linalg.norm(scene.means - x, axis=1)
+        assert np.array_equal(got, np.nonzero(d <= radius + scene.radii)[0])
+
     @pytest.mark.parametrize("seed", range(10))
     def test_grid_matches_linear_scan(self, seed):
-        # 10k blobs forces the grid index; linear scan is the oracle
+        # linear scan is the oracle
         rng = np.random.default_rng(seed)
         n = 10000
         blobs = [GaussianBlob(rng.uniform(-1, 1, 3),
@@ -122,26 +135,54 @@ class TestNeighbors:
                               1.0) for _ in range(n)]
         scene = GaussianScene(blobs, opacity_floor=0.0)
         for x in rng.uniform(-1, 1, size=(10, 3)):
-            radius = rng.uniform(0.01, 0.3)
-            got = set(query_neighbors(scene, x, radius).tolist())
-            d = np.linalg.norm(scene.means - x, axis=1)
-            want = set(np.nonzero(d <= radius + scene.radii)[0].tolist())
-            assert got == want
+            self._assert_matches_linear_scan(scene, x, rng.uniform(0.01, 0.3))
 
     @pytest.mark.parametrize("seed", range(100, 190))
     def test_grid_matches_linear_scan_small(self, seed):
         rng = np.random.default_rng(seed)
-        n = 300  # just above the grid threshold
+        n = 300
         blobs = [GaussianBlob(rng.uniform(-1, 1, 3),
                               rng.uniform(0.01, 0.3) ** 2 * np.eye(3),
                               1.0) for _ in range(n)]
         scene = GaussianScene(blobs, opacity_floor=0.0)
-        x = rng.uniform(-1, 1, 3)
-        radius = rng.uniform(0.0, 0.5)
-        got = set(query_neighbors(scene, x, radius).tolist())
-        d = np.linalg.norm(scene.means - x, axis=1)
-        want = set(np.nonzero(d <= radius + scene.radii)[0].tolist())
-        assert got == want
+        self._assert_matches_linear_scan(scene, rng.uniform(-1, 1, 3), rng.uniform(0.0, 0.5))
+
+    @pytest.mark.parametrize("n", [1, 10, 255])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_small_scene_matches_linear_scan(self, n, seed):
+        rng = np.random.default_rng(1000 * n + seed)
+        blobs = [GaussianBlob(rng.uniform(-1, 1, 3),
+                              rng.uniform(0.01, 0.3) ** 2 * np.eye(3),
+                              1.0) for _ in range(n)]
+        scene = GaussianScene(blobs, opacity_floor=0.0)
+        for x in rng.uniform(-1.2, 1.2, size=(20, 3)):
+            self._assert_matches_linear_scan(scene, x, rng.uniform(0.0, 0.5))
+
+    def test_boundary_points_match_linear_scan(self):
+        # query points exactly at a blob's reach, where a tree's squared
+        # distance test can round the other way than the linear scan
+        scene = GaussianScene([unit_blob(sigma2=0.01)])
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            u = rng.normal(size=3)
+            radius = rng.uniform(0.0, 1.0)
+            x = u / np.linalg.norm(u) * (radius + scene.radii[0])
+            self._assert_matches_linear_scan(scene, x, radius)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_large_blob_reaches_far(self, seed):
+        # one blob with a 2 m cutoff radius among 500 blobs of at most 8 cm;
+        # every query lies within its reach, up to 1.9 m from its mean
+        rng = np.random.default_rng(seed)
+        blobs = [GaussianBlob(rng.uniform(-1, 1, 3),
+                              rng.uniform(0.005, 0.02) ** 2 * np.eye(3),
+                              1.0) for _ in range(500)]
+        blobs.insert(rng.integers(0, 500), GaussianBlob(rng.uniform(-1, 1, 3),
+                                                         0.5 ** 2 * np.eye(3), 1.0))
+        scene = GaussianScene(blobs, opacity_floor=0.0)
+        big = int(np.argmax(scene.radii))
+        for x in scene.means[big] + rng.uniform(-1.1, 1.1, size=(20, 3)):
+            self._assert_matches_linear_scan(scene, x, rng.uniform(0.0, 0.1))
 
 
 class TestTruncationBound:
@@ -190,21 +231,23 @@ class TestLoadScene:
         assert len(scene) == 1
         assert scene.rejected_count == 1
 
-    def _write_ply(self, path, rows, fmt="binary_little_endian"):
-        props = ["x", "y", "z", "scale_0", "scale_1", "scale_2",
-                 "rot_0", "rot_1", "rot_2", "rot_3", "opacity"]
+    _PLY_PROPS = ["x", "y", "z", "scale_0", "scale_1", "scale_2",
+                  "rot_0", "rot_1", "rot_2", "rot_3", "opacity"]
+
+    def _write_ply(self, path, rows, fmt="binary_little_endian", newline="\n",
+                   props=_PLY_PROPS, count=None):
         header = ["ply", f"format {fmt} 1.0",
-                  f"element vertex {len(rows)}"]
+                  f"element vertex {len(rows) if count is None else count}"]
         header += [f"property float {p}" for p in props]
         header.append("end_header")
         with open(path, "wb") as f:
-            f.write(("\n".join(header) + "\n").encode())
+            f.write((newline.join(header) + newline).encode())
             if fmt == "ascii":
                 for r in rows:
-                    f.write((" ".join(repr(float(v)) for v in r) + "\n").encode())
+                    f.write((" ".join(repr(float(v)) for v in r) + newline).encode())
             else:
                 for r in rows:
-                    f.write(struct.pack("<11f", *r))
+                    f.write(struct.pack(f"<{len(props)}f", *r))
 
     def test_ply_logistic_opacity(self, tmp_path):
         path = tmp_path / "scene.ply"
@@ -249,3 +292,76 @@ class TestLoadScene:
         path.write_bytes(("\n".join(header) + "\n0 0 0\n").encode())
         with pytest.raises(SceneFormatError):
             load_scene(path)
+
+    def test_ply_negative_count_rejected(self, tmp_path):
+        path = tmp_path / "scene.ply"
+        self._write_ply(path, [[0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0.0]] * 2, count=-1)
+        with pytest.raises(SceneFormatError):
+            load_scene(path)
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    def test_ply_zero_vertices(self, tmp_path, fmt):
+        path = tmp_path / "scene.ply"
+        self._write_ply(path, [], fmt=fmt)
+        scene = load_scene(path)
+        assert len(scene) == 0
+        assert scene.rejected_count == 0
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    def test_ply_crlf_header(self, tmp_path, fmt):
+        path = tmp_path / "scene.ply"
+        self._write_ply(path, [[0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0.0]], fmt=fmt, newline="\r\n")
+        assert len(load_scene(path)) == 1
+
+    def test_ply_duplicate_property_rejected(self, tmp_path):
+        path = tmp_path / "scene.ply"
+        self._write_ply(path, [[0] * 12], props=self._PLY_PROPS + ["x"])
+        with pytest.raises(SceneFormatError):
+            load_scene(path)
+
+    def test_json_mean_shape_rejected(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"blobs": [
+            {"mu": [0, 0], "cov": np.eye(3).tolist(), "alpha": 1.0}]}))
+        with pytest.raises(SceneFormatError):
+            load_scene(path)
+
+    def test_ply_matches_per_row_reference(self, tmp_path):
+        # 3DGS layout with extra columns, unnormalised quaternions, planted
+        # zero quaternions and below-floor opacities
+        props = (["x", "y", "z", "nx", "ny", "nz"] + [f"f_dc_{i}" for i in range(3)]
+                 + [f"f_rest_{i}" for i in range(45)] + ["opacity"]
+                 + [f"scale_{i}" for i in range(3)] + [f"rot_{i}" for i in range(4)])
+        col = {p: i for i, p in enumerate(props)}
+        rng = np.random.default_rng(12)
+        n = 400
+        rows = rng.normal(size=(n, len(props)))
+        rows[:, [col[f"scale_{i}"] for i in range(3)]] = np.log(rng.uniform(0.004, 0.05, (n, 3)))
+        rows[:, col["opacity"]] = rng.uniform(-6.0, 4.0, n)
+        rows[:, [col[f"rot_{i}"] for i in range(4)]] *= rng.uniform(0.5, 2.0, (n, 1))
+        rows[rng.choice(n, 8, replace=False), col["rot_0"]:col["rot_3"] + 1] = 0.0
+        rows = rows.astype(np.float32)
+        path = tmp_path / "scene.ply"
+        self._write_ply(path, rows, props=props)
+        scene = load_scene(path, opacity_floor=0.05)
+
+        means, covs, opacities, rejected = [], [], [], 0
+        for r in rows.astype(float):
+            try:
+                rot = quat_to_matrix(quat_normalize(r[[col[f"rot_{i}"] for i in range(4)]]))
+            except ValueError:
+                rejected += 1
+                continue
+            scales = np.exp(r[[col[f"scale_{i}"] for i in range(3)]])
+            cov = rot @ np.diag(scales ** 2) @ rot.T
+            alpha = 1.0 / (1.0 + np.exp(-r[col["opacity"]]))
+            if alpha >= 0.05:
+                means.append(r[[col["x"], col["y"], col["z"]]])
+                covs.append(0.5 * (cov + cov.T))
+                opacities.append(alpha)
+        assert rejected == 8
+        assert 0 < len(means) < n - rejected
+        assert scene.rejected_count == rejected
+        assert np.array_equal(scene.means, np.array(means))
+        assert np.array_equal(scene.covariances, np.array(covs))
+        assert np.array_equal(scene.opacities, np.array(opacities))
