@@ -78,19 +78,17 @@ def rbf_centers_widths(n_basis: int, alpha_s: float):
     return centers, widths
 
 
+def _basis(phase: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """(T, n) rows psi(s) * s / sum(psi(s)), one per phase value s in (T,)."""
+    psi = np.exp(-widths * (phase[:, None] - centers) ** 2)
+    return psi * (phase[:, None] / np.sum(psi, axis=1, keepdims=True))
+
+
 @dataclass(frozen=True)
 class ForcingTerm:
     centers: np.ndarray  # (n,), strictly decreasing in (0, 1]
     widths: np.ndarray   # (n,)
     weights: np.ndarray  # (dims, n)
-
-    def basis(self, s: float) -> np.ndarray:
-        psi = np.exp(-self.widths * (s - self.centers) ** 2)
-        return psi * (s / np.sum(psi))
-
-    def evaluate(self, s: float, scale: np.ndarray) -> np.ndarray:
-        """f(s) per output dimension; scale carries the (g - y0) factor."""
-        return (self.weights @ self.basis(s)) * scale
 
 
 @dataclass(frozen=True)
@@ -163,11 +161,6 @@ class DmpModel:
         return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()
 
 
-def _nonuniform_gradient(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # np.gradient uses the exact three-point weights on non-uniform grids
-    return np.gradient(y, t, axis=0)
-
-
 def _fit_channels(values: np.ndarray, times: np.ndarray, s: np.ndarray,
                   goal: np.ndarray, y0: np.ndarray, tau: float,
                   alpha_z: float, beta_z: float,
@@ -175,21 +168,17 @@ def _fit_channels(values: np.ndarray, times: np.ndarray, s: np.ndarray,
                   ridge_lambda: float):
     """Ridge-fit forcing weights for a multi-channel signal; returns
     (weights (dims, n), scale (dims,), degenerate (dims,))."""
-    vel = _nonuniform_gradient(values, times)
-    acc = _nonuniform_gradient(vel, times)
-
-    def _design(phase):
-        psi = np.exp(-widths[None, :] * (phase[:, None] - centers[None, :]) ** 2)
-        return psi * (phase / np.sum(psi, axis=1))[:, None]
-
-    basis = _design(s)  # (T, n)
+    # np.gradient uses the exact three-point weights on non-uniform grids
+    vel = np.gradient(values, times, axis=0)
+    acc = np.gradient(vel, times, axis=0)
+    basis = _basis(s, centers, widths)  # (T, n)
     # Anchor the small-phase tail: the demo ends at rest at its goal, so the
     # continuation beyond tau has zero target forcing.  Weighted rest rows on
     # s in (s(tau), s(1.5*tau)] pin the otherwise underdetermined late weights
     # so retargeted rollouts settle onto the new goal.
     alpha_s = -math.log(s[-1])  # s = exp(-alpha_s * t / tau) with t[-1] = tau
     pad_phase = np.exp(-alpha_s * np.linspace(1.0, 1.5, REST_PAD_SAMPLES + 1)[1:])
-    pad = REST_PAD_WEIGHT * _design(pad_phase)
+    pad = REST_PAD_WEIGHT * _basis(pad_phase, centers, widths)
     dims = values.shape[1]
     n = len(centers)
     weights = np.zeros((dims, n))
@@ -253,13 +242,6 @@ def fit_dmp(segment: Trajectory, n_basis: int = DEFAULT_N_BASIS,
     )
 
 
-def _rollout_scale(degenerate: np.ndarray, fit_scale: np.ndarray,
-                   new_amp: np.ndarray) -> np.ndarray:
-    # degenerate-at-fit channels keep their stored scale; others rescale
-    # with the new goal amplitude
-    return np.where(degenerate, fit_scale, new_amp)
-
-
 def rollout(model: DmpModel, new_start: Pose | None = None,
             new_goal: Pose | None = None, dt: float = 0.01,
             coupling=None,
@@ -269,7 +251,8 @@ def rollout(model: DmpModel, new_start: Pose | None = None,
     coupling, when given, is called as coupling(step_index, position,
     velocity_m_per_s) and must return an extra acceleration added into the
     tau-scaled transformation dynamics (tau*dv/dt = a_dmp + a_coupling).
-    Orientation is reconstructed as q0 * exp(r(t)).
+    Orientation is reconstructed as q0 * exp(r(t)).  The phase is state-free:
+    its (n_steps, n_basis) basis table is built once, before the step loop.
     """
     tau = model.canonical.tau
     if dt <= 0:
@@ -285,13 +268,22 @@ def rollout(model: DmpModel, new_start: Pose | None = None,
     r = np.zeros(3)
     rv = np.zeros(3)
     rot_goal = quat_log(quat_mul(quat_conj(q0), goal.orientation))
-    pos_scale = _rollout_scale(model.pos_degenerate, model.pos_scale,
-                               goal.position - start.position)
-    rot_scale = _rollout_scale(model.rot_degenerate, model.rot_scale, rot_goal)
+    # degenerate-at-fit channels keep their stored scale; others rescale
+    # with the new goal amplitude
+    pos_scale = np.where(model.pos_degenerate, model.pos_scale, goal.position - start.position)
+    rot_scale = np.where(model.rot_degenerate, model.rot_scale, rot_goal)
 
     n_steps = math.ceil(horizon_factor * tau / dt)
     alpha_s = model.canonical.alpha_s
     az, bz = model.alpha_z, model.beta_z
+
+    phase = np.empty(n_steps)
+    s = 1.0
+    for n in range(n_steps):
+        phase[n], s = s, s - alpha_s * s * (dt / tau)
+    # fit_dmp and from_dict give both forcing terms the same centers and widths
+    basis = _basis(phase, model.position_forcing.centers, model.position_forcing.widths)
+    pos_w, rot_w = model.position_forcing.weights, model.orientation_forcing.weights
 
     times = np.empty(n_steps + 1)
     positions = np.empty((n_steps + 1, 3))
@@ -300,17 +292,15 @@ def rollout(model: DmpModel, new_start: Pose | None = None,
     positions[0] = y
     quaternions[0] = q0
 
-    s = 1.0
     for n in range(n_steps):
-        a = az * (bz * (goal.position - y) - v) + model.position_forcing.evaluate(s, pos_scale)
+        a = az * (bz * (goal.position - y) - v) + (pos_w @ basis[n]) * pos_scale
         if coupling is not None:
             a = a + coupling(n, y, v / tau)
-        a_r = az * (bz * (rot_goal - r) - rv) + model.orientation_forcing.evaluate(s, rot_scale)
+        a_r = az * (bz * (rot_goal - r) - rv) + (rot_w @ basis[n]) * rot_scale
         v = v + a * (dt / tau)
         y = y + v * (dt / tau)
         rv = rv + a_r * (dt / tau)
         r = r + rv * (dt / tau)
-        s = s - alpha_s * s * (dt / tau)
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(r))):
             raise RolloutError(f"non-finite state at step {n}")
         times[n + 1] = (n + 1) * dt

@@ -181,7 +181,8 @@ class Trajectory:
             raise TrajectoryError("trajectory needs at least 2 samples")
         if np.any(np.diff(self.times) <= 0):
             raise TrajectoryError("times must be strictly increasing")
-        if not np.all(np.isfinite(self.times)) or not np.all(np.isfinite(self.positions)):
+        samples = (self.times, self.positions, self.quaternions, self.gripper)
+        if not all(np.all(np.isfinite(x)) for x in samples):
             raise TrajectoryError("non-finite sample values")
         norms = np.linalg.norm(self.quaternions, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-6):

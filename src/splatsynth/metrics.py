@@ -43,23 +43,32 @@ def _distance_matrix(a: np.ndarray, b: np.ndarray, dist: str) -> np.ndarray:
 
 def dtw(a, b, dist: str = "euclidean", normalized: bool = False):
     """Dynamic time warping with step set {(1,0),(0,1),(1,1)}, anchored at
-    both ends.  Returns (cost, path); cost is divided by the warping-path
-    length when normalized is requested."""
+    both ends, its table filled one anti-diagonal at a time (Sakoe & Chiba,
+    1978).  Returns (cost, path); cost is divided by the warping-path length
+    when normalized is requested."""
     if callable(dist):
-        a = list(a)
         b = list(b)
-        D = np.array([[dist(x, y) for y in b] for x in a])
+        D = np.array([[dist(x, y) for y in b] for x in a], dtype=float)
     else:
         D = _distance_matrix(a, b, dist)
     n, m = D.shape
     if n == 0 or m == 0:
         raise ValueError("sequences must be non-empty")
-    acc = np.full((n + 1, m + 1), np.inf)
+    if not np.all(np.isfinite(D)):
+        raise ValueError("non-finite distance")
+    # acc[i, j] = D[i-1, j-1] + min(up, left, diagonal): one addition per cell,
+    # as in row order, so acc, cost and path are bit-identical to it.  acc
+    # starts out holding D; on the flat table the cells with i + j = d sit at
+    # stride m, their up, left and diagonal neighbours w, 1 and w + 1 before.
+    w = m + 1
+    acc = np.full((n + 1, w), np.inf)
     acc[0, 0] = 0.0
-    for i in range(1, n + 1):
-        row = D[i - 1]
-        for j in range(1, m + 1):
-            acc[i, j] = row[j - 1] + min(acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1])
+    acc[1:, 1:] = D
+    flat = acc.ravel()
+    for d in range(2, n + m + 1):
+        k0, k1 = max(1, d - m) * m + d, min(n, d - 1) * m + d + 1
+        flat[k0:k1:m] += np.minimum(np.minimum(flat[k0 - w:k1 - w:m], flat[k0 - 1:k1 - 1:m]),
+                                    flat[k0 - w - 1:k1 - w - 1:m])
     # backtrack the optimal monotone path
     path = []
     i, j = n, m

@@ -116,23 +116,26 @@ def return_to_reference(x, v_err, x_ref, rho_local: float,
 
 
 def make_coupling(scene: GaussianScene, params: ObstacleParams,
-                  reference: Trajectory, dt: float):
+                  reference: Trajectory | None, dt: float):
     """Build a rollout coupling hook from a cached nominal (uncoupled) rollout.
 
-    Returns None when the coupling is inert (lambda_max and return_gain both
-    zero), so the coupled rollout is bitwise identical to the plain one.
+    The reference is read only for the return pull, so it may be None when
+    return_gain is zero.  Returns None when the coupling is inert
+    (lambda_max and return_gain both zero), so the coupled rollout is
+    bitwise identical to the plain one.
     """
     if params.lambda_max == 0.0 and params.return_gain == 0.0:
         return None
-    ref_pos = reference.positions
-    ref_vel = np.gradient(ref_pos, reference.times, axis=0)
-    last = len(ref_pos) - 1
+    if params.return_gain > 0.0:
+        ref_pos = reference.positions
+        ref_vel = np.gradient(ref_pos, reference.times, axis=0)
+        last = len(ref_pos) - 1
 
     def hook(step, y, v):
-        i = min(step, last)
         probe = max(params.lookahead, 3.0 * dt * float(np.linalg.norm(v)))
         a = obstacle_accel(scene, y, v, params, lookahead=probe)
         if params.return_gain > 0.0:
+            i = min(step, last)
             rho_local = density(scene, y)
             a = a + return_to_reference(y, v - ref_vel[i], ref_pos[i], rho_local, params)
         return a

@@ -151,16 +151,16 @@ def synthesize_one(job: SynthesisJob, models: list[DmpModel], rollout_index: int
     current = targets[0]
     for k, model in enumerate(models):
         goal = targets[k + 1]
-        nominal = rollout(model, current, goal, job.dt,
-                          coupling=None, horizon_factor=job.horizon_factor)
         coupling = None
         if job.scene is not None and len(job.scene):
+            # the hook reads the nominal (uncoupled) rollout only for its return pull
+            nominal = None
+            if job.obstacle.return_gain > 0.0:
+                nominal = rollout(model, current, goal, job.dt,
+                                  coupling=None, horizon_factor=job.horizon_factor)
             coupling = make_coupling(job.scene, job.obstacle, nominal, job.dt)
-        if coupling is None:
-            piece = nominal
-        else:
-            piece = rollout(model, current, goal, job.dt,
-                            coupling=coupling, horizon_factor=job.horizon_factor)
+        piece = rollout(model, current, goal, job.dt,
+                        coupling=coupling, horizon_factor=job.horizon_factor)
         seg_grip = demo.segment(k).gripper
         grippers.append(_resample(seg_grip, len(piece)))
         pieces.append(piece)

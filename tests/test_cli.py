@@ -218,6 +218,19 @@ class TestEval:
         empty.mkdir()
         assert main(["eval", str(empty), demo_csv]) == 2
 
+    def test_nan_quaternion_rollout(self, tmp_path, demo_csv, capsys):
+        out_dir, demo = self.make_dataset(tmp_path, demo_csv)
+        path = out_dir / "rollout_0000.csv"
+        lines = path.read_text().splitlines()
+        row = lines[5].split(",")
+        row[5] = "nan"   # qx
+        lines[5] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["eval", str(out_dir), demo_csv]) == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == ["error: non-finite sample values"]
+        assert "Traceback" not in err
+
     def test_bad_writing_plane(self, tmp_path, demo_csv, capsys):
         out_dir, _ = self.make_dataset(tmp_path, demo_csv)
         assert main(["eval", str(out_dir), demo_csv,

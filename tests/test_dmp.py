@@ -11,10 +11,21 @@ from splatsynth.dmp import (
     fit_dmp,
     rollout,
 )
-from splatsynth.geometry import Pose, Trajectory, quat_geodesic_distance, quat_from_axis_angle
+from splatsynth.geometry import (
+    Pose,
+    Trajectory,
+    quat_conj,
+    quat_exp,
+    quat_from_axis_angle,
+    quat_geodesic_distance,
+    quat_log,
+    quat_mul,
+)
 from splatsynth.metrics import dtw
+from splatsynth.obstacles import ObstacleParams, make_coupling
+from splatsynth.splats import GaussianBlob, GaussianScene
 
-from helpers import line_demo, minimum_jerk
+from helpers import letter_a_demo, line_demo, minimum_jerk
 
 
 def minjerk_demo_1d(n=201, duration=1.0):
@@ -209,3 +220,103 @@ class TestRollout:
 
         with pytest.raises(RolloutError, match="step"):
             rollout(model, dt=0.01, coupling=bad_coupling)
+
+
+# fit_dmp(...).hash() of the demo in test_fit_hash_unchanged, as computed
+# with a per-fit basis formula of its own (x86-64, numpy 2.4, OpenBLAS)
+FIT_HASH = "45823f90aef814b34c82c67b6cd77c7d753d42aa500fe7841b7f66df3af07baa"
+
+
+def basis_at(forcing, s):
+    """The RBF basis at one phase value, evaluated as a scalar."""
+    psi = np.exp(-forcing.widths * (s - forcing.centers) ** 2)
+    return psi * (s / np.sum(psi))
+
+
+def rollout_per_step(model, new_start=None, new_goal=None, dt=0.01, coupling=None,
+                     horizon_factor=1.25):
+    """The step loop with the basis evaluated at the current phase inside
+    each step: the reference for the once-per-rollout basis table."""
+    tau = model.canonical.tau
+    start = new_start or Pose(model.y0, model.q0)
+    goal = new_goal or Pose(model.goal, model.q_goal)
+    y = start.position.astype(float).copy()
+    v = np.zeros(3)
+    q0 = start.orientation
+    r = np.zeros(3)
+    rv = np.zeros(3)
+    rot_goal = quat_log(quat_mul(quat_conj(q0), goal.orientation))
+    pos_scale = np.where(model.pos_degenerate, model.pos_scale, goal.position - start.position)
+    rot_scale = np.where(model.rot_degenerate, model.rot_scale, rot_goal)
+    n_steps = math.ceil(horizon_factor * tau / dt)
+    az, bz = model.alpha_z, model.beta_z
+    positions = [y]
+    quaternions = [q0]
+    s = 1.0
+    for n in range(n_steps):
+        f_pos = (model.position_forcing.weights @ basis_at(model.position_forcing, s)) * pos_scale
+        f_rot = (model.orientation_forcing.weights @ basis_at(model.orientation_forcing, s)) * rot_scale
+        a = az * (bz * (goal.position - y) - v) + f_pos
+        if coupling is not None:
+            a = a + coupling(n, y, v / tau)
+        a_r = az * (bz * (rot_goal - r) - rv) + f_rot
+        v = v + a * (dt / tau)
+        y = y + v * (dt / tau)
+        rv = rv + a_r * (dt / tau)
+        r = r + rv * (dt / tau)
+        s = s - model.canonical.alpha_s * s * (dt / tau)
+        positions.append(y)
+        quaternions.append(quat_mul(q0, quat_exp(r)))
+    return Trajectory(np.arange(n_steps + 1) * dt, positions, quaternions,
+                      np.zeros(n_steps + 1), [0, n_steps])
+
+
+def assert_rollout_matches_per_step(model, **kw):
+    out = rollout(model, **kw)
+    ref = rollout_per_step(model, **kw)
+    for name in ("times", "positions", "quaternions", "gripper"):
+        assert np.array_equal(getattr(out, name), getattr(ref, name)), name
+    assert out.splits == ref.splits
+
+
+class TestRolloutMatchesPerStep:
+    def test_free(self):
+        model = fit_dmp(line_demo([0.1, -0.2, 0.3], [0.4, 0.1, 0.0], n=151, angle=0.6))
+        assert_rollout_matches_per_step(model, dt=0.01)
+        assert_rollout_matches_per_step(model, dt=0.004, horizon_factor=1.5)
+
+    def test_retargeted(self):
+        model = fit_dmp(line_demo([0, 0, 0], [0.3, 0.2, -0.1], n=151, axis=(1, 0, 0), angle=0.4))
+        start = Pose([0.01, -0.02, 0.0], quat_from_axis_angle([0, 1, 0], 0.1))
+        goal = Pose([0.35, 0.15, -0.05], quat_from_axis_angle([1, 0, 0], 0.5))
+        assert_rollout_matches_per_step(model, new_start=start, new_goal=goal, dt=0.01)
+
+    def test_letter_segments(self):
+        demo = letter_a_demo()
+        for k in range(demo.n_segments):
+            assert_rollout_matches_per_step(fit_dmp(demo.segment(k)), dt=0.01)
+
+    def test_coupled(self):
+        demo = line_demo([0, 0, 0], [0.4, 0, 0], n=151)
+        model = fit_dmp(demo)
+        scene = GaussianScene([GaussianBlob([0.2, 0.004, 0.0], 0.02 ** 2 * np.eye(3), 1.0)])
+        params = ObstacleParams(rho_th=0.005, lambda_max=100.0, gamma=2.0,
+                                lookahead=0.015, return_gain=4.0)
+        hook = make_coupling(scene, params, rollout(model, dt=0.01), 0.01)
+        assert_rollout_matches_per_step(model, dt=0.01, coupling=hook)
+
+    def test_degenerate_channels(self):
+        # y, z and every orientation channel have goal == start at fit time
+        model = fit_dmp(minjerk_demo_1d())
+        assert model.pos_degenerate.tolist() == [False, True, True]
+        assert model.rot_degenerate.all()
+        assert_rollout_matches_per_step(model, dt=0.005)
+        goal = Pose([1.0, 0.05, -0.02], quat_from_axis_angle([0, 0, 1], 0.2))
+        assert_rollout_matches_per_step(model, new_goal=goal, dt=0.005)
+
+    def test_fit_hash_unchanged(self):
+        # the fit's design matrix uses the same basis formula as the rollout;
+        # this digest is the fit's before the formula was shared
+        model = fit_dmp(line_demo([0.1, -0.2, 0.3], [0.4, 0.1, 0.0], n=151, angle=0.6))
+        assert model.hash() == FIT_HASH
+

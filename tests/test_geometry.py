@@ -185,6 +185,34 @@ class TestTrajectory:
         with pytest.raises(TrajectoryError):
             Trajectory.load_csv(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_quaternion(self, bad):
+        # abs(nan - 1) > 1e-6 is False, so the unit-norm check let NaN through
+        q = np.tile([1.0, 0, 0, 0], (4, 1))
+        q[2, 1] = bad
+        with pytest.raises(TrajectoryError, match="non-finite"):
+            Trajectory(np.arange(4.0), np.zeros((4, 3)), q, np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_rejects_nonfinite_gripper(self, bad):
+        grip = np.zeros(4)
+        grip[1] = bad
+        with pytest.raises(TrajectoryError, match="non-finite"):
+            Trajectory(np.arange(4.0), np.zeros((4, 3)), np.tile([1.0, 0, 0, 0], (4, 1)), grip)
+
+    @pytest.mark.parametrize("column", ["qx", "gripper"])
+    def test_load_csv_rejects_nan(self, tmp_path, column):
+        path = tmp_path / "t.csv"
+        make_traj(6).save_csv(path)
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[3].split(",")
+        row[header.index(column)] = "nan"
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TrajectoryError, match="non-finite"):
+            Trajectory.load_csv(path)
+
 
 class TestPose:
     def test_rejects_nonfinite(self):

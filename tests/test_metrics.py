@@ -7,6 +7,7 @@ from splatsynth.geometry import Trajectory, quat_from_axis_angle
 from splatsynth.metrics import (
     MetricError,
     RasterSpec,
+    _distance_matrix,
     collision_check,
     dtw,
     dtw_bruteforce,
@@ -28,6 +29,98 @@ def traj_from_positions(pos, duration=1.0):
     t = np.linspace(0, duration, n)
     q = np.tile([1.0, 0, 0, 0], (n, 1))
     return Trajectory(t, pos, q, np.zeros(n))
+
+
+def dtw_rowwise(a, b, dist="euclidean"):
+    """The row-by-row DTW recurrence with its backtrack: the oracle for the
+    anti-diagonal fill.  Returns (D, acc, cost, path)."""
+    if callable(dist):
+        b = list(b)
+        D = np.array([[dist(x, y) for y in b] for x in a], dtype=float)
+    else:
+        D = _distance_matrix(a, b, dist)
+    n, m = D.shape
+    acc = np.full((n + 1, m + 1), np.inf)
+    acc[0, 0] = 0.0
+    for i in range(1, n + 1):
+        row = D[i - 1]
+        for j in range(1, m + 1):
+            acc[i, j] = row[j - 1] + min(acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1])
+    path = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        path.append((i - 1, j - 1))
+        moves = []
+        if i > 0 and j > 0:
+            moves.append((acc[i - 1, j - 1], i - 1, j - 1))
+        if i > 0:
+            moves.append((acc[i - 1, j], i - 1, j))
+        if j > 0:
+            moves.append((acc[i, j - 1], i, j - 1))
+        _, i, j = min(moves)
+        if i == 0 and j == 0:
+            break
+    path.reverse()
+    return D, acc, float(acc[n, m]), path
+
+
+def assert_matches_rowwise(a, b, dist="euclidean"):
+    """dtw's cost and path equal the oracle's exactly, and so does every cell
+    of its table: the cost over index prefixes (i, j) of the same distance
+    matrix is the table entry acc[i, j]."""
+    D, acc, cost, path = dtw_rowwise(a, b, dist)
+    assert dtw(a, b, dist) == (cost, path)
+    n, m = D.shape
+    table = np.full_like(acc, np.inf)
+    table[0, 0] = 0.0
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            table[i, j] = dtw(range(i), range(j), lambda r, c: D[r, c])[0]
+    assert np.array_equal(table, acc)
+
+
+SHAPES = [(1, 1), (1, 7), (7, 1), (6, 6), (9, 4), (4, 9), (2, 13)]
+
+
+class TestDtwMatchesRowwise:
+    @pytest.mark.parametrize("n,m", SHAPES)
+    def test_euclidean(self, n, m):
+        rng = np.random.default_rng(n * 100 + m)
+        assert_matches_rowwise(rng.normal(size=(n, 3)), rng.normal(size=(m, 3)))
+
+    @pytest.mark.parametrize("n,m", SHAPES)
+    def test_quaternion(self, n, m):
+        rng = np.random.default_rng(n * 100 + m + 1)
+        qa = rng.normal(size=(n, 4))
+        qb = rng.normal(size=(m, 4))
+        qa /= np.linalg.norm(qa, axis=1, keepdims=True)
+        qb /= np.linalg.norm(qb, axis=1, keepdims=True)
+        assert_matches_rowwise(qa, qb, "quaternion")
+
+    @pytest.mark.parametrize("n,m", SHAPES)
+    def test_callable(self, n, m):
+        rng = np.random.default_rng(n * 100 + m + 2)
+        a = [float(v) for v in rng.normal(size=n)]
+        b = [float(v) for v in rng.normal(size=m)]
+        assert_matches_rowwise(a, b, lambda x, y: abs(x - y) ** 1.5)
+
+    @pytest.mark.parametrize("n,m", [(8, 11), (11, 8), (10, 10), (1, 9), (9, 1)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integer_ties(self, n, m, seed):
+        # few distinct integer values: many equal-cost cells and moves, so
+        # the backtrack's tie-breaks decide the path
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 3, size=n).astype(float)
+        b = rng.integers(0, 3, size=m).astype(float)
+        assert_matches_rowwise(a, b)
+
+    def test_long_sequences(self):
+        rng = np.random.default_rng(7)
+        a = np.cumsum(rng.normal(size=(126, 3)), axis=0)
+        b = np.cumsum(rng.normal(size=(151, 3)), axis=0)
+        _, _, cost, path = dtw_rowwise(a, b)
+        assert dtw(a, b) == (cost, path)
+        assert dtw(a, b, normalized=True)[0] == cost / len(path)
 
 
 class TestDtw:
@@ -105,6 +198,16 @@ class TestDtw:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             dtw(np.empty((0, 3)), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_distance_rejected(self, bad):
+        # a NaN used to give cost nan and a path that depended on min's order
+        a = np.array([[0.0, 0.0], [1.0, bad], [2.0, 0.0]])
+        b = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="non-finite distance"):
+            dtw(a, b)
+        with pytest.raises(ValueError, match="non-finite distance"):
+            dtw([1.0, 2.0], [1.0, 4.0], dist=lambda x, y: bad)
 
     def test_quaternion_distance_mode(self):
         q0 = np.array([1.0, 0, 0, 0])

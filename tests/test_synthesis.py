@@ -6,6 +6,7 @@ import scipy.stats
 
 from splatsynth.geometry import quat_geodesic_distance
 from splatsynth.obstacles import ObstacleParams
+from splatsynth.splats import GaussianBlob, GaussianScene
 from splatsynth.synthesis import (
     PerturbationSpec,
     SynthesisJob,
@@ -206,6 +207,65 @@ class TestSynthesize:
         assert statuses == ["ok", "failed", "ok"]
         assert trajs[1] is None
         assert "diverged" in manifest["rollouts"][1]["error"]
+
+
+class TestNominalRollout:
+    """The uncoupled nominal rollout feeds only the coupling's return pull."""
+
+    def blob_job(self, **obstacle):
+        demo = line_demo([0, 0, 0], [0.4, 0, 0], n=151)
+        scene = GaussianScene([GaussianBlob([0.2, 0.004, 0.0], 0.02 ** 2 * np.eye(3), 1.0)])
+        return SynthesisJob(demo=demo, scene=scene, spec=small_spec(seed=3), n_demos=3, dt=0.01,
+                            obstacle=ObstacleParams(rho_th=0.005, gamma=2.0, lookahead=0.015, **obstacle))
+
+    def count_rollouts(self, monkeypatch, job):
+        import splatsynth.synthesis as synth_mod
+        calls = []
+        real = synth_mod.rollout
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["coupling"] is not None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(synth_mod, "rollout", counted)
+        synthesize(job)
+        return calls
+
+    @pytest.mark.parametrize("lambda_max,return_gain,expected", [
+        (100.0, 0.0, [True]),           # coupled, no return pull: nominal skipped
+        (100.0, 4.0, [False, True]),    # nominal, then the coupled rollout
+        (0.0, 0.0, [False]),            # inert coupling: the nominal is the piece
+    ])
+    def test_rollout_calls(self, monkeypatch, lambda_max, return_gain, expected):
+        job = self.blob_job(lambda_max=lambda_max, return_gain=return_gain)
+        assert self.count_rollouts(monkeypatch, job) == expected * job.n_demos
+
+    def test_skipped_nominal_output_unchanged(self, monkeypatch, tmp_path):
+        # the same batch along the path that integrates the nominal and hands
+        # it to the hook before each coupled rollout: byte-identical files
+        import splatsynth.synthesis as synth_mod
+        job = self.blob_job(lambda_max=100.0, return_gain=0.0)
+        trajs, manifest = synthesize(job)
+        export_dataset(trajs, manifest, tmp_path / "skipped")
+        real_rollout, real_make = synth_mod.rollout, synth_mod.make_coupling
+        nominals = []
+
+        def with_nominal(model, start, goal, dt, coupling=None, horizon_factor=1.25):
+            if coupling is not None:
+                nominals.append(real_rollout(model, start, goal, dt, coupling=None,
+                                             horizon_factor=horizon_factor))
+                coupling = real_make(job.scene, job.obstacle, nominals[-1], dt)
+            return real_rollout(model, start, goal, dt, coupling=coupling,
+                                horizon_factor=horizon_factor)
+
+        monkeypatch.setattr(synth_mod, "rollout", with_nominal)
+        trajs, manifest = synthesize(job)
+        export_dataset(trajs, manifest, tmp_path / "nominal")
+        assert len(nominals) == job.n_demos
+        names = sorted(p.name for p in (tmp_path / "skipped").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "nominal").iterdir())
+        for name in names:
+            assert (tmp_path / "skipped" / name).read_bytes() == (tmp_path / "nominal" / name).read_bytes()
 
 
 class TestExportDataset:
