@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import alignment, dmp, metrics, obstacles, splats, synthesis
-from .geometry import Trajectory
+from .geometry import Trajectory, TrajectoryError
 
 log = logging.getLogger("splatsynth")
 
@@ -212,7 +212,10 @@ def cmd_eval(args) -> int:
     reports = []
     rows = []
     for name in files:
-        traj = Trajectory.load_csv(os.path.join(args.dataset, name))
+        try:
+            traj = Trajectory.load_csv(os.path.join(args.dataset, name))
+        except TrajectoryError as exc:
+            raise TrajectoryError(f"{name}: {exc}") from exc
         rep = metrics.evaluate_rollout(traj, expert, scene, args.rho_th, raster)
         reports.append(rep)
         rows.append([name, repr(rep.dtw_position), repr(rep.dtw_orientation),

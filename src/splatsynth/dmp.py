@@ -222,7 +222,7 @@ def fit_dmp(segment: Trajectory, n_basis: int = DEFAULT_N_BASIS,
 
     q0 = segment.quaternions[0]
     q0_inv = quat_conj(q0)
-    rs = unwrap_rotation_vectors([quat_log(quat_mul(q0_inv, q)) for q in segment.quaternions])
+    rs = unwrap_rotation_vectors([quat_log(q) for q in quat_mul(q0_inv, segment.quaternions)])
     rot_goal = rs[-1].copy()
     rot_w, rot_scale, rot_deg = _fit_channels(
         rs, times, s, rot_goal, np.zeros(3), tau, alpha_z, beta_z,
@@ -242,35 +242,36 @@ def fit_dmp(segment: Trajectory, n_basis: int = DEFAULT_N_BASIS,
     )
 
 
-def rollout(model: DmpModel, new_start: Pose | None = None,
-            new_goal: Pose | None = None, dt: float = 0.01,
-            coupling=None,
-            horizon_factor: float = DEFAULT_HORIZON_FACTOR) -> Trajectory:
-    """Integrate the DMP with semi-implicit Euler for ceil(horizon*tau/dt) steps.
+def rollout_batch(model: DmpModel, starts, goals, dt: float = 0.01, coupling=None,
+                  horizon_factor: float = DEFAULT_HORIZON_FACTOR) -> list:
+    """Integrate the DMP from B start poses to B goal poses at once, as (B, 3)
+    states, with semi-implicit Euler for ceil(horizon*tau/dt) steps.
 
-    coupling, when given, is called as coupling(step_index, position,
-    velocity_m_per_s) and must return an extra acceleration added into the
-    tau-scaled transformation dynamics (tau*dv/dt = a_dmp + a_coupling).
-    Orientation is reconstructed as q0 * exp(r(t)).  The phase is state-free:
-    its (n_steps, n_basis) basis table is built once, before the step loop.
+    coupling, when given, is called as coupling(step_index, positions,
+    velocities_m_per_s) on the (B, 3) rows and must return the extra
+    accelerations added into the tau-scaled transformation dynamics
+    (tau*dv/dt = a_dmp + a_coupling).  Orientation is reconstructed as
+    q0 * exp(r(t)) after the loop.  The phase is state-free: its
+    (n_steps, n_basis) basis table is built once, before the step loop.
+
+    Every row is computed exactly as it would be alone.  Returns one
+    Trajectory per row, or the RolloutError of a row whose state went
+    non-finite; such a row is frozen and the others carry on.
     """
     tau = model.canonical.tau
     if dt <= 0:
         raise ValueError("dt must be positive")
     if dt > tau / 50.0:
         raise ValueError(f"dt={dt} too coarse: must be <= tau/50 = {tau / 50.0}")
-    start = new_start or Pose(model.y0, model.q0)
-    goal = new_goal or Pose(model.goal, model.q_goal)
-
-    y = start.position.astype(float).copy()
-    v = np.zeros(3)
-    q0 = start.orientation
-    r = np.zeros(3)
-    rv = np.zeros(3)
-    rot_goal = quat_log(quat_mul(quat_conj(q0), goal.orientation))
+    y = np.array([s.position for s in starts], dtype=float).reshape(-1, 3)
+    goal = np.array([g.position for g in goals], dtype=float).reshape(-1, 3)
+    q0 = np.array([s.orientation for s in starts]).reshape(-1, 4)
+    rot_goal = np.array([quat_log(quat_mul(quat_conj(s.orientation), g.orientation))
+                         for s, g in zip(starts, goals)]).reshape(-1, 3)
+    v, r, rv = np.zeros_like(y), np.zeros_like(y), np.zeros_like(y)
     # degenerate-at-fit channels keep their stored scale; others rescale
     # with the new goal amplitude
-    pos_scale = np.where(model.pos_degenerate, model.pos_scale, goal.position - start.position)
+    pos_scale = np.where(model.pos_degenerate, model.pos_scale, goal - y)
     rot_scale = np.where(model.rot_degenerate, model.rot_scale, rot_goal)
 
     n_steps = math.ceil(horizon_factor * tau / dt)
@@ -285,27 +286,46 @@ def rollout(model: DmpModel, new_start: Pose | None = None,
     basis = _basis(phase, model.position_forcing.centers, model.position_forcing.widths)
     pos_w, rot_w = model.position_forcing.weights, model.orientation_forcing.weights
 
-    times = np.empty(n_steps + 1)
-    positions = np.empty((n_steps + 1, 3))
-    quaternions = np.empty((n_steps + 1, 4))
-    times[0] = 0.0
-    positions[0] = y
-    quaternions[0] = q0
-
+    positions = np.empty((len(y), n_steps + 1, 3))
+    rots = np.empty((len(y), n_steps, 3))
+    positions[:, 0] = y
+    failed = np.full(len(y), -1)
     for n in range(n_steps):
-        a = az * (bz * (goal.position - y) - v) + (pos_w @ basis[n]) * pos_scale
+        a = az * (bz * (goal - y) - v) + (pos_w @ basis[n]) * pos_scale
         if coupling is not None:
             a = a + coupling(n, y, v / tau)
         a_r = az * (bz * (rot_goal - r) - rv) + (rot_w @ basis[n]) * rot_scale
+        state = (y, v, r, rv)
         v = v + a * (dt / tau)
         y = y + v * (dt / tau)
         rv = rv + a_r * (dt / tau)
         r = r + rv * (dt / tau)
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(r))):
-            raise RolloutError(f"non-finite state at step {n}")
-        times[n + 1] = (n + 1) * dt
-        positions[n + 1] = y
-        quaternions[n + 1] = quat_mul(q0, quat_exp(r))
+        bad = ~(np.isfinite(y).all(axis=1) & np.isfinite(r).all(axis=1))
+        if bad.any():
+            failed[bad & (failed < 0)] = n
+            y, v, r, rv = (np.where(bad[:, None], old, new) for old, new in zip(state, (y, v, r, rv)))
+        positions[:, n + 1] = y
+        rots[:, n] = r
 
-    return Trajectory(times, positions, quaternions,
-                      np.zeros(n_steps + 1), [0, n_steps])
+    quaternions = np.empty((len(y), n_steps + 1, 4))
+    quaternions[:, 0] = q0
+    quaternions[:, 1:] = quat_mul(q0[:, None], quat_exp(rots))
+    times = np.arange(n_steps + 1) * dt
+    return [RolloutError(f"non-finite state at step {f}") if f >= 0 else
+            Trajectory(times.copy(), positions[b], quaternions[b], np.zeros(n_steps + 1), [0, n_steps])
+            for b, f in enumerate(failed)]
+
+
+def rollout(model: DmpModel, new_start: Pose | None = None,
+            new_goal: Pose | None = None, dt: float = 0.01,
+            coupling=None,
+            horizon_factor: float = DEFAULT_HORIZON_FACTOR) -> Trajectory:
+    """One rollout: rollout_batch on a single row, from new_start (default the
+    demo's start) to new_goal (default the demo's goal).  coupling is called
+    with (1, 3) rows.  Raises RolloutError when the state goes non-finite."""
+    start = new_start or Pose(model.y0, model.q0)
+    goal = new_goal or Pose(model.goal, model.q_goal)
+    (out,) = rollout_batch(model, [start], [goal], dt, coupling, horizon_factor)
+    if isinstance(out, RolloutError):
+        raise out
+    return out

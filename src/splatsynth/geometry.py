@@ -22,32 +22,41 @@ class TrajectoryError(ValueError):
     """Raised when trajectory data violates its structural invariants."""
 
 
+def rowdot(a, b) -> np.ndarray:
+    """Dot products of matching rows of (..., d) arrays, each bit-equal to
+    np.dot of the two rows (a stacked matmul makes the same BLAS dot call;
+    einsum and (a * b).sum(-1) round differently)."""
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def quat_canonical(q: np.ndarray) -> np.ndarray:
-    """Flip sign so that w >= 0 (tie: x >= 0); q and -q encode the same rotation."""
+    """Flip sign so that w >= 0 (tie: x >= 0); q and -q encode the same rotation.
+    Works on (..., 4) rows."""
     q = np.asarray(q, dtype=float)
-    if q[0] < 0.0 or (q[0] == 0.0 and q[1] < 0.0):
-        return -q
-    return q.copy()
+    flip = (q[..., 0] < 0.0) | ((q[..., 0] == 0.0) & (q[..., 1] < 0.0))
+    return np.where(flip[..., None], -q, q)
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
-    if n == 0.0:
+    n = np.sqrt(rowdot(q, q))
+    if np.any(n == 0.0):
         raise ValueError("zero quaternion cannot be normalized")
-    return quat_canonical(q / n)
+    return quat_canonical(q / n[..., None])
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a ⊗ b (both [w,x,y,z])."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
+    """Hamilton product a ⊗ b (both [w,x,y,z], or broadcastable (..., 4) rows)."""
+    aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+    bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+    return np.stack([
         aw * bw - ax * bx - ay * by - az * bz,
         aw * bx + ax * bw + ay * bz - az * by,
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
-    ])
+    ], axis=-1)
 
 
 def quat_conj(q: np.ndarray) -> np.ndarray:
@@ -74,16 +83,18 @@ def quat_log(q: np.ndarray) -> np.ndarray:
 
 
 def quat_exp(r: np.ndarray) -> np.ndarray:
-    """Unit quaternion for a rotation of angle ||r|| about r/||r||."""
+    """Unit quaternion for a rotation of angle ||r|| about r/||r||; works on
+    (..., 3) rows."""
     r = np.asarray(r, dtype=float)
-    theta = np.linalg.norm(r)
-    if theta < SMALL_ANGLE:
-        # second-order series: sin(t/2)/t ~ 1/2 - t^2/48
-        scale = 0.5 - theta * theta / 48.0
-        q = np.array([1.0 - theta * theta / 8.0, *(r * scale)])
-    else:
-        half = 0.5 * theta
-        q = np.array([math.cos(half), *(r * (math.sin(half) / theta))])
+    theta = np.sqrt(rowdot(r, r))
+    small = theta < SMALL_ANGLE
+    half = 0.5 * theta
+    q = np.empty(r.shape[:-1] + (4,))
+    # second-order series below SMALL_ANGLE: cos(t/2) ~ 1 - t^2/8 and
+    # sin(t/2)/t ~ 1/2 - t^2/48
+    q[..., 0] = np.where(small, 1.0 - theta * theta / 8.0, np.cos(half))
+    scale = np.where(small, 0.5 - theta * theta / 48.0, np.sin(half) / np.where(small, 1.0, theta))
+    q[..., 1:] = r * scale[..., None]
     return quat_normalize(q)
 
 
@@ -187,7 +198,7 @@ class Trajectory:
         norms = np.linalg.norm(self.quaternions, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-6):
             raise TrajectoryError("orientations must be unit quaternions")
-        self.quaternions = np.array([quat_canonical(q / nq) for q, nq in zip(self.quaternions, norms)])
+        self.quaternions = quat_canonical(self.quaternions / norms[:, None])
         if not self.splits:
             self.splits = [0, n - 1]
         self.splits = [int(s) for s in self.splits]

@@ -10,7 +10,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .geometry import Trajectory
-from .splats import GaussianScene, density
+# density stays bound here for bench/tracing.py, which wraps it where it is looked up
+from .splats import GaussianScene, density, density_many  # noqa: F401
 
 
 class MetricError(ValueError):
@@ -121,7 +122,7 @@ def collision_check(traj: Trajectory, scene: GaussianScene, rho_th: float):
 
     Returns (collided, max_density, first_violation_index_or_None).
     """
-    rhos = np.array([density(scene, p) for p in traj.positions])
+    rhos = density_many(scene, traj.positions)
     max_density = float(rhos.max()) if len(rhos) else 0.0
     over = np.nonzero(rhos > rho_th)[0]
     if len(over):

@@ -10,6 +10,7 @@ deviations (bounding radius per blob), which keeps the truncation error below
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -81,59 +82,69 @@ class GaussianScene:
         return len(self.means)
 
 
-def query_neighbors(scene: GaussianScene, x, radius: float):
-    """Indices of blobs whose bounding sphere intersects the ball (x, radius)."""
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        return np.empty(0, dtype=np.intp)   # no blob is a finite distance away
+def _neighbors(scene: GaussianScene, xs: np.ndarray, radius: float):
+    """Blob neighbours of the (n, 3) rows xs, as (row, blob) index arrays
+    grouped by row, blobs ascending within a row.  A blob is a neighbour of
+    x when its bounding sphere meets the ball (x, radius)."""
+    rows = np.flatnonzero(np.isfinite(xs).all(axis=1))   # a non-finite row has no neighbours
+    if len(scene) == 0 or len(rows) == 0:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     # The tree's reach is padded so that rounding in its squared-distance test
     # never drops a blob that the exact per-blob test below keeps.
     reach = (radius + scene.max_radius) * (1.0 + 1e-9)
-    cand = np.array(scene.tree.query_ball_point(x, reach, return_sorted=True), dtype=np.intp)
-    if len(cand) == 0:
-        return cand
-    d = np.linalg.norm(scene.means[cand] - x, axis=1)
-    return cand[d <= radius + scene.radii[cand]]
+    found = scene.tree.query_ball_point(xs[rows], reach, return_sorted=True)
+    counts = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
+    cand = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp, count=counts.sum())
+    row = np.repeat(rows, counts)
+    keep = np.linalg.norm(scene.means[cand] - xs[row], axis=1) <= radius + scene.radii[cand]
+    return row[keep], cand[keep]
 
 
-def _kernel_sum(scene: GaussianScene, x, idx) -> float:
-    if len(idx) == 0:
-        return 0.0
-    d = x - scene.means[idx]
-    m = np.einsum("ni,nij,nj->n", d, scene.inv_covariances[idx], d)
-    return float(np.sum(scene.opacities[idx] * np.exp(-0.5 * m)))
-
-
-def density(scene: GaussianScene, x) -> float:
-    """rho(x): opacity-weighted Gaussian kernel sum over the local neighborhood."""
-    x = np.asarray(x, dtype=float)
-    return _kernel_sum(scene, x, query_neighbors(scene, x, 0.0))
+def query_neighbors(scene: GaussianScene, x, radius: float):
+    """Indices of blobs whose bounding sphere intersects the ball (x, radius)."""
+    return _neighbors(scene, np.asarray(x, dtype=float).reshape(1, 3), radius)[1]
 
 
 def density_many(scene: GaussianScene, xs) -> np.ndarray:
+    """rho at each (..., 3) row: the opacity-weighted Gaussian kernel sum over
+    the row's neighbourhood; 0 at a non-finite row."""
     xs = np.asarray(xs, dtype=float)
-    return np.array([density(scene, x) for x in xs])
+    flat = xs.reshape(-1, 3)
+    rho = np.zeros(len(flat))
+    row, idx = _neighbors(scene, flat, 0.0)
+    d = flat[row] - scene.means[idx]
+    m = np.einsum("ni,nij,nj->n", d, scene.inv_covariances[idx], d)
+    terms = scene.opacities[idx] * np.exp(-0.5 * m)
+    # A row's sum must round as np.sum of its k terms alone (pairwise), so the
+    # rows with k neighbours are summed together as one (rows, k) array.
+    counts = np.bincount(row, minlength=len(flat))
+    first = np.cumsum(counts) - counts
+    for k in np.unique(counts[counts > 0]):
+        sel = np.flatnonzero(counts == k)
+        rho[sel] = terms[first[sel, None] + np.arange(k)].sum(axis=1)
+    return rho.reshape(xs.shape[:-1])
+
+
+def density(scene: GaussianScene, x) -> float:
+    """rho(x) at one point."""
+    return float(density_many(scene, np.reshape(x, 3)))
 
 
 def density_bruteforce(scene: GaussianScene, x) -> float:
     """Full sum over all blobs with no cutoff; oracle for the truncated path."""
-    x = np.asarray(x, dtype=float)
-    if len(scene) == 0:
-        return 0.0
-    return _kernel_sum(scene, x, np.arange(len(scene)))
+    d = np.asarray(x, dtype=float) - scene.means
+    m = np.einsum("ni,nij,nj->n", d, scene.inv_covariances, d)
+    return float(np.sum(scene.opacities * np.exp(-0.5 * m)))
 
 
 def density_gradient(scene: GaussianScene, x, h: float = DEFAULT_GRADIENT_STEP) -> np.ndarray:
-    """Central-difference gradient of rho, step h per axis (6 evaluations)."""
+    """Central-difference gradient of rho at (..., 3) rows, step h per axis:
+    the six probes of every row go to one density_many call."""
     if h <= 0:
         raise ValueError("gradient step h must be positive")
-    x = np.asarray(x, dtype=float)
-    g = np.zeros(3)
-    for a in range(3):
-        e = np.zeros(3)
-        e[a] = h
-        g[a] = (density(scene, x + e) - density(scene, x - e)) / (2.0 * h)
-    return g
+    steps = h * np.eye(3)
+    rho = density_many(scene, np.asarray(x, dtype=float)[..., None, :] + np.concatenate([steps, -steps]))
+    return (rho[..., :3] - rho[..., 3:]) / (2.0 * h)
 
 
 def density_gradient_analytic(scene: GaussianScene, x) -> np.ndarray:

@@ -2,7 +2,8 @@
 with obstacle coupling, chain segments, and export datasets.
 
 Each rollout derives its RNG streams from (master seed, rollout index,
-boundary index), so batches are deterministic and order-independent.
+boundary index), so batches are deterministic and order-independent.  The
+rollouts of a batch integrate each segment together, as one rollout_batch.
 Segment k+1 always starts at segment k's achieved terminal pose, keeping the
 emitted trajectory continuous after perturbation.
 """
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmp import DmpModel, RolloutError, fit_dmp, rollout
+# rollout stays bound here for bench/tracing.py, which wraps it where it is looked up
+from .dmp import DmpModel, RolloutError, fit_dmp, rollout, rollout_batch  # noqa: F401
 from .geometry import Pose, Trajectory, quat_exp, quat_mul
 from .metrics import trajectory_dtw
 from .obstacles import ObstacleParams, make_coupling
@@ -127,15 +129,13 @@ def _resample(values: np.ndarray, n_out: int) -> np.ndarray:
     return np.interp(dst, src, values)
 
 
-def synthesize_one(job: SynthesisJob, models: list[DmpModel], rollout_index: int):
-    """One chained multi-segment rollout.  Returns (Trajectory, manifest entry)."""
-    demo = job.demo
-    n_boundaries = len(demo.splits)
-    flags = _perturbable_flags(job.spec, n_boundaries)
+def _targets(job: SynthesisJob, flags, rollout_index: int):
+    """The boundary poses of one rollout, perturbed where flagged, and its
+    manifest entry."""
     targets = []
     perturbations = []
-    for b, split in enumerate(demo.splits):
-        pose = demo.pose(split)
+    for b, split in enumerate(job.demo.splits):
+        pose = job.demo.pose(split)
         if flags[b]:
             dp, dq = sample_boundary_perturbation(job.spec, b, rollout_index)
             pose = Pose(pose.position + dp, quat_mul(pose.orientation, dq))
@@ -145,28 +145,54 @@ def synthesize_one(job: SynthesisJob, models: list[DmpModel], rollout_index: int
                 "dq": [float(v) for v in dq],
             })
         targets.append(pose)
+    return targets, {"index": rollout_index, "status": "ok", "perturbations": perturbations}
 
-    pieces = []
+
+def _synthesize_rows(job: SynthesisJob, models: list[DmpModel], indices) -> list:
+    """Chained multi-segment rollouts for the given rollout indices.  Each
+    segment is one rollout_batch over the rollouts still alive, after one
+    uncoupled nominal batch when the return pull reads it.  Returns, per
+    index, (Trajectory, manifest entry) or the RolloutError that ended it."""
+    flags = _perturbable_flags(job.spec, len(job.demo.splits))
+    targets, entries = zip(*(_targets(job, flags, i) for i in indices))
+    outcome = [None] * len(entries)
+    pieces = [[] for _ in entries]
+    current = [t[0] for t in targets]
     grippers = []
-    current = targets[0]
+    alive = list(range(len(entries)))
     for k, model in enumerate(models):
-        goal = targets[k + 1]
+
+        def run(coupling):
+            """One batch over the alive rows; the rows that fail leave."""
+            nonlocal alive
+            outs = rollout_batch(model, [current[i] for i in alive], [targets[i][k + 1] for i in alive],
+                                 job.dt, coupling=coupling, horizon_factor=job.horizon_factor)
+            for i, out in zip(alive, outs):
+                if isinstance(out, RolloutError):
+                    outcome[i] = out
+            alive = [i for i in alive if outcome[i] is None]
+            return [out for out in outs if isinstance(out, Trajectory)]
+
         coupling = None
         if job.scene is not None and len(job.scene):
-            # the hook reads the nominal (uncoupled) rollout only for its return pull
-            nominal = None
-            if job.obstacle.return_gain > 0.0:
-                nominal = rollout(model, current, goal, job.dt,
-                                  coupling=None, horizon_factor=job.horizon_factor)
-            coupling = make_coupling(job.scene, job.obstacle, nominal, job.dt)
-        piece = rollout(model, current, goal, job.dt,
-                        coupling=coupling, horizon_factor=job.horizon_factor)
-        seg_grip = demo.segment(k).gripper
-        grippers.append(_resample(seg_grip, len(piece)))
-        pieces.append(piece)
-        current = piece.pose(len(piece) - 1)
+            # the hook reads the nominal (uncoupled) rollouts only for its return pull
+            nominal = run(None) if job.obstacle.return_gain > 0.0 else None
+            coupling = make_coupling(job.scene, job.obstacle, nominal, job.dt) if alive else None
+        segment = run(coupling)
+        if not alive:
+            break
+        grippers.append(_resample(job.demo.segment(k).gripper, len(segment[0])))
+        for i, piece in zip(alive, segment):
+            pieces[i].append(piece)
+            current[i] = piece.pose(len(piece) - 1)
+    for i in alive:
+        outcome[i] = (_chain(pieces[i], grippers), entries[i])
+    return outcome
 
-    # concatenate; drop each later segment's first sample (the shared junction)
+
+def _chain(pieces, grippers) -> Trajectory:
+    """Concatenate segment pieces; drop each later segment's first sample
+    (the shared junction)."""
     times = [pieces[0].times]
     positions = [pieces[0].positions]
     quaternions = [pieces[0].quaternions]
@@ -180,15 +206,17 @@ def synthesize_one(job: SynthesisJob, models: list[DmpModel], rollout_index: int
         gripper.append(grip[1:])
         offset += piece.times[-1]
         splits.append(splits[-1] + len(piece) - 1)
-
-    traj = Trajectory(np.concatenate(times), np.concatenate(positions),
+    return Trajectory(np.concatenate(times), np.concatenate(positions),
                       np.concatenate(quaternions), np.concatenate(gripper), splits)
-    entry = {
-        "index": rollout_index,
-        "status": "ok",
-        "perturbations": perturbations,
-    }
-    return traj, entry
+
+
+def synthesize_one(job: SynthesisJob, models: list[DmpModel], rollout_index: int):
+    """One chained multi-segment rollout.  Returns (Trajectory, manifest entry);
+    raises RolloutError when the rollout fails."""
+    (out,) = _synthesize_rows(job, models, [rollout_index])
+    if isinstance(out, RolloutError):
+        raise out
+    return out
 
 
 def synthesize(job: SynthesisJob):
@@ -204,16 +232,15 @@ def synthesize(job: SynthesisJob):
         "rollouts": [],
     }
     trajectories = []
-    for idx in range(job.n_demos):
-        try:
-            traj, entry = synthesize_one(job, models, idx)
-        except RolloutError as exc:
+    for idx, out in enumerate(_synthesize_rows(job, models, range(job.n_demos))):
+        if isinstance(out, RolloutError):
             manifest["rollouts"].append({
-                "index": idx, "status": "failed", "error": str(exc),
+                "index": idx, "status": "failed", "error": str(out),
                 "perturbations": [],
             })
             trajectories.append(None)
             continue
+        traj, entry = out
         pos, rot = trajectory_dtw(traj, job.demo)
         entry["dtw_position"] = pos
         entry["dtw_orientation"] = rot

@@ -228,7 +228,7 @@ class TestEval:
         path.write_text("\n".join(lines) + "\n")
         assert main(["eval", str(out_dir), demo_csv]) == 1
         err = capsys.readouterr().err
-        assert err.strip().splitlines() == ["error: non-finite sample values"]
+        assert err.strip().splitlines() == ["error: rollout_0000.csv: non-finite sample values"]
         assert "Traceback" not in err
 
     def test_bad_writing_plane(self, tmp_path, demo_csv, capsys):

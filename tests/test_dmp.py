@@ -7,9 +7,11 @@ from splatsynth.dmp import (
     CanonicalSystem,
     DmpModel,
     FitError,
+    RolloutError,
     canonical_phase,
     fit_dmp,
     rollout,
+    rollout_batch,
 )
 from splatsynth.geometry import (
     Pose,
@@ -320,3 +322,61 @@ class TestRolloutMatchesPerStep:
         model = fit_dmp(line_demo([0.1, -0.2, 0.3], [0.4, 0.1, 0.0], n=151, angle=0.6))
         assert model.hash() == FIT_HASH
 
+
+
+class TestRolloutBatch:
+    """Each row of a batch is integrated exactly as it would be alone."""
+
+    def model_and_poses(self, n=5):
+        model = fit_dmp(line_demo([0, 0, 0], [0.4, 0, 0], n=151, axis=(0, 1, 0), angle=0.3))
+        rng = np.random.default_rng(4)
+        starts = [Pose(rng.normal(0.0, 0.01, 3), quat_from_axis_angle([1, 0, 0], a))
+                  for a in rng.uniform(-0.2, 0.2, n)]
+        goals = [Pose([0.4, 0, 0] + rng.normal(0.0, 0.02, 3), quat_from_axis_angle([0, 0, 1], a))
+                 for a in rng.uniform(-0.5, 0.5, n)]
+        return model, starts, goals
+
+    @staticmethod
+    def assert_same(a, b):
+        for name in ("times", "positions", "quaternions", "gripper"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.splits == b.splits
+
+    def test_free_rows_match_single_rollouts(self):
+        model, starts, goals = self.model_and_poses()
+        outs = rollout_batch(model, starts, goals, dt=0.01)
+        for out, start, goal in zip(outs, starts, goals):
+            self.assert_same(out, rollout(model, start, goal, dt=0.01))
+
+    def test_coupled_rows_match_single_rollouts(self):
+        model, starts, goals = self.model_and_poses()
+        scene = GaussianScene([GaussianBlob([0.2, 0.004, 0.0], 0.02 ** 2 * np.eye(3), 1.0)])
+        params = ObstacleParams(rho_th=0.005, lambda_max=100.0, gamma=2.0,
+                                lookahead=0.015, return_gain=4.0)
+        nominals = rollout_batch(model, starts, goals, dt=0.01)
+        outs = rollout_batch(model, starts, goals, dt=0.01,
+                             coupling=make_coupling(scene, params, nominals, 0.01))
+        assert not any(np.array_equal(o.positions, n.positions) for o, n in zip(outs, nominals))
+        for out, start, goal, nominal in zip(outs, starts, goals, nominals):
+            hook = make_coupling(scene, params, nominal, 0.01)
+            self.assert_same(out, rollout(model, start, goal, dt=0.01, coupling=hook))
+
+    def test_non_finite_row_fails_alone(self):
+        model, starts, goals = self.model_and_poses()
+
+        def hook(step, y, v):
+            a = np.zeros_like(y)
+            if step >= 7:
+                a[1] = np.nan
+            return a
+
+        outs = rollout_batch(model, starts, goals, dt=0.01, coupling=hook)
+        assert isinstance(outs[1], RolloutError)
+        assert str(outs[1]) == "non-finite state at step 7"
+        clean = rollout_batch(model, starts, goals, dt=0.01)
+        for b in (0, 2, 3, 4):
+            self.assert_same(outs[b], clean[b])
+
+    def test_empty_batch(self):
+        model, _, _ = self.model_and_poses()
+        assert rollout_batch(model, [], [], dt=0.01) == []

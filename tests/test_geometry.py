@@ -14,6 +14,7 @@ from splatsynth.geometry import (
     quat_log,
     quat_mul,
     quat_normalize,
+    rowdot,
     unwrap_rotation_vectors,
 )
 
@@ -124,6 +125,51 @@ class TestCanonicalSign:
     def test_normalize_tolerance(self):
         q = quat_normalize(np.array([2.0, 0.0, 0.0, 0.0]))
         assert abs(np.linalg.norm(q) - 1.0) < 1e-9
+
+
+class TestRowdot:
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_equals_np_dot_per_row(self, d):
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(5000, d)) * rng.uniform(0.0, 10.0, (5000, 1))
+        b = rng.normal(size=(5000, d))
+        ref = np.array([np.dot(x, y) for x, y in zip(a, b)])
+        padded = np.zeros((5000, d + 2))
+        padded[:, 1:-1] = a
+        for rows in (a, np.asfortranarray(a), padded[:, 1:-1]):
+            assert np.array_equal(rowdot(rows, b), ref)
+        assert np.array_equal(rowdot(a.reshape(50, 100, d), b.reshape(50, 100, d)).reshape(-1), ref)
+        assert np.array_equal(rowdot(a[:1], b), [np.dot(a[0], y) for y in b])
+        assert all(rowdot(x, y) == np.dot(x, y) for x, y in zip(a[:100], b[:100]))
+
+
+class TestQuaternionRows:
+    """The quaternion functions give each (..., 4) or (..., 3) row exactly
+    what they give that row alone."""
+
+    def test_exp_rows(self):
+        rng = np.random.default_rng(12)
+        r = np.concatenate([rng.normal(size=(300, 3)) * rng.uniform(0, 4, (300, 1)),
+                            rng.normal(size=(20, 3)) * 1e-9, np.zeros((2, 3))])
+        rows = quat_exp(r.reshape(2, 161, 3)).reshape(-1, 4)
+        assert all(np.array_equal(q, quat_exp(x)) for q, x in zip(rows, r))
+
+    def test_mul_and_normalize_rows(self):
+        rng = np.random.default_rng(13)
+        a, b = rng.normal(size=(300, 4)), rng.normal(size=(300, 4))
+        a[:20, 0] = 0.0
+        assert all(np.array_equal(q, quat_mul(x, y)) for q, x, y in zip(quat_mul(a, b), a, b))
+        assert all(np.array_equal(q, quat_normalize(x)) for q, x in zip(quat_normalize(a), a))
+        assert np.array_equal(quat_mul(a[0], b), quat_mul(np.tile(a[0], (300, 1)), b))
+
+    def test_canonical_rows(self):
+        q = np.array([[-0.5, 0.5, 0.5, 0.5], [0.0, -1.0, 0.0, 0.0],
+                      [0.0, 0.0, -1.0, 0.0], [0.5, -0.5, 0.5, 0.5]])
+        expect = [[0.5, -0.5, -0.5, -0.5], [0.0, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, -1.0, 0.0], [0.5, -0.5, 0.5, 0.5]]
+        assert np.array_equal(quat_canonical(q), expect)
+        traj = Trajectory(np.arange(4.0), np.zeros((4, 3)), q, np.zeros(4))
+        assert np.array_equal(traj.quaternions, expect)
 
 
 def make_traj(n=10, splits=None):

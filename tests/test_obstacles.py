@@ -125,6 +125,19 @@ class TestObstacleAccel:
         fine = max_jump(1600)
         assert fine < coarse / 4  # a true discontinuity would not shrink
 
+    def test_rows_match_single_points(self):
+        # below the threshold, moving away, head-on and oblique rows in one
+        # call: each row equals its own call, and the gated rows are +0.0
+        scene = blob_scene(mu=(0.0, 0, 0), sigma=0.05)
+        params = ObstacleParams(rho_th=0.1, lambda_max=10.0, gamma=1.0)
+        x = np.array([[1.0, 0, 0], [-0.06, -0.01, 0.0], [0.06, 0.03, 0.0], [0.05, -0.02, 0.01]])
+        v = np.array([[0.1, 0, 0], [-0.1, 0.0, 0.0], [-0.2, 0.0, 0.0], [-0.1, 0.05, 0.0]])
+        a = obstacle_accel(scene, x, v, params, lookahead=[0.0, 0.0, 0.01, 0.0])
+        for row, xi, vi, probe in zip(a, x, v, [0.0, 0.0, 0.01, 0.0]):
+            assert np.array_equal(row, obstacle_accel(scene, xi, vi, params, lookahead=probe))
+        assert np.all(a[:2] == 0.0) and not np.signbit(a[:2]).any()
+        assert np.all(np.linalg.norm(a[2:], axis=1) > 1.0)
+
     def test_validates_params(self):
         with pytest.raises(ValueError):
             ObstacleParams(rho_th=0.0)
@@ -165,6 +178,18 @@ class TestReturnToReference:
         a = return_to_reference([0, 0, 0], [0.5, 0, 0], [0, 0, 0], 0.0, p)
         # -2*sqrt(4)*0.5 = -2.0
         assert np.allclose(a, [-2.0, 0, 0])
+
+    def test_rows_match_single_points(self):
+        # a high-density row (pull off: +0.0), a capped row and a free row
+        p = ObstacleParams(return_gain=100.0, return_cap=5.0, rho_th=0.1)
+        x = np.array([[0.1, 0.0, 0.0], [1.0, 0.0, 0.0], [0.01, -0.02, 0.0]])
+        v_err = np.array([[0.3, 0.0, 0.0], [0.0, 0.0, 0.0], [0.05, 0.0, 0.1]])
+        rho = np.array([0.2, 0.0, 0.05])
+        a = return_to_reference(x, v_err, np.zeros(3), rho, p)
+        for row, xi, vi, r in zip(a, x, v_err, rho):
+            assert np.array_equal(row, return_to_reference(xi, vi, np.zeros(3), r, p))
+        assert np.all(a[0] == 0.0) and not np.signbit(a[0]).any()
+        assert abs(np.linalg.norm(a[1]) - 5.0) < 1e-9
 
     def test_zero_at_reference(self):
         p = ObstacleParams(return_gain=10.0, rho_th=0.1)

@@ -13,6 +13,7 @@ from splatsynth.splats import (
     density_bruteforce,
     density_gradient,
     density_gradient_analytic,
+    density_many,
     load_scene,
     query_neighbors,
 )
@@ -183,6 +184,84 @@ class TestNeighbors:
         big = int(np.argmax(scene.radii))
         for x in scene.means[big] + rng.uniform(-1.1, 1.1, size=(20, 3)):
             self._assert_matches_linear_scan(scene, x, rng.uniform(0.0, 0.1))
+
+
+def density_pointwise(scene, x):
+    """Oracle: rho(x) from one neighbour query and one kernel sum of its own."""
+    x = np.asarray(x, dtype=float)
+    idx = query_neighbors(scene, x, 0.0)
+    if len(idx) == 0:
+        return 0.0
+    d = x - scene.means[idx]
+    m = np.einsum("ni,nij,nj->n", d, scene.inv_covariances[idx], d)
+    return float(np.sum(scene.opacities[idx] * np.exp(-0.5 * m)))
+
+
+def cluttered_scene(n, seed, spread=0.1):
+    """Overlapping anisotropic blobs: queries among them have anywhere from
+    zero to hundreds of neighbours."""
+    rng = np.random.default_rng(seed)
+    rot, _ = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+    scales = rng.uniform(0.005, 0.06, (n, 3))
+    covs = (rot * scales[:, None, :] ** 2) @ rot.transpose(0, 2, 1)
+    return GaussianScene.from_arrays(rng.normal(0.0, spread, (n, 3)),
+                                     0.5 * (covs + covs.transpose(0, 2, 1)),
+                                     rng.uniform(0.1, 1.0, n), opacity_floor=0.0)
+
+
+class TestDensityManyMatchesPointwise:
+    """density_many sums each row exactly as a per-point query would."""
+
+    @staticmethod
+    def assert_matches(scene, xs):
+        got = density_many(scene, xs)
+        assert got.shape == xs.shape[:-1]
+        ref = [density_pointwise(scene, x) for x in xs.reshape(-1, 3)]
+        assert np.array_equal(got.reshape(-1), ref)
+
+    @pytest.mark.parametrize("n", [1, 10, 255])
+    def test_separated_scenes(self, n):
+        scene = separated_scene(n, seed=n)
+        far = np.random.default_rng(n).uniform(-2, 2, (100, 3))
+        self.assert_matches(scene, np.concatenate([near_blob_queries(scene, 400, seed=n), far]))
+
+    def test_mixed_neighbour_counts(self):
+        # every pairwise-summation regime of np.sum: k < 8, 8 <= k <= 128, k > 128
+        scene = cluttered_scene(600, seed=4)
+        xs = np.random.default_rng(5).normal(0.0, 0.15, (1000, 3))
+        counts = {len(query_neighbors(scene, x, 0.0)) for x in xs}
+        assert min(counts) < 8 and max(counts) > 128 and len(counts) > 100
+        self.assert_matches(scene, xs)
+        self.assert_matches(scene, xs.reshape(10, 25, 4, 3))
+
+    def test_non_finite_rows(self):
+        scene = cluttered_scene(50, seed=6)
+        xs = np.random.default_rng(7).normal(0.0, 0.1, (40, 3))
+        xs[::7, 1] = np.nan
+        xs[3::11, 2] = -np.inf
+        got = density_many(scene, xs)
+        assert np.all(got[::7] == 0.0) and np.all(got[3::11] == 0.0)
+        self.assert_matches(scene, xs)
+
+    def test_empty_scene(self):
+        xs = np.random.default_rng(8).normal(size=(5, 3))
+        assert np.array_equal(density_many(GaussianScene([]), xs), np.zeros(5))
+
+    def test_zero_rows(self):
+        scene = cluttered_scene(20, seed=9)
+        assert density_many(scene, np.empty((0, 3))).shape == (0,)
+        assert density(scene, [0.0, 0.0, 0.0]) == density_pointwise(scene, [0.0, 0.0, 0.0])
+
+    def test_gradient_rows_match_central_differences(self):
+        scene = cluttered_scene(200, seed=10)
+        xs = np.random.default_rng(11).normal(0.0, 0.1, (50, 3))
+        h = 1e-3
+        got = density_gradient(scene, xs, h)
+        for x, g in zip(xs, got):
+            ref = [(density_pointwise(scene, x + e) - density_pointwise(scene, x - e)) / (2.0 * h)
+                   for e in h * np.eye(3)]
+            assert np.array_equal(g, ref)
+            assert np.array_equal(density_gradient(scene, x, h), g)
 
 
 class TestTruncationBound:

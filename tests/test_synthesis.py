@@ -10,6 +10,7 @@ from splatsynth.splats import GaussianBlob, GaussianScene
 from splatsynth.synthesis import (
     PerturbationSpec,
     SynthesisJob,
+    _synthesize_rows,
     _truncated_normal,
     export_dataset,
     fit_segments,
@@ -192,15 +193,15 @@ class TestSynthesize:
         import splatsynth.synthesis as synth_mod
         from splatsynth.dmp import RolloutError
 
-        calls = {"n": 0}
-        real = synth_mod.synthesize_one
+        real = synth_mod.rollout_batch
 
-        def flaky(job, models, idx):
-            if idx == 1:
-                raise RolloutError("diverged at step 3")
-            return real(job, models, idx)
+        def flaky(model, starts, goals, *args, **kwargs):
+            outs = real(model, starts, goals, *args, **kwargs)
+            if len(outs) == 3:   # the first segment: rollout 1 is row 1
+                outs[1] = RolloutError("diverged at step 3")
+            return outs
 
-        monkeypatch.setattr(synth_mod, "synthesize_one", flaky)
+        monkeypatch.setattr(synth_mod, "rollout_batch", flaky)
         job = make_job(n_demos=3)
         trajs, manifest = synth_mod.synthesize(job)
         statuses = [e["status"] for e in manifest["rollouts"]]
@@ -219,15 +220,16 @@ class TestNominalRollout:
                             obstacle=ObstacleParams(rho_th=0.005, gamma=2.0, lookahead=0.015, **obstacle))
 
     def count_rollouts(self, monkeypatch, job):
+        """(coupled, rows) of every rollout_batch call: one per integration pass."""
         import splatsynth.synthesis as synth_mod
         calls = []
-        real = synth_mod.rollout
+        real = synth_mod.rollout_batch
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs["coupling"] is not None)
-            return real(*args, **kwargs)
+        def counted(model, starts, goals, *args, **kwargs):
+            calls.append((kwargs["coupling"] is not None, len(starts)))
+            return real(model, starts, goals, *args, **kwargs)
 
-        monkeypatch.setattr(synth_mod, "rollout", counted)
+        monkeypatch.setattr(synth_mod, "rollout_batch", counted)
         synthesize(job)
         return calls
 
@@ -237,28 +239,29 @@ class TestNominalRollout:
         (0.0, 0.0, [False]),            # inert coupling: the nominal is the piece
     ])
     def test_rollout_calls(self, monkeypatch, lambda_max, return_gain, expected):
+        # the line demo has one segment: one batch of all rollouts per pass
         job = self.blob_job(lambda_max=lambda_max, return_gain=return_gain)
-        assert self.count_rollouts(monkeypatch, job) == expected * job.n_demos
+        assert self.count_rollouts(monkeypatch, job) == [(c, job.n_demos) for c in expected]
 
     def test_skipped_nominal_output_unchanged(self, monkeypatch, tmp_path):
-        # the same batch along the path that integrates the nominal and hands
-        # it to the hook before each coupled rollout: byte-identical files
+        # the same batch along the path that integrates the nominals and hands
+        # them to the hook before each coupled batch: byte-identical files
         import splatsynth.synthesis as synth_mod
         job = self.blob_job(lambda_max=100.0, return_gain=0.0)
         trajs, manifest = synthesize(job)
         export_dataset(trajs, manifest, tmp_path / "skipped")
-        real_rollout, real_make = synth_mod.rollout, synth_mod.make_coupling
+        real_batch, real_make = synth_mod.rollout_batch, synth_mod.make_coupling
         nominals = []
 
-        def with_nominal(model, start, goal, dt, coupling=None, horizon_factor=1.25):
+        def with_nominal(model, starts, goals, dt, coupling=None, horizon_factor=1.25):
             if coupling is not None:
-                nominals.append(real_rollout(model, start, goal, dt, coupling=None,
-                                             horizon_factor=horizon_factor))
-                coupling = real_make(job.scene, job.obstacle, nominals[-1], dt)
-            return real_rollout(model, start, goal, dt, coupling=coupling,
-                                horizon_factor=horizon_factor)
+                nominals.extend(real_batch(model, starts, goals, dt, coupling=None,
+                                           horizon_factor=horizon_factor))
+                coupling = real_make(job.scene, job.obstacle, nominals[-len(starts):], dt)
+            return real_batch(model, starts, goals, dt, coupling=coupling,
+                              horizon_factor=horizon_factor)
 
-        monkeypatch.setattr(synth_mod, "rollout", with_nominal)
+        monkeypatch.setattr(synth_mod, "rollout_batch", with_nominal)
         trajs, manifest = synthesize(job)
         export_dataset(trajs, manifest, tmp_path / "nominal")
         assert len(nominals) == job.n_demos
@@ -266,6 +269,83 @@ class TestNominalRollout:
         assert names == sorted(p.name for p in (tmp_path / "nominal").iterdir())
         for name in names:
             assert (tmp_path / "skipped" / name).read_bytes() == (tmp_path / "nominal" / name).read_bytes()
+
+
+def coupled_job(kind, n_demos=16):
+    """A job whose every segment runs a nominal and a coupled batch: the line
+    demo past one blob (Criterion 05), or the two-segment letter A with a
+    blob beside its first stroke."""
+    if kind == "line":
+        demo, mu = line_demo([0, 0, 0], [0.4, 0, 0], n=151), [0.2, 0.004, 0.0]
+    else:
+        demo, mu = letter_a_demo(), [0.03, 0.05, 0.0]
+    scene = GaussianScene([GaussianBlob(mu, 0.02 ** 2 * np.eye(3), 1.0)])
+    return SynthesisJob(demo=demo, scene=scene, spec=small_spec(seed=8), n_demos=n_demos, dt=0.01,
+                        obstacle=ObstacleParams(rho_th=0.005, lambda_max=100.0, gamma=2.0,
+                                                lookahead=0.015, return_gain=4.0))
+
+
+class TestBatchIndependence:
+    """A rollout's bytes do not depend on the batch it is made in, nor on
+    its position there; a rollout that fails leaves the others untouched."""
+
+    @pytest.mark.parametrize("kind", ["line", "letter"])
+    def test_any_batch_any_position(self, kind):
+        job = coupled_job(kind)
+        models = fit_segments(job)
+        alone = [synthesize_one(job, models, i) for i in range(job.n_demos)]
+        assert len({traj.to_csv() for traj, _ in alone}) == job.n_demos
+        for indices in ([5, 0, 11], [11, 5, 0], [0, 11, 5], [15, 14, 13], list(range(16))[::-1]):
+            for i, (traj, entry) in zip(indices, _synthesize_rows(job, models, indices)):
+                assert traj.to_csv() == alone[i][0].to_csv()
+                assert entry == alone[i][1]
+
+    def test_nan_hook_row_fails_alone(self, monkeypatch, tmp_path):
+        import splatsynth.synthesis as synth_mod
+        job = coupled_job("line", n_demos=4)
+        clean, clean_manifest = synthesize(job)
+        real_make = synth_mod.make_coupling
+
+        def nan_for_row_1(*args):
+            hook = real_make(*args)
+
+            def wrapped(step, y, v):
+                a = hook(step, y, v)
+                if step == 9:
+                    a[1] = np.nan
+                return a
+            return wrapped
+
+        monkeypatch.setattr(synth_mod, "make_coupling", nan_for_row_1)
+        trajs, manifest = synthesize(job)
+        assert manifest["rollouts"][1] == {"index": 1, "status": "failed",
+                                           "error": "non-finite state at step 9", "perturbations": []}
+        assert trajs[1] is None
+        for i in (0, 2, 3):
+            assert trajs[i].to_csv() == clean[i].to_csv()
+            assert manifest["rollouts"][i] == clean_manifest["rollouts"][i]
+
+    def test_failed_nominal_row_skips_its_coupled_rollout(self, monkeypatch):
+        import splatsynth.synthesis as synth_mod
+        from splatsynth.dmp import RolloutError
+        job = coupled_job("letter", n_demos=3)
+        clean, _ = synthesize(job)
+        real = synth_mod.rollout_batch
+        rows = []
+
+        def failing_nominal(model, starts, goals, *args, **kwargs):
+            outs = real(model, starts, goals, *args, **kwargs)
+            rows.append((kwargs["coupling"] is not None, len(starts)))
+            if kwargs["coupling"] is None and len(starts) == 3:
+                outs[0] = RolloutError("non-finite state at step 2")
+            return outs
+
+        monkeypatch.setattr(synth_mod, "rollout_batch", failing_nominal)
+        trajs, manifest = synthesize(job)
+        assert rows == [(False, 3), (True, 2), (False, 2), (True, 2)]
+        assert manifest["rollouts"][0]["error"] == "non-finite state at step 2"
+        assert trajs[0] is None
+        assert [t.to_csv() for t in trajs[1:]] == [t.to_csv() for t in clean[1:]]
 
 
 class TestExportDataset:
