@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -20,79 +22,105 @@ from .geometry import Trajectory, TrajectoryError
 
 log = logging.getLogger("splatsynth")
 
-CONFIG_KEYS = {
-    "demo": None,
-    "scene": None,
-    "perturbation": {"sigma_p", "bound_p", "sigma_r", "bound_r", "boundaries", "seed"},
-    "obstacle": {"rho_th", "lambda_max", "gamma", "epsilon", "lookahead",
-                 "return_gain", "return_cap", "gradient_step"},
-    "rollout": {"dt", "n_basis", "ridge_lambda", "alpha_z", "alpha_s", "horizon"},
-    "output": {"dir", "n_demos"},
-}
-
-CONFIG_HELP = """\
-job config keys (JSON):
-  demo                  path to expert trajectory CSV/JSON (required)
-  scene                 path to splat scene PLY/JSON, or null (default: null)
-  perturbation.sigma_p  per-axis translation std, m (default: [0,0,0])
-  perturbation.bound_p  per-axis translation bound, m (default: [0,0,0])
-  perturbation.sigma_r  rotation std, rad (default: 0)
-  perturbation.bound_r  rotation bound, rad (default: 0)
-  perturbation.boundaries  perturbable flag per split index (default: all but start)
-  perturbation.seed     master RNG seed (default: 0)
-  obstacle.rho_th       density threshold (default: 0.1)
-  obstacle.lambda_max   peak repulsion gain, m/s^2 (default: 10.0)
-  obstacle.gamma        tangential bias (default: 1.0)
-  obstacle.epsilon      normalizer guard (default: 1e-8)
-  obstacle.lookahead    probe distance floor, m (default: 0.02)
-  obstacle.return_gain  return-to-reference stiffness (default: 0.0)
-  obstacle.return_cap   return correction bound, m/s^2 (default: 5.0)
-  obstacle.gradient_step  central-difference step, m (default: 1e-3)
-  rollout.dt            integration step, s (default: 0.02)
-  rollout.n_basis       RBF count per channel (default: 30)
-  rollout.ridge_lambda  ridge regularizer (default: 1e-6)
-  rollout.alpha_z       transformation gain (default: 25.0)
-  rollout.alpha_s       canonical decay rate (default: 4.0)
-  rollout.horizon       rollout horizon as a multiple of tau (default: 1.25)
-  output.dir            dataset directory (required)
-  output.n_demos        rollouts to synthesize (default: 1)
-"""
-
 
 class UsageError(Exception):
     pass
 
 
-def _validate_config(cfg: dict) -> None:
-    for key in cfg:
-        if key not in CONFIG_KEYS:
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# per field type: what its job-config value must be, and how it becomes the field's value
+_PARSERS = {
+    float: ("a number", _number, float),
+    int: ("an integer", lambda v: _number(v) and (isinstance(v, int) or v.is_integer()), int),
+    np.ndarray: ("3 numbers", lambda v: isinstance(v, list) and len(v) == 3 and all(map(_number, v)),
+                 lambda v: [float(x) for x in v]),
+    tuple: ("a list of booleans", lambda v: isinstance(v, list) and all(isinstance(x, bool) for x in v), tuple),
+    str: ("a string", lambda v: isinstance(v, str), str),
+    Trajectory: ("a path", lambda v: isinstance(v, str), lambda v: Trajectory.load(_require_file(v))),
+    splats.GaussianScene | None: ("a path or null", lambda v: v is None or isinstance(v, str),
+                                  lambda v: splats.load_scene(_require_file(v)) if v else None),
+}
+
+
+def _config_keys(cls=synthesis.SynthesisJob, prefix: str = "", nested: bool = True):
+    """(config key, field, type) per field of a job dataclass, the key being
+    the section prefix and the field's metadata "key" or name.  A field
+    without a help line is a section; nested, its dataclass's keys replace it."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        key = prefix + f.metadata.get("key", f.name)
+        if nested and "help" not in f.metadata:
+            yield from _config_keys(hints[f.name], key + ".")
+        else:
+            yield key, f, hints[f.name]
+
+
+def _config_help() -> str:
+    lines = ["job config keys (JSON):"]
+    for key, f, _ in _config_keys():
+        default = "required" if f.metadata.get("required") else f"default: {json.dumps(f.default)}"
+        lines.append(f"  {key:<25}{f.metadata['help']} ({default})")
+    return "\n".join(lines) + "\n"
+
+
+def _build(cls, values: dict, prefix: str = ""):
+    """cls from the {config key: JSON value} map.  __post_init__ range checks
+    name the field first ("dt must be positive"); the error names its key."""
+    kwargs, keys = {}, {}
+    for key, f, hint in _config_keys(cls, prefix, nested=False):
+        keys[f.name] = key
+        if "help" not in f.metadata:
+            kwargs[f.name] = _build(hint, values, key + ".")
+        elif key in values:
+            what, valid, parse = _PARSERS[hint]
+            try:
+                if not valid(values[key]):
+                    raise TypeError(f"expected {what}, got {json.dumps(values[key])}")
+                kwargs[f.name] = parse(values[key])
+            except (UsageError, TypeError, ValueError, LookupError, ArithmeticError, OSError) as exc:
+                raise UsageError(f"{key}: {exc}") from exc
+        elif f.metadata.get("required"):
+            raise UsageError(f"missing config key: {key}")
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        name, _, rest = str(exc).partition(" ")
+        raise UsageError(f"{keys[name]}: {rest}" if name in keys else f"invalid config: {exc}") from exc
+
+
+def _job_from_config(cfg) -> synthesis.SynthesisJob:
+    """The job a parsed JSON config describes, or a UsageError naming the key at fault."""
+    if not isinstance(cfg, dict):
+        raise UsageError("config must be a JSON object")
+    keys = {key for key, _, _ in _config_keys()}
+    sections = {key.split(".")[0] for key in keys if "." in key}
+    values = {}
+    for name, value in cfg.items():
+        if name in sections:
+            if not isinstance(value, dict):
+                raise UsageError(f"{name}: expected an object, got {json.dumps(value)}")
+            values.update((f"{name}.{k}", v) for k, v in value.items())
+        elif "." not in name:
+            values[name] = value
+        else:
+            raise UsageError(f"unknown config key: {name}")
+    for key in values:
+        if key not in keys:
             raise UsageError(f"unknown config key: {key}")
-        sub = CONFIG_KEYS[key]
-        if sub is not None and isinstance(cfg[key], dict):
-            for k in cfg[key]:
-                if k not in sub:
-                    raise UsageError(f"unknown config key: {key}.{k}")
-    if "demo" not in cfg:
-        raise UsageError("missing config key: demo")
-    if "output" not in cfg or "dir" not in cfg["output"]:
-        raise UsageError("missing config key: output.dir")
-    roll = cfg.get("rollout", {})
-    if roll.get("dt", 0.02) <= 0:
-        raise UsageError("invalid config value: rollout.dt must be positive")
-    if cfg.get("output", {}).get("n_demos", 1) < 1:
-        raise UsageError("invalid config value: output.n_demos must be >= 1")
+    return _build(synthesis.SynthesisJob, values)
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str):
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
-    with open(path) as f:
-        try:
-            cfg = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config is not valid JSON: {path}: {exc}") from exc
-    _validate_config(cfg)
-    return cfg
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"config is not readable JSON: {path}: {exc}") from exc
 
 
 def _require_file(path: str) -> str:
@@ -116,28 +144,6 @@ def _load_points(path: str) -> np.ndarray:
             except ValueError:
                 continue  # header line
     return np.asarray(rows, dtype=float)
-
-
-def _job_from_config(cfg: dict) -> synthesis.SynthesisJob:
-    demo = Trajectory.load(_require_file(cfg["demo"]))
-    scene = None
-    if cfg.get("scene"):
-        scene = splats.load_scene(_require_file(cfg["scene"]))
-    roll = cfg.get("rollout", {})
-    return synthesis.SynthesisJob(
-        demo=demo,
-        scene=scene,
-        spec=synthesis.PerturbationSpec.from_dict(cfg.get("perturbation", {})),
-        obstacle=obstacles.ObstacleParams.from_dict(cfg.get("obstacle", {})),
-        n_demos=int(cfg.get("output", {}).get("n_demos", 1)),
-        dt=float(roll.get("dt", 0.02)),
-        n_basis=int(roll.get("n_basis", 30)),
-        ridge_lambda=float(roll.get("ridge_lambda", 1e-6)),
-        alpha_z=float(roll.get("alpha_z", 25.0)),
-        alpha_s=float(roll.get("alpha_s", 4.0)),
-        horizon_factor=float(roll.get("horizon", 1.25)),
-        output_dir=cfg["output"]["dir"],
-    )
 
 
 # ---- commands ---------------------------------------------------------------
@@ -172,8 +178,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_config(args.config)
-    job = _job_from_config(cfg)
+    job = _job_from_config(_load_config(args.config))
     trajectories, manifest = synthesis.synthesize(job)
     synthesis.export_dataset(trajectories, manifest, job.output_dir)
     n_ok = 0
@@ -304,12 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit per-segment DMP models and write them as JSON")
     p.add_argument("demo", help="expert trajectory CSV/JSON")
     p.add_argument("--out", default="models", help="output directory (default: models)")
-    p.add_argument("--n-basis", type=int, default=30, help="RBFs per channel (default: 30)")
-    p.add_argument("--ridge-lambda", type=float, default=1e-6, help="ridge regularizer (default: 1e-6)")
+    p.add_argument("--n-basis", type=int, default=dmp.DEFAULT_N_BASIS,
+                   help="RBFs per channel (default: %(default)s)")
+    p.add_argument("--ridge-lambda", type=float, default=dmp.DEFAULT_RIDGE_LAMBDA,
+                   help="ridge regularizer (default: %(default)s)")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("synth", help="synthesize a demonstration dataset from a job config",
-                       epilog=CONFIG_HELP,
+                       epilog=_config_help(),
                        formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("config", help="job config JSON")
     p.set_defaults(func=cmd_synth)
@@ -321,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene-unaligned", action="store_true",
                    help="declare the scene is not in the trajectory frame")
     p.add_argument("--transform", help="4x4 transform JSON to apply to the scene")
-    p.add_argument("--rho-th", type=float, default=0.1, help="collision density threshold (default: 0.1)")
+    p.add_argument("--rho-th", type=float, default=obstacles.ObstacleParams.rho_th,
+                   help="collision density threshold (default: %(default)s)")
     p.add_argument("--writing-plane", help="px,py,pz,nx,ny,nz to enable the writing-error metric")
     p.add_argument("--raster-resolution", type=int, default=128, help="raster canvas size (default: 128)")
     p.add_argument("--stroke-px", type=int, default=3, help="stroke width in pixels (default: 3)")
@@ -342,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x", type=float)
     p.add_argument("y", type=float)
     p.add_argument("z", type=float)
-    p.add_argument("--gradient-step", type=float, default=1e-3, help="central-difference step (default: 1e-3)")
+    p.add_argument("--gradient-step", type=float, default=splats.DEFAULT_GRADIENT_STEP,
+                   help="central-difference step (default: %(default)s)")
     p.set_defaults(func=cmd_density)
 
     return parser

@@ -91,6 +91,11 @@ class ForcingTerm:
     weights: np.ndarray  # (dims, n)
 
 
+# the DmpModel fields that serialize as one flat list each
+_VECTOR_FIELDS = ("y0", "goal", "q0", "q_goal", "rot_goal", "pos_scale", "pos_degenerate",
+                  "rot_scale", "rot_degenerate")
+
+
 @dataclass(frozen=True)
 class DmpModel:
     canonical: CanonicalSystem
@@ -110,49 +115,25 @@ class DmpModel:
     duration: float
 
     def to_dict(self) -> dict:
-        return {
-            "alpha_s": self.canonical.alpha_s,
-            "tau": self.canonical.tau,
-            "alpha_z": self.alpha_z,
-            "beta_z": self.beta_z,
-            "centers": self.position_forcing.centers.tolist(),
-            "widths": self.position_forcing.widths.tolist(),
-            "position_weights": self.position_forcing.weights.tolist(),
-            "orientation_weights": self.orientation_forcing.weights.tolist(),
-            "y0": self.y0.tolist(),
-            "goal": self.goal.tolist(),
-            "q0": self.q0.tolist(),
-            "q_goal": self.q_goal.tolist(),
-            "rot_goal": self.rot_goal.tolist(),
-            "pos_scale": self.pos_scale.tolist(),
-            "pos_degenerate": [bool(v) for v in self.pos_degenerate],
-            "rot_scale": self.rot_scale.tolist(),
-            "rot_degenerate": [bool(v) for v in self.rot_degenerate],
-            "duration": self.duration,
-        }
+        return {"alpha_s": self.canonical.alpha_s, "tau": self.canonical.tau,
+                "alpha_z": self.alpha_z, "beta_z": self.beta_z,
+                "centers": self.position_forcing.centers.tolist(),
+                "widths": self.position_forcing.widths.tolist(),
+                "position_weights": self.position_forcing.weights.tolist(),
+                "orientation_weights": self.orientation_forcing.weights.tolist(),
+                "duration": self.duration,
+                **{name: np.asarray(getattr(self, name)).tolist() for name in _VECTOR_FIELDS}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DmpModel":
-        cs = CanonicalSystem(alpha_s=d["alpha_s"], tau=d["tau"])
         centers = np.asarray(d["centers"], dtype=float)
         widths = np.asarray(d["widths"], dtype=float)
-        return cls(
-            canonical=cs,
-            alpha_z=d["alpha_z"],
-            beta_z=d["beta_z"],
-            position_forcing=ForcingTerm(centers, widths, np.asarray(d["position_weights"], dtype=float)),
-            orientation_forcing=ForcingTerm(centers, widths, np.asarray(d["orientation_weights"], dtype=float)),
-            y0=np.asarray(d["y0"], dtype=float),
-            goal=np.asarray(d["goal"], dtype=float),
-            q0=np.asarray(d["q0"], dtype=float),
-            q_goal=np.asarray(d["q_goal"], dtype=float),
-            rot_goal=np.asarray(d["rot_goal"], dtype=float),
-            pos_scale=np.asarray(d["pos_scale"], dtype=float),
-            pos_degenerate=np.asarray(d["pos_degenerate"], dtype=bool),
-            rot_scale=np.asarray(d["rot_scale"], dtype=float),
-            rot_degenerate=np.asarray(d["rot_degenerate"], dtype=bool),
-            duration=d["duration"],
-        )
+        vectors = {name: np.asarray(d[name], dtype=bool if name.endswith("degenerate") else float)
+                   for name in _VECTOR_FIELDS}
+        return cls(CanonicalSystem(alpha_s=d["alpha_s"], tau=d["tau"]), d["alpha_z"], d["beta_z"],
+                   ForcingTerm(centers, widths, np.asarray(d["position_weights"], dtype=float)),
+                   ForcingTerm(centers, widths, np.asarray(d["orientation_weights"], dtype=float)),
+                   duration=d["duration"], **vectors)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -11,43 +11,36 @@ rollout back toward the nominal phase-indexed trajectory once density drops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import Trajectory, rowdot
 # density stays bound here for bench/tracing.py, which wraps it where it is looked up
-from .splats import GaussianScene, density, density_gradient, density_many  # noqa: F401
+from .splats import DEFAULT_GRADIENT_STEP, GaussianScene, density, density_gradient, density_many  # noqa: F401
 
 
 @dataclass(frozen=True)
 class ObstacleParams:
-    rho_th: float = 0.1          # density threshold
-    lambda_max: float = 10.0     # peak gain, m/s^2
-    gamma: float = 1.0           # tangential bias
-    epsilon: float = 1e-8        # normalizer guard
-    lookahead: float = 0.02      # probe distance floor, meters
-    return_gain: float = 0.0     # stiffness of return-to-reference pull
-    return_cap: float = 5.0      # bound on correction magnitude, m/s^2
-    gradient_step: float = 1e-3
+    """The obstacle coupling's gains; each field is the job-config key obstacle.<name>."""
+
+    rho_th: float = field(default=0.1, metadata={"help": "density threshold"})
+    lambda_max: float = field(default=10.0, metadata={"help": "peak repulsion gain, m/s^2"})
+    gamma: float = field(default=1.0, metadata={"help": "tangential bias"})
+    epsilon: float = field(default=1e-8, metadata={"help": "normalizer guard"})
+    lookahead: float = field(default=0.02, metadata={"help": "probe distance floor, m"})
+    return_gain: float = field(default=0.0, metadata={"help": "return-to-reference stiffness"})
+    return_cap: float = field(default=5.0, metadata={"help": "return correction bound, m/s^2"})
+    gradient_step: float = field(default=DEFAULT_GRADIENT_STEP,
+                                 metadata={"help": "central-difference step, m"})
 
     def __post_init__(self):
-        if self.rho_th <= 0 or self.epsilon <= 0:
-            raise ValueError("rho_th and epsilon must be positive")
-        if self.lambda_max < 0 or self.return_gain < 0 or self.return_cap < 0:
-            raise ValueError("gains must be non-negative")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ObstacleParams":
-        return cls(**d)
-
-    def to_dict(self) -> dict:
-        return {
-            "rho_th": self.rho_th, "lambda_max": self.lambda_max,
-            "gamma": self.gamma, "epsilon": self.epsilon,
-            "lookahead": self.lookahead, "return_gain": self.return_gain,
-            "return_cap": self.return_cap, "gradient_step": self.gradient_step,
-        }
+        for name in ("rho_th", "epsilon"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("lambda_max", "return_gain", "return_cap"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 def _rows(*arrays):
@@ -62,7 +55,7 @@ def _unit(x, epsilon: float) -> np.ndarray:
 
 
 def outward_normal(scene: GaussianScene, x, epsilon: float = 1e-8,
-                   gradient_step: float = 1e-3) -> np.ndarray:
+                   gradient_step: float = DEFAULT_GRADIENT_STEP) -> np.ndarray:
     """n_hat = -grad(rho) / (||grad(rho)|| + eps) per (..., 3) row: points away
     from mass, degrades gracefully to ~0 where the gradient vanishes."""
     return -_unit(density_gradient(scene, x, gradient_step), epsilon)

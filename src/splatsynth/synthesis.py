@@ -14,10 +14,11 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .dmp import DEFAULT_ALPHA_S, DEFAULT_ALPHA_Z, DEFAULT_HORIZON_FACTOR, DEFAULT_N_BASIS, DEFAULT_RIDGE_LAMBDA
 # rollout stays bound here for bench/tracing.py, which wraps it where it is looked up
 from .dmp import DmpModel, RolloutError, fit_dmp, rollout, rollout_batch  # noqa: F401
 from .geometry import Pose, Trajectory, quat_exp, quat_mul
@@ -32,27 +33,28 @@ class ExportError(RuntimeError):
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    sigma_p: np.ndarray       # per-axis translation std, meters
-    bound_p: np.ndarray       # per-axis translation bound, meters
-    sigma_r: float = 0.0      # rotation std, radians
-    bound_r: float = 0.0      # rotation-angle bound, radians
-    perturbable: tuple = ()   # boolean per split index; () = goal boundaries only
-    seed: int = 0
+    """Goal-perturbation bounds; each field is the config key perturbation.<name or metadata key>."""
+
+    sigma_p: np.ndarray = field(default=(0.0, 0.0, 0.0), metadata={"help": "per-axis translation std, m"})
+    bound_p: np.ndarray = field(default=(0.0, 0.0, 0.0), metadata={"help": "per-axis translation bound, m"})
+    sigma_r: float = field(default=0.0, metadata={"help": "rotation std, rad"})
+    bound_r: float = field(default=0.0, metadata={"help": "rotation-angle bound, rad"})
+    perturbable: tuple = field(default=(), metadata={
+        "key": "boundaries", "help": "perturbable flag per split index; [] = all but the start"})
+    seed: int = field(default=0, metadata={"help": "master RNG seed"})
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma_p", np.asarray(self.sigma_p, dtype=float))
-        object.__setattr__(self, "bound_p", np.asarray(self.bound_p, dtype=float))
-        if np.any(self.bound_p < 0) or self.bound_r < 0:
-            raise ValueError("perturbation bounds must be non-negative")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PerturbationSpec":
-        return cls(sigma_p=d.get("sigma_p", [0.0, 0.0, 0.0]),
-                   bound_p=d.get("bound_p", [0.0, 0.0, 0.0]),
-                   sigma_r=d.get("sigma_r", 0.0),
-                   bound_r=d.get("bound_r", 0.0),
-                   perturbable=tuple(d.get("boundaries", ())),
-                   seed=d.get("seed", 0))
+        for name in ("sigma_p", "bound_p"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != (3,):
+                raise ValueError(f"{name} must hold 3 values, got shape {value.shape}")
+            if not np.all(value >= 0):
+                raise ValueError(f"{name} must be non-negative")
+            object.__setattr__(self, name, value)
+        if not self.bound_r >= 0:
+            raise ValueError("bound_r must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def _truncated_normal(rng, sigma: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -85,26 +87,39 @@ def sample_boundary_perturbation(spec: PerturbationSpec, boundary_index: int,
     return dp, quat_exp(delta)
 
 
+def _rollout(default, key: str, text: str):
+    """A SynthesisJob field that is the job-config key rollout.<key>."""
+    return field(default=default, metadata={"key": f"rollout.{key}", "help": text})
+
+
 @dataclass
 class SynthesisJob:
-    demo: Trajectory
-    scene: GaussianScene | None
-    spec: PerturbationSpec
-    obstacle: ObstacleParams
-    n_demos: int = 1
-    dt: float = 0.02
-    n_basis: int = 30
-    ridge_lambda: float = 1e-6
-    alpha_z: float = 25.0
-    alpha_s: float = 4.0
-    horizon_factor: float = 1.25
-    output_dir: str = "."
+    """One synthesis job; field metadata holds each job-config key and its help
+    line ("required" where the config must set it), or a section's name."""
+
+    demo: Trajectory = field(metadata={"help": "path to expert trajectory CSV/JSON", "required": True})
+    scene: GaussianScene | None = field(default=None, metadata={"help": "splat scene PLY/JSON path, or null"})
+    spec: PerturbationSpec = field(default_factory=PerturbationSpec, metadata={"key": "perturbation"})
+    obstacle: ObstacleParams = field(default_factory=ObstacleParams, metadata={"key": "obstacle"})
+    n_demos: int = field(default=1, metadata={"key": "output.n_demos", "help": "rollouts to synthesize"})
+    dt: float = _rollout(0.02, "dt", "integration step, s")
+    n_basis: int = _rollout(DEFAULT_N_BASIS, "n_basis", "RBF count per channel")
+    ridge_lambda: float = _rollout(DEFAULT_RIDGE_LAMBDA, "ridge_lambda", "ridge regularizer")
+    alpha_z: float = _rollout(DEFAULT_ALPHA_Z, "alpha_z", "transformation gain")
+    alpha_s: float = _rollout(DEFAULT_ALPHA_S, "alpha_s", "canonical decay rate")
+    horizon_factor: float = _rollout(DEFAULT_HORIZON_FACTOR, "horizon", "horizon as a multiple of tau")
+    output_dir: str = field(default=".", metadata={"key": "output.dir", "help": "dataset directory",
+                                                   "required": True})
 
     def __post_init__(self):
-        if self.n_demos < 1:
+        if not self.n_demos >= 1:
             raise ValueError("n_demos must be >= 1")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
+        # the shortest segment's tau, computed as fit_dmp computes it
+        tau = float(np.min(np.diff(self.demo.times[self.demo.splits])))
+        if not self.dt <= tau / 50.0:
+            raise ValueError(f"dt must be <= tau/50 = {tau / 50.0} of the shortest demo segment")
 
 
 def fit_segments(job: SynthesisJob) -> list[DmpModel]:
@@ -227,7 +242,7 @@ def synthesize(job: SynthesisJob):
         "seed": job.spec.seed,
         "n_demos": job.n_demos,
         "dt": job.dt,
-        "obstacle": job.obstacle.to_dict(),
+        "obstacle": asdict(job.obstacle),
         "model_hashes": [m.hash() for m in models],
         "rollouts": [],
     }

@@ -1,11 +1,16 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from splatsynth.cli import main
+from splatsynth.cli import UsageError, _config_keys, _job_from_config, main
 from splatsynth.geometry import Trajectory
+from splatsynth.obstacles import ObstacleParams
 from splatsynth.splats import GaussianBlob, GaussianScene, save_scene_json
+from splatsynth.synthesis import SynthesisJob
 
 from helpers import letter_a_demo, line_demo
 
@@ -69,6 +74,49 @@ class TestExitCodes:
         cfg = write_config(tmp_path, str(tmp_path / "nope.csv"), tmp_path / "out")
         assert main(["synth", cfg]) == 2
 
+    # (key, value): the config of write_config with that key set to the value;
+    # key None replaces the whole config
+    @pytest.mark.parametrize("key, value", [
+        ("rollout.dt", "x"),
+        ("output.n_demos", "2"),
+        ("obstacle.lambda_max", "10"),
+        ("obstacle", [1, 2]),
+        ("rollout", None),
+        ("perturbation.seed", 1.5),
+        (None, [1, 2]),
+        ("output.n_demos", 1.5),
+        ("rollout.n_basis", 30.7),
+        ("rollout.dt", True),
+        ("perturbation.boundaries", "ab"),
+        ("perturbation.sigma_p", [-0.005, 0.005, 0.005]),
+        ("perturbation.sigma_p", [0.005, 0.005]),
+        ("obstacle.rho_th", 0),
+        ("rollout.dt", 0.5),
+        ("perturbation.seed", -1),
+        ("demo", 5),
+        ("scene", False),
+        ("output.dir", ["out"]),
+    ])
+    def test_bad_value_exits_2_naming_key(self, tmp_path, demo_csv, capsys, key, value):
+        path = Path(write_config(tmp_path, demo_csv, tmp_path / "out"))
+        cfg = json.loads(path.read_text())
+        if key is None:
+            cfg = value
+        else:
+            section, _, name = key.rpartition(".")
+            (cfg.setdefault(section, {}) if section else cfg)[name] = value
+        path.write_text(json.dumps(cfg))
+        assert main(["synth", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {key}: " if key else "error: config must be a JSON object")
+        assert not (tmp_path / "out").exists()
+
+    def test_dotted_top_level_key_is_unknown(self, tmp_path, demo_csv, capsys):
+        cfg = write_config(tmp_path, demo_csv, tmp_path / "out", **{"rollout.dt": 0.01})
+        assert main(["synth", cfg]) == 2
+        assert "unknown config key: rollout.dt" in capsys.readouterr().err
+
 
 class TestHelp:
     def test_synth_help_documents_config_keys(self, capsys):
@@ -76,10 +124,138 @@ class TestHelp:
             main(["synth", "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        for key in ["demo", "scene", "perturbation.sigma_p", "obstacle.rho_th",
-                    "obstacle.lambda_max", "rollout.dt", "rollout.n_basis",
-                    "output.dir", "output.n_demos", "perturbation.seed"]:
-            assert key in out
+        documented = {}
+        for line in out.split("job config keys (JSON):\n")[1].splitlines():
+            documented[line.split()[0]] = line.rsplit("(", 1)[1].rstrip(")")
+        assert documented == {
+            "demo": "required",
+            "scene": "default: null",
+            "perturbation.sigma_p": "default: [0.0, 0.0, 0.0]",
+            "perturbation.bound_p": "default: [0.0, 0.0, 0.0]",
+            "perturbation.sigma_r": "default: 0.0",
+            "perturbation.bound_r": "default: 0.0",
+            "perturbation.boundaries": "default: []",
+            "perturbation.seed": "default: 0",
+            "obstacle.rho_th": "default: 0.1",
+            "obstacle.lambda_max": "default: 10.0",
+            "obstacle.gamma": "default: 1.0",
+            "obstacle.epsilon": "default: 1e-08",
+            "obstacle.lookahead": "default: 0.02",
+            "obstacle.return_gain": "default: 0.0",
+            "obstacle.return_cap": "default: 5.0",
+            "obstacle.gradient_step": "default: 0.001",
+            "rollout.dt": "default: 0.02",
+            "rollout.n_basis": "default: 30",
+            "rollout.ridge_lambda": "default: 1e-06",
+            "rollout.alpha_z": "default: 25.0",
+            "rollout.alpha_s": "default: 4.0",
+            "rollout.horizon": "default: 1.25",
+            "output.dir": "required",
+            "output.n_demos": "default: 1",
+        }
+
+
+class TestConfigSchema:
+    def test_every_key_sets_its_field(self, tmp_path, demo_csv):
+        scene_path = write_scene(tmp_path / "scene.json",
+                                 [GaussianBlob(np.zeros(3), 1e-4 * np.eye(3), 1.0)])
+        job = _job_from_config({
+            "demo": demo_csv,
+            "scene": scene_path,
+            "perturbation": {"sigma_p": [0.001, 0.002, 0.003], "bound_p": [0.01, 0.02, 0.03],
+                             "sigma_r": 0.05, "bound_r": 0.1,
+                             "boundaries": [False, True, False], "seed": 42},
+            "obstacle": {"rho_th": 0.2, "lambda_max": 3.0, "gamma": 0.5, "epsilon": 1e-9,
+                         "lookahead": 0.03, "return_gain": 2.0, "return_cap": 4.0,
+                         "gradient_step": 2e-3},
+            "rollout": {"dt": 0.005, "n_basis": 20, "ridge_lambda": 1e-5, "alpha_z": 30.0,
+                        "alpha_s": 3.0, "horizon": 1.5},
+            "output": {"dir": "dataset", "n_demos": 7},
+        })
+        assert np.array_equal(job.demo.positions, Trajectory.load_csv(demo_csv).positions)
+        assert len(job.scene) == 1
+        assert job.spec.sigma_p.tolist() == [0.001, 0.002, 0.003]
+        assert job.spec.bound_p.tolist() == [0.01, 0.02, 0.03]
+        assert (job.spec.sigma_r, job.spec.bound_r, job.spec.seed) == (0.05, 0.1, 42)
+        assert job.spec.perturbable == (False, True, False)
+        assert job.obstacle == ObstacleParams(rho_th=0.2, lambda_max=3.0, gamma=0.5, epsilon=1e-9,
+                                              lookahead=0.03, return_gain=2.0, return_cap=4.0,
+                                              gradient_step=2e-3)
+        assert (job.dt, job.n_basis, job.ridge_lambda, job.alpha_z, job.alpha_s) == (
+            0.005, 20, 1e-5, 30.0, 3.0)
+        assert job.horizon_factor == 1.5
+        assert (job.output_dir, job.n_demos) == ("dataset", 7)
+
+    def test_absent_keys_take_the_dataclass_defaults(self, tmp_path, demo_csv):
+        job = _job_from_config({"demo": demo_csv, "output": {"dir": "dataset"}})
+        default = SynthesisJob(demo=job.demo, output_dir="dataset")
+        assert job.scene is None and default.scene is None
+        assert job.obstacle == default.obstacle
+        assert job.spec.sigma_p.tolist() == default.spec.sigma_p.tolist() == [0.0] * 3
+        assert ((job.n_demos, job.dt, job.n_basis, job.ridge_lambda, job.alpha_z, job.alpha_s,
+                 job.horizon_factor) == (default.n_demos, default.dt, default.n_basis,
+                                         default.ridge_lambda, default.alpha_z, default.alpha_s,
+                                         default.horizon_factor))
+
+    def test_integer_for_float_key_is_a_float(self, tmp_path, demo_csv):
+        job = _job_from_config({"demo": demo_csv, "output": {"dir": "dataset"},
+                                "obstacle": {"lambda_max": 100}, "rollout": {"n_basis": 20.0}})
+        assert type(job.obstacle.lambda_max) is float and job.obstacle.lambda_max == 100.0
+        assert type(job.n_basis) is int and job.n_basis == 20
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def fuzz_demo(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "demo.csv"
+    letter_a_demo().save_csv(path)
+    return str(path)
+
+
+@st.composite
+def fuzz_configs(draw, demo_path):
+    """A config with a valid value or nothing at each schema key, the real
+    demo at "demo" and a string at "output.dir"; then any JSON value at a
+    few keys or sections, and unknown keys."""
+    number = st.floats(min_value=1e-3, max_value=1e-2)
+    typed = {float: number, int: st.integers(1, 50), str: st.text(max_size=6),
+             tuple: st.lists(st.booleans(), max_size=4),
+             np.ndarray: st.lists(number, min_size=3, max_size=3),
+             Trajectory: st.just(demo_path)}
+    keys = [(key, typed.get(hint, st.none())) for key, _, hint in _config_keys()]
+    values = {key: draw(value) for key, value in keys if key in ("demo", "output.dir") or draw(st.booleans())}
+    for key in draw(st.lists(st.sampled_from([key for key, _ in keys]), max_size=2)):
+        values[key] = draw(JSON_VALUES)
+    cfg = {}
+    for key, value in values.items():
+        section, _, name = key.rpartition(".")
+        (cfg.setdefault(section, {}) if section else cfg)[name] = value
+    for name in draw(st.lists(st.sampled_from(["", "perturbation", "rollout", "obstacle", "output"]),
+                              max_size=1)):
+        if not name:
+            cfg.update(draw(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=2)))
+        elif draw(st.booleans()):
+            cfg[name] = draw(JSON_VALUES)   # a section that is not an object
+        else:
+            cfg.setdefault(name, {})[draw(st.text(max_size=6))] = draw(JSON_VALUES)
+    return cfg
+
+
+class TestConfigFuzz:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_config_builds_a_job_or_raises_usage_error(self, fuzz_demo, data):
+        cfg = data.draw(fuzz_configs(fuzz_demo))
+        try:
+            job = _job_from_config(cfg)
+        except UsageError:
+            return
+        assert isinstance(job, SynthesisJob)
 
 
 class TestAlign:

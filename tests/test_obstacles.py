@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -147,7 +148,7 @@ class TestObstacleAccel:
     def test_params_dict_roundtrip(self):
         p = ObstacleParams(rho_th=0.2, lambda_max=3.0, gamma=0.5,
                            return_gain=2.0)
-        assert ObstacleParams.from_dict(p.to_dict()) == p
+        assert ObstacleParams(**asdict(p)) == p
 
 
 class TestReturnToReference:

@@ -413,14 +413,22 @@ class TestJobValidation:
         with pytest.raises(ValueError):
             synthesize_one(job, models, 0)
 
-    def test_spec_from_dict(self):
-        spec = PerturbationSpec.from_dict({
-            "sigma_p": [0.01, 0.01, 0.0], "bound_p": [0.02, 0.02, 0.0],
-            "sigma_r": 0.05, "bound_r": 0.1,
-            "boundaries": [False, True, True], "seed": 42})
-        assert spec.seed == 42
-        assert spec.perturbable == (False, True, True)
-        assert spec.sigma_r == 0.05
+    def test_rejects_bad_sigma_p(self):
+        for sigma_p in ([-0.01, 0.0, 0.0], [0.01, 0.01], [np.nan, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="^sigma_p "):
+                PerturbationSpec(sigma_p=sigma_p, bound_p=[0.02] * 3)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed "):
+            PerturbationSpec(seed=-1)
+
+    def test_rejects_dt_coarser_than_shortest_segment(self):
+        demo = letter_a_demo()
+        tau = min(demo.segment(k).times[-1] - demo.segment(k).times[0]
+                  for k in range(demo.n_segments))
+        make_job(demo=demo, dt=tau / 50.0)
+        with pytest.raises(ValueError, match="^dt must be <= tau/50"):
+            make_job(demo=demo, dt=np.nextafter(tau / 50.0, 1.0))
 
     def test_single_segment_line(self):
         demo = line_demo([0, 0, 0], [0.3, 0, 0], n=120)
