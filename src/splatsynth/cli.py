@@ -73,6 +73,8 @@ def _build(cls, values: dict, prefix: str = ""):
     for key, f, hint in _config_keys(cls, prefix, nested=False):
         keys[f.name] = key
         if "help" not in f.metadata:
+            # a check across sections names a section's field as "<field>.<its field>"
+            keys.update((f"{f.name}.{g.name}", k) for k, g, _ in _config_keys(hint, key + ".", nested=False))
             kwargs[f.name] = _build(hint, values, key + ".")
         elif key in values:
             what, valid, parse = _PARSERS[hint]
@@ -301,9 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", help="initial 4x4 transform JSON")
     p.add_argument("--out", default="transform.json", help="output transform JSON (default: transform.json)")
     p.add_argument("--aligned-scene", help="optionally write the transformed scene JSON")
-    p.add_argument("--max-iters", type=int, default=100, help="ICP iteration cap (default: 100)")
-    p.add_argument("--tol", type=float, default=1e-8, help="RMS change stop tolerance, m (default: 1e-8)")
-    p.add_argument("--max-corr-dist", type=float, default=0.1, help="correspondence cap, m (default: 0.1)")
+    p.add_argument("--max-iters", type=int, default=alignment.IcpParams.max_iters,
+                   help="ICP iteration cap (default: %(default)s)")
+    p.add_argument("--tol", type=float, default=alignment.IcpParams.tol,
+                   help="RMS change stop tolerance, m (default: %(default)s)")
+    p.add_argument("--max-corr-dist", type=float, default=alignment.IcpParams.max_corr_dist,
+                   help="correspondence cap, m (default: %(default)s)")
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("fit", help="fit per-segment DMP models and write them as JSON")
@@ -331,8 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-th", type=float, default=obstacles.ObstacleParams.rho_th,
                    help="collision density threshold (default: %(default)s)")
     p.add_argument("--writing-plane", help="px,py,pz,nx,ny,nz to enable the writing-error metric")
-    p.add_argument("--raster-resolution", type=int, default=128, help="raster canvas size (default: 128)")
-    p.add_argument("--stroke-px", type=int, default=3, help="stroke width in pixels (default: 3)")
+    p.add_argument("--raster-resolution", type=int, default=metrics.RasterSpec.resolution,
+                   help="raster canvas size (default: %(default)s)")
+    p.add_argument("--stroke-px", type=int, default=metrics.RasterSpec.stroke_px,
+                   help="stroke width in pixels (default: %(default)s)")
     p.add_argument("--out", default="summary.csv", help="summary file name (default: summary.csv)")
     p.set_defaults(func=cmd_eval)
 

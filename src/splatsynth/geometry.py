@@ -8,7 +8,6 @@ trajectories byte-stable and handles the double cover deterministically.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -199,9 +198,7 @@ class Trajectory:
         if np.any(np.abs(norms - 1.0) > 1e-6):
             raise TrajectoryError("orientations must be unit quaternions")
         self.quaternions = quat_canonical(self.quaternions / norms[:, None])
-        if not self.splits:
-            self.splits = [0, n - 1]
-        self.splits = [int(s) for s in self.splits]
+        self.splits = [int(s) for s in self.splits] or [0, n - 1]
         if self.splits[0] != 0 or self.splits[-1] != n - 1:
             raise TrajectoryError("splits must start at 0 and end at the last index")
         if any(b <= a for a, b in zip(self.splits, self.splits[1:])):
@@ -238,71 +235,73 @@ class Trajectory:
 
     # ---- serialization --------------------------------------------------
 
+    def _table(self) -> list:
+        """The samples as rows of Python numbers in _CSV_FIELDS order, split flag an int 0/1."""
+        flags = np.zeros(len(self), dtype=int)
+        flags[self.splits] = 1
+        rows = np.column_stack((self.times, self.positions, self.quaternions, self.gripper)).tolist()
+        return [row + [flag] for row, flag in zip(rows, flags.tolist())]
+
+    @classmethod
+    def _from_table(cls, table, unit: str) -> "Trajectory":
+        """Trajectory from a CSV file's data rows of number strings (unit "row")
+        or a JSON document {"samples": [{column: number}, ...]} (unit "sample").
+        The one check of outside input: each fault names its row or sample."""
+        if unit == "sample":
+            samples = table.get("samples") if isinstance(table, dict) else None
+            if not isinstance(samples, list):
+                raise TrajectoryError("expected a JSON object with a 'samples' list")
+            for i, sample in enumerate(samples):
+                if not isinstance(sample, dict):
+                    raise TrajectoryError(f"sample {i}: expected an object, got {json.dumps(sample)}")
+                # numpy reads a bool or a string as a number; JSON does not
+                bad = next((k for k in _CSV_FIELDS if type(sample.get(k)) not in (int, float)), None)
+                if bad is not None:
+                    raise TrajectoryError(f"sample {i}: expected a number at key {bad!r}")
+            table = [[sample[k] for k in _CSV_FIELDS] for sample in samples]
+        width = len(_CSV_FIELDS)
+        values = np.empty((len(table), width))
+        for i, row in enumerate(table):
+            if len(row) != width:
+                raise TrajectoryError(f"{unit} {i}: expected {width} values, got {len(row)}")
+            try:
+                values[i] = row   # numpy parses each string as float() does
+            except (ValueError, OverflowError) as exc:
+                raise TrajectoryError(f"{unit} {i}: {exc}") from None
+        flags = values[:, -1]
+        bad = np.flatnonzero((flags != 0) & (flags != 1))
+        if len(bad):
+            raise TrajectoryError(f"{unit} {bad[0]}: split flag must be 0 or 1, got {flags[bad[0]]:g}")
+        t, pos, quat, grip = (values[:, c].copy() for c in (0, slice(1, 4), slice(4, 8), 8))
+        return cls(t, pos, quat, grip, np.flatnonzero(flags).tolist())
+
     def to_csv(self) -> str:
-        split_set = set(self.splits)
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(_CSV_FIELDS)
-        for i in range(len(self)):
-            w.writerow([
-                repr(float(self.times[i])),
-                *[repr(float(v)) for v in self.positions[i]],
-                *[repr(float(v)) for v in self.quaternions[i]],
-                repr(float(self.gripper[i])),
-                1 if i in split_set else 0,
-            ])
-        return buf.getvalue()
+        rows = [",".join(_CSV_FIELDS)] + [",".join(map(repr, row)) for row in self._table()]
+        return "\n".join(rows) + "\n"
 
     def save_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
             f.write(self.to_csv())
 
     @classmethod
-    def from_rows(cls, rows) -> "Trajectory":
-        times, pos, quat, grip, splits = [], [], [], [], []
-        for i, r in enumerate(rows):
-            times.append(r["t"])
-            pos.append([r["x"], r["y"], r["z"]])
-            quat.append([r["qw"], r["qx"], r["qy"], r["qz"]])
-            grip.append(r["gripper"])
-            if int(r["split"]):
-                splits.append(i)
-        return cls(np.array(times), np.array(pos), np.array(quat), np.array(grip), splits)
-
-    @classmethod
     def load_csv(cls, path) -> "Trajectory":
         with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != _CSV_FIELDS:
-                raise TrajectoryError(f"bad trajectory header in {path}: expected {_CSV_FIELDS}")
-            rows = [{k: float(v) for k, v in row.items()} for row in reader]
-        return cls.from_rows(rows)
+            try:
+                header, *rows = list(csv.reader(f)) or [None]
+            except csv.Error as exc:
+                raise TrajectoryError(f"{path}: {exc}") from exc
+        if header is None or [c.strip() for c in header] != _CSV_FIELDS:
+            raise TrajectoryError(f"bad trajectory header in {path}: expected {_CSV_FIELDS}")
+        return cls._from_table([row for row in rows if row], "row")
 
     def to_json(self) -> str:
-        samples = []
-        split_set = set(self.splits)
-        for i in range(len(self)):
-            samples.append({
-                "t": float(self.times[i]),
-                "x": float(self.positions[i][0]),
-                "y": float(self.positions[i][1]),
-                "z": float(self.positions[i][2]),
-                "qw": float(self.quaternions[i][0]),
-                "qx": float(self.quaternions[i][1]),
-                "qy": float(self.quaternions[i][2]),
-                "qz": float(self.quaternions[i][3]),
-                "gripper": float(self.gripper[i]),
-                "split": 1 if i in split_set else 0,
-            })
+        samples = [dict(zip(_CSV_FIELDS, row)) for row in self._table()]
         return json.dumps({"samples": samples}, indent=2, sort_keys=True)
 
     @classmethod
     def load_json(cls, path) -> "Trajectory":
         with open(path) as f:
-            data = json.load(f)
-        if "samples" not in data:
-            raise TrajectoryError(f"missing 'samples' key in {path}")
-        return cls.from_rows(data["samples"])
+            return cls._from_table(json.load(f), "sample")
 
     @classmethod
     def load(cls, path) -> "Trajectory":

@@ -54,14 +54,14 @@ def _unit(x, epsilon: float) -> np.ndarray:
     return x / (np.sqrt(rowdot(x, x)) + epsilon)[..., None]
 
 
-def outward_normal(scene: GaussianScene, x, epsilon: float = 1e-8,
+def outward_normal(scene: GaussianScene, x, epsilon: float = ObstacleParams.epsilon,
                    gradient_step: float = DEFAULT_GRADIENT_STEP) -> np.ndarray:
     """n_hat = -grad(rho) / (||grad(rho)|| + eps) per (..., 3) row: points away
     from mass, degrades gracefully to ~0 where the gradient vanishes."""
     return -_unit(density_gradient(scene, x, gradient_step), epsilon)
 
 
-def tangential_direction(n_hat, v, epsilon: float = 1e-8) -> np.ndarray:
+def tangential_direction(n_hat, v, epsilon: float = ObstacleParams.epsilon) -> np.ndarray:
     """Unit-or-shorter component of n_hat orthogonal to the motion direction."""
     n_hat = np.asarray(n_hat, dtype=float)
     v_hat = _unit(np.asarray(v, dtype=float), epsilon)

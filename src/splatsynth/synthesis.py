@@ -120,6 +120,9 @@ class SynthesisJob:
         tau = float(np.min(np.diff(self.demo.times[self.demo.splits])))
         if not self.dt <= tau / 50.0:
             raise ValueError(f"dt must be <= tau/50 = {tau / 50.0} of the shortest demo segment")
+        if self.spec.perturbable and len(self.spec.perturbable) != len(self.demo.splits):
+            raise ValueError(f"spec.perturbable must hold one flag per demo split ({len(self.demo.splits)}), "
+                             f"got {len(self.spec.perturbable)}")
 
 
 def fit_segments(job: SynthesisJob) -> list[DmpModel]:
@@ -131,8 +134,6 @@ def fit_segments(job: SynthesisJob) -> list[DmpModel]:
 
 def _perturbable_flags(spec: PerturbationSpec, n_boundaries: int):
     if spec.perturbable:
-        if len(spec.perturbable) != n_boundaries:
-            raise ValueError("perturbable flag list length must match split count")
         return [bool(v) for v in spec.perturbable]
     # default: every boundary except the start is perturbable
     return [False] + [True] * (n_boundaries - 1)

@@ -96,6 +96,7 @@ class TestExitCodes:
         ("demo", 5),
         ("scene", False),
         ("output.dir", ["out"]),
+        ("perturbation.boundaries", [True]),
     ])
     def test_bad_value_exits_2_naming_key(self, tmp_path, demo_csv, capsys, key, value):
         path = Path(write_config(tmp_path, demo_csv, tmp_path / "out"))
@@ -305,6 +306,36 @@ class TestFit:
         assert files == ["model_00.json", "model_01.json"]
         model = json.loads((out / "model_00.json").read_text())
         assert "weights" in json.dumps(model)
+
+    # (file name, change): the letter-A demo's file with row 3 of its CSV
+    # changed, or its JSON document changed
+    @pytest.mark.parametrize("name, change", [
+        ("short.csv", lambda row: row[:-1]),
+        ("extra.csv", lambda row: row + ["0"]),
+        ("word.csv", lambda row: row[:2] + ["abc"] + row[3:]),
+        ("split2.csv", lambda row: row[:-1] + ["2"]),
+        ("split05.csv", lambda row: row[:-1] + ["0.5"]),
+        ("list1.json", lambda doc: {"samples": [1]}),
+        ("int.json", lambda doc: {"samples": 5}),
+        ("nox.json", lambda doc: {"samples": [{k: v for k, v in doc["samples"][0].items() if k != "x"}]}),
+        ("string.json", lambda doc: "samples"),
+        ("bool.json", lambda doc: {"samples": [dict(s, x=True) for s in doc["samples"]]}),
+    ])
+    def test_malformed_demo_is_one_error_line(self, tmp_path, name, change, capsys):
+        demo = letter_a_demo()
+        path = tmp_path / name
+        if name.endswith(".csv"):
+            lines = demo.to_csv().splitlines()
+            lines[3] = ",".join(change(lines[3].split(",")))
+            path.write_text("\n".join(lines) + "\n")
+        else:
+            path.write_text(json.dumps(change(json.loads(demo.to_json()))))
+        assert main(["fit", str(path), "--out", str(tmp_path / "models")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert main(["synth", write_config(tmp_path, str(path), tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: demo: ")
 
 
 class TestSynth:

@@ -1,8 +1,15 @@
+import csv
+import io
+import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from splatsynth.cli import main
 from splatsynth.geometry import (
     Pose,
     Trajectory,
@@ -176,7 +183,7 @@ def make_traj(n=10, splits=None):
     t = np.linspace(0, 1, n)
     pos = np.stack([t, np.zeros(n), np.zeros(n)], axis=1)
     q = np.tile([1.0, 0, 0, 0], (n, 1))
-    return Trajectory(t, pos, q, np.zeros(n), splits or [])
+    return Trajectory(t, pos, q, np.zeros(n), [] if splits is None else splits)
 
 
 class TestTrajectory:
@@ -184,6 +191,12 @@ class TestTrajectory:
         traj = make_traj(5)
         assert traj.splits == [0, 4]
         assert traj.n_segments == 1
+
+    @pytest.mark.parametrize("splits", [np.array([0, 4, 9]), (0, 4, 9), range(0, 10, 9), np.array([], dtype=int)])
+    def test_splits_any_integer_sequence(self, splits):
+        traj = make_traj(10, splits=splits)
+        assert traj.splits == ([0, 9] if len(splits) < 3 else [0, 4, 9])
+        assert all(type(s) is int for s in traj.splits)
 
     def test_rejects_nonmonotone_times(self):
         t = np.array([0.0, 0.5, 0.4, 1.0])
@@ -258,6 +271,286 @@ class TestTrajectory:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TrajectoryError, match="non-finite"):
             Trajectory.load_csv(path)
+
+
+# ---- trajectory files ---------------------------------------------------------
+
+COLUMNS = ["t", "x", "y", "z", "qw", "qx", "qy", "qz", "gripper", "split"]
+
+
+def oracle_to_csv(traj):
+    """The per-row CSV writer that the sample table replaced."""
+    split_set = set(traj.splits)
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(COLUMNS)
+    for i in range(len(traj)):
+        w.writerow([
+            repr(float(traj.times[i])),
+            *[repr(float(v)) for v in traj.positions[i]],
+            *[repr(float(v)) for v in traj.quaternions[i]],
+            repr(float(traj.gripper[i])),
+            1 if i in split_set else 0,
+        ])
+    return buf.getvalue()
+
+
+def oracle_to_json(traj):
+    """The per-sample-dict JSON writer that the sample table replaced."""
+    split_set = set(traj.splits)
+    samples = []
+    for i in range(len(traj)):
+        samples.append({
+            "t": float(traj.times[i]),
+            "x": float(traj.positions[i][0]),
+            "y": float(traj.positions[i][1]),
+            "z": float(traj.positions[i][2]),
+            "qw": float(traj.quaternions[i][0]),
+            "qx": float(traj.quaternions[i][1]),
+            "qy": float(traj.quaternions[i][2]),
+            "qz": float(traj.quaternions[i][3]),
+            "gripper": float(traj.gripper[i]),
+            "split": 1 if i in split_set else 0,
+        })
+    return json.dumps({"samples": samples}, indent=2, sort_keys=True)
+
+
+def oracle_load(path):
+    """The per-sample-dict loader that the sample table replaced (valid files only)."""
+    if str(path).endswith(".json"):
+        with open(path) as f:
+            rows = json.load(f)["samples"]
+    else:
+        with open(path, newline="") as f:
+            rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(f)]
+    splits = [i for i, r in enumerate(rows) if int(r["split"])]
+    return Trajectory(np.array([r["t"] for r in rows]),
+                      np.array([[r["x"], r["y"], r["z"]] for r in rows]),
+                      np.array([[r["qw"], r["qx"], r["qy"], r["qz"]] for r in rows]),
+                      np.array([r["gripper"] for r in rows]), splits)
+
+
+def random_traj(rng):
+    """A trajectory with magnitudes from 1e-8 to 1e8, up to 4 inner splits and
+    some -0.0 values."""
+    n = int(rng.integers(2, 120))
+    scale = 10.0 ** rng.uniform(-8, 8)
+    t = np.concatenate([[-0.0], np.cumsum(rng.uniform(0.01, 1.0, n - 1))]) * scale
+    pos = rng.normal(size=(n, 3)) * scale
+    grip = rng.uniform(-1, 1, n) * scale
+    q = rng.normal(size=(n, 4))
+    q[:, 1:][rng.random((n, 3)) < 0.1] = -0.0
+    pos[rng.random((n, 3)) < 0.1] = -0.0
+    grip[rng.random(n) < 0.1] = -0.0
+    inner = np.sort(rng.choice(np.arange(1, n - 1), min(int(rng.integers(0, 5)), max(n - 2, 0)), replace=False))
+    return Trajectory(t, pos, q / np.linalg.norm(q, axis=1, keepdims=True), grip,
+                      [0, *inner.tolist(), n - 1])
+
+
+class TestTrajectoryFiles:
+    def test_writers_match_per_row_oracles(self):
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            traj = random_traj(rng)
+            assert traj.to_csv() == oracle_to_csv(traj)
+            assert traj.to_json() == oracle_to_json(traj)
+
+    def test_writes_negative_zero_and_extremes(self):
+        traj = Trajectory([-0.0, 1e-300, 1e300], [[-0.0, 0.1, -1e-8]] * 3,
+                          [[1.0, -0.0, 0.0, 0.0]] * 3, [-0.0, 5e-324, 1.7976931348623157e308])
+        assert traj.to_csv().splitlines()[1] == "-0.0,-0.0,0.1,-1e-08,1.0,-0.0,0.0,0.0,-0.0,1"
+        assert traj.to_csv() == oracle_to_csv(traj)
+        assert traj.to_json() == oracle_to_json(traj)
+
+    def test_loaders_match_per_row_oracle(self, tmp_path):
+        rng = np.random.default_rng(21)
+        for k in range(100):
+            traj = random_traj(rng)
+            for path, text in ((tmp_path / "t.csv", traj.to_csv()), (tmp_path / "t.json", traj.to_json())):
+                path.write_text(text)
+                back, expect = Trajectory.load(path), oracle_load(path)
+                for name in ("times", "positions", "quaternions", "gripper"):
+                    assert np.array_equal(getattr(back, name), getattr(expect, name)), (k, path, name)
+                assert back.splits == expect.splits == traj.splits
+
+    def test_csv_blank_rows_padded_and_quoted_cells(self, tmp_path):
+        # blank rows, padded header names, quoted and padded cells, "1.0" flags
+        path = tmp_path / "t.csv"
+        path.write_text(" t , x,y,z,qw,qx,qy,qz,gripper,split\n\n"
+                        '0,"1",2,3, 1 ,0,0,0,0,1.0\n\n'
+                        "0.5,1_0,2,3,1,0,0,0,0,0\n1,1e1,2,3,1,0,0,0,0,1\n\n")
+        traj = Trajectory.load_csv(path)
+        assert np.array_equal(traj.positions[:, 0], [1.0, 10.0, 10.0])
+        assert traj.splits == [0, 2]
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.5,1,2,3,1,0,0,0,0", "row 1: expected 10 values, got 9"),
+        ("0.5,1,2,3,1,0,0,0,0,0,1", "row 1: expected 10 values, got 11"),
+        ("0.5,1,abc,3,1,0,0,0,0,0", "row 1: could not convert string to float: 'abc'"),
+        ("0.5,1,2,3,1,0,0,0,0,2", "row 1: split flag must be 0 or 1, got 2"),
+        ("0.5,1,2,3,1,0,0,0,0,0.5", "row 1: split flag must be 0 or 1, got 0.5"),
+        ("0.5,1,2,3,1,0,0,0,0,nan", "row 1: split flag must be 0 or 1, got nan"),
+    ])
+    def test_csv_rejects(self, tmp_path, row, message):
+        path = tmp_path / "t.csv"
+        path.write_text(",".join(COLUMNS) + f"\n0,1,2,3,1,0,0,0,0,1\n{row}\n1,1,2,3,1,0,0,0,0,1\n")
+        with pytest.raises(TrajectoryError) as info:
+            Trajectory.load_csv(path)
+        assert str(info.value) == message
+
+    def test_csv_field_over_the_reader_limit(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(",".join(COLUMNS) + "\n" + "1" * 200_000 + "\n")
+        with pytest.raises(TrajectoryError, match="field larger than field limit"):
+            Trajectory.load_csv(path)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"samples": [1]}, "sample 0: expected an object, got 1"),
+        ({"samples": 5}, "expected a JSON object with a 'samples' list"),
+        ({}, "expected a JSON object with a 'samples' list"),
+        ("samples", "expected a JSON object with a 'samples' list"),
+        ([{"t": 0}], "expected a JSON object with a 'samples' list"),
+        (None, "expected a JSON object with a 'samples' list"),
+        ({"samples": [{"x": 1.0}]}, "sample 0: expected a number at key 't'"),
+    ])
+    def test_json_rejects_document(self, tmp_path, doc, message):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TrajectoryError) as info:
+            Trajectory.load_json(path)
+        assert str(info.value) == message
+
+    # (key,) drops the key from sample 1 of a valid document; (key, value) sets it
+    @pytest.mark.parametrize("change, message", [
+        (("x",), "sample 1: expected a number at key 'x'"),
+        (("x", True), "sample 1: expected a number at key 'x'"),
+        (("x", "0.5"), "sample 1: expected a number at key 'x'"),
+        (("x", None), "sample 1: expected a number at key 'x'"),
+        (("x", [0.5]), "sample 1: expected a number at key 'x'"),
+        (("split", 2), "sample 1: split flag must be 0 or 1, got 2"),
+        (("split", 0.5), "sample 1: split flag must be 0 or 1, got 0.5"),
+        (("split", True), "sample 1: expected a number at key 'split'"),
+        (("x", 10 ** 400), "sample 1: int too large to convert to float"),
+    ])
+    def test_json_rejects_sample(self, tmp_path, change, message):
+        doc = json.loads(make_traj(3).to_json())
+        if len(change) == 1:
+            del doc["samples"][1][change[0]]
+        else:
+            doc["samples"][1][change[0]] = change[1]
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TrajectoryError) as info:
+            Trajectory.load_json(path)
+        assert str(info.value) == message
+
+    def test_json_ignores_extra_keys(self, tmp_path):
+        doc = json.loads(make_traj(4, splits=[0, 2, 3]).to_json())
+        doc["version"] = 1
+        doc["samples"][0]["note"] = "start"
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        assert Trajectory.load_json(path).splits == [0, 2, 3]
+
+
+# ---- loader fuzz: mutations of a valid file ------------------------------------
+
+FUZZ_TRAJ = Trajectory(np.linspace(0.0, 2.0, 24),
+                       np.column_stack([np.linspace(0, 0.1, 24), np.sin(np.linspace(0, 3, 24)) * 0.05,
+                                        np.zeros(24)]),
+                       np.tile([1.0, 0, 0, 0], (24, 1)), np.zeros(24), [0, 11, 23])
+FUZZ_CELLS = st.one_of(
+    st.sampled_from(["", "abc", "nan", "inf", "1e400", "0x10", " 2 ", "1_0", "--1", "true", '"3"', "0", "1"]),
+    st.text(max_size=4), st.floats().map(repr))
+FUZZ_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10 ** 400) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4)
+
+
+@st.composite
+def mutated_csv(draw):
+    """FUZZ_TRAJ's CSV with one to three rows changed: a cell dropped, added
+    or replaced, the split flag replaced, or the row removed."""
+    lines = FUZZ_TRAJ.to_csv().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(1, len(lines) - 1))
+        cells = lines[i].split(",")
+        kind = draw(st.sampled_from(["drop", "extra", "cell", "split", "row"]))
+        if kind == "drop":
+            del cells[draw(st.integers(0, len(cells) - 1))]
+        elif kind == "extra":
+            cells.insert(draw(st.integers(0, len(cells))), draw(FUZZ_CELLS))
+        elif kind == "cell":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(FUZZ_CELLS)
+        elif kind == "split":
+            cells[-1] = draw(st.sampled_from(["0", "1", "2", "-1", "0.5", "1.0", "nan", "", "x"]))
+        lines[i] = ",".join(cells)
+        if kind == "row":
+            del lines[i]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def mutated_json(draw):
+    """FUZZ_TRAJ's JSON document with one to three changes: a key dropped, a
+    value or split flag replaced, a sample that is not an object, a 'samples'
+    that is not a list, or a top level that is not an object."""
+    doc = json.loads(FUZZ_TRAJ.to_json())
+    for _ in range(draw(st.integers(1, 3))):
+        samples = doc.get("samples") if isinstance(doc, dict) else None
+        kind = draw(st.sampled_from(["drop", "value", "split", "sample", "samples", "top"]))
+        if kind in ("drop", "value", "split", "sample") and isinstance(samples, list) and samples:
+            i = draw(st.integers(0, len(samples) - 1))
+            if kind == "sample" or not isinstance(samples[i], dict):
+                samples[i] = draw(FUZZ_JSON_VALUES)
+            elif kind == "drop" and samples[i]:
+                del samples[i][draw(st.sampled_from(sorted(samples[i])))]
+            elif kind == "value":
+                samples[i][draw(st.sampled_from(COLUMNS))] = draw(FUZZ_JSON_VALUES)
+            else:
+                samples[i]["split"] = draw(st.sampled_from([0, 1, 2, -1, 0.5, 1.0, True, "1"]))
+        elif kind == "samples" and isinstance(doc, dict):
+            doc["samples"] = draw(FUZZ_JSON_VALUES)
+        elif kind == "top":
+            doc = draw(FUZZ_JSON_VALUES)
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("loader_fuzz")
+
+
+def load_or_fail_cleanly(path):
+    """Trajectory.load returns a Trajectory or raises TrajectoryError, and
+    `splatsynth fit` on the file exits 0, or 1 with one error line."""
+    try:
+        loaded = isinstance(Trajectory.load(path), Trajectory)
+    except TrajectoryError:
+        loaded = False
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["fit", str(path), "--out", str(path.parent / "models"), "--n-basis", "10"])
+    assert code in (0, 1)
+    assert code == 0 or len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+    assert loaded or code == 1
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(text=mutated_csv())
+    def test_csv(self, fuzz_dir, text):
+        path = fuzz_dir / "demo.csv"
+        path.write_text(text)
+        load_or_fail_cleanly(path)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(text=mutated_json())
+    def test_json(self, fuzz_dir, text):
+        path = fuzz_dir / "demo.json"
+        path.write_text(text)
+        load_or_fail_cleanly(path)
 
 
 class TestPose:

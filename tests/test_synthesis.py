@@ -405,13 +405,11 @@ class TestJobValidation:
             make_job(dt=-0.01)
 
     def test_perturbable_length_mismatch(self):
-        demo = letter_a_demo()
+        # the letter-A demo has 3 splits; the job is refused before any fit
         spec = PerturbationSpec(sigma_p=[0.01] * 3, bound_p=[0.02] * 3,
                                 perturbable=(False, True), seed=0)
-        job = make_job(demo=demo, spec=spec)
-        models = fit_segments(job)
-        with pytest.raises(ValueError):
-            synthesize_one(job, models, 0)
+        with pytest.raises(ValueError, match=r"^spec\.perturbable .*\(3\), got 2$"):
+            make_job(demo=letter_a_demo(), spec=spec)
 
     def test_rejects_bad_sigma_p(self):
         for sigma_p in ([-0.01, 0.0, 0.0], [0.01, 0.01], [np.nan, 0.0, 0.0]):
