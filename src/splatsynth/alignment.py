@@ -58,9 +58,21 @@ class RigidTransform:
 
     @classmethod
     def load_json(cls, path) -> "RigidTransform":
-        with open(path) as f:
-            data = json.load(f)
-        return cls.from_matrix(data["matrix"])
+        """The transform of a {"matrix": <4x4 numbers>} file; a ValueError naming the file otherwise."""
+        try:
+            with open(path) as f:
+                m = json.load(f)["matrix"]
+            if not all(type(v) in (int, float) for row in m for v in row):
+                raise TypeError
+            m = np.array(m, dtype=float)
+        except (ValueError, TypeError, LookupError, OverflowError):
+            m = None
+        if m is None or m.shape != (4, 4) or not np.all(np.isfinite(m)):
+            raise ValueError(f'{path}: transform must be {{"matrix": <4x4 finite numbers>}}')
+        try:
+            return cls.from_matrix(m)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass

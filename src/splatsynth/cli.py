@@ -128,6 +128,8 @@ def _load_config(path: str):
 def _require_file(path: str) -> str:
     if not os.path.exists(path):
         raise UsageError(f"file not found: {path}")
+    if not os.path.isfile(path):
+        raise UsageError(f"not a file: {path}")
     return path
 
 
@@ -192,7 +194,29 @@ def cmd_synth(args) -> int:
     return 0 if n_ok == job.n_demos else 1
 
 
+def _raster_spec(args) -> metrics.RasterSpec:
+    """The writing-error raster the eval flags describe; a UsageError naming the flag at fault."""
+    try:
+        vals = [float(v) for v in args.writing_plane.split(",")]
+    except ValueError:
+        vals = []
+    if len(vals) != 6:
+        raise UsageError("--writing-plane needs 6 comma-separated numbers px,py,pz,nx,ny,nz, "
+                         f"got {args.writing_plane!r}")
+    try:
+        return metrics.RasterSpec(resolution=args.raster_resolution, stroke_px=args.stroke_px,
+                                  plane_point=tuple(vals[:3]), plane_normal=tuple(vals[3:]))
+    except ValueError as exc:
+        flag = {"resolution": "--raster-resolution", "stroke_px": "--stroke-px"}
+        raise UsageError(f"{flag.get(str(exc).split()[0], '--writing-plane')}: {exc}") from exc
+
+
 def cmd_eval(args) -> int:
+    raster = _raster_spec(args) if args.writing_plane else None
+    if not os.path.exists(args.dataset):
+        raise UsageError(f"file not found: {args.dataset}")
+    if not os.path.isdir(args.dataset):
+        raise UsageError(f"not a directory: {args.dataset}")
     expert = Trajectory.load(_require_file(args.expert))
     scene = None
     if args.scene:
@@ -202,16 +226,6 @@ def cmd_eval(args) -> int:
         if args.transform:
             T = alignment.RigidTransform.load_json(_require_file(args.transform))
             scene = alignment.apply_transform(scene, T)
-    raster = None
-    if args.writing_plane:
-        vals = [float(v) for v in args.writing_plane.split(",")]
-        if len(vals) != 6:
-            raise UsageError("--writing-plane needs 6 comma-separated values px,py,pz,nx,ny,nz")
-        raster = metrics.RasterSpec(resolution=args.raster_resolution,
-                                    stroke_px=args.stroke_px,
-                                    plane_point=tuple(vals[:3]),
-                                    plane_normal=tuple(vals[3:]))
-    _require_file(args.dataset)
     files = sorted(f for f in os.listdir(args.dataset)
                    if f.startswith("rollout_") and f.endswith(".csv"))
     if not files:
@@ -376,7 +390,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -139,6 +139,18 @@ class RasterSpec:
     plane_point: tuple = (0.0, 0.0, 0.0)
     plane_normal: tuple = (0.0, 0.0, 1.0)
 
+    def __post_init__(self):
+        if self.resolution < 1:
+            raise ValueError(f"resolution must be at least 1, got {self.resolution}")
+        if self.stroke_px < 1:
+            raise ValueError(f"stroke_px must be at least 1, got {self.stroke_px}")
+        for name in ("plane_point", "plane_normal"):
+            v = np.asarray(getattr(self, name))
+            if v.shape != (3,) or v.dtype.kind not in "iuf" or not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be 3 finite numbers, got {getattr(self, name)!r}")
+        if not 0.0 < np.linalg.norm(self.plane_normal) < math.inf:
+            raise ValueError(f"plane_normal must have a finite non-zero length, got {self.plane_normal!r}")
+
 
 def _plane_basis(normal: np.ndarray):
     n = normal / np.linalg.norm(normal)
@@ -164,6 +176,8 @@ def rasterize_strokes(points2d: np.ndarray, spec: RasterSpec) -> np.ndarray:
     points2d = np.asarray(points2d, dtype=float)
     if len(points2d) == 0:
         return img
+    if not np.all(np.isfinite(points2d)):
+        raise MetricError("non-finite stroke point")
     lo = points2d.min(axis=0)
     hi = points2d.max(axis=0)
     span = hi - lo
@@ -171,46 +185,35 @@ def rasterize_strokes(points2d: np.ndarray, spec: RasterSpec) -> np.ndarray:
         raise MetricError("degenerate bounding box: zero area")
     span = np.where(span > 0, span, 1.0)
     pix = np.round((points2d - lo) / span * (res - 1)).astype(int)
-    rad = spec.stroke_px // 2
-    stamps = [(di, dj) for di in range(-rad, rad + 1) for dj in range(-rad, rad + 1)]
-
-    def stamp(i, j):
-        for di, dj in stamps:
-            ii, jj = i + di, j + dj
-            if 0 <= ii < res and 0 <= jj < res:
-                img[ii, jj] = True
-
-    def bresenham(p, q):
-        x0, y0 = p
-        x1, y1 = q
-        dx = abs(x1 - x0)
-        dy = -abs(y1 - y0)
-        sx = 1 if x0 < x1 else -1
-        sy = 1 if y0 < y1 else -1
-        err = dx + dy
-        while True:
-            stamp(y0, x0)
-            if x0 == x1 and y0 == y1:
-                return
-            e2 = 2 * err
-            if e2 >= dy:
-                err += dy
-                x0 += sx
-            if e2 <= dx:
-                err += dx
-                y0 += sy
-
-    if len(pix) == 1:
-        stamp(pix[0][1], pix[0][0])
-    for p, q in zip(pix[:-1], pix[1:]):
-        bresenham(p, q)
+    # the segments between consecutive pixels step through Bresenham's loop
+    # together, each leaving the arrays once its end pixel is drawn (a lone
+    # point never gets here: its bounding box has zero area)
+    (x, y), (x1, y1) = pix[:-1].T, pix[1:].T
+    dx, dy = np.abs(x1 - x), -np.abs(y1 - y)
+    sx, sy = np.where(x < x1, 1, -1), np.where(y < y1, 1, -1)
+    err = dx + dy
+    while len(x):
+        img[y, x] = True
+        live = (x != x1) | (y != y1)
+        x, y, x1, y1, dx, dy, sx, sy, err = (a[live] for a in (x, y, x1, y1, dx, dy, sx, sy, err))
+        e2 = 2 * err
+        step_x, step_y = e2 >= dy, e2 <= dx
+        err = err + dy * step_x + dx * step_y
+        x, y = x + sx * step_x, y + sy * step_y
+    # the square stamp: grow by one pixel along each axis, stroke_px // 2 times;
+    # the shifted slices stop at the canvas border
+    for _ in range(spec.stroke_px // 2):
+        img[1:] |= img[:-1]
+        img[:-1] |= img[1:]
+        img[:, 1:] |= img[:, :-1]
+        img[:, :-1] |= img[:, 1:]
     return img
 
 
 def _as_positions(traj) -> np.ndarray:
     if isinstance(traj, Trajectory):
         return traj.positions
-    return np.asarray(traj, dtype=float).reshape(-1, 3) if np.size(traj) else np.empty((0, 3))
+    return np.asarray(traj, dtype=float).reshape(-1, 3)
 
 
 def writing_error(expert, executed, spec: RasterSpec = RasterSpec()) -> float:
@@ -225,11 +228,7 @@ def writing_error(expert, executed, spec: RasterSpec = RasterSpec()) -> float:
     exp_count = int(exp_img.sum())
     if exp_count == 0:
         raise MetricError("expert raster is empty")
-    exec_pts = _as_positions(executed)
-    if len(exec_pts) == 0:
-        exec_img = np.zeros_like(exp_img)
-    else:
-        exec_img = rasterize_strokes(project_to_plane(exec_pts, spec), spec)
+    exec_img = rasterize_strokes(project_to_plane(_as_positions(executed), spec), spec)
     diff = int(np.sum(exec_img != exp_img))
     return diff / exp_count
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -38,6 +39,24 @@ def rotation_error_deg(Ra, Rb):
     return math.degrees(math.acos(min(max(c, -1.0), 1.0)))
 
 
+ROW = "[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]"
+MALFORMED = {
+    "empty_object": "{}",
+    "list": "[]",
+    "not_json": "not json",
+    "number": '{"matrix": 5}',
+    "2x2": '{"matrix": [[1, 0], [0, 1]]}',
+    "3x4": '{"matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]}',
+    "ragged": '{"matrix": [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
+    "string": '{"matrix": [["1", 0, 0, 0], %s]}' % ROW,
+    "bool": '{"matrix": [[true, 0, 0, 0], %s]}' % ROW,
+    "null": '{"matrix": [[1, 0, 0, null], %s]}' % ROW,
+    "nan": '{"matrix": [[1, 0, 0, NaN], %s]}' % ROW,
+    "inf": '{"matrix": [[1, 0, 0, 1e999], %s]}' % ROW,
+    "int_too_large": '{"matrix": [[1, 0, 0, 1%s], %s]}' % ("0" * 400, ROW),
+}
+
+
 class TestRigidTransform:
     def test_identity_roundtrip(self):
         T = RigidTransform.identity()
@@ -56,6 +75,19 @@ class TestRigidTransform:
         T.save_json(path)
         back = RigidTransform.load_json(path)
         assert np.allclose(back.to_matrix(), T.to_matrix())
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_json_names_file(self, tmp_path, name):
+        path = tmp_path / "T.json"
+        path.write_text(MALFORMED[name])
+        with pytest.raises(ValueError, match=r'T\.json: transform must be \{"matrix": <4x4 finite numbers>\}'):
+            RigidTransform.load_json(path)
+
+    def test_non_rotation_json_names_file(self, tmp_path):
+        path = tmp_path / "T.json"
+        path.write_text(json.dumps({"matrix": (2 * np.eye(4)).tolist()}))
+        with pytest.raises(ValueError, match=r"T\.json: rotation must be orthonormal"):
+            RigidTransform.load_json(path)
 
     def test_rejects_non_rotation(self):
         with pytest.raises(ValueError):

@@ -27,6 +27,19 @@ def write_scene(path, blobs):
     return str(path)
 
 
+def one_error_line(capsys, start):
+    """stderr holds exactly one line, the "error: ..." one, and no traceback or warning."""
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()] and err.startswith(f"error: {start}"), err
+
+
+BAD_TRANSFORMS = {
+    "missing_matrix": "{}",
+    "2x2": '{"matrix": [[1, 0], [0, 1]]}',
+    "strings": '{"matrix": [["1", "0", "0", "0"], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
+}
+
+
 def write_config(tmp_path, demo, out_dir, **overrides):
     cfg = {
         "demo": demo,
@@ -297,6 +310,16 @@ class TestAlign:
                      "--aligned-scene", str(aligned)]) == 0
         assert aligned.exists()
 
+    @pytest.mark.parametrize("name", BAD_TRANSFORMS)
+    def test_malformed_init_is_one_error_line(self, tmp_path, capsys, name):
+        pts = tmp_path / "pts.csv"
+        np.savetxt(pts, np.random.default_rng(0).uniform(size=(20, 3)), delimiter=",")
+        init = tmp_path / "init.json"
+        init.write_text(BAD_TRANSFORMS[name])
+        assert main(["align", str(pts), str(pts), "--init", str(init),
+                     "--out", str(tmp_path / "T.json")]) == 1
+        one_error_line(capsys, f"{init}: transform must be")
+
 
 class TestFit:
     def test_writes_one_model_per_segment(self, tmp_path, demo_csv, capsys):
@@ -442,6 +465,66 @@ class TestEval:
         out_dir, _ = self.make_dataset(tmp_path, demo_csv)
         assert main(["eval", str(out_dir), demo_csv,
                      "--writing-plane", "0,0,1"]) == 2
+
+    @pytest.mark.parametrize("flags,start", [
+        (["--writing-plane", "a,b"], "--writing-plane needs 6 comma-separated numbers"),
+        (["--writing-plane", "0,0,0,0,0,x"], "--writing-plane needs 6 comma-separated numbers"),
+        (["--writing-plane", "0,0,0,0,0,0"], "--writing-plane: plane_normal must have"),
+        (["--writing-plane", "0,nan,0,0,0,1"], "--writing-plane: plane_point must be"),
+        (["--writing-plane", "0,0,0,0,0,1", "--raster-resolution", "0"], "--raster-resolution: "),
+        (["--writing-plane", "0,0,0,0,0,1", "--stroke-px", "0"], "--stroke-px: "),
+        (["--writing-plane", "0,0,0,0,0,1", "--stroke-px", "-3"], "--stroke-px: "),
+    ])
+    def test_bad_raster_flags_exit_2(self, tmp_path, demo_csv, capsys, flags, start):
+        out_dir, _ = self.make_dataset(tmp_path, demo_csv)
+        assert main(["eval", str(out_dir), demo_csv] + flags) == 2
+        one_error_line(capsys, start)
+
+    def test_smallest_raster_flags_accepted(self, tmp_path, demo_csv):
+        out_dir, _ = self.make_dataset(tmp_path, demo_csv)
+        assert main(["eval", str(out_dir), demo_csv, "--writing-plane", "0,0,0,0,0,1",
+                     "--raster-resolution", "1", "--stroke-px", "1"]) == 0
+
+    @pytest.mark.parametrize("name", BAD_TRANSFORMS)
+    def test_malformed_transform_is_one_error_line(self, tmp_path, demo_csv, capsys, name):
+        out_dir, _ = self.make_dataset(tmp_path, demo_csv)
+        scene_path = write_scene(tmp_path / "scene.json",
+                                 [GaussianBlob(np.zeros(3), 1e-4 * np.eye(3), 1.0)])
+        t_path = tmp_path / "T.json"
+        t_path.write_text(BAD_TRANSFORMS[name])
+        assert main(["eval", str(out_dir), demo_csv, "--scene", scene_path,
+                     "--transform", str(t_path)]) == 1
+        one_error_line(capsys, f"{t_path}: transform must be")
+
+
+class TestPathErrors:
+    """A path of the wrong kind exits 2, and any other OS error exits 1, each
+    with one error line and no traceback."""
+
+    @pytest.mark.parametrize("argv,start", [
+        (["fit", "{dir}"], "not a file: {dir}"),
+        (["density", "{dir}", "0", "0", "0"], "not a file: {dir}"),
+        (["align", "{dir}", "{demo}"], "not a file: {dir}"),
+        (["calibrate-rho", "{dir}", "{demo}"], "not a file: {dir}"),
+        (["eval", "{dir}", "{dir}"], "not a file: {dir}"),
+        (["eval", "{demo}", "{demo}"], "not a directory: {demo}"),
+        (["eval", "{dir}/missing", "{demo}"], "file not found: {dir}/missing"),
+    ])
+    def test_wrong_kind_of_path_exits_2(self, tmp_path, demo_csv, capsys, argv, start):
+        names = {"dir": str(tmp_path), "demo": demo_csv}
+        assert main([a.format(**names) for a in argv]) == 2
+        one_error_line(capsys, start.format(**names))
+
+    def test_fit_out_is_a_file_exits_1(self, demo_csv, capsys):
+        assert main(["fit", demo_csv, "--out", demo_csv]) == 1
+        one_error_line(capsys, "[Errno 17] File exists")
+
+    def test_eval_out_is_a_directory_exits_1(self, tmp_path, demo_csv, capsys):
+        out_dir = tmp_path / "data"
+        (out_dir / "summary.csv").mkdir(parents=True)
+        Trajectory.load_csv(demo_csv).save_csv(out_dir / "rollout_0000.csv")
+        assert main(["eval", str(out_dir), demo_csv]) == 1
+        one_error_line(capsys, "[Errno 21] Is a directory")
 
 
 class TestCalibrateRho:

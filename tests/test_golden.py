@@ -1,8 +1,10 @@
-"""Golden digests: the bytes a coupled synthesis exports and the summary that
-`splatsynth eval` writes.  Speed-ups must leave both unchanged, so any change
-that moves a byte of either output fails here.
+"""Golden digests: the bytes a coupled synthesis exports and the summaries that
+`splatsynth eval` writes, without and with the writing error.  Speed-ups must
+leave them unchanged, so any change that moves a byte of these outputs fails
+here.
 
-The digests were computed before the rollouts of a segment were batched
+The first two digests were computed before the rollouts of a segment were
+batched, the writing-error one before the rasteriser became an array program
 (x86-64, numpy 2.4, OpenBLAS).  A different platform or BLAS may round
 differently; recompute them there from a commit known to be correct.
 """
@@ -22,6 +24,7 @@ from helpers import line_demo
 
 EXPORT_DIGEST = "9d428aa748029971f5c3a39c5addfb6e6ca1c1e76971647e5c46c24f1dd8d9a7"
 EVAL_DIGEST = "caa5fd02a13e5008f7413c336612d5ce5bd66b6f6404c2a22e6ef96f48c9a447"
+WRITING_DIGEST = "a1ff3f205f13051370d269cf5b550190809a832fa8a842e7baae93f0ce3861e0"
 
 
 def dir_digest(path) -> str:
@@ -60,7 +63,9 @@ def test_c05_export_digest(tmp_path):
     assert dir_digest(tmp_path / "data") == EXPORT_DIGEST
 
 
-def test_eval_summary_digest(tmp_path):
+def eval_summary_digest(tmp_path, *flags) -> str:
+    """sha256 of the summary `splatsynth eval` writes for 8 bent copies of the
+    line demo against the clutter scene."""
     demo = line_demo([0, 0, 0], [0.4, 0, 0], n=151)
     demo.save_csv(tmp_path / "demo.csv")
     save_scene_json(clutter_scene(), tmp_path / "scene.json")
@@ -73,6 +78,13 @@ def test_eval_summary_digest(tmp_path):
         Trajectory(demo.times, demo.positions + offset, demo.quaternions,
                    demo.gripper).save_csv(data / f"rollout_{i:04d}.csv")
     assert main(["eval", str(data), str(tmp_path / "demo.csv"),
-                 "--scene", str(tmp_path / "scene.json"), "--rho-th", "1.4"]) == 0
-    digest = hashlib.sha256((data / "summary.csv").read_bytes()).hexdigest()
-    assert digest == EVAL_DIGEST
+                 "--scene", str(tmp_path / "scene.json"), "--rho-th", "1.4", *flags]) == 0
+    return hashlib.sha256((data / "summary.csv").read_bytes()).hexdigest()
+
+
+def test_eval_summary_digest(tmp_path):
+    assert eval_summary_digest(tmp_path) == EVAL_DIGEST
+
+
+def test_eval_writing_error_digest(tmp_path):
+    assert eval_summary_digest(tmp_path, "--writing-plane", "0,0,0,0,0,1") == WRITING_DIGEST

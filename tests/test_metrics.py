@@ -299,6 +299,138 @@ class TestRaster:
         assert data[-16:][1 * 4 + 2] == 255
 
 
+def rasterize_per_pixel(points2d, spec):
+    """The per-pixel rasteriser: one Bresenham loop per segment, stamping a
+    clipped square at every pixel.  The oracle for rasterize_strokes."""
+    res = spec.resolution
+    img = np.zeros((res, res), dtype=bool)
+    points2d = np.asarray(points2d, dtype=float)
+    if len(points2d) == 0:
+        return img
+    lo = points2d.min(axis=0)
+    hi = points2d.max(axis=0)
+    span = hi - lo
+    if np.all(span <= 0):
+        raise MetricError("degenerate bounding box: zero area")
+    span = np.where(span > 0, span, 1.0)
+    pix = np.round((points2d - lo) / span * (res - 1)).astype(int)
+    rad = spec.stroke_px // 2
+    stamps = [(di, dj) for di in range(-rad, rad + 1) for dj in range(-rad, rad + 1)]
+
+    def stamp(i, j):
+        for di, dj in stamps:
+            ii, jj = i + di, j + dj
+            if 0 <= ii < res and 0 <= jj < res:
+                img[ii, jj] = True
+
+    def bresenham(p, q):
+        x0, y0 = p
+        x1, y1 = q
+        dx = abs(x1 - x0)
+        dy = -abs(y1 - y0)
+        sx = 1 if x0 < x1 else -1
+        sy = 1 if y0 < y1 else -1
+        err = dx + dy
+        while True:
+            stamp(y0, x0)
+            if x0 == x1 and y0 == y1:
+                return
+            e2 = 2 * err
+            if e2 >= dy:
+                err += dy
+                x0 += sx
+            if e2 <= dx:
+                err += dx
+                y0 += sy
+
+    if len(pix) == 1:
+        stamp(pix[0][1], pix[0][0])
+    for p, q in zip(pix[:-1], pix[1:]):
+        bresenham(p, q)
+    return img
+
+
+def assert_matches_per_pixel(points2d, spec):
+    expected = rasterize_per_pixel(points2d, spec)
+    img = rasterize_strokes(points2d, spec)
+    assert img.dtype == bool and img.shape == (spec.resolution, spec.resolution)
+    assert np.array_equal(img, expected)
+
+
+# a square through the bounding-box corners, so that every side lies on the border
+BORDER = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]]
+
+
+class TestRasterMatchesPerPixel:
+    @pytest.mark.parametrize("res", [1, 2, 7, 37, 128, 256])
+    def test_strokes(self, res):
+        rng = np.random.default_rng(res)
+        for stroke_px in range(1, 10):
+            spec = RasterSpec(resolution=res, stroke_px=stroke_px)
+            for n in (2, 3, 12):
+                assert_matches_per_pixel(rng.normal(size=(n, 2)), spec)
+            assert_matches_per_pixel(rng.integers(0, 3, size=(9, 2)), spec)
+            assert_matches_per_pixel(BORDER, spec)
+
+    @pytest.mark.parametrize("stroke_px", range(1, 10))
+    def test_two_points_and_zero_height_span(self, stroke_px):
+        for res in (1, 2, 7, 37):
+            spec = RasterSpec(resolution=res, stroke_px=stroke_px)
+            assert_matches_per_pixel([[0.0, 0.0], [1.0, 0.3]], spec)
+            assert_matches_per_pixel([[0.0, 0.5], [1.0, 0.5], [0.2, 0.5]], spec)
+            assert_matches_per_pixel([[0.5, 0.0], [0.5, 1.0]], spec)
+
+    @pytest.mark.parametrize("res,stroke_px", [(37, 1), (128, 3), (128, 4), (256, 9)])
+    def test_random_walks(self, res, stroke_px):
+        rng = np.random.default_rng(res + stroke_px)
+        spec = RasterSpec(resolution=res, stroke_px=stroke_px)
+        for _ in range(3):
+            assert_matches_per_pixel(np.cumsum(rng.normal(size=(600, 2)), axis=0), spec)
+
+    def test_single_point_is_degenerate_for_both(self):
+        for res in (1, 128):
+            spec = RasterSpec(resolution=res)
+            with pytest.raises(MetricError, match="zero area"):
+                rasterize_per_pixel([[0.2, 0.7]], spec)
+            with pytest.raises(MetricError, match="zero area"):
+                rasterize_strokes([[0.2, 0.7]], spec)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, bad]])
+        with pytest.raises(MetricError, match="non-finite"):
+            rasterize_strokes(pts, RasterSpec())
+
+    def test_non_finite_executed_rejected(self):
+        demo = letter_a_demo()
+        executed = demo.positions.copy()
+        executed[3, 1] = np.nan
+        with pytest.raises(MetricError, match="non-finite"):
+            writing_error(demo, executed)
+
+
+class TestRasterSpec:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"resolution": 0}, "resolution must be at least 1"),
+        ({"stroke_px": 0}, "stroke_px must be at least 1"),
+        ({"stroke_px": -3}, "stroke_px must be at least 1"),
+        ({"plane_point": (0.0, 1.0)}, "plane_point must be 3 finite numbers"),
+        ({"plane_point": ("a", 0.0, 1.0)}, "plane_point must be 3 finite numbers"),
+        ({"plane_point": (0.0, np.inf, 1.0)}, "plane_point must be 3 finite numbers"),
+        ({"plane_normal": (0.0, 0.0, np.nan)}, "plane_normal must be 3 finite numbers"),
+        ({"plane_normal": (0.0, 0.0, 1.0, 0.0)}, "plane_normal must be 3 finite numbers"),
+        ({"plane_normal": (0.0, 0.0, 0.0)}, "plane_normal must have a finite non-zero length"),
+        ({"plane_normal": (0.0, 0.0, 1e-320)}, "plane_normal must have a finite non-zero length"),
+    ])
+    def test_rejects(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RasterSpec(**kwargs)
+
+    def test_accepts_smallest(self):
+        spec = RasterSpec(resolution=1, stroke_px=1, plane_point=(1, 2, 3), plane_normal=(0, 2, 0))
+        assert rasterize_strokes([[0.0, 0.0], [1.0, 1.0]], spec).tolist() == [[True]]
+
+
 class TestWritingError:
     def test_identical_is_zero(self):
         demo = letter_a_demo()
