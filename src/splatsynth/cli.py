@@ -134,20 +134,30 @@ def _require_file(path: str) -> str:
 
 
 def _load_points(path: str) -> np.ndarray:
-    """Point set from an XYZ CSV (header optional) or a JSON scene's means."""
+    """Point set from a scene's means, or from a CSV whose rows start with x, y
+    and z: blank rows are skipped and line 1 may be a header; any other row
+    that does not start with 3 finite numbers is a ValueError naming its line."""
     _require_file(path)
     if path.endswith(".json") or path.endswith(".ply"):
         return splats.load_scene(path, opacity_floor=0.0).means
     rows = []
-    with open(path, newline="") as f:
-        for row in csv.reader(f):
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row[:3]])
-            except ValueError:
-                continue  # header line
-    return np.asarray(rows, dtype=float)
+    try:
+        with open(path, newline="") as f:
+            reader = csv.reader(f)
+            for row in reader:
+                try:
+                    xyz = [float(v) for v in row[:3]]
+                except ValueError:
+                    xyz = None
+                if not row or (xyz is None and reader.line_num == 1):
+                    continue  # blank row or header line
+                if xyz is None or len(xyz) < 3 or not np.all(np.isfinite(xyz)):
+                    raise ValueError(f"{path}: line {reader.line_num}: expected 3 finite numbers x,y,z, "
+                                     f"got {','.join(row)!r}")
+                rows.append(xyz)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return np.array(rows, dtype=float).reshape(-1, 3)
 
 
 # ---- commands ---------------------------------------------------------------

@@ -148,7 +148,9 @@ class RasterSpec:
             v = np.asarray(getattr(self, name))
             if v.shape != (3,) or v.dtype.kind not in "iuf" or not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} must be 3 finite numbers, got {getattr(self, name)!r}")
-        if not 0.0 < np.linalg.norm(self.plane_normal) < math.inf:
+        with np.errstate(over="ignore"):  # a length that overflows is refused here, not warned about
+            length = np.linalg.norm(self.plane_normal)
+        if not 0.0 < length < math.inf:
             raise ValueError(f"plane_normal must have a finite non-zero length, got {self.plane_normal!r}")
 
 

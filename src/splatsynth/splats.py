@@ -42,7 +42,8 @@ def _valid_covariances(covs: np.ndarray) -> np.ndarray:
     """Mask of the (n, 3, 3) covariances that are finite, symmetric and
     positive definite."""
     ok = np.all(np.isfinite(covs), axis=(1, 2))
-    ok &= np.max(np.abs(covs - covs.transpose(0, 2, 1)), axis=(1, 2), initial=0.0) <= 1e-9
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite asymmetry fails the test
+        ok &= np.max(np.abs(covs - covs.transpose(0, 2, 1)), axis=(1, 2), initial=0.0) <= 1e-9
     ok[ok] = np.linalg.eigvalsh(covs[ok])[:, 0] > 1e-12
     return ok
 
@@ -161,25 +162,41 @@ def density_gradient_analytic(scene: GaussianScene, x) -> np.ndarray:
 
 # ---- loading ---------------------------------------------------------------
 
-def _arrays_from_json(data):
-    if "blobs" not in data:
-        raise SceneFormatError("scene JSON missing 'blobs' key")
+def _json_floats(entry: dict, key: str) -> np.ndarray:
+    """entry[key], a JSON number or nested lists of them, as a float array;
+    a TypeError naming the key otherwise (booleans and strings included)."""
+    value = np.array(entry[key], dtype=object)
+    if not all(type(v) in (int, float) for v in value.flat):
+        raise TypeError(f"'{key}' must hold only numbers, got {json.dumps(entry[key])}")
+    return value.astype(float)
+
+
+def _arrays_from_json(data, path):
+    """(means, covariances, opacities, rejected) of a {"blobs": [{"mu", "cov",
+    "alpha"}, ...]} scene; a cov that is not a valid 3x3 covariance is
+    rejected, any other flaw is a SceneFormatError naming the file and blob."""
+    if not isinstance(data, dict) or not isinstance(data.get("blobs"), list):
+        raise SceneFormatError(f"{path}: scene JSON must be an object with a 'blobs' list")
     means, covs, opacities = [], [], []
     rejected = 0
-    for entry in data["blobs"]:
-        for key in ("mu", "cov", "alpha"):
-            if key not in entry:
-                raise SceneFormatError(f"blob entry missing '{key}'")
-        mu = np.asarray(entry["mu"], dtype=float)
-        if mu.shape != (3,):
-            raise SceneFormatError(f"blob 'mu' must hold 3 numbers, got shape {mu.shape}")
-        cov = np.asarray(entry["cov"], dtype=float)
+    for i, entry in enumerate(data["blobs"]):
+        where = f"{path}: blob {i}"
+        if not isinstance(entry, dict) or not {"mu", "cov", "alpha"} <= entry.keys():
+            raise SceneFormatError(f"{where}: expected an object with 'mu', 'cov' and 'alpha'")
+        try:
+            mu, cov, alpha = (_json_floats(entry, key) for key in ("mu", "cov", "alpha"))
+        except (TypeError, OverflowError) as exc:
+            raise SceneFormatError(f"{where}: {exc}") from exc
+        if mu.shape != (3,) or not np.all(np.isfinite(mu)):
+            raise SceneFormatError(f"{where}: 'mu' must hold 3 finite numbers, got {json.dumps(entry['mu'])}")
+        if alpha.shape != () or not np.isfinite(alpha):
+            raise SceneFormatError(f"{where}: 'alpha' must be a finite number, got {json.dumps(entry['alpha'])}")
         if cov.shape != (3, 3):
             rejected += 1
             continue
         means.append(mu)
         covs.append(cov)
-        opacities.append(float(entry["alpha"]))
+        opacities.append(float(alpha))
     covs = np.array(covs).reshape(-1, 3, 3)
     valid = _valid_covariances(covs)
     rejected += int(np.count_nonzero(~valid))
@@ -200,6 +217,9 @@ _PLY_TYPES = {
 }
 
 
+_PLY_TOKENS = {"format": 2, "element": 3, "property": 3}   # fewest tokens on each kind of line
+
+
 def _parse_ply(path):
     """Return the columns of a single-element PLY, indexable by property name."""
     with open(path, "rb") as f:
@@ -207,15 +227,21 @@ def _parse_ply(path):
     end = re.search(rb"end_header\r?\n", raw)
     if not raw.startswith(b"ply") or end is None:
         raise SceneFormatError(f"{path}: not a PLY file")
-    header = raw[:end.start()].decode("ascii").splitlines()
+    try:
+        header = raw[:end.start()].decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise SceneFormatError(f"{path}: PLY header is not ASCII") from exc
     body = raw[end.end():]
     fmt = None
     count = None
     props = []
-    for line in header:
+    for n, line in enumerate(header, 1):
         tok = line.split()
         if not tok:
             continue
+        # "format <fmt> ...", "element <name> <count>", "property <type> <name>"
+        if len(tok) < _PLY_TOKENS.get(tok[0], 0) or tok[0] == "element" and not re.fullmatch(r"[+-]?\d+", tok[2]):
+            raise SceneFormatError(f"{path}: malformed PLY header line {n}: {line!r}")
         if tok[0] == "format":
             fmt = tok[1]
         elif tok[0] == "element":
@@ -237,7 +263,10 @@ def _parse_ply(path):
     if len(set(names)) != len(names):
         raise SceneFormatError(f"{path}: duplicate PLY property names")
     if fmt == "ascii":
-        values = np.array([float(v) for v in body.split()])
+        try:
+            values = np.array([float(v) for v in body.split()])
+        except ValueError as exc:
+            raise SceneFormatError(f"{path}: PLY body holds a non-number") from exc
         if values.size != count * len(props):
             raise SceneFormatError(f"{path}: PLY body shape mismatch")
         rows = values.reshape(count, len(props))
@@ -266,20 +295,25 @@ def _arrays_from_ply(path, scale_convention: str):
         return np.stack([np.asarray(cols[n], dtype=float) for n in names], axis=1)
 
     means = stack("x", "y", "z")
+    bad = np.flatnonzero(~np.all(np.isfinite(means), axis=1))
+    if len(bad):
+        raise SceneFormatError(f"{path}: vertex {bad[0]}: non-finite position {means[bad[0]].tolist()}")
     scales = stack("scale_0", "scale_1", "scale_2")
     quats = stack("rot_0", "rot_1", "rot_2", "rot_3")
     opacities = np.asarray(cols["opacity"], dtype=float)
-    if scale_convention == "preactivation":
-        scales = np.exp(scales)
-        opacities = _sigmoid(opacities)
-    norms = np.linalg.norm(quats, axis=1)
-    nonzero = norms != 0.0
-    rot = quat_to_matrix((quats[nonzero] / norms[nonzero, None]).T).transpose(2, 0, 1)
-    covs = (rot * scales[nonzero, None, :] ** 2) @ rot.transpose(0, 2, 1)
-    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
-    valid = _valid_covariances(covs)
-    rejected = int(np.count_nonzero(~nonzero) + np.count_nonzero(~valid))
-    return means[nonzero][valid], covs[valid], opacities[nonzero][valid], rejected
+    # a zero, non-finite or overflowing rotation, and a scale that overflows, are rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        if scale_convention == "preactivation":
+            scales = np.exp(scales)
+            opacities = _sigmoid(opacities)
+        norms = np.linalg.norm(quats, axis=1)
+        usable = (norms > 0.0) & (norms < np.inf)
+        rot = quat_to_matrix((quats[usable] / norms[usable, None]).T).transpose(2, 0, 1)
+        covs = (rot * scales[usable, None, :] ** 2) @ rot.transpose(0, 2, 1)
+        covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+        valid = _valid_covariances(covs)
+    rejected = int(np.count_nonzero(~usable) + np.count_nonzero(~valid))
+    return means[usable][valid], covs[valid], opacities[usable][valid], rejected
 
 
 def load_scene(path, opacity_floor: float = DEFAULT_OPACITY_FLOOR,
@@ -294,9 +328,12 @@ def load_scene(path, opacity_floor: float = DEFAULT_OPACITY_FLOOR,
     if str(path).endswith(".ply"):
         means, covs, opacities, rejected = _arrays_from_ply(path, scale_convention)
     else:
-        with open(path) as f:
-            data = json.load(f)
-        means, covs, opacities, rejected = _arrays_from_json(data)
+        try:
+            with open(path, "rb") as f:
+                data = json.load(f)
+        except ValueError as exc:   # invalid JSON or text encoding
+            raise SceneFormatError(f"{path}: scene is not readable JSON: {exc}") from exc
+        means, covs, opacities, rejected = _arrays_from_json(data, path)
     return GaussianScene.from_arrays(means, covs, opacities, opacity_floor=opacity_floor,
                                      rejected_count=rejected)
 

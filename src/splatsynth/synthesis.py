@@ -17,6 +17,7 @@ import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.special import gammainc, gammaincinv, ndtr, ndtri
 
 from .dmp import DEFAULT_ALPHA_S, DEFAULT_ALPHA_Z, DEFAULT_HORIZON_FACTOR, DEFAULT_N_BASIS, DEFAULT_RIDGE_LAMBDA
 # rollout stays bound here for bench/tracing.py, which wraps it where it is looked up
@@ -48,42 +49,38 @@ class PerturbationSpec:
             value = np.asarray(getattr(self, name), dtype=float)
             if value.shape != (3,):
                 raise ValueError(f"{name} must hold 3 values, got shape {value.shape}")
-            if not np.all(value >= 0):
-                raise ValueError(f"{name} must be non-negative")
             object.__setattr__(self, name, value)
-        if not self.bound_r >= 0:
-            raise ValueError("bound_r must be non-negative")
+        # a sigma must be finite; an infinite bound leaves its normal untruncated
+        for name in ("sigma_p", "sigma_r"):
+            if not np.all((getattr(self, name) >= 0) & (getattr(self, name) < np.inf)):
+                raise ValueError(f"{name} must be finite and non-negative")
+        for name in ("bound_p", "bound_r"):
+            if not np.all(getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
 
-def _truncated_normal(rng, sigma: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """Componentwise rejection sampling of N(0, sigma^2) truncated to +-bound."""
-    out = np.zeros(len(sigma))
-    for i, (s, b) in enumerate(zip(sigma, bound)):
-        if s == 0.0 or b == 0.0:
-            continue
-        x = rng.normal(0.0, s)
-        while abs(x) > b:
-            x = rng.normal(0.0, s)
-        out[i] = x
-    return out
-
-
 def sample_boundary_perturbation(spec: PerturbationSpec, boundary_index: int,
                                  rollout_index: int = 0):
-    """Deterministic (dp, dq) for one boundary of one rollout.
-
-    dq = exp(delta) with delta a norm-bounded Gaussian rotation vector.
-    """
+    """Deterministic (dp, dq) for one boundary of one rollout, in closed form
+    from the same 7 draws whatever the spec: per axis, dp is N(0, sigma_p^2)
+    truncated to +-bound_p, by inverse CDF; dq = exp(delta), delta in a uniform
+    direction with norm sigma_r * chi(3) truncated at bound_r."""
     rng = np.random.default_rng([spec.seed, rollout_index, boundary_index])
-    dp = _truncated_normal(rng, spec.sigma_p, spec.bound_p)
-    if spec.sigma_r > 0.0 and spec.bound_r > 0.0:
-        delta = rng.normal(0.0, spec.sigma_r, size=3)
-        while np.linalg.norm(delta) > spec.bound_r:
-            delta = rng.normal(0.0, spec.sigma_r, size=3)
-    else:
-        delta = np.zeros(3)
+    u, direction, w = rng.random(3), rng.standard_normal(3), rng.random()
+    dp, delta = np.zeros(3), np.zeros(3)
+    on = (spec.sigma_p > 0.0) & (spec.bound_p > 0.0)
+    sigma, bound = spec.sigma_p[on], spec.bound_p[on]
+    # a bound/sigma ratio that overflows to inf leaves that normal untruncated
+    with np.errstate(over="ignore"):
+        lo = ndtr(-bound / sigma)
+        # clipping keeps rounding and the u = 0 endpoint inside the box
+        dp[on] = np.clip(sigma * ndtri(lo + u[on] * (1.0 - 2.0 * lo)), -bound, bound)
+        if spec.sigma_r > 0.0 and spec.bound_r > 0.0:
+            top = gammainc(1.5, 0.5 * np.square(spec.bound_r / spec.sigma_r))
+            radius = min(spec.sigma_r * np.sqrt(2.0 * gammaincinv(1.5, w * top)), spec.bound_r)
+            delta = radius * direction / np.linalg.norm(direction)
     return dp, quat_exp(delta)
 
 

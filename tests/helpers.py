@@ -1,5 +1,7 @@
 """Shared scene/trajectory builders for the test suite."""
 
+import threading
+
 import numpy as np
 
 from splatsynth.geometry import Trajectory, quat_from_axis_angle
@@ -97,3 +99,24 @@ def letter_a_demo(scale=0.1, n_per_stroke=80, duration_per_segment=1.0):
     quats = np.tile([1.0, 0, 0, 0], (n, 1))
     splits = [0, n_per_stroke - 1, n - 1]
     return Trajectory(t, pos, quats, np.zeros(n), splits)
+
+
+def run_within(seconds, fn, *args):
+    """fn(*args), failing the test if it has not returned within the given
+    seconds.  It runs in a daemon thread, so a call that never returns fails
+    the test instead of stalling the suite."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = fn(*args)
+        except BaseException as exc:  # re-raised in the caller
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"{getattr(fn, '__name__', fn)} still running after {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]

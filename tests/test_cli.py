@@ -1,4 +1,7 @@
+import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -6,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splatsynth.cli import UsageError, _config_keys, _job_from_config, main
+from splatsynth.cli import UsageError, _config_keys, _job_from_config, _load_points, main
 from splatsynth.geometry import Trajectory
 from splatsynth.obstacles import ObstacleParams
 from splatsynth.splats import GaussianBlob, GaussianScene, save_scene_json
 from splatsynth.synthesis import SynthesisJob
 
-from helpers import letter_a_demo, line_demo
+from helpers import letter_a_demo, line_demo, run_within
 
 
 @pytest.fixture
@@ -32,6 +35,24 @@ def one_error_line(capsys, start):
     err = capsys.readouterr().err
     assert err.splitlines() == [err.strip()] and err.startswith(f"error: {start}"), err
 
+
+# file name: (scene file text, what the error line names after the file)
+BAD_SCENES = {
+    "number.json": ("5", "scene JSON must be an object"),
+    "blobs_number.json": ('{"blobs": 5}', "scene JSON must be an object"),
+    "blob_number.json": ('{"blobs": [5]}', "blob 0: expected an object"),
+    "alpha_null.json": ('{"blobs": [{"mu": [0, 0, 0], "cov": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "alpha": null}]}',
+                        "blob 0: 'alpha' must hold only numbers"),
+    "alpha_list.json": ('{"blobs": [{"mu": [0, 0, 0], "cov": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], '
+                        '"alpha": [1, 2]}]}',
+                        "blob 0: 'alpha' must be a finite number"),
+    "no_count.ply": ("ply\nformat ascii 1.0\nelement vertex\nproperty float x\nend_header\n",
+                     "malformed PLY header line 3: 'element vertex'"),
+    "no_name.ply": ("ply\nformat ascii 1.0\nelement vertex 1\nproperty float\nend_header\n",
+                    "malformed PLY header line 4: 'property float'"),
+    "bare_format.ply": ("ply\nformat\nelement vertex 1\nproperty float x\nend_header\n",
+                        "malformed PLY header line 2: 'format'"),
+}
 
 BAD_TRANSFORMS = {
     "missing_matrix": "{}",
@@ -110,6 +131,8 @@ class TestExitCodes:
         ("scene", False),
         ("output.dir", ["out"]),
         ("perturbation.boundaries", [True]),
+        ("perturbation.sigma_r", -1),
+        ("perturbation.sigma_p", [math.inf, 0, 0]),
     ])
     def test_bad_value_exits_2_naming_key(self, tmp_path, demo_csv, capsys, key, value):
         path = Path(write_config(tmp_path, demo_csv, tmp_path / "out"))
@@ -120,7 +143,7 @@ class TestExitCodes:
             section, _, name = key.rpartition(".")
             (cfg.setdefault(section, {}) if section else cfg)[name] = value
         path.write_text(json.dumps(cfg))
-        assert main(["synth", str(path)]) == 2
+        assert run_within(20, main, ["synth", str(path)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {key}: " if key else "error: config must be a JSON object")
@@ -320,6 +343,87 @@ class TestAlign:
                      "--out", str(tmp_path / "T.json")]) == 1
         one_error_line(capsys, f"{init}: transform must be")
 
+    @pytest.mark.parametrize("row, line", [
+        ("foo,1,0", 5), ("1,1,x", 5), ("0.1,0.2", 5), ("nan,0,0", 5), ("", None), ("0.1,0.2,0.3,extra", None)])
+    def test_points_csv_rows(self, tmp_path, capsys, row, line):
+        """Line 1 may be a header and blank rows are skipped; any other row
+        must start with 3 finite numbers, or align exits 1 naming its line."""
+        pts = np.random.default_rng(3).uniform(size=(8, 3))
+        rows = ["x,y,z"] + [",".join(map(repr, p)) for p in pts.tolist()]
+        src = tmp_path / "src.csv"
+        src.write_text("\n".join(rows[:4] + [row] + rows[4:]) + "\n")
+        dst = tmp_path / "dst.csv"
+        dst.write_text("\n".join(rows) + "\n")
+        code = main(["align", str(src), str(dst), "--out", str(tmp_path / "T.json")])
+        if line is None:
+            assert code == 0
+        else:
+            assert code == 1
+            one_error_line(capsys, f"{src}: line {line}: expected 3 finite numbers x,y,z, got {row!r}")
+
+    def test_points_csv_header_only_on_line_1(self, tmp_path, capsys):
+        src = tmp_path / "src.csv"
+        src.write_text("x,y,z\nx,y,z\n" + "0,0,0\n1,0,0\n0,1,0\n0,0,1\n")
+        assert main(["align", str(src), str(src), "--out", str(tmp_path / "T.json")]) == 1
+        one_error_line(capsys, f"{src}: line 2: ")
+
+
+FUZZ_POINTS = np.random.default_rng(5).uniform(-0.2, 0.2, (12, 3)).tolist()
+FUZZ_CELLS = st.one_of(st.sampled_from(["", "abc", "nan", "-inf", "1e400", "1e300", " 2 ", "1_0", "0x10", '"3"']),
+                       st.text(max_size=4), st.floats().map(repr))
+
+
+@st.composite
+def mutated_points_csv(draw):
+    """A 12-point XYZ CSV with a header, with one to three rows changed: a
+    cell dropped, added or replaced, the row removed, or a blank or header
+    row inserted."""
+    lines = ["x,y,z"] + [",".join(map(repr, p)) for p in FUZZ_POINTS]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        cells = lines[i].split(",")
+        kind = draw(st.sampled_from(["drop", "extra", "cell", "cell", "row", "blank", "header"]))
+        if kind == "drop":
+            del cells[draw(st.integers(0, len(cells) - 1))]
+        elif kind == "extra":
+            cells.insert(draw(st.integers(0, len(cells))), draw(FUZZ_CELLS))
+        elif kind == "cell":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(FUZZ_CELLS)
+        lines[i] = ",".join(cells)
+        if kind == "row":
+            del lines[i]
+        elif kind in ("blank", "header"):
+            lines.insert(i, "" if kind == "blank" else "x,y,z")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def points_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("points_fuzz")
+    (path / "target.csv").write_text("".join(",".join(map(repr, p)) + "\n" for p in FUZZ_POINTS))
+    return path
+
+
+class TestPointsFuzz:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would be a second stderr line
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(text=mutated_points_csv())
+    def test_points_csv(self, points_dir, text):
+        """_load_points returns finite (n, 3) points or raises a ValueError
+        naming the file, and align on the file exits 0, or 1 with one error line."""
+        path = points_dir / "src.csv"
+        path.write_text(text)
+        try:
+            points = _load_points(str(path))
+            assert points.shape[1:] == (3,) and np.all(np.isfinite(points))
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["align", str(path), str(points_dir / "target.csv"), "--out", str(points_dir / "T.json")])
+        assert code == 0 and err.getvalue() == "" or code == 1 and len(err.getvalue().splitlines()) == 1
+        assert code == 0 or err.getvalue().startswith("error: ")
+
 
 class TestFit:
     def test_writes_one_model_per_segment(self, tmp_path, demo_csv, capsys):
@@ -474,7 +578,9 @@ class TestEval:
         (["--writing-plane", "0,0,0,0,0,1", "--raster-resolution", "0"], "--raster-resolution: "),
         (["--writing-plane", "0,0,0,0,0,1", "--stroke-px", "0"], "--stroke-px: "),
         (["--writing-plane", "0,0,0,0,0,1", "--stroke-px", "-3"], "--stroke-px: "),
+        (["--writing-plane", "0,0,0,1e300,1e300,0"], "--writing-plane: plane_normal must have"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would be a second stderr line
     def test_bad_raster_flags_exit_2(self, tmp_path, demo_csv, capsys, flags, start):
         out_dir, _ = self.make_dataset(tmp_path, demo_csv)
         assert main(["eval", str(out_dir), demo_csv] + flags) == 2
@@ -568,3 +674,11 @@ class TestDensity:
         out = capsys.readouterr().out
         assert "rho=1" in out
         assert "grad=(" in out
+
+    @pytest.mark.parametrize("name", BAD_SCENES)
+    def test_malformed_scene_is_one_error_line(self, tmp_path, capsys, name):
+        data, start = BAD_SCENES[name]
+        path = tmp_path / name
+        path.write_text(data)
+        assert main(["density", str(path), "0", "0", "0"]) == 1
+        one_error_line(capsys, f"{path}: {start}")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,12 +7,12 @@ import scipy.stats
 
 from splatsynth.geometry import quat_geodesic_distance
 from splatsynth.obstacles import ObstacleParams
+from splatsynth import synthesis
 from splatsynth.splats import GaussianBlob, GaussianScene
 from splatsynth.synthesis import (
     PerturbationSpec,
     SynthesisJob,
     _synthesize_rows,
-    _truncated_normal,
     export_dataset,
     fit_segments,
     sample_boundary_perturbation,
@@ -19,7 +20,7 @@ from splatsynth.synthesis import (
     synthesize_one,
 )
 
-from helpers import letter_a_demo, line_demo
+from helpers import letter_a_demo, line_demo, run_within
 
 
 def zero_spec(seed=0):
@@ -37,22 +38,125 @@ def make_job(demo=None, spec=None, scene=None, n_demos=1, dt=0.01, **kw):
                         obstacle=ObstacleParams(), n_demos=n_demos, dt=dt, **kw)
 
 
+def rotation_angle(dq) -> float:
+    """|delta| of dq = exp(delta), accurate at small angles too."""
+    return 2.0 * math.atan2(np.linalg.norm(dq[1:]), abs(dq[0]))
+
+
+def draws(spec, n, boundary=1):
+    """(n, 3) dp and (n,) rotation angles over rollouts 0..n-1 of one boundary."""
+    out = [sample_boundary_perturbation(spec, boundary, r) for r in range(n)]
+    return np.array([dp for dp, _ in out]), np.array([rotation_angle(dq) for _, dq in out])
+
+
 class TestTruncatedNormal:
+    """The closed-form sampler against the distributions it draws from."""
+
     def test_moments_and_bounds(self):
-        rng = np.random.default_rng(0)
         sigma, bound = 1.0, 1.5
-        xs = np.array([_truncated_normal(rng, np.array([sigma]),
-                                         np.array([bound]))[0]
-                       for _ in range(10000)])
-        assert np.all(np.abs(xs) <= bound)
+        dp, _ = draws(small_spec(seed=0, sigma=sigma, bound=bound), 3000)
+        assert np.all(np.abs(dp) <= bound)
         ref = scipy.stats.truncnorm(-bound / sigma, bound / sigma, scale=sigma)
-        assert abs(xs.mean() - 0.0) < 4 * ref.std() / 100
-        assert abs(xs.std() - ref.std()) < 0.03
+        assert np.all(np.abs(dp.mean(axis=0)) < 4 * ref.std() / math.sqrt(3000))
+        assert np.all(np.abs(dp.std(axis=0) - ref.std()) < 0.03)
 
     def test_zero_sigma_is_zero(self):
-        rng = np.random.default_rng(1)
-        out = _truncated_normal(rng, np.zeros(3), np.full(3, 0.1))
-        assert np.array_equal(out, np.zeros(3))
+        spec = PerturbationSpec(sigma_p=[0, 0, 0], bound_p=[0.1] * 3, bound_r=0.1, seed=1)
+        dp, dq = sample_boundary_perturbation(spec, 1, 0)
+        assert np.array_equal(dp, np.zeros(3))
+        assert np.array_equal(dq, np.array([1.0, 0, 0, 0]))
+
+    @pytest.mark.parametrize("seed, ratio", [(3, 0.5), (4, 1.5), (5, 4.0)])
+    def test_position_is_truncnorm(self, seed, ratio):
+        sigma = 0.01
+        dp, _ = draws(small_spec(seed=seed, sigma=sigma, bound=ratio * sigma), 1000)
+        ref = scipy.stats.truncnorm(-ratio, ratio, scale=sigma)
+        for axis in range(3):
+            assert scipy.stats.kstest(dp[:, axis], ref.cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("seed, ratio", [(6, 0.5), (7, 1.5), (8, 4.0)])
+    def test_rotation_angle_is_truncated_chi3(self, seed, ratio):
+        sigma_r = 0.1
+        _, angle = draws(small_spec(seed=seed, sigma_r=sigma_r, bound_r=ratio * sigma_r), 1000)
+        chi = scipy.stats.chi(3, scale=sigma_r)
+        assert scipy.stats.kstest(angle, lambda a: chi.cdf(a) / chi.cdf(ratio * sigma_r)).pvalue > 1e-3
+
+    def test_untruncated_when_bound_is_infinite(self):
+        spec = small_spec(seed=9, sigma=0.01, bound=math.inf, sigma_r=0.1, bound_r=math.inf)
+        dp, angle = draws(spec, 1000)
+        assert np.all(np.isfinite(dp))
+        assert scipy.stats.kstest(dp[:, 0], scipy.stats.norm(scale=0.01).cdf).pvalue > 1e-3
+        assert scipy.stats.kstest(angle, scipy.stats.chi(3, scale=0.1).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("ratio", [1e-9, 1e-6, 1e-3, 0.1, 1.0, 3.0, 10.0, 40.0, 1e3, math.inf])
+    def test_within_bounds_at_any_ratio(self, ratio):
+        sigma, sigma_r = 0.02, 0.3
+        spec = small_spec(seed=10, sigma=sigma, bound=ratio * sigma, sigma_r=sigma_r, bound_r=ratio * sigma_r)
+        dp, angle = run_within(10, draws, spec, 200)
+        assert np.all(np.abs(dp) <= ratio * sigma)
+        # the radius is capped at bound_r exactly; exp and the angle read-back round
+        assert np.all(angle <= ratio * sigma_r * (1 + 1e-12))
+        if ratio <= 1e-3:
+            # far below sigma the truncated normal is nearly uniform on the box
+            assert np.all(np.abs(dp).max(axis=0) > 0.9 * ratio * sigma)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ratio_that_overflows_is_untruncated(self):
+        """bound/sigma beyond the float range reads as an infinite bound."""
+        spec = PerturbationSpec(sigma_p=[1e-320, 1e-200, 1.0], bound_p=[1.0, 1e200, 1.0],
+                                sigma_r=1e-160, bound_r=1.0, seed=3)
+        dp, angle = draws(spec, 50)
+        assert np.all(np.abs(dp) <= [1e-317, 1e-197, 1.0]) and np.all(dp[:, 1] != 0.0)
+        assert np.all(angle < 1e-157) and np.all(angle > 0.0)
+
+    @pytest.mark.parametrize("draw", [0.0, 1.0 - 2 ** -53])
+    def test_extreme_draws_stay_inside(self, monkeypatch, draw):
+        """The smallest and the largest uniform draw, the ends of each inverse
+        CDF, give |dp| <= bound_p and |delta| <= bound_r, up to the rounding
+        of delta's unit direction."""
+
+        class Extreme:
+            def random(self, size=None):
+                return draw if size is None else np.full(size, draw)
+
+            def standard_normal(self, size):
+                return np.array([1.0, 2.0, 3.0])
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Extreme())
+        monkeypatch.setattr(synthesis, "quat_exp", lambda delta: delta)
+        for ratio in np.logspace(-9, 3, 49):
+            for sigma in (0.02, 0.3, 1.0):
+                spec = small_spec(sigma=sigma, bound=ratio * sigma, sigma_r=sigma, bound_r=ratio * sigma)
+                dp, delta = sample_boundary_perturbation(spec, 1, 0)
+                assert np.all(np.abs(dp) <= ratio * sigma)
+                assert np.linalg.norm(delta) <= ratio * sigma * (1 + 4 * 2 ** -52)
+
+    def test_other_fields_leave_an_axis_unchanged(self):
+        base = PerturbationSpec(sigma_p=[0.01] * 3, bound_p=[0.02] * 3, sigma_r=0.1, bound_r=0.2, seed=4)
+        variants = [
+            PerturbationSpec(sigma_p=[0.05, 0.01, 0.01], bound_p=[0.02] * 3, sigma_r=0.1, bound_r=0.2, seed=4),
+            PerturbationSpec(sigma_p=[0.0, 0.01, 0.01], bound_p=[0.02] * 3, sigma_r=0.1, bound_r=0.2, seed=4),
+            PerturbationSpec(sigma_p=[0.01] * 3, bound_p=[0.02] * 3, sigma_r=0.3, bound_r=0.2, seed=4),
+            PerturbationSpec(sigma_p=[0.01] * 3, bound_p=[0.02] * 3, sigma_r=0.0, bound_r=0.0, seed=4),
+        ]
+        for r in range(20):
+            dp, _ = sample_boundary_perturbation(base, 1, r)
+            for spec in variants:
+                assert sample_boundary_perturbation(spec, 1, r)[0][1] == dp[1]
+
+    def test_hang_configs_finish(self):
+        """The spec that rejection sampling drew from forever, and the
+        infinite sigma that it could not leave, both finish."""
+        spec = PerturbationSpec(sigma_p=[1, 0, 0], bound_p=[1e-7, 0, 0])
+        dp = run_within(10, lambda: [sample_boundary_perturbation(spec, 1, r)[0] for r in range(200)])
+        assert all(abs(d[0]) <= 1e-7 and d[0] != 0.0 and not d[1:].any() for d in dp)
+
+        def infinite_sigma():
+            spec = PerturbationSpec(sigma_p=[math.inf, 0, 0], bound_p=[0.01, 0, 0])
+            return sample_boundary_perturbation(spec, 1, 0)
+
+        with pytest.raises(ValueError, match="sigma_p must be finite"):
+            run_within(10, infinite_sigma)
 
 
 class TestSampleBoundaryPerturbation:
@@ -412,9 +516,18 @@ class TestJobValidation:
             make_job(demo=letter_a_demo(), spec=spec)
 
     def test_rejects_bad_sigma_p(self):
-        for sigma_p in ([-0.01, 0.0, 0.0], [0.01, 0.01], [np.nan, 0.0, 0.0]):
+        for sigma_p in ([-0.01, 0.0, 0.0], [0.01, 0.01], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
             with pytest.raises(ValueError, match="^sigma_p "):
                 PerturbationSpec(sigma_p=sigma_p, bound_p=[0.02] * 3)
+
+    def test_rejects_bad_sigma_r(self):
+        for sigma_r in (-1.0, -1e-300, np.inf, np.nan):
+            with pytest.raises(ValueError, match="^sigma_r must be finite and non-negative"):
+                PerturbationSpec(sigma_r=sigma_r, bound_r=0.1)
+
+    def test_infinite_bounds_accepted(self):
+        spec = PerturbationSpec(sigma_p=[0.01] * 3, bound_p=[np.inf] * 3, sigma_r=0.1, bound_r=np.inf)
+        assert np.all(np.isinf(spec.bound_p)) and spec.bound_r == np.inf
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="^seed "):
