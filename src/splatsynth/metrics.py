@@ -42,6 +42,21 @@ def _distance_matrix(a: np.ndarray, b: np.ndarray, dist: str) -> np.ndarray:
     raise ValueError(f"unknown distance selector: {dist}")
 
 
+def _fill(acc: np.ndarray, n: int, m: int) -> None:
+    """Fill in place the DTW table acc, flat over its first axis ((n+1)(m+1)
+    cells, each a scalar or a row of independent tables), one anti-diagonal
+    i + j = d at a time (Sakoe & Chiba, 1978).  acc holds 0 at (0, 0), inf on
+    the rest of row and column 0, and D elsewhere; each cell becomes
+    D[i-1, j-1] + min(up, left, diagonal) with one addition, as in row order,
+    so the table is bit-identical to it.  The cells of one diagonal sit at
+    stride m, their up, left and diagonal neighbours w, 1 and w + 1 before."""
+    w = m + 1
+    for d in range(2, n + m + 1):
+        k0, k1 = max(1, d - m) * m + d, min(n, d - 1) * m + d + 1
+        acc[k0:k1:m] += np.minimum(np.minimum(acc[k0 - w:k1 - w:m], acc[k0 - 1:k1 - 1:m]),
+                                   acc[k0 - w - 1:k1 - w - 1:m])
+
+
 def dtw(a, b, dist: str = "euclidean", normalized: bool = False):
     """Dynamic time warping with step set {(1,0),(0,1),(1,1)}, anchored at
     both ends, its table filled one anti-diagonal at a time (Sakoe & Chiba,
@@ -57,19 +72,10 @@ def dtw(a, b, dist: str = "euclidean", normalized: bool = False):
         raise ValueError("sequences must be non-empty")
     if not np.all(np.isfinite(D)):
         raise ValueError("non-finite distance")
-    # acc[i, j] = D[i-1, j-1] + min(up, left, diagonal): one addition per cell,
-    # as in row order, so acc, cost and path are bit-identical to it.  acc
-    # starts out holding D; on the flat table the cells with i + j = d sit at
-    # stride m, their up, left and diagonal neighbours w, 1 and w + 1 before.
-    w = m + 1
-    acc = np.full((n + 1, w), np.inf)
+    acc = np.full((n + 1, m + 1), np.inf)
     acc[0, 0] = 0.0
     acc[1:, 1:] = D
-    flat = acc.ravel()
-    for d in range(2, n + m + 1):
-        k0, k1 = max(1, d - m) * m + d, min(n, d - 1) * m + d + 1
-        flat[k0:k1:m] += np.minimum(np.minimum(flat[k0 - w:k1 - w:m], flat[k0 - 1:k1 - 1:m]),
-                                    flat[k0 - w - 1:k1 - w - 1:m])
+    _fill(acc.ravel(), n, m)   # ravel of the fresh table is a view: the fill writes into acc
     # backtrack the optimal monotone path
     path = []
     i, j = n, m
@@ -115,6 +121,65 @@ def trajectory_dtw(a: Trajectory, b: Trajectory):
     pos, _ = dtw(a.positions, b.positions, "euclidean", normalized=True)
     rot, _ = dtw(a.quaternions, b.quaternions, "quaternion", normalized=True)
     return pos, rot
+
+
+# float cells of one batch table; trajectory_dtw_many fills its rollouts in
+# chunks of this size, so its memory stays bounded whatever the batch
+_CHUNK_CELLS = 1 << 20
+
+
+def _path_lengths(acc: np.ndarray, n: int, m: int) -> np.ndarray:
+    """len(path) of dtw()'s backtrack through each column of the filled flat
+    table acc, all columns walked back together.  dtw() takes the tuple min
+    of (cost, i, j) over its moves: a tie goes to the diagonal, then up,
+    then left."""
+    w = m + 1
+    cols = np.arange(acc.shape[1])
+    i, j = np.full(len(cols), n), np.full(len(cols), m)
+    lengths = np.empty(len(cols), dtype=np.intp)
+    steps = 0
+    while len(cols):
+        k = i * w + j
+        # off the table (i or j is 0) an index wraps around; the masks drop it
+        diag, up, left = acc[k - w - 1, cols], acc[k - w, cols], acc[k - 1, cols]
+        has_up, has_left = i > 0, j > 0
+        take_diag = has_up & has_left & (diag <= up) & (diag <= left)
+        take_up = ~take_diag & has_up & (~has_left | (up <= left))
+        i, j = i - (take_diag | take_up), j - ~take_up
+        steps += 1
+        end = (i == 0) & (j == 0)
+        lengths[cols[end]] = steps
+        cols, i, j = cols[~end], i[~end], j[~end]
+    return lengths
+
+
+def trajectory_dtw_many(rollouts: list, expert: Trajectory) -> list:
+    """trajectory_dtw(r, expert) for each rollout r, all of one length.  The
+    position and orientation tables of a chunk of rollouts are the columns
+    of one table, filled by one sweep; the results are bit-identical."""
+    if not rollouts:
+        return []
+    n, m = len(rollouts[0]), len(expert)
+    if any(len(r) != n for r in rollouts):
+        raise ValueError("rollouts must all have the same length")
+    chunk = max(1, _CHUNK_CELLS // (2 * (n + 1) * (m + 1)))
+    scores = []
+    for start in range(0, len(rollouts), chunk):
+        part = rollouts[start:start + chunk]
+        b = len(part)
+        acc = np.empty(((n + 1) * (m + 1), 2 * b))
+        table = acc.reshape(n + 1, m + 1, 2 * b)
+        table[0] = table[:, 0] = np.inf
+        table[0, 0] = 0.0
+        for c, r in enumerate(part):
+            table[1:, 1:, c] = _distance_matrix(r.positions, expert.positions, "euclidean")
+            table[1:, 1:, b + c] = _distance_matrix(r.quaternions, expert.quaternions, "quaternion")
+        if not np.all(np.isfinite(table[1:, 1:])):
+            raise ValueError("non-finite distance")
+        _fill(acc, n, m)
+        normalized = (acc[-1] / _path_lengths(acc, n, m)).tolist()
+        scores.extend(zip(normalized[:b], normalized[b:]))
+    return scores
 
 
 def collision_check(traj: Trajectory, scene: GaussianScene, rho_th: float):

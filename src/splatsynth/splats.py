@@ -21,6 +21,9 @@ from scipy.spatial import cKDTree
 CUTOFF_SIGMA = 4.0
 DEFAULT_OPACITY_FLOOR = 0.05
 DEFAULT_GRADIENT_STEP = 1e-3
+# Every bounding sphere stays within this distance of the origin along each
+# axis: the neighbour index squares distances, which overflow past about 1e154.
+_MAX_REACH = 1e150
 
 
 class SceneFormatError(ValueError):
@@ -87,7 +90,8 @@ def _neighbors(scene: GaussianScene, xs: np.ndarray, radius: float):
     """Blob neighbours of the (n, 3) rows xs, as (row, blob) index arrays
     grouped by row, blobs ascending within a row.  A blob is a neighbour of
     x when its bounding sphere meets the ball (x, radius)."""
-    rows = np.flatnonzero(np.isfinite(xs).all(axis=1))   # a non-finite row has no neighbours
+    # a non-finite row, and one beyond every blob's reach, has no neighbours
+    rows = np.flatnonzero((np.abs(xs) <= _MAX_REACH + radius).all(axis=1))
     if len(scene) == 0 or len(rows) == 0:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     # The tree's reach is padded so that rounding in its squared-distance test
@@ -162,6 +166,22 @@ def density_gradient_analytic(scene: GaussianScene, x) -> np.ndarray:
 
 # ---- loading ---------------------------------------------------------------
 
+def _check_reach(path, kind: str, index: np.ndarray, means: np.ndarray, covs: np.ndarray) -> None:
+    """SceneFormatError naming the first blob (index[k], a JSON blob or PLY
+    vertex number) whose bounding sphere reaches past _MAX_REACH on an axis."""
+    extent = np.abs(means)
+    # the trace bounds the largest eigenvalue, so a scene well inside passes without eigenvalues
+    with np.errstate(over="ignore"):
+        trace = np.einsum("nii->n", covs).max(initial=0.0)
+    if extent.max(initial=0.0) + CUTOFF_SIGMA * np.sqrt(trace) <= _MAX_REACH:
+        return
+    radii = CUTOFF_SIGMA * np.sqrt(np.linalg.eigvalsh(covs)[:, -1:])
+    far = np.flatnonzero(np.any(extent + radii > _MAX_REACH, axis=1))
+    if len(far):
+        raise SceneFormatError(f"{path}: {kind} {index[far[0]]}: bounding sphere reaches past "
+                               f"{_MAX_REACH:g} m from the origin")
+
+
 def _json_floats(entry: dict, key: str) -> np.ndarray:
     """entry[key], a JSON number or nested lists of them, as a float array;
     a TypeError naming the key otherwise (booleans and strings included)."""
@@ -177,7 +197,7 @@ def _arrays_from_json(data, path):
     rejected, any other flaw is a SceneFormatError naming the file and blob."""
     if not isinstance(data, dict) or not isinstance(data.get("blobs"), list):
         raise SceneFormatError(f"{path}: scene JSON must be an object with a 'blobs' list")
-    means, covs, opacities = [], [], []
+    means, covs, opacities, index = [], [], [], []
     rejected = 0
     for i, entry in enumerate(data["blobs"]):
         where = f"{path}: blob {i}"
@@ -197,10 +217,13 @@ def _arrays_from_json(data, path):
         means.append(mu)
         covs.append(cov)
         opacities.append(float(alpha))
+        index.append(i)
     covs = np.array(covs).reshape(-1, 3, 3)
     valid = _valid_covariances(covs)
     rejected += int(np.count_nonzero(~valid))
-    return np.array(means).reshape(-1, 3)[valid], covs[valid], np.array(opacities)[valid], rejected
+    means, covs = np.array(means).reshape(-1, 3)[valid], covs[valid]
+    _check_reach(path, "blob", np.array(index, dtype=np.intp)[valid], means, covs)
+    return means, covs, np.array(opacities)[valid], rejected
 
 
 _PLY_REQUIRED = ["x", "y", "z", "scale_0", "scale_1", "scale_2",
@@ -313,7 +336,9 @@ def _arrays_from_ply(path, scale_convention: str):
         covs = 0.5 * (covs + covs.transpose(0, 2, 1))
         valid = _valid_covariances(covs)
     rejected = int(np.count_nonzero(~usable) + np.count_nonzero(~valid))
-    return means[usable][valid], covs[valid], opacities[usable][valid], rejected
+    means, covs, opacities = means[usable][valid], covs[valid], opacities[usable][valid]
+    _check_reach(path, "vertex", np.flatnonzero(usable)[valid], means, covs)
+    return means, covs, opacities, rejected
 
 
 def load_scene(path, opacity_floor: float = DEFAULT_OPACITY_FLOOR,

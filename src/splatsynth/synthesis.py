@@ -23,7 +23,8 @@ from .dmp import DEFAULT_ALPHA_S, DEFAULT_ALPHA_Z, DEFAULT_HORIZON_FACTOR, DEFAU
 # rollout stays bound here for bench/tracing.py, which wraps it where it is looked up
 from .dmp import DmpModel, RolloutError, fit_dmp, rollout, rollout_batch  # noqa: F401
 from .geometry import Pose, Trajectory, quat_exp, quat_mul
-from .metrics import trajectory_dtw
+# trajectory_dtw stays bound here for bench/tracing.py, which wraps it where it is looked up
+from .metrics import trajectory_dtw, trajectory_dtw_many  # noqa: F401
 from .obstacles import ObstacleParams, make_coupling
 from .splats import GaussianScene
 
@@ -244,8 +245,12 @@ def synthesize(job: SynthesisJob):
         "model_hashes": [m.hash() for m in models],
         "rollouts": [],
     }
+    outcome = _synthesize_rows(job, models, range(job.n_demos))
+    # the rollouts that finished all have the same length: score them as one batch
+    scores = iter(trajectory_dtw_many([out[0] for out in outcome if not isinstance(out, RolloutError)],
+                                      job.demo))
     trajectories = []
-    for idx, out in enumerate(_synthesize_rows(job, models, range(job.n_demos))):
+    for idx, out in enumerate(outcome):
         if isinstance(out, RolloutError):
             manifest["rollouts"].append({
                 "index": idx, "status": "failed", "error": str(out),
@@ -254,9 +259,7 @@ def synthesize(job: SynthesisJob):
             trajectories.append(None)
             continue
         traj, entry = out
-        pos, rot = trajectory_dtw(traj, job.demo)
-        entry["dtw_position"] = pos
-        entry["dtw_orientation"] = rot
+        entry["dtw_position"], entry["dtw_orientation"] = next(scores)
         manifest["rollouts"].append(entry)
         trajectories.append(traj)
     return trajectories, manifest

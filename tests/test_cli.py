@@ -675,6 +675,20 @@ class TestDensity:
         assert "rho=1" in out
         assert "grad=(" in out
 
+    def test_far_blob_is_one_error_line(self, tmp_path, capsys):
+        # the neighbour index used to fail every query with an overflow message
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"blobs": [{"mu": mu, "cov": np.eye(3).tolist(), "alpha": 1.0}
+                                              for mu in ([0, 0, 0], [1e200, 0, 0])]}))
+        assert main(["density", str(path), "0", "0", "0"]) == 1
+        one_error_line(capsys, f"{path}: blob 1: bounding sphere reaches past 1e+150 m")
+
+    def test_query_far_from_every_blob(self, tmp_path, capsys):
+        scene_path = write_scene(tmp_path / "near.json", [GaussianBlob(np.zeros(3), np.eye(3), 1.0)])
+        assert main(["density", scene_path, "1e200", "0", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "rho=0\ngrad=(0, 0, 0)\n" and captured.err == ""
+
     @pytest.mark.parametrize("name", BAD_SCENES)
     def test_malformed_scene_is_one_error_line(self, tmp_path, capsys, name):
         data, start = BAD_SCENES[name]

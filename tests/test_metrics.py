@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from splatsynth import metrics
 from splatsynth.geometry import Trajectory, quat_from_axis_angle
 from splatsynth.metrics import (
     MetricError,
     RasterSpec,
     _distance_matrix,
+    _fill,
+    _path_lengths,
     collision_check,
     dtw,
     dtw_bruteforce,
@@ -16,6 +19,7 @@ from splatsynth.metrics import (
     rasterize_strokes,
     save_pgm,
     trajectory_dtw,
+    trajectory_dtw_many,
     writing_error,
 )
 from splatsynth.splats import GaussianBlob, GaussianScene
@@ -220,6 +224,127 @@ class TestDtw:
         pos, rot = trajectory_dtw(traj, traj)
         assert pos == 0.0
         assert rot < 1e-7
+
+
+def random_traj(rng, n):
+    q = rng.normal(size=(n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    return Trajectory(np.linspace(0, 1, n), np.cumsum(rng.normal(size=(n, 3)), axis=0), q, np.zeros(n))
+
+
+# unit quaternions whose pairwise distances are 0, 2pi/3 or pi exactly
+LATTICE_QUATS = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0.5, 0.5, 0.5, 0.5]], dtype=float)
+
+
+def lattice_traj(rng, n):
+    """Positions on the integer lattice and orientations from LATTICE_QUATS:
+    equal distances everywhere, so every tie-break of the backtrack is taken."""
+    return Trajectory(np.linspace(0, 1, n), rng.integers(0, 3, size=(n, 3)).astype(float),
+                      LATTICE_QUATS[rng.integers(0, 4, size=n)], np.zeros(n))
+
+
+def filled_table(Ds):
+    """The flat DTW table of the (n, m) distance matrices Ds, one per column, filled."""
+    n, m = Ds[0].shape
+    acc = np.full(((n + 1) * (m + 1), len(Ds)), np.inf)
+    acc[0] = 0.0
+    for c, D in enumerate(Ds):
+        acc.reshape(n + 1, m + 1, -1)[1:, 1:, c] = D
+    _fill(acc, n, m)
+    return acc
+
+
+class TestTrajectoryDtwMany:
+    """The batch form against the per-pair trajectory_dtw, exactly."""
+
+    @staticmethod
+    def assert_matches_per_pair(rollouts, expert):
+        assert trajectory_dtw_many(rollouts, expert) == [trajectory_dtw(r, expert) for r in rollouts]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_rollouts(self, seed):
+        rng = np.random.default_rng(seed)
+        expert = random_traj(rng, 23)
+        self.assert_matches_per_pair([random_traj(rng, 17) for _ in range(5)], expert)
+
+    @pytest.mark.parametrize("n,m", [(9, 12), (12, 9), (10, 10), (2, 9), (9, 2)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lattice_ties(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        expert = lattice_traj(rng, m)
+        self.assert_matches_per_pair([lattice_traj(rng, n) for _ in range(6)], expert)
+
+    def test_single_rollout(self):
+        rng = np.random.default_rng(5)
+        self.assert_matches_per_pair([random_traj(rng, 30)], random_traj(rng, 41))
+
+    def test_synthesized_letter_a(self):
+        demo = letter_a_demo()
+        rng = np.random.default_rng(6)
+        rollouts = [Trajectory(demo.times, demo.positions + rng.normal(scale=1e-3, size=demo.positions.shape),
+                               demo.quaternions, demo.gripper) for _ in range(3)]
+        self.assert_matches_per_pair(rollouts, demo)
+
+    def test_empty_batch(self):
+        assert trajectory_dtw_many([], line_demo([0, 0, 0], [1, 0, 0])) == []
+
+    @pytest.mark.parametrize("b,chunk", [(6, 2), (6, 3), (6, 6), (7, 2), (7, 3), (5, 1), (2, 5)])
+    def test_chunk_edges(self, monkeypatch, b, chunk):
+        # the cell budget of exactly chunk rollouts (two columns each)
+        n, m = 8, 11
+        monkeypatch.setattr(metrics, "_CHUNK_CELLS", 2 * chunk * (n + 1) * (m + 1))
+        widths = []
+        real = metrics._fill
+
+        def spy(acc, n, m):
+            if acc.ndim == 2:   # a batch table; the per-pair oracle fills 1-D ones
+                widths.append(acc.shape[1])
+            real(acc, n, m)
+
+        monkeypatch.setattr(metrics, "_fill", spy)
+        rng = np.random.default_rng(b * 10 + chunk)
+        self.assert_matches_per_pair([lattice_traj(rng, n) for _ in range(b)], lattice_traj(rng, m))
+        assert widths == [2 * min(chunk, b - start) for start in range(0, b, chunk)]
+
+    def test_budget_smaller_than_one_rollout(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_CHUNK_CELLS", 1)
+        rng = np.random.default_rng(8)
+        self.assert_matches_per_pair([random_traj(rng, 9) for _ in range(3)], random_traj(rng, 7))
+
+    def test_unequal_lengths_rejected(self):
+        rng = np.random.default_rng(9)
+        with pytest.raises(ValueError, match="same length"):
+            trajectory_dtw_many([random_traj(rng, 9), random_traj(rng, 10)], random_traj(rng, 7))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+    def test_non_finite_distance_rejected(self, bad):
+        # 1e200 is a finite sample whose distances overflow
+        rng = np.random.default_rng(10)
+        rollouts = [random_traj(rng, 9) for _ in range(3)]
+        rollouts[1].positions[4, 2] = bad
+        with pytest.raises(ValueError, match="non-finite distance"):
+            trajectory_dtw_many(rollouts, random_traj(rng, 7))
+
+
+class TestPathLengths:
+    """_path_lengths walks every column back as dtw()'s backtrack does."""
+
+    @pytest.mark.parametrize("n,m", SHAPES + [(8, 11), (11, 8), (10, 10)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_backtrack(self, n, m, seed):
+        # few distinct integer values: many equal-cost moves
+        rng = np.random.default_rng(seed)
+        b = rng.integers(0, 3, size=m).astype(float)
+        seqs = [rng.integers(0, 3, size=n).astype(float) for _ in range(5)]
+        acc = filled_table([_distance_matrix(a, b, "euclidean") for a in seqs])
+        assert _path_lengths(acc, n, m).tolist() == [len(dtw(a, b)[1]) for a in seqs]
+
+    def test_columns_fill_as_rowwise_tables(self):
+        rng = np.random.default_rng(4)
+        pairs = [(rng.normal(size=(12, 3)), rng.normal(size=(15, 3))) for _ in range(3)]
+        acc = filled_table([_distance_matrix(a, b, "euclidean") for a, b in pairs])
+        for c, (a, b) in enumerate(pairs):
+            assert np.array_equal(acc[:, c], dtw_rowwise(a, b)[1].ravel())
 
 
 class TestCollisionCheck:

@@ -121,6 +121,22 @@ class TestNeighbors:
             assert len(query_neighbors(scene, x, 1.0)) == 0
             assert density(scene, x) == 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_query_beyond_every_reach_finds_nothing(self):
+        # the tree's squared distances would overflow; no blob reaches these rows
+        scene = GaussianScene([unit_blob(), unit_blob(mu=(1e149, 0, 0))])
+        for x in ([1e200, 0, 0], [0, -1e151, 0], [1e308, 1e308, 1e308]):
+            assert len(query_neighbors(scene, x, 0.0)) == 0
+            assert density(scene, x) == 0.0
+            assert np.array_equal(density_gradient(scene, x), np.zeros(3))
+        assert np.array_equal(density_many(scene, [[1e200, 0, 0], [1e149, 0, 0]]), [0.0, 1.0])
+
+    def test_query_ball_reaching_back_finds_blob(self):
+        # a row past the limit whose own radius reaches a blob still finds it
+        scene = GaussianScene([unit_blob(mu=(9e149, 0, 0))])
+        assert query_neighbors(scene, [1.5e150, 0, 0], 1e150).tolist() == [0]
+        assert len(query_neighbors(scene, [1.5e150, 0, 0], 1e149)) == 0
+
     def test_nearby_blob_included(self):
         scene = GaussianScene([unit_blob(mu=(0.1, 0, 0))])
         assert 0 in query_neighbors(scene, [0, 0, 0], 1.0)
@@ -538,6 +554,35 @@ class TestMalformedScene:
         assert len(scene) == 1 and scene.rejected_count == 2
         path.write_bytes(path.read_bytes().replace(b"\n1 0 0 1000", b"\nnan 0 0 1000"))
         with pytest.raises(SceneFormatError, match=r"vertex 1: non-finite position \[nan, 0.0, 0.0\]"):
+            load_scene(path)
+
+    @pytest.mark.parametrize("mu,cov", [([0, 1e200, 0], np.eye(3)), ([0, 0, -2e150], np.eye(3)),
+                                        ([0, 0, 0], 1e302 * np.eye(3))])
+    def test_json_blob_reaching_too_far(self, tmp_path, mu, cov):
+        # blob 0's covariance is rejected; the error names blob 2 by its place in the file
+        path = tmp_path / "scene.json"
+        blob = {"mu": [0, 0, 0], "cov": np.eye(3).tolist(), "alpha": 1.0}
+        path.write_text(json.dumps({"blobs": [{**blob, "cov": np.zeros((3, 3)).tolist()}, blob,
+                                              {**blob, "mu": mu, "cov": cov.tolist()}]}))
+        with pytest.raises(SceneFormatError, match=rf"^{path}: blob 2: bounding sphere reaches past 1e\+150 m"):
+            load_scene(path)
+
+    # the second sphere reaches 6.9e149, though its trace bound passes 1e150
+    @pytest.mark.parametrize("mu,cov", [([1e149, 0, -1e149], np.eye(3)), ([0, 0, 0], 3e298 * np.eye(3))])
+    def test_json_blob_near_the_limit_loads(self, tmp_path, mu, cov):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"blobs": [{"mu": mu, "cov": cov.tolist(), "alpha": 1.0}]}))
+        scene = load_scene(path)
+        assert density(scene, mu) == 1.0
+
+    @pytest.mark.parametrize("far", ["1e200 0 0 0 0 0 1 0 0 0 0", "0 0 0 350 0 0 1 0 0 0 0"])
+    def test_ply_vertex_reaching_too_far(self, tmp_path, far):
+        # vertex 0 is dropped (zero quaternion); a position or a log-scale reaching past 1e150
+        path = tmp_path / "scene.ply"
+        body = ["0 0 0 0 0 0 0 0 0 0 0", "0 0 0 0 0 0 1 0 0 0 0", far]
+        path.write_bytes(("\n".join(["ply", "format ascii 1.0", "element vertex 3"] + PLY_TAIL[1:] + body)
+                          + "\n").encode())
+        with pytest.raises(SceneFormatError, match=r"vertex 2: bounding sphere reaches past 1e\+150 m"):
             load_scene(path)
 
 

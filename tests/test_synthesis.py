@@ -313,6 +313,28 @@ class TestSynthesize:
         assert trajs[1] is None
         assert "diverged" in manifest["rollouts"][1]["error"]
 
+    def test_failed_rollout_gets_no_dtw(self, monkeypatch):
+        # the batch DTW scores only the rollouts that finished, each as the per-pair call does
+        from splatsynth.dmp import RolloutError
+        from splatsynth.metrics import trajectory_dtw
+
+        real = synthesis.rollout_batch
+
+        def flaky(model, starts, goals, *args, **kwargs):
+            outs = real(model, starts, goals, *args, **kwargs)
+            if len(outs) == 4:   # the first segment: rollout 2 is row 2
+                outs[2] = RolloutError("diverged at step 5")
+            return outs
+
+        monkeypatch.setattr(synthesis, "rollout_batch", flaky)
+        job = make_job(spec=small_spec(seed=4), n_demos=4)
+        trajs, manifest = synthesis.synthesize(job)
+        entries = manifest["rollouts"]
+        assert [e["status"] for e in entries] == ["ok", "ok", "failed", "ok"]
+        assert not [key for key in entries[2] if key.startswith("dtw_")]
+        for i in (0, 1, 3):
+            assert (entries[i]["dtw_position"], entries[i]["dtw_orientation"]) == trajectory_dtw(trajs[i], job.demo)
+
 
 class TestNominalRollout:
     """The uncoupled nominal rollout feeds only the coupling's return pull."""
