@@ -18,7 +18,7 @@ import typing
 import numpy as np
 
 from . import alignment, dmp, metrics, obstacles, splats, synthesis
-from .geometry import Trajectory, TrajectoryError
+from .geometry import Trajectory
 
 log = logging.getLogger("splatsynth")
 
@@ -163,15 +163,19 @@ def _load_points(path: str) -> np.ndarray:
 # ---- commands ---------------------------------------------------------------
 
 def cmd_align(args) -> int:
-    source = _load_points(args.scene)
+    scene = None
+    if args.aligned_scene:
+        if not args.scene.endswith((".json", ".ply")):
+            raise UsageError(f"--aligned-scene needs a .json or .ply scene to transform, got {args.scene}")
+        scene = splats.load_scene(_require_file(args.scene), opacity_floor=0.0)
+    source = _load_points(args.scene) if scene is None else scene.means
     target = _load_points(args.proxy)
     init = alignment.RigidTransform.load_json(_require_file(args.init)) if args.init else None
     params = alignment.IcpParams(max_iters=args.max_iters, tol=args.tol,
                                  max_corr_dist=args.max_corr_dist)
     result = alignment.icp_align(source, target, params, init=init)
     result.transform.save_json(args.out)
-    if args.aligned_scene:
-        scene = splats.load_scene(args.scene, opacity_floor=0.0)
+    if scene is not None:
         splats.save_scene_json(alignment.apply_transform(scene, result.transform),
                                args.aligned_scene)
     print(f"rms={result.rms:.9g} inliers={result.n_inliers} iters={len(result.residuals)}")
@@ -243,10 +247,7 @@ def cmd_eval(args) -> int:
     reports = []
     rows = []
     for name in files:
-        try:
-            traj = Trajectory.load_csv(os.path.join(args.dataset, name))
-        except TrajectoryError as exc:
-            raise TrajectoryError(f"{name}: {exc}") from exc
+        traj = Trajectory.load_csv(os.path.join(args.dataset, name))
         rep = metrics.evaluate_rollout(traj, expert, scene, args.rho_th, raster)
         reports.append(rep)
         rows.append([name, repr(rep.dtw_position), repr(rep.dtw_orientation),
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("proxy", help="robot proxy point set (XYZ CSV or JSON scene)")
     p.add_argument("--init", help="initial 4x4 transform JSON")
     p.add_argument("--out", default="transform.json", help="output transform JSON (default: transform.json)")
-    p.add_argument("--aligned-scene", help="optionally write the transformed scene JSON")
+    p.add_argument("--aligned-scene", help="optionally write the transformed scene JSON (scene must be PLY/JSON)")
     p.add_argument("--max-iters", type=int, default=alignment.IcpParams.max_iters,
                    help="ICP iteration cap (default: %(default)s)")
     p.add_argument("--tol", type=float, default=alignment.IcpParams.tol,

@@ -285,14 +285,14 @@ class Trajectory:
 
     @classmethod
     def load_csv(cls, path) -> "Trajectory":
-        with open(path, newline="") as f:
-            try:
+        try:
+            with open(path, newline="") as f:
                 header, *rows = list(csv.reader(f)) or [None]
-            except csv.Error as exc:
-                raise TrajectoryError(f"{path}: {exc}") from exc
-        if header is None or [c.strip() for c in header] != _CSV_FIELDS:
-            raise TrajectoryError(f"bad trajectory header in {path}: expected {_CSV_FIELDS}")
-        return cls._from_table([row for row in rows if row], "row")
+            if header is None or [c.strip() for c in header] != _CSV_FIELDS:
+                raise TrajectoryError(f"bad trajectory header: expected {_CSV_FIELDS}")
+            return cls._from_table([row for row in rows if row], "row")
+        except (csv.Error, ValueError) as exc:   # a TrajectoryError or the text encoding
+            raise TrajectoryError(f"{path}: {exc}") from exc
 
     def to_json(self) -> str:
         samples = [dict(zip(_CSV_FIELDS, row)) for row in self._table()]
@@ -300,8 +300,12 @@ class Trajectory:
 
     @classmethod
     def load_json(cls, path) -> "Trajectory":
-        with open(path) as f:
-            return cls._from_table(json.load(f), "sample")
+        try:
+            with open(path) as f:
+                doc = json.load(f)
+            return cls._from_table(doc, "sample")
+        except ValueError as exc:   # a TrajectoryError, invalid JSON or the text encoding
+            raise TrajectoryError(f"{path}: {exc}") from exc
 
     @classmethod
     def load(cls, path) -> "Trajectory":

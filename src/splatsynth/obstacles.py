@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Trajectory, rowdot
+from .geometry import rowdot
 # density stays bound here for bench/tracing.py, which wraps it where it is looked up
 from .splats import DEFAULT_GRADIENT_STEP, GaussianScene, density, density_gradient, density_many  # noqa: F401
 
@@ -43,12 +43,6 @@ class ObstacleParams:
                 raise ValueError(f"{name} must be non-negative")
 
 
-def _rows(*arrays):
-    """The arrays broadcast together, each as (n, 3) rows, and their shape."""
-    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
-    return [a.reshape(-1, 3) for a in arrays], arrays[0].shape
-
-
 def _unit(x, epsilon: float) -> np.ndarray:
     """x / (||x|| + epsilon) per (..., 3) row."""
     return x / (np.sqrt(rowdot(x, x)) + epsilon)[..., None]
@@ -68,89 +62,74 @@ def tangential_direction(n_hat, v, epsilon: float = ObstacleParams.epsilon) -> n
     return _unit(n_hat - rowdot(n_hat, v_hat)[..., None] * v_hat, epsilon)
 
 
-def obstacle_accel(scene: GaussianScene, x, v, params: ObstacleParams,
-                   lookahead=None) -> np.ndarray:
-    """Repulsive acceleration lambda * (n_hat + gamma * t_hat) per (..., 3)
-    row of positions x and velocities v; lookahead is one probe distance or
-    one per row.
-
-    The gain is lambda_max * sigma_rho * sigma_dir, with sigma_rho a linear
-    ramp of the lookahead density above rho_th and sigma_dir active only when
-    moving into the obstacle; exactly zero when rho(x_look) <= rho_th.  Only
-    the rows above rho_th probe the gradient.
-    """
-    (x, v), shape = _rows(x, v)
-    out = np.zeros(shape)
-    if params.lambda_max == 0.0:
-        return out
-    probe = params.lookahead if lookahead is None else lookahead
-    v_hat = _unit(v, params.epsilon)
-    x_look = x + np.broadcast_to(probe, shape[:-1]).reshape(-1, 1) * v_hat
-    rho = density_many(scene, x_look)
+def obstacle_accel(scene: GaussianScene, x_look, v, rho, params: ObstacleParams) -> np.ndarray:
+    """Repulsion lambda * (n_hat + gamma * t_hat) per (n, 3) row of lookahead
+    probes x_look, with velocities v and probe densities rho.  The gain is
+    lambda_max * sigma_rho * sigma_dir: sigma_rho ramps rho above rho_th and
+    sigma_dir is active only when moving into the obstacle; exactly zero when
+    rho <= rho_th.  Only the rows above rho_th probe the gradient."""
+    out = np.zeros(np.shape(x_look))
     act = np.flatnonzero(rho > params.rho_th)
-    if len(act) == 0:
+    if params.lambda_max == 0.0 or len(act) == 0:
         return out
+    v_hat = _unit(v[act], params.epsilon)
     n_hat = outward_normal(scene, x_look[act], params.epsilon, params.gradient_step)
-    sigma_dir = np.minimum(np.maximum(-rowdot(v_hat[act], n_hat), 0.0), 1.0)
+    sigma_dir = np.minimum(np.maximum(-rowdot(v_hat, n_hat), 0.0), 1.0)
     on = sigma_dir != 0.0   # moving along or away from the obstacle: exactly zero
     act, n_hat, sigma_dir = act[on], n_hat[on], sigma_dir[on]
     sigma_rho = np.minimum((rho[act] - params.rho_th) / params.rho_th, 1.0)
     t_hat = tangential_direction(n_hat, v[act], params.epsilon)
-    out.reshape(-1, 3)[act] = ((params.lambda_max * sigma_rho * sigma_dir)[:, None]
-                               * (n_hat + params.gamma * t_hat))
+    out[act] = (params.lambda_max * sigma_rho * sigma_dir)[:, None] * (n_hat + params.gamma * t_hat)
     return out
 
 
-def return_to_reference(x, v_err, x_ref, rho_local,
-                        params: ObstacleParams) -> np.ndarray:
-    """Bounded pull toward the nominal phase-indexed rollout position, per
-    (..., 3) row, with rho_local one density or one per row.
-
-    v_err is the velocity difference to the reference; the damping pairing
-    2*sqrt(return_gain) keeps the correction critically damped.  The weight
-    w = clamp(1 - rho_local/rho_th, 0, 1) disables the pull in high density.
-    """
-    (x, v_err, x_ref), shape = _rows(x, v_err, x_ref)
-    out = np.zeros(shape)
+def return_to_reference(x, v_err, x_ref, rho, params: ObstacleParams) -> np.ndarray:
+    """Bounded pull toward the nominal phase-indexed rollout position per (n, 3)
+    row, with v_err the velocity difference to the reference and rho the row's
+    density.  The damping 2*sqrt(return_gain) keeps it critically damped; the
+    weight w = clamp(1 - rho/rho_th, 0, 1) disables the pull in high density."""
+    out = np.zeros(np.shape(x))
     if params.return_gain == 0.0:
         return out
-    w = np.minimum(np.maximum(1.0 - np.broadcast_to(rho_local, shape[:-1]).reshape(-1) / params.rho_th,
-                              0.0), 1.0)
+    w = np.minimum(np.maximum(1.0 - rho / params.rho_th, 0.0), 1.0)
     on = np.flatnonzero(w != 0.0)
     a = w[on, None] * (params.return_gain * (x_ref[on] - x[on])
                        - 2.0 * math.sqrt(params.return_gain) * v_err[on])
     mag = np.sqrt(rowdot(a, a))
     over = mag > params.return_cap
     a[over] *= (params.return_cap / mag[over])[:, None]
-    out.reshape(-1, 3)[on] = a
+    out[on] = a
     return out
 
 
 def make_coupling(scene: GaussianScene, params: ObstacleParams, references, dt: float):
-    """Build the coupling hook (step, Y, V) -> accelerations for (B, 3) rows
-    of positions and velocities, from the rows' cached nominal (uncoupled)
-    rollouts: a list of B trajectories, or one that every row shares.
-
-    The references are read only for the return pull, so they may be None
-    when return_gain is zero.  Returns None when the coupling is inert
-    (lambda_max and return_gain both zero), so the coupled rollout is
-    bitwise identical to the plain one.
-    """
-    if params.lambda_max == 0.0 and params.return_gain == 0.0:
+    """The coupling hook (step, y, v) -> accelerations for (B, 3) rows of
+    positions and velocities, given the rows' B nominal (uncoupled) rollouts,
+    which only the return pull reads (None will do when return_gain is zero).
+    Each step makes one density_many call, over the lookahead probes when the
+    repulsion is on and the positions when the pull is on.  None when both are
+    off, so that the coupled rollout is bitwise identical to the plain one."""
+    repel, pull = params.lambda_max > 0.0, params.return_gain > 0.0
+    if not (repel or pull):
         return None
-    if params.return_gain > 0.0:
-        shared = isinstance(references, Trajectory)
-        ref_pos = references.positions if shared else np.stack([r.positions for r in references])
-        ref_vel = np.gradient(ref_pos, (references if shared else references[0]).times, axis=-2)
-        last = ref_pos.shape[-2] - 1
+    if pull:
+        ref_pos = np.stack([r.positions for r in references])
+        ref_vel = np.gradient(ref_pos, references[0].times, axis=1)
+        last = ref_pos.shape[1] - 1
 
     def hook(step, y, v):
-        probe = np.maximum(params.lookahead, 3.0 * dt * np.sqrt(rowdot(v, v)))
-        a = obstacle_accel(scene, y, v, params, lookahead=probe)
-        if params.return_gain > 0.0:
+        a, rows = np.zeros(y.shape), []
+        if repel:
+            probe = np.maximum(params.lookahead, 3.0 * dt * np.sqrt(rowdot(v, v)))
+            rows.append(y + probe[:, None] * _unit(v, params.epsilon))   # x_look
+        if pull:
+            rows.append(y)
+        rho = density_many(scene, np.concatenate(rows))
+        if repel:
+            a = obstacle_accel(scene, rows[0], v, rho[:len(y)], params)
+        if pull:
             i = min(step, last)
-            a = a + return_to_reference(y, v - ref_vel[..., i, :], ref_pos[..., i, :],
-                                        density_many(scene, y), params)
+            a = a + return_to_reference(y, v - ref_vel[:, i], ref_pos[:, i], rho[-len(y):], params)
         return a
 
     return hook

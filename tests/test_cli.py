@@ -333,6 +333,16 @@ class TestAlign:
                      "--aligned-scene", str(aligned)]) == 0
         assert aligned.exists()
 
+    def test_aligned_scene_refuses_points_csv(self, tmp_path, capsys):
+        # a point CSV has no scene to transform: refused before ICP, nothing written
+        pts = tmp_path / "pts.csv"
+        np.savetxt(pts, np.random.default_rng(0).uniform(size=(20, 3)), delimiter=",")
+        out, aligned = tmp_path / "T.json", tmp_path / "aligned.json"
+        assert main(["align", str(pts), str(pts), "--out", str(out),
+                     "--aligned-scene", str(aligned)]) == 2
+        one_error_line(capsys, f"--aligned-scene needs a .json or .ply scene to transform, got {pts}")
+        assert not out.exists() and not aligned.exists()
+
     @pytest.mark.parametrize("name", BAD_TRANSFORMS)
     def test_malformed_init_is_one_error_line(self, tmp_path, capsys, name):
         pts = tmp_path / "pts.csv"
@@ -425,6 +435,63 @@ class TestPointsFuzz:
         assert code == 0 or err.getvalue().startswith("error: ")
 
 
+@st.composite
+def mutated_transform(draw):
+    """A valid {"matrix": <4x4>} document with up to three changes: a cell
+    replaced, mostly by a number, a row dropped or inserted, the matrix or the
+    top level replaced; then, one time in five, its text cut short."""
+    c, s = math.cos(0.3), math.sin(0.3)
+    doc = {"matrix": [[c, -s, 0.0, 0.01], [s, c, 0.0, -0.02], [0.0, 0.0, 1.0, 0.03], [0.0, 0.0, 0.0, 1.0]]}
+    for _ in range(draw(st.integers(0, 3))):
+        rows = doc.get("matrix") if isinstance(doc, dict) else None
+        kind = draw(st.sampled_from(["cell", "cell", "cell", "drop", "insert", "matrix", "top"]))
+        if kind in ("cell", "drop", "insert") and isinstance(rows, list) and rows:
+            i = draw(st.integers(0, len(rows) - 1))
+            if kind == "drop":
+                del rows[i]
+            elif kind == "insert":
+                rows.insert(i, draw(JSON_VALUES))
+            elif isinstance(rows[i], list) and rows[i]:
+                rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.one_of(
+                    st.floats(-2.0, 2.0), st.floats(), st.integers(), JSON_VALUES))
+            else:
+                rows[i] = draw(JSON_VALUES)
+        elif kind == "matrix" and isinstance(doc, dict):
+            doc["matrix"] = draw(JSON_VALUES)
+        elif kind == "top":
+            doc = draw(JSON_VALUES)
+    text = json.dumps(doc)
+    if draw(st.integers(0, 4)) == 0:
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@pytest.fixture(scope="module")
+def transform_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("transform_fuzz")
+    (path / "data").mkdir()
+    letter_a_demo().save_csv(path / "expert.csv")
+    letter_a_demo().save_csv(path / "data" / "rollout_0000.csv")
+    write_scene(path / "scene.json", [GaussianBlob(np.zeros(3), 1e-4 * np.eye(3), 1.0)])
+    return path
+
+
+class TestTransformFuzz:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would be a second stderr line
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(text=mutated_transform())
+    def test_transform_json(self, transform_dir, text):
+        """eval --transform on the file exits 0, or 1 with one error line naming the file."""
+        path = transform_dir / "T.json"
+        path.write_text(text)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["eval", str(transform_dir / "data"), str(transform_dir / "expert.csv"),
+                         "--scene", str(transform_dir / "scene.json"), "--transform", str(path)])
+        lines = err.getvalue().splitlines()
+        assert code == 0 and lines == [] or code == 1 and len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+
+
 class TestFit:
     def test_writes_one_model_per_segment(self, tmp_path, demo_csv, capsys):
         out = tmp_path / "models"
@@ -458,11 +525,21 @@ class TestFit:
         else:
             path.write_text(json.dumps(change(json.loads(demo.to_json()))))
         assert main(["fit", str(path), "--out", str(tmp_path / "models")]) == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        one_error_line(capsys, f"{path}: ")
         assert main(["synth", write_config(tmp_path, str(path), tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: demo: ")
+        one_error_line(capsys, f"demo: {path}: ")
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("truncated.json", '{"samples": [', "Expecting value: line 1 column 14 (char 13)"),
+        ("one.csv", "t,x,y,z,qw,qx,qy,qz,gripper,split\n0,0,0,0,1,0,0,0,0,1\n",
+         "trajectory needs at least 2 samples"),
+    ])
+    def test_load_error_names_the_file(self, tmp_path, capsys, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["fit", str(path), "--out", str(tmp_path / "models")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "models").exists()
 
 
 class TestSynth:
@@ -562,7 +639,7 @@ class TestEval:
         path.write_text("\n".join(lines) + "\n")
         assert main(["eval", str(out_dir), demo_csv]) == 1
         err = capsys.readouterr().err
-        assert err.strip().splitlines() == ["error: rollout_0000.csv: non-finite sample values"]
+        assert err.strip().splitlines() == [f"error: {path}: non-finite sample values"]
         assert "Traceback" not in err
 
     def test_bad_writing_plane(self, tmp_path, demo_csv, capsys):

@@ -260,7 +260,7 @@ def rollout_per_step(model, new_start=None, new_goal=None, dt=0.01, coupling=Non
         f_rot = (model.orientation_forcing.weights @ basis_at(model.orientation_forcing, s)) * rot_scale
         a = az * (bz * (goal.position - y) - v) + f_pos
         if coupling is not None:
-            a = a + coupling(n, y, v / tau)
+            a = a + coupling(n, y[None], (v / tau)[None])[0]
         a_r = az * (bz * (rot_goal - r) - rv) + f_rot
         v = v + a * (dt / tau)
         y = y + v * (dt / tau)
@@ -304,7 +304,7 @@ class TestRolloutMatchesPerStep:
         scene = GaussianScene([GaussianBlob([0.2, 0.004, 0.0], 0.02 ** 2 * np.eye(3), 1.0)])
         params = ObstacleParams(rho_th=0.005, lambda_max=100.0, gamma=2.0,
                                 lookahead=0.015, return_gain=4.0)
-        hook = make_coupling(scene, params, rollout(model, dt=0.01), 0.01)
+        hook = make_coupling(scene, params, [rollout(model, dt=0.01)], 0.01)
         assert_rollout_matches_per_step(model, dt=0.01, coupling=hook)
 
     def test_degenerate_channels(self):
@@ -358,7 +358,7 @@ class TestRolloutBatch:
                              coupling=make_coupling(scene, params, nominals, 0.01))
         assert not any(np.array_equal(o.positions, n.positions) for o, n in zip(outs, nominals))
         for out, start, goal, nominal in zip(outs, starts, goals, nominals):
-            hook = make_coupling(scene, params, nominal, 0.01)
+            hook = make_coupling(scene, params, [nominal], 0.01)
             self.assert_same(out, rollout(model, start, goal, dt=0.01, coupling=hook))
 
     def test_non_finite_row_fails_alone(self):

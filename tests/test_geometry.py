@@ -396,7 +396,7 @@ class TestTrajectoryFiles:
         path.write_text(",".join(COLUMNS) + f"\n0,1,2,3,1,0,0,0,0,1\n{row}\n1,1,2,3,1,0,0,0,0,1\n")
         with pytest.raises(TrajectoryError) as info:
             Trajectory.load_csv(path)
-        assert str(info.value) == message
+        assert str(info.value) == f"{path}: {message}"
 
     def test_csv_field_over_the_reader_limit(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -418,7 +418,7 @@ class TestTrajectoryFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(TrajectoryError) as info:
             Trajectory.load_json(path)
-        assert str(info.value) == message
+        assert str(info.value) == f"{path}: {message}"
 
     # (key,) drops the key from sample 1 of a valid document; (key, value) sets it
     @pytest.mark.parametrize("change, message", [
@@ -442,7 +442,7 @@ class TestTrajectoryFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(TrajectoryError) as info:
             Trajectory.load_json(path)
-        assert str(info.value) == message
+        assert str(info.value) == f"{path}: {message}"
 
     def test_json_ignores_extra_keys(self, tmp_path):
         doc = json.loads(make_traj(4, splits=[0, 2, 3]).to_json())
@@ -523,18 +523,19 @@ def fuzz_dir(tmp_path_factory):
 
 
 def load_or_fail_cleanly(path):
-    """Trajectory.load returns a Trajectory or raises TrajectoryError, and
-    `splatsynth fit` on the file exits 0, or 1 with one error line."""
+    """Trajectory.load returns a Trajectory or raises a TrajectoryError naming
+    the file, and `splatsynth fit` on the file exits 0, or 1 with one error line."""
     try:
         loaded = isinstance(Trajectory.load(path), Trajectory)
-    except TrajectoryError:
+    except TrajectoryError as exc:
+        assert str(exc).startswith(f"{path}: ")
         loaded = False
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         code = main(["fit", str(path), "--out", str(path.parent / "models"), "--n-basis", "10"])
     assert code in (0, 1)
     assert code == 0 or len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
-    assert loaded or code == 1
+    assert loaded or code == 1 and err.getvalue().startswith(f"error: {path}: ")
 
 
 class TestLoaderFuzz:

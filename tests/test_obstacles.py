@@ -4,7 +4,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from splatsynth.dmp import fit_dmp, rollout
+import splatsynth.obstacles as obstacles
+from splatsynth.dmp import fit_dmp, rollout, rollout_batch
+from splatsynth.geometry import Pose
 from splatsynth.obstacles import (
     ObstacleParams,
     make_coupling,
@@ -13,7 +15,7 @@ from splatsynth.obstacles import (
     return_to_reference,
     tangential_direction,
 )
-from splatsynth.splats import GaussianBlob, GaussianScene, density
+from splatsynth.splats import GaussianBlob, GaussianScene, density, density_many
 
 from helpers import line_demo
 
@@ -21,6 +23,18 @@ from helpers import line_demo
 def blob_scene(mu=(0.2, 0.0, 0.0), sigma=0.05, alpha=1.0):
     return GaussianScene([GaussianBlob(np.array(mu, dtype=float),
                                        sigma ** 2 * np.eye(3), alpha)])
+
+
+def accel_at(scene, x, v, params):
+    """obstacle_accel of one point x moving at v, probed at x itself."""
+    x_look = np.array([x], dtype=float)
+    return obstacle_accel(scene, x_look, np.array([v], dtype=float), density_many(scene, x_look), params)[0]
+
+
+def pull_at(x, v_err, x_ref, rho, params):
+    """return_to_reference of one point."""
+    rows = (np.array([r], dtype=float) for r in (x, v_err, x_ref, rho))
+    return return_to_reference(*rows, params)[0]
 
 
 class TestOutwardNormal:
@@ -58,14 +72,14 @@ class TestObstacleAccel:
     def test_zero_below_threshold(self):
         scene = blob_scene(mu=(0.2, 0, 0), sigma=0.02)
         params = ObstacleParams(rho_th=0.1)
-        a = obstacle_accel(scene, [1.0, 0, 0], [0.1, 0, 0], params, lookahead=0.0)
+        a = accel_at(scene, [1.0, 0, 0], [0.1, 0, 0], params)
         assert np.array_equal(a, np.zeros(3))
 
     def test_zero_when_moving_away(self):
         scene = blob_scene(mu=(0.0, 0, 0), sigma=0.05)
         params = ObstacleParams(rho_th=0.1)
         # just outside the blob, moving directly outward
-        a = obstacle_accel(scene, [0.06, 0, 0], [0.1, 0, 0], params, lookahead=0.0)
+        a = accel_at(scene, [0.06, 0, 0], [0.1, 0, 0], params)
         assert np.array_equal(a, np.zeros(3))
 
     def test_head_on_saturated_magnitude(self):
@@ -78,7 +92,7 @@ class TestObstacleAccel:
         r = sigma * math.sqrt(-2 * math.log(rho_target))
         x = np.array([r, 0.0, 0.0])
         v = np.array([-0.2, 0.0, 0.0])
-        a = obstacle_accel(scene, x, v, params, lookahead=0.0)
+        a = accel_at(scene, x, v, params)
         assert abs(np.linalg.norm(a) - params.lambda_max) < 0.01 * params.lambda_max
         assert a[0] > 0  # pushes back out along +x
 
@@ -90,7 +104,7 @@ class TestObstacleAccel:
         params = ObstacleParams(rho_th=0.05, lambda_max=10.0, gamma=1.0)
         x = np.array([0.06, 0.03, 0.0])
         v = np.array([-0.2, 0.0, 0.0])
-        a = obstacle_accel(scene, x, v, params, lookahead=0.0)
+        a = accel_at(scene, x, v, params)
 
         rho = density(scene, x)
         n_hat = x / np.linalg.norm(x)  # isotropic blob: gradient is radial
@@ -105,7 +119,7 @@ class TestObstacleAccel:
     def test_zero_gain_exactly_zero(self):
         scene = blob_scene()
         params = ObstacleParams(lambda_max=0.0)
-        a = obstacle_accel(scene, [0.2, 0, 0], [1, 0, 0], params)
+        a = accel_at(scene, [0.2, 0, 0], [1, 0, 0], params)
         assert np.array_equal(a, np.zeros(3))
 
     def test_continuity_along_approach(self):
@@ -117,9 +131,7 @@ class TestObstacleAccel:
 
         def max_jump(n):
             xs = np.linspace(0.3, 0.05, n)
-            mags = [np.linalg.norm(obstacle_accel(scene, [x, 0.01, 0], v,
-                                                  params, lookahead=0.0))
-                    for x in xs]
+            mags = [np.linalg.norm(accel_at(scene, [x, 0.01, 0], v, params)) for x in xs]
             return np.abs(np.diff(mags)).max()
 
         coarse = max_jump(200)
@@ -133,9 +145,11 @@ class TestObstacleAccel:
         params = ObstacleParams(rho_th=0.1, lambda_max=10.0, gamma=1.0)
         x = np.array([[1.0, 0, 0], [-0.06, -0.01, 0.0], [0.06, 0.03, 0.0], [0.05, -0.02, 0.01]])
         v = np.array([[0.1, 0, 0], [-0.1, 0.0, 0.0], [-0.2, 0.0, 0.0], [-0.1, 0.05, 0.0]])
-        a = obstacle_accel(scene, x, v, params, lookahead=[0.0, 0.0, 0.01, 0.0])
-        for row, xi, vi, probe in zip(a, x, v, [0.0, 0.0, 0.01, 0.0]):
-            assert np.array_equal(row, obstacle_accel(scene, xi, vi, params, lookahead=probe))
+        x_look = x + np.array([0.0, 0.0, 0.01, 0.0])[:, None] * v / np.linalg.norm(v, axis=1)[:, None]
+        rho = density_many(scene, x_look)
+        a = obstacle_accel(scene, x_look, v, rho, params)
+        for i, row in enumerate(a):
+            assert np.array_equal(row, obstacle_accel(scene, x_look[i:i + 1], v[i:i + 1], rho[i:i + 1], params)[0])
         assert np.all(a[:2] == 0.0) and not np.signbit(a[:2]).any()
         assert np.all(np.linalg.norm(a[2:], axis=1) > 1.0)
 
@@ -154,29 +168,29 @@ class TestObstacleAccel:
 class TestReturnToReference:
     def test_zero_gain(self):
         p = ObstacleParams(return_gain=0.0)
-        a = return_to_reference([1, 0, 0], [0, 0, 0], [0, 0, 0], 0.0, p)
+        a = pull_at([1, 0, 0], [0, 0, 0], [0, 0, 0], 0.0, p)
         assert np.array_equal(a, np.zeros(3))
 
     def test_plugin_value(self):
         # gain 10, offset 0.1 along x, zero velocity error, zero density:
         # uncapped pull is 1.0 m/s^2 along -x
         p = ObstacleParams(return_gain=10.0, return_cap=5.0, rho_th=0.1)
-        a = return_to_reference([0.1, 0, 0], [0, 0, 0], [0, 0, 0], 0.0, p)
+        a = pull_at([0.1, 0, 0], [0, 0, 0], [0, 0, 0], 0.0, p)
         assert np.allclose(a, [-1.0, 0, 0])
 
     def test_cap_applied(self):
         p = ObstacleParams(return_gain=100.0, return_cap=5.0, rho_th=0.1)
-        a = return_to_reference([1.0, 0, 0], [0, 0, 0], [0, 0, 0], 0.0, p)
+        a = pull_at([1.0, 0, 0], [0, 0, 0], [0, 0, 0], 0.0, p)
         assert abs(np.linalg.norm(a) - 5.0) < 1e-9
 
     def test_disabled_in_high_density(self):
         p = ObstacleParams(return_gain=10.0, rho_th=0.1)
-        a = return_to_reference([0.1, 0, 0], [0, 0, 0], [0, 0, 0], 0.2, p)
+        a = pull_at([0.1, 0, 0], [0, 0, 0], [0, 0, 0], 0.2, p)
         assert np.array_equal(a, np.zeros(3))
 
     def test_damping_opposes_velocity_error(self):
         p = ObstacleParams(return_gain=4.0, rho_th=0.1)
-        a = return_to_reference([0, 0, 0], [0.5, 0, 0], [0, 0, 0], 0.0, p)
+        a = pull_at([0, 0, 0], [0.5, 0, 0], [0, 0, 0], 0.0, p)
         # -2*sqrt(4)*0.5 = -2.0
         assert np.allclose(a, [-2.0, 0, 0])
 
@@ -186,15 +200,15 @@ class TestReturnToReference:
         x = np.array([[0.1, 0.0, 0.0], [1.0, 0.0, 0.0], [0.01, -0.02, 0.0]])
         v_err = np.array([[0.3, 0.0, 0.0], [0.0, 0.0, 0.0], [0.05, 0.0, 0.1]])
         rho = np.array([0.2, 0.0, 0.05])
-        a = return_to_reference(x, v_err, np.zeros(3), rho, p)
+        a = return_to_reference(x, v_err, np.zeros((3, 3)), rho, p)
         for row, xi, vi, r in zip(a, x, v_err, rho):
-            assert np.array_equal(row, return_to_reference(xi, vi, np.zeros(3), r, p))
+            assert np.array_equal(row, pull_at(xi, vi, np.zeros(3), r, p))
         assert np.all(a[0] == 0.0) and not np.signbit(a[0]).any()
         assert abs(np.linalg.norm(a[1]) - 5.0) < 1e-9
 
     def test_zero_at_reference(self):
         p = ObstacleParams(return_gain=10.0, rho_th=0.1)
-        a = return_to_reference([0.3, 0.1, 0], [0, 0, 0], [0.3, 0.1, 0], 0.0, p)
+        a = pull_at([0.3, 0.1, 0], [0, 0, 0], [0.3, 0.1, 0], 0.0, p)
         assert np.linalg.norm(a) < 1e-12
 
 
@@ -208,14 +222,14 @@ class TestMakeCoupling:
         nominal = rollout(model, dt=0.01)
         scene = blob_scene()
         params = ObstacleParams(lambda_max=0.0, return_gain=0.0)
-        assert make_coupling(scene, params, nominal, 0.01) is None
+        assert make_coupling(scene, params, [nominal], 0.01) is None
 
     def test_inert_coupling_bitwise_identical(self):
         demo, model = self.demo_and_model()
         nominal = rollout(model, dt=0.01)
         scene = blob_scene()
         params = ObstacleParams(lambda_max=0.0, return_gain=0.0)
-        hook = make_coupling(scene, params, nominal, 0.01)
+        hook = make_coupling(scene, params, [nominal], 0.01)
         out = rollout(model, dt=0.01, coupling=hook)
         assert np.array_equal(out.positions, nominal.positions)
         assert np.array_equal(out.quaternions, nominal.quaternions)
@@ -227,7 +241,7 @@ class TestMakeCoupling:
         scene = blob_scene(mu=(0.2, 0.004, 0.0), sigma=0.02)
         params = ObstacleParams(rho_th=0.05, lambda_max=40.0, gamma=1.0,
                                 lookahead=0.03, return_gain=4.0)
-        hook = make_coupling(scene, params, nominal, dt)
+        hook = make_coupling(scene, params, [nominal], dt)
         out = rollout(model, dt=dt, coupling=hook)
         rho_nom = max(density(scene, x) for x in nominal.positions)
         rho_avd = max(density(scene, x) for x in out.positions)
@@ -247,7 +261,7 @@ class TestMakeCoupling:
         for rho_th in (0.4, 0.2, 0.1, 0.05):
             params = ObstacleParams(rho_th=rho_th, lambda_max=40.0,
                                     lookahead=0.03, return_gain=4.0)
-            hook = make_coupling(scene, params, nominal, dt)
+            hook = make_coupling(scene, params, [nominal], dt)
             out = rollout(model, dt=dt, coupling=hook)
             defl.append(np.abs(out.positions[:, 1]).max())
         assert all(b >= a - 1e-6 for a, b in zip(defl, defl[1:]))
@@ -266,10 +280,36 @@ class TestMakeCoupling:
         mean_y = []
         for gain in (0.0, 50.0, 400.0):
             hook = make_coupling(scene, ObstacleParams(
-                lambda_max=0.0, return_gain=gain, return_cap=50.0), shifted, dt)
+                lambda_max=0.0, return_gain=gain, return_cap=50.0), [shifted], dt)
             out = rollout(model, dt=dt, coupling=hook)
             mean_y.append(out.positions[:, 1].mean())
         assert mean_y[0] == pytest.approx(0.0, abs=1e-9)
         assert mean_y[1] > 1e-4
         assert mean_y[2] > mean_y[1]
         assert mean_y[2] < offset[1] + 1e-6
+
+
+class TestHookDensityQueries:
+    @pytest.mark.parametrize("lambda_max, return_gain, per_row", [
+        (40.0, 4.0, 2),   # probes and positions
+        (40.0, 0.0, 1),   # probes only
+        (0.0, 4.0, 1),    # positions only
+    ])
+    def test_one_query_per_step(self, monkeypatch, lambda_max, return_gain, per_row):
+        """Each step of a B-row batch sends the rows its active terms read to
+        one density_many call: B probes and/or B positions."""
+        model = fit_dmp(line_demo([0, 0, 0], [0.4, 0, 0], n=151))
+        starts = [Pose([0.0, dy, 0.0], [1.0, 0, 0, 0]) for dy in (-0.004, 0.0, 0.004)]
+        goals = [Pose([0.4, dy, 0.0], [1.0, 0, 0, 0]) for dy in (-0.004, 0.0, 0.004)]
+        nominals = rollout_batch(model, starts, goals, dt=0.01)
+        params = ObstacleParams(rho_th=0.05, lambda_max=lambda_max, lookahead=0.03, return_gain=return_gain)
+        hook = make_coupling(blob_scene(mu=(0.2, 0.004, 0.0), sigma=0.02), params, nominals, 0.01)
+        shapes = []
+
+        def counted(scene, xs):
+            shapes.append(np.shape(xs))
+            return density_many(scene, xs)
+        monkeypatch.setattr(obstacles, "density_many", counted)
+        outs = rollout_batch(model, starts, goals, dt=0.01, coupling=hook)
+        assert not any(np.array_equal(o.positions, n.positions) for o, n in zip(outs, nominals))
+        assert shapes == [(per_row * len(starts), 3)] * (len(outs[0]) - 1)
