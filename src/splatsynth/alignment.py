@@ -70,9 +70,12 @@ class RigidTransform:
         if m is None or m.shape != (4, 4) or not np.all(np.isfinite(m)):
             raise ValueError(f'{path}: transform must be {{"matrix": <4x4 finite numbers>}}')
         try:
-            return cls.from_matrix(m)
+            T = cls.from_matrix(m)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+        if not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
+            raise ValueError(f"{path}: bottom row must be [0, 0, 0, 1], got {m[3].tolist()}")
+        return T
 
 
 @dataclass
@@ -137,9 +140,11 @@ def icp_align(source, target, params: IcpParams | None = None,
 
 
 def apply_transform(scene: GaussianScene, T: RigidTransform) -> GaussianScene:
-    """Rigidly move a scene: mu <- R mu + t, Sigma <- R Sigma R^T; density is
-    transform-equivariant: rho'(R x + t) = rho(x)."""
+    """Rigidly move a scene: mu <- R mu + t, Sigma <- R Sigma R^T, and so
+    Sigma^-1 <- R Sigma^-1 R^T with the radii unchanged; density is
+    transform-equivariant: rho'(R x + t) = rho(x).  A SceneFormatError names
+    the first splat whose bounding sphere the move takes too far."""
     R = T.rotation
-    return GaussianScene.from_arrays(T.apply(scene.means), R @ scene.covariances @ R.T,
-                                     scene.opacities, opacity_floor=scene.opacity_floor,
-                                     rejected_count=scene.rejected_count)
+    return GaussianScene._from_factors(T.apply(scene.means), R @ scene.covariances @ R.T,
+                                       R @ scene.inv_covariances @ R.T, scene.radii, scene.opacities,
+                                       scene.opacity_floor, scene.rejected_count, "moved splat")

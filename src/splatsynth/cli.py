@@ -160,6 +160,15 @@ def _load_points(path: str) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 3)
 
 
+def _moved(scene, T, path: str):
+    """The scene moved by the transform of the file at path; a move that takes
+    a splat too far is a SceneFormatError naming that file."""
+    try:
+        return alignment.apply_transform(scene, T)
+    except splats.SceneFormatError as exc:
+        raise splats.SceneFormatError(f"{path}: {exc}") from exc
+
+
 # ---- commands ---------------------------------------------------------------
 
 def cmd_align(args) -> int:
@@ -176,8 +185,7 @@ def cmd_align(args) -> int:
     result = alignment.icp_align(source, target, params, init=init)
     result.transform.save_json(args.out)
     if scene is not None:
-        splats.save_scene_json(alignment.apply_transform(scene, result.transform),
-                               args.aligned_scene)
+        splats.save_scene_json(_moved(scene, result.transform, args.out), args.aligned_scene)
     print(f"rms={result.rms:.9g} inliers={result.n_inliers} iters={len(result.residuals)}")
     return 0
 
@@ -239,7 +247,7 @@ def cmd_eval(args) -> int:
         scene = splats.load_scene(_require_file(args.scene))
         if args.transform:
             T = alignment.RigidTransform.load_json(_require_file(args.transform))
-            scene = alignment.apply_transform(scene, T)
+            scene = _moved(scene, T, args.transform)
     files = sorted(f for f in os.listdir(args.dataset)
                    if f.startswith("rollout_") and f.endswith(".csv"))
     if not files:

@@ -3,6 +3,7 @@ normalized writing error from rasterized strokes."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,26 +77,36 @@ def dtw(a, b, dist: str = "euclidean", normalized: bool = False):
     acc[0, 0] = 0.0
     acc[1:, 1:] = D
     _fill(acc.ravel(), n, m)   # ravel of the fresh table is a view: the fill writes into acc
-    # backtrack the optimal monotone path
-    path = []
-    i, j = n, m
-    while i > 0 or j > 0:
-        path.append((i - 1, j - 1))
-        moves = []
-        if i > 0 and j > 0:
-            moves.append((acc[i - 1, j - 1], i - 1, j - 1))
-        if i > 0:
-            moves.append((acc[i - 1, j], i - 1, j))
-        if j > 0:
-            moves.append((acc[i, j - 1], i, j - 1))
-        _, i, j = min(moves)
-        if i == 0 and j == 0:
-            break
-    path.reverse()
+    path = _warping_path(acc.ravel(), n, m)
     cost = float(acc[n, m])
     if normalized:
         cost /= len(path)
     return cost, path
+
+
+def _warping_path(acc: np.ndarray, n: int, m: int) -> list:
+    """The optimal warping path through the filled flat DTW table acc
+    ((n+1)(m+1) cells, a 1-D array), as 0-based (i, j) index pairs in order.
+    It is walked back from (n, m): each step moves to the least of the
+    diagonal, up and left neighbours, a tie going to the diagonal, then up,
+    then left; on row or column 0 only the move along it remains."""
+    cells = memoryview(acc)   # reads each cell as a Python float, without numpy's per-item cost
+    w = m + 1
+    i, j = n, m
+    path = []
+    while i > 0 or j > 0:
+        path.append((i - 1, j - 1))
+        k = i * w + j
+        # off the table (i or j is 0) an index wraps around; the tests on i and j skip it
+        diag, up, left = cells[k - w - 1], cells[k - w], cells[k - 1]
+        if i and j and diag <= up and diag <= left:
+            i, j = i - 1, j - 1
+        elif i and (not j or up <= left):
+            i -= 1
+        else:
+            j -= 1
+    path.reverse()
+    return path
 
 
 def dtw_bruteforce(a, b, dist: str = "euclidean") -> float:
@@ -128,31 +139,6 @@ def trajectory_dtw(a: Trajectory, b: Trajectory):
 _CHUNK_CELLS = 1 << 20
 
 
-def _path_lengths(acc: np.ndarray, n: int, m: int) -> np.ndarray:
-    """len(path) of dtw()'s backtrack through each column of the filled flat
-    table acc, all columns walked back together.  dtw() takes the tuple min
-    of (cost, i, j) over its moves: a tie goes to the diagonal, then up,
-    then left."""
-    w = m + 1
-    cols = np.arange(acc.shape[1])
-    i, j = np.full(len(cols), n), np.full(len(cols), m)
-    lengths = np.empty(len(cols), dtype=np.intp)
-    steps = 0
-    while len(cols):
-        k = i * w + j
-        # off the table (i or j is 0) an index wraps around; the masks drop it
-        diag, up, left = acc[k - w - 1, cols], acc[k - w, cols], acc[k - 1, cols]
-        has_up, has_left = i > 0, j > 0
-        take_diag = has_up & has_left & (diag <= up) & (diag <= left)
-        take_up = ~take_diag & has_up & (~has_left | (up <= left))
-        i, j = i - (take_diag | take_up), j - ~take_up
-        steps += 1
-        end = (i == 0) & (j == 0)
-        lengths[cols[end]] = steps
-        cols, i, j = cols[~end], i[~end], j[~end]
-    return lengths
-
-
 def trajectory_dtw_many(rollouts: list, expert: Trajectory) -> list:
     """trajectory_dtw(r, expert) for each rollout r, all of one length.  The
     position and orientation tables of a chunk of rollouts are the columns
@@ -177,7 +163,8 @@ def trajectory_dtw_many(rollouts: list, expert: Trajectory) -> list:
         if not np.all(np.isfinite(table[1:, 1:])):
             raise ValueError("non-finite distance")
         _fill(acc, n, m)
-        normalized = (acc[-1] / _path_lengths(acc, n, m)).tolist()
+        lengths = [len(_warping_path(acc[:, c], n, m)) for c in range(2 * b)]
+        normalized = (acc[-1] / lengths).tolist()
         scores.extend(zip(normalized[:b], normalized[b:]))
     return scores
 
@@ -283,6 +270,20 @@ def _as_positions(traj) -> np.ndarray:
     return np.asarray(traj, dtype=float).reshape(-1, 3)
 
 
+@functools.lru_cache(maxsize=16)
+def _expert_raster(positions: bytes, resolution, stroke_px, plane_point, plane_normal):
+    """(read-only raster, its pixel count) of the expert whose (n, 3) float
+    positions are the given bytes: an eval scores every rollout against one
+    expert, which is drawn once."""
+    spec = RasterSpec(resolution, stroke_px, plane_point, plane_normal)
+    img = rasterize_strokes(project_to_plane(np.frombuffer(positions).reshape(-1, 3), spec), spec)
+    img.flags.writeable = False
+    count = int(img.sum())
+    if count == 0:
+        raise MetricError("expert raster is empty")
+    return img, count
+
+
 def writing_error(expert, executed, spec: RasterSpec = RasterSpec()) -> float:
     """Normalized l1 pixel difference between rasterized strokes.
 
@@ -291,10 +292,9 @@ def writing_error(expert, executed, spec: RasterSpec = RasterSpec()) -> float:
     translation and scale.  An empty executed trajectory rasters blank, giving
     exactly 1.0.
     """
-    exp_img = rasterize_strokes(project_to_plane(_as_positions(expert), spec), spec)
-    exp_count = int(exp_img.sum())
-    if exp_count == 0:
-        raise MetricError("expert raster is empty")
+    positions = np.ascontiguousarray(_as_positions(expert), dtype=float).tobytes()
+    exp_img, exp_count = _expert_raster(positions, spec.resolution, spec.stroke_px,
+                                        tuple(map(float, spec.plane_point)), tuple(map(float, spec.plane_normal)))
     exec_img = rasterize_strokes(project_to_plane(_as_positions(executed), spec), spec)
     diff = int(np.sum(exec_img != exp_img))
     return diff / exp_count

@@ -41,16 +41,6 @@ class GaussianBlob:
         object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float))
 
 
-def _valid_covariances(covs: np.ndarray) -> np.ndarray:
-    """Mask of the (n, 3, 3) covariances that are finite, symmetric and
-    positive definite."""
-    ok = np.all(np.isfinite(covs), axis=(1, 2))
-    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite asymmetry fails the test
-        ok &= np.max(np.abs(covs - covs.transpose(0, 2, 1)), axis=(1, 2), initial=0.0) <= 1e-9
-    ok[ok] = np.linalg.eigvalsh(covs[ok])[:, 0] > 1e-12
-    return ok
-
-
 class GaussianScene:
     """Immutable splat scene with vectorized density queries."""
 
@@ -64,23 +54,60 @@ class GaussianScene:
     def from_arrays(cls, means, covariances, opacities,
                     opacity_floor: float = DEFAULT_OPACITY_FLOOR,
                     rejected_count: int = 0) -> "GaussianScene":
-        """Scene from (n, 3) means, (n, 3, 3) covariances and (n,) opacities."""
+        """Scene from (n, 3) means, (n, 3, 3) covariances and (n,) opacities.
+        A covariance that is not finite, symmetric and positive definite is
+        dropped and counted in rejected_count."""
         scene = cls.__new__(cls)
         scene._set_up(means, covariances, opacities, opacity_floor, rejected_count)
         return scene
 
     def _set_up(self, means, covariances, opacities, opacity_floor, rejected_count):
-        opacities = np.asarray(opacities, dtype=float).reshape(-1)
+        """Validate the covariances and derive their inverses and radii: one
+        eigvalsh gives each one's smallest eigenvalue (the validity test) and
+        its largest (the radius)."""
+        covs = np.asarray(covariances, dtype=float).reshape(-1, 3, 3)
+        valid = np.all(np.isfinite(covs), axis=(1, 2))
+        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite asymmetry fails the test
+            valid &= np.max(np.abs(covs - covs.transpose(0, 2, 1)), axis=(1, 2), initial=0.0) <= 1e-9
+        eig = np.linalg.eigvalsh(covs[valid])
+        positive = eig[:, 0] > 1e-12
+        valid[valid] = positive
+        covs = covs[valid]
+        self._assemble(np.asarray(means, dtype=float).reshape(-1, 3)[valid], covs, np.linalg.inv(covs),
+                       CUTOFF_SIGMA * np.sqrt(eig[positive, -1]),
+                       np.asarray(opacities, dtype=float).reshape(-1)[valid], opacity_floor,
+                       rejected_count + int(np.count_nonzero(~valid)), "blob", np.flatnonzero(valid))
+
+    @classmethod
+    def _from_factors(cls, means, covariances, inv_covariances, radii, opacities, opacity_floor,
+                      rejected_count, name: str, numbers=None) -> "GaussianScene":
+        """Scene of valid splats whose inverse covariances and radii are
+        already known, such as those of a PLY or of a moved scene."""
+        scene = cls.__new__(cls)
+        scene._assemble(means, covariances, inv_covariances, radii, opacities, opacity_floor,
+                        rejected_count, name, numbers)
+        return scene
+
+    def _assemble(self, means, covs, inv_covs, radii, opacities, opacity_floor, rejected_count,
+                  name, numbers):
+        """The one tail every scene goes through: refuse a splat whose bounding
+        sphere reaches past _MAX_REACH on an axis (a SceneFormatError naming it
+        as "<name> <numbers[k]>", numbers defaulting to k), drop the splats
+        below the opacity floor and index the rest."""
+        far = np.flatnonzero(np.any(np.abs(means) + radii[:, None] > _MAX_REACH, axis=1))
+        if len(far):
+            number = far[0] if numbers is None else numbers[far[0]]
+            raise SceneFormatError(f"{name} {number}: bounding sphere reaches past "
+                                   f"{_MAX_REACH:g} m from the origin")
         kept = opacities >= opacity_floor
+        if not kept.all():
+            means, covs, inv_covs, radii, opacities = (a[kept] for a in (means, covs, inv_covs, radii, opacities))
         self.opacity_floor = float(opacity_floor)
         self.rejected_count = int(rejected_count)
-        self.means = np.asarray(means, dtype=float).reshape(-1, 3)[kept]
-        self.covariances = np.asarray(covariances, dtype=float).reshape(-1, 3, 3)[kept]
-        self.opacities = opacities[kept]
-        self.inv_covariances = np.linalg.inv(self.covariances)
-        self.radii = CUTOFF_SIGMA * np.sqrt(np.linalg.eigvalsh(self.covariances)[:, -1])
-        self.max_radius = float(np.max(self.radii, initial=0.0))
-        self.tree = cKDTree(self.means)
+        self.means, self.covariances, self.inv_covariances = means, covs, inv_covs
+        self.radii, self.opacities = radii, opacities
+        self.max_radius = float(np.max(radii, initial=0.0))
+        self.tree = cKDTree(means)
 
     def __len__(self) -> int:
         return len(self.means)
@@ -166,22 +193,6 @@ def density_gradient_analytic(scene: GaussianScene, x) -> np.ndarray:
 
 # ---- loading ---------------------------------------------------------------
 
-def _check_reach(path, kind: str, index: np.ndarray, means: np.ndarray, covs: np.ndarray) -> None:
-    """SceneFormatError naming the first blob (index[k], a JSON blob or PLY
-    vertex number) whose bounding sphere reaches past _MAX_REACH on an axis."""
-    extent = np.abs(means)
-    # the trace bounds the largest eigenvalue, so a scene well inside passes without eigenvalues
-    with np.errstate(over="ignore"):
-        trace = np.einsum("nii->n", covs).max(initial=0.0)
-    if extent.max(initial=0.0) + CUTOFF_SIGMA * np.sqrt(trace) <= _MAX_REACH:
-        return
-    radii = CUTOFF_SIGMA * np.sqrt(np.linalg.eigvalsh(covs)[:, -1:])
-    far = np.flatnonzero(np.any(extent + radii > _MAX_REACH, axis=1))
-    if len(far):
-        raise SceneFormatError(f"{path}: {kind} {index[far[0]]}: bounding sphere reaches past "
-                               f"{_MAX_REACH:g} m from the origin")
-
-
 def _json_floats(entry: dict, key: str) -> np.ndarray:
     """entry[key], a JSON number or nested lists of them, as a float array;
     a TypeError naming the key otherwise (booleans and strings included)."""
@@ -192,13 +203,13 @@ def _json_floats(entry: dict, key: str) -> np.ndarray:
 
 
 def _arrays_from_json(data, path):
-    """(means, covariances, opacities, rejected) of a {"blobs": [{"mu", "cov",
-    "alpha"}, ...]} scene; a cov that is not a valid 3x3 covariance is
-    rejected, any other flaw is a SceneFormatError naming the file and blob."""
+    """(means, covariances, opacities) of a {"blobs": [{"mu", "cov", "alpha"},
+    ...]} scene, one row per blob; a cov that is not 3x3 becomes a NaN row,
+    which the scene rejects.  Any other flaw is a SceneFormatError naming the
+    file and blob."""
     if not isinstance(data, dict) or not isinstance(data.get("blobs"), list):
         raise SceneFormatError(f"{path}: scene JSON must be an object with a 'blobs' list")
-    means, covs, opacities, index = [], [], [], []
-    rejected = 0
+    means, covs, opacities = [], [], []
     for i, entry in enumerate(data["blobs"]):
         where = f"{path}: blob {i}"
         if not isinstance(entry, dict) or not {"mu", "cov", "alpha"} <= entry.keys():
@@ -211,19 +222,10 @@ def _arrays_from_json(data, path):
             raise SceneFormatError(f"{where}: 'mu' must hold 3 finite numbers, got {json.dumps(entry['mu'])}")
         if alpha.shape != () or not np.isfinite(alpha):
             raise SceneFormatError(f"{where}: 'alpha' must be a finite number, got {json.dumps(entry['alpha'])}")
-        if cov.shape != (3, 3):
-            rejected += 1
-            continue
         means.append(mu)
-        covs.append(cov)
+        covs.append(cov if cov.shape == (3, 3) else np.full((3, 3), np.nan))
         opacities.append(float(alpha))
-        index.append(i)
-    covs = np.array(covs).reshape(-1, 3, 3)
-    valid = _valid_covariances(covs)
-    rejected += int(np.count_nonzero(~valid))
-    means, covs = np.array(means).reshape(-1, 3)[valid], covs[valid]
-    _check_reach(path, "blob", np.array(index, dtype=np.intp)[valid], means, covs)
-    return means, covs, np.array(opacities)[valid], rejected
+    return means, covs, opacities
 
 
 _PLY_REQUIRED = ["x", "y", "z", "scale_0", "scale_1", "scale_2",
@@ -254,7 +256,7 @@ def _parse_ply(path):
         header = raw[:end.start()].decode("ascii").splitlines()
     except UnicodeDecodeError as exc:
         raise SceneFormatError(f"{path}: PLY header is not ASCII") from exc
-    body = raw[end.end():]
+    start = end.end()
     fmt = None
     count = None
     props = []
@@ -287,7 +289,7 @@ def _parse_ply(path):
         raise SceneFormatError(f"{path}: duplicate PLY property names")
     if fmt == "ascii":
         try:
-            values = np.array([float(v) for v in body.split()])
+            values = np.array([float(v) for v in raw[start:].split()])
         except ValueError as exc:
             raise SceneFormatError(f"{path}: PLY body holds a non-number") from exc
         if values.size != count * len(props):
@@ -299,9 +301,9 @@ def _parse_ply(path):
             if t not in _PLY_TYPES:
                 raise SceneFormatError(f"{path}: unsupported PLY type {t}")
         record = np.dtype([(name, "<" + _PLY_TYPES[t]) for name, t in props])
-        if len(body) < record.itemsize * count:
+        if len(raw) - start < record.itemsize * count:
             raise SceneFormatError(f"{path}: truncated PLY body")
-        return np.frombuffer(body, dtype=record, count=count)
+        return np.frombuffer(raw, dtype=record, count=count, offset=start)
     raise SceneFormatError(f"{path}: unsupported PLY format {fmt}")
 
 
@@ -309,7 +311,11 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _arrays_from_ply(path, scale_convention: str):
+def _scene_from_ply(path, scale_convention: str, opacity_floor: float) -> GaussianScene:
+    """Scene of a 3DGS PLY.  Each splat's covariance is R diag(s^2) R^T, so its
+    inverse R diag(s^-2) R^T and its radius CUTOFF_SIGMA max|s| come from the
+    same factors.  A splat is valid when its quaternion is non-zero and finite
+    and its s^2 are finite and above 1e-12; the rest are rejected."""
     from .geometry import quat_to_matrix
 
     cols = _parse_ply(path)
@@ -324,21 +330,28 @@ def _arrays_from_ply(path, scale_convention: str):
     scales = stack("scale_0", "scale_1", "scale_2")
     quats = stack("rot_0", "rot_1", "rot_2", "rot_3")
     opacities = np.asarray(cols["opacity"], dtype=float)
+    del cols   # the file's bytes
     # a zero, non-finite or overflowing rotation, and a scale that overflows, are rejected
     with np.errstate(over="ignore", invalid="ignore"):
         if scale_convention == "preactivation":
             scales = np.exp(scales)
             opacities = _sigmoid(opacities)
         norms = np.linalg.norm(quats, axis=1)
-        usable = (norms > 0.0) & (norms < np.inf)
-        rot = quat_to_matrix((quats[usable] / norms[usable, None]).T).transpose(2, 0, 1)
-        covs = (rot * scales[usable, None, :] ** 2) @ rot.transpose(0, 2, 1)
-        covs = 0.5 * (covs + covs.transpose(0, 2, 1))
-        valid = _valid_covariances(covs)
-    rejected = int(np.count_nonzero(~usable) + np.count_nonzero(~valid))
-    means, covs, opacities = means[usable][valid], covs[valid], opacities[usable][valid]
-    _check_reach(path, "vertex", np.flatnonzero(usable)[valid], means, covs)
-    return means, covs, opacities, rejected
+        s2 = scales ** 2
+        valid = (norms > 0.0) & (norms < np.inf) & np.all(s2 < np.inf, axis=1) & (s2.min(axis=1) > 1e-12)
+        numbers = np.flatnonzero(valid)
+        s2 = s2[valid]
+        rot = quat_to_matrix((quats[valid] / norms[valid, None]).T).transpose(2, 0, 1)
+        # a covariance that overflows belongs to a splat that the reach check refuses
+        covs = (rot * s2[:, None, :]) @ rot.transpose(0, 2, 1)
+        covs = covs + covs.transpose(0, 2, 1)
+        covs *= 0.5
+        inv_covs = (rot / s2[:, None, :]) @ rot.transpose(0, 2, 1)
+    del rot
+    return GaussianScene._from_factors(means[valid], covs, inv_covs,
+                                       CUTOFF_SIGMA * np.abs(scales[valid]).max(axis=1),
+                                       opacities[valid], opacity_floor, len(valid) - len(numbers),
+                                       f"{path}: vertex", numbers)
 
 
 def load_scene(path, opacity_floor: float = DEFAULT_OPACITY_FLOOR,
@@ -351,16 +364,17 @@ def load_scene(path, opacity_floor: float = DEFAULT_OPACITY_FLOOR,
     if scale_convention not in ("preactivation", "raw"):
         raise ValueError(f"unknown scale_convention: {scale_convention}")
     if str(path).endswith(".ply"):
-        means, covs, opacities, rejected = _arrays_from_ply(path, scale_convention)
-    else:
-        try:
-            with open(path, "rb") as f:
-                data = json.load(f)
-        except ValueError as exc:   # invalid JSON or text encoding
-            raise SceneFormatError(f"{path}: scene is not readable JSON: {exc}") from exc
-        means, covs, opacities, rejected = _arrays_from_json(data, path)
-    return GaussianScene.from_arrays(means, covs, opacities, opacity_floor=opacity_floor,
-                                     rejected_count=rejected)
+        return _scene_from_ply(path, scale_convention, opacity_floor)
+    try:
+        with open(path, "rb") as f:
+            data = json.load(f)
+    except ValueError as exc:   # invalid JSON or text encoding
+        raise SceneFormatError(f"{path}: scene is not readable JSON: {exc}") from exc
+    means, covs, opacities = _arrays_from_json(data, path)
+    try:
+        return GaussianScene.from_arrays(means, covs, opacities, opacity_floor=opacity_floor)
+    except SceneFormatError as exc:   # a blob reaching too far, numbered as in the file
+        raise SceneFormatError(f"{path}: {exc}") from None
 
 
 def save_scene_json(scene: GaussianScene, path) -> None:

@@ -34,6 +34,15 @@ def separated_scene(n, seed, sigma=0.01, separation_sigmas=9.0, box=2.0,
     return GaussianScene(blobs, opacity_floor=0.0)
 
 
+def relative_gap(got, ref) -> float:
+    """The largest |got - ref| / |ref| over the rows of two arrays, each row's
+    norm taken over its trailing axes (Frobenius for matrices)."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    axes = tuple(range(1, ref.ndim))
+    gap = np.sqrt(np.sum((got - ref) ** 2, axis=axes)) / np.sqrt(np.sum(ref ** 2, axis=axes))
+    return float(np.max(gap, initial=0.0))
+
+
 def near_blob_queries(scene, n, seed, offset_sigmas=2.0):
     """Query points within offset_sigmas of randomly chosen blob means."""
     rng = np.random.default_rng(seed)

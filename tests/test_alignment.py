@@ -11,9 +11,9 @@ from splatsynth.alignment import (
     apply_transform,
     icp_align,
 )
-from splatsynth.splats import GaussianBlob, GaussianScene, density
+from splatsynth.splats import CUTOFF_SIGMA, GaussianBlob, GaussianScene, SceneFormatError, density
 
-from helpers import separated_scene
+from helpers import relative_gap, separated_scene
 
 
 def random_cloud(n, seed, scale=0.3):
@@ -87,6 +87,14 @@ class TestRigidTransform:
         path = tmp_path / "T.json"
         path.write_text(json.dumps({"matrix": (2 * np.eye(4)).tolist()}))
         with pytest.raises(ValueError, match=r"T\.json: rotation must be orthonormal"):
+            RigidTransform.load_json(path)
+
+    @pytest.mark.parametrize("row", [[5, 5, 5, 5], [0, 0, 0, 2], [0, 0, 1e-9, 1]])
+    def test_bottom_row_names_file(self, tmp_path, row):
+        path = tmp_path / "T.json"
+        path.write_text(json.dumps({"matrix": np.eye(4)[:3].tolist() + [row]}))
+        got = str([float(v) for v in row]).replace("[", r"\[").replace("]", r"\]")
+        with pytest.raises(ValueError, match=rf"T\.json: bottom row must be \[0, 0, 0, 1\], got {got}$"):
             RigidTransform.load_json(path)
 
     def test_rejects_non_rotation(self):
@@ -173,6 +181,20 @@ class TestApplyTransform:
         rng = np.random.default_rng(seed + 40)
         for x in rng.uniform(-1, 1, size=(50, 3)):
             assert abs(density(out, T.apply(x[None])[0]) - density(scene, x)) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_factors_match_lapack(self, seed):
+        # the moved inverses are R Sigma^-1 R^T, the radii carried over
+        scene = separated_scene(40, seed=seed + 50)
+        out = apply_transform(scene, random_rigid(seed + 60, max_angle_deg=180, max_trans=1.0))
+        assert relative_gap(out.inv_covariances, np.linalg.inv(out.covariances)) <= 1e-12
+        assert relative_gap(out.radii, CUTOFF_SIGMA * np.sqrt(np.linalg.eigvalsh(out.covariances)[:, -1])) <= 1e-12
+        assert np.array_equal(out.radii, scene.radii)
+
+    def test_moving_past_the_reach_is_refused(self):
+        scene = separated_scene(5, seed=13)
+        with pytest.raises(SceneFormatError, match=r"^moved splat 0: bounding sphere reaches past 1e\+150 m"):
+            apply_transform(scene, RigidTransform(np.eye(3), [0.0, 1e160, 0.0]))
 
     def test_empty_scene(self):
         out = apply_transform(GaussianScene([]), random_rigid(3))

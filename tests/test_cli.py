@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splatsynth.alignment import RigidTransform
 from splatsynth.cli import UsageError, _config_keys, _job_from_config, _load_points, main
 from splatsynth.geometry import Trajectory
 from splatsynth.obstacles import ObstacleParams
@@ -342,6 +343,20 @@ class TestAlign:
                      "--aligned-scene", str(aligned)]) == 2
         one_error_line(capsys, f"--aligned-scene needs a .json or .ply scene to transform, got {pts}")
         assert not out.exists() and not aligned.exists()
+
+    def test_aligned_scene_moved_too_far(self, tmp_path, capsys):
+        # the proxy sits 2e150 m away, so the fitted transform moves the scene
+        # past the reach the loader refuses; the error names the transform file
+        pts = np.random.default_rng(3).uniform(-1e140, 1e140, size=(30, 3))
+        scene_path = write_scene(tmp_path / "scene.json", [GaussianBlob(p, 1e-4 * np.eye(3), 1.0) for p in pts])
+        proxy, init = tmp_path / "proxy.csv", tmp_path / "init.json"
+        np.savetxt(proxy, pts + [2e150, 0.0, 0.0], delimiter=",")
+        RigidTransform(np.eye(3), [2e150, 0.0, 0.0]).save_json(init)
+        out, aligned = tmp_path / "T.json", tmp_path / "aligned.json"
+        assert main(["align", scene_path, str(proxy), "--init", str(init), "--max-corr-dist", "1e200",
+                     "--out", str(out), "--aligned-scene", str(aligned)]) == 1
+        one_error_line(capsys, f"{out}: moved splat 0: bounding sphere reaches past 1e+150 m from the origin")
+        assert not aligned.exists()
 
     @pytest.mark.parametrize("name", BAD_TRANSFORMS)
     def test_malformed_init_is_one_error_line(self, tmp_path, capsys, name):
@@ -678,6 +693,27 @@ class TestEval:
         assert main(["eval", str(out_dir), demo_csv, "--scene", scene_path,
                      "--transform", str(t_path)]) == 1
         one_error_line(capsys, f"{t_path}: transform must be")
+
+    @pytest.mark.parametrize("shift", [1e160, 1e300])
+    def test_transform_past_the_reach_is_one_error_line(self, tmp_path, demo_csv, capsys, shift):
+        out_dir, _ = self.make_dataset(tmp_path, demo_csv)
+        scene_path = write_scene(tmp_path / "scene.json",
+                                 [GaussianBlob(np.zeros(3), 1e-4 * np.eye(3), 1.0)])
+        t_path = tmp_path / "T.json"
+        RigidTransform(np.eye(3), [0.0, shift, 0.0]).save_json(t_path)
+        assert main(["eval", str(out_dir), demo_csv, "--scene", scene_path,
+                     "--transform", str(t_path)]) == 1
+        one_error_line(capsys, f"{t_path}: moved splat 0: bounding sphere reaches past 1e+150 m from the origin")
+
+    def test_transform_bottom_row_is_one_error_line(self, tmp_path, demo_csv, capsys):
+        out_dir, _ = self.make_dataset(tmp_path, demo_csv)
+        scene_path = write_scene(tmp_path / "scene.json",
+                                 [GaussianBlob(np.zeros(3), 1e-4 * np.eye(3), 1.0)])
+        t_path = tmp_path / "T.json"
+        t_path.write_text(json.dumps({"matrix": np.eye(4)[:3].tolist() + [[5, 5, 5, 5]]}))
+        assert main(["eval", str(out_dir), demo_csv, "--scene", scene_path,
+                     "--transform", str(t_path)]) == 1
+        one_error_line(capsys, f"{t_path}: bottom row must be [0, 0, 0, 1], got [5.0, 5.0, 5.0, 5.0]")
 
 
 class TestPathErrors:

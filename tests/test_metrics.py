@@ -10,7 +10,7 @@ from splatsynth.metrics import (
     RasterSpec,
     _distance_matrix,
     _fill,
-    _path_lengths,
+    _warping_path,
     collision_check,
     dtw,
     dtw_bruteforce,
@@ -327,7 +327,8 @@ class TestTrajectoryDtwMany:
 
 
 class TestPathLengths:
-    """_path_lengths walks every column back as dtw()'s backtrack does."""
+    """_warping_path walks each column of a batch table back as the oracle's
+    tuple-min backtrack does, so trajectory_dtw_many's path lengths are dtw()'s."""
 
     @pytest.mark.parametrize("n,m", SHAPES + [(8, 11), (11, 8), (10, 10)])
     @pytest.mark.parametrize("seed", range(3))
@@ -337,7 +338,14 @@ class TestPathLengths:
         b = rng.integers(0, 3, size=m).astype(float)
         seqs = [rng.integers(0, 3, size=n).astype(float) for _ in range(5)]
         acc = filled_table([_distance_matrix(a, b, "euclidean") for a in seqs])
-        assert _path_lengths(acc, n, m).tolist() == [len(dtw(a, b)[1]) for a in seqs]
+        assert [_warping_path(acc[:, c], n, m) for c in range(len(seqs))] == [dtw_rowwise(a, b)[3] for a in seqs]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_table_walks_the_border(self):
+        # sums past the float range tie at inf, so the walk reaches row 0 before (0, 0)
+        acc = filled_table([np.full((4, 6), 1e308)])
+        path = dtw_rowwise(range(4), range(6), lambda r, c: 1e308)[3]
+        assert path[0][0] == -1 and _warping_path(acc[:, 0], 4, 6) == path
 
     def test_columns_fill_as_rowwise_tables(self):
         rng = np.random.default_rng(4)
@@ -601,6 +609,35 @@ class TestWritingError:
             errs.append(writing_error(demo, traj_from_positions(warped)))
         assert all(b >= a - 0.02 for a, b in zip(errs, errs[1:]))
         assert errs[-1] > errs[0]
+
+    def test_expert_drawn_once_per_expert_and_spec(self, monkeypatch):
+        metrics._expert_raster.cache_clear()
+        drawn = []
+        real = metrics.rasterize_strokes
+
+        def spy(points2d, spec):
+            drawn.append(len(points2d))
+            return real(points2d, spec)
+
+        monkeypatch.setattr(metrics, "rasterize_strokes", spy)
+        demo = letter_a_demo()
+        other = line_demo([0, 0, 0], [0.1, 0.1, 0], n=30)
+        errs = [writing_error(demo, other) for _ in range(3)]
+        assert drawn == [len(demo)] + [30] * 3
+        writing_error(demo, other, RasterSpec(resolution=64))   # another spec draws the expert again
+        assert drawn[4:] == [len(demo), 30]
+        moved = demo.positions.copy()
+        demo.positions[:, 0] *= 2.0   # the key is the positions' bytes, not the object
+        writing_error(demo, other)
+        assert drawn[6:] == [len(demo), 30]
+        demo.positions[:] = moved
+        assert writing_error(demo, other) == errs[0] and len(drawn) == 9
+
+    def test_cached_raster_is_read_only(self):
+        demo = letter_a_demo()
+        writing_error(demo, demo)
+        img, count = metrics._expert_raster(demo.positions.tobytes(), 128, 3, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+        assert not img.flags.writeable and count == int(img.sum()) > 0
 
 
 class TestEvaluateRollout:

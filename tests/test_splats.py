@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splatsynth.alignment import RigidTransform, apply_transform
 from splatsynth.cli import main
 from splatsynth.geometry import quat_normalize, quat_to_matrix
 from splatsynth.splats import (
+    CUTOFF_SIGMA,
     GaussianBlob,
     GaussianScene,
     SceneFormatError,
@@ -23,7 +25,7 @@ from splatsynth.splats import (
     query_neighbors,
 )
 
-from helpers import near_blob_queries, separated_scene
+from helpers import near_blob_queries, relative_gap, separated_scene
 
 
 def unit_blob(mu=(0, 0, 0), alpha=1.0, sigma2=1.0):
@@ -334,7 +336,8 @@ class TestLoadScene:
     _PLY_PROPS = ["x", "y", "z", "scale_0", "scale_1", "scale_2",
                   "rot_0", "rot_1", "rot_2", "rot_3", "opacity"]
 
-    def _write_ply(self, path, rows, fmt="binary_little_endian", newline="\n",
+    @staticmethod
+    def _write_ply(path, rows, fmt="binary_little_endian", newline="\n",
                    props=_PLY_PROPS, count=None):
         header = ["ply", f"format {fmt} 1.0",
                   f"element vertex {len(rows) if count is None else count}"]
@@ -465,6 +468,91 @@ class TestLoadScene:
         assert np.array_equal(scene.means, np.array(means))
         assert np.array_equal(scene.covariances, np.array(covs))
         assert np.array_equal(scene.opacities, np.array(opacities))
+
+
+# LAPACK-backed numpy.linalg functions, counted by TestSceneFactors
+LAPACK = ["cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq", "pinv", "qr",
+          "slogdet", "solve", "svd"]
+
+
+class TestSceneFactors:
+    """A scene's inverse covariances and radii come from the cheapest exact
+    source: a PLY's scales and rotations, the scene a moved one came from, or
+    else one eigvalsh and one inv.  Each agrees with LAPACK on the scene's own
+    covariances within 1e-12."""
+
+    @staticmethod
+    def write_ply(tmp_path, n=2000, seed=20):
+        # 3DGS layout: log-scales from 4 mm to 5 cm, unnormalised quaternions, logit opacities
+        rng = np.random.default_rng(seed)
+        rows = np.column_stack([rng.uniform(-1, 1, (n, 3)), np.log(rng.uniform(0.004, 0.05, (n, 3))),
+                                rng.normal(size=(n, 4)) * rng.uniform(0.5, 2.0, (n, 1)),
+                                rng.uniform(-6.0, 4.0, n)])
+        path = tmp_path / "scene.ply"
+        TestLoadScene._write_ply(path, rows.astype(np.float32))
+        return path
+
+    @staticmethod
+    def assert_matches_lapack(scene):
+        assert len(scene) > 0
+        assert relative_gap(scene.inv_covariances, np.linalg.inv(scene.covariances)) <= 1e-12
+        radii = CUTOFF_SIGMA * np.sqrt(np.linalg.eigvalsh(scene.covariances)[:, -1])
+        assert relative_gap(scene.radii, radii) <= 1e-12
+
+    def test_ply(self, tmp_path):
+        self.assert_matches_lapack(load_scene(self.write_ply(tmp_path)))
+
+    def test_moved_ply(self, tmp_path):
+        scene = load_scene(self.write_ply(tmp_path, seed=21))
+        R = quat_to_matrix(quat_normalize(np.array([0.3, -0.5, 0.8, 0.1])))
+        self.assert_matches_lapack(apply_transform(scene, RigidTransform(R, [0.4, -1.0, 2.0])))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ply_validity_rule(self, tmp_path):
+        # raw scales: kept, kept (a scale's sign does not matter), s^2 at or below
+        # 1e-12, NaN, infinite, and a zero quaternion
+        rows = [[0, 0, 0, 0.1, 0.2, 0.3, 1, 0, 0, 0, 0.5], [1, 0, 0, -0.1, 0.2, -0.3, 0, 1, 0, 0, 0.5],
+                [2, 0, 0, 1e-7, 0.2, 0.3, 1, 0, 0, 0, 0.5], [3, 0, 0, np.nan, 0.2, 0.3, 1, 0, 0, 0, 0.5],
+                [4, 0, 0, np.inf, 0.2, 0.3, 1, 0, 0, 0, 0.5], [5, 0, 0, 0.1, 0.2, 0.3, 0, 0, 0, 0, 0.5]]
+        path = tmp_path / "scene.ply"
+        TestLoadScene._write_ply(path, rows)
+        scene = load_scene(path, scale_convention="raw")
+        assert len(scene) == 2 and scene.rejected_count == 4
+        assert np.array_equal(scene.radii, [CUTOFF_SIGMA * float(np.float32(0.3))] * 2)
+
+    def test_from_arrays_rejects_and_counts(self):
+        covs = [np.eye(3), np.zeros((3, 3)), [[1, 2, 0], [0, 1, 0], [0, 0, 1]], np.full((3, 3), np.nan),
+                4 * np.eye(3)]
+        scene = GaussianScene.from_arrays(np.arange(15.0).reshape(5, 3), covs, np.ones(5), rejected_count=2)
+        assert len(scene) == 2 and scene.rejected_count == 5
+        assert np.array_equal(scene.means, [[0, 1, 2], [12, 13, 14]])
+        assert np.array_equal(scene.radii, [CUTOFF_SIGMA, 2 * CUTOFF_SIGMA])
+
+    def test_from_arrays_reach(self):
+        # blob 0 is rejected; the error numbers the blobs as given
+        with pytest.raises(SceneFormatError, match=r"^blob 2: bounding sphere reaches past 1e\+150 m"):
+            GaussianScene.from_arrays([[0, 0, 0], [0, 0, 0], [0, 2e150, 0]],
+                                      [np.zeros((3, 3)), np.eye(3), np.eye(3)], np.ones(3))
+
+    def test_lapack_calls(self, tmp_path, monkeypatch):
+        # none for a PLY load and its move; one eigvalsh and one inv for a JSON
+        # load, its rejected covariances included
+        ply = self.write_ply(tmp_path, n=50)
+        T = RigidTransform(np.eye(3), [0.1, 0.2, 0.3])
+        json_path = tmp_path / "scene.json"
+        json_path.write_text(json.dumps({"blobs": [BLOB, dict(BLOB, cov=np.zeros((3, 3)).tolist()),
+                                                   dict(BLOB, cov=[[1, 0], [0, 1]]), dict(BLOB, mu=[1, 0, 0])]}))
+        calls = {}
+        for name in LAPACK:
+            def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert len(apply_transform(load_scene(ply), T)) > 0
+        assert calls == {}
+        scene = load_scene(json_path)
+        assert len(scene) == 2 and scene.rejected_count == 2
+        assert calls == {"eigvalsh": 1, "inv": 1}
 
 
 # ---- malformed scene files: one SceneFormatError naming the file --------------
