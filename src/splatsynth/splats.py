@@ -2,7 +2,10 @@
 
 A scene is a set of anisotropic 3D Gaussians (mean, covariance, opacity).
 The opacity-weighted kernel sum rho(x) acts as a smooth occupancy proxy; a
-cKDTree neighbour index over the blob means keeps per-query work local.
+cKDTree neighbour index over the blob means, built at the scene's first
+query, keeps per-query work local.  All rows of a query go to it as one
+dual-tree query against a small tree of the rows, which returns every
+candidate (row, blob) pair as one array.
 Contributions are truncated at a fixed cutoff of CUTOFF_SIGMA standard
 deviations (bounding radius per blob), which keeps the truncation error below
 1e-6 relative on scenes whose blob spacing exceeds the cutoff radius.
@@ -10,10 +13,10 @@ deviations (bounding radius per blob), which keeps the truncation error below
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -90,15 +93,17 @@ class GaussianScene:
 
     def _assemble(self, means, covs, inv_covs, radii, opacities, opacity_floor, rejected_count,
                   name, numbers):
-        """The one tail every scene goes through: refuse a splat whose bounding
-        sphere reaches past _MAX_REACH on an axis (a SceneFormatError naming it
-        as "<name> <numbers[k]>", numbers defaulting to k), drop the splats
-        below the opacity floor and index the rest."""
-        far = np.flatnonzero(np.any(np.abs(means) + radii[:, None] > _MAX_REACH, axis=1))
+        """The one tail every scene goes through: refuse a splat whose mean is
+        not finite or whose bounding sphere reaches past _MAX_REACH on an axis
+        (a SceneFormatError naming it as "<name> <numbers[k]>", numbers
+        defaulting to k), then drop the splats below the opacity floor.  The
+        neighbour index is built at the first query."""
+        far = np.flatnonzero(~np.all(np.abs(means) + radii[:, None] <= _MAX_REACH, axis=1))
         if len(far):
-            number = far[0] if numbers is None else numbers[far[0]]
-            raise SceneFormatError(f"{name} {number}: bounding sphere reaches past "
-                                   f"{_MAX_REACH:g} m from the origin")
+            k = far[0]
+            what = (f"bounding sphere reaches past {_MAX_REACH:g} m from the origin"
+                    if np.all(np.isfinite(means[k])) else f"non-finite mean {means[k].tolist()}")
+            raise SceneFormatError(f"{name} {k if numbers is None else numbers[k]}: {what}")
         kept = opacities >= opacity_floor
         if not kept.all():
             means, covs, inv_covs, radii, opacities = (a[kept] for a in (means, covs, inv_covs, radii, opacities))
@@ -107,7 +112,11 @@ class GaussianScene:
         self.means, self.covariances, self.inv_covariances = means, covs, inv_covs
         self.radii, self.opacities = radii, opacities
         self.max_radius = float(np.max(radii, initial=0.0))
-        self.tree = cKDTree(means)
+
+    @cached_property
+    def tree(self) -> cKDTree:
+        """Neighbour index over the means, built at the first query."""
+        return cKDTree(self.means)
 
     def __len__(self) -> int:
         return len(self.means)
@@ -121,15 +130,18 @@ def _neighbors(scene: GaussianScene, xs: np.ndarray, radius: float):
     rows = np.flatnonzero((np.abs(xs) <= _MAX_REACH + radius).all(axis=1))
     if len(scene) == 0 or len(rows) == 0:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    # The tree's reach is padded so that rounding in its squared-distance test
-    # never drops a blob that the exact per-blob test below keeps.
+    # One dual-tree query against a quickly built tree of the rows returns every
+    # candidate (blob, row) pair as one array.  Its reach is padded so that
+    # rounding in the trees' squared-distance test never drops a blob that the
+    # exact per-blob test below keeps.
     reach = (radius + scene.max_radius) * (1.0 + 1e-9)
-    found = scene.tree.query_ball_point(xs[rows], reach, return_sorted=True)
-    counts = np.fromiter(map(len, found), dtype=np.intp, count=len(found))
-    cand = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp, count=counts.sum())
-    row = np.repeat(rows, counts)
+    queries = cKDTree(xs[rows], balanced_tree=False, compact_nodes=False)
+    pairs = scene.tree.sparse_distance_matrix(queries, reach, output_type="ndarray")
+    cand, row = pairs["i"], rows[pairs["j"]]
     keep = np.linalg.norm(scene.means[cand] - xs[row], axis=1) <= radius + scene.radii[cand]
-    return row[keep], cand[keep]
+    cand, row = cand[keep], row[keep]
+    order = np.lexsort((cand, row))
+    return row[order], cand[order]
 
 
 def query_neighbors(scene: GaussianScene, x, radius: float):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from splatsynth.alignment import RigidTransform, apply_transform
 from splatsynth.cli import main
@@ -16,6 +17,7 @@ from splatsynth.splats import (
     GaussianBlob,
     GaussianScene,
     SceneFormatError,
+    _neighbors,
     density,
     density_bruteforce,
     density_gradient,
@@ -230,6 +232,109 @@ def cluttered_scene(n, seed, spread=0.1):
     return GaussianScene.from_arrays(rng.normal(0.0, spread, (n, 3)),
                                      0.5 * (covs + covs.transpose(0, 2, 1)),
                                      rng.uniform(0.1, 1.0, n), opacity_floor=0.0)
+
+
+def neighbors_by_scan(scene, xs, radius):
+    """Oracle: the (row, blob) pairs of (n, 3) rows from one linear scan over
+    every blob per row, rows in order and blobs ascending within a row."""
+    pairs = []
+    with np.errstate(over="ignore", invalid="ignore"):   # rows far past the blobs
+        for r, x in enumerate(xs):
+            d = np.linalg.norm(scene.means - x, axis=1)
+            pairs += [(r, b) for b in np.flatnonzero(d <= radius + scene.radii)]
+    return tuple(np.array([p[k] for p in pairs], dtype=np.intp) for k in (0, 1))
+
+
+def neighbor_cases():
+    """name: (scene, rows, radius) for the multi-row neighbour oracle."""
+    scene = cluttered_scene(300, seed=15)
+    rng = np.random.default_rng(16)
+    xs = rng.normal(0.0, 0.12, (40, 3))
+    # rows exactly at a blob's reach, where the tree's squared-distance test
+    # can round the other way than the exact one
+    blob = GaussianScene([unit_blob(mu=(0.3, -0.2, 0.1), sigma2=0.01)])
+    u = rng.normal(size=(200, 3))
+    at_reach = blob.means[0] + u / np.linalg.norm(u, axis=1, keepdims=True) * (0.02 + blob.radii[0])
+    far = [[np.nan, 0, 0], [0, np.inf, 0], [-np.inf, np.nan, 1], [1e200, 0, 0], [0, -1e151, 0],
+           [1e308, 1e308, 1e308]]
+    return {
+        "random_rows": (scene, xs, 0.0),
+        "random_rows_with_radius": (scene, xs, 0.05),
+        "rows_on_means": (scene, scene.means[[0, 7, 7, 299]], 0.0),
+        "duplicate_rows": (scene, xs[[3, 3, 9, 3, 9]], 0.01),
+        "rows_at_reach": (blob, at_reach, 0.02),
+        "non_finite_and_far_rows": (scene, np.concatenate([far, xs[:5], far]), 0.0),
+        "only_far_rows": (scene, np.array(far, dtype=float), 0.0),
+        "zero_rows": (scene, np.empty((0, 3)), 0.0),
+        "empty_scene": (GaussianScene([]), xs[:5], 1.0),
+        "row_past_the_limit_reaching_back": (GaussianScene([unit_blob(mu=(9e149, 0, 0))]),
+                                             np.array([[1.5e150, 0, 0], [-2e149, 0, 0], [1.5e150, 0, 0]]), 1e150),
+        "row_past_the_limit_short": (GaussianScene([unit_blob(mu=(9e149, 0, 0))]),
+                                     np.array([[1.5e150, 0, 0]]), 1e149),
+        # one blob with a 2 m reach among 400 of 4 cm: every tree query is padded by 2 m
+        "one_large_blob": (GaussianScene.from_arrays(
+            np.concatenate([[[0.3, 0, 0]], rng.uniform(-1, 1, (400, 3))]),
+            np.concatenate([[0.25 * np.eye(3)], np.tile(1e-4 * np.eye(3), (400, 1, 1))]), np.ones(401)),
+            rng.uniform(-1, 1, (60, 3)), 0.01),
+    }
+
+
+NEIGHBOR_CASES = neighbor_cases()
+
+
+class CountingTree:
+    """Stands in for a scene's cKDTree and counts the method calls made to it."""
+
+    def __init__(self, tree):
+        self.tree, self.calls = tree, {}
+
+    def __getattr__(self, name):
+        method = getattr(self.tree, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args, **kwargs)
+        return counted
+
+
+class TestNeighborRows:
+    """_neighbors on many rows at once equals a per-row linear scan exactly."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", NEIGHBOR_CASES)
+    def test_matches_linear_scan(self, name):
+        scene, xs, radius = NEIGHBOR_CASES[name]
+        got, ref = _neighbors(scene, xs, radius), neighbors_by_scan(scene, xs, radius)
+        for g, r in zip(got, ref):
+            assert g.dtype == np.intp
+            assert np.array_equal(g, r)
+
+    def test_cases_reach_their_edges(self):
+        # each case really holds what its name says
+        scene, xs, _ = NEIGHBOR_CASES["rows_on_means"]
+        row, blob = _neighbors(scene, xs, 0.0)
+        assert {(0, 0), (1, 7), (2, 7), (3, 299)} <= set(zip(row.tolist(), blob.tolist()))
+        scene, xs, radius = NEIGHBOR_CASES["rows_at_reach"]
+        assert len(_neighbors(scene, xs, radius)[0]) > 0
+        scene, xs, radius = NEIGHBOR_CASES["row_past_the_limit_reaching_back"]
+        assert _neighbors(scene, xs, radius)[0].tolist() == [0, 2]
+        for name in ("only_far_rows", "zero_rows", "empty_scene", "row_past_the_limit_short"):
+            assert len(_neighbors(*NEIGHBOR_CASES[name])[0]) == 0
+
+    def test_tree_built_at_first_query(self):
+        scene = cluttered_scene(20, seed=18)
+        assert "tree" not in vars(scene)
+        density(scene, [0.0, 0.0, 0.0])
+        assert isinstance(vars(scene)["tree"], cKDTree)
+
+    def test_one_tree_call_per_density_many(self):
+        # all 32 rows go to the scene's tree as one dual-tree query, not one list per row
+        scene = cluttered_scene(200, seed=19)
+        xs = np.random.default_rng(20).normal(0.0, 0.1, (32, 3))
+        expected = density_many(scene, xs)
+        scene.tree = counting = CountingTree(scene.tree)
+        assert np.array_equal(density_many(scene, xs), expected)
+        assert counting.calls == {"sparse_distance_matrix": 1}
 
 
 class TestDensityManyMatchesPointwise:
@@ -533,6 +638,14 @@ class TestSceneFactors:
         with pytest.raises(SceneFormatError, match=r"^blob 2: bounding sphere reaches past 1e\+150 m"):
             GaussianScene.from_arrays([[0, 0, 0], [0, 0, 0], [0, 2e150, 0]],
                                       [np.zeros((3, 3)), np.eye(3), np.eye(3)], np.ones(3))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mean", [[np.nan, 0, 0], [0, -np.inf, 0], [np.inf, np.nan, 0]])
+    def test_from_arrays_refuses_non_finite_mean(self, mean):
+        with pytest.raises(SceneFormatError, match=r"^blob 0: non-finite mean \["):
+            GaussianScene.from_arrays([mean], [np.eye(3)], [1.0])
+        with pytest.raises(SceneFormatError, match=r"^blob 1: non-finite mean \["):
+            GaussianScene([unit_blob(), GaussianBlob(mean, np.eye(3), 1.0)])
 
     def test_lapack_calls(self, tmp_path, monkeypatch):
         # none for a PLY load and its move; one eigvalsh and one inv for a JSON
