@@ -28,7 +28,9 @@ class EvalReport:
     writing_error: float | None = None
 
 
-def _distance_matrix(a: np.ndarray, b: np.ndarray, dist: str) -> np.ndarray:
+def _distance_matrix(a: np.ndarray, b: np.ndarray, dist: str, out: np.ndarray | None = None) -> np.ndarray:
+    """The (n, m) matrix of distances between the rows of a and of b, written
+    into out (C-contiguous) when it is given."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim == 1:
@@ -36,33 +38,83 @@ def _distance_matrix(a: np.ndarray, b: np.ndarray, dist: str) -> np.ndarray:
     if b.ndim == 1:
         b = b[:, None]
     if dist == "euclidean":
-        return cdist(a, b)
+        return cdist(a, b, out=out)
     if dist == "quaternion":
-        dots = np.clip(np.abs(a @ b.T), 0.0, 1.0)
-        return 2.0 * np.arccos(dots)
+        dots = np.matmul(a, b.T, out=out)
+        np.abs(dots, out=dots)
+        np.clip(dots, 0.0, 1.0, out=dots)
+        np.arccos(dots, out=dots)
+        return np.multiply(dots, 2.0, out=dots)
     raise ValueError(f"unknown distance selector: {dist}")
 
 
-def _fill(acc: np.ndarray, n: int, m: int) -> None:
-    """Fill in place the DTW table acc, flat over its first axis ((n+1)(m+1)
-    cells, each a scalar or a row of independent tables), one anti-diagonal
-    i + j = d at a time (Sakoe & Chiba, 1978).  acc holds 0 at (0, 0), inf on
-    the rest of row and column 0, and D elsewhere; each cell becomes
-    D[i-1, j-1] + min(up, left, diagonal) with one addition, as in row order,
-    so the table is bit-identical to it.  The cells of one diagonal sit at
-    stride m, their up, left and diagonal neighbours w, 1 and w + 1 before."""
-    w = m + 1
+@functools.lru_cache(maxsize=16)
+def _layout(n: int, m: int):
+    """The diagonal-major layout of an (n+1) x (m+1) DTW table: anti-diagonal
+    d = i + j holds the cells (i, d - i), i ascending, and the diagonals
+    follow each other, so cell (i, j) sits at off[i + j] + i.  Returns off (a
+    tuple), the read-only gather that lays out a staging row (see _sweep), and
+    the fill's steps: per diagonal d >= 2, the slices of its cells off row
+    and column 0, of their up, left and diagonal neighbours, and of the
+    scratch rows for their minima, which never number more than min(n, m)."""
+    ds = np.arange(n + m + 1)
+    lo = np.maximum(0, ds - m)
+    size = np.minimum(n, ds) - lo + 1
+    offsets = np.cumsum(size) - size - lo
+    i, j = np.indices((n + 1, m + 1))
+    src = np.where((i > 0) & (j > 0), (i - 1) * m + j - 1, n * m)
+    src[0, 0] = n * m + 1
+    gather = np.empty((n + 1) * (m + 1), dtype=np.intp)
+    gather[offsets[i + j] + i] = src
+    gather.flags.writeable = False
+    off = tuple(offsets.tolist())
+    steps = []
     for d in range(2, n + m + 1):
-        k0, k1 = max(1, d - m) * m + d, min(n, d - 1) * m + d + 1
-        acc[k0:k1:m] += np.minimum(np.minimum(acc[k0 - w:k1 - w:m], acc[k0 - 1:k1 - 1:m]),
-                                   acc[k0 - w - 1:k1 - w - 1:m])
+        i0 = max(1, d - m)
+        c = min(n, d - 1) - i0 + 1
+        k, u, g = off[d] + i0, off[d - 1] + i0 - 1, off[d - 2] + i0 - 1
+        steps.append((slice(k, k + c), slice(u, u + c), slice(u + 1, u + 1 + c), slice(g, g + c), slice(c)))
+    return off, gather, tuple(steps)
+
+
+def _fill(acc: np.ndarray, n: int, m: int) -> None:
+    """Fill in place the DTW tables acc, ((n+1)(m+1), T): T tables in the
+    diagonal-major layout of _layout, interleaved innermost.  It goes one
+    anti-diagonal at a time (Sakoe & Chiba, 1978).  acc holds 0 at (0, 0),
+    inf on the rest of row and column 0, and D elsewhere; each cell becomes
+    D[i-1, j-1] + min(up, left, diagonal) with one addition, as in row order,
+    so every table is bit-identical to it.  A diagonal's cells and each of
+    their three neighbour sets are one contiguous block, so a diagonal costs
+    three ufunc calls into one scratch buffer."""
+    scratch = np.empty((min(n, m),) + acc.shape[1:])
+    for cells, up, left, diag, part in _layout(n, m)[2]:
+        low = scratch[part]
+        np.minimum(acc[up], acc[left], out=low)
+        np.minimum(low, acc[diag], out=low)
+        target = acc[cells]
+        np.add(target, low, out=target)
+
+
+def _sweep(stage: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The T DTW tables whose distance matrices are the rows of stage, filled
+    in one sweep.  stage is (T, (n+1)(m+1)); row t holds table t's (n, m)
+    distance matrix, row-major, in its first n*m cells, and the sweep writes
+    the next two.  One gather lays the rows out as _fill takes them, and the
+    filled tables are returned in that layout."""
+    if not np.all(np.isfinite(stage[:, :n * m])):
+        raise ValueError("non-finite distance")
+    stage[:, n * m:n * m + 2] = np.inf, 0.0   # the border and the corner (0, 0) gather these
+    acc = stage.T[_layout(n, m)[1]]
+    _fill(acc, n, m)
+    return acc
 
 
 def dtw(a, b, dist: str = "euclidean", normalized: bool = False):
     """Dynamic time warping with step set {(1,0),(0,1),(1,1)}, anchored at
-    both ends, its table filled one anti-diagonal at a time (Sakoe & Chiba,
-    1978).  Returns (cost, path); cost is divided by the warping-path length
-    when normalized is requested."""
+    both ends: one table through the sweep that trajectory_dtw_many runs,
+    filled one anti-diagonal at a time (Sakoe & Chiba, 1978).  Returns (cost,
+    path); cost is divided by the warping-path length when normalized is
+    requested."""
     if callable(dist):
         b = list(b)
         D = np.array([[dist(x, y) for y in b] for x in a], dtype=float)
@@ -71,40 +123,41 @@ def dtw(a, b, dist: str = "euclidean", normalized: bool = False):
     n, m = D.shape
     if n == 0 or m == 0:
         raise ValueError("sequences must be non-empty")
-    if not np.all(np.isfinite(D)):
-        raise ValueError("non-finite distance")
-    acc = np.full((n + 1, m + 1), np.inf)
-    acc[0, 0] = 0.0
-    acc[1:, 1:] = D
-    _fill(acc.ravel(), n, m)   # ravel of the fresh table is a view: the fill writes into acc
-    path = _warping_path(acc.ravel(), n, m)
-    cost = float(acc[n, m])
+    stage = np.empty((1, (n + 1) * (m + 1)))
+    stage[0, :n * m] = D.ravel()
+    acc = _sweep(stage, n, m)[:, 0]
+    path = _warping_path(acc, n, m)
+    cost = float(acc[-1])
     if normalized:
         cost /= len(path)
     return cost, path
 
 
 def _warping_path(acc: np.ndarray, n: int, m: int) -> list:
-    """The optimal warping path through the filled flat DTW table acc
-    ((n+1)(m+1) cells, a 1-D array), as 0-based (i, j) index pairs in order.
-    It is walked back from (n, m): each step moves to the least of the
-    diagonal, up and left neighbours, a tie going to the diagonal, then up,
-    then left; on row or column 0 only the move along it remains."""
+    """The optimal warping path through one filled DTW table acc (a 1-D array
+    of (n+1)(m+1) cells in the diagonal-major layout of _layout), as 0-based
+    (i, j) index pairs in order.  It is walked back from (n, m): each step
+    moves to the least of the diagonal, up and left neighbours, a tie going
+    to the diagonal, then up, then left; on row or column 0 only the move
+    along it remains."""
     cells = memoryview(acc)   # reads each cell as a Python float, without numpy's per-item cost
-    w = m + 1
-    i, j = n, m
+    off = _layout(n, m)[0]
+    i, d = n, n + m
     path = []
-    while i > 0 or j > 0:
+    while d:
+        j = d - i
         path.append((i - 1, j - 1))
-        k = i * w + j
-        # off the table (i or j is 0) an index wraps around; the tests on i and j skip it
-        diag, up, left = cells[k - w - 1], cells[k - w], cells[k - 1]
+        # left (i, j-1) sits at k and up (i-1, j) just before it; off the table
+        # (i or j is 0) an index lands elsewhere or wraps around, and the tests
+        # on i and j skip it
+        k = off[d - 1] + i
+        diag, up, left = cells[off[d - 2] + i - 1], cells[k - 1], cells[k]
         if i and j and diag <= up and diag <= left:
-            i, j = i - 1, j - 1
+            i, d = i - 1, d - 2
         elif i and (not j or up <= left):
-            i -= 1
+            i, d = i - 1, d - 1
         else:
-            j -= 1
+            d -= 1
     path.reverse()
     return path
 
@@ -128,44 +181,44 @@ def dtw_bruteforce(a, b, dist: str = "euclidean") -> float:
 
 
 def trajectory_dtw(a: Trajectory, b: Trajectory):
-    """(normalized position DTW in meters, normalized orientation DTW in rad)."""
-    pos, _ = dtw(a.positions, b.positions, "euclidean", normalized=True)
-    rot, _ = dtw(a.quaternions, b.quaternions, "quaternion", normalized=True)
-    return pos, rot
+    """(normalized position DTW in meters, normalized orientation DTW in rad):
+    a one-row call of trajectory_dtw_many."""
+    return trajectory_dtw_many([a], b)[0]
 
 
-# float cells of one batch table; trajectory_dtw_many fills its rollouts in
-# chunks of this size, so its memory stays bounded whatever the batch
-_CHUNK_CELLS = 1 << 20
+# float cells (4 MB) that one chunk of trajectory_dtw_many may hold; it scores
+# its rollouts in chunks of this size, so its memory stays bounded whatever the batch
+_CHUNK_CELLS = 1 << 19
 
 
 def trajectory_dtw_many(rollouts: list, expert: Trajectory) -> list:
     """trajectory_dtw(r, expert) for each rollout r, all of one length.  The
-    position and orientation tables of a chunk of rollouts are the columns
-    of one table, filled by one sweep; the results are bit-identical."""
+    position and orientation tables of a chunk of rollouts are filled by one
+    sweep, interleaved innermost, and walked back for the path lengths; the
+    results are bit-identical to dtw(..., normalized=True).  A table costs
+    its staging row, its column of the sweep and its column of the fill's
+    scratch buffer, and a chunk holds at most _CHUNK_CELLS of those cells."""
     if not rollouts:
         return []
     n, m = len(rollouts[0]), len(expert)
     if any(len(r) != n for r in rollouts):
         raise ValueError("rollouts must all have the same length")
-    chunk = max(1, _CHUNK_CELLS // (2 * (n + 1) * (m + 1)))
+    cells = (n + 1) * (m + 1)
+    chunk = max(1, _CHUNK_CELLS // (2 * (2 * cells + min(n, m))))
     scores = []
     for start in range(0, len(rollouts), chunk):
         part = rollouts[start:start + chunk]
         b = len(part)
-        acc = np.empty(((n + 1) * (m + 1), 2 * b))
-        table = acc.reshape(n + 1, m + 1, 2 * b)
-        table[0] = table[:, 0] = np.inf
-        table[0, 0] = 0.0
+        stage = np.empty((2 * b, cells))
         for c, r in enumerate(part):
-            table[1:, 1:, c] = _distance_matrix(r.positions, expert.positions, "euclidean")
-            table[1:, 1:, b + c] = _distance_matrix(r.quaternions, expert.quaternions, "quaternion")
-        if not np.all(np.isfinite(table[1:, 1:])):
-            raise ValueError("non-finite distance")
-        _fill(acc, n, m)
+            _distance_matrix(r.positions, expert.positions, "euclidean", out=stage[c, :n * m].reshape(n, m))
+            _distance_matrix(r.quaternions, expert.quaternions, "quaternion",
+                             out=stage[b + c, :n * m].reshape(n, m))
+        acc = _sweep(stage, n, m)
         lengths = [len(_warping_path(acc[:, c], n, m)) for c in range(2 * b)]
         normalized = (acc[-1] / lengths).tolist()
         scores.extend(zip(normalized[:b], normalized[b:]))
+        del stage, acc   # the next chunk's buffers must not meet these
     return scores
 
 
@@ -206,18 +259,23 @@ class RasterSpec:
             raise ValueError(f"plane_normal must have a finite non-zero length, got {self.plane_normal!r}")
 
 
-def _plane_basis(normal: np.ndarray):
+@functools.lru_cache(maxsize=16)
+def _plane_basis(normal: tuple):
+    """Read-only orthonormal in-plane axes (u, w) of the plane with the given
+    normal, a tuple of floats: every file of an eval shares one plane."""
+    normal = np.asarray(normal)
     n = normal / np.linalg.norm(normal)
     e = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     u = e - np.dot(e, n) * n
     u /= np.linalg.norm(u)
     w = np.cross(n, u)
+    u.flags.writeable = w.flags.writeable = False
     return u, w
 
 
 def project_to_plane(positions: np.ndarray, spec: RasterSpec) -> np.ndarray:
     p0 = np.asarray(spec.plane_point, dtype=float)
-    u, w = _plane_basis(np.asarray(spec.plane_normal, dtype=float))
+    u, w = _plane_basis(tuple(map(float, spec.plane_normal)))
     d = np.asarray(positions, dtype=float) - p0
     return np.stack([d @ u, d @ w], axis=1)
 

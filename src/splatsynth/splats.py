@@ -156,6 +156,8 @@ def density_many(scene: GaussianScene, xs) -> np.ndarray:
     flat = xs.reshape(-1, 3)
     rho = np.zeros(len(flat))
     row, idx = _neighbors(scene, flat, 0.0)
+    if len(row) == 0:
+        return rho.reshape(xs.shape[:-1])
     d = flat[row] - scene.means[idx]
     m = np.einsum("ni,nij,nj->n", d, scene.inv_covariances[idx], d)
     terms = scene.opacities[idx] * np.exp(-0.5 * m)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from splatsynth.metrics import (
     RasterSpec,
     _distance_matrix,
     _fill,
+    _layout,
+    _plane_basis,
+    _sweep,
     _warping_path,
     collision_check,
     dtw,
@@ -244,22 +248,44 @@ def lattice_traj(rng, n):
 
 
 def filled_table(Ds):
-    """The flat DTW table of the (n, m) distance matrices Ds, one per column, filled."""
+    """The DTW tables of the (n, m) distance matrices Ds, one per column in the
+    diagonal-major layout, laid out cell by cell from the offsets and filled."""
     n, m = Ds[0].shape
+    off = _layout(n, m)[0]
     acc = np.full(((n + 1) * (m + 1), len(Ds)), np.inf)
     acc[0] = 0.0
-    for c, D in enumerate(Ds):
-        acc.reshape(n + 1, m + 1, -1)[1:, 1:, c] = D
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            acc[off[i + j] + i] = [D[i - 1, j - 1] for D in Ds]
     _fill(acc, n, m)
     return acc
 
 
+def row_major(column, n, m):
+    """One table of the diagonal-major layout as an (n+1, m+1) array."""
+    off = _layout(n, m)[0]
+    return np.array([[column[off[i + j] + i] for j in range(m + 1)] for i in range(n + 1)])
+
+
+def per_pair_oracle(r, expert):
+    """(position, orientation) of r against expert from two dtw(...,
+    normalized=True) calls, checked against the row-by-row oracle."""
+    scores = []
+    for a, b, dist in ((r.positions, expert.positions, "euclidean"),
+                       (r.quaternions, expert.quaternions, "quaternion")):
+        _, _, cost, path = dtw_rowwise(a, b, dist)
+        score = dtw(a, b, dist, normalized=True)[0]
+        assert score == cost / len(path)
+        scores.append(score)
+    return tuple(scores)
+
+
 class TestTrajectoryDtwMany:
-    """The batch form against the per-pair trajectory_dtw, exactly."""
+    """The batch form against per-pair dtw() and the row-by-row oracle, exactly."""
 
     @staticmethod
     def assert_matches_per_pair(rollouts, expert):
-        assert trajectory_dtw_many(rollouts, expert) == [trajectory_dtw(r, expert) for r in rollouts]
+        assert trajectory_dtw_many(rollouts, expert) == [per_pair_oracle(r, expert) for r in rollouts]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_rollouts(self, seed):
@@ -288,28 +314,63 @@ class TestTrajectoryDtwMany:
     def test_empty_batch(self):
         assert trajectory_dtw_many([], line_demo([0, 0, 0], [1, 0, 0])) == []
 
+    @staticmethod
+    def spy_sweeps(monkeypatch):
+        """The width (table count) of every sweep from here on."""
+        widths = []
+        real = metrics._sweep
+
+        def spy(stage, n, m):
+            widths.append(stage.shape[0])
+            return real(stage, n, m)
+
+        monkeypatch.setattr(metrics, "_sweep", spy)
+        return widths
+
     @pytest.mark.parametrize("b,chunk", [(6, 2), (6, 3), (6, 6), (7, 2), (7, 3), (5, 1), (2, 5)])
     def test_chunk_edges(self, monkeypatch, b, chunk):
-        # the cell budget of exactly chunk rollouts (two columns each)
+        # the cell budget of exactly chunk rollouts: two tables each, a table
+        # holding its staging row, its column of the sweep and of the scratch
         n, m = 8, 11
-        monkeypatch.setattr(metrics, "_CHUNK_CELLS", 2 * chunk * (n + 1) * (m + 1))
-        widths = []
-        real = metrics._fill
-
-        def spy(acc, n, m):
-            if acc.ndim == 2:   # a batch table; the per-pair oracle fills 1-D ones
-                widths.append(acc.shape[1])
-            real(acc, n, m)
-
-        monkeypatch.setattr(metrics, "_fill", spy)
+        monkeypatch.setattr(metrics, "_CHUNK_CELLS", 2 * chunk * (2 * (n + 1) * (m + 1) + min(n, m)))
         rng = np.random.default_rng(b * 10 + chunk)
-        self.assert_matches_per_pair([lattice_traj(rng, n) for _ in range(b)], lattice_traj(rng, m))
+        rollouts, expert = [lattice_traj(rng, n) for _ in range(b)], lattice_traj(rng, m)
+        expected = [per_pair_oracle(r, expert) for r in rollouts]   # before the spy: dtw() sweeps too
+        widths = self.spy_sweeps(monkeypatch)
+        assert trajectory_dtw_many(rollouts, expert) == expected
         assert widths == [2 * min(chunk, b - start) for start in range(0, b, chunk)]
+
+    def test_trajectory_dtw_is_one_sweep_of_two_tables(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        a, b = random_traj(rng, 14), random_traj(rng, 19)
+        expected = per_pair_oracle(a, b)
+        widths = self.spy_sweeps(monkeypatch)
+        assert trajectory_dtw(a, b) == expected
+        assert widths == [2]
 
     def test_budget_smaller_than_one_rollout(self, monkeypatch):
         monkeypatch.setattr(metrics, "_CHUNK_CELLS", 1)
         rng = np.random.default_rng(8)
         self.assert_matches_per_pair([random_traj(rng, 9) for _ in range(3)], random_traj(rng, 7))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 10])
+    def test_peak_memory_within_budget(self, monkeypatch, chunk):
+        # every buffer a chunk holds (staging, the sweep's tables, the fill's
+        # scratch) counts against the budget, and no chunk's buffers outlive it
+        n, m = 60, 70
+        rng = np.random.default_rng(12)
+        rollouts, expert = [random_traj(rng, n) for _ in range(10)], random_traj(rng, m)
+        trajectory_dtw_many(rollouts[:1], expert)   # the layout is cached, not a chunk's
+        budget = 2 * chunk * (2 * (n + 1) * (m + 1) + min(n, m))
+        monkeypatch.setattr(metrics, "_CHUNK_CELLS", budget)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            trajectory_dtw_many(rollouts, expert)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert budget * 8 <= peak <= budget * 8 + (64 << 10)
 
     def test_unequal_lengths_rejected(self):
         rng = np.random.default_rng(9)
@@ -324,6 +385,53 @@ class TestTrajectoryDtwMany:
         rollouts[1].positions[4, 2] = bad
         with pytest.raises(ValueError, match="non-finite distance"):
             trajectory_dtw_many(rollouts, random_traj(rng, 7))
+
+
+DEGENERATE_SHAPES = [(1, 1), (1, 9), (9, 1), (2, 9), (9, 2)]
+
+
+class TestDiagonalLayout:
+    """The diagonal-major layout on degenerate shapes, against the exhaustive
+    and the row-by-row oracles."""
+
+    @pytest.mark.parametrize("n,m", DEGENERATE_SHAPES + [(1, 2), (2, 1), (3, 3), (8, 11)])
+    def test_cells_are_diagonal_major(self, n, m):
+        # listed by diagonal, then by row, the cells take the places 0, 1, 2, ...;
+        # each gathers its distance from the staging row, the border inf, (0, 0) zero
+        off, gather, steps = _layout(n, m)
+        cells = sorted(((i, j) for i in range(n + 1) for j in range(m + 1)), key=lambda c: (c[0] + c[1], c[0]))
+        assert [off[i + j] + i for i, j in cells] == list(range(len(cells)))
+        staged = [(i - 1) * m + j - 1 if i and j else n * m + (i == j == 0) for i, j in cells]
+        assert gather.tolist() == staged and not gather.flags.writeable
+        assert len(steps) == n + m - 1
+
+    @pytest.mark.parametrize("n,m", DEGENERATE_SHAPES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lattice_tables(self, n, m, seed):
+        # four tables of lattice points in one sweep: each column is its
+        # row-by-row table, its walk is the oracle's path, and its cost the
+        # exhaustive one
+        rng = np.random.default_rng(seed)
+        b = rng.integers(0, 3, size=(m, 3)).astype(float)
+        seqs = [rng.integers(0, 3, size=(n, 3)).astype(float) for _ in range(4)]
+        stage = np.empty((len(seqs), (n + 1) * (m + 1)))
+        for c, a in enumerate(seqs):
+            stage[c, :n * m] = _distance_matrix(a, b, "euclidean").ravel()
+        acc = _sweep(stage, n, m)
+        for c, a in enumerate(seqs):
+            _, table, cost, path = dtw_rowwise(a, b)
+            assert np.array_equal(row_major(acc[:, c], n, m), table)
+            assert _warping_path(acc[:, c], n, m) == path
+            assert dtw(a, b) == (cost, path)
+            assert cost == pytest.approx(dtw_bruteforce(a, b), abs=1e-12)
+
+    @pytest.mark.parametrize("n,m", DEGENERATE_SHAPES)
+    def test_lattice_quaternions(self, n, m):
+        rng = np.random.default_rng(n * 10 + m)
+        qa, qb = LATTICE_QUATS[rng.integers(0, 4, size=n)], LATTICE_QUATS[rng.integers(0, 4, size=m)]
+        _, _, cost, path = dtw_rowwise(qa, qb, "quaternion")
+        assert dtw(qa, qb, "quaternion") == (cost, path)
+        assert cost == pytest.approx(dtw_bruteforce(qa, qb, "quaternion"), abs=1e-12)
 
 
 class TestPathLengths:
@@ -352,7 +460,7 @@ class TestPathLengths:
         pairs = [(rng.normal(size=(12, 3)), rng.normal(size=(15, 3))) for _ in range(3)]
         acc = filled_table([_distance_matrix(a, b, "euclidean") for a, b in pairs])
         for c, (a, b) in enumerate(pairs):
-            assert np.array_equal(acc[:, c], dtw_rowwise(a, b)[1].ravel())
+            assert np.array_equal(row_major(acc[:, c], 12, 15), dtw_rowwise(a, b)[1])
 
 
 class TestCollisionCheck:
@@ -403,6 +511,17 @@ class TestRaster:
         pts = np.array([[1.0, 2.0, 5.0], [1.0, 2.0, -3.0]])
         uv = project_to_plane(pts, spec)
         assert np.allclose(uv[0], uv[1])
+
+    @pytest.mark.parametrize("normal", [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.3, -0.2, 0.9), (0.0, 2.0, 0.0)])
+    def test_plane_basis_memoised_and_read_only(self, normal):
+        u, w = _plane_basis(normal)
+        assert _plane_basis(normal)[0] is u and _plane_basis(normal)[1] is w
+        assert not u.flags.writeable and not w.flags.writeable
+        n = np.asarray(normal) / np.linalg.norm(normal)
+        assert np.allclose([u @ u, w @ w, u @ w, u @ n, w @ n], [1.0, 1.0, 0.0, 0.0, 0.0])
+        spec = RasterSpec(plane_normal=normal)
+        pts = np.random.default_rng(13).normal(size=(5, 3))
+        assert np.array_equal(project_to_plane(pts, spec), np.stack([pts @ u, pts @ w], axis=1))
 
     def test_straight_line_raster(self):
         spec = RasterSpec(resolution=32, stroke_px=1)

@@ -380,6 +380,21 @@ class TestDensityManyMatchesPointwise:
         assert density_many(scene, np.empty((0, 3))).shape == (0,)
         assert density(scene, [0.0, 0.0, 0.0]) == density_pointwise(scene, [0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("shape", [(3,), (7, 3), (2, 5, 3)])
+    def test_no_neighbour_pair_skips_the_kernel(self, monkeypatch, shape):
+        # rows far from every blob, one of them non-finite, sum no terms: zeros
+        # of the rows' shape, without evaluating a kernel term
+        scene = cluttered_scene(50, seed=21)
+        xs = np.full(shape, 50.0)
+        xs.reshape(-1, 3)[0, 1] = np.nan
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("a kernel term was evaluated")
+
+        monkeypatch.setattr(np, "einsum", no_kernel)
+        got = density_many(scene, xs)
+        assert got.shape == shape[:-1] and got.dtype == np.float64 and not got.any()
+
     def test_gradient_rows_match_central_differences(self):
         scene = cluttered_scene(200, seed=10)
         xs = np.random.default_rng(11).normal(0.0, 0.1, (50, 3))
