@@ -172,6 +172,11 @@ def _moved(scene, T, path: str):
 # ---- commands ---------------------------------------------------------------
 
 def cmd_align(args) -> int:
+    try:
+        params = alignment.IcpParams(max_iters=args.max_iters, tol=args.tol,
+                                     max_corr_dist=args.max_corr_dist)
+    except ValueError as exc:   # "<field> must be ...": name the flag
+        raise UsageError(f"--{str(exc).split()[0].replace('_', '-')}: {exc}") from exc
     scene = None
     if args.aligned_scene:
         if not args.scene.endswith((".json", ".ply")):
@@ -180,8 +185,6 @@ def cmd_align(args) -> int:
     source = _load_points(args.scene) if scene is None else scene.means
     target = _load_points(args.proxy)
     init = alignment.RigidTransform.load_json(_require_file(args.init)) if args.init else None
-    params = alignment.IcpParams(max_iters=args.max_iters, tol=args.tol,
-                                 max_corr_dist=args.max_corr_dist)
     result = alignment.icp_align(source, target, params, init=init)
     result.transform.save_json(args.out)
     if scene is not None:

@@ -3,7 +3,9 @@
 import threading
 
 import numpy as np
+from scipy.spatial import cKDTree
 
+from splatsynth.alignment import AlignmentError, IcpParams, IcpResult, RigidTransform, _procrustes
 from splatsynth.geometry import Trajectory, quat_from_axis_angle
 from splatsynth.splats import GaussianBlob, GaussianScene
 
@@ -41,6 +43,38 @@ def relative_gap(got, ref) -> float:
     axes = tuple(range(1, ref.ndim))
     gap = np.sqrt(np.sum((got - ref) ** 2, axis=axes)) / np.sqrt(np.sum(ref ** 2, axis=axes))
     return float(np.max(gap, initial=0.0))
+
+
+def icp_reference(source, target, params=None, init=None):
+    """Test oracle for alignment.icp_align: point-to-point ICP with one plain,
+    unbounded nearest-neighbour query of every source row per iteration, in
+    the caller's order."""
+    params = params or IcpParams()
+    source = np.asarray(source, dtype=float)
+    target = np.asarray(target, dtype=float)
+    if len(source) < 3 or len(target) < 3:
+        raise AlignmentError("need at least 3 points in source and target")
+    tree = cKDTree(target)
+    T = init or RigidTransform.identity()
+    residuals = []
+    prev_rms = None
+    n_inliers = 0
+    for _ in range(params.max_iters):
+        moved = T.apply(source)
+        dist, nn = tree.query(moved)
+        mask = dist <= params.max_corr_dist
+        if np.count_nonzero(mask) < 3:
+            raise AlignmentError("no usable correspondences within max_corr_dist")
+        n_inliers = int(np.count_nonzero(mask))
+        T = _procrustes(source[mask], target[nn[mask]])
+        moved = T.apply(source[mask])
+        rms = float(np.sqrt(np.mean(np.sum((moved - target[nn[mask]]) ** 2, axis=1))))
+        residuals.append(rms)
+        if prev_rms is not None and abs(prev_rms - rms) < params.tol:
+            break
+        prev_rms = rms
+    return IcpResult(transform=T, rms=residuals[-1], residuals=residuals,
+                     n_inliers=n_inliers)
 
 
 def near_blob_queries(scene, n, seed, offset_sigmas=2.0):

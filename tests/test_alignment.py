@@ -1,9 +1,14 @@
+import dataclasses
 import json
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from splatsynth import alignment
 from splatsynth.alignment import (
     AlignmentError,
     IcpParams,
@@ -13,7 +18,7 @@ from splatsynth.alignment import (
 )
 from splatsynth.splats import CUTOFF_SIGMA, GaussianBlob, GaussianScene, SceneFormatError, density
 
-from helpers import relative_gap, separated_scene
+from helpers import icp_reference, relative_gap, separated_scene
 
 
 def random_cloud(n, seed, scale=0.3):
@@ -157,6 +162,155 @@ class TestIcp:
             icp_align(np.zeros((2, 3)), np.zeros((5, 3)))
 
 
+def assert_icp_matches_reference(source, target, params=None, init=None):
+    """icp_align returns the oracle's IcpResult bit for bit, or raises its
+    exception with its message."""
+    try:
+        ref = icp_reference(source, target, params, init)
+    except AlignmentError as exc:
+        with pytest.raises(AlignmentError, match=f"^{re.escape(str(exc))}$"):
+            icp_align(source, target, params, init)
+        return None
+    got = icp_align(source, target, params, init)
+    assert got.transform.rotation.tobytes() == ref.transform.rotation.tobytes()
+    assert got.transform.translation.tobytes() == ref.transform.translation.tobytes()
+    assert np.array(got.residuals).tobytes() == np.array(ref.residuals).tobytes()
+    assert (got.rms, got.n_inliers) == (ref.rms, ref.n_inliers)
+    return got
+
+
+class TestIcpMatchesReference:
+    """Leaf-ordered queries with a bounded reach give the result of plain
+    unbounded queries in the caller's order, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_seeded_trials(self, seed):
+        rng = np.random.default_rng(seed + 1000)
+        src = random_cloud(400, seed + 500)
+        dst = random_rigid(seed + 600).apply(src)
+        far = rng.uniform(5.0, 6.0, size=(100, 3))
+        cases = {
+            "clean": (src, dst),
+            "outliers": (np.vstack([src, far])[rng.permutation(500)], dst),
+            "partial": (src[src[:, 0] < 0.1], dst[src[:, 0] > -0.1]),
+            "noise": (src, dst + rng.normal(scale=0.01, size=dst.shape)),
+        }
+        for source, target in cases.values():
+            assert_icp_matches_reference(source, target)
+
+    @pytest.mark.parametrize("max_corr_dist", [0.1, 0.2])
+    def test_lattice_midpoint_ties(self, max_corr_dist):
+        # spacing and offsets are powers of two, so a midpoint lies exactly as
+        # far from each of its 2 (edge) or 8 (cell) lattice neighbours
+        axis = np.arange(6) * 0.125
+        lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        inner = lattice[np.all(lattice < axis[-1], axis=1)]
+        src = np.vstack([inner + [0.0625, 0.0, 0.0], inner + [0.0, 0.0625, 0.0], inner + 0.0625])
+        assert assert_icp_matches_reference(src, lattice, IcpParams(max_corr_dist=max_corr_dist)) is not None
+
+    def test_exact_fit(self):
+        # power-of-two lattice: the fit is exact, so every residual is 0
+        axis = np.arange(4.0) * 0.03125
+        grid = np.stack(np.meshgrid(axis, 2 * axis, 3 * axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        got = assert_icp_matches_reference(grid, grid, IcpParams(max_corr_dist=0.01))
+        assert got.residuals == [0.0, 0.0]
+
+    def test_init(self):
+        src = random_cloud(400, 70)
+        dst = random_rigid(71, max_angle_deg=30, max_trans=0.2).apply(src)
+        init = random_rigid(72, max_angle_deg=25, max_trans=0.15)
+        assert_icp_matches_reference(src, dst, IcpParams(max_corr_dist=0.2), init)
+
+    def test_unbounded_max_corr_dist(self):
+        src = random_cloud(400, 73)
+        dst = random_rigid(74).apply(src) + np.random.default_rng(75).normal(scale=0.005, size=(400, 3))
+        got = assert_icp_matches_reference(src, dst, IcpParams(max_corr_dist=math.inf))
+        assert got.n_inliers == len(src)
+
+    def test_all_outliers(self):
+        src = random_cloud(50, 76)
+        assert assert_icp_matches_reference(src, src + 10.0) is None
+
+
+class TestIcpQueries:
+    @pytest.fixture
+    def queries(self, monkeypatch):
+        """(size of the queried tree, the query's reach) of each tree query."""
+        seen = []
+
+        class Tree(cKDTree):
+            def query(self, x, *args, **kwargs):
+                seen.append((self.n, kwargs.get("distance_upper_bound", math.inf)))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(alignment, "cKDTree", Tree)
+        return seen
+
+    def test_reach_shrinks_once_every_row_matches(self, queries):
+        cloud = random_cloud(600, 80)
+        src, dst = cloud[:500], random_rigid(81, max_angle_deg=2.0, max_trans=0.01).apply(cloud)
+        res = icp_align(src, dst, IcpParams(max_corr_dist=0.1))
+        assert res.n_inliers == len(src)
+        assert [n for n, _ in queries] == [len(dst)] * len(res.residuals)
+        reach = [r for _, r in queries]
+        assert len(reach) >= 3 and reach[0] >= 0.1
+        assert all(r < 0.1 for r in reach[1:]), reach
+
+    def test_reach_stays_at_max_corr_dist_while_a_row_is_unmatched(self, queries):
+        src = random_cloud(500, 82)
+        dst = random_rigid(83, max_angle_deg=2.0, max_trans=0.01).apply(src)
+        res = icp_align(np.vstack([src, [[5.0, 5.0, 5.0]]]), dst, IcpParams(max_corr_dist=0.1))
+        assert res.n_inliers == len(src)
+        assert len(queries) == len(res.residuals) >= 3
+        assert all(r >= 0.1 for _, r in queries)
+
+
+class TestIcpLogging:
+    def test_one_debug_line_per_iteration(self, caplog):
+        src = random_cloud(300, 84)
+        dst = random_rigid(85).apply(src)
+        with caplog.at_level(logging.DEBUG, logger="splatsynth"):
+            res = icp_align(src, dst, IcpParams(max_corr_dist=0.5))
+        lines = [r.getMessage() for r in caplog.records if r.name == "splatsynth.alignment"]
+        assert len(lines) == len(res.residuals) >= 3
+        assert lines[0] == (f"icp iteration 1/100: 300 of 300 inliers, rms {res.residuals[0]:.9g} m, "
+                            "rms change inf (tol 1e-08), reach 0.5 m")
+        for k, (line, rms) in enumerate(zip(lines, res.residuals), start=1):
+            assert line.startswith(f"icp iteration {k}/100: 300 of 300 inliers, rms {rms:.9g} m, rms change ")
+        change = float(re.search(r"rms change (\S+) ", lines[-1]).group(1))
+        assert change < 1e-8
+
+    def test_silent_above_debug(self, caplog):
+        with caplog.at_level(logging.INFO, logger="splatsynth"):
+            icp_align(random_cloud(100, 86), random_cloud(100, 86))
+        assert not caplog.records
+
+
+class TestIcpParams:
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_iters", 0, "max_iters must be at least 1, got 0"),
+        ("max_iters", -3, "max_iters must be at least 1, got -3"),
+        ("tol", -1e-9, "tol must be at least 0, got -1e-09"),
+        ("tol", math.nan, "tol must be at least 0, got nan"),
+        ("max_corr_dist", 0.0, "max_corr_dist must be positive, got 0.0"),
+        ("max_corr_dist", -1.0, "max_corr_dist must be positive, got -1.0"),
+        ("max_corr_dist", math.nan, "max_corr_dist must be positive, got nan"),
+    ])
+    def test_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            IcpParams(**{field: value})
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            IcpParams().max_iters = 0
+
+    def test_limits_accepted(self):
+        params = IcpParams(max_iters=1, tol=math.inf, max_corr_dist=math.inf)
+        src = random_cloud(100, 87)
+        assert len(icp_align(src, src + 0.01, params).residuals) == 1
+        assert len(icp_align(src, src + 0.01, IcpParams(tol=0.0, max_iters=7)).residuals) <= 7
+
+
 class TestApplyTransform:
     def test_identity_unchanged(self):
         scene = separated_scene(20, seed=10)
@@ -190,6 +344,25 @@ class TestApplyTransform:
         assert relative_gap(out.inv_covariances, np.linalg.inv(out.covariances)) <= 1e-12
         assert relative_gap(out.radii, CUTOFF_SIGMA * np.sqrt(np.linalg.eigvalsh(out.covariances)[:, -1])) <= 1e-12
         assert np.array_equal(out.radii, scene.radii)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 1001, 50_000])
+    def test_rotation_matches_per_matrix_product(self, n):
+        # splat scales log-uniform over 1e-8..1e2 m, built from their factors
+        # as a PLY scene is
+        rng = np.random.default_rng(n)
+        q, _ = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+        s = 10.0 ** rng.uniform(-8, 2, size=(n, 3))
+        covs = (q * s[:, None, :] ** 2) @ q.transpose(0, 2, 1)
+        inv_covs = (q / s[:, None, :] ** 2) @ q.transpose(0, 2, 1)
+        scene = GaussianScene._from_factors(rng.uniform(-1, 1, size=(n, 3)), covs, inv_covs,
+                                            CUTOFF_SIGMA * s.max(axis=1, initial=0.0),
+                                            rng.uniform(0.1, 1.0, n), 0.0, 0, "splat")
+        for seed in range(3):
+            T = random_rigid(n + seed, max_angle_deg=180, max_trans=1.0)
+            R = T.rotation
+            out = apply_transform(scene, T)
+            assert out.covariances.tobytes() == (R @ covs @ R.T).tobytes()
+            assert out.inv_covariances.tobytes() == (R @ inv_covs @ R.T).tobytes()
 
     def test_moving_past_the_reach_is_refused(self):
         scene = separated_scene(5, seed=13)

@@ -1,6 +1,10 @@
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import splatsynth
 from splatsynth.alignment import RigidTransform
 from splatsynth.cli import UsageError, _config_keys, _job_from_config, _load_points, main
 from splatsynth.geometry import Trajectory
@@ -385,6 +390,44 @@ class TestAlign:
         else:
             assert code == 1
             one_error_line(capsys, f"{src}: line {line}: expected 3 finite numbers x,y,z, got {row!r}")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-iters", "0", "max_iters must be at least 1, got 0"),
+        ("--max-iters", "-3", "max_iters must be at least 1, got -3"),
+        ("--tol", "nan", "tol must be at least 0, got nan"),
+        ("--tol", "-1", "tol must be at least 0, got -1.0"),
+        ("--max-corr-dist", "nan", "max_corr_dist must be positive, got nan"),
+        ("--max-corr-dist", "-1", "max_corr_dist must be positive, got -1.0"),
+        ("--max-corr-dist", "0", "max_corr_dist must be positive, got 0.0"),
+    ])
+    def test_bad_icp_flag_is_a_usage_error(self, tmp_path, capsys, flag, value, message):
+        pts = tmp_path / "pts.csv"
+        np.savetxt(pts, np.random.default_rng(0).uniform(size=(20, 3)), delimiter=",")
+        out = tmp_path / "T.json"
+        assert main(["align", str(pts), str(pts), flag, value, "--out", str(out)]) == 2
+        one_error_line(capsys, f"{flag}: {message}")
+        assert not out.exists()
+
+    def test_debug_log_shows_each_iteration(self, tmp_path):
+        """SPLATSYNTH_LOG=DEBUG adds one stderr line per ICP iteration; stdout
+        keeps its one summary line."""
+        pts = np.random.default_rng(1).uniform(-0.3, 0.3, size=(200, 3))
+        src, dst = tmp_path / "src.csv", tmp_path / "dst.csv"
+        np.savetxt(src, pts, delimiter=",")
+        np.savetxt(dst, pts + [0.02, -0.01, 0.03], delimiter=",")
+        env = dict(os.environ, SPLATSYNTH_LOG="DEBUG",
+                   PYTHONPATH=str(Path(splatsynth.__file__).resolve().parent.parent))
+        run = subprocess.run([sys.executable, "-m", "splatsynth.cli", "align", str(src), str(dst),
+                              "--out", str(tmp_path / "T.json"), "--max-corr-dist", "0.5"],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        summary = run.stdout.splitlines()
+        assert len(summary) == 1 and re.fullmatch(r"rms=\S+ inliers=200 iters=(\d+)", summary[0])
+        iters = int(summary[0].rsplit("=", 1)[1])
+        lines = [line for line in run.stderr.splitlines() if "icp iteration" in line]
+        assert [line.split("icp iteration ")[1].split(":")[0] for line in lines] == \
+            [f"{k}/100" for k in range(1, iters + 1)]
+        assert "200 of 200 inliers" in lines[-1] and "(tol 1e-08)" in lines[-1]
 
     def test_points_csv_header_only_on_line_1(self, tmp_path, capsys):
         src = tmp_path / "src.csv"
