@@ -14,12 +14,6 @@ from .splats import GaussianScene
 
 log = logging.getLogger(__name__)
 
-# scipy's query keeps a neighbour only strictly inside distance_upper_bound,
-# so a reach is padded by a relative _REACH_PAD, and floored at _REACH_FLOOR
-# (whose square does not underflow) so that an exact fit still matches.
-_REACH_PAD = 1e-9
-_REACH_FLOOR = 1e-12
-
 
 class AlignmentError(RuntimeError):
     """Raised on degenerate geometry or an empty correspondence set."""
@@ -88,7 +82,7 @@ class RigidTransform:
         return T
 
 
-@dataclass(frozen=True)
+@dataclass
 class IcpParams:
     max_iters: int = 100
     tol: float = 1e-8
@@ -131,12 +125,11 @@ def icp_align(source, target, params: IcpParams | None = None,
     closed-form SVD update, until RMS change < tol or max_iters.
 
     The moved source rows query the target tree in the leaf order of a k-d
-    tree of their own, so that consecutive queries walk the same branches,
-    and each query reaches only as far as it must: max_corr_dist, or, once
-    every row has a match, the farthest any moved row lies from its last
-    match (its nearest target is no farther).  Distances and matches are
-    scattered back to the caller's order, so the result is bit for bit that
-    of plain unbounded queries.  Each iteration logs one DEBUG line."""
+    tree of their own, so that consecutive queries walk the same branches.
+    Each row's query is unbounded and independent of the others, and the
+    distances and matches are scattered back to the caller's order, so the
+    result is bit for bit that of querying in the caller's order.  Each
+    iteration logs one DEBUG line."""
     params = params or IcpParams()
     source = np.asarray(source, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -149,14 +142,9 @@ def icp_align(source, target, params: IcpParams | None = None,
     residuals = []
     prev_rms = None
     n_inliers = 0
-    matched = None   # every row's match, while the last iteration matched them all
     for it in range(1, params.max_iters + 1):
         moved = T.apply(source)
-        reach = params.max_corr_dist
-        if matched is not None:
-            reach = min(reach, math.sqrt(np.max(np.sum((moved - matched) ** 2, axis=1))))
-        reach = max(reach * (1.0 + _REACH_PAD), _REACH_FLOOR)
-        dist[order], nn[order] = tree.query(moved[order], distance_upper_bound=reach)
+        dist[order], nn[order] = tree.query(moved[order])
         mask = dist <= params.max_corr_dist
         n_inliers = int(np.count_nonzero(mask))
         if n_inliers < 3:
@@ -166,14 +154,11 @@ def icp_align(source, target, params: IcpParams | None = None,
         rms = float(np.sqrt(np.mean(np.sum((T.apply(src) - matched) ** 2, axis=1))))
         residuals.append(rms)
         change = math.inf if prev_rms is None else abs(prev_rms - rms)
-        log.debug("icp iteration %d/%d: %d of %d inliers, rms %.9g m, rms change %.3g (tol %.3g), "
-                  "reach %.6g m", it, params.max_iters, n_inliers, len(source), rms, change,
-                  params.tol, reach)
+        log.debug("icp iteration %d/%d: %d of %d inliers, rms %.9g m, rms change %.3g (tol %.3g)",
+                  it, params.max_iters, n_inliers, len(source), rms, change, params.tol)
         if change < params.tol:
             break
         prev_rms = rms
-        if n_inliers < len(source):
-            matched = None
     return IcpResult(transform=T, rms=residuals[-1], residuals=residuals,
                      n_inliers=n_inliers)
 

@@ -175,8 +175,8 @@ def cmd_align(args) -> int:
     try:
         params = alignment.IcpParams(max_iters=args.max_iters, tol=args.tol,
                                      max_corr_dist=args.max_corr_dist)
-    except ValueError as exc:   # "<field> must be ...": name the flag
-        raise UsageError(f"--{str(exc).split()[0].replace('_', '-')}: {exc}") from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     scene = None
     if args.aligned_scene:
         if not args.scene.endswith((".json", ".ply")):

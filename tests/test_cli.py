@@ -405,7 +405,7 @@ class TestAlign:
         np.savetxt(pts, np.random.default_rng(0).uniform(size=(20, 3)), delimiter=",")
         out = tmp_path / "T.json"
         assert main(["align", str(pts), str(pts), flag, value, "--out", str(out)]) == 2
-        one_error_line(capsys, f"{flag}: {message}")
+        one_error_line(capsys, message)
         assert not out.exists()
 
     def test_debug_log_shows_each_iteration(self, tmp_path):
