@@ -1,6 +1,7 @@
 """Expert-preserving demonstration synthesis with DMPs and splat density fields."""
 
 from .geometry import (
+    FieldError,
     Pose,
     Trajectory,
     TrajectoryError,

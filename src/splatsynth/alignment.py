@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .geometry import check_fields
 from .splats import GaussianScene
 
 log = logging.getLogger(__name__)
@@ -38,11 +39,6 @@ class RigidTransform:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self after other: (self o other)(x) = self(other(x))."""
-        return RigidTransform(self.rotation @ other.rotation,
-                              self.rotation @ other.translation + self.translation)
 
     def to_matrix(self) -> np.ndarray:
         m = np.eye(4)
@@ -84,17 +80,12 @@ class RigidTransform:
 
 @dataclass
 class IcpParams:
-    max_iters: int = 100
-    tol: float = 1e-8
-    max_corr_dist: float = 0.1
+    max_iters: int = field(default=100, metadata={"check": "at least 1"})
+    tol: float = field(default=1e-8, metadata={"check": "non-negative"})
+    max_corr_dist: float = field(default=0.1, metadata={"check": "positive"})
 
     def __post_init__(self):
-        if not self.max_iters >= 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if not self.tol >= 0:
-            raise ValueError(f"tol must be at least 0, got {self.tol}")
-        if not self.max_corr_dist > 0:
-            raise ValueError(f"max_corr_dist must be positive, got {self.max_corr_dist}")
+        check_fields(self)
 
 
 @dataclass
@@ -110,10 +101,9 @@ def _procrustes(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     cs = src.mean(axis=0)
     cd = dst.mean(axis=0)
     H = (src - cs).T @ (dst - cd)
-    s = np.linalg.svd(H, compute_uv=False)
+    U, s, Vt = np.linalg.svd(H)
     if s[2] < 1e-12 * max(s[0], 1e-300):
         raise AlignmentError("degenerate cross-covariance (rank < 3)")
-    U, _, Vt = np.linalg.svd(H)
     D = np.diag([1.0, 1.0, np.sign(np.linalg.det(Vt.T @ U.T))])
     R = Vt.T @ D @ U.T
     return RigidTransform(R, cd - R @ cs)

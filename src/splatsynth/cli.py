@@ -18,9 +18,7 @@ import typing
 import numpy as np
 
 from . import alignment, dmp, metrics, obstacles, splats, synthesis
-from .geometry import Trajectory
-
-log = logging.getLogger("splatsynth")
+from .geometry import FieldError, Trajectory, check_range
 
 
 class UsageError(Exception):
@@ -67,8 +65,8 @@ def _config_help() -> str:
 
 
 def _build(cls, values: dict, prefix: str = ""):
-    """cls from the {config key: JSON value} map.  __post_init__ range checks
-    name the field first ("dt must be positive"); the error names its key."""
+    """cls from the {config key: JSON value} map.  A FieldError from
+    __post_init__ names its field; the error names that field's key."""
     kwargs, keys = {}, {}
     for key, f, hint in _config_keys(cls, prefix, nested=False):
         keys[f.name] = key
@@ -88,9 +86,8 @@ def _build(cls, values: dict, prefix: str = ""):
             raise UsageError(f"missing config key: {key}")
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        name, _, rest = str(exc).partition(" ")
-        raise UsageError(f"{keys[name]}: {rest}" if name in keys else f"invalid config: {exc}") from exc
+    except FieldError as exc:
+        raise UsageError(f"{keys[exc.field]}: {exc.detail}") from exc
 
 
 def _job_from_config(cfg) -> synthesis.SynthesisJob:
@@ -231,9 +228,9 @@ def _raster_spec(args) -> metrics.RasterSpec:
     try:
         return metrics.RasterSpec(resolution=args.raster_resolution, stroke_px=args.stroke_px,
                                   plane_point=tuple(vals[:3]), plane_normal=tuple(vals[3:]))
-    except ValueError as exc:
+    except FieldError as exc:
         flag = {"resolution": "--raster-resolution", "stroke_px": "--stroke-px"}
-        raise UsageError(f"{flag.get(str(exc).split()[0], '--writing-plane')}: {exc}") from exc
+        raise UsageError(f"{flag.get(exc.field, '--writing-plane')}: {exc}") from exc
 
 
 def cmd_eval(args) -> int:
@@ -327,10 +324,17 @@ def cmd_density(args) -> int:
 
 # ---- parser -----------------------------------------------------------------
 
+def _rule(cls, name: str) -> str:
+    """The RANGES rule of the schema field cls.<name>, for a flag that sets the same parameter."""
+    return cls.__dataclass_fields__[name].metadata["check"]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="splatsynth",
         description="Expert-preserving demonstration synthesis in splat scenes.")
+    # per command, {flag or positional: its RANGES rule}, checked before the command runs
+    parser.set_defaults(ranges={})
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("align", help="ICP-align a splat scene to a robot proxy cloud")
@@ -354,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="RBFs per channel (default: %(default)s)")
     p.add_argument("--ridge-lambda", type=float, default=dmp.DEFAULT_RIDGE_LAMBDA,
                    help="ridge regularizer (default: %(default)s)")
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(func=cmd_fit, ranges={"--n-basis": _rule(synthesis.SynthesisJob, "n_basis"),
+                                         "--ridge-lambda": _rule(synthesis.SynthesisJob, "ridge_lambda")})
 
     p = sub.add_parser("synth", help="synthesize a demonstration dataset from a job config",
                        epilog=_config_help(),
@@ -377,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stroke-px", type=int, default=metrics.RasterSpec.stroke_px,
                    help="stroke width in pixels (default: %(default)s)")
     p.add_argument("--out", default="summary.csv", help="summary file name (default: summary.csv)")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, ranges={"--rho-th": _rule(obstacles.ObstacleParams, "rho_th")})
 
     p = sub.add_parser("calibrate-rho", help="histogram densities and suggest rho_th")
     p.add_argument("scene", help="splat scene PLY/JSON")
@@ -386,7 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe-seed", type=int, default=0, help="probe RNG seed (default: 0)")
     p.add_argument("--bins", type=int, default=20, help="histogram bins (default: 20)")
     p.add_argument("--floor", type=float, default=0.05, help="suggestion floor (default: 0.05)")
-    p.set_defaults(func=cmd_calibrate_rho)
+    p.set_defaults(func=cmd_calibrate_rho, ranges={"--n-probes": "non-negative", "--probe-seed": "non-negative",
+                                                   "--bins": "at least 1",
+                                                   "--floor": _rule(obstacles.ObstacleParams, "rho_th")})
 
     p = sub.add_parser("density", help="query rho and its gradient at one point")
     p.add_argument("scene", help="splat scene PLY/JSON")
@@ -395,16 +402,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("z", type=float)
     p.add_argument("--gradient-step", type=float, default=splats.DEFAULT_GRADIENT_STEP,
                    help="central-difference step (default: %(default)s)")
-    p.set_defaults(func=cmd_density)
+    p.set_defaults(func=cmd_density, ranges={"x": "finite", "y": "finite", "z": "finite",
+                                             "--gradient-step": _rule(obstacles.ObstacleParams, "gradient_step")})
 
     return parser
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("SPLATSYNTH_LOG", "WARNING"))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        level = (os.environ.get("SPLATSYNTH_LOG") or "WARNING").upper()
+        if not isinstance(logging.getLevelName(level), int):   # a known name maps to its number
+            raise UsageError(f"SPLATSYNTH_LOG: unknown level {level!r}, expected DEBUG, INFO, WARNING, "
+                             "ERROR or CRITICAL")
+        logging.basicConfig(level=level)
+        for flag, rule in args.ranges.items():
+            try:
+                check_range(flag, getattr(args, flag.lstrip("-").replace("-", "_")), rule)
+            except FieldError as exc:
+                raise UsageError(f"{flag}: {exc.detail}") from exc
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,13 +21,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import (
     Pose,
     Trajectory,
+    check_fields,
     quat_conj,
     quat_exp,
     quat_log,
@@ -55,12 +56,11 @@ class RolloutError(RuntimeError):
 
 @dataclass(frozen=True)
 class CanonicalSystem:
-    alpha_s: float = DEFAULT_ALPHA_S
-    tau: float = 1.0
+    alpha_s: float = field(default=DEFAULT_ALPHA_S, metadata={"check": "finite and positive"})
+    tau: float = field(default=1.0, metadata={"check": "finite and positive"})
 
     def __post_init__(self):
-        if self.alpha_s <= 0 or self.tau <= 0:
-            raise ValueError("alpha_s and tau must be positive")
+        check_fields(self)
 
 
 def canonical_phase(cs: CanonicalSystem, t: float) -> float:
@@ -186,6 +186,8 @@ def fit_dmp(segment: Trajectory, n_basis: int = DEFAULT_N_BASIS,
             alpha_z: float = DEFAULT_ALPHA_Z,
             alpha_s: float = DEFAULT_ALPHA_S) -> DmpModel:
     """Fit position and orientation DMPs to one demonstration segment."""
+    if not n_basis >= 2:
+        raise FitError(f"n_basis must be at least 2, got {n_basis}")
     if len(segment) < max(10, n_basis):
         raise FitError(f"segment too short: {len(segment)} samples, need {max(10, n_basis)}")
     beta_z = alpha_z / 4.0  # critical damping

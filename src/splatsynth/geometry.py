@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,6 +19,44 @@ SMALL_ANGLE = 1e-8
 
 class TrajectoryError(ValueError):
     """Raised when trajectory data violates its structural invariants."""
+
+
+class FieldError(ValueError):
+    """A field refused by __post_init__; str() is "<field> <detail>", dotted where nested (spec.perturbable)."""
+
+    def __init__(self, name: str, detail: str):
+        super().__init__(f"{name} {detail}")
+        self.field, self.detail = name, detail
+
+
+# the range rules a field's metadata "check" may name: each tests a value, or every element of an array
+RANGES = {
+    "positive": lambda v: v > 0,
+    "non-negative": lambda v: v >= 0,
+    "at least 1": lambda v: v >= 1,
+    "at least 2": lambda v: v >= 2,
+    "finite": lambda v: abs(v) < math.inf,
+    "finite and positive": lambda v: (v > 0) & (v < math.inf),
+    "finite and non-negative": lambda v: (v >= 0) & (v < math.inf),
+}
+
+
+def check_range(name: str, value, rule: str) -> None:
+    """A FieldError naming name unless value keeps the RANGES rule; NaN keeps none."""
+    if not np.all(RANGES[rule](np.asarray(value))):
+        raise FieldError(name, f"must be {rule}, got {np.asarray(value).tolist()}")
+
+
+def check_fields(obj) -> None:
+    """check_range on each field of the dataclass obj whose metadata names a "check" rule."""
+    for f in fields(obj):
+        if f.metadata.get("check"):
+            check_range(f.name, getattr(obj, f.name), f.metadata["check"])
+
+
+def param(default, text: str, check: str | None = None, **metadata):
+    """A job-config field: its default, help line, RANGES rule and other metadata, such as its "key"."""
+    return field(default=default, metadata={"help": text, "check": check, **metadata})
 
 
 def rowdot(a, b) -> np.ndarray:

@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .geometry import Trajectory
+from .geometry import FieldError, Trajectory, check_fields
 # density stays bound here for bench/tracing.py, which wraps it where it is looked up
 from .splats import GaussianScene, density, density_many  # noqa: F401
 
@@ -239,24 +239,21 @@ def collision_check(traj: Trajectory, scene: GaussianScene, rho_th: float):
 
 @dataclass(frozen=True)
 class RasterSpec:
-    resolution: int = 128
-    stroke_px: int = 3
+    resolution: int = field(default=128, metadata={"check": "at least 1"})
+    stroke_px: int = field(default=3, metadata={"check": "at least 1"})
     plane_point: tuple = (0.0, 0.0, 0.0)
     plane_normal: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if self.resolution < 1:
-            raise ValueError(f"resolution must be at least 1, got {self.resolution}")
-        if self.stroke_px < 1:
-            raise ValueError(f"stroke_px must be at least 1, got {self.stroke_px}")
+        check_fields(self)
         for name in ("plane_point", "plane_normal"):
             v = np.asarray(getattr(self, name))
             if v.shape != (3,) or v.dtype.kind not in "iuf" or not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be 3 finite numbers, got {getattr(self, name)!r}")
+                raise FieldError(name, f"must be 3 finite numbers, got {getattr(self, name)!r}")
         with np.errstate(over="ignore"):  # a length that overflows is refused here, not warned about
             length = np.linalg.norm(self.plane_normal)
         if not 0.0 < length < math.inf:
-            raise ValueError(f"plane_normal must have a finite non-zero length, got {self.plane_normal!r}")
+            raise FieldError("plane_normal", f"must have a finite non-zero length, got {self.plane_normal!r}")
 
 
 @functools.lru_cache(maxsize=16)

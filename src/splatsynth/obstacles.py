@@ -11,11 +11,11 @@ rollout back toward the nominal phase-indexed trajectory once density drops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import rowdot
+from .geometry import check_fields, param, rowdot
 # density stays bound here for bench/tracing.py, which wraps it where it is looked up
 from .splats import DEFAULT_GRADIENT_STEP, GaussianScene, density, density_gradient, density_many  # noqa: F401
 
@@ -24,23 +24,17 @@ from .splats import DEFAULT_GRADIENT_STEP, GaussianScene, density, density_gradi
 class ObstacleParams:
     """The obstacle coupling's gains; each field is the job-config key obstacle.<name>."""
 
-    rho_th: float = field(default=0.1, metadata={"help": "density threshold"})
-    lambda_max: float = field(default=10.0, metadata={"help": "peak repulsion gain, m/s^2"})
-    gamma: float = field(default=1.0, metadata={"help": "tangential bias"})
-    epsilon: float = field(default=1e-8, metadata={"help": "normalizer guard"})
-    lookahead: float = field(default=0.02, metadata={"help": "probe distance floor, m"})
-    return_gain: float = field(default=0.0, metadata={"help": "return-to-reference stiffness"})
-    return_cap: float = field(default=5.0, metadata={"help": "return correction bound, m/s^2"})
-    gradient_step: float = field(default=DEFAULT_GRADIENT_STEP,
-                                 metadata={"help": "central-difference step, m"})
+    rho_th: float = param(0.1, "density threshold", "positive")
+    lambda_max: float = param(10.0, "peak repulsion gain, m/s^2", "finite and non-negative")
+    gamma: float = param(1.0, "tangential bias", "finite and non-negative")
+    epsilon: float = param(1e-8, "normalizer guard", "finite and positive")
+    lookahead: float = param(0.02, "probe distance floor, m", "finite and non-negative")
+    return_gain: float = param(0.0, "return-to-reference stiffness", "finite and non-negative")
+    return_cap: float = param(5.0, "return correction bound, m/s^2", "non-negative")
+    gradient_step: float = param(DEFAULT_GRADIENT_STEP, "central-difference step, m", "finite and positive")
 
     def __post_init__(self):
-        for name in ("rho_th", "epsilon"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("lambda_max", "return_gain", "return_cap"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
+        check_fields(self)
 
 
 def _unit(x, epsilon: float) -> np.ndarray:

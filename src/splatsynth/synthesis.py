@@ -22,7 +22,7 @@ from scipy.special import gammainc, gammaincinv, ndtr, ndtri
 from .dmp import DEFAULT_ALPHA_S, DEFAULT_ALPHA_Z, DEFAULT_HORIZON_FACTOR, DEFAULT_N_BASIS, DEFAULT_RIDGE_LAMBDA
 # rollout stays bound here for bench/tracing.py, which wraps it where it is looked up
 from .dmp import DmpModel, RolloutError, fit_dmp, rollout, rollout_batch  # noqa: F401
-from .geometry import Pose, Trajectory, quat_exp, quat_mul
+from .geometry import FieldError, Pose, Trajectory, check_fields, param, quat_exp, quat_mul
 # trajectory_dtw stays bound here for bench/tracing.py, which wraps it where it is looked up
 from .metrics import trajectory_dtw, trajectory_dtw_many  # noqa: F401
 from .obstacles import ObstacleParams, make_coupling
@@ -37,29 +37,21 @@ class ExportError(RuntimeError):
 class PerturbationSpec:
     """Goal-perturbation bounds; each field is the config key perturbation.<name or metadata key>."""
 
-    sigma_p: np.ndarray = field(default=(0.0, 0.0, 0.0), metadata={"help": "per-axis translation std, m"})
-    bound_p: np.ndarray = field(default=(0.0, 0.0, 0.0), metadata={"help": "per-axis translation bound, m"})
-    sigma_r: float = field(default=0.0, metadata={"help": "rotation std, rad"})
-    bound_r: float = field(default=0.0, metadata={"help": "rotation-angle bound, rad"})
-    perturbable: tuple = field(default=(), metadata={
-        "key": "boundaries", "help": "perturbable flag per split index; [] = all but the start"})
-    seed: int = field(default=0, metadata={"help": "master RNG seed"})
+    sigma_p: np.ndarray = param((0.0, 0.0, 0.0), "per-axis translation std, m", "finite and non-negative")
+    # an infinite bound leaves its normal untruncated
+    bound_p: np.ndarray = param((0.0, 0.0, 0.0), "per-axis translation bound, m", "non-negative")
+    sigma_r: float = param(0.0, "rotation std, rad", "finite and non-negative")
+    bound_r: float = param(0.0, "rotation-angle bound, rad", "non-negative")
+    perturbable: tuple = param((), "perturbable flag per split index; [] = all but the start", key="boundaries")
+    seed: int = param(0, "master RNG seed", "non-negative")
 
     def __post_init__(self):
         for name in ("sigma_p", "bound_p"):
             value = np.asarray(getattr(self, name), dtype=float)
             if value.shape != (3,):
-                raise ValueError(f"{name} must hold 3 values, got shape {value.shape}")
+                raise FieldError(name, f"must hold 3 values, got shape {value.shape}")
             object.__setattr__(self, name, value)
-        # a sigma must be finite; an infinite bound leaves its normal untruncated
-        for name in ("sigma_p", "sigma_r"):
-            if not np.all((getattr(self, name) >= 0) & (getattr(self, name) < np.inf)):
-                raise ValueError(f"{name} must be finite and non-negative")
-        for name in ("bound_p", "bound_r"):
-            if not np.all(getattr(self, name) >= 0):
-                raise ValueError(f"{name} must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        check_fields(self)
 
 
 def sample_boundary_perturbation(spec: PerturbationSpec, boundary_index: int,
@@ -85,41 +77,46 @@ def sample_boundary_perturbation(spec: PerturbationSpec, boundary_index: int,
     return dp, quat_exp(delta)
 
 
-def _rollout(default, key: str, text: str):
+def _rollout(default, key: str, text: str, check: str):
     """A SynthesisJob field that is the job-config key rollout.<key>."""
-    return field(default=default, metadata={"key": f"rollout.{key}", "help": text})
+    return param(default, text, check, key=f"rollout.{key}")
 
 
 @dataclass
 class SynthesisJob:
-    """One synthesis job; field metadata holds each job-config key and its help
-    line ("required" where the config must set it), or a section's name."""
+    """One synthesis job; field metadata holds each job-config key, its help
+    line ("required" where the config must set it) and its RANGES rule, or a
+    section's name."""
 
     demo: Trajectory = field(metadata={"help": "path to expert trajectory CSV/JSON", "required": True})
     scene: GaussianScene | None = field(default=None, metadata={"help": "splat scene PLY/JSON path, or null"})
     spec: PerturbationSpec = field(default_factory=PerturbationSpec, metadata={"key": "perturbation"})
     obstacle: ObstacleParams = field(default_factory=ObstacleParams, metadata={"key": "obstacle"})
-    n_demos: int = field(default=1, metadata={"key": "output.n_demos", "help": "rollouts to synthesize"})
-    dt: float = _rollout(0.02, "dt", "integration step, s")
-    n_basis: int = _rollout(DEFAULT_N_BASIS, "n_basis", "RBF count per channel")
-    ridge_lambda: float = _rollout(DEFAULT_RIDGE_LAMBDA, "ridge_lambda", "ridge regularizer")
-    alpha_z: float = _rollout(DEFAULT_ALPHA_Z, "alpha_z", "transformation gain")
-    alpha_s: float = _rollout(DEFAULT_ALPHA_S, "alpha_s", "canonical decay rate")
-    horizon_factor: float = _rollout(DEFAULT_HORIZON_FACTOR, "horizon", "horizon as a multiple of tau")
+    n_demos: int = param(1, "rollouts to synthesize", "at least 1", key="output.n_demos")
+    dt: float = _rollout(0.02, "dt", "integration step, s", "positive")
+    n_basis: int = _rollout(DEFAULT_N_BASIS, "n_basis", "RBF count per channel", "at least 2")
+    ridge_lambda: float = _rollout(DEFAULT_RIDGE_LAMBDA, "ridge_lambda", "ridge regularizer",
+                                   "finite and non-negative")
+    alpha_z: float = _rollout(DEFAULT_ALPHA_Z, "alpha_z", "transformation gain", "finite and positive")
+    alpha_s: float = _rollout(DEFAULT_ALPHA_S, "alpha_s", "canonical decay rate", "finite and positive")
+    horizon_factor: float = _rollout(DEFAULT_HORIZON_FACTOR, "horizon", "horizon as a multiple of tau",
+                                     "finite and positive")
     output_dir: str = field(default=".", metadata={"key": "output.dir", "help": "dataset directory",
                                                    "required": True})
 
     def __post_init__(self):
-        if not self.n_demos >= 1:
-            raise ValueError("n_demos must be >= 1")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        # the shortest segment's tau, computed as fit_dmp computes it
+        check_fields(self)
+        # the shortest segment's tau and sample count, computed as fit_dmp computes them
         tau = float(np.min(np.diff(self.demo.times[self.demo.splits])))
         if not self.dt <= tau / 50.0:
-            raise ValueError(f"dt must be <= tau/50 = {tau / 50.0} of the shortest demo segment")
+            raise FieldError("dt", f"must be <= tau/50 = {tau / 50.0} of the shortest demo segment, "
+                             f"got {self.dt}")
+        samples = int(np.min(np.diff(self.demo.splits))) + 1
+        if not self.n_basis <= samples:
+            raise FieldError("n_basis", f"must be <= {samples}, the sample count of the shortest demo segment, "
+                             f"got {self.n_basis}")
         if self.spec.perturbable and len(self.spec.perturbable) != len(self.demo.splits):
-            raise ValueError(f"spec.perturbable must hold one flag per demo split ({len(self.demo.splits)}), "
+            raise FieldError("spec.perturbable", f"must hold one flag per demo split ({len(self.demo.splits)}), "
                              f"got {len(self.spec.perturbable)}")
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import splatsynth
 from splatsynth.alignment import RigidTransform
 from splatsynth.cli import UsageError, _config_keys, _job_from_config, _load_points, main
-from splatsynth.geometry import Trajectory
+from splatsynth.geometry import RANGES, Trajectory
 from splatsynth.obstacles import ObstacleParams
 from splatsynth.splats import GaussianBlob, GaussianScene, save_scene_json
 from splatsynth.synthesis import SynthesisJob
@@ -159,6 +159,107 @@ class TestExitCodes:
         cfg = write_config(tmp_path, demo_csv, tmp_path / "out", **{"rollout.dt": 0.01})
         assert main(["synth", cfg]) == 2
         assert "unknown config key: rollout.dt" in capsys.readouterr().err
+
+
+# (key, field, type) of each numeric job-config key
+NUMERIC_KEYS = [(key, f, hint) for key, f, hint in _config_keys() if hint in (float, int, np.ndarray)]
+
+# per range rule: the number just outside it
+JUST_OUTSIDE = {"positive": 0.0, "finite and positive": 0.0, "non-negative": -5e-324,
+                "finite and non-negative": -5e-324, "at least 1": 0.0, "at least 2": 1.0}
+
+
+class TestRanges:
+    """Each numeric job-config key's field metadata names its range rule, and
+    synth refuses a value just outside it, NaN and -inf, and inf where the rule
+    or the type asks for a finite value, with one line naming the key."""
+
+    def test_every_numeric_key_has_a_range(self):
+        rules = {key: f.metadata.get("check") for key, f, _ in NUMERIC_KEYS}
+        assert set(rules.values()) <= set(RANGES)
+        assert rules == {
+            "perturbation.sigma_p": "finite and non-negative",
+            "perturbation.bound_p": "non-negative",
+            "perturbation.sigma_r": "finite and non-negative",
+            "perturbation.bound_r": "non-negative",
+            "perturbation.seed": "non-negative",
+            "obstacle.rho_th": "positive",
+            "obstacle.lambda_max": "finite and non-negative",
+            "obstacle.gamma": "finite and non-negative",
+            "obstacle.epsilon": "finite and positive",
+            "obstacle.lookahead": "finite and non-negative",
+            "obstacle.return_gain": "finite and non-negative",
+            "obstacle.return_cap": "non-negative",
+            "obstacle.gradient_step": "finite and positive",
+            "output.n_demos": "at least 1",
+            "rollout.dt": "positive",
+            "rollout.n_basis": "at least 2",
+            "rollout.ridge_lambda": "finite and non-negative",
+            "rollout.alpha_z": "finite and positive",
+            "rollout.alpha_s": "finite and positive",
+            "rollout.horizon": "finite and positive",
+        }
+
+    @pytest.mark.parametrize("key, f, hint", NUMERIC_KEYS, ids=[key for key, _, _ in NUMERIC_KEYS])
+    def test_out_of_range_exits_2_naming_key(self, tmp_path, demo_csv, capsys, key, f, hint):
+        rule = f.metadata["check"]
+        outside = math.floor(JUST_OUTSIDE[rule]) if hint is int else JUST_OUTSIDE[rule]
+        values = [outside, math.nan, -math.inf] + [math.inf] * (rule.startswith("finite") or hint is int)
+        path = Path(write_config(tmp_path, demo_csv, tmp_path / "out"))
+        for i, value in enumerate(values):
+            value = [value, 0.0, 0.0] if hint is np.ndarray else value
+            cfg = json.loads(path.read_text())
+            section, _, name = key.rpartition(".")
+            cfg.setdefault(section, {})[name] = value
+            path.write_text(json.dumps(cfg))
+            assert main(["synth", str(path)]) == 2
+            # the value just outside the range is refused by its rule; NaN or inf may be refused sooner
+            one_error_line(capsys, f"{key}: must be {rule}, got {value}" if i == 0 else f"{key}: ")
+            assert not (tmp_path / "out").exists()
+
+
+class TestFlagRanges:
+    """A flag or argument out of its range exits 2 with one line naming it,
+    before any file is read (here none of the files exists); a flag that sets
+    a job-config parameter takes that key's rule."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "{f}", "--n-basis", "1"], "--n-basis: must be at least 2, got 1"),
+        (["fit", "{f}", "--n-basis", "0"], "--n-basis: must be at least 2, got 0"),
+        (["fit", "{f}", "--n-basis", "-3"], "--n-basis: must be at least 2, got -3"),
+        (["fit", "{f}", "--ridge-lambda", "nan"], "--ridge-lambda: must be finite and non-negative, got nan"),
+        (["eval", "{f}", "{f}", "--rho-th", "nan"], "--rho-th: must be positive, got nan"),
+        (["eval", "{f}", "{f}", "--rho-th", "-1"], "--rho-th: must be positive, got -1.0"),
+        (["density", "{f}", "0", "0", "0", "--gradient-step", "0"],
+         "--gradient-step: must be finite and positive, got 0.0"),
+        (["density", "{f}", "0", "0", "0", "--gradient-step", "nan"],
+         "--gradient-step: must be finite and positive, got nan"),
+        (["density", "{f}", "0", "0", "0", "--gradient-step", "inf"],
+         "--gradient-step: must be finite and positive, got inf"),
+        (["density", "{f}", "nan", "0", "0"], "x: must be finite, got nan"),
+        (["density", "{f}", "0", "0", "inf"], "z: must be finite, got inf"),
+        (["calibrate-rho", "{f}", "{f}", "--n-probes", "-1"], "--n-probes: must be non-negative, got -1"),
+        (["calibrate-rho", "{f}", "{f}", "--bins", "0"], "--bins: must be at least 1, got 0"),
+        (["calibrate-rho", "{f}", "{f}", "--probe-seed", "-1"], "--probe-seed: must be non-negative, got -1"),
+        (["calibrate-rho", "{f}", "{f}", "--floor", "nan"], "--floor: must be positive, got nan"),
+        (["calibrate-rho", "{f}", "{f}", "--floor", "-1"], "--floor: must be positive, got -1.0"),
+    ])
+    def test_out_of_range_exits_2(self, tmp_path, capsys, argv, message):
+        assert main([a.format(f=tmp_path / "missing") for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("level, code, err", [
+        ("LOUD", 2, "error: SPLATSYNTH_LOG: unknown level 'LOUD', expected DEBUG, INFO, WARNING, ERROR or CRITICAL\n"),
+        ("debug", 0, ""),
+    ])
+    def test_log_level(self, tmp_path, level, code, err):
+        """SPLATSYNTH_LOG takes a level name in any case; another word exits 2 with one line."""
+        scene = write_scene(tmp_path / "scene.json", [GaussianBlob(np.zeros(3), np.eye(3), 1.0)])
+        env = dict(os.environ, SPLATSYNTH_LOG=level,
+                   PYTHONPATH=str(Path(splatsynth.__file__).resolve().parent.parent))
+        run = subprocess.run([sys.executable, "-m", "splatsynth.cli", "density", scene, "0", "0", "0"],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert (run.returncode, run.stderr) == (code, err)
 
 
 class TestHelp:
@@ -394,8 +495,8 @@ class TestAlign:
     @pytest.mark.parametrize("flag, value, message", [
         ("--max-iters", "0", "max_iters must be at least 1, got 0"),
         ("--max-iters", "-3", "max_iters must be at least 1, got -3"),
-        ("--tol", "nan", "tol must be at least 0, got nan"),
-        ("--tol", "-1", "tol must be at least 0, got -1.0"),
+        ("--tol", "nan", "tol must be non-negative, got nan"),
+        ("--tol", "-1", "tol must be non-negative, got -1.0"),
         ("--max-corr-dist", "nan", "max_corr_dist must be positive, got nan"),
         ("--max-corr-dist", "-1", "max_corr_dist must be positive, got -1.0"),
         ("--max-corr-dist", "0", "max_corr_dist must be positive, got 0.0"),

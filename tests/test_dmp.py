@@ -110,6 +110,11 @@ class TestFit:
         with pytest.raises(FitError):
             fit_dmp(demo, n_basis=5)
 
+    @pytest.mark.parametrize("n_basis", [1, 0, -3])
+    def test_too_few_basis_functions(self, n_basis):
+        with pytest.raises(FitError, match=f"^n_basis must be at least 2, got {n_basis}$"):
+            fit_dmp(line_demo([0, 0, 0], [0.3, 0, 0], n=151), n_basis=n_basis)
+
     def test_model_json_roundtrip(self):
         demo = line_demo([0, 0, 0], [0.2, 0.1, -0.1], n=101, axis=[1, 0, 0], angle=0.4)
         model = fit_dmp(demo)

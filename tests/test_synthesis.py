@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from splatsynth.geometry import quat_geodesic_distance
+from splatsynth.geometry import FieldError, quat_geodesic_distance
 from splatsynth.obstacles import ObstacleParams
 from splatsynth import synthesis
 from splatsynth.splats import GaussianBlob, GaussianScene
@@ -562,6 +562,31 @@ class TestJobValidation:
         make_job(demo=demo, dt=tau / 50.0)
         with pytest.raises(ValueError, match="^dt must be <= tau/50"):
             make_job(demo=demo, dt=np.nextafter(tau / 50.0, 1.0))
+
+    def test_n_basis_at_most_the_shortest_segment(self):
+        # the letter-A demo's shortest segment has 80 samples, as fit_dmp counts them
+        demo = letter_a_demo()
+        assert len(fit_segments(make_job(demo=demo, n_basis=80))) == 2
+        with pytest.raises(FieldError, match=r"^n_basis must be <= 80, .* got 81$") as exc:
+            make_job(demo=demo, n_basis=81)
+        assert exc.value.field == "n_basis"
+
+    @pytest.mark.parametrize("make, field, message", [
+        (lambda: PerturbationSpec(seed=-1), "seed", "seed must be non-negative, got -1"),
+        (lambda: PerturbationSpec(bound_p=[0.0, -1.0, 0.0]), "bound_p",
+         "bound_p must be non-negative, got [0.0, -1.0, 0.0]"),
+        (lambda: ObstacleParams(gamma=-1.0), "gamma", "gamma must be finite and non-negative, got -1.0"),
+        (lambda: make_job(n_demos=0), "n_demos", "n_demos must be at least 1, got 0"),
+        (lambda: make_job(horizon_factor=math.inf), "horizon_factor",
+         "horizon_factor must be finite and positive, got inf"),
+        (lambda: make_job(spec=PerturbationSpec(perturbable=(True,))), "spec.perturbable",
+         "spec.perturbable must hold one flag per demo split (3), got 1"),
+    ])
+    def test_errors_name_their_field(self, make, field, message):
+        with pytest.raises(FieldError) as exc:
+            make()
+        assert (exc.value.field, str(exc.value)) == (field, message)
+        assert str(exc.value) == f"{exc.value.field} {exc.value.detail}"
 
     def test_single_segment_line(self):
         demo = line_demo([0, 0, 0], [0.3, 0, 0], n=120)
