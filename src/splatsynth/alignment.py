@@ -81,7 +81,7 @@ class RigidTransform:
 @dataclass
 class IcpParams:
     max_iters: int = field(default=100, metadata={"check": "at least 1"})
-    tol: float = field(default=1e-8, metadata={"check": "non-negative"})
+    tol: float = field(default=1e-8, metadata={"check": "at least 0"})
     max_corr_dist: float = field(default=0.1, metadata={"check": "positive"})
 
     def __post_init__(self):

@@ -33,6 +33,7 @@ class FieldError(ValueError):
 RANGES = {
     "positive": lambda v: v > 0,
     "non-negative": lambda v: v >= 0,
+    "at least 0": lambda v: v >= 0,
     "at least 1": lambda v: v >= 1,
     "at least 2": lambda v: v >= 2,
     "finite": lambda v: abs(v) < math.inf,

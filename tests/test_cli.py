@@ -495,8 +495,8 @@ class TestAlign:
     @pytest.mark.parametrize("flag, value, message", [
         ("--max-iters", "0", "max_iters must be at least 1, got 0"),
         ("--max-iters", "-3", "max_iters must be at least 1, got -3"),
-        ("--tol", "nan", "tol must be non-negative, got nan"),
-        ("--tol", "-1", "tol must be non-negative, got -1.0"),
+        ("--tol", "nan", "tol must be at least 0, got nan"),
+        ("--tol", "-1", "tol must be at least 0, got -1.0"),
         ("--max-corr-dist", "nan", "max_corr_dist must be positive, got nan"),
         ("--max-corr-dist", "-1", "max_corr_dist must be positive, got -1.0"),
         ("--max-corr-dist", "0", "max_corr_dist must be positive, got 0.0"),
