@@ -8,6 +8,11 @@ the writing-error one before the rasteriser became an array program, and the
 export digest when the goal perturbations came to be drawn in closed form
 (inverse CDF), which changed the RNG stream (x86-64, numpy 2.4, OpenBLAS).  A different platform or BLAS may round
 differently; recompute them there from a commit known to be correct.
+
+The two PLY digests run the same pair through a binary 3DGS PLY that is
+loaded and moved into place: a two-segment letter A whose orientation turns,
+coupled among a few hundred splats.  They were computed before a scene's
+assembly was folded into one path (from_arrays and _from_factors).
 """
 
 import hashlib
@@ -16,16 +21,19 @@ import os
 import numpy as np
 
 from splatsynth.cli import main
-from splatsynth.geometry import Trajectory
+from splatsynth.alignment import RigidTransform, apply_transform
+from splatsynth.geometry import Trajectory, quat_from_axis_angle, quat_to_matrix
 from splatsynth.obstacles import ObstacleParams
-from splatsynth.splats import GaussianScene, save_scene_json
+from splatsynth.splats import GaussianScene, load_scene, save_scene_json
 from splatsynth.synthesis import PerturbationSpec, SynthesisJob, export_dataset, synthesize
 
-from helpers import line_demo
+from helpers import letter_a_demo, line_demo
 
 EXPORT_DIGEST = "6202fa5086750320f766503229f6e8b73207428d91c77f3d40cbcc86ae792412"
 EVAL_DIGEST = "caa5fd02a13e5008f7413c336612d5ce5bd66b6f6404c2a22e6ef96f48c9a447"
 WRITING_DIGEST = "a1ff3f205f13051370d269cf5b550190809a832fa8a842e7baae93f0ce3861e0"
+PLY_EXPORT_DIGEST = "4673b4b3f19525ca419d86b3bf9983111586d0eb47184ec647f4e1e6041e197f"
+PLY_EVAL_DIGEST = "260526f7ce41c8f60b755c1ccd633a951ae5f4b286801638f27e631b8ed85eed"
 
 
 def dir_digest(path) -> str:
@@ -89,3 +97,70 @@ def test_eval_summary_digest(tmp_path):
 
 def test_eval_writing_error_digest(tmp_path):
     assert eval_summary_digest(tmp_path, "--writing-plane", "0,0,0,0,0,1") == WRITING_DIGEST
+
+
+PLY_PROPS = ["x", "y", "z", "scale_0", "scale_1", "scale_2", "rot_0", "rot_1", "rot_2", "rot_3", "opacity"]
+# the move from the PLY's frame to the demo's
+PLY_MOVE = RigidTransform(quat_to_matrix(np.array([0.9, 0.2, -0.3, 0.25]) / np.linalg.norm([0.9, 0.2, -0.3, 0.25])),
+                          np.array([0.3, -0.2, 0.5]))
+
+
+def turning_letter_a() -> Trajectory:
+    """The two-segment letter A of helpers, turning 0.8 rad about a tilted axis."""
+    demo = letter_a_demo()
+    quats = np.array([quat_from_axis_angle([0.3, 0.2, 1.0], 0.8 * u) for u in demo.times / demo.times[-1]])
+    return Trajectory(demo.times, demo.positions, quats, demo.gripper, demo.splits)
+
+
+def write_letter_a_ply(path, demo, n=300, seed=17):
+    """A binary 3DGS PLY, in PLY_MOVE's source frame, of n splats near the
+    demo's path: log-scales of 2-8 mm, unnormalised quaternions and logit
+    opacities.  8 splats sit on the path and the rest 2-4 cm above or below
+    its plane; 12 have a zero quaternion and 42 an opacity below the floor."""
+    rng = np.random.default_rng(seed)
+    side = np.where(rng.random(n) < 0.5, -1.0, 1.0) * rng.uniform(0.02, 0.04, n)
+    side[:8] = 0.0
+    means = demo.positions[rng.integers(0, len(demo), n)] + rng.normal(0.0, 0.004, (n, 3))
+    means[:, 2] += side
+    quats = rng.normal(size=(n, 4)) * rng.uniform(0.5, 2.0, (n, 1))
+    quats[:12] = 0.0
+    cols = np.column_stack([(means - PLY_MOVE.translation) @ PLY_MOVE.rotation,
+                            np.log(rng.uniform(0.002, 0.008, (n, 3))), quats, rng.uniform(-4.0, 3.0, n)])
+    rows = np.empty(n, dtype=[(p, "<f4") for p in PLY_PROPS])
+    for i, p in enumerate(PLY_PROPS):
+        rows[p] = cols[:, i]
+    header = "".join(["ply\nformat binary_little_endian 1.0\n", f"element vertex {n}\n",
+                      *(f"property float {p}\n" for p in PLY_PROPS), "end_header\n"])
+    path.write_bytes(header.encode("ascii") + rows.tobytes())
+
+
+def ply_dataset(tmp_path):
+    """Load and move the PLY, then synthesize four coupled rollouts of the
+    turning letter A among its splats and export them."""
+    demo = turning_letter_a()
+    demo.save_csv(tmp_path / "demo.csv")
+    write_letter_a_ply(tmp_path / "scene.ply", demo)
+    scene = apply_transform(load_scene(tmp_path / "scene.ply"), PLY_MOVE)
+    assert (len(scene), scene.rejected_count) == (246, 12)
+    job = SynthesisJob(demo=demo, scene=scene, n_demos=4, dt=0.01,
+                       spec=PerturbationSpec(sigma_p=[0.004, 0.004, 0.002], bound_p=[0.01] * 3,
+                                             sigma_r=0.05, bound_r=0.1, seed=9),
+                       obstacle=ObstacleParams(rho_th=0.03, lambda_max=40.0, gamma=1.0,
+                                               lookahead=0.01, return_gain=4.0))
+    trajectories, manifest = synthesize(job)
+    assert [r["status"] for r in manifest["rollouts"]] == ["ok"] * 4
+    export_dataset(trajectories, manifest, tmp_path / "data")
+    return tmp_path / "data"
+
+
+def test_ply_export_digest(tmp_path):
+    assert dir_digest(ply_dataset(tmp_path)) == PLY_EXPORT_DIGEST
+
+
+def test_ply_eval_digest(tmp_path):
+    """eval of the dataset against the same PLY and move, with the writing error."""
+    data = ply_dataset(tmp_path)
+    PLY_MOVE.save_json(tmp_path / "T.json")
+    assert main(["eval", str(data), str(tmp_path / "demo.csv"), "--scene", str(tmp_path / "scene.ply"),
+                 "--transform", str(tmp_path / "T.json"), "--writing-plane", "0,0,0,0,0,1"]) == 0
+    assert hashlib.sha256((data / "summary.csv").read_bytes()).hexdigest() == PLY_EVAL_DIGEST
