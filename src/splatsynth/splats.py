@@ -47,27 +47,19 @@ class GaussianBlob:
 class GaussianScene:
     """Immutable splat scene with vectorized density queries."""
 
-    def __init__(self, blobs, opacity_floor: float = DEFAULT_OPACITY_FLOOR,
-                 rejected_count: int = 0):
+    def __init__(self, blobs, opacity_floor: float = DEFAULT_OPACITY_FLOOR):
         blobs = list(blobs)
-        self._set_up(np.array([b.mean for b in blobs]), np.array([b.covariance for b in blobs]),
-                     np.array([b.opacity for b in blobs]), opacity_floor, rejected_count)
+        vars(self).update(vars(GaussianScene.from_arrays(
+            [b.mean for b in blobs], [b.covariance for b in blobs], [b.opacity for b in blobs], opacity_floor)))
 
     @classmethod
     def from_arrays(cls, means, covariances, opacities,
-                    opacity_floor: float = DEFAULT_OPACITY_FLOOR,
-                    rejected_count: int = 0) -> "GaussianScene":
+                    opacity_floor: float = DEFAULT_OPACITY_FLOOR) -> "GaussianScene":
         """Scene from (n, 3) means, (n, 3, 3) covariances and (n,) opacities.
         A covariance that is not finite, symmetric and positive definite is
-        dropped and counted in rejected_count."""
-        scene = cls.__new__(cls)
-        scene._set_up(means, covariances, opacities, opacity_floor, rejected_count)
-        return scene
-
-    def _set_up(self, means, covariances, opacities, opacity_floor, rejected_count):
-        """Validate the covariances and derive their inverses and radii: one
-        eigvalsh gives each one's smallest eigenvalue (the validity test) and
-        its largest (the radius)."""
+        dropped and counted in rejected_count.  One eigvalsh gives each
+        covariance's smallest eigenvalue (the validity test) and its largest
+        (the radius)."""
         covs = np.asarray(covariances, dtype=float).reshape(-1, 3, 3)
         valid = np.all(np.isfinite(covs), axis=(1, 2))
         with np.errstate(over="ignore", invalid="ignore"):   # a non-finite asymmetry fails the test
@@ -76,28 +68,20 @@ class GaussianScene:
         positive = eig[:, 0] > 1e-12
         valid[valid] = positive
         covs = covs[valid]
-        self._assemble(np.asarray(means, dtype=float).reshape(-1, 3)[valid], covs, np.linalg.inv(covs),
-                       CUTOFF_SIGMA * np.sqrt(eig[positive, -1]),
-                       np.asarray(opacities, dtype=float).reshape(-1)[valid], opacity_floor,
-                       rejected_count + int(np.count_nonzero(~valid)), "blob", np.flatnonzero(valid))
+        return cls._from_factors(np.asarray(means, dtype=float).reshape(-1, 3)[valid], covs, np.linalg.inv(covs),
+                                 CUTOFF_SIGMA * np.sqrt(eig[positive, -1]),
+                                 np.asarray(opacities, dtype=float).reshape(-1)[valid], opacity_floor,
+                                 int(np.count_nonzero(~valid)), "blob", np.flatnonzero(valid))
 
     @classmethod
-    def _from_factors(cls, means, covariances, inv_covariances, radii, opacities, opacity_floor,
-                      rejected_count, name: str, numbers=None) -> "GaussianScene":
-        """Scene of valid splats whose inverse covariances and radii are
-        already known, such as those of a PLY or of a moved scene."""
-        scene = cls.__new__(cls)
-        scene._assemble(means, covariances, inv_covariances, radii, opacities, opacity_floor,
-                        rejected_count, name, numbers)
-        return scene
-
-    def _assemble(self, means, covs, inv_covs, radii, opacities, opacity_floor, rejected_count,
-                  name, numbers):
-        """The one tail every scene goes through: refuse a splat whose mean is
-        not finite or whose bounding sphere reaches past _MAX_REACH on an axis
-        (a SceneFormatError naming it as "<name> <numbers[k]>", numbers
-        defaulting to k), then drop the splats below the opacity floor.  The
-        neighbour index is built at the first query."""
+    def _from_factors(cls, means, covs, inv_covs, radii, opacities, opacity_floor, rejected_count,
+                      name: str, numbers=None) -> "GaussianScene":
+        """The one tail every scene goes through, given its valid splats with
+        their inverse covariances and radii: refuse a splat whose mean is not
+        finite or whose bounding sphere reaches past _MAX_REACH on an axis (a
+        SceneFormatError naming it as "<name> <numbers[k]>", numbers defaulting
+        to k), then drop the splats below the opacity floor.  The neighbour
+        index is built at the first query."""
         far = np.flatnonzero(~np.all(np.abs(means) + radii[:, None] <= _MAX_REACH, axis=1))
         if len(far):
             k = far[0]
@@ -107,11 +91,13 @@ class GaussianScene:
         kept = opacities >= opacity_floor
         if not kept.all():
             means, covs, inv_covs, radii, opacities = (a[kept] for a in (means, covs, inv_covs, radii, opacities))
-        self.opacity_floor = float(opacity_floor)
-        self.rejected_count = int(rejected_count)
-        self.means, self.covariances, self.inv_covariances = means, covs, inv_covs
-        self.radii, self.opacities = radii, opacities
-        self.max_radius = float(np.max(radii, initial=0.0))
+        scene = cls.__new__(cls)
+        scene.opacity_floor = float(opacity_floor)
+        scene.rejected_count = int(rejected_count)
+        scene.means, scene.covariances, scene.inv_covariances = means, covs, inv_covs
+        scene.radii, scene.opacities = radii, opacities
+        scene.max_radius = float(np.max(radii, initial=0.0))
+        return scene
 
     @cached_property
     def tree(self) -> cKDTree:
@@ -321,15 +307,13 @@ def _parse_ply(path):
     raise SceneFormatError(f"{path}: unsupported PLY format {fmt}")
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def _scene_from_ply(path, scale_convention: str, opacity_floor: float) -> GaussianScene:
-    """Scene of a 3DGS PLY.  Each splat's covariance is R diag(s^2) R^T, so its
-    inverse R diag(s^-2) R^T and its radius CUTOFF_SIGMA max|s| come from the
-    same factors.  A splat is valid when its quaternion is non-zero and finite
-    and its s^2 are finite and above 1e-12; the rest are rejected."""
+def _scene_from_ply(path, opacity_floor: float) -> GaussianScene:
+    """Scene of a 3DGS PLY, whose scales are log-scales and whose opacities
+    are logits, as 3DGS exports them.  Each splat's covariance is
+    R diag(s^2) R^T, so its inverse R diag(s^-2) R^T and its radius
+    CUTOFF_SIGMA max|s| come from the same factors.  A splat is valid when
+    its quaternion is non-zero and finite and its s^2 are finite and above
+    1e-12; the rest are rejected."""
     from .geometry import quat_to_matrix
 
     cols = _parse_ply(path)
@@ -347,9 +331,8 @@ def _scene_from_ply(path, scale_convention: str, opacity_floor: float) -> Gaussi
     del cols   # the file's bytes
     # a zero, non-finite or overflowing rotation, and a scale that overflows, are rejected
     with np.errstate(over="ignore", invalid="ignore"):
-        if scale_convention == "preactivation":
-            scales = np.exp(scales)
-            opacities = _sigmoid(opacities)
+        scales = np.exp(scales)
+        opacities = 1.0 / (1.0 + np.exp(-opacities))
         norms = np.linalg.norm(quats, axis=1)
         s2 = scales ** 2
         valid = (norms > 0.0) & (norms < np.inf) & np.all(s2 < np.inf, axis=1) & (s2.min(axis=1) > 1e-12)
@@ -368,17 +351,11 @@ def _scene_from_ply(path, scale_convention: str, opacity_floor: float) -> Gaussi
                                        f"{path}: vertex", numbers)
 
 
-def load_scene(path, opacity_floor: float = DEFAULT_OPACITY_FLOOR,
-               scale_convention: str = "preactivation") -> GaussianScene:
-    """Load a scene from 3DGS PLY or the native JSON format.
-
-    scale_convention selects how PLY stores scales/opacity: "preactivation"
-    (log-scales, logit opacity; the common 3DGS export) or "raw".
-    """
-    if scale_convention not in ("preactivation", "raw"):
-        raise ValueError(f"unknown scale_convention: {scale_convention}")
+def load_scene(path, opacity_floor: float = DEFAULT_OPACITY_FLOOR) -> GaussianScene:
+    """Load a scene from a 3DGS PLY (log-scales and logit opacities) or the
+    native JSON format."""
     if str(path).endswith(".ply"):
-        return _scene_from_ply(path, scale_convention, opacity_floor)
+        return _scene_from_ply(path, opacity_floor)
     try:
         with open(path, "rb") as f:
             data = json.load(f)

@@ -222,6 +222,11 @@ def density_pointwise(scene, x):
     return float(np.sum(scene.opacities[idx] * np.exp(-0.5 * m)))
 
 
+def scene_blobs(scene):
+    """The blobs of a built scene."""
+    return [GaussianBlob(m, c, a) for m, c, a in zip(scene.means, scene.covariances, scene.opacities)]
+
+
 def cluttered_scene(n, seed, spread=0.1):
     """Overlapping anisotropic blobs: queries among them have anywhere from
     zero to hundreds of neighbours."""
@@ -476,16 +481,9 @@ class TestLoadScene:
         path = tmp_path / "scene.ply"
         # pre-activation opacity 0.0 -> alpha 0.5 after the logistic map
         self._write_ply(path, [[0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0.0]])
-        scene = load_scene(path, opacity_floor=0.05, scale_convention="preactivation")
+        scene = load_scene(path, opacity_floor=0.05)
         assert len(scene) == 1
         assert abs(scene.opacities[0] - 0.5) < 1e-9
-
-    def test_ply_raw_convention(self, tmp_path):
-        path = tmp_path / "scene.ply"
-        self._write_ply(path, [[0, 0, 0, 0.1, 0.1, 0.1, 1, 0, 0, 0, 0.8]])
-        scene = load_scene(path, opacity_floor=0.05, scale_convention="raw")
-        assert abs(scene.opacities[0] - 0.8) < 1e-6
-        assert np.allclose(scene.covariances[0], 0.01 * np.eye(3), atol=1e-8)
 
     def test_ply_ascii(self, tmp_path):
         path = tmp_path / "scene.ply"
@@ -629,22 +627,24 @@ class TestSceneFactors:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_ply_validity_rule(self, tmp_path):
-        # raw scales: kept, kept (a scale's sign does not matter), s^2 at or below
-        # 1e-12, NaN, infinite, and a zero quaternion
-        rows = [[0, 0, 0, 0.1, 0.2, 0.3, 1, 0, 0, 0, 0.5], [1, 0, 0, -0.1, 0.2, -0.3, 0, 1, 0, 0, 0.5],
-                [2, 0, 0, 1e-7, 0.2, 0.3, 1, 0, 0, 0, 0.5], [3, 0, 0, np.nan, 0.2, 0.3, 1, 0, 0, 0, 0.5],
-                [4, 0, 0, np.inf, 0.2, 0.3, 1, 0, 0, 0, 0.5], [5, 0, 0, 0.1, 0.2, 0.3, 0, 0, 0, 0, 0.5]]
+        # log-scales: kept, kept, s^2 at or below 1e-12, NaN, infinite, an exp
+        # that overflows, and a zero quaternion
+        a, b, c = np.log([0.1, 0.2, 0.3])
+        rows = [[0, 0, 0, a, b, c, 1, 0, 0, 0, 0.5], [1, 0, 0, a, b, c, 0, 1, 0, 0, 0.5],
+                [2, 0, 0, -30.0, b, c, 1, 0, 0, 0, 0.5], [3, 0, 0, np.nan, b, c, 1, 0, 0, 0, 0.5],
+                [4, 0, 0, np.inf, b, c, 1, 0, 0, 0, 0.5], [5, 0, 0, 1000.0, b, c, 1, 0, 0, 0, 0.5],
+                [6, 0, 0, a, b, c, 0, 0, 0, 0, 0.5]]
         path = tmp_path / "scene.ply"
         TestLoadScene._write_ply(path, rows)
-        scene = load_scene(path, scale_convention="raw")
-        assert len(scene) == 2 and scene.rejected_count == 4
-        assert np.array_equal(scene.radii, [CUTOFF_SIGMA * float(np.float32(0.3))] * 2)
+        scene = load_scene(path)
+        assert len(scene) == 2 and scene.rejected_count == 5
+        assert np.array_equal(scene.radii, [CUTOFF_SIGMA * float(np.exp(np.float64(np.float32(c))))] * 2)
 
     def test_from_arrays_rejects_and_counts(self):
         covs = [np.eye(3), np.zeros((3, 3)), [[1, 2, 0], [0, 1, 0], [0, 0, 1]], np.full((3, 3), np.nan),
                 4 * np.eye(3)]
-        scene = GaussianScene.from_arrays(np.arange(15.0).reshape(5, 3), covs, np.ones(5), rejected_count=2)
-        assert len(scene) == 2 and scene.rejected_count == 5
+        scene = GaussianScene.from_arrays(np.arange(15.0).reshape(5, 3), covs, np.ones(5))
+        assert len(scene) == 2 and scene.rejected_count == 3
         assert np.array_equal(scene.means, [[0, 1, 2], [12, 13, 14]])
         assert np.array_equal(scene.radii, [CUTOFF_SIGMA, 2 * CUTOFF_SIGMA])
 
@@ -661,6 +661,43 @@ class TestSceneFactors:
             GaussianScene.from_arrays([mean], [np.eye(3)], [1.0])
         with pytest.raises(SceneFormatError, match=r"^blob 1: non-finite mean \["):
             GaussianScene([unit_blob(), GaussianBlob(mean, np.eye(3), 1.0)])
+
+    BLOB_CASES = {
+        "empty": lambda: ([], 0.05),
+        # rejected covariances, then one valid blob below the floor
+        "rejected and below the floor": lambda: ([GaussianBlob(m, c, a) for m, c, a in zip(
+            np.arange(15.0).reshape(5, 3),
+            [np.eye(3), np.zeros((3, 3)), [[1, 2, 0], [0, 1, 0], [0, 0, 1]], np.full((3, 3), np.nan), 4 * np.eye(3)],
+            [1.0, 1.0, 1.0, 1.0, 0.01])], 0.05),
+        "random": lambda: (scene_blobs(random_scene(60, 3)), 0.3),
+        "separated": lambda: (scene_blobs(separated_scene(40, 4)), 0.5),
+    }
+
+    @pytest.mark.parametrize("name", list(BLOB_CASES))
+    def test_blobs_and_arrays_build_the_same_scene(self, name):
+        blobs, floor = self.BLOB_CASES[name]()
+        got = GaussianScene(blobs, opacity_floor=floor)
+        want = GaussianScene.from_arrays(np.array([b.mean for b in blobs]), np.array([b.covariance for b in blobs]),
+                                         np.array([b.opacity for b in blobs]), opacity_floor=floor)
+        for attr in ("means", "covariances", "inv_covariances", "radii", "opacities"):
+            got_a, want_a = getattr(got, attr), getattr(want, attr)
+            assert got_a.shape == want_a.shape and got_a.tobytes() == want_a.tobytes()
+        assert (got.rejected_count, got.max_radius, got.opacity_floor) == \
+            (want.rejected_count, want.max_radius, want.opacity_floor)
+        assert 0 < len(got) < len(blobs) or not blobs
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mean, what", [([0, 2e150, 0], "bounding sphere reaches past"),
+                                            ([np.nan, 0, 0], "non-finite mean")])
+    def test_blobs_and_arrays_refuse_alike(self, mean, what):
+        # blob 1 is rejected; the error numbers the blobs as given
+        blobs = [unit_blob(), GaussianBlob(np.zeros(3), np.zeros((3, 3)), 1.0), GaussianBlob(mean, np.eye(3), 1.0)]
+        with pytest.raises(SceneFormatError) as from_blobs:
+            GaussianScene(blobs)
+        with pytest.raises(SceneFormatError) as from_arrays:
+            GaussianScene.from_arrays([b.mean for b in blobs], [b.covariance for b in blobs], [1.0] * 3)
+        assert str(from_blobs.value) == str(from_arrays.value)
+        assert str(from_arrays.value).startswith(f"blob 2: {what}")
 
     def test_lapack_calls(self, tmp_path, monkeypatch):
         # none for a PLY load and its move; one eigvalsh and one inv for a JSON
