@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    FieldError,
     Pose,
     Trajectory,
     check_fields,
@@ -44,6 +45,9 @@ DEFAULT_HORIZON_FACTOR = 1.25
 DEGENERATE_GOAL_TOL = 1e-6
 REST_PAD_SAMPLES = 50
 REST_PAD_WEIGHT = 10.0
+# A rollout's step budget, about a hundred times the most steps of any run in bench/, the tests or the
+# README: every step is a Python iteration, and the rollout's arrays grow with the count.
+MAX_ROLLOUT_STEPS = 100_000
 
 
 class FitError(RuntimeError):
@@ -225,10 +229,24 @@ def fit_dmp(segment: Trajectory, n_basis: int = DEFAULT_N_BASIS,
     )
 
 
+def rollout_steps(tau: float, dt: float, horizon_factor: float) -> int:
+    """ceil(horizon_factor * tau / dt), the step count of a rollout of a
+    segment of duration tau; a FieldError when dt is not in (0, tau/50] or
+    the count passes MAX_ROLLOUT_STEPS."""
+    if not 0.0 < dt <= tau / 50.0:
+        raise FieldError("dt", f"must be <= tau/50 = {tau / 50.0} and positive, got {dt}")
+    steps = horizon_factor * tau / dt
+    if steps > MAX_ROLLOUT_STEPS:   # the horizon is at fault when even dt = tau/50 takes too many steps
+        name = "horizon_factor" if 50.0 * horizon_factor > MAX_ROLLOUT_STEPS else "dt"
+        raise FieldError(name, f"must keep horizon * tau / dt within {MAX_ROLLOUT_STEPS} steps, "
+                               f"got {steps:.6g} at tau = {tau}")
+    return math.ceil(steps)
+
+
 def rollout_batch(model: DmpModel, starts, goals, dt: float = 0.01, coupling=None,
                   horizon_factor: float = DEFAULT_HORIZON_FACTOR) -> list:
     """Integrate the DMP from B start poses to B goal poses at once, as (B, 3)
-    states, with semi-implicit Euler for ceil(horizon*tau/dt) steps.
+    states, with semi-implicit Euler for rollout_steps(tau, dt, horizon_factor) steps.
 
     coupling, when given, is called as coupling(step_index, positions,
     velocities_m_per_s) on the (B, 3) rows and must return the extra
@@ -242,10 +260,7 @@ def rollout_batch(model: DmpModel, starts, goals, dt: float = 0.01, coupling=Non
     non-finite; such a row is frozen and the others carry on.
     """
     tau = model.canonical.tau
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if dt > tau / 50.0:
-        raise ValueError(f"dt={dt} too coarse: must be <= tau/50 = {tau / 50.0}")
+    n_steps = rollout_steps(tau, dt, horizon_factor)
     y = np.array([s.position for s in starts], dtype=float).reshape(-1, 3)
     goal = np.array([g.position for g in goals], dtype=float).reshape(-1, 3)
     q0 = np.array([s.orientation for s in starts]).reshape(-1, 4)
@@ -257,7 +272,6 @@ def rollout_batch(model: DmpModel, starts, goals, dt: float = 0.01, coupling=Non
     pos_scale = np.where(model.pos_degenerate, model.pos_scale, goal - y)
     rot_scale = np.where(model.rot_degenerate, model.rot_scale, rot_goal)
 
-    n_steps = math.ceil(horizon_factor * tau / dt)
     alpha_s = model.canonical.alpha_s
     az, bz = model.alpha_z, model.beta_z
 

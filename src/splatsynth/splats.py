@@ -39,10 +39,6 @@ class GaussianBlob:
     covariance: np.ndarray     # (3,3) symmetric positive definite
     opacity: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float))
-
 
 class GaussianScene:
     """Immutable splat scene with vectorized density queries."""

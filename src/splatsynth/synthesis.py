@@ -21,7 +21,7 @@ from scipy.special import gammainc, gammaincinv, ndtr, ndtri
 
 from .dmp import DEFAULT_ALPHA_S, DEFAULT_ALPHA_Z, DEFAULT_HORIZON_FACTOR, DEFAULT_N_BASIS, DEFAULT_RIDGE_LAMBDA
 # rollout stays bound here for bench/tracing.py, which wraps it where it is looked up
-from .dmp import DmpModel, RolloutError, fit_dmp, rollout, rollout_batch  # noqa: F401
+from .dmp import DmpModel, RolloutError, fit_dmp, rollout, rollout_batch, rollout_steps  # noqa: F401
 from .geometry import FieldError, Pose, Trajectory, check_fields, param, quat_exp, quat_mul
 # trajectory_dtw stays bound here for bench/tracing.py, which wraps it where it is looked up
 from .metrics import trajectory_dtw, trajectory_dtw_many  # noqa: F401
@@ -106,11 +106,12 @@ class SynthesisJob:
 
     def __post_init__(self):
         check_fields(self)
-        # the shortest segment's tau and sample count, computed as fit_dmp computes them
-        tau = float(np.min(np.diff(self.demo.times[self.demo.splits])))
-        if not self.dt <= tau / 50.0:
-            raise FieldError("dt", f"must be <= tau/50 = {tau / 50.0} of the shortest demo segment, "
-                             f"got {self.dt}")
+        # segment durations as fit_dmp computes them: the shortest bounds dt, and the
+        # longest takes the most rollout steps
+        taus = np.diff(self.demo.times[self.demo.splits])
+        for tau in (taus.min(), taus.max()):
+            rollout_steps(tau, self.dt, self.horizon_factor)
+        # the shortest segment's sample count, as fit_dmp counts it
         samples = int(np.min(np.diff(self.demo.splits))) + 1
         if not self.n_basis <= samples:
             raise FieldError("n_basis", f"must be <= {samples}, the sample count of the shortest demo segment, "

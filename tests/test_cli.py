@@ -155,6 +155,16 @@ class TestExitCodes:
         assert err.startswith(f"error: {key}: " if key else "error: config must be a JSON object")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, line", [
+        ("horizon", 1e9, "rollout.horizon: must keep horizon * tau / dt within 100000 steps, got 5e+10 at tau = 1.0"),
+        ("dt", 1e-9, "rollout.dt: must keep horizon * tau / dt within 100000 steps, got 1.25e+09 at tau = 1.0"),
+    ])
+    def test_step_budget_exits_2(self, tmp_path, demo_csv, capsys, key, value, line):
+        cfg = write_config(tmp_path, demo_csv, tmp_path / "out", rollout={key: value})
+        assert run_within(20, main, ["synth", cfg]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_dotted_top_level_key_is_unknown(self, tmp_path, demo_csv, capsys):
         cfg = write_config(tmp_path, demo_csv, tmp_path / "out", **{"rollout.dt": 0.01})
         assert main(["synth", cfg]) == 2

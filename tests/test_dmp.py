@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from splatsynth.dmp import (
+    MAX_ROLLOUT_STEPS,
     CanonicalSystem,
     DmpModel,
     FitError,
@@ -12,8 +14,10 @@ from splatsynth.dmp import (
     fit_dmp,
     rollout,
     rollout_batch,
+    rollout_steps,
 )
 from splatsynth.geometry import (
+    FieldError,
     Pose,
     Trajectory,
     quat_conj,
@@ -227,6 +231,42 @@ class TestRollout:
 
         with pytest.raises(RolloutError, match="step"):
             rollout(model, dt=0.01, coupling=bad_coupling)
+
+
+class TestStepBudget:
+    """rollout_steps is ceil(horizon_factor * tau / dt), refused past dt = tau/50
+    or MAX_ROLLOUT_STEPS before any array is sized."""
+
+    def test_count_at_and_past_the_budget(self):
+        dt = 2.0 ** -10   # binary steps, so the count at the budget is exact
+        horizon = MAX_ROLLOUT_STEPS * dt
+        assert rollout_steps(1.0, dt, horizon) == MAX_ROLLOUT_STEPS
+        assert rollout_steps(1.0, dt, 1.25) == math.ceil(1.25 / dt)
+        with pytest.raises(FieldError, match=rf"^dt must keep horizon \* tau / dt within {MAX_ROLLOUT_STEPS} steps, "
+                                             r"got 100000 at tau = 1.0$") as exc:
+            rollout_steps(1.0, dt, np.nextafter(horizon, np.inf))
+        assert exc.value.field == "dt"
+
+    @pytest.mark.parametrize("dt, horizon, field, steps", [
+        (1e-9, 1.25, "dt", "1.25e+09"),
+        (0.02, 1e9, "horizon_factor", "5e+10"),
+        # the horizon alone is at fault once even dt = tau/50 takes too many steps
+        (0.02, 2001.0, "horizon_factor", "100050"),
+        (0.01, 1001.0, "dt", "100100"),
+        (5e-324, 1e300, "horizon_factor", "inf"),
+    ])
+    def test_rollout_batch_refuses_before_sizing(self, dt, horizon, field, steps):
+        model = fit_dmp(line_demo([0, 0, 0], [0.3, 0, 0], n=101))
+        start, goal = Pose(model.y0, model.q0), Pose(model.goal, model.q_goal)
+        with pytest.raises(FieldError, match=rf"within {MAX_ROLLOUT_STEPS} steps, got {re.escape(steps)} ") as exc:
+            rollout_batch(model, [start], [goal], dt=dt, horizon_factor=horizon)
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, 0.0201])
+    def test_dt_outside_its_bound(self, dt):
+        with pytest.raises(FieldError, match=r"^dt must be <= tau/50 = 0.02 and positive, got ") as exc:
+            rollout_steps(1.0, dt, 1.25)
+        assert exc.value.field == "dt"
 
 
 # fit_dmp(...).hash() of the demo in test_fit_hash_unchanged, as computed

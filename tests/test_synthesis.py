@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from splatsynth.geometry import FieldError, quat_geodesic_distance
+from splatsynth.geometry import FieldError, Trajectory, quat_geodesic_distance
 from splatsynth.obstacles import ObstacleParams
 from splatsynth import synthesis
 from splatsynth.splats import GaussianBlob, GaussianScene
@@ -562,6 +562,17 @@ class TestJobValidation:
         make_job(demo=demo, dt=tau / 50.0)
         with pytest.raises(ValueError, match="^dt must be <= tau/50"):
             make_job(demo=demo, dt=np.nextafter(tau / 50.0, 1.0))
+
+    def test_step_budget_of_the_longest_segment(self):
+        # the letter A with its second segment ten times slower: at dt = 1e-4 the
+        # first takes 12500 steps and the second 125000, past the budget
+        demo = letter_a_demo()
+        times = np.where(demo.times > 1.0, 1.0 + 10.0 * (demo.times - 1.0), demo.times)
+        demo = Trajectory(times, demo.positions, demo.quaternions, demo.gripper, demo.splits)
+        make_job(demo=demo, dt=1e-4, horizon_factor=0.75)
+        with pytest.raises(FieldError, match=r"^dt must keep horizon \* tau / dt within 100000 steps, "
+                                             r"got 125000 at tau = 10.0$"):
+            make_job(demo=demo, dt=1e-4)
 
     def test_n_basis_at_most_the_shortest_segment(self):
         # the letter-A demo's shortest segment has 80 samples, as fit_dmp counts them
