@@ -563,13 +563,15 @@ class TestJobValidation:
         with pytest.raises(ValueError, match="^dt must be <= tau/50"):
             make_job(demo=demo, dt=np.nextafter(tau / 50.0, 1.0))
 
-    def test_step_budget_of_the_longest_segment(self):
-        # the letter A with its second segment ten times slower: at dt = 1e-4 the
-        # first takes 12500 steps and the second 125000, past the budget
+    def test_shortest_segment_bounds_dt_and_longest_the_steps(self):
+        # the letter A with its second segment ten times slower: the first bounds
+        # dt, and at dt = 1e-4 the second takes 125000 steps, past the budget
         demo = letter_a_demo()
         times = np.where(demo.times > 1.0, 1.0 + 10.0 * (demo.times - 1.0), demo.times)
         demo = Trajectory(times, demo.positions, demo.quaternions, demo.gripper, demo.splits)
         make_job(demo=demo, dt=1e-4, horizon_factor=0.75)
+        with pytest.raises(FieldError, match=r"^dt must be <= tau/50 = 0.02 and positive, got 0.021$"):
+            make_job(demo=demo, dt=0.021)
         with pytest.raises(FieldError, match=r"^dt must keep horizon \* tau / dt within 100000 steps, "
                                              r"got 125000 at tau = 10.0$"):
             make_job(demo=demo, dt=1e-4)
