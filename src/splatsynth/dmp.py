@@ -45,7 +45,7 @@ DEFAULT_HORIZON_FACTOR = 1.25
 DEGENERATE_GOAL_TOL = 1e-6
 REST_PAD_SAMPLES = 50
 REST_PAD_WEIGHT = 10.0
-# A rollout's step budget, about a hundred times the most steps of any run in bench/, the tests or the
+# A rollout's step budget, at least a hundred times the most steps of any run in bench/, the tests or the
 # README: every step is a Python iteration, and the rollout's arrays grow with the count.
 MAX_ROLLOUT_STEPS = 100_000
 
