@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import check_fields
+from .geometry import check_fields, param
 from .splats import GaussianScene
 
 log = logging.getLogger(__name__)
@@ -80,9 +80,9 @@ class RigidTransform:
 
 @dataclass
 class IcpParams:
-    max_iters: int = field(default=100, metadata={"check": "at least 1"})
-    tol: float = field(default=1e-8, metadata={"check": "at least 0"})
-    max_corr_dist: float = field(default=0.1, metadata={"check": "positive"})
+    max_iters: int = param(100, "ICP iteration cap", "at least 1")
+    tol: float = param(1e-8, "RMS change stop tolerance, m", "non-negative")
+    max_corr_dist: float = param(0.1, "correspondence cap, m", "positive")
 
     def __post_init__(self):
         check_fields(self)

@@ -1,7 +1,7 @@
 """Command-line front end: align, fit, synth, eval, calibrate-rho, density.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage/config error.  All numeric
-parameters live in the job config file; flags only override paths and options.
+Exit codes: 0 success, 1 runtime failure, 2 usage/config error.  A job's
+parameters live in its config file; a flag that sets a parameter mirrors its field.
 """
 
 from __future__ import annotations
@@ -169,11 +169,7 @@ def _moved(scene, T, path: str):
 # ---- commands ---------------------------------------------------------------
 
 def cmd_align(args) -> int:
-    try:
-        params = alignment.IcpParams(max_iters=args.max_iters, tol=args.tol,
-                                     max_corr_dist=args.max_corr_dist)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    params = alignment.IcpParams(max_iters=args.max_iters, tol=args.tol, max_corr_dist=args.max_corr_dist)
     scene = None
     if args.aligned_scene:
         if not args.scene.endswith((".json", ".ply")):
@@ -229,11 +225,14 @@ def _raster_spec(args) -> metrics.RasterSpec:
         return metrics.RasterSpec(resolution=args.raster_resolution, stroke_px=args.stroke_px,
                                   plane_point=tuple(vals[:3]), plane_normal=tuple(vals[3:]))
     except FieldError as exc:
-        flag = {"resolution": "--raster-resolution", "stroke_px": "--stroke-px"}
-        raise UsageError(f"{flag.get(exc.field, '--writing-plane')}: {exc}") from exc
+        raise UsageError(f"--writing-plane: {exc}") from exc
 
 
 def cmd_eval(args) -> int:
+    if not args.scene and (args.transform or args.scene_unaligned):
+        raise UsageError(f"{'--transform' if args.transform else '--scene-unaligned'} needs --scene")
+    if args.scene_unaligned and not args.transform:
+        raise UsageError("scene marked unaligned but no --transform provided")
     raster = _raster_spec(args) if args.writing_plane else None
     if not os.path.exists(args.dataset):
         raise UsageError(f"file not found: {args.dataset}")
@@ -242,8 +241,6 @@ def cmd_eval(args) -> int:
     expert = Trajectory.load(_require_file(args.expert))
     scene = None
     if args.scene:
-        if args.scene_unaligned and not args.transform:
-            raise UsageError("scene marked unaligned but no --transform provided")
         scene = splats.load_scene(_require_file(args.scene))
         if args.transform:
             T = alignment.RigidTransform.load_json(_require_file(args.transform))
@@ -324,9 +321,13 @@ def cmd_density(args) -> int:
 
 # ---- parser -----------------------------------------------------------------
 
-def _rule(cls, name: str) -> str:
-    """The RANGES rule of the schema field cls.<name>, for a flag that sets the same parameter."""
-    return cls.__dataclass_fields__[name].metadata["check"]
+def _flag(p: argparse.ArgumentParser, flag: str, cls, name: str) -> None:
+    """Declare flag as the parameter cls.<name>: the schema field's type, default
+    and help line, and its RANGES rule in p's ranges."""
+    f = cls.__dataclass_fields__[name]
+    p.add_argument(flag, type=typing.get_type_hints(cls)[name], default=f.default,
+                   help=f"{f.metadata['help']} (default: %(default)s)")
+    p.set_defaults(ranges={**(p.get_default("ranges") or {}), flag: f.metadata["check"]})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,23 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", help="initial 4x4 transform JSON")
     p.add_argument("--out", default="transform.json", help="output transform JSON (default: transform.json)")
     p.add_argument("--aligned-scene", help="optionally write the transformed scene JSON (scene must be PLY/JSON)")
-    p.add_argument("--max-iters", type=int, default=alignment.IcpParams.max_iters,
-                   help="ICP iteration cap (default: %(default)s)")
-    p.add_argument("--tol", type=float, default=alignment.IcpParams.tol,
-                   help="RMS change stop tolerance, m (default: %(default)s)")
-    p.add_argument("--max-corr-dist", type=float, default=alignment.IcpParams.max_corr_dist,
-                   help="correspondence cap, m (default: %(default)s)")
+    for flag, name in (("--max-iters", "max_iters"), ("--tol", "tol"), ("--max-corr-dist", "max_corr_dist")):
+        _flag(p, flag, alignment.IcpParams, name)
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("fit", help="fit per-segment DMP models and write them as JSON")
     p.add_argument("demo", help="expert trajectory CSV/JSON")
     p.add_argument("--out", default="models", help="output directory (default: models)")
-    p.add_argument("--n-basis", type=int, default=dmp.DEFAULT_N_BASIS,
-                   help="RBFs per channel (default: %(default)s)")
-    p.add_argument("--ridge-lambda", type=float, default=dmp.DEFAULT_RIDGE_LAMBDA,
-                   help="ridge regularizer (default: %(default)s)")
-    p.set_defaults(func=cmd_fit, ranges={"--n-basis": _rule(synthesis.SynthesisJob, "n_basis"),
-                                         "--ridge-lambda": _rule(synthesis.SynthesisJob, "ridge_lambda")})
+    _flag(p, "--n-basis", synthesis.SynthesisJob, "n_basis")
+    _flag(p, "--ridge-lambda", synthesis.SynthesisJob, "ridge_lambda")
+    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("synth", help="synthesize a demonstration dataset from a job config",
                        epilog=_config_help(),
@@ -374,15 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene-unaligned", action="store_true",
                    help="declare the scene is not in the trajectory frame")
     p.add_argument("--transform", help="4x4 transform JSON to apply to the scene")
-    p.add_argument("--rho-th", type=float, default=obstacles.ObstacleParams.rho_th,
-                   help="collision density threshold (default: %(default)s)")
+    _flag(p, "--rho-th", obstacles.ObstacleParams, "rho_th")
     p.add_argument("--writing-plane", help="px,py,pz,nx,ny,nz to enable the writing-error metric")
-    p.add_argument("--raster-resolution", type=int, default=metrics.RasterSpec.resolution,
-                   help="raster canvas size (default: %(default)s)")
-    p.add_argument("--stroke-px", type=int, default=metrics.RasterSpec.stroke_px,
-                   help="stroke width in pixels (default: %(default)s)")
+    _flag(p, "--raster-resolution", metrics.RasterSpec, "resolution")
+    _flag(p, "--stroke-px", metrics.RasterSpec, "stroke_px")
     p.add_argument("--out", default="summary.csv", help="summary file name (default: summary.csv)")
-    p.set_defaults(func=cmd_eval, ranges={"--rho-th": _rule(obstacles.ObstacleParams, "rho_th")})
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("calibrate-rho", help="histogram densities and suggest rho_th")
     p.add_argument("scene", help="splat scene PLY/JSON")
@@ -391,19 +382,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe-seed", type=int, default=0, help="probe RNG seed (default: 0)")
     p.add_argument("--bins", type=int, default=20, help="histogram bins (default: 20)")
     p.add_argument("--floor", type=float, default=0.05, help="suggestion floor (default: 0.05)")
+    floor_rule = obstacles.ObstacleParams.__dataclass_fields__["rho_th"].metadata["check"]   # a suggested rho_th
     p.set_defaults(func=cmd_calibrate_rho, ranges={"--n-probes": "non-negative", "--probe-seed": "non-negative",
-                                                   "--bins": "at least 1",
-                                                   "--floor": _rule(obstacles.ObstacleParams, "rho_th")})
+                                                   "--bins": "at least 1", "--floor": floor_rule})
 
     p = sub.add_parser("density", help="query rho and its gradient at one point")
     p.add_argument("scene", help="splat scene PLY/JSON")
     p.add_argument("x", type=float)
     p.add_argument("y", type=float)
     p.add_argument("z", type=float)
-    p.add_argument("--gradient-step", type=float, default=splats.DEFAULT_GRADIENT_STEP,
-                   help="central-difference step (default: %(default)s)")
-    p.set_defaults(func=cmd_density, ranges={"x": "finite", "y": "finite", "z": "finite",
-                                             "--gradient-step": _rule(obstacles.ObstacleParams, "gradient_step")})
+    p.set_defaults(func=cmd_density, ranges={"x": "finite", "y": "finite", "z": "finite"})
+    _flag(p, "--gradient-step", obstacles.ObstacleParams, "gradient_step")
 
     return parser
 

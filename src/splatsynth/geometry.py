@@ -33,7 +33,6 @@ class FieldError(ValueError):
 RANGES = {
     "positive": lambda v: v > 0,
     "non-negative": lambda v: v >= 0,
-    "at least 0": lambda v: v >= 0,
     "at least 1": lambda v: v >= 1,
     "at least 2": lambda v: v >= 2,
     "finite": lambda v: abs(v) < math.inf,
@@ -56,7 +55,7 @@ def check_fields(obj) -> None:
 
 
 def param(default, text: str, check: str | None = None, **metadata):
-    """A job-config field: its default, help line, RANGES rule and other metadata, such as its "key"."""
+    """A parameter field: its default, help line, RANGES rule and other metadata, such as its job-config "key"."""
     return field(default=default, metadata={"help": text, "check": check, **metadata})
 
 

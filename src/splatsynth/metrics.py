@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .geometry import FieldError, Trajectory, check_fields
+from .geometry import FieldError, Trajectory, check_fields, param
 # density stays bound here for bench/tracing.py, which wraps it where it is looked up
 from .splats import GaussianScene, density, density_many  # noqa: F401
 
@@ -48,6 +48,17 @@ def _distance_matrix(a: np.ndarray, b: np.ndarray, dist: str, out: np.ndarray | 
     raise ValueError(f"unknown distance selector: {dist}")
 
 
+def _offsets(n: int, m: int) -> tuple:
+    """The off of _layout(n, m), without the rest of the layout."""
+    ds = np.arange(n + m + 1)
+    lo = np.maximum(0, ds - m)
+    size = np.minimum(n, ds) - lo + 1
+    return tuple((np.cumsum(size) - size - lo).tolist())
+
+
+# only a table of at most _CHUNK_CELLS cells is cached: a larger one's gather
+# (8 bytes a cell) and steps would outlive its sweep, so _sweep builds it through
+# _layout.__wrapped__ and passes it down, and trajectory_dtw_many takes its _offsets
 @functools.lru_cache(maxsize=16)
 def _layout(n: int, m: int):
     """The diagonal-major layout of an (n+1) x (m+1) DTW table: anti-diagonal
@@ -57,17 +68,13 @@ def _layout(n: int, m: int):
     the fill's steps: per diagonal d >= 2, the slices of its cells off row
     and column 0, of their up, left and diagonal neighbours, and of the
     scratch rows for their minima, which never number more than min(n, m)."""
-    ds = np.arange(n + m + 1)
-    lo = np.maximum(0, ds - m)
-    size = np.minimum(n, ds) - lo + 1
-    offsets = np.cumsum(size) - size - lo
+    off = _offsets(n, m)
     i, j = np.indices((n + 1, m + 1))
     src = np.where((i > 0) & (j > 0), (i - 1) * m + j - 1, n * m)
     src[0, 0] = n * m + 1
     gather = np.empty((n + 1) * (m + 1), dtype=np.intp)
-    gather[offsets[i + j] + i] = src
+    gather[np.asarray(off)[i + j] + i] = src
     gather.flags.writeable = False
-    off = tuple(offsets.tolist())
     steps = []
     for d in range(2, n + m + 1):
         i0 = max(1, d - m)
@@ -77,7 +84,7 @@ def _layout(n: int, m: int):
     return off, gather, tuple(steps)
 
 
-def _fill(acc: np.ndarray, n: int, m: int) -> None:
+def _fill(acc: np.ndarray, n: int, m: int, steps: tuple | None = None) -> None:
     """Fill in place the DTW tables acc, ((n+1)(m+1), T): T tables in the
     diagonal-major layout of _layout, interleaved innermost.  It goes one
     anti-diagonal at a time (Sakoe & Chiba, 1978).  acc holds 0 at (0, 0),
@@ -85,9 +92,10 @@ def _fill(acc: np.ndarray, n: int, m: int) -> None:
     D[i-1, j-1] + min(up, left, diagonal) with one addition, as in row order,
     so every table is bit-identical to it.  A diagonal's cells and each of
     their three neighbour sets are one contiguous block, so a diagonal costs
-    three ufunc calls into one scratch buffer."""
+    three ufunc calls into one scratch buffer.  steps are _layout(n, m)'s,
+    when the caller has built them."""
     scratch = np.empty((min(n, m),) + acc.shape[1:])
-    for cells, up, left, diag, part in _layout(n, m)[2]:
+    for cells, up, left, diag, part in _layout(n, m)[2] if steps is None else steps:
         low = scratch[part]
         np.minimum(acc[up], acc[left], out=low)
         np.minimum(low, acc[diag], out=low)
@@ -104,8 +112,9 @@ def _sweep(stage: np.ndarray, n: int, m: int) -> np.ndarray:
     if not np.all(np.isfinite(stage[:, :n * m])):
         raise ValueError("non-finite distance")
     stage[:, n * m:n * m + 2] = np.inf, 0.0   # the border and the corner (0, 0) gather these
-    acc = stage.T[_layout(n, m)[1]]
-    _fill(acc, n, m)
+    layout = (_layout if stage.shape[1] <= _CHUNK_CELLS else _layout.__wrapped__)(n, m)
+    acc = stage.T[layout[1]]
+    _fill(acc, n, m, layout[2])
     return acc
 
 
@@ -133,15 +142,15 @@ def dtw(a, b, dist: str = "euclidean", normalized: bool = False):
     return cost, path
 
 
-def _warping_path(acc: np.ndarray, n: int, m: int) -> list:
+def _warping_path(acc: np.ndarray, n: int, m: int, off: tuple | None = None) -> list:
     """The optimal warping path through one filled DTW table acc (a 1-D array
     of (n+1)(m+1) cells in the diagonal-major layout of _layout), as 0-based
     (i, j) index pairs in order.  It is walked back from (n, m): each step
     moves to the least of the diagonal, up and left neighbours, a tie going
     to the diagonal, then up, then left; on row or column 0 only the move
-    along it remains."""
+    along it remains.  off is _layout(n, m)'s, when the caller has it."""
     cells = memoryview(acc)   # reads each cell as a Python float, without numpy's per-item cost
-    off = _layout(n, m)[0]
+    off = off or _offsets(n, m)
     i, d = n, n + m
     path = []
     while d:
@@ -205,6 +214,7 @@ def trajectory_dtw_many(rollouts: list, expert: Trajectory) -> list:
         raise ValueError("rollouts must all have the same length")
     cells = (n + 1) * (m + 1)
     chunk = max(1, _CHUNK_CELLS // (2 * (2 * cells + min(n, m))))
+    off = _layout(n, m)[0] if cells <= _CHUNK_CELLS else _offsets(n, m)
     scores = []
     for start in range(0, len(rollouts), chunk):
         part = rollouts[start:start + chunk]
@@ -215,7 +225,7 @@ def trajectory_dtw_many(rollouts: list, expert: Trajectory) -> list:
             _distance_matrix(r.quaternions, expert.quaternions, "quaternion",
                              out=stage[b + c, :n * m].reshape(n, m))
         acc = _sweep(stage, n, m)
-        lengths = [len(_warping_path(acc[:, c], n, m)) for c in range(2 * b)]
+        lengths = [len(_warping_path(acc[:, c], n, m, off)) for c in range(2 * b)]
         normalized = (acc[-1] / lengths).tolist()
         scores.extend(zip(normalized[:b], normalized[b:]))
         del stage, acc   # the next chunk's buffers must not meet these
@@ -239,8 +249,8 @@ def collision_check(traj: Trajectory, scene: GaussianScene, rho_th: float):
 
 @dataclass(frozen=True)
 class RasterSpec:
-    resolution: int = field(default=128, metadata={"check": "at least 1"})
-    stroke_px: int = field(default=3, metadata={"check": "at least 1"})
+    resolution: int = param(128, "raster canvas size", "at least 1")
+    stroke_px: int = param(3, "stroke width in pixels", "at least 1")
     plane_point: tuple = (0.0, 0.0, 0.0)
     plane_normal: tuple = (0.0, 0.0, 1.0)
 

@@ -278,8 +278,8 @@ class TestIcpParams:
     @pytest.mark.parametrize("field, value, message", [
         ("max_iters", 0, "max_iters must be at least 1, got 0"),
         ("max_iters", -3, "max_iters must be at least 1, got -3"),
-        ("tol", -1e-9, "tol must be at least 0, got -1e-09"),
-        ("tol", math.nan, "tol must be at least 0, got nan"),
+        ("tol", -1e-9, "tol must be non-negative, got -1e-09"),
+        ("tol", math.nan, "tol must be non-negative, got nan"),
         ("max_corr_dist", 0.0, "max_corr_dist must be positive, got 0.0"),
         ("max_corr_dist", -1.0, "max_corr_dist must be positive, got -1.0"),
         ("max_corr_dist", math.nan, "max_corr_dist must be positive, got nan"),

@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splatsynth
-from splatsynth.alignment import RigidTransform
-from splatsynth.cli import UsageError, _config_keys, _job_from_config, _load_points, main
+from splatsynth.alignment import IcpParams, RigidTransform
+from splatsynth.cli import UsageError, _config_keys, _job_from_config, _load_points, build_parser, main
 from splatsynth.geometry import RANGES, Trajectory
+from splatsynth.metrics import RasterSpec
 from splatsynth.obstacles import ObstacleParams
 from splatsynth.splats import GaussianBlob, GaussianScene, save_scene_json
 from splatsynth.synthesis import SynthesisJob
@@ -253,6 +254,12 @@ class TestFlagRanges:
         (["calibrate-rho", "{f}", "{f}", "--probe-seed", "-1"], "--probe-seed: must be non-negative, got -1"),
         (["calibrate-rho", "{f}", "{f}", "--floor", "nan"], "--floor: must be positive, got nan"),
         (["calibrate-rho", "{f}", "{f}", "--floor", "-1"], "--floor: must be positive, got -1.0"),
+        (["align", "{f}", "{f}", "--max-iters", "0"], "--max-iters: must be at least 1, got 0"),
+        (["align", "{f}", "{f}", "--tol", "nan"], "--tol: must be non-negative, got nan"),
+        (["align", "{f}", "{f}", "--tol", "-1"], "--tol: must be non-negative, got -1.0"),
+        (["align", "{f}", "{f}", "--max-corr-dist", "0"], "--max-corr-dist: must be positive, got 0.0"),
+        (["eval", "{f}", "{f}", "--raster-resolution", "0"], "--raster-resolution: must be at least 1, got 0"),
+        (["eval", "{f}", "{f}", "--stroke-px", "-3"], "--stroke-px: must be at least 1, got -3"),
     ])
     def test_out_of_range_exits_2(self, tmp_path, capsys, argv, message):
         assert main([a.format(f=tmp_path / "missing") for a in argv]) == 2
@@ -270,6 +277,49 @@ class TestFlagRanges:
         run = subprocess.run([sys.executable, "-m", "splatsynth.cli", "density", scene, "0", "0", "0"],
                              capture_output=True, text=True, env=env, timeout=60)
         assert (run.returncode, run.stderr) == (code, err)
+
+
+# (command and its positionals, flag, the schema field it sets)
+SCHEMA_FLAGS = [
+    (["align", "s", "p"], "--max-iters", IcpParams, "max_iters"),
+    (["align", "s", "p"], "--tol", IcpParams, "tol"),
+    (["align", "s", "p"], "--max-corr-dist", IcpParams, "max_corr_dist"),
+    (["fit", "d"], "--n-basis", SynthesisJob, "n_basis"),
+    (["fit", "d"], "--ridge-lambda", SynthesisJob, "ridge_lambda"),
+    (["eval", "d", "e"], "--rho-th", ObstacleParams, "rho_th"),
+    (["eval", "d", "e"], "--raster-resolution", RasterSpec, "resolution"),
+    (["eval", "d", "e"], "--stroke-px", RasterSpec, "stroke_px"),
+    (["density", "s", "0", "0", "0"], "--gradient-step", ObstacleParams, "gradient_step"),
+]
+
+
+class TestSchemaFlags:
+    """A flag that sets a parameter takes its schema field's type, default,
+    help line and range."""
+
+    @pytest.mark.parametrize("argv, flag, cls, name", SCHEMA_FLAGS, ids=[flag for _, flag, _, _ in SCHEMA_FLAGS])
+    def test_flag_mirrors_its_field(self, capsys, argv, flag, cls, name):
+        f = cls.__dataclass_fields__[name]
+        args = build_parser().parse_args(argv)
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        assert value == f.default and type(value) is type(f.default)
+        assert args.ranges[flag] == f.metadata["check"]
+        with pytest.raises(SystemExit):
+            main([argv[0], "--help"])
+        assert f"{f.metadata['help']} (default: {f.default})" in " ".join(capsys.readouterr().out.split())
+
+
+class TestReadmeRanges:
+    def test_range_table_matches_the_schema(self):
+        """The README's "Range | Keys" table lists each numeric job-config key
+        under the rule its field's metadata names."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = readme.split("| Range | Keys |\n| --- | --- |\n")[1].split("\n\n")[0]
+        documented = {}
+        for row in table.splitlines():
+            rule, keys = row.strip("|").split("|")
+            documented.update((key, rule.strip()) for key in re.findall(r"`([^`]+)`", keys))
+        assert documented == {key: f.metadata["check"] for key, f, _ in _config_keys() if f.metadata.get("check")}
 
 
 class TestHelp:
@@ -503,13 +553,13 @@ class TestAlign:
             one_error_line(capsys, f"{src}: line {line}: expected 3 finite numbers x,y,z, got {row!r}")
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--max-iters", "0", "max_iters must be at least 1, got 0"),
-        ("--max-iters", "-3", "max_iters must be at least 1, got -3"),
-        ("--tol", "nan", "tol must be at least 0, got nan"),
-        ("--tol", "-1", "tol must be at least 0, got -1.0"),
-        ("--max-corr-dist", "nan", "max_corr_dist must be positive, got nan"),
-        ("--max-corr-dist", "-1", "max_corr_dist must be positive, got -1.0"),
-        ("--max-corr-dist", "0", "max_corr_dist must be positive, got 0.0"),
+        ("--max-iters", "0", "--max-iters: must be at least 1, got 0"),
+        ("--max-iters", "-3", "--max-iters: must be at least 1, got -3"),
+        ("--tol", "nan", "--tol: must be non-negative, got nan"),
+        ("--tol", "-1", "--tol: must be non-negative, got -1.0"),
+        ("--max-corr-dist", "nan", "--max-corr-dist: must be positive, got nan"),
+        ("--max-corr-dist", "-1", "--max-corr-dist: must be positive, got -1.0"),
+        ("--max-corr-dist", "0", "--max-corr-dist: must be positive, got 0.0"),
     ])
     def test_bad_icp_flag_is_a_usage_error(self, tmp_path, capsys, flag, value, message):
         pts = tmp_path / "pts.csv"
@@ -777,6 +827,21 @@ class TestEval:
                      "--scene-unaligned"])
         assert code == 2
         assert "transform" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--transform", "nonexistent.json"], "--transform needs --scene"),
+        (["--scene-unaligned"], "--scene-unaligned needs --scene"),
+        (["--scene", "nonexistent.json", "--scene-unaligned"], "scene marked unaligned but no --transform provided"),
+    ])
+    def test_scene_flags_checked_before_any_file(self, tmp_path, capsys, flags, message):
+        out_dir = tmp_path / "data"
+        out_dir.mkdir()
+        demo, demo_csv = line_demo([0, 0, 0], [1, 0, 0]), tmp_path / "demo.csv"
+        demo.save_csv(demo_csv)
+        demo.save_csv(out_dir / "rollout_0000.csv")
+        assert main(["eval", str(out_dir), str(demo_csv)] + flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out_dir / "summary.csv").exists()
 
     def test_transform_applied(self, tmp_path, demo_csv):
         out_dir, demo = self.make_dataset(tmp_path, demo_csv)

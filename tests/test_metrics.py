@@ -372,6 +372,19 @@ class TestTrajectoryDtwMany:
             tracemalloc.stop()
         assert budget * 8 <= peak <= budget * 8 + (64 << 10)
 
+    def test_table_past_the_budget_is_not_cached(self):
+        # 801 x 801 cells exceed _CHUNK_CELLS: the layout is built for the sweep
+        # and dropped with it, so the cache is neither read nor grown (a full
+        # cache keeps its size as it evicts), and the scores stay dtw()'s
+        rng = np.random.default_rng(13)
+        rollout, expert = random_traj(rng, 800), random_traj(rng, 800)
+        assert 801 * 801 > metrics._CHUNK_CELLS
+        cached = metrics._layout.cache_info()
+        scores = trajectory_dtw_many([rollout], expert)
+        assert metrics._layout.cache_info() == cached
+        assert scores == [(dtw(rollout.positions, expert.positions, normalized=True)[0],
+                           dtw(rollout.quaternions, expert.quaternions, "quaternion", normalized=True)[0])]
+
     def test_unequal_lengths_rejected(self):
         rng = np.random.default_rng(9)
         with pytest.raises(ValueError, match="same length"):
