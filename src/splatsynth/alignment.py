@@ -109,26 +109,15 @@ def _procrustes(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     return RigidTransform(R, cd - R @ cs)
 
 
-def icp_align(source, target, params: IcpParams | None = None,
-              init: RigidTransform | None = None) -> IcpResult:
-    """Point-to-point ICP: nearest-neighbor matching capped at max_corr_dist,
-    closed-form SVD update, until RMS change < tol or max_iters.
+# a source of at least 2 * _COARSE_ROWS rows first converges on about
+# _COARSE_ROWS of them (Rusinkiewicz & Levoy, 3DIM 2001)
+_COARSE_ROWS = 1000
 
-    The moved source rows query the target tree in the leaf order of a k-d
-    tree of their own, so that consecutive queries walk the same branches.
-    Each row's query is unbounded and independent of the others, and the
-    distances and matches are scattered back to the caller's order, so the
-    result is bit for bit that of querying in the caller's order.  Each
-    iteration logs one DEBUG line."""
-    params = params or IcpParams()
-    source = np.asarray(source, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if len(source) < 3 or len(target) < 3:
-        raise AlignmentError("need at least 3 points in source and target")
-    tree = cKDTree(target)
-    order = cKDTree(source, balanced_tree=False, compact_nodes=False).indices
+
+def _icp_loop(source, target, tree, order, params: IcpParams, T: RigidTransform, stage: str) -> IcpResult:
+    """Point-to-point ICP of the source rows from T, querying them in the
+    given order and logging one DEBUG line per iteration as "icp <stage>iteration"."""
     dist, nn = np.empty(len(source)), np.empty(len(source), dtype=np.intp)
-    T = init or RigidTransform.identity()
     residuals = []
     prev_rms = None
     n_inliers = 0
@@ -144,13 +133,53 @@ def icp_align(source, target, params: IcpParams | None = None,
         rms = float(np.sqrt(np.mean(np.sum((T.apply(src) - matched) ** 2, axis=1))))
         residuals.append(rms)
         change = math.inf if prev_rms is None else abs(prev_rms - rms)
-        log.debug("icp iteration %d/%d: %d of %d inliers, rms %.9g m, rms change %.3g (tol %.3g)",
-                  it, params.max_iters, n_inliers, len(source), rms, change, params.tol)
+        log.debug("icp %siteration %d/%d: %d of %d inliers, rms %.9g m, rms change %.3g (tol %.3g)",
+                  stage, it, params.max_iters, n_inliers, len(source), rms, change, params.tol)
         if change < params.tol:
             break
         prev_rms = rms
     return IcpResult(transform=T, rms=residuals[-1], residuals=residuals,
                      n_inliers=n_inliers)
+
+
+def icp_align(source, target, params: IcpParams | None = None,
+              init: RigidTransform | None = None) -> IcpResult:
+    """Point-to-point ICP: nearest-neighbor matching capped at max_corr_dist,
+    closed-form SVD update, until RMS change < tol or max_iters.  A non-finite
+    row in either array is an AlignmentError naming it.
+
+    The moved source rows query the target tree in the leaf order of a k-d
+    tree of their own, so that consecutive queries walk the same branches.
+    Each row's query is unbounded and independent of the others, and the
+    distances and matches are scattered back to the caller's order, so the
+    result is bit for bit that of querying in the caller's order.
+
+    A source of n >= 2 * _COARSE_ROWS rows first runs a coarse stage on every
+    k-th row of that leaf order, k = n // _COARSE_ROWS, from init to the same
+    stopping rule; the full stage then runs on every row from the coarse
+    transform, or from init if the coarse stage raised an AlignmentError.
+    The result's residuals, rms and n_inliers are the full stage's.  Each
+    iteration logs one DEBUG line, "icp coarse iteration" in the coarse stage."""
+    params = params or IcpParams()
+    source = np.asarray(source, dtype=float)
+    target = np.asarray(target, dtype=float)
+    if len(source) < 3 or len(target) < 3:
+        raise AlignmentError("need at least 3 points in source and target")
+    for name, points in (("source", source), ("target", target)):
+        bad = np.flatnonzero(~np.all(np.isfinite(points), axis=1))
+        if len(bad):
+            raise AlignmentError(f"{name} row {bad[0]}: non-finite point {points[bad[0]].tolist()}")
+    tree = cKDTree(target)
+    order = cKDTree(source, balanced_tree=False, compact_nodes=False).indices
+    T = init or RigidTransform.identity()
+    k = len(source) // _COARSE_ROWS
+    if k >= 2:
+        sample = source[order[::k]]
+        try:
+            T = _icp_loop(sample, target, tree, np.arange(len(sample)), params, T, "coarse ").transform
+        except AlignmentError:
+            pass   # the full stage starts from init
+    return _icp_loop(source, target, tree, order, params, T, "")
 
 
 def _rotated(R: np.ndarray, C: np.ndarray) -> np.ndarray:

@@ -188,6 +188,10 @@ def cmd_align(args) -> int:
 
 def cmd_fit(args) -> int:
     demo = Trajectory.load(_require_file(args.demo))
+    try:
+        synthesis.check_n_basis(demo, args.n_basis)
+    except FieldError as exc:
+        raise UsageError(f"--n-basis: {exc.detail}") from exc
     os.makedirs(args.out, exist_ok=True)
     for k in range(demo.n_segments):
         model = dmp.fit_dmp(demo.segment(k), n_basis=args.n_basis,

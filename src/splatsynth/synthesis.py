@@ -111,14 +111,19 @@ class SynthesisJob:
         taus = np.diff(self.demo.times[self.demo.splits])
         for tau in (taus.min(), taus.max()):
             rollout_steps(tau, self.dt, self.horizon_factor)
-        # the shortest segment's sample count, as fit_dmp counts it
-        samples = int(np.min(np.diff(self.demo.splits))) + 1
-        if not self.n_basis <= samples:
-            raise FieldError("n_basis", f"must be <= {samples}, the sample count of the shortest demo segment, "
-                             f"got {self.n_basis}")
+        check_n_basis(self.demo, self.n_basis)
         if self.spec.perturbable and len(self.spec.perturbable) != len(self.demo.splits):
             raise FieldError("spec.perturbable", f"must hold one flag per demo split ({len(self.demo.splits)}), "
                              f"got {len(self.spec.perturbable)}")
+
+
+def check_n_basis(demo: Trajectory, n_basis: int) -> None:
+    """A FieldError on n_basis unless it is at most the shortest demo
+    segment's sample count, as fit_dmp counts it."""
+    samples = int(np.min(np.diff(demo.splits))) + 1
+    if not n_basis <= samples:
+        raise FieldError("n_basis", f"must be <= {samples}, the sample count of the shortest demo segment, "
+                         f"got {n_basis}")
 
 
 def fit_segments(job: SynthesisJob) -> list[DmpModel]:

@@ -253,6 +253,105 @@ class TestIcpQueries:
         assert np.array_equal(queries[0][1], src[order])   # the first query moves nothing
 
 
+@pytest.fixture
+def queries(monkeypatch):
+    """The (tree size, query rows) of each query icp_align sends to its target tree."""
+    seen = []
+
+    class Tree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            seen.append((self.n, np.array(x)))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(alignment, "cKDTree", Tree)
+    return seen
+
+
+def leaf_order(points):
+    return cKDTree(points, balanced_tree=False, compact_nodes=False).indices
+
+
+class TestIcpCoarseStage:
+    """A source of at least 2 * _COARSE_ROWS rows first converges on every
+    k-th row of its leaf order, then runs the full loop from there."""
+
+    @pytest.mark.parametrize("noise", [0.0, 0.001])
+    @pytest.mark.parametrize("n, seed", [(2000, 0), (3000, 1), (5000, 2)])
+    def test_transform_matches_reference(self, n, seed, noise):
+        # a planted transform of at most 1 degree and 2 cm, as a scan's is
+        src = random_cloud(n, seed + 900)
+        dst = random_rigid(seed + 950, max_angle_deg=1.0, max_trans=0.02).apply(src)
+        dst = dst + np.random.default_rng(seed + 990).normal(scale=noise, size=dst.shape)
+        ref, got = icp_reference(src, dst), icp_align(src, dst)
+        assert got.transform.rotation.tobytes() == ref.transform.rotation.tobytes()
+        assert got.transform.translation.tobytes() == ref.transform.translation.tobytes()
+        assert (got.rms, got.n_inliers) == (ref.rms, ref.n_inliers)
+        assert 2 <= len(got.residuals) < len(ref.residuals)
+        assert np.all(np.diff(got.residuals) <= 1e-12)
+
+    def test_no_coarse_queries_below_the_threshold(self, queries):
+        src = random_cloud(2 * alignment._COARSE_ROWS - 1, 910)
+        dst = random_rigid(911, max_angle_deg=1.0, max_trans=0.02).apply(src)
+        res = assert_icp_matches_reference(src, dst)
+        assert len(queries) == len(res.residuals) >= 2
+        assert all(x.shape == src.shape for _, x in queries)
+
+    def test_sample_queries_then_every_row(self, queries):
+        src = random_cloud(3000, 920)
+        dst = random_rigid(921, max_angle_deg=1.0, max_trans=0.02).apply(src)
+        res = icp_align(src, dst)
+        order = leaf_order(src)
+        sample = src[order[::len(src) // alignment._COARSE_ROWS]]
+        coarse = icp_reference(sample, dst)
+        n_coarse = len(coarse.residuals)
+        assert len(sample) == 1000 and n_coarse >= 2
+        assert len(queries) == n_coarse + len(res.residuals)
+        assert all(n == len(dst) for n, _ in queries)
+        assert np.array_equal(queries[0][1], sample)   # leaf-ordered, moved by nothing
+        assert all(x.shape == sample.shape for _, x in queries[:n_coarse])
+        assert all(x.shape == src.shape for _, x in queries[n_coarse:])
+        # the full stage starts from the coarse transform, every row in leaf order
+        assert np.array_equal(queries[n_coarse][1], coarse.transform.apply(src)[order])
+
+    def test_sample_without_inliers_falls_back_to_init(self, queries):
+        # a 1 cm lattice whose target copies only the rows at odd leaf
+        # positions: the sample (the even ones) has no match within 2 mm
+        axis = np.arange(13) * 0.01
+        src = np.stack(np.meshgrid(axis, axis, axis[:12], indexing="ij"), axis=-1).reshape(-1, 3)
+        dst = src[leaf_order(src)[1::2]]
+        init = random_rigid(930, max_angle_deg=0.05, max_trans=0.001)
+        res = assert_icp_matches_reference(src, dst, IcpParams(max_corr_dist=0.002), init)
+        assert res.n_inliers == len(dst)
+        assert len(queries) == 1 + len(res.residuals)
+        assert queries[0][1].shape == (len(src) // 2, 3)
+
+    def test_coarse_debug_lines_come_first(self, caplog):
+        src = random_cloud(3000, 940)
+        dst = random_rigid(941, max_angle_deg=1.0, max_trans=0.02).apply(src)
+        with caplog.at_level(logging.DEBUG, logger="splatsynth"):
+            res = icp_align(src, dst)
+        lines = [r.getMessage() for r in caplog.records if r.name == "splatsynth.alignment"]
+        n_coarse = len(lines) - len(res.residuals)
+        assert n_coarse >= 2
+        for k, line in enumerate(lines[:n_coarse], start=1):
+            assert line.startswith(f"icp coarse iteration {k}/100: 1000 of 1000 inliers, rms ")
+        for k, (line, rms) in enumerate(zip(lines[n_coarse:], res.residuals), start=1):
+            assert line.startswith(f"icp iteration {k}/100: 3000 of 3000 inliers, rms {rms:.9g} m, ")
+
+
+class TestIcpNonFinite:
+    @pytest.mark.parametrize("n", [100, 2000])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["source", "target"])
+    def test_first_bad_row_named(self, name, value, n):
+        points = {"source": random_cloud(n, 88), "target": random_cloud(n, 89)}
+        points[name][50, 0] = value
+        points[name][70, 2] = value
+        message = f"{name} row 50: non-finite point {points[name][50].tolist()}"
+        with pytest.raises(AlignmentError, match=f"^{re.escape(message)}$"):
+            icp_align(points["source"], points["target"])
+
+
 class TestIcpLogging:
     def test_one_debug_line_per_iteration(self, caplog):
         src = random_cloud(300, 84)

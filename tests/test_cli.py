@@ -760,6 +760,18 @@ class TestFit:
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not (tmp_path / "models").exists()
 
+    def test_n_basis_above_the_shortest_segment_is_a_usage_error(self, tmp_path, capsys):
+        # the flag and the job-config key share the bound, its wording and exit 2
+        demo = tmp_path / "line.csv"
+        line_demo([0, 0, 0], [0.4, 0, 0]).save_csv(demo)
+        detail = "must be <= 101, the sample count of the shortest demo segment, got 102"
+        assert main(["fit", str(demo), "--n-basis", "102", "--out", str(tmp_path / "models")]) == 2
+        assert capsys.readouterr().err == f"error: --n-basis: {detail}\n"
+        assert not (tmp_path / "models").exists()
+        assert main(["synth", write_config(tmp_path, str(demo), tmp_path / "out", rollout={"n_basis": 102})]) == 2
+        assert capsys.readouterr().err == f"error: rollout.n_basis: {detail}\n"
+        assert main(["fit", str(demo), "--n-basis", "101", "--out", str(tmp_path / "models")]) == 0
+
 
 class TestSynth:
     def test_writes_dataset(self, tmp_path, demo_csv, capsys):
