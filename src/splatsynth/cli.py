@@ -191,7 +191,7 @@ def cmd_fit(args) -> int:
     try:
         synthesis.check_n_basis(demo, args.n_basis)
     except FieldError as exc:
-        raise UsageError(f"--n-basis: {exc.detail}") from exc
+        raise UsageError(f"{'--n-basis' if exc.field == 'n_basis' else exc.field}: {exc.detail}") from exc
     os.makedirs(args.out, exist_ok=True)
     for k in range(demo.n_segments):
         model = dmp.fit_dmp(demo.segment(k), n_basis=args.n_basis,

@@ -48,6 +48,8 @@ REST_PAD_WEIGHT = 10.0
 # A rollout's step budget, at least a hundred times the most steps of any run in bench/, the tests or the
 # README: every step is a Python iteration, and the rollout's arrays grow with the count.
 MAX_ROLLOUT_STEPS = 100_000
+# the fewest samples a segment is fit from, whatever n_basis
+MIN_SEGMENT_SAMPLES = 10
 
 
 class FitError(RuntimeError):
@@ -192,8 +194,8 @@ def fit_dmp(segment: Trajectory, n_basis: int = DEFAULT_N_BASIS,
     """Fit position and orientation DMPs to one demonstration segment."""
     if not n_basis >= 2:
         raise FitError(f"n_basis must be at least 2, got {n_basis}")
-    if len(segment) < max(10, n_basis):
-        raise FitError(f"segment too short: {len(segment)} samples, need {max(10, n_basis)}")
+    if len(segment) < max(MIN_SEGMENT_SAMPLES, n_basis):
+        raise FitError(f"segment too short: {len(segment)} samples, need {max(MIN_SEGMENT_SAMPLES, n_basis)}")
     beta_z = alpha_z / 4.0  # critical damping
     times = segment.times - segment.times[0]
     tau = float(times[-1])

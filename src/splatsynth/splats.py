@@ -14,6 +14,7 @@ deviations (bounding radius per blob), which keeps the truncation error below
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -73,18 +74,10 @@ class GaussianScene:
     def _from_factors(cls, means, covs, inv_covs, radii, opacities, opacity_floor, rejected_count,
                       name: str, numbers=None) -> "GaussianScene":
         """The one tail every scene goes through, given its valid splats with
-        their inverse covariances and radii: refuse a splat whose mean is not
-        finite or whose bounding sphere reaches past _MAX_REACH on an axis (a
-        SceneFormatError naming it as "<name> <numbers[k]>", numbers defaulting
-        to k), then drop the splats below the opacity floor.  The neighbour
-        index is built at the first query."""
-        far = np.flatnonzero(~np.all(np.abs(means) + radii[:, None] <= _MAX_REACH, axis=1))
-        if len(far):
-            k = far[0]
-            what = (f"bounding sphere reaches past {_MAX_REACH:g} m from the origin"
-                    if np.all(np.isfinite(means[k])) else f"non-finite mean {means[k].tolist()}")
-            raise SceneFormatError(f"{name} {k if numbers is None else numbers[k]}: {what}")
-        kept = opacities >= opacity_floor
+        their inverse covariances and radii: _kept_splats' reach and floor
+        rules, then the splats at or above the floor.  The neighbour index is
+        built at the first query."""
+        kept = _kept_splats(means, radii, opacities, opacity_floor, name, numbers)
         if not kept.all():
             means, covs, inv_covs, radii, opacities = (a[kept] for a in (means, covs, inv_covs, radii, opacities))
         scene = cls.__new__(cls)
@@ -102,6 +95,27 @@ class GaussianScene:
 
     def __len__(self) -> int:
         return len(self.means)
+
+
+def _kept_splats(means, radii, opacities, opacity_floor, name: str, numbers=None) -> np.ndarray:
+    """The reach and floor rules of every scene, on valid splats: refuse a
+    splat whose mean is not finite or whose bounding sphere reaches past
+    _MAX_REACH on an axis (a SceneFormatError naming the first as
+    "<name> <numbers[k]>", numbers defaulting to k), and mask the splats at
+    or above the opacity floor."""
+    # a splat's largest |mean| over the axes, plus its radius, rounds as the largest sum
+    # does; one axis at a time keeps the temporaries to a column
+    reach = np.abs(means[:, 0])
+    for d in (1, 2):
+        np.maximum(reach, np.abs(means[:, d]), out=reach)
+    reach += radii
+    far = np.flatnonzero(~(reach <= _MAX_REACH))
+    if len(far):
+        k = far[0]
+        what = (f"bounding sphere reaches past {_MAX_REACH:g} m from the origin"
+                if np.all(np.isfinite(means[k])) else f"non-finite mean {means[k].tolist()}")
+        raise SceneFormatError(f"{name} {k if numbers is None else numbers[k]}: {what}")
+    return opacities >= opacity_floor
 
 
 def _neighbors(scene: GaussianScene, xs: np.ndarray, radius: float):
@@ -239,17 +253,28 @@ _PLY_TYPES = {
 
 
 _PLY_TOKENS = {"format": 2, "element": 3, "property": 3}   # fewest tokens on each kind of line
+_PLY_END_HEADER = re.compile(rb"end_header\r?\n")
+_PLY_HEAD_BYTES = 1 << 16   # header bytes read at a time
+# binary records per read: at 5e4 splats, 2**12 loaded fastest of 2**10 to 2**16
+_PLY_CHUNK_ROWS = 4096
 
 
-def _parse_ply(path):
-    """Return the columns of a single-element PLY, indexable by property name."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    end = re.search(rb"end_header\r?\n", raw)
-    if not raw.startswith(b"ply") or end is None:
+def _parse_ply(f, path):
+    """The vertex count of the single-element PLY open as f, and its body as
+    (first row, records) chunks whose records are indexable by property name.
+    A binary body's size is checked against the file's before anything is
+    allocated; the body is then read _PLY_CHUNK_ROWS records at a time into
+    one reused buffer.  An ASCII body is parsed whole, as one chunk."""
+    head, end = bytearray(), None
+    while end is None and (block := f.read(_PLY_HEAD_BYTES)):
+        head += block
+        end = _PLY_END_HEADER.search(head, max(0, len(head) - len(block) - len(b"end_header\r")))
+        if not head.startswith(b"ply"):
+            break
+    if not head.startswith(b"ply") or end is None:
         raise SceneFormatError(f"{path}: not a PLY file")
     try:
-        header = raw[:end.start()].decode("ascii").splitlines()
+        header = head[:end.start()].decode("ascii").splitlines()
     except UnicodeDecodeError as exc:
         raise SceneFormatError(f"{path}: PLY header is not ASCII") from exc
     start = end.end()
@@ -285,46 +310,56 @@ def _parse_ply(path):
         raise SceneFormatError(f"{path}: duplicate PLY property names")
     if fmt == "ascii":
         try:
-            values = np.array([float(v) for v in raw[start:].split()])
+            values = np.array([float(v) for v in (bytes(head[start:]) + f.read()).split()])
         except ValueError as exc:
             raise SceneFormatError(f"{path}: PLY body holds a non-number") from exc
         if values.size != count * len(props):
             raise SceneFormatError(f"{path}: PLY body shape mismatch")
-        rows = values.reshape(count, len(props))
-        return {name: rows[:, i] for i, name in enumerate(names)}
+        return count, [(0, values.view([(name, "<f8") for name in names]))]
     if fmt == "binary_little_endian":
         for _, t in props:
             if t not in _PLY_TYPES:
                 raise SceneFormatError(f"{path}: unsupported PLY type {t}")
         record = np.dtype([(name, "<" + _PLY_TYPES[t]) for name, t in props])
-        if len(raw) - start < record.itemsize * count:
+        if os.fstat(f.fileno()).st_size - start < record.itemsize * count:
             raise SceneFormatError(f"{path}: truncated PLY body")
-        return np.frombuffer(raw, dtype=record, count=count, offset=start)
+        return count, _ply_records(f, path, record, count, start)
     raise SceneFormatError(f"{path}: unsupported PLY format {fmt}")
 
 
-def _scene_from_ply(path, opacity_floor: float) -> GaussianScene:
-    """Scene of a 3DGS PLY, whose scales are log-scales and whose opacities
-    are logits, as 3DGS exports them.  Each splat's covariance is
-    R diag(s^2) R^T, so its inverse R diag(s^-2) R^T and its radius
-    CUTOFF_SIGMA max|s| come from the same factors.  A splat is valid when
-    its quaternion is non-zero and finite and its s^2 are finite and above
-    1e-12; the rest are rejected."""
+def _ply_records(f, path, record, count, start):
+    """The binary body of f from byte start, as (first row, records) chunks of
+    up to _PLY_CHUNK_ROWS records; each chunk is a view of one reused buffer,
+    valid until the next."""
+    buf = memoryview(bytearray(record.itemsize * min(count, _PLY_CHUNK_ROWS)))
+    f.seek(start)
+    for first in range(0, count, _PLY_CHUNK_ROWS):
+        size = record.itemsize * min(_PLY_CHUNK_ROWS, count - first)
+        if f.readinto(buf[:size]) != size:   # the file shrank after its size was checked
+            raise SceneFormatError(f"{path}: truncated PLY body")
+        yield first, np.frombuffer(buf[:size], dtype=record)
+
+
+def _ply_factors(records, first, opacity_floor, name):
+    """(rejected count, kept factors) of the PLY records numbered from first:
+    the means, covariances, inverse covariances, radii and opacities of the
+    valid splats that pass _kept_splats.  A splat is valid when its quaternion
+    is non-zero and finite and its s^2 are finite and above 1e-12.  Rows are
+    checked in file order: a non-finite position is refused after the rows
+    before it."""
     from .geometry import quat_to_matrix
 
-    cols = _parse_ply(path)
-
     def stack(*names):
-        return np.stack([np.asarray(cols[n], dtype=float) for n in names], axis=1)
+        return np.stack([np.asarray(records[n], dtype=float) for n in names], axis=1)
 
     means = stack("x", "y", "z")
     bad = np.flatnonzero(~np.all(np.isfinite(means), axis=1))
     if len(bad):
-        raise SceneFormatError(f"{path}: vertex {bad[0]}: non-finite position {means[bad[0]].tolist()}")
+        _ply_factors(records[:bad[0]], first, opacity_floor, name)
+        raise SceneFormatError(f"{name} {first + bad[0]}: non-finite position {means[bad[0]].tolist()}")
     scales = stack("scale_0", "scale_1", "scale_2")
     quats = stack("rot_0", "rot_1", "rot_2", "rot_3")
-    opacities = np.asarray(cols["opacity"], dtype=float)
-    del cols   # the file's bytes
+    opacities = np.asarray(records["opacity"], dtype=float)
     # a zero, non-finite or overflowing rotation, and a scale that overflows, are rejected
     with np.errstate(over="ignore", invalid="ignore"):
         scales = np.exp(scales)
@@ -333,18 +368,42 @@ def _scene_from_ply(path, opacity_floor: float) -> GaussianScene:
         s2 = scales ** 2
         valid = (norms > 0.0) & (norms < np.inf) & np.all(s2 < np.inf, axis=1) & (s2.min(axis=1) > 1e-12)
         numbers = np.flatnonzero(valid)
-        s2 = s2[valid]
-        rot = quat_to_matrix((quats[valid] / norms[valid, None]).T).transpose(2, 0, 1)
+        radii = CUTOFF_SIGMA * np.abs(scales[valid]).max(axis=1)
+        kept = _kept_splats(means[valid], radii, opacities[valid], opacity_floor, name, first + numbers)
+        rows = numbers[kept]
+        s2 = s2[rows]
+        rot = quat_to_matrix((quats[rows] / norms[rows, None]).T).transpose(2, 0, 1)
+        # a contiguous right factor keeps numpy's stacked matmul off its slow strided path
+        rt = np.ascontiguousarray(rot.transpose(0, 2, 1))
         # a covariance that overflows belongs to a splat that the reach check refuses
-        covs = (rot * s2[:, None, :]) @ rot.transpose(0, 2, 1)
+        covs = (rot * s2[:, None, :]) @ rt
         covs = covs + covs.transpose(0, 2, 1)
         covs *= 0.5
-        inv_covs = (rot / s2[:, None, :]) @ rot.transpose(0, 2, 1)
-    del rot
-    return GaussianScene._from_factors(means[valid], covs, inv_covs,
-                                       CUTOFF_SIGMA * np.abs(scales[valid]).max(axis=1),
-                                       opacities[valid], opacity_floor, len(valid) - len(numbers),
-                                       f"{path}: vertex", numbers)
+        inv_covs = (rot / s2[:, None, :]) @ rt
+    return len(valid) - len(numbers), (means[rows], covs, inv_covs, radii[kept], opacities[rows])
+
+
+def _scene_from_ply(path, opacity_floor: float) -> GaussianScene:
+    """Scene of a 3DGS PLY, whose scales are log-scales and whose opacities
+    are logits, as 3DGS exports them.  Each splat's covariance is
+    R diag(s^2) R^T, so its inverse R diag(s^-2) R^T and its radius
+    CUTOFF_SIGMA max|s| come from the same factors.  The body streams through
+    _ply_factors chunk by chunk, and the kept splats go straight into arrays
+    of the header's row count, trimmed at the end: besides the scene, a load
+    holds one chunk's records and temporaries."""
+    name = f"{path}: vertex"
+    with open(path, "rb") as f:
+        count, chunks = _parse_ply(f, path)
+        out = [np.empty((count, *shape)) for shape in ((3,), (3, 3), (3, 3), (), ())]
+        kept = rejected = 0
+        for first, records in chunks:
+            dropped, factors = _ply_factors(records, first, opacity_floor, name)
+            n = len(factors[0])
+            for dst, src in zip(out, factors):
+                dst[kept:kept + n] = src
+            kept += n
+            rejected += dropped
+    return GaussianScene._from_factors(*(a[:kept] for a in out), opacity_floor, rejected, name)
 
 
 def load_scene(path, opacity_floor: float = DEFAULT_OPACITY_FLOOR) -> GaussianScene:

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincinv, ndtr, ndtri
 
 from .dmp import DEFAULT_ALPHA_S, DEFAULT_ALPHA_Z, DEFAULT_HORIZON_FACTOR, DEFAULT_N_BASIS, DEFAULT_RIDGE_LAMBDA
+from .dmp import MIN_SEGMENT_SAMPLES
 # rollout stays bound here for bench/tracing.py, which wraps it where it is looked up
 from .dmp import DmpModel, RolloutError, fit_dmp, rollout, rollout_batch, rollout_steps  # noqa: F401
 from .geometry import FieldError, Pose, Trajectory, check_fields, param, quat_exp, quat_mul
@@ -118,9 +119,13 @@ class SynthesisJob:
 
 
 def check_n_basis(demo: Trajectory, n_basis: int) -> None:
-    """A FieldError on n_basis unless it is at most the shortest demo
-    segment's sample count, as fit_dmp counts it."""
+    """A FieldError unless every demo segment holds the samples fit_dmp needs,
+    as it counts them: on demo below MIN_SEGMENT_SAMPLES, else on n_basis
+    above the shortest segment's count."""
     samples = int(np.min(np.diff(demo.splits))) + 1
+    if samples < MIN_SEGMENT_SAMPLES:
+        raise FieldError("demo", f"every segment must hold at least {MIN_SEGMENT_SAMPLES} samples, "
+                         f"the shortest holds {samples}")
     if not n_basis <= samples:
         raise FieldError("n_basis", f"must be <= {samples}, the sample count of the shortest demo segment, "
                          f"got {n_basis}")

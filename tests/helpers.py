@@ -1,13 +1,21 @@
 """Shared scene/trajectory builders for the test suite."""
 
+import re
 import threading
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from splatsynth.alignment import AlignmentError, IcpParams, IcpResult, RigidTransform, _procrustes
-from splatsynth.geometry import Trajectory, quat_from_axis_angle
-from splatsynth.splats import GaussianBlob, GaussianScene
+from splatsynth.geometry import Trajectory, quat_from_axis_angle, quat_to_matrix
+from splatsynth.splats import (
+    _PLY_TYPES,
+    CUTOFF_SIGMA,
+    DEFAULT_OPACITY_FLOOR,
+    GaussianBlob,
+    GaussianScene,
+    SceneFormatError,
+)
 
 
 def separated_scene(n, seed, sigma=0.01, separation_sigmas=9.0, box=2.0,
@@ -75,6 +83,55 @@ def icp_reference(source, target, params=None, init=None):
         prev_rms = rms
     return IcpResult(transform=T, rms=residuals[-1], residuals=residuals,
                      n_inliers=n_inliers)
+
+
+def ply_scene_reference(path, opacity_floor=DEFAULT_OPACITY_FLOOR):
+    """Test oracle for splats.load_scene on a well-formed single-element PLY:
+    the whole-file loader that the streaming one replaced.  It reads the
+    whole file, refuses the first non-finite position of the file before
+    anything else, and runs the factor arithmetic on every row at once, with a
+    strided right factor in both products."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    end = re.search(rb"end_header\r?\n", raw)
+    header = [line.split() for line in raw[:end.start()].decode("ascii").splitlines() if line.strip()]
+    fmt = next(tok[1] for tok in header if tok[0] == "format")
+    count = next(int(tok[2]) for tok in header if tok[0] == "element")
+    props = [(tok[2], tok[1]) for tok in header if tok[0] == "property"]
+    if fmt == "ascii":
+        rows = np.array([float(v) for v in raw[end.end():].split()]).reshape(count, len(props))
+        cols = {name: rows[:, i] for i, (name, _) in enumerate(props)}
+    else:
+        record = np.dtype([(name, "<" + _PLY_TYPES[t]) for name, t in props])
+        cols = np.frombuffer(raw, dtype=record, count=count, offset=end.end())
+
+    def stack(*names):
+        return np.stack([np.asarray(cols[n], dtype=float) for n in names], axis=1)
+
+    means = stack("x", "y", "z")
+    bad = np.flatnonzero(~np.all(np.isfinite(means), axis=1))
+    if len(bad):
+        raise SceneFormatError(f"{path}: vertex {bad[0]}: non-finite position {means[bad[0]].tolist()}")
+    scales = stack("scale_0", "scale_1", "scale_2")
+    quats = stack("rot_0", "rot_1", "rot_2", "rot_3")
+    opacities = np.asarray(cols["opacity"], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scales = np.exp(scales)
+        opacities = 1.0 / (1.0 + np.exp(-opacities))
+        norms = np.linalg.norm(quats, axis=1)
+        s2 = scales ** 2
+        valid = (norms > 0.0) & (norms < np.inf) & np.all(s2 < np.inf, axis=1) & (s2.min(axis=1) > 1e-12)
+        numbers = np.flatnonzero(valid)
+        s2 = s2[valid]
+        rot = quat_to_matrix((quats[valid] / norms[valid, None]).T).transpose(2, 0, 1)
+        covs = (rot * s2[:, None, :]) @ rot.transpose(0, 2, 1)
+        covs = covs + covs.transpose(0, 2, 1)
+        covs *= 0.5
+        inv_covs = (rot / s2[:, None, :]) @ rot.transpose(0, 2, 1)
+    return GaussianScene._from_factors(means[valid], covs, inv_covs,
+                                       CUTOFF_SIGMA * np.abs(scales[valid]).max(axis=1),
+                                       opacities[valid], opacity_floor, len(valid) - len(numbers),
+                                       f"{path}: vertex", numbers)
 
 
 def near_blob_queries(scene, n, seed, offset_sigmas=2.0):

@@ -59,6 +59,15 @@ BAD_SCENES = {
                     "malformed PLY header line 4: 'property float'"),
     "bare_format.ply": ("ply\nformat\nelement vertex 1\nproperty float x\nend_header\n",
                         "malformed PLY header line 2: 'format'"),
+    # one all-zero vertex under headers that claim 10^12, and a body one record short
+    **{f"{name}.ply": ("ply\n" f"format {fmt} 1.0\nelement vertex {count}\n"
+                       + "".join(f"property float {p}\n" for p in ["x", "y", "z", "scale_0", "scale_1", "scale_2",
+                                                                  "rot_0", "rot_1", "rot_2", "rot_3", "opacity"])
+                       + "end_header\n" + body, message)
+       for name, fmt, count, body, message in [
+           ("oversized_binary", "binary_little_endian", 10 ** 12, "\0" * 44, "truncated PLY body"),
+           ("oversized_ascii", "ascii", 10 ** 12, "0 0 0 0 0 0 1 0 0 0 0\n", "PLY body shape mismatch"),
+           ("one_record_short", "binary_little_endian", 2, "\0" * 44, "truncated PLY body")]},
 }
 
 BAD_TRANSFORMS = {
@@ -771,6 +780,20 @@ class TestFit:
         assert main(["synth", write_config(tmp_path, str(demo), tmp_path / "out", rollout={"n_basis": 102})]) == 2
         assert capsys.readouterr().err == f"error: rollout.n_basis: {detail}\n"
         assert main(["fit", str(demo), "--n-basis", "101", "--out", str(tmp_path / "models")]) == 0
+
+    def test_demo_segment_too_short_to_fit_is_a_usage_error(self, tmp_path, capsys):
+        # fit_dmp needs 10 samples whatever n_basis: the flag and the job name the demo, exit 2
+        demo = tmp_path / "short.csv"
+        line_demo([0, 0, 0], [0.4, 0, 0], n=8).save_csv(demo)
+        error = "error: demo: every segment must hold at least 10 samples, the shortest holds 8\n"
+        assert main(["fit", str(demo), "--n-basis", "2", "--out", str(tmp_path / "models")]) == 2
+        assert capsys.readouterr().err == error
+        assert not (tmp_path / "models").exists()
+        assert main(["synth", write_config(tmp_path, str(demo), tmp_path / "out", rollout={"n_basis": 2})]) == 2
+        assert capsys.readouterr().err == error
+        assert not (tmp_path / "out").exists()
+        line_demo([0, 0, 0], [0.4, 0, 0], n=10).save_csv(demo)
+        assert main(["fit", str(demo), "--n-basis", "2", "--out", str(tmp_path / "models")]) == 0
 
 
 class TestSynth:

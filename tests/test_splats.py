@@ -1,6 +1,7 @@
 import io
 import json
 import struct
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -13,6 +14,7 @@ from splatsynth.alignment import RigidTransform, apply_transform
 from splatsynth.cli import main
 from splatsynth.geometry import quat_normalize, quat_to_matrix
 from splatsynth.splats import (
+    _PLY_CHUNK_ROWS,
     CUTOFF_SIGMA,
     GaussianBlob,
     GaussianScene,
@@ -27,7 +29,7 @@ from splatsynth.splats import (
     query_neighbors,
 )
 
-from helpers import near_blob_queries, relative_gap, separated_scene
+from helpers import near_blob_queries, ply_scene_reference, relative_gap, separated_scene
 
 
 def unit_blob(mu=(0, 0, 0), alpha=1.0, sigma2=1.0):
@@ -838,6 +840,160 @@ class TestMalformedScene:
         with pytest.raises(SceneFormatError, match=r"vertex 2: bounding sphere reaches past 1e\+150 m"):
             load_scene(path)
 
+    @pytest.mark.parametrize("fmt, rows, count, message", [
+        ("binary_little_endian", 3, 4, "truncated PLY body"),
+        ("binary_little_endian", 1, 10 ** 12, "truncated PLY body"),
+        ("ascii", 1, 10 ** 12, "PLY body shape mismatch")])
+    def test_ply_count_beyond_the_body(self, tmp_path, fmt, rows, count, message):
+        # refused before any array of the header's count exists
+        path = tmp_path / "scene.ply"
+        TestLoadScene._write_ply(path, [[0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0.0]] * rows, fmt=fmt, count=count)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SceneFormatError) as info:
+                load_scene(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == f"{path}: {message}"
+        assert peak < 1 << 20
+
+
+# ---- streaming PLY loads: chunk by chunk, as the whole-file reference --------
+
+CHUNK = _PLY_CHUNK_ROWS
+PLY_3DGS = (["x", "y", "z", "nx", "ny", "nz"] + [f"f_dc_{i}" for i in range(3)] + [f"f_rest_{i}" for i in range(45)]
+            + ["opacity"] + [f"scale_{i}" for i in range(3)] + [f"rot_{i}" for i in range(4)])
+PLY_COL = {p: i for i, p in enumerate(PLY_3DGS)}
+PLY_SCALES = [PLY_COL[f"scale_{i}"] for i in range(3)]
+PLY_ROTS = [PLY_COL[f"rot_{i}"] for i in range(4)]
+
+
+def ply_rows_3dgs(n, seed):
+    """n float32 rows in the 3DGS layout: log-scales from 4 mm to 5 cm,
+    unnormalised quaternions and logit opacities, a third of them below the
+    0.05 floor, with zero quaternions and overflowing and vanishing
+    log-scales planted every few rows."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, len(PLY_3DGS)))
+    rows[:, :3] = rng.uniform(-1, 1, (n, 3))
+    rows[:, PLY_SCALES] = np.log(rng.uniform(0.004, 0.05, (n, 3)))
+    rows[:, PLY_COL["opacity"]] = rng.uniform(-6.0, 4.0, n)
+    rows[:, PLY_ROTS] *= rng.uniform(0.5, 2.0, (n, 1))
+    rows[1::7, PLY_ROTS] = 0.0
+    rows[3::11, PLY_SCALES[0]] = 1000.0    # exp overflows
+    rows[5::13, PLY_SCALES[1]] = -30.0     # s^2 at or below 1e-12
+    return rows.astype(np.float32)
+
+
+def write_ply_3dgs(path, rows, fmt="binary_little_endian"):
+    TestLoadScene._write_ply(path, rows, fmt=fmt, props=PLY_3DGS)
+    return path
+
+
+def plant(rows, row, fault):
+    """Make a valid splat of the row, with a position that is not finite or
+    a log-scale that reaches past 1e150 m."""
+    rows[row, PLY_ROTS] = [1, 0, 0, 0]
+    rows[row, PLY_SCALES] = np.log(0.01)
+    if fault == "far":
+        rows[row, PLY_SCALES[2]] = 350.0
+    else:
+        rows[row, 1] = np.nan
+
+
+FAULT_MESSAGES = {"far": "bounding sphere reaches past 1e+150 m from the origin", "nan": "non-finite position"}
+
+
+class TestPlyStreaming:
+    """load_scene reads a binary PLY body _PLY_CHUNK_ROWS records at a time;
+    its scenes are bit for bit those of tests/helpers.ply_scene_reference,
+    the whole-file loader."""
+
+    @staticmethod
+    def assert_same_scene(got, want):
+        for attr in ("means", "covariances", "inv_covariances", "radii", "opacities"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), attr
+        assert (len(got), got.rejected_count, got.max_radius) == (len(want), want.rejected_count, want.max_radius)
+
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
+    def test_binary_matches_whole_file_reference(self, tmp_path, n):
+        path = write_ply_3dgs(tmp_path / "scene.ply", ply_rows_3dgs(n, seed=n))
+        scene = load_scene(path)
+        self.assert_same_scene(scene, ply_scene_reference(path))
+        if n > 1:   # every rule drops some splats
+            assert 0 < len(scene) < n - scene.rejected_count and scene.rejected_count > n // 7
+
+    def test_ascii_matches_whole_file_reference(self, tmp_path):
+        path = write_ply_3dgs(tmp_path / "scene.ply", ply_rows_3dgs(300, seed=3), fmt="ascii")
+        self.assert_same_scene(load_scene(path, opacity_floor=0.2), ply_scene_reference(path, opacity_floor=0.2))
+
+    @pytest.mark.parametrize("fault", FAULT_MESSAGES)
+    @pytest.mark.parametrize("row", [CHUNK + 3, 2 * CHUNK + 5])
+    def test_fault_in_a_later_chunk_names_its_vertex(self, tmp_path, fault, row):
+        rows = ply_rows_3dgs(3 * CHUNK + 17, seed=7)
+        plant(rows, row, fault)
+        path = write_ply_3dgs(tmp_path / "scene.ply", rows)
+        with pytest.raises(SceneFormatError) as got:
+            load_scene(path)
+        with pytest.raises(SceneFormatError) as want:
+            ply_scene_reference(path)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{path}: vertex {row}: {FAULT_MESSAGES[fault]}")
+
+    # (first fault, its row, second fault, its row): the first in file order is named, in one chunk or
+    # two; the whole-file loader named a non-finite position anywhere before a splat reaching too far
+    @pytest.mark.parametrize("first, at, second, later", [("far", CHUNK + 1, "nan", 2 * CHUNK + 2),
+                                                          ("nan", CHUNK + 1, "far", 2 * CHUNK + 2),
+                                                          ("far", 10, "nan", 20),
+                                                          ("nan", 10, "far", 20)])
+    def test_two_faults_name_the_first_in_the_file(self, tmp_path, first, at, second, later):
+        rows = ply_rows_3dgs(3 * CHUNK + 17, seed=8)
+        plant(rows, at, first)
+        plant(rows, later, second)
+        path = write_ply_3dgs(tmp_path / "scene.ply", rows)
+        with pytest.raises(SceneFormatError) as got:
+            load_scene(path)
+        with pytest.raises(SceneFormatError) as whole_file:
+            ply_scene_reference(path)
+        assert str(got.value).startswith(f"{path}: vertex {at}: {FAULT_MESSAGES[first]}")
+        nan_row = at if first == "nan" else later
+        assert str(whole_file.value).startswith(f"{path}: vertex {nan_row}: non-finite position")
+
+    def test_peak_memory_near_the_kept_scene(self, tmp_path):
+        # 2e5 splats in the 3DGS layout, 1% below the floor and 0.5% with a zero quaternion, as bench/inputs
+        # plants them; the whole-file loader peaked at 2.7 times the kept arrays
+        n = 200_000
+        rng = np.random.default_rng(9)
+        rows = np.zeros(n, dtype=[(p, "<f4") for p in PLY_3DGS])
+        for p in ("x", "y", "z"):
+            rows[p] = rng.uniform(-1, 1, n)
+        for i in range(3):
+            rows[f"scale_{i}"] = np.log(rng.uniform(0.004, 0.02, n))
+        for i in range(4):
+            rows[f"rot_{i}"] = rng.normal(size=n)
+        rows["opacity"] = rng.uniform(-2.0, 4.0, n)
+        picked = rng.choice(n, n // 100 + n // 200, replace=False)
+        rows["opacity"][picked[:n // 100]] = -6.0
+        for i in range(4):
+            rows[f"rot_{i}"][picked[n // 100:]] = 0.0
+        path = tmp_path / "scene.ply"
+        with open(path, "wb") as f:
+            f.write(("ply\nformat binary_little_endian 1.0\n" f"element vertex {n}\n"
+                     + "".join(f"property float {p}\n" for p in PLY_3DGS) + "end_header\n").encode())
+            f.write(rows.tobytes())
+        del rows
+        tracemalloc.start()
+        try:
+            scene = load_scene(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in (scene.means, scene.covariances, scene.inv_covariances, scene.radii,
+                                      scene.opacities))
+        assert len(scene) == n - n // 100 - n // 200
+        assert peak <= 1.25 * kept, f"peak {peak / 1e6:.1f} MB, kept arrays {kept / 1e6:.1f} MB"
 
 # ---- loader fuzz: mutations of valid scene files -------------------------------
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from splatsynth.dmp import MIN_SEGMENT_SAMPLES
 from splatsynth.geometry import FieldError, Trajectory, quat_geodesic_distance
 from splatsynth.obstacles import ObstacleParams
 from splatsynth import synthesis
@@ -583,6 +584,16 @@ class TestJobValidation:
         with pytest.raises(FieldError, match=r"^n_basis must be <= 80, .* got 81$") as exc:
             make_job(demo=demo, n_basis=81)
         assert exc.value.field == "n_basis"
+
+    def test_demo_segments_hold_the_samples_fit_needs(self):
+        # fit_dmp needs MIN_SEGMENT_SAMPLES samples whatever n_basis; below that the demo is at fault
+        short = line_demo([0, 0, 0], [0.4, 0, 0], n=MIN_SEGMENT_SAMPLES - 1)
+        with pytest.raises(FieldError, match=rf"^demo every segment must hold at least {MIN_SEGMENT_SAMPLES} "
+                                             rf"samples, the shortest holds {MIN_SEGMENT_SAMPLES - 1}$") as exc:
+            make_job(demo=short, n_basis=2)
+        assert exc.value.field == "demo"
+        assert len(fit_segments(make_job(demo=line_demo([0, 0, 0], [0.4, 0, 0], n=MIN_SEGMENT_SAMPLES),
+                                         n_basis=2))) == 1
 
     @pytest.mark.parametrize("make, field, message", [
         (lambda: PerturbationSpec(seed=-1), "seed", "seed must be non-negative, got -1"),
