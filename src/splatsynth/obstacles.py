@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import check_fields, param, rowdot
 # density stays bound here for bench/tracing.py, which wraps it where it is looked up
-from .splats import DEFAULT_GRADIENT_STEP, GaussianScene, density, density_gradient, density_many  # noqa: F401
+from .splats import DEFAULT_GRADIENT_STEP, GaussianScene, _NeighborList, density, density_gradient  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -82,16 +82,21 @@ def return_to_reference(x, v_err, x_ref, rho, params: ObstacleParams) -> np.ndar
     row, with v_err the velocity difference to the reference and rho the row's
     density.  The damping 2*sqrt(return_gain) keeps it critically damped; the
     weight w = clamp(1 - rho/rho_th, 0, 1) disables the pull in high density."""
-    out = np.zeros(np.shape(x))
     if params.return_gain == 0.0:
-        return out
+        return np.zeros(np.shape(x))
     w = np.minimum(np.maximum(1.0 - rho / params.rho_th, 0.0), 1.0)
-    on = np.flatnonzero(w != 0.0)
-    a = w[on, None] * (params.return_gain * (x_ref[on] - x[on])
-                       - 2.0 * math.sqrt(params.return_gain) * v_err[on])
+    out = None
+    if not np.all(w != 0.0):   # the pull runs on the rows it weighs, scattered back among zeros
+        out = np.zeros(np.shape(x))
+        on = np.flatnonzero(w != 0.0)
+        w, x, v_err, x_ref = w[on], x[on], v_err[on], x_ref[on]
+    a = w[:, None] * (params.return_gain * (x_ref - x) - 2.0 * math.sqrt(params.return_gain) * v_err)
     mag = np.sqrt(rowdot(a, a))
     over = mag > params.return_cap
-    a[over] *= (params.return_cap / mag[over])[:, None]
+    if over.any():
+        a[over] *= (params.return_cap / mag[over])[:, None]
+    if out is None:
+        return a
     out[on] = a
     return out
 
@@ -100,9 +105,10 @@ def make_coupling(scene: GaussianScene, params: ObstacleParams, references, dt: 
     """The coupling hook (step, y, v) -> accelerations for (B, 3) rows of
     positions and velocities, given the rows' B nominal (uncoupled) rollouts,
     which only the return pull reads (None will do when return_gain is zero).
-    Each step makes one density_many call, over the lookahead probes when the
-    repulsion is on and the positions when the pull is on.  None when both are
-    off, so that the coupled rollout is bitwise identical to the plain one."""
+    Each step reads the density of the lookahead probes when the repulsion is
+    on and of the positions when the pull is on, as density_many gives it,
+    from the hook's own splats._NeighborList, hook.neighbors.  None when both
+    are off, so that the coupled rollout is bitwise identical to the plain one."""
     repel, pull = params.lambda_max > 0.0, params.return_gain > 0.0
     if not (repel or pull):
         return None
@@ -111,19 +117,27 @@ def make_coupling(scene: GaussianScene, params: ObstacleParams, references, dt: 
         ref_vel = np.gradient(ref_pos, references[0].times, axis=1)
         last = ref_pos.shape[1] - 1
 
+    neighbors = _NeighborList(scene)
+    rows = np.empty((0, 3))   # the probes, then the positions; one buffer per row count
+
     def hook(step, y, v):
-        a, rows = np.zeros(y.shape), []
+        nonlocal rows
+        b = len(y)
+        if len(rows) != (repel + pull) * b:
+            rows = np.empty(((repel + pull) * b, 3))
         if repel:
-            probe = np.maximum(params.lookahead, 3.0 * dt * np.sqrt(rowdot(v, v)))
-            rows.append(y + probe[:, None] * _unit(v, params.epsilon))   # x_look
+            speed = np.sqrt(rowdot(v, v))
+            probe = np.maximum(params.lookahead, 3.0 * dt * speed)
+            x_look = rows[:b]
+            np.add(y, probe[:, None] * (v / (speed + params.epsilon)[:, None]), out=x_look)   # y + probe _unit(v)
         if pull:
-            rows.append(y)
-        rho = density_many(scene, np.concatenate(rows))
-        if repel:
-            a = obstacle_accel(scene, rows[0], v, rho[:len(y)], params)
+            rows[-b:] = y
+        rho = neighbors.density(rows)
+        a = obstacle_accel(scene, x_look, v, rho[:b], params) if repel else np.zeros(y.shape)
         if pull:
             i = min(step, last)
-            a = a + return_to_reference(y, v - ref_vel[:, i], ref_pos[:, i], rho[-len(y):], params)
+            a = a + return_to_reference(y, v - ref_vel[:, i], ref_pos[:, i], rho[-b:], params)
         return a
 
+    hook.neighbors = neighbors
     return hook

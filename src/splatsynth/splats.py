@@ -5,7 +5,10 @@ The opacity-weighted kernel sum rho(x) acts as a smooth occupancy proxy; a
 cKDTree neighbour index over the blob means, built at the scene's first
 query, keeps per-query work local.  All rows of a query go to it as one
 dual-tree query against a small tree of the rows, which returns every
-candidate (row, blob) pair as one array.
+candidate (row, blob) pair as one array.  A stream of row batches that move
+little from one to the next, as the coupling hook's are, is answered with the
+same bits from a neighbour list that is queried again only when a row moves
+more than its skin (_NeighborList).
 Contributions are truncated at a fixed cutoff of CUTOFF_SIGMA standard
 deviations (bounding radius per blob), which keeps the truncation error below
 1e-6 relative on scenes whose blob spacing exceeds the cutoff radius.
@@ -118,26 +121,82 @@ def _kept_splats(means, radii, opacities, opacity_floor, name: str, numbers=None
     return opacities >= opacity_floor
 
 
-def _neighbors(scene: GaussianScene, xs: np.ndarray, radius: float):
+def _neighbors(scene: GaussianScene, xs: np.ndarray, radius: float, slack: float = 0.0):
     """Blob neighbours of the (n, 3) rows xs, as (row, blob) index arrays
-    grouped by row, blobs ascending within a row.  A blob is a neighbour of
-    x when its bounding sphere meets the ball (x, radius)."""
+    grouped by row, blobs ascending within a row.  A blob of radius r is a
+    neighbour of x when |x - mean| <= (radius + r) * (1 + slack): with no
+    slack, when its bounding sphere meets the ball (x, radius)."""
     # a non-finite row, and one beyond every blob's reach, has no neighbours
     rows = np.flatnonzero((np.abs(xs) <= _MAX_REACH + radius).all(axis=1))
     if len(scene) == 0 or len(rows) == 0:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     # One dual-tree query against a quickly built tree of the rows returns every
-    # candidate (blob, row) pair as one array.  Its reach is padded so that
-    # rounding in the trees' squared-distance test never drops a blob that the
-    # exact per-blob test below keeps.
-    reach = (radius + scene.max_radius) * (1.0 + 1e-9)
+    # candidate (blob, row) pair as one array.  Its reach is padded 1e-9 beyond
+    # the slack, so that rounding in the trees' squared-distance test never drops
+    # a blob that the exact per-blob test below keeps.
+    reach = (radius + scene.max_radius) * (1.0 + slack + 1e-9)
     queries = cKDTree(xs[rows], balanced_tree=False, compact_nodes=False)
     pairs = scene.tree.sparse_distance_matrix(queries, reach, output_type="ndarray")
     cand, row = pairs["i"], rows[pairs["j"]]
-    keep = np.linalg.norm(scene.means[cand] - xs[row], axis=1) <= radius + scene.radii[cand]
+    keep = np.linalg.norm(scene.means[cand] - xs[row], axis=1) <= (radius + scene.radii[cand]) * (1.0 + slack)
     cand, row = cand[keep], row[keep]
     order = np.lexsort((cand, row))
     return row[order], cand[order]
+
+
+# How far past its blobs' reach a _NeighborList looks, m: a row is queried
+# again once it moves farther than this from where it was last queried.  On
+# the coupling hook's rows in bench/run.py's scene_synth, skins of 3 to 5 cm
+# answered equally fast, and 1 and 2 cm slower; 3 cm lists the fewest pairs of
+# those.  (The one-blob scene of c05_batch favours larger skins still.)
+_SKIN = 0.03
+
+
+class _NeighborList:
+    """Densities of a stream of (n, 3) row batches that move little from one
+    batch to the next, each batch answered bit for bit as density_many
+    answers it, from a Verlet list (Verlet, Phys. Rev. 159, 98, 1967).
+
+    A rebuild lists the blobs within _SKIN of each row's reach, by one
+    _neighbors query whose exact test is padded by 1e-9 relative, so that
+    no rounding drops a blob.  It keeps each pair's row, mean, inverse
+    covariance, radius and opacity, grouped by row with blobs ascending.
+    While every row stays within _SKIN of where the list was built, the
+    triangle inequality keeps each of its true neighbours listed: a batch
+    runs _neighbors' exact test on the listed pairs alone, and the pairs it
+    keeps are in order, to be summed as density_many sums them.  A change of
+    row count, a row that moved farther, or one that is not finite, rebuilds
+    the list.  rebuilds, listed and kept count the rebuilds and the pairs
+    tested and kept over every batch."""
+
+    def __init__(self, scene: GaussianScene):
+        self.scene = scene
+        self.skin = _SKIN
+        self.origin = None
+        self.rebuilds = self.listed = self.kept = 0
+
+    def _rebuild(self, xs: np.ndarray) -> None:
+        scene = self.scene
+        self.row, idx = _neighbors(scene, xs, self.skin, slack=1e-9)
+        self.means, self.inv_covariances = scene.means[idx], scene.inv_covariances[idx]
+        self.radii, self.opacities = scene.radii[idx], scene.opacities[idx]
+        self.origin = xs.copy()
+        self.rebuilds += 1
+
+    def density(self, xs: np.ndarray) -> np.ndarray:
+        """rho at each (n, 3) row, as density_many(scene, xs) gives it."""
+        if self.origin is None or len(xs) != len(self.origin):
+            self._rebuild(xs)
+        else:
+            with np.errstate(invalid="ignore", over="ignore"):   # a non-finite or far row rebuilds
+                moved = xs - self.origin
+                if not np.all(np.einsum("ij,ij->i", moved, moved) <= self.skin * self.skin):
+                    self._rebuild(xs)
+        d = xs[self.row] - self.means
+        keep = np.flatnonzero(np.linalg.norm(d, axis=1) <= self.radii)
+        self.listed += len(d)
+        self.kept += len(keep)
+        return _density_sums(len(xs), self.row[keep], d[keep], self.inv_covariances[keep], self.opacities[keep])
 
 
 def query_neighbors(scene: GaussianScene, x, radius: float):
@@ -150,21 +209,28 @@ def density_many(scene: GaussianScene, xs) -> np.ndarray:
     the row's neighbourhood; 0 at a non-finite row."""
     xs = np.asarray(xs, dtype=float)
     flat = xs.reshape(-1, 3)
-    rho = np.zeros(len(flat))
     row, idx = _neighbors(scene, flat, 0.0)
+    rho = _density_sums(len(flat), row, flat[row] - scene.means[idx], scene.inv_covariances[idx],
+                        scene.opacities[idx])
+    return rho.reshape(xs.shape[:-1])
+
+
+def _density_sums(n: int, row, d, inv_covs, opacities) -> np.ndarray:
+    """rho at n rows from their kernel pairs, grouped by row: each pair's row,
+    offset d = x - mean, inverse covariance and opacity."""
+    rho = np.zeros(n)
     if len(row) == 0:
-        return rho.reshape(xs.shape[:-1])
-    d = flat[row] - scene.means[idx]
-    m = np.einsum("ni,nij,nj->n", d, scene.inv_covariances[idx], d)
-    terms = scene.opacities[idx] * np.exp(-0.5 * m)
+        return rho
+    m = np.einsum("ni,nij,nj->n", d, inv_covs, d)
+    terms = opacities * np.exp(-0.5 * m)
     # A row's sum must round as np.sum of its k terms alone (pairwise), so the
     # rows with k neighbours are summed together as one (rows, k) array.
-    counts = np.bincount(row, minlength=len(flat))
+    counts = np.bincount(row, minlength=n)
     first = np.cumsum(counts) - counts
     for k in np.unique(counts[counts > 0]):
         sel = np.flatnonzero(counts == k)
         rho[sel] = terms[first[sel, None] + np.arange(k)].sum(axis=1)
-    return rho.reshape(xs.shape[:-1])
+    return rho
 
 
 def density(scene: GaussianScene, x) -> float:
@@ -389,8 +455,9 @@ def _scene_from_ply(path, opacity_floor: float) -> GaussianScene:
     R diag(s^2) R^T, so its inverse R diag(s^-2) R^T and its radius
     CUTOFF_SIGMA max|s| come from the same factors.  The body streams through
     _ply_factors chunk by chunk, and the kept splats go straight into arrays
-    of the header's row count, trimmed at the end: besides the scene, a load
-    holds one chunk's records and temporaries."""
+    of the header's row count, shrunk in place to the kept rows at the end:
+    besides the scene, a load holds one chunk's records and temporaries, and
+    the scene holds no byte of a dropped splat."""
     name = f"{path}: vertex"
     with open(path, "rb") as f:
         count, chunks = _parse_ply(f, path)
@@ -399,11 +466,13 @@ def _scene_from_ply(path, opacity_floor: float) -> GaussianScene:
         for first, records in chunks:
             dropped, factors = _ply_factors(records, first, opacity_floor, name)
             n = len(factors[0])
-            for dst, src in zip(out, factors):
-                dst[kept:kept + n] = src
+            for k, src in enumerate(factors):
+                out[k][kept:kept + n] = src
             kept += n
             rejected += dropped
-    return GaussianScene._from_factors(*(a[:kept] for a in out), opacity_floor, rejected, name)
+    for k in range(len(out)):   # in place, with no copy: out[k] is the array's one reference
+        out[k].resize((kept, *out[k].shape[1:]))
+    return GaussianScene._from_factors(*out, opacity_floor, rejected, name)
 
 
 def load_scene(path, opacity_floor: float = DEFAULT_OPACITY_FLOOR) -> GaussianScene:

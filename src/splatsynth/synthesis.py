@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -28,6 +29,8 @@ from .geometry import FieldError, Pose, Trajectory, check_fields, param, quat_ex
 from .metrics import trajectory_dtw, trajectory_dtw_many  # noqa: F401
 from .obstacles import ObstacleParams, make_coupling
 from .splats import GaussianScene
+
+log = logging.getLogger(__name__)
 
 
 class ExportError(RuntimeError):
@@ -173,8 +176,10 @@ def _targets(job: SynthesisJob, flags, rollout_index: int):
 def _synthesize_rows(job: SynthesisJob, models: list[DmpModel], indices) -> list:
     """Chained multi-segment rollouts for the given rollout indices.  Each
     segment is one rollout_batch over the rollouts still alive, after one
-    uncoupled nominal batch when the return pull reads it.  Returns, per
-    index, (Trajectory, manifest entry) or the RolloutError that ended it."""
+    uncoupled nominal batch when the return pull reads it; a coupled batch
+    logs one DEBUG line with its rows, its steps, and its hook's neighbour
+    list rebuilds and listed and kept pairs.  Returns, per index,
+    (Trajectory, manifest entry) or the RolloutError that ended it."""
     flags = _perturbable_flags(job.spec, len(job.demo.splits))
     targets, entries = zip(*(_targets(job, flags, i) for i in indices))
     outcome = [None] * len(entries)
@@ -200,7 +205,13 @@ def _synthesize_rows(job: SynthesisJob, models: list[DmpModel], indices) -> list
             # the hook reads the nominal (uncoupled) rollouts only for its return pull
             nominal = run(None) if job.obstacle.return_gain > 0.0 else None
             coupling = make_coupling(job.scene, job.obstacle, nominal, job.dt) if alive else None
+        rows = len(alive)
         segment = run(coupling)
+        if coupling is not None and log.isEnabledFor(logging.DEBUG):
+            listed = getattr(coupling, "neighbors", None)   # a wrapped hook, as bench/tracing.py makes, hides it
+            log.debug("segment %d: %d rows, %d steps, neighbour list: %s rebuilds, %s listed pairs, %s kept",
+                      k, rows, rollout_steps(model.canonical.tau, job.dt, job.horizon_factor),
+                      *(("?",) * 3 if listed is None else (listed.rebuilds, listed.listed, listed.kept)))
         if not alive:
             break
         grippers.append(_resample(job.demo.segment(k).gripper, len(segment[0])))

@@ -819,6 +819,30 @@ class TestSynth:
         for name in ["rollout_0000.csv", "rollout_0001.csv", "summary.csv"]:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_debug_log_leaves_the_dataset_byte_identical(self, tmp_path, demo_csv):
+        """SPLATSYNTH_LOG=DEBUG adds one stderr line per coupled segment batch and
+        changes no byte of the dataset."""
+        scene = write_scene(tmp_path / "scene.json", [GaussianBlob(np.array([0.03, 0.05, 0.0]),
+                                                                   0.02 ** 2 * np.eye(3), 1.0)])
+        obstacle = {"rho_th": 0.005, "lambda_max": 100.0, "lookahead": 0.015, "return_gain": 4.0}
+        runs = []
+        for level in ("WARNING", "DEBUG"):
+            out_dir = tmp_path / level
+            out_dir.mkdir()
+            cfg = write_config(out_dir, demo_csv, out_dir / "data", n_demos=3, scene=scene,
+                               obstacle=obstacle)
+            env = dict(os.environ, SPLATSYNTH_LOG=level,
+                       PYTHONPATH=str(Path(splatsynth.__file__).resolve().parent.parent))
+            run = subprocess.run([sys.executable, "-m", "splatsynth.cli", "synth", cfg],
+                                 capture_output=True, text=True, env=env, timeout=120)
+            assert run.returncode == 0, run.stderr
+            runs.append((run.stderr, {p.name: p.read_bytes() for p in sorted((out_dir / "data").iterdir())}))
+        (quiet, files), (loud, debug_files) = runs
+        assert quiet == "" and debug_files == files and len(files) == 5
+        lines = [line for line in loud.splitlines() if line.startswith("DEBUG:splatsynth.synthesis:")]
+        assert [line.split(":")[2] for line in lines] == ["segment 0", "segment 1"]
+        assert all(re.search(r"3 rows, \d+ steps, neighbour list: \d+ rebuilds", line) for line in lines)
+
 
 class TestEval:
     def make_dataset(self, tmp_path, demo_csv):

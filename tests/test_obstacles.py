@@ -1,10 +1,11 @@
+import dataclasses
 import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-import splatsynth.obstacles as obstacles
+import splatsynth.splats as splats
 from splatsynth.dmp import fit_dmp, rollout, rollout_batch
 from splatsynth.geometry import Pose
 from splatsynth.obstacles import (
@@ -297,19 +298,96 @@ class TestHookDensityQueries:
     ])
     def test_one_query_per_step(self, monkeypatch, lambda_max, return_gain, per_row):
         """Each step of a B-row batch sends the rows its active terms read to
-        one density_many call: B probes and/or B positions."""
+        the hook's neighbour list: B probes and/or B positions.  A step that
+        rebuilds the list makes one _neighbors call; a step whose rows all
+        stayed within the skin of where the list was built makes none."""
         model = fit_dmp(line_demo([0, 0, 0], [0.4, 0, 0], n=151))
         starts = [Pose([0.0, dy, 0.0], [1.0, 0, 0, 0]) for dy in (-0.004, 0.0, 0.004)]
         goals = [Pose([0.4, dy, 0.0], [1.0, 0, 0, 0]) for dy in (-0.004, 0.0, 0.004)]
         nominals = rollout_batch(model, starts, goals, dt=0.01)
         params = ObstacleParams(rho_th=0.05, lambda_max=lambda_max, lookahead=0.03, return_gain=return_gain)
         hook = make_coupling(blob_scene(mu=(0.2, 0.004, 0.0), sigma=0.02), params, nominals, 0.01)
-        shapes = []
+        queries, steps = [], []   # steps: (rows' shape, _neighbors calls, rows within the skin)
+        neighbors, density = splats._neighbors, splats._NeighborList.density
 
-        def counted(scene, xs):
-            shapes.append(np.shape(xs))
-            return density_many(scene, xs)
-        monkeypatch.setattr(obstacles, "density_many", counted)
+        def counted(*args, **kwargs):
+            queries.append(args[2])
+            return neighbors(*args, **kwargs)
+
+        def listed(self, xs):
+            inside = self.origin is not None and len(xs) == len(self.origin) and \
+                np.linalg.norm(xs - self.origin, axis=1).max() <= self.skin
+            before = len(queries)
+            rho = density(self, xs)
+            steps.append((xs.shape, len(queries) - before, inside))
+            return rho
+        monkeypatch.setattr(splats, "_neighbors", counted)
+        monkeypatch.setattr(splats._NeighborList, "density", listed)
         outs = rollout_batch(model, starts, goals, dt=0.01, coupling=hook)
         assert not any(np.array_equal(o.positions, n.positions) for o, n in zip(outs, nominals))
-        assert shapes == [(per_row * len(starts), 3)] * (len(outs[0]) - 1)
+        assert [shape for shape, _, _ in steps] == [(per_row * len(starts), 3)] * (len(outs[0]) - 1)
+        assert [calls for _, calls, _ in steps] == [int(not inside) for _, _, inside in steps]
+        assert 0 < hook.neighbors.rebuilds < len(steps)   # both kinds of step ran
+        # the gradient probes of the repulsion query the scene on their own, with no skin
+        assert queries.count(0.0) == len(queries) - hook.neighbors.rebuilds
+
+
+def cluttered_line_scene(seed=3):
+    """40 blobs of 5 to 25 mm within 3 cm of the line demo's path."""
+    rng = np.random.default_rng(seed)
+    means = np.column_stack([rng.uniform(0.05, 0.35, 40), rng.uniform(-0.03, 0.03, (40, 2))])
+    return GaussianScene([GaussianBlob(m, s ** 2 * np.eye(3), a)
+                          for m, s, a in zip(means, rng.uniform(0.005, 0.025, 40), rng.uniform(0.2, 1.0, 40))])
+
+
+class TestHookNeighborList:
+    """The hook reads density_many's bits from its neighbour list at every
+    step, however often the list is rebuilt."""
+
+    def batch(self, n=4):
+        model = fit_dmp(line_demo([0, 0, 0], [0.4, 0, 0], n=151))
+        dys = np.linspace(-0.01, 0.01, n)
+        starts = [Pose([0.0, dy, 0.0], [1.0, 0, 0, 0]) for dy in dys]
+        goals = [Pose([0.4, dy, 0.002], [1.0, 0, 0, 0]) for dy in dys]
+        nominals = rollout_batch(model, starts, goals, dt=0.01)
+        params = ObstacleParams(rho_th=0.05, lambda_max=40.0, lookahead=0.03, return_gain=4.0)
+        return model, starts, goals, nominals, params
+
+    def test_every_read_is_density_many(self, monkeypatch):
+        # each hook serves several rollout_batch calls: the repulsion's alone serves three rows, then
+        # four, and both terms' serves the same four rows twice, jumping back to their starts
+        model, starts, goals, nominals, params = self.batch()
+        scene = cluttered_line_scene()
+        density = splats._NeighborList.density
+        reads = []
+
+        def checked(self, xs):
+            rho = density(self, xs)
+            assert rho.tobytes() == density_many(self.scene, xs).tobytes()
+            reads.append(np.count_nonzero(rho))
+            return rho
+        monkeypatch.setattr(splats._NeighborList, "density", checked)
+        repel = dataclasses.replace(params, return_gain=0.0)
+        for terms, rows in ((repel, [3, 4]), (params, [4, 4])):
+            hook = make_coupling(scene, terms, nominals, 0.01)
+            for n in rows:
+                got = rollout_batch(model, starts[:n], goals[:n], dt=0.01, coupling=hook)
+                want = rollout_batch(model, starts[:n], goals[:n], dt=0.01,
+                                     coupling=make_coupling(scene, terms, nominals, 0.01))
+                assert [g.positions.tobytes() for g in got] == [w.positions.tobytes() for w in want]
+        assert sum(reads) > len(reads)   # the rows read density at many steps
+
+    def test_rebuilding_every_step_gives_the_same_rollouts(self, monkeypatch):
+        model, starts, goals, nominals, params = self.batch()
+        scene = cluttered_line_scene()
+        listed = make_coupling(scene, params, nominals, 0.01)
+        want = rollout_batch(model, starts, goals, dt=0.01, coupling=listed)
+        monkeypatch.setattr(splats, "_SKIN", 0.0)
+        every = make_coupling(scene, params, nominals, 0.01)
+        got = rollout_batch(model, starts, goals, dt=0.01, coupling=every)
+        steps = len(want[0]) - 1
+        assert every.neighbors.rebuilds > 0.9 * steps > 2 * listed.neighbors.rebuilds
+        assert not any(np.array_equal(w.positions, n.positions) for w, n in zip(want, nominals))
+        for g, w in zip(got, want):
+            assert g.positions.tobytes() == w.positions.tobytes()
+            assert g.quaternions.tobytes() == w.quaternions.tobytes()

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from splatsynth import splats
 from splatsynth.alignment import RigidTransform, apply_transform
 from splatsynth.cli import main
 from splatsynth.geometry import quat_normalize, quat_to_matrix
@@ -20,6 +21,7 @@ from splatsynth.splats import (
     GaussianScene,
     SceneFormatError,
     _neighbors,
+    _NeighborList,
     density,
     density_bruteforce,
     density_gradient,
@@ -412,6 +414,135 @@ class TestDensityManyMatchesPointwise:
                    for e in h * np.eye(3)]
             assert np.array_equal(g, ref)
             assert np.array_equal(density_gradient(scene, x, h), g)
+
+
+# ---- the coupling hook's neighbour list: density_many's bits from listed pairs ----
+
+def heavy_tailed_scene(seed):
+    """cluttered_scene with three splats of sigma 0.5 m among its blobs, like
+    the sky and floater splats of a real 3DGS scan."""
+    base = cluttered_scene(200, seed)
+    rng = np.random.default_rng(seed)
+    return GaussianScene.from_arrays(np.concatenate([base.means, rng.normal(0.0, 0.3, (3, 3))]),
+                                     np.concatenate([base.covariances, np.tile(0.25 * np.eye(3), (3, 1, 1))]),
+                                     np.concatenate([base.opacities, [0.3, 0.5, 0.8]]), opacity_floor=0.0)
+
+
+def far_scene(seed):
+    """Splats of sigma 1e146 m whose bounding spheres end just inside
+    _MAX_REACH, in all eight octants."""
+    rng = np.random.default_rng(seed)
+    means = rng.choice([-1.0, 1.0], (40, 3)) * (1e150 - 1e147 - rng.uniform(0.0, 2e147, (40, 3)))
+    return GaussianScene.from_arrays(means, np.tile(1e292 * np.eye(3), (40, 1, 1)), rng.uniform(0.1, 1.0, 40),
+                                     opacity_floor=0.0)
+
+
+# name: (scene, the spread of its rows around its blobs and of a jump, m)
+LIST_SCENES = {
+    "cluttered": (cluttered_scene(200, seed=31), 0.05),
+    "heavy_tailed": (heavy_tailed_scene(32), 0.05),
+    "far": (far_scene(33), 3e146),
+}
+WALK_MOVES = ["creep", "creep", "edge", "past_edge", "jump", "non_finite", "count"]
+
+
+def unit_rows(rng, n):
+    u = rng.normal(size=(n, 3))
+    return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+class TestNeighborList:
+    """_NeighborList.density gives density_many's bits at every step of a walk
+    of row batches, whether the step is answered from the list or rebuilds it."""
+
+    @staticmethod
+    def assert_step(listed, xs):
+        got = listed.density(xs)
+        want = density_many(listed.scene, xs)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(sorted(LIST_SCENES)), n=st.integers(0, 12), seed=st.integers(0, 2 ** 16),
+           moves=st.lists(st.sampled_from(WALK_MOVES), min_size=1, max_size=10))
+    def test_random_walks_match_density_many(self, name, n, seed, moves):
+        scene, spread = LIST_SCENES[name]
+        rng = np.random.default_rng(seed)
+
+        def fresh(k):
+            rows = scene.means[rng.integers(0, len(scene), k)] + rng.normal(0.0, spread, (k, 3))
+            rows[rng.random(k) < 0.1] = np.sign(rng.normal(size=3)) * 1e150   # on the reach limit
+            return rows
+
+        xs = fresh(n)   # one buffer, moved in place as the hook moves its rows
+        listed = _NeighborList(scene)
+        self.assert_step(listed, xs)
+        for move in moves:
+            rebuilds, origin = listed.rebuilds, listed.origin
+            some = rng.random(len(xs)) < 0.5
+            inside = False
+            if move == "count":
+                xs = fresh(max(0, len(xs) + int(rng.choice([-2, -1, 1, 3]))))
+            elif move == "creep" and np.isfinite(origin).all():
+                # every row stays within the skin of where the list was built: answered from the list
+                inside = True
+                xs[:] = origin + unit_rows(rng, len(xs)) * rng.uniform(0.0, 0.9 * listed.skin, (len(xs), 1))
+            elif move in ("edge", "past_edge"):
+                # rows moved the skin from the list's origin, or one ulp past it, give or take rounding
+                step = listed.skin if move == "edge" else np.nextafter(listed.skin, np.inf)
+                xs[some] = origin[some] + unit_rows(rng, int(some.sum())) * step
+            elif move == "non_finite":
+                xs[some, rng.integers(0, 3)] = rng.choice([np.nan, np.inf, -np.inf])
+            else:   # a jump past the skin, or a creep from a list holding a non-finite row
+                xs[some] = fresh(int(some.sum()))
+            self.assert_step(listed, xs)
+            if inside:
+                assert listed.rebuilds == rebuilds
+        assert listed.kept <= listed.listed
+
+    def test_skin_is_the_rebuild_bound(self):
+        # a row moved exactly the skin keeps the list; one ulp farther rebuilds it
+        scene = cluttered_scene(50, seed=34)
+        listed = _NeighborList(scene)
+        xs = np.array([[0.0, 0.01, -0.02], [0.03, 0.0, 0.01]])
+        self.assert_step(listed, xs)
+        xs[0, 0] = listed.skin
+        self.assert_step(listed, xs)
+        assert listed.rebuilds == 1
+        xs[0, 0] = np.nextafter(listed.skin, np.inf)
+        self.assert_step(listed, xs)
+        assert listed.rebuilds == 2
+
+    def test_blob_at_the_edge_of_the_list(self, monkeypatch):
+        # a row that moves the whole skin toward a blob listed at exactly its reach plus the
+        # skin ends exactly on the blob's reach: the list holds it, and density_many counts it
+        monkeypatch.setattr(splats, "_SKIN", 1 / 64)
+        scene = GaussianScene([unit_blob(mu=(0.25 + 1 / 64, 0.0, 0.0), sigma2=1 / 256)])
+        assert scene.radii[0] == 0.25
+        listed = _NeighborList(scene)
+        xs = np.zeros((1, 3))
+        self.assert_step(listed, xs)
+        xs[0, 0] = 1 / 64
+        self.assert_step(listed, xs)
+        assert listed.rebuilds == 1 and listed.density(xs)[0] == np.exp(-8.0)
+
+    def test_row_count_change_rebuilds(self):
+        scene = cluttered_scene(50, seed=35)
+        listed = _NeighborList(scene)
+        xs = np.random.default_rng(36).normal(0.0, 0.05, (6, 3))
+        for rows in (xs, xs[:4], xs[:4], xs, np.empty((0, 3)), xs):
+            self.assert_step(listed, rows)
+        assert listed.rebuilds == 5
+
+    def test_slack_pads_the_exact_test(self):
+        # _neighbors keeps a blob when |x - mean| <= (radius + r) * (1 + slack), and only then
+        scene = cluttered_scene(300, seed=37)
+        xs = np.random.default_rng(38).normal(0.0, 0.12, (40, 3))
+        for radius, slack in [(0.0, 0.0), (0.02, 1e-9), (0.02, 0.5)]:
+            row, blob = _neighbors(scene, xs, radius, slack)
+            d = np.linalg.norm(xs[:, None] - scene.means[None], axis=2)
+            want = np.nonzero(d <= (radius + scene.radii) * (1.0 + slack))
+            assert np.array_equal(row, want[0]) and np.array_equal(blob, want[1])
 
 
 class TestTruncationBound:
@@ -994,6 +1125,22 @@ class TestPlyStreaming:
                                       scene.opacities))
         assert len(scene) == n - n // 100 - n // 200
         assert peak <= 1.25 * kept, f"peak {peak / 1e6:.1f} MB, kept arrays {kept / 1e6:.1f} MB"
+
+    def test_scene_holds_only_its_kept_splats(self, tmp_path):
+        # a third of these splats are below the floor and a few more are invalid: the loaded scene
+        # holds its kept arrays and not the rows it dropped
+        path = write_ply_3dgs(tmp_path / "scene.ply", ply_rows_3dgs(12305, seed=1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scene = load_scene(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in (scene.means, scene.covariances, scene.inv_covariances, scene.radii,
+                                      scene.opacities))
+        assert (len(scene), scene.rejected_count) == (6161, 3455)
+        assert held <= 1.1 * kept, f"held {held / 1e6:.2f} MB, kept arrays {kept / 1e6:.2f} MB"
 
 # ---- loader fuzz: mutations of valid scene files -------------------------------
 

@@ -1,11 +1,13 @@
 import json
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from splatsynth.dmp import MIN_SEGMENT_SAMPLES
+from splatsynth.dmp import MIN_SEGMENT_SAMPLES, rollout_steps
 from splatsynth.geometry import FieldError, Trajectory, quat_geodesic_distance
 from splatsynth.obstacles import ObstacleParams
 from splatsynth import synthesis
@@ -473,6 +475,34 @@ class TestBatchIndependence:
         assert manifest["rollouts"][0]["error"] == "non-finite state at step 2"
         assert trajs[0] is None
         assert [t.to_csv() for t in trajs[1:]] == [t.to_csv() for t in clean[1:]]
+
+
+class TestCoupledBatchLog:
+    """Each coupled segment batch logs one DEBUG line through the
+    splatsynth.synthesis logger: its rows and steps, and its hook's neighbour
+    list rebuilds and listed and kept pairs."""
+
+    LINE = (r"segment (\d+): (\d+) rows, (\d+) steps, "
+            r"neighbour list: (\d+) rebuilds, (\d+) listed pairs, (\d+) kept")
+
+    def test_one_line_per_coupled_segment(self, caplog):
+        job = coupled_job("letter", n_demos=3)
+        with caplog.at_level(logging.DEBUG, logger="splatsynth"):
+            synthesize(job)
+        lines = [r.getMessage() for r in caplog.records if r.name == "splatsynth.synthesis"]
+        assert len(lines) == job.demo.n_segments == 2
+        for k, (line, model) in enumerate(zip(lines, fit_segments(job))):
+            got = [int(v) for v in re.fullmatch(self.LINE, line).groups()]
+            assert got[:3] == [k, 3, rollout_steps(model.canonical.tau, job.dt, job.horizon_factor)]
+            rebuilds, listed, kept = got[3:]
+            assert 1 <= rebuilds < got[2] and 0 < kept <= listed
+
+    def test_no_line_above_debug_or_without_a_scene(self, caplog):
+        with caplog.at_level(logging.INFO, logger="splatsynth"):
+            synthesize(coupled_job("line", n_demos=2))
+        with caplog.at_level(logging.DEBUG, logger="splatsynth"):
+            synthesize(make_job(n_demos=2))
+        assert not [r for r in caplog.records if r.name == "splatsynth.synthesis"]
 
 
 class TestExportDataset:
