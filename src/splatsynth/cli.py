@@ -210,7 +210,7 @@ def cmd_synth(args) -> int:
     n_ok = 0
     for entry in manifest["rollouts"]:
         print(f"rollout {entry['index']:4d}: {entry['status']}"
-              + (f" dtw_pos={entry['dtw_position']:.6g}" if entry["status"] == "ok" else ""))
+              + (f" dtw_pos={entry['dtw_position']:.6g}" if entry["status"] == "ok" else f": {entry['error']}"))
         n_ok += entry["status"] == "ok"
     print(f"{n_ok}/{job.n_demos} rollouts written to {job.output_dir}")
     return 0 if n_ok == job.n_demos else 1

@@ -245,29 +245,23 @@ def rollout_steps(tau: float, dt: float, horizon_factor: float) -> int:
     return math.ceil(steps)
 
 
-def rollout_batch(model: DmpModel, starts, goals, dt: float = 0.01, coupling=None,
-                  horizon_factor: float = DEFAULT_HORIZON_FACTOR) -> list:
-    """Integrate the DMP from B start poses to B goal poses at once, as (B, 3)
-    states, with semi-implicit Euler for rollout_steps(tau, dt, horizon_factor) steps.
+def _integrate(model: DmpModel, y, q0, goal, q_goal, dt: float, coupling=None,
+               horizon_factor: float = DEFAULT_HORIZON_FACTOR):
+    """Integrate the DMP from B starts to B goals at once, given as (B, 3)
+    positions and (B, 4) unit quaternions, with semi-implicit Euler for
+    rollout_steps(tau, dt, horizon_factor) steps.  coupling, when given, is
+    called as coupling(step_index, positions, velocities_m_per_s) on the
+    (B, 3) rows and returns the extra accelerations added into the tau-scaled
+    dynamics (tau*dv/dt = a_dmp + a_coupling).  The phase's basis table is
+    built once, before the step loop; orientation, q0 * exp(r(t)), after it.
 
-    coupling, when given, is called as coupling(step_index, positions,
-    velocities_m_per_s) on the (B, 3) rows and must return the extra
-    accelerations added into the tau-scaled transformation dynamics
-    (tau*dv/dt = a_dmp + a_coupling).  Orientation is reconstructed as
-    q0 * exp(r(t)) after the loop.  The phase is state-free: its
-    (n_steps, n_basis) basis table is built once, before the step loop.
-
-    Every row is computed exactly as it would be alone.  Returns one
-    Trajectory per row, or the RolloutError of a row whose state went
-    non-finite; such a row is frozen and the others carry on.
-    """
+    Every row is computed exactly as it would be alone.  Returns the (n+1,)
+    times, the (B, n+1, 3) positions and (B, n+1, 4) quaternions, not yet
+    normalized, and per row the step its state went non-finite at, or -1:
+    such a row is frozen, and the others carry on."""
     tau = model.canonical.tau
     n_steps = rollout_steps(tau, dt, horizon_factor)
-    y = np.array([s.position for s in starts], dtype=float).reshape(-1, 3)
-    goal = np.array([g.position for g in goals], dtype=float).reshape(-1, 3)
-    q0 = np.array([s.orientation for s in starts]).reshape(-1, 4)
-    rot_goal = np.array([quat_log(quat_mul(quat_conj(s.orientation), g.orientation))
-                         for s, g in zip(starts, goals)]).reshape(-1, 3)
+    rot_goal = np.array([quat_log(quat_mul(quat_conj(a), b)) for a, b in zip(q0, q_goal)]).reshape(-1, 3)
     v, r, rv = np.zeros_like(y), np.zeros_like(y), np.zeros_like(y)
     # degenerate-at-fit channels keep their stored scale; others rescale
     # with the new goal amplitude
@@ -309,9 +303,18 @@ def rollout_batch(model: DmpModel, starts, goals, dt: float = 0.01, coupling=Non
     quaternions = np.empty((len(y), n_steps + 1, 4))
     quaternions[:, 0] = q0
     quaternions[:, 1:] = quat_mul(q0[:, None], quat_exp(rots))
-    times = np.arange(n_steps + 1) * dt
+    return np.arange(n_steps + 1) * dt, positions, quaternions, failed
+
+
+def rollout_batch(model: DmpModel, starts, goals, dt: float = 0.01, coupling=None,
+                  horizon_factor: float = DEFAULT_HORIZON_FACTOR) -> list:
+    """_integrate from B start Poses to B goal Poses: one Trajectory per row,
+    or the RolloutError of a row whose state went non-finite."""
+    y, goal = (np.array([p.position for p in poses], dtype=float).reshape(-1, 3) for poses in (starts, goals))
+    q0, q_goal = (np.array([p.orientation for p in poses], dtype=float).reshape(-1, 4) for poses in (starts, goals))
+    times, positions, quaternions, failed = _integrate(model, y, q0, goal, q_goal, dt, coupling, horizon_factor)
     return [RolloutError(f"non-finite state at step {f}") if f >= 0 else
-            Trajectory(times.copy(), positions[b], quaternions[b], np.zeros(n_steps + 1), [0, n_steps])
+            Trajectory(times.copy(), positions[b], quaternions[b], np.zeros(len(times)), [0, len(times) - 1])
             for b, f in enumerate(failed)]
 
 

@@ -101,10 +101,11 @@ def return_to_reference(x, v_err, x_ref, rho, params: ObstacleParams) -> np.ndar
     return out
 
 
-def make_coupling(scene: GaussianScene, params: ObstacleParams, references, dt: float):
+def make_coupling(scene: GaussianScene, params: ObstacleParams, nominal, dt: float):
     """The coupling hook (step, y, v) -> accelerations for (B, 3) rows of
-    positions and velocities, given the rows' B nominal (uncoupled) rollouts,
-    which only the return pull reads (None will do when return_gain is zero).
+    positions and velocities.  nominal holds the (B, n+1, 3) positions of the
+    rows' uncoupled rollouts, which only the return pull reads (None will do
+    when return_gain is zero).
     Each step reads the density of the lookahead probes when the repulsion is
     on and of the positions when the pull is on, as density_many gives it,
     from the hook's own splats._NeighborList, hook.neighbors.  None when both
@@ -112,10 +113,8 @@ def make_coupling(scene: GaussianScene, params: ObstacleParams, references, dt: 
     repel, pull = params.lambda_max > 0.0, params.return_gain > 0.0
     if not (repel or pull):
         return None
-    if pull:
-        ref_pos = np.stack([r.positions for r in references])
-        ref_vel = np.gradient(ref_pos, references[0].times, axis=1)
-        last = ref_pos.shape[1] - 1
+    if pull:   # on the grid of sample times, which np.gradient rounds otherwise than the scalar dt
+        ref_vel = np.gradient(nominal, np.arange(nominal.shape[1]) * dt, axis=1)
 
     neighbors = _NeighborList(scene)
     rows = np.empty((0, 3))   # the probes, then the positions; one buffer per row count
@@ -135,8 +134,8 @@ def make_coupling(scene: GaussianScene, params: ObstacleParams, references, dt: 
         rho = neighbors.density(rows)
         a = obstacle_accel(scene, x_look, v, rho[:b], params) if repel else np.zeros(y.shape)
         if pull:
-            i = min(step, last)
-            a = a + return_to_reference(y, v - ref_vel[:, i], ref_pos[:, i], rho[-b:], params)
+            i = min(step, nominal.shape[1] - 1)
+            a = a + return_to_reference(y, v - ref_vel[:, i], nominal[:, i], rho[-b:], params)
         return a
 
     hook.neighbors = neighbors

@@ -3,7 +3,7 @@ with obstacle coupling, chain segments, and export datasets.
 
 Each rollout derives its RNG streams from (master seed, rollout index,
 boundary index), so batches are deterministic and order-independent.  The
-rollouts of a batch integrate each segment together, as one rollout_batch.
+rollouts of a batch integrate each segment together, as one block of rows.
 Segment k+1 always starts at segment k's achieved terminal pose, keeping the
 emitted trajectory continuous after perturbation.
 """
@@ -23,8 +23,8 @@ from scipy.special import gammainc, gammaincinv, ndtr, ndtri
 from .dmp import DEFAULT_ALPHA_S, DEFAULT_ALPHA_Z, DEFAULT_HORIZON_FACTOR, DEFAULT_N_BASIS, DEFAULT_RIDGE_LAMBDA
 from .dmp import MIN_SEGMENT_SAMPLES
 # rollout stays bound here for bench/tracing.py, which wraps it where it is looked up
-from .dmp import DmpModel, RolloutError, fit_dmp, rollout, rollout_batch, rollout_steps  # noqa: F401
-from .geometry import FieldError, Pose, Trajectory, check_fields, param, quat_exp, quat_mul
+from .dmp import DmpModel, RolloutError, _integrate, fit_dmp, rollout, rollout_steps  # noqa: F401
+from .geometry import FieldError, Trajectory, check_fields, param, quat_canonical, quat_exp, quat_mul, quat_normalize
 # trajectory_dtw stays bound here for bench/tracing.py, which wraps it where it is looked up
 from .metrics import trajectory_dtw, trajectory_dtw_many  # noqa: F401
 from .obstacles import ObstacleParams, make_coupling
@@ -154,93 +154,83 @@ def _resample(values: np.ndarray, n_out: int) -> np.ndarray:
     return np.interp(dst, src, values)
 
 
-def _targets(job: SynthesisJob, flags, rollout_index: int):
-    """The boundary poses of one rollout, perturbed where flagged, and its
-    manifest entry."""
-    targets = []
-    perturbations = []
-    for b, split in enumerate(job.demo.splits):
-        pose = job.demo.pose(split)
-        if flags[b]:
-            dp, dq = sample_boundary_perturbation(job.spec, b, rollout_index)
-            pose = Pose(pose.position + dp, quat_mul(pose.orientation, dq))
-            perturbations.append({
-                "boundary": b,
-                "dp": [float(v) for v in dp],
-                "dq": [float(v) for v in dq],
-            })
-        targets.append(pose)
-    return targets, {"index": rollout_index, "status": "ok", "perturbations": perturbations}
+def _targets(job: SynthesisJob, flags, indices):
+    """The (B, K+1, 3) boundary positions and (B, K+1, 4) orientations of the
+    given rollouts, perturbed where flagged, and their manifest entries."""
+    demo, n = job.demo, len(indices)
+    perturbed = [b for b, flag in enumerate(flags) if flag]
+    positions = np.repeat(demo.positions[None, demo.splits], n, axis=0)
+    quaternions = np.repeat(quat_normalize(demo.quaternions[demo.splits])[None], n, axis=0)
+    entries = []
+    for r, i in enumerate(indices):
+        perturbations = []
+        for b in perturbed:
+            dp, dq = sample_boundary_perturbation(job.spec, b, i)
+            positions[r, b] += dp
+            quaternions[r, b] = quat_mul(quaternions[r, b], dq)
+            perturbations.append({"boundary": b, "dp": [float(v) for v in dp], "dq": [float(v) for v in dq]})
+        entries.append({"index": i, "status": "ok", "perturbations": perturbations})
+    quaternions[:, perturbed] = quat_normalize(quaternions[:, perturbed])
+    return positions, quaternions, entries
 
 
 def _synthesize_rows(job: SynthesisJob, models: list[DmpModel], indices) -> list:
-    """Chained multi-segment rollouts for the given rollout indices.  Each
-    segment is one rollout_batch over the rollouts still alive, after one
-    uncoupled nominal batch when the return pull reads it; a coupled batch
-    logs one DEBUG line with its rows, its steps, and its hook's neighbour
-    list rebuilds and listed and kept pairs.  Returns, per index,
-    (Trajectory, manifest entry) or the RolloutError that ended it."""
+    """Chained multi-segment rollouts for the given rollout indices, as row
+    blocks: each segment is one _integrate pass over the rows still alive,
+    after one uncoupled nominal pass when the return pull reads it, and one
+    concatenation chains the segments.  A coupled pass logs one DEBUG line
+    with its rows, its steps, and its hook's neighbour list rebuilds and
+    listed and kept pairs.  Returns, per index, (Trajectory, manifest entry)
+    or the RolloutError that ended it."""
     flags = _perturbable_flags(job.spec, len(job.demo.splits))
-    targets, entries = zip(*(_targets(job, flags, i) for i in indices))
-    outcome = [None] * len(entries)
-    pieces = [[] for _ in entries]
-    current = [t[0] for t in targets]
-    grippers = []
-    alive = list(range(len(entries)))
+    target_p, target_q, entries = _targets(job, flags, indices)
+    y, q = target_p[:, 0].copy(), target_q[:, 0].copy()   # each row's start of its next segment
+    outcome, alive = [None] * len(entries), np.arange(len(entries))
+    chain, splits, offset = [], [0], 0.0   # per segment: its rows, times, positions, quaternions, gripper
     for k, model in enumerate(models):
 
         def run(coupling):
-            """One batch over the alive rows; the rows that fail leave."""
+            """One pass over the alive rows; the rows that fail leave."""
             nonlocal alive
-            outs = rollout_batch(model, [current[i] for i in alive], [targets[i][k + 1] for i in alive],
-                                 job.dt, coupling=coupling, horizon_factor=job.horizon_factor)
-            for i, out in zip(alive, outs):
-                if isinstance(out, RolloutError):
-                    outcome[i] = out
-            alive = [i for i in alive if outcome[i] is None]
-            return [out for out in outs if isinstance(out, Trajectory)]
+            times, p, qs, failed = _integrate(model, y[alive], q[alive], target_p[alive, k + 1],
+                                              target_q[alive, k + 1], job.dt, coupling=coupling,
+                                              horizon_factor=job.horizon_factor)
+            for i, f in zip(alive[failed >= 0], failed[failed >= 0]):
+                outcome[i] = RolloutError(f"non-finite state at step {f}")
+            alive = alive[failed < 0]
+            return times, p[failed < 0], qs[failed < 0]
 
         coupling = None
         if job.scene is not None and len(job.scene):
-            # the hook reads the nominal (uncoupled) rollouts only for its return pull
-            nominal = run(None) if job.obstacle.return_gain > 0.0 else None
-            coupling = make_coupling(job.scene, job.obstacle, nominal, job.dt) if alive else None
+            # the hook reads the nominal (uncoupled) positions only for its return pull
+            nominal = run(None)[1] if job.obstacle.return_gain > 0.0 else None
+            coupling = make_coupling(job.scene, job.obstacle, nominal, job.dt) if len(alive) else None
         rows = len(alive)
-        segment = run(coupling)
+        times, p, qs = run(coupling)
         if coupling is not None and log.isEnabledFor(logging.DEBUG):
             listed = getattr(coupling, "neighbors", None)   # a wrapped hook, as bench/tracing.py makes, hides it
             log.debug("segment %d: %d rows, %d steps, neighbour list: %s rebuilds, %s listed pairs, %s kept",
-                      k, rows, rollout_steps(model.canonical.tau, job.dt, job.horizon_factor),
+                      k, rows, len(times) - 1,
                       *(("?",) * 3 if listed is None else (listed.rebuilds, listed.listed, listed.kept)))
-        if not alive:
-            break
-        grippers.append(_resample(job.demo.segment(k).gripper, len(segment[0])))
-        for i, piece in zip(alive, segment):
-            pieces[i].append(piece)
-            current[i] = piece.pose(len(piece) - 1)
-    for i in alive:
-        outcome[i] = (_chain(pieces[i], grippers), entries[i])
+        if not len(alive):
+            return outcome
+        # a segment's quaternions are made unit here, and again in the chained Trajectory
+        qs = quat_canonical(qs / np.linalg.norm(qs, axis=-1, keepdims=True))
+        y[alive], q[alive] = p[:, -1], quat_normalize(qs[:, -1])
+        cut = min(k, 1)   # a later segment drops its first sample, the junction it shares
+        a, b = job.demo.splits[k], job.demo.splits[k + 1]
+        chain.append((alive, times[cut:] + offset, p[:, cut:], qs[:, cut:],
+                      _resample(job.demo.gripper[a:b + 1], len(times))[cut:]))
+        splits.append(splits[-1] + len(times) - 1)
+        offset += times[-1]
+    blocks, times, positions, quaternions, gripper = zip(*chain)
+    at = [np.searchsorted(block, alive) for block in blocks]   # the finished rows' places in each segment
+    times, gripper = np.concatenate(times), np.concatenate(gripper)
+    positions = np.concatenate([p[r] for p, r in zip(positions, at)], axis=1)
+    quaternions = np.concatenate([qs[r] for qs, r in zip(quaternions, at)], axis=1)
+    for r, i in enumerate(alive):
+        outcome[i] = (Trajectory(times.copy(), positions[r], quaternions[r], gripper.copy(), splits), entries[i])
     return outcome
-
-
-def _chain(pieces, grippers) -> Trajectory:
-    """Concatenate segment pieces; drop each later segment's first sample
-    (the shared junction)."""
-    times = [pieces[0].times]
-    positions = [pieces[0].positions]
-    quaternions = [pieces[0].quaternions]
-    gripper = [grippers[0]]
-    splits = [0, len(pieces[0]) - 1]
-    offset = pieces[0].times[-1]
-    for piece, grip in zip(pieces[1:], grippers[1:]):
-        times.append(piece.times[1:] + offset)
-        positions.append(piece.positions[1:])
-        quaternions.append(piece.quaternions[1:])
-        gripper.append(grip[1:])
-        offset += piece.times[-1]
-        splits.append(splits[-1] + len(piece) - 1)
-    return Trajectory(np.concatenate(times), np.concatenate(positions),
-                      np.concatenate(quaternions), np.concatenate(gripper), splits)
 
 
 def synthesize_one(job: SynthesisJob, models: list[DmpModel], rollout_index: int):

@@ -44,6 +44,12 @@ def separated_scene(n, seed, sigma=0.01, separation_sigmas=9.0, box=2.0,
     return GaussianScene(blobs, opacity_floor=0.0)
 
 
+def nominal_positions(rollouts):
+    """The (B, n+1, 3) positions of B equal-length rollouts (Trajectories, as
+    rollout_batch gives them), the nominal block make_coupling takes."""
+    return np.stack([r.positions for r in rollouts])
+
+
 def relative_gap(got, ref) -> float:
     """The largest |got - ref| / |ref| over the rows of two arrays, each row's
     norm taken over its trailing axes (Frobenius for matrices)."""

@@ -809,6 +809,24 @@ class TestSynth:
         man = json.loads((out_dir / "manifest.json").read_text())
         assert len(man["rollouts"]) == 4
 
+    def test_failed_rollout_line_names_its_error(self, tmp_path, demo_csv, capsys, monkeypatch):
+        real = splatsynth.synthesis._integrate
+
+        def flaky(model, y, *args, **kwargs):
+            times, positions, quaternions, failed = real(model, y, *args, **kwargs)
+            if len(y) == 3:   # the first segment: rollout 1 is row 1
+                failed[1] = 9
+            return times, positions, quaternions, failed
+
+        monkeypatch.setattr(splatsynth.synthesis, "_integrate", flaky)
+        out_dir = tmp_path / "out"
+        assert main(["synth", write_config(tmp_path, demo_csv, out_dir, n_demos=3)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "rollout    1: failed: non-finite state at step 9"
+        assert [line.split(":")[1].split()[0] for line in lines[:3]] == ["ok", "failed", "ok"]
+        assert lines[3] == f"2/3 rollouts written to {out_dir}"
+        assert not (out_dir / "rollout_0001.csv").exists()
+
     def test_rerun_byte_identical(self, tmp_path, demo_csv):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

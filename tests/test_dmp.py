@@ -31,7 +31,7 @@ from splatsynth.metrics import dtw
 from splatsynth.obstacles import ObstacleParams, make_coupling
 from splatsynth.splats import GaussianBlob, GaussianScene
 
-from helpers import letter_a_demo, line_demo, minimum_jerk
+from helpers import letter_a_demo, line_demo, minimum_jerk, nominal_positions
 
 
 def minjerk_demo_1d(n=201, duration=1.0):
@@ -349,7 +349,7 @@ class TestRolloutMatchesPerStep:
         scene = GaussianScene([GaussianBlob([0.2, 0.004, 0.0], 0.02 ** 2 * np.eye(3), 1.0)])
         params = ObstacleParams(rho_th=0.005, lambda_max=100.0, gamma=2.0,
                                 lookahead=0.015, return_gain=4.0)
-        hook = make_coupling(scene, params, [rollout(model, dt=0.01)], 0.01)
+        hook = make_coupling(scene, params, nominal_positions([rollout(model, dt=0.01)]), 0.01)
         assert_rollout_matches_per_step(model, dt=0.01, coupling=hook)
 
     def test_degenerate_channels(self):
@@ -400,10 +400,10 @@ class TestRolloutBatch:
                                 lookahead=0.015, return_gain=4.0)
         nominals = rollout_batch(model, starts, goals, dt=0.01)
         outs = rollout_batch(model, starts, goals, dt=0.01,
-                             coupling=make_coupling(scene, params, nominals, 0.01))
+                             coupling=make_coupling(scene, params, nominal_positions(nominals), 0.01))
         assert not any(np.array_equal(o.positions, n.positions) for o, n in zip(outs, nominals))
         for out, start, goal, nominal in zip(outs, starts, goals, nominals):
-            hook = make_coupling(scene, params, [nominal], 0.01)
+            hook = make_coupling(scene, params, nominal_positions([nominal]), 0.01)
             self.assert_same(out, rollout(model, start, goal, dt=0.01, coupling=hook))
 
     def test_non_finite_row_fails_alone(self):

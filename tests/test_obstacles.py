@@ -18,7 +18,7 @@ from splatsynth.obstacles import (
 )
 from splatsynth.splats import GaussianBlob, GaussianScene, density, density_many
 
-from helpers import line_demo
+from helpers import line_demo, nominal_positions
 
 
 def blob_scene(mu=(0.2, 0.0, 0.0), sigma=0.05, alpha=1.0):
@@ -223,14 +223,14 @@ class TestMakeCoupling:
         nominal = rollout(model, dt=0.01)
         scene = blob_scene()
         params = ObstacleParams(lambda_max=0.0, return_gain=0.0)
-        assert make_coupling(scene, params, [nominal], 0.01) is None
+        assert make_coupling(scene, params, nominal_positions([nominal]), 0.01) is None
 
     def test_inert_coupling_bitwise_identical(self):
         demo, model = self.demo_and_model()
         nominal = rollout(model, dt=0.01)
         scene = blob_scene()
         params = ObstacleParams(lambda_max=0.0, return_gain=0.0)
-        hook = make_coupling(scene, params, [nominal], 0.01)
+        hook = make_coupling(scene, params, nominal_positions([nominal]), 0.01)
         out = rollout(model, dt=0.01, coupling=hook)
         assert np.array_equal(out.positions, nominal.positions)
         assert np.array_equal(out.quaternions, nominal.quaternions)
@@ -242,7 +242,7 @@ class TestMakeCoupling:
         scene = blob_scene(mu=(0.2, 0.004, 0.0), sigma=0.02)
         params = ObstacleParams(rho_th=0.05, lambda_max=40.0, gamma=1.0,
                                 lookahead=0.03, return_gain=4.0)
-        hook = make_coupling(scene, params, [nominal], dt)
+        hook = make_coupling(scene, params, nominal_positions([nominal]), dt)
         out = rollout(model, dt=dt, coupling=hook)
         rho_nom = max(density(scene, x) for x in nominal.positions)
         rho_avd = max(density(scene, x) for x in out.positions)
@@ -262,7 +262,7 @@ class TestMakeCoupling:
         for rho_th in (0.4, 0.2, 0.1, 0.05):
             params = ObstacleParams(rho_th=rho_th, lambda_max=40.0,
                                     lookahead=0.03, return_gain=4.0)
-            hook = make_coupling(scene, params, [nominal], dt)
+            hook = make_coupling(scene, params, nominal_positions([nominal]), dt)
             out = rollout(model, dt=dt, coupling=hook)
             defl.append(np.abs(out.positions[:, 1]).max())
         assert all(b >= a - 1e-6 for a, b in zip(defl, defl[1:]))
@@ -281,7 +281,7 @@ class TestMakeCoupling:
         mean_y = []
         for gain in (0.0, 50.0, 400.0):
             hook = make_coupling(scene, ObstacleParams(
-                lambda_max=0.0, return_gain=gain, return_cap=50.0), [shifted], dt)
+                lambda_max=0.0, return_gain=gain, return_cap=50.0), nominal_positions([shifted]), dt)
             out = rollout(model, dt=dt, coupling=hook)
             mean_y.append(out.positions[:, 1].mean())
         assert mean_y[0] == pytest.approx(0.0, abs=1e-9)
@@ -306,7 +306,7 @@ class TestHookDensityQueries:
         goals = [Pose([0.4, dy, 0.0], [1.0, 0, 0, 0]) for dy in (-0.004, 0.0, 0.004)]
         nominals = rollout_batch(model, starts, goals, dt=0.01)
         params = ObstacleParams(rho_th=0.05, lambda_max=lambda_max, lookahead=0.03, return_gain=return_gain)
-        hook = make_coupling(blob_scene(mu=(0.2, 0.004, 0.0), sigma=0.02), params, nominals, 0.01)
+        hook = make_coupling(blob_scene(mu=(0.2, 0.004, 0.0), sigma=0.02), params, nominal_positions(nominals), 0.01)
         queries, steps = [], []   # steps: (rows' shape, _neighbors calls, rows within the skin)
         neighbors, density = splats._neighbors, splats._NeighborList.density
 
@@ -369,21 +369,21 @@ class TestHookNeighborList:
         monkeypatch.setattr(splats._NeighborList, "density", checked)
         repel = dataclasses.replace(params, return_gain=0.0)
         for terms, rows in ((repel, [3, 4]), (params, [4, 4])):
-            hook = make_coupling(scene, terms, nominals, 0.01)
+            hook = make_coupling(scene, terms, nominal_positions(nominals), 0.01)
             for n in rows:
                 got = rollout_batch(model, starts[:n], goals[:n], dt=0.01, coupling=hook)
                 want = rollout_batch(model, starts[:n], goals[:n], dt=0.01,
-                                     coupling=make_coupling(scene, terms, nominals, 0.01))
+                                     coupling=make_coupling(scene, terms, nominal_positions(nominals), 0.01))
                 assert [g.positions.tobytes() for g in got] == [w.positions.tobytes() for w in want]
         assert sum(reads) > len(reads)   # the rows read density at many steps
 
     def test_rebuilding_every_step_gives_the_same_rollouts(self, monkeypatch):
         model, starts, goals, nominals, params = self.batch()
         scene = cluttered_line_scene()
-        listed = make_coupling(scene, params, nominals, 0.01)
+        listed = make_coupling(scene, params, nominal_positions(nominals), 0.01)
         want = rollout_batch(model, starts, goals, dt=0.01, coupling=listed)
         monkeypatch.setattr(splats, "_SKIN", 0.0)
-        every = make_coupling(scene, params, nominals, 0.01)
+        every = make_coupling(scene, params, nominal_positions(nominals), 0.01)
         got = rollout_batch(model, starts, goals, dt=0.01, coupling=every)
         steps = len(want[0]) - 1
         assert every.neighbors.rebuilds > 0.9 * steps > 2 * listed.neighbors.rebuilds

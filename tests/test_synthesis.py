@@ -298,38 +298,36 @@ class TestSynthesize:
 
     def test_failed_rollout_recorded(self, monkeypatch):
         import splatsynth.synthesis as synth_mod
-        from splatsynth.dmp import RolloutError
 
-        real = synth_mod.rollout_batch
+        real = synth_mod._integrate
 
-        def flaky(model, starts, goals, *args, **kwargs):
-            outs = real(model, starts, goals, *args, **kwargs)
-            if len(outs) == 3:   # the first segment: rollout 1 is row 1
-                outs[1] = RolloutError("diverged at step 3")
-            return outs
+        def flaky(model, y, *args, **kwargs):
+            times, positions, quaternions, failed = real(model, y, *args, **kwargs)
+            if len(y) == 3:   # the first segment: rollout 1 is row 1
+                failed[1] = 3
+            return times, positions, quaternions, failed
 
-        monkeypatch.setattr(synth_mod, "rollout_batch", flaky)
+        monkeypatch.setattr(synth_mod, "_integrate", flaky)
         job = make_job(n_demos=3)
         trajs, manifest = synth_mod.synthesize(job)
         statuses = [e["status"] for e in manifest["rollouts"]]
         assert statuses == ["ok", "failed", "ok"]
         assert trajs[1] is None
-        assert "diverged" in manifest["rollouts"][1]["error"]
+        assert manifest["rollouts"][1]["error"] == "non-finite state at step 3"
 
     def test_failed_rollout_gets_no_dtw(self, monkeypatch):
         # the batch DTW scores only the rollouts that finished, each as the per-pair call does
-        from splatsynth.dmp import RolloutError
         from splatsynth.metrics import trajectory_dtw
 
-        real = synthesis.rollout_batch
+        real = synthesis._integrate
 
-        def flaky(model, starts, goals, *args, **kwargs):
-            outs = real(model, starts, goals, *args, **kwargs)
-            if len(outs) == 4:   # the first segment: rollout 2 is row 2
-                outs[2] = RolloutError("diverged at step 5")
-            return outs
+        def flaky(model, y, *args, **kwargs):
+            times, positions, quaternions, failed = real(model, y, *args, **kwargs)
+            if len(y) == 4:   # the first segment: rollout 2 is row 2
+                failed[2] = 5
+            return times, positions, quaternions, failed
 
-        monkeypatch.setattr(synthesis, "rollout_batch", flaky)
+        monkeypatch.setattr(synthesis, "_integrate", flaky)
         job = make_job(spec=small_spec(seed=4), n_demos=4)
         trajs, manifest = synthesis.synthesize(job)
         entries = manifest["rollouts"]
@@ -349,16 +347,16 @@ class TestNominalRollout:
                             obstacle=ObstacleParams(rho_th=0.005, gamma=2.0, lookahead=0.015, **obstacle))
 
     def count_rollouts(self, monkeypatch, job):
-        """(coupled, rows) of every rollout_batch call: one per integration pass."""
+        """(coupled, rows) of every _integrate call: one per integration pass."""
         import splatsynth.synthesis as synth_mod
         calls = []
-        real = synth_mod.rollout_batch
+        real = synth_mod._integrate
 
-        def counted(model, starts, goals, *args, **kwargs):
-            calls.append((kwargs["coupling"] is not None, len(starts)))
-            return real(model, starts, goals, *args, **kwargs)
+        def counted(model, y, *args, **kwargs):
+            calls.append((kwargs["coupling"] is not None, len(y)))
+            return real(model, y, *args, **kwargs)
 
-        monkeypatch.setattr(synth_mod, "rollout_batch", counted)
+        monkeypatch.setattr(synth_mod, "_integrate", counted)
         synthesize(job)
         return calls
 
@@ -379,18 +377,19 @@ class TestNominalRollout:
         job = self.blob_job(lambda_max=100.0, return_gain=0.0)
         trajs, manifest = synthesize(job)
         export_dataset(trajs, manifest, tmp_path / "skipped")
-        real_batch, real_make = synth_mod.rollout_batch, synth_mod.make_coupling
+        real_integrate, real_make = synth_mod._integrate, synth_mod.make_coupling
         nominals = []
 
-        def with_nominal(model, starts, goals, dt, coupling=None, horizon_factor=1.25):
+        def with_nominal(model, y, q0, goal, q_goal, dt, coupling=None, horizon_factor=1.25):
             if coupling is not None:
-                nominals.extend(real_batch(model, starts, goals, dt, coupling=None,
-                                           horizon_factor=horizon_factor))
-                coupling = real_make(job.scene, job.obstacle, nominals[-len(starts):], dt)
-            return real_batch(model, starts, goals, dt, coupling=coupling,
-                              horizon_factor=horizon_factor)
+                nominal = real_integrate(model, y, q0, goal, q_goal, dt, coupling=None,
+                                         horizon_factor=horizon_factor)[1]
+                nominals.extend(nominal)
+                coupling = real_make(job.scene, job.obstacle, nominal, dt)
+            return real_integrate(model, y, q0, goal, q_goal, dt, coupling=coupling,
+                                  horizon_factor=horizon_factor)
 
-        monkeypatch.setattr(synth_mod, "rollout_batch", with_nominal)
+        monkeypatch.setattr(synth_mod, "_integrate", with_nominal)
         trajs, manifest = synthesize(job)
         export_dataset(trajs, manifest, tmp_path / "nominal")
         assert len(nominals) == job.n_demos
@@ -454,27 +453,77 @@ class TestBatchIndependence:
             assert trajs[i].to_csv() == clean[i].to_csv()
             assert manifest["rollouts"][i] == clean_manifest["rollouts"][i]
 
+    def test_nan_hook_row_fails_alone_in_a_later_segment(self, monkeypatch):
+        # row 1 dies in segment 1, after its segment 0 is in the chain: the
+        # rows that finish take their own samples from every segment's block
+        import splatsynth.synthesis as synth_mod
+        job = coupled_job("letter", n_demos=4)
+        clean, clean_manifest = synthesize(job)
+        real_make = synth_mod.make_coupling
+        segments = []
+
+        def nan_for_row_1_in_segment_1(*args):
+            hook, segment = real_make(*args), len(segments)
+            segments.append(segment)
+
+            def wrapped(step, y, v):
+                a = hook(step, y, v)
+                if segment == 1 and step == 9:
+                    a[1] = np.nan
+                return a
+            return wrapped
+
+        monkeypatch.setattr(synth_mod, "make_coupling", nan_for_row_1_in_segment_1)
+        trajs, manifest = synthesize(job)
+        assert segments == [0, 1]
+        assert manifest["rollouts"][1] == {"index": 1, "status": "failed",
+                                           "error": "non-finite state at step 9", "perturbations": []}
+        assert trajs[1] is None
+        for i in (0, 2, 3):
+            assert trajs[i].to_csv() == clean[i].to_csv()
+            assert manifest["rollouts"][i] == clean_manifest["rollouts"][i]
+
     def test_failed_nominal_row_skips_its_coupled_rollout(self, monkeypatch):
         import splatsynth.synthesis as synth_mod
-        from splatsynth.dmp import RolloutError
         job = coupled_job("letter", n_demos=3)
         clean, _ = synthesize(job)
-        real = synth_mod.rollout_batch
+        real = synth_mod._integrate
         rows = []
 
-        def failing_nominal(model, starts, goals, *args, **kwargs):
-            outs = real(model, starts, goals, *args, **kwargs)
-            rows.append((kwargs["coupling"] is not None, len(starts)))
-            if kwargs["coupling"] is None and len(starts) == 3:
-                outs[0] = RolloutError("non-finite state at step 2")
-            return outs
+        def failing_nominal(model, y, *args, **kwargs):
+            times, positions, quaternions, failed = real(model, y, *args, **kwargs)
+            rows.append((kwargs["coupling"] is not None, len(y)))
+            if kwargs["coupling"] is None and len(y) == 3:
+                failed[0] = 2
+            return times, positions, quaternions, failed
 
-        monkeypatch.setattr(synth_mod, "rollout_batch", failing_nominal)
+        monkeypatch.setattr(synth_mod, "_integrate", failing_nominal)
         trajs, manifest = synthesize(job)
         assert rows == [(False, 3), (True, 2), (False, 2), (True, 2)]
         assert manifest["rollouts"][0]["error"] == "non-finite state at step 2"
         assert trajs[0] is None
         assert [t.to_csv() for t in trajs[1:]] == [t.to_csv() for t in clean[1:]]
+
+
+class TestRowBlocks:
+    """_synthesize_rows carries its rollouts as row arrays from integration
+    to chaining and builds one Trajectory per finished rollout."""
+
+    @pytest.mark.parametrize("kind", ["line", "letter"])
+    def test_one_trajectory_per_finished_row(self, monkeypatch, kind):
+        job = coupled_job(kind)
+        models = fit_segments(job)
+        built = []
+        init = Trajectory.__post_init__
+
+        def counted(traj):
+            built.append(traj)
+            init(traj)
+
+        monkeypatch.setattr(Trajectory, "__post_init__", counted)
+        out = _synthesize_rows(job, models, range(job.n_demos))
+        assert len(built) == job.n_demos
+        assert [id(t) for t in built] == [id(traj) for traj, _ in out]
 
 
 class TestCoupledBatchLog:
