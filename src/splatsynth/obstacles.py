@@ -43,10 +43,11 @@ def _unit(x, epsilon: float) -> np.ndarray:
 
 
 def outward_normal(scene: GaussianScene, x, epsilon: float = ObstacleParams.epsilon,
-                   gradient_step: float = DEFAULT_GRADIENT_STEP) -> np.ndarray:
+                   gradient_step: float = DEFAULT_GRADIENT_STEP, _listed=None) -> np.ndarray:
     """n_hat = -grad(rho) / (||grad(rho)|| + eps) per (..., 3) row: points away
-    from mass, degrades gracefully to ~0 where the gradient vanishes."""
-    return -_unit(density_gradient(scene, x, gradient_step), epsilon)
+    from mass, degrades gracefully to ~0 where the gradient vanishes.  _listed
+    is density_gradient's private plumbing, passed on."""
+    return -_unit(density_gradient(scene, x, gradient_step, _listed), epsilon)
 
 
 def tangential_direction(n_hat, v, epsilon: float = ObstacleParams.epsilon) -> np.ndarray:
@@ -56,18 +57,21 @@ def tangential_direction(n_hat, v, epsilon: float = ObstacleParams.epsilon) -> n
     return _unit(n_hat - rowdot(n_hat, v_hat)[..., None] * v_hat, epsilon)
 
 
-def obstacle_accel(scene: GaussianScene, x_look, v, rho, params: ObstacleParams) -> np.ndarray:
+def obstacle_accel(scene: GaussianScene, x_look, v, rho, params: ObstacleParams, _listed=None) -> np.ndarray:
     """Repulsion lambda * (n_hat + gamma * t_hat) per (n, 3) row of lookahead
     probes x_look, with velocities v and probe densities rho.  The gain is
     lambda_max * sigma_rho * sigma_dir: sigma_rho ramps rho above rho_th and
     sigma_dir is active only when moving into the obstacle; exactly zero when
-    rho <= rho_th.  Only the rows above rho_th probe the gradient."""
+    rho <= rho_th.  Only the rows above rho_th probe the gradient.  _listed is
+    private plumbing for the coupling hook: its _NeighborList, whose first n
+    rows were x_look at its last read, answers the gradient probes."""
     out = np.zeros(np.shape(x_look))
     act = np.flatnonzero(rho > params.rho_th)
     if params.lambda_max == 0.0 or len(act) == 0:
         return out
     v_hat = _unit(v[act], params.epsilon)
-    n_hat = outward_normal(scene, x_look[act], params.epsilon, params.gradient_step)
+    n_hat = outward_normal(scene, x_look[act], params.epsilon, params.gradient_step,
+                           None if _listed is None else (_listed, act))
     sigma_dir = np.minimum(np.maximum(-rowdot(v_hat, n_hat), 0.0), 1.0)
     on = sigma_dir != 0.0   # moving along or away from the obstacle: exactly zero
     act, n_hat, sigma_dir = act[on], n_hat[on], sigma_dir[on]
@@ -108,8 +112,11 @@ def make_coupling(scene: GaussianScene, params: ObstacleParams, nominal, dt: flo
     when return_gain is zero).
     Each step reads the density of the lookahead probes when the repulsion is
     on and of the positions when the pull is on, as density_many gives it,
-    from the hook's own splats._NeighborList, hook.neighbors.  None when both
-    are off, so that the coupled rollout is bitwise identical to the plain one."""
+    from the hook's own splats._NeighborList, hook.neighbors.  The repulsion's
+    gradient probes around the active lookahead probes are read from the same
+    list, through obstacles.density_gradient, with density_many's bits.  None
+    when both are off, so that the coupled rollout is bitwise identical to
+    the plain one."""
     repel, pull = params.lambda_max > 0.0, params.return_gain > 0.0
     if not (repel or pull):
         return None
@@ -132,7 +139,7 @@ def make_coupling(scene: GaussianScene, params: ObstacleParams, nominal, dt: flo
         if pull:
             rows[-b:] = y
         rho = neighbors.density(rows)
-        a = obstacle_accel(scene, x_look, v, rho[:b], params) if repel else np.zeros(y.shape)
+        a = obstacle_accel(scene, x_look, v, rho[:b], params, neighbors) if repel else np.zeros(y.shape)
         if pull:
             i = min(step, nominal.shape[1] - 1)
             a = a + return_to_reference(y, v - ref_vel[:, i], nominal[:, i], rho[-b:], params)

@@ -8,7 +8,10 @@ dual-tree query against a small tree of the rows, which returns every
 candidate (row, blob) pair as one array.  A stream of row batches that move
 little from one to the next, as the coupling hook's are, is answered with the
 same bits from a neighbour list that is queried again only when a row moves
-more than its skin (_NeighborList).
+more than its skin (_NeighborList); so are the gradient probes around a
+listed row that lie within the skin of where the row was listed.  The rows
+with 1 to 7 kernel terms are summed in one padded reduction, the others per
+term count (_density_sums).
 Contributions are truncated at a fixed cutoff of CUTOFF_SIGMA standard
 deviations (bounding radius per blob), which keeps the truncation error below
 1e-6 relative on scenes whose blob spacing exceeds the cutoff radius.
@@ -167,36 +170,69 @@ class _NeighborList:
     keeps are in order, to be summed as density_many sums them.  A change of
     row count, a row that moved farther, or one that is not finite, rebuilds
     the list.  rebuilds, listed and kept count the rebuilds and the pairs
-    tested and kept over every batch."""
+    tested and kept over every batch.
+
+    The same argument serves points near a listed row, such as the gradient
+    probes around it (probe_density): a point within _SKIN of where its row
+    was listed is answered from that row's pairs.  probed and past_skin count
+    the probe points answered so and those sent to density_many."""
 
     def __init__(self, scene: GaussianScene):
         self.scene = scene
         self.skin = _SKIN
         self.origin = None
-        self.rebuilds = self.listed = self.kept = 0
+        self.rebuilds = self.listed = self.kept = self.probed = self.past_skin = 0
 
     def _rebuild(self, xs: np.ndarray) -> None:
         scene = self.scene
         self.row, idx = _neighbors(scene, xs, self.skin, slack=1e-9)
         self.means, self.inv_covariances = scene.means[idx], scene.inv_covariances[idx]
         self.radii, self.opacities = scene.radii[idx], scene.opacities[idx]
+        self.counts = np.bincount(self.row, minlength=len(xs))   # each row's listed pairs, from first
+        self.first = np.cumsum(self.counts) - self.counts
         self.origin = xs.copy()
         self.rebuilds += 1
 
+    def _inside(self, xs: np.ndarray, origin: np.ndarray) -> bool:
+        """Whether every (..., 3) row of xs is within the skin of its origin;
+        False for a non-finite or far row."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            moved = xs - origin
+            return bool((np.einsum("...i,...i->...", moved, moved) <= self.skin * self.skin).all())
+
     def density(self, xs: np.ndarray) -> np.ndarray:
         """rho at each (n, 3) row, as density_many(scene, xs) gives it."""
-        if self.origin is None or len(xs) != len(self.origin):
+        if self.origin is None or len(xs) != len(self.origin) or not self._inside(xs, self.origin):
             self._rebuild(xs)
-        else:
-            with np.errstate(invalid="ignore", over="ignore"):   # a non-finite or far row rebuilds
-                moved = xs - self.origin
-                if not np.all(np.einsum("ij,ij->i", moved, moved) <= self.skin * self.skin):
-                    self._rebuild(xs)
         d = xs[self.row] - self.means
         keep = np.flatnonzero(np.linalg.norm(d, axis=1) <= self.radii)
         self.listed += len(d)
         self.kept += len(keep)
         return _density_sums(len(xs), self.row[keep], d[keep], self.inv_covariances[keep], self.opacities[keep])
+
+    def probe_density(self, rows: np.ndarray, probes: np.ndarray) -> np.ndarray:
+        """rho at (m, p, 3) probes, probes[i] lying near the list's row rows[i],
+        as density_many(scene, probes) gives it.  When every probe is within
+        the skin of its row's origin, each is answered from its row's listed
+        pairs by _neighbors' exact test; otherwise, or when a row is not in
+        the list, all go to density_many."""
+        origin = self.origin
+        if origin is None or (len(rows) and rows.max() >= len(origin)) \
+                or not self._inside(probes, origin[rows, None]):
+            self.past_skin += len(rows) * probes.shape[1]
+            return density_many(self.scene, probes)
+        flat = probes.reshape(-1, 3)
+        self.probed += len(flat)
+        owner = np.repeat(rows, probes.shape[1])
+        counts = self.counts[owner]
+        point = np.repeat(np.arange(len(flat)), counts)
+        # each point's pairs are its row's, in the list's order: blobs ascending
+        pair = np.arange(len(point)) + np.repeat(self.first[owner] - (np.cumsum(counts) - counts), counts)
+        d = flat[point] - self.means[pair]
+        keep = np.flatnonzero(np.linalg.norm(d, axis=1) <= self.radii[pair])
+        pair = pair[keep]
+        rho = _density_sums(len(flat), point[keep], d[keep], self.inv_covariances[pair], self.opacities[pair])
+        return rho.reshape(probes.shape[:-1])
 
 
 def query_neighbors(scene: GaussianScene, x, radius: float):
@@ -215,19 +251,35 @@ def density_many(scene: GaussianScene, xs) -> np.ndarray:
     return rho.reshape(xs.shape[:-1])
 
 
+# np.sum adds a run of fewer terms than this left to right, and longer runs pairwise
+_PAIRWISE_FROM = 8
+
+
 def _density_sums(n: int, row, d, inv_covs, opacities) -> np.ndarray:
     """rho at n rows from their kernel pairs, grouped by row: each pair's row,
     offset d = x - mean, inverse covariance and opacity."""
-    rho = np.zeros(n)
     if len(row) == 0:
-        return rho
+        return np.zeros(n)
     m = np.einsum("ni,nij,nj->n", d, inv_covs, d)
     terms = opacities * np.exp(-0.5 * m)
-    # A row's sum must round as np.sum of its k terms alone (pairwise), so the
-    # rows with k neighbours are summed together as one (rows, k) array.
+    # A row's sum must round as np.sum of its k terms alone.  np.sum adds fewer
+    # than _PAIRWISE_FROM terms left to right from +0.0, so trailing +0.0 terms
+    # keep its bits: the rows of 1 to 7 terms are summed as one padded array.
+    # It adds longer rows pairwise, so the rows with k >= 8 terms are summed
+    # together as one (rows, k) array per k.
     counts = np.bincount(row, minlength=n)
     first = np.cumsum(counts) - counts
-    for k in np.unique(counts[counts > 0]):
+    width = _PAIRWISE_FROM - 1
+    padded = np.zeros((n, width))
+    cell = row * width + (np.arange(len(row)) - first[row])   # each term's place in padded.ravel()
+    long = counts >= _PAIRWISE_FROM
+    if not long.any():
+        padded.reshape(-1)[cell] = terms
+        return padded.sum(axis=1)
+    short = ~long[row]
+    padded.reshape(-1)[cell[short]] = terms[short]
+    rho = padded.sum(axis=1)
+    for k in np.unique(counts[long]):
         sel = np.flatnonzero(counts == k)
         rho[sel] = terms[first[sel, None] + np.arange(k)].sum(axis=1)
     return rho
@@ -245,13 +297,17 @@ def density_bruteforce(scene: GaussianScene, x) -> float:
     return float(np.sum(scene.opacities * np.exp(-0.5 * m)))
 
 
-def density_gradient(scene: GaussianScene, x, h: float = DEFAULT_GRADIENT_STEP) -> np.ndarray:
+def density_gradient(scene: GaussianScene, x, h: float = DEFAULT_GRADIENT_STEP, _listed=None) -> np.ndarray:
     """Central-difference gradient of rho at (..., 3) rows, step h per axis:
-    the six probes of every row go to one density_many call."""
-    if h <= 0:
-        raise ValueError("gradient step h must be positive")
+    the six probes of every row go to one density_many call.  _listed is
+    private plumbing for the coupling hook: a (_NeighborList, rows) pair
+    whose list rows `rows` are the (m, 3) rows x, so that the list answers
+    the probes (_NeighborList.probe_density), with the same bits."""
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"gradient step h must be finite and positive, got {h}")
     steps = h * np.eye(3)
-    rho = density_many(scene, np.asarray(x, dtype=float)[..., None, :] + np.concatenate([steps, -steps]))
+    probes = np.asarray(x, dtype=float)[..., None, :] + np.concatenate([steps, -steps])
+    rho = density_many(scene, probes) if _listed is None else _listed[0].probe_density(_listed[1], probes)
     return (rho[..., :3] - rho[..., 3:]) / (2.0 * h)
 
 

@@ -179,8 +179,9 @@ def _synthesize_rows(job: SynthesisJob, models: list[DmpModel], indices) -> list
     blocks: each segment is one _integrate pass over the rows still alive,
     after one uncoupled nominal pass when the return pull reads it, and one
     concatenation chains the segments.  A coupled pass logs one DEBUG line
-    with its rows, its steps, and its hook's neighbour list rebuilds and
-    listed and kept pairs.  Returns, per index, (Trajectory, manifest entry)
+    with its rows, its steps, and its hook's neighbour list rebuilds, listed
+    and kept pairs, and gradient probe rows answered from the list and past
+    its skin.  Returns, per index, (Trajectory, manifest entry)
     or the RolloutError that ended it."""
     flags = _perturbable_flags(job.spec, len(job.demo.splits))
     target_p, target_q, entries = _targets(job, flags, indices)
@@ -209,9 +210,10 @@ def _synthesize_rows(job: SynthesisJob, models: list[DmpModel], indices) -> list
         times, p, qs = run(coupling)
         if coupling is not None and log.isEnabledFor(logging.DEBUG):
             listed = getattr(coupling, "neighbors", None)   # a wrapped hook, as bench/tracing.py makes, hides it
-            log.debug("segment %d: %d rows, %d steps, neighbour list: %s rebuilds, %s listed pairs, %s kept",
-                      k, rows, len(times) - 1,
-                      *(("?",) * 3 if listed is None else (listed.rebuilds, listed.listed, listed.kept)))
+            log.debug("segment %d: %d rows, %d steps, neighbour list: %s rebuilds, %s listed pairs, %s kept, "
+                      "%s probe rows, %s past the skin", k, rows, len(times) - 1,
+                      *(("?",) * 5 if listed is None else (listed.rebuilds, listed.listed, listed.kept,
+                                                           listed.probed, listed.past_skin)))
         if not len(alive):
             return outcome
         # a segment's quaternions are made unit here, and again in the chained Trajectory

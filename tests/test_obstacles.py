@@ -300,7 +300,10 @@ class TestHookDensityQueries:
         """Each step of a B-row batch sends the rows its active terms read to
         the hook's neighbour list: B probes and/or B positions.  A step that
         rebuilds the list makes one _neighbors call; a step whose rows all
-        stayed within the skin of where the list was built makes none."""
+        stayed within the skin of where the list was built makes none.  The
+        repulsion's gradient probes are read from the same list: a gradient
+        step whose probes all lie within the skin makes no _neighbors call,
+        and one past it makes one, counted as a fallback."""
         model = fit_dmp(line_demo([0, 0, 0], [0.4, 0, 0], n=151))
         starts = [Pose([0.0, dy, 0.0], [1.0, 0, 0, 0]) for dy in (-0.004, 0.0, 0.004)]
         goals = [Pose([0.4, dy, 0.0], [1.0, 0, 0, 0]) for dy in (-0.004, 0.0, 0.004)]
@@ -308,7 +311,9 @@ class TestHookDensityQueries:
         params = ObstacleParams(rho_th=0.05, lambda_max=lambda_max, lookahead=0.03, return_gain=return_gain)
         hook = make_coupling(blob_scene(mu=(0.2, 0.004, 0.0), sigma=0.02), params, nominal_positions(nominals), 0.01)
         queries, steps = [], []   # steps: (rows' shape, _neighbors calls, rows within the skin)
-        neighbors, density = splats._neighbors, splats._NeighborList.density
+        probes = []   # per gradient step: (_neighbors calls, probes within the skin, rows probed)
+        neighbors, density, probe_density = splats._neighbors, splats._NeighborList.density, \
+            splats._NeighborList.probe_density
 
         def counted(*args, **kwargs):
             queries.append(args[2])
@@ -321,15 +326,28 @@ class TestHookDensityQueries:
             rho = density(self, xs)
             steps.append((xs.shape, len(queries) - before, inside))
             return rho
+
+        def probed(self, rows, xs):
+            inside = np.linalg.norm(xs - self.origin[rows, None], axis=2).max() <= self.skin
+            before = len(queries)
+            rho = probe_density(self, rows, xs)
+            probes.append((len(queries) - before, inside, len(rows)))
+            return rho
         monkeypatch.setattr(splats, "_neighbors", counted)
         monkeypatch.setattr(splats._NeighborList, "density", listed)
+        monkeypatch.setattr(splats._NeighborList, "probe_density", probed)
         outs = rollout_batch(model, starts, goals, dt=0.01, coupling=hook)
         assert not any(np.array_equal(o.positions, n.positions) for o, n in zip(outs, nominals))
         assert [shape for shape, _, _ in steps] == [(per_row * len(starts), 3)] * (len(outs[0]) - 1)
         assert [calls for _, calls, _ in steps] == [int(not inside) for _, _, inside in steps]
         assert 0 < hook.neighbors.rebuilds < len(steps)   # both kinds of step ran
-        # the gradient probes of the repulsion query the scene on their own, with no skin
-        assert queries.count(0.0) == len(queries) - hook.neighbors.rebuilds
+        # a gradient step queries the scene, with no skin, only when a probe lies past the skin
+        assert [calls for calls, _, _ in probes] == [int(not inside) for _, inside, _ in probes]
+        fallbacks = sum(calls for calls, _, _ in probes)
+        assert queries.count(0.0) == fallbacks == len(queries) - hook.neighbors.rebuilds
+        assert hook.neighbors.past_skin == 6 * sum(n for calls, _, n in probes if calls)
+        assert hook.neighbors.probed == 6 * sum(n for calls, _, n in probes if not calls)
+        assert (len(probes) > fallbacks) == (lambda_max > 0.0)   # the repulsion's probes were answered from the list
 
 
 def cluttered_line_scene(seed=3):

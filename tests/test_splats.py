@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -117,6 +117,14 @@ class TestGradient:
         scene = GaussianScene([unit_blob()])
         with pytest.raises(ValueError):
             density_gradient(scene, [0, 0, 0], h=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("h, shown", [(np.nan, "nan"), (np.inf, "inf"), (0.0, "0.0"), (-1e-3, "-0.001")])
+    def test_rejects_a_step_that_is_not_finite_and_positive(self, h, shown):
+        # nan used to give a NaN gradient, and inf zeros with a RuntimeWarning
+        scene = GaussianScene([unit_blob()])
+        with pytest.raises(ValueError, match=f"^gradient step h must be finite and positive, got {shown}$"):
+            density_gradient(scene, [0.5, 0, 0], h=h)
 
 
 class TestNeighbors:
@@ -543,6 +551,214 @@ class TestNeighborList:
             d = np.linalg.norm(xs[:, None] - scene.means[None], axis=2)
             want = np.nonzero(d <= (radius + scene.radii) * (1.0 + slack))
             assert np.array_equal(row, want[0]) and np.array_equal(blob, want[1])
+
+
+def probe_read(listed, rows, probes) -> bool:
+    """listed.probe_density(rows, probes), checked bit for bit against
+    density_many and against its counters; whether the list answered it."""
+    probed, past = listed.probed, listed.past_skin
+    got = listed.probe_density(rows, probes)
+    want = density_many(listed.scene, probes)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    served, fell = listed.probed - probed, listed.past_skin - past
+    assert sorted([served, fell]) == [0, len(rows) * probes.shape[1]]
+    return served > 0
+
+
+def gradient_probes(xs, h):
+    steps = h * np.eye(3)
+    return xs[:, None, :] + np.concatenate([steps, -steps])
+
+
+class TestListedProbes:
+    """Gradient probes read through a _NeighborList, as the coupling hook
+    reads them after each density read, give density_gradient(scene, ...)'s
+    bits, whether they lie within the skin of their rows' origins (answered
+    from the list) or not (sent to density_many)."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(sorted(LIST_SCENES)), n=st.integers(0, 12), seed=st.integers(0, 2 ** 16),
+           moves=st.lists(st.sampled_from(WALK_MOVES), min_size=1, max_size=10),
+           h=st.sampled_from([1e-4, 1e-3, 0.01, 0.05]))
+    def test_random_walks_match_density_gradient(self, name, n, seed, moves, h):
+        # TestNeighborList's walk, with a probe read of some rows after each density read
+        scene, spread = LIST_SCENES[name]
+        rng = np.random.default_rng(seed)
+
+        def fresh(k):
+            rows = scene.means[rng.integers(0, len(scene), k)] + rng.normal(0.0, spread, (k, 3))
+            rows[rng.random(k) < 0.1] = np.sign(rng.normal(size=3)) * 1e150   # on the reach limit
+            return rows
+
+        xs = fresh(n)
+        listed = _NeighborList(scene)
+        for move in ["start"] + moves:
+            origin = listed.origin
+            some = rng.random(len(xs)) < 0.5
+            inside = False
+            if move == "count":
+                xs = fresh(max(0, len(xs) + int(rng.choice([-2, -1, 1, 3]))))
+            elif move == "creep" and np.isfinite(origin).all():
+                # rows and probes within the skin of where the list was built, for h below a tenth of it
+                inside = h < 0.1 * listed.skin
+                xs[:] = origin + unit_rows(rng, len(xs)) * rng.uniform(0.0, 0.9 * listed.skin, (len(xs), 1))
+            elif move in ("edge", "past_edge"):
+                step = listed.skin if move == "edge" else np.nextafter(listed.skin, np.inf)
+                xs[some] = origin[some] + unit_rows(rng, int(some.sum())) * step
+            elif move == "non_finite":
+                xs[some, rng.integers(0, 3)] = rng.choice([np.nan, np.inf, -np.inf])
+            elif move != "start":
+                xs[some] = fresh(int(some.sum()))
+            listed.density(xs)
+            rows = np.flatnonzero(rng.random(len(xs)) < 0.6)
+            probed = listed.probed
+            got = density_gradient(scene, xs[rows], h, _listed=(listed, rows))
+            want = density_gradient(scene, xs[rows], h)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            if inside:
+                assert listed.probed == probed + 6 * len(rows)
+
+    def test_probe_on_the_skin_is_answered_from_the_list(self):
+        # a probe exactly the skin from its row's origin is answered from the list; one ulp farther falls back
+        scene = cluttered_scene(50, seed=34)
+        listed = _NeighborList(scene)
+        xs = np.array([[0.0, 0.01, -0.02], [0.03, 0.0, 0.01]])
+        listed.density(xs)
+        rows = np.arange(2)
+        probes = gradient_probes(xs, 1e-3)
+        assert probe_read(listed, rows, probes)
+        probes[0, 3] = [listed.skin, 0.01, -0.02]
+        assert density_many(scene, probes[0, 3]) > 0.0
+        assert probe_read(listed, rows, probes)
+        probes[0, 3, 0] = np.nextafter(listed.skin, np.inf)
+        assert not probe_read(listed, rows, probes)
+        assert listed.rebuilds == 1 and (listed.probed, listed.past_skin) == (24, 12)
+
+    def test_probe_on_the_skin_counts_a_blob_at_the_edge_of_the_list(self, monkeypatch):
+        # the row's list holds a blob at exactly its reach plus the skin, which a probe
+        # exactly the skin away ends on
+        monkeypatch.setattr(splats, "_SKIN", 1 / 64)
+        scene = GaussianScene([unit_blob(mu=(0.25 + 1 / 64, 0.0, 0.0), sigma2=1 / 256)])
+        listed = _NeighborList(scene)
+        listed.density(np.zeros((1, 3)))
+        probes = np.zeros((1, 2, 3))
+        probes[0, 1, 0] = 1 / 64
+        assert probe_read(listed, np.array([0]), probes)
+        assert listed.probe_density(np.array([0]), probes)[0, 1] == np.exp(-8.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_probe_rows_fall_back(self):
+        scene = cluttered_scene(50, seed=35)
+        listed = _NeighborList(scene)
+        xs = np.random.default_rng(36).normal(0.0, 0.02, (4, 3))
+        xs[1, 0] = np.nan
+        listed.density(xs)
+        rows = np.arange(4)
+        for bad in (np.nan, np.inf, -np.inf):
+            # a row listed as non-finite, and a finite row whose probes are not
+            x = xs.copy()
+            x[2, 1] = bad
+            assert not probe_read(listed, rows, gradient_probes(x, 1e-3))
+            assert not probe_read(listed, rows[[0, 2]], gradient_probes(x[[0, 2]], 1e-3))
+            assert probe_read(listed, rows[[0, 3]], gradient_probes(x[[0, 3]], 1e-3))
+
+    def test_row_count_change_between_the_density_and_the_probe_read(self):
+        scene = cluttered_scene(50, seed=35)
+        listed = _NeighborList(scene)
+        xs = np.random.default_rng(36).normal(0.0, 0.05, (6, 3))
+        listed.density(xs)
+        listed.density(xs[:4])   # rebuilt on 4 rows
+        assert listed.rebuilds == 2
+        # rows 4 and 5 are no longer listed: the probes of any row set holding one fall back
+        assert not probe_read(listed, np.array([1, 4]), gradient_probes(xs[[1, 4]], 1e-3))
+        assert not probe_read(listed, np.array([5]), gradient_probes(xs[[5]], 1e-3))
+        assert probe_read(listed, np.array([0, 2, 3]), gradient_probes(xs[[0, 2, 3]], 1e-3))
+        # a 2-row batch read as the list's rows 0 and 1: answered near their origins only
+        assert probe_read(listed, np.arange(2), gradient_probes(xs[:2] + [0.01, 0.0, 0.0], 1e-3))
+        assert not probe_read(listed, np.arange(2), gradient_probes(xs[:2] + [0.04, 0.0, 0.0], 1e-3))
+        probe_read(listed, np.arange(0), np.empty((0, 6, 3)))   # no rows: an empty read
+
+
+def per_row_sums(n, row, terms):
+    """Oracle: each of n rows' np.sum of its own terms, grouped by row; +0.0
+    for a row with none."""
+    counts = np.bincount(row, minlength=n)
+    ends = np.cumsum(counts)
+    return np.array([np.sum(terms[b - c:b]) for c, b in zip(counts, ends)], dtype=float)
+
+
+class TestDensitySums:
+    """_density_sums sums the rows of 1 to 7 terms in one padded array and
+    the longer rows per count, with the bits of each row's own np.sum."""
+
+    @staticmethod
+    def assert_sums(counts, terms):
+        """_density_sums on pairs whose kernel terms are exactly terms (d = 0,
+        so each term is its opacity), against per_row_sums."""
+        row = np.repeat(np.arange(len(counts)), counts)
+        k = len(row)
+        got = splats._density_sums(len(counts), row, np.zeros((k, 3)), np.tile(np.eye(3), (k, 1, 1)), terms)
+        want = per_row_sums(len(counts), row, terms)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        return got
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(counts=st.lists(st.integers(0, 20), max_size=12), seed=st.integers(0, 2 ** 16))
+    @example(counts=[7], seed=1)
+    @example(counts=[8], seed=2)
+    @example(counts=[0, 7, 8, 0, 1, 20, 3], seed=3)
+    def test_random_rows_match_per_row_sums(self, counts, seed):
+        # magnitudes from 1e-300 to 1, either sign, and signed zeros among them
+        rng = np.random.default_rng(seed)
+        k = sum(counts)
+        width = rng.choice([1.0, 16.0, 300.0])   # decades spanned: close magnitudes round in every sum
+        top = rng.uniform(width - 300.0, 0.0)
+        terms = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(top - width, top, k)
+        terms[rng.random(k) < 0.1] = rng.choice([0.0, -0.0])
+        got = self.assert_sums(counts, terms)
+        assert not np.signbit(got[np.asarray(counts, dtype=int) == 0]).any()
+
+    def test_rows_with_no_terms_are_positive_zero(self):
+        got = self.assert_sums([0, 3, 0, 9, 0], np.full(12, -0.0))
+        assert got.tobytes() == np.zeros(5).tobytes()
+
+    def test_negative_opacity_scene_matches_per_row_sums(self):
+        # a negative opacity floor keeps negative and -0.0 opacities: negative and -0.0 terms
+        base = cluttered_scene(200, seed=41)
+        rng = np.random.default_rng(42)
+        opacities = rng.uniform(-1.0, 1.0, len(base))
+        opacities[::9] = -0.0
+        scene = GaussianScene.from_arrays(base.means, base.covariances, opacities, opacity_floor=-2.0)
+        assert len(scene) == len(base)
+        xs = np.concatenate([base.means[:40] + rng.normal(0.0, 0.02, (40, 3)), rng.normal(0.0, 0.3, (40, 3))])
+        row, idx = _neighbors(scene, xs, 0.0)
+        d = xs[row] - scene.means[idx]
+        terms = scene.opacities[idx] * np.exp(-0.5 * np.einsum("ni,nij,nj->n", d, scene.inv_covariances[idx], d))
+        counts = np.bincount(row, minlength=len(xs))
+        assert (terms < 0).any() and np.signbit(terms[terms == 0.0]).any()
+        assert (counts == 0).any() and ((counts > 0) & (counts < 8)).any() and (counts >= 8).any()
+        assert density_many(scene, xs).tobytes() == per_row_sums(len(xs), row, terms).tobytes()
+
+    def test_numpy_sums_short_rows_left_to_right_from_positive_zero(self):
+        """_density_sums pads the rows of under 8 terms with +0.0 and sums them
+        in one call: that keeps each row's np.sum bits only while np.sum adds
+        fewer than 8 terms left to right, starting from +0.0."""
+        rng = np.random.default_rng(43)
+        for k in range(1, splats._PAIRWISE_FROM):
+            rows = rng.normal(size=(4000, k)) * 10.0 ** rng.integers(-8, 9, (4000, k))
+            rows[::11] = -0.0
+            want = np.zeros(len(rows))
+            for j in range(k):
+                want = want + rows[:, j]
+            if k >= 3:   # the rows hold sums that another order rounds otherwise
+                assert (want != rows[:, 0] + (rows[:, 1:].sum(axis=1))).any()
+            padded = np.zeros((len(rows), splats._PAIRWISE_FROM - 1))
+            padded[:, :k] = rows
+            for got in (rows.sum(axis=1), np.array([np.sum(r) for r in rows]), padded.sum(axis=1)):
+                assert got.tobytes() == want.tobytes(), (
+                    f"numpy {np.__version__} no longer sums {k} terms left to right from +0.0, "
+                    "as splats._density_sums' padded sums of short rows assume")
 
 
 class TestTruncationBound:
