@@ -21,6 +21,9 @@ from . import alignment, dmp, metrics, obstacles, splats, synthesis
 from .geometry import FieldError, Trajectory, check_range
 
 
+log = logging.getLogger("splatsynth.cli")   # by name: run as python -m, the module is __main__
+
+
 class UsageError(Exception):
     pass
 
@@ -232,7 +235,17 @@ def _raster_spec(args) -> metrics.RasterSpec:
         raise UsageError(f"--writing-plane: {exc}") from exc
 
 
+def _is_rollout(name: str) -> bool:
+    """Whether a file name is one that eval reads as a rollout of the dataset."""
+    return name.startswith("rollout_") and name.endswith(".csv")
+
+
 def cmd_eval(args) -> int:
+    out_name = os.path.basename(args.out)
+    if not out_name:
+        raise UsageError(f"--out: must name a file, got {args.out!r}")
+    if _is_rollout(out_name):
+        raise UsageError(f"--out: {args.out!r} is the name of a rollout file, which eval reads")
     if not args.scene and (args.transform or args.scene_unaligned):
         raise UsageError(f"{'--transform' if args.transform else '--scene-unaligned'} needs --scene")
     if args.scene_unaligned and not args.transform:
@@ -249,8 +262,7 @@ def cmd_eval(args) -> int:
         if args.transform:
             T = alignment.RigidTransform.load_json(_require_file(args.transform))
             scene = _moved(scene, T, args.transform)
-    files = sorted(f for f in os.listdir(args.dataset)
-                   if f.startswith("rollout_") and f.endswith(".csv"))
+    files = sorted(filter(_is_rollout, os.listdir(args.dataset)))
     if not files:
         raise UsageError(f"no rollout CSVs found in {args.dataset}")
     reports = []
@@ -262,6 +274,9 @@ def cmd_eval(args) -> int:
         rows.append([name, repr(rep.dtw_position), repr(rep.dtw_orientation),
                      int(rep.collided), repr(rep.max_density),
                      "" if rep.writing_error is None else repr(rep.writing_error)])
+    paths = scene._paths if scene is not None else None
+    log.debug("%d files scored; scene path list: %d rebuilds, %d listed pairs, %d kept, %d paths read by density_many",
+              len(files), *((0,) * 4 if paths is None else (paths.rebuilds, paths.listed, paths.kept, paths.missed)))
     out_path = os.path.join(args.dataset, args.out)
     with open(out_path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")

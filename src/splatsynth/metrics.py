@@ -12,7 +12,7 @@ from scipy.spatial.distance import cdist
 
 from .geometry import FieldError, Trajectory, check_fields, param
 # density stays bound here for bench/tracing.py, which wraps it where it is looked up
-from .splats import GaussianScene, density, density_many  # noqa: F401
+from .splats import GaussianScene, density  # noqa: F401
 
 
 class MetricError(ValueError):
@@ -235,9 +235,13 @@ def trajectory_dtw_many(rollouts: list, expert: Trajectory) -> list:
 def collision_check(traj: Trajectory, scene: GaussianScene, rho_th: float):
     """Evaluate rho at every sample; collided iff any exceeds rho_th.
 
-    Returns (collided, max_density, first_violation_index_or_None).
+    Returns (collided, max_density, first_violation_index_or_None).  The
+    densities have density_many's bits.  They are read through the neighbour
+    list that the scene keeps for a stream of paths, its one piece of mutable
+    state (_NeighborList.path_density): the paths of one dataset lie near
+    each other, and one list answers most of them.
     """
-    rhos = density_many(scene, traj.positions)
+    rhos = scene._paths.path_density(traj.positions)
     max_density = float(rhos.max()) if len(rhos) else 0.0
     over = np.nonzero(rhos > rho_th)[0]
     if len(over):
@@ -287,6 +291,25 @@ def project_to_plane(positions: np.ndarray, spec: RasterSpec) -> np.ndarray:
     return np.stack([d @ u, d @ w], axis=1)
 
 
+def _bresenham_pixels(x0, y0, x1, y1):
+    """The pixels (x, y) of the Bresenham segments (x0, y0) -> (x1, y1),
+    from each start to its end, segment after segment (Bresenham, IBM Syst.
+    J. 4(1), 1965).  Each is in closed form: with a = |x1 - x0|, b =
+    |y1 - y0|, L = max(a, b) and s = min(a, b), pixel k = 0..L has stepped k
+    times along the major axis (x when a >= b) and floor((2ks + L) / 2L)
+    times along the other, which is where the integer loop puts it."""
+    a, b = np.abs(x1 - x0), np.abs(y1 - y0)
+    major = np.maximum(a, b)
+    pixels = major + 1
+    seg = np.repeat(np.arange(len(a)), pixels)
+    k = np.arange(len(seg)) - np.repeat(np.cumsum(pixels) - pixels, pixels)
+    span = major[seg]
+    minor = (2 * k * np.minimum(a, b)[seg] + span) // np.maximum(2 * span, 1)
+    along_x = (a >= b)[seg]
+    return (x0[seg] + np.sign(x1 - x0)[seg] * np.where(along_x, k, minor),
+            y0[seg] + np.sign(y1 - y0)[seg] * np.where(along_x, minor, k))
+
+
 def rasterize_strokes(points2d: np.ndarray, spec: RasterSpec) -> np.ndarray:
     """Binary image of the polyline through points2d, normalized to its own
     bounding box, drawn with Bresenham segments dilated to stroke_px."""
@@ -304,21 +327,8 @@ def rasterize_strokes(points2d: np.ndarray, spec: RasterSpec) -> np.ndarray:
         raise MetricError("degenerate bounding box: zero area")
     span = np.where(span > 0, span, 1.0)
     pix = np.round((points2d - lo) / span * (res - 1)).astype(int)
-    # the segments between consecutive pixels step through Bresenham's loop
-    # together, each leaving the arrays once its end pixel is drawn (a lone
-    # point never gets here: its bounding box has zero area)
-    (x, y), (x1, y1) = pix[:-1].T, pix[1:].T
-    dx, dy = np.abs(x1 - x), -np.abs(y1 - y)
-    sx, sy = np.where(x < x1, 1, -1), np.where(y < y1, 1, -1)
-    err = dx + dy
-    while len(x):
-        img[y, x] = True
-        live = (x != x1) | (y != y1)
-        x, y, x1, y1, dx, dy, sx, sy, err = (a[live] for a in (x, y, x1, y1, dx, dy, sx, sy, err))
-        e2 = 2 * err
-        step_x, step_y = e2 >= dy, e2 <= dx
-        err = err + dy * step_x + dx * step_y
-        x, y = x + sx * step_x, y + sy * step_y
+    x, y = _bresenham_pixels(*pix[:-1].T, *pix[1:].T)
+    img[y, x] = True
     # the square stamp: grow by one pixel along each axis, stroke_px // 2 times;
     # the shifted slices stop at the canvas border
     for _ in range(spec.stroke_px // 2):

@@ -9,7 +9,9 @@ candidate (row, blob) pair as one array.  A stream of row batches that move
 little from one to the next, as the coupling hook's are, is answered with the
 same bits from a neighbour list that is queried again only when a row moves
 more than its skin (_NeighborList); so are the gradient probes around a
-listed row that lie within the skin of where the row was listed.  The rows
+listed row that lie within the skin of where the row was listed, and a stream
+of whole paths that lie near each other, through a list the scene keeps
+(GaussianScene._paths, for collision_check).  The rows
 with 1 to 7 kernel terms are summed in one padded reduction, the others per
 term count (_density_sums).
 Contributions are truncated at a fixed cutoff of CUTOFF_SIGMA standard
@@ -22,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,7 +51,10 @@ class GaussianBlob:
 
 
 class GaussianScene:
-    """Immutable splat scene with vectorized density queries."""
+    """Splat scene with vectorized density queries.  Its splats never change
+    after it is made; its one piece of mutable state is the neighbour list
+    that collision_check reads paths through (_paths), which changes no
+    result's bits."""
 
     def __init__(self, blobs, opacity_floor: float = DEFAULT_OPACITY_FLOOR):
         blobs = list(blobs)
@@ -99,6 +105,13 @@ class GaussianScene:
         """Neighbour index over the means, built at the first query."""
         return cKDTree(self.means)
 
+    @cached_property
+    def _paths(self) -> "_NeighborList":
+        """The neighbour list that answers a stream of paths
+        (_NeighborList.path_density), made at the first path, as tree is.  It
+        holds the scene through a weak proxy, so that the two form no cycle."""
+        return _NeighborList(weakref.proxy(self))
+
     def __len__(self) -> int:
         return len(self.means)
 
@@ -124,6 +137,14 @@ def _kept_splats(means, radii, opacities, opacity_floor, name: str, numbers=None
     return opacities >= opacity_floor
 
 
+def _norms(d: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(d, axis=1) of (n, 3) offsets, with its bits: it too
+    sums the squares left to right and does not rescale, so an offset past
+    about 1.34e154 squares to inf, and one below about 1.5e-162 to 0."""
+    s = d * d
+    return np.sqrt(s[:, 0] + s[:, 1] + s[:, 2])
+
+
 def _neighbors(scene: GaussianScene, xs: np.ndarray, radius: float, slack: float = 0.0):
     """Blob neighbours of the (n, 3) rows xs, as (row, blob) index arrays
     grouped by row, blobs ascending within a row.  A blob of radius r is a
@@ -141,7 +162,7 @@ def _neighbors(scene: GaussianScene, xs: np.ndarray, radius: float, slack: float
     queries = cKDTree(xs[rows], balanced_tree=False, compact_nodes=False)
     pairs = scene.tree.sparse_distance_matrix(queries, reach, output_type="ndarray")
     cand, row = pairs["i"], rows[pairs["j"]]
-    keep = np.linalg.norm(scene.means[cand] - xs[row], axis=1) <= (radius + scene.radii[cand]) * (1.0 + slack)
+    keep = _norms(scene.means[cand] - xs[row]) <= (radius + scene.radii[cand]) * (1.0 + slack)
     cand, row = cand[keep], row[keep]
     order = np.lexsort((cand, row))
     return row[order], cand[order]
@@ -153,6 +174,12 @@ def _neighbors(scene: GaussianScene, xs: np.ndarray, radius: float, slack: float
 # answered equally fast, and 1 and 2 cm slower; 3 cm lists the fewest pairs of
 # those.  (The one-blob scene of c05_batch favours larger skins still.)
 _SKIN = 0.03
+
+
+# Listed pairs plus rows that a scene's path list may hold, at about 120 and
+# 40 bytes each: a path that needs more is answered by density_many, and the
+# scene keeps nothing of it, as _CHUNK_CELLS bounds the DTW layouts metrics keeps.
+_PATH_BUDGET = 1 << 16
 
 
 class _NeighborList:
@@ -175,13 +202,23 @@ class _NeighborList:
     The same argument serves points near a listed row, such as the gradient
     probes around it (probe_density): a point within _SKIN of where its row
     was listed is answered from that row's pairs.  probed and past_skin count
-    the probe points answered so and those sent to density_many."""
+    the probe points answered so and those sent to density_many.
+
+    A stream of whole paths, which may or may not lie near each other, is
+    read through path_density, which lists only where reuse is shown and
+    within _PATH_BUDGET; missed counts the paths it sends to density_many."""
 
     def __init__(self, scene: GaussianScene):
         self.scene = scene
         self.skin = _SKIN
-        self.origin = None
-        self.rebuilds = self.listed = self.kept = self.probed = self.past_skin = 0
+        self._drop()
+        self.too_big = -1   # the row count whose path list went over _PATH_BUDGET, or -1
+        self.rebuilds = self.listed = self.kept = self.probed = self.past_skin = self.missed = 0
+
+    def _drop(self) -> None:
+        """Forget the list and where it was built."""
+        self.origin = self.row = self.means = self.inv_covariances = None
+        self.radii = self.opacities = self.counts = self.first = None
 
     def _rebuild(self, xs: np.ndarray) -> None:
         scene = self.scene
@@ -198,17 +235,62 @@ class _NeighborList:
         False for a non-finite or far row."""
         with np.errstate(invalid="ignore", over="ignore"):
             moved = xs - origin
-            return bool((np.einsum("...i,...i->...", moved, moved) <= self.skin * self.skin).all())
+            d2 = np.einsum("...i,...i->...", moved, moved)
+        return np.count_nonzero(d2 <= self.skin * self.skin) == d2.size
+
+    def _near(self, xs: np.ndarray) -> bool:
+        """Whether xs has the row count of the origin, each row within its skin."""
+        return self.origin is not None and len(xs) == len(self.origin) and self._inside(xs, self.origin)
+
+    def _jumped(self, xs: np.ndarray) -> bool:
+        """Whether the middle row of xs, of the origin's row count, moved past
+        the skin: a quick test that a path jumped, as its middle row most
+        likely has.  Python floats take no numpy call and warn of nothing."""
+        if self.origin is None or len(xs) != len(self.origin) or not len(xs):
+            return False
+        (a, b, c), (d, e, f) = xs[len(xs) // 2].tolist(), self.origin[len(xs) // 2].tolist()
+        return (a - d) * (a - d) + (b - e) * (b - e) + (c - f) * (c - f) > self.skin * self.skin
 
     def density(self, xs: np.ndarray) -> np.ndarray:
         """rho at each (n, 3) row, as density_many(scene, xs) gives it."""
-        if self.origin is None or len(xs) != len(self.origin) or not self._inside(xs, self.origin):
+        if not self._near(xs):
             self._rebuild(xs)
+        return self._listed_density(xs)
+
+    def _listed_density(self, xs: np.ndarray) -> np.ndarray:
         d = xs[self.row] - self.means
-        keep = np.flatnonzero(np.linalg.norm(d, axis=1) <= self.radii)
+        keep = np.flatnonzero(_norms(d) <= self.radii)
         self.listed += len(d)
         self.kept += len(keep)
         return _density_sums(len(xs), self.row[keep], d[keep], self.inv_covariances[keep], self.opacities[keep])
+
+    def path_density(self, xs: np.ndarray) -> np.ndarray:
+        """rho at each (n, 3) row of one path of a stream, as
+        density_many(scene, xs) gives it.  A rebuild costs more than a
+        density_many read, so the list is built only where reuse is shown.  A
+        path that is not near the last one (the same row count, every row
+        within the skin) is answered by density_many, and its rows are
+        remembered.  The next path near those rows builds the list, and the
+        list answers the paths after it while they stay near it.  A list over
+        _PATH_BUDGET pairs and rows answers its own path and is dropped; the
+        paths of its row count then go to density_many, and are not
+        remembered, until a path of another row count comes."""
+        n = len(xs)
+        if self._jumped(xs) or not self._near(xs):
+            self.missed += 1
+            self._drop()
+            if n != self.too_big:
+                self.too_big = -1
+                if n <= _PATH_BUDGET:
+                    self.origin = xs.copy()
+            return density_many(self.scene, xs)
+        if self.row is None:
+            self._rebuild(xs)
+        rho = self._listed_density(xs)
+        if len(self.row) + n > _PATH_BUDGET:
+            self._drop()
+            self.too_big = n
+        return rho
 
     def probe_density(self, rows: np.ndarray, probes: np.ndarray) -> np.ndarray:
         """rho at (m, p, 3) probes, probes[i] lying near the list's row rows[i],
@@ -217,7 +299,7 @@ class _NeighborList:
         pairs by _neighbors' exact test; otherwise, or when a row is not in
         the list, all go to density_many."""
         origin = self.origin
-        if origin is None or (len(rows) and rows.max() >= len(origin)) \
+        if self.row is None or (len(rows) and rows.max() >= len(origin)) \
                 or not self._inside(probes, origin[rows, None]):
             self.past_skin += len(rows) * probes.shape[1]
             return density_many(self.scene, probes)
@@ -229,7 +311,7 @@ class _NeighborList:
         # each point's pairs are its row's, in the list's order: blobs ascending
         pair = np.arange(len(point)) + np.repeat(self.first[owner] - (np.cumsum(counts) - counts), counts)
         d = flat[point] - self.means[pair]
-        keep = np.flatnonzero(np.linalg.norm(d, axis=1) <= self.radii[pair])
+        keep = np.flatnonzero(_norms(d) <= self.radii[pair])
         pair = pair[keep]
         rho = _density_sums(len(flat), point[keep], d[keep], self.inv_covariances[pair], self.opacities[pair])
         return rho.reshape(probes.shape[:-1])

@@ -226,3 +226,47 @@ def run_within(seconds, fn, *args):
     if "error" in out:
         raise out["error"]
     return out["value"]
+
+
+def bresenham_stepped(x0, y0, x1, y1):
+    """The oracle for metrics._bresenham_pixels: the segments (x0, y0) ->
+    (x1, y1) stepped through Bresenham's integer loop together, each leaving
+    the arrays once its end pixel is drawn.  Returns every drawn pixel as
+    (segment, x, y) arrays."""
+    seg = np.arange(len(x0))
+    x, y, x1, y1 = (np.asarray(v) for v in (x0, y0, x1, y1))
+    dx, dy = np.abs(x1 - x), -np.abs(y1 - y)
+    sx, sy = np.where(x < x1, 1, -1), np.where(y < y1, 1, -1)
+    err = dx + dy
+    drawn = []
+    while len(x):
+        drawn.append((seg, x, y))
+        live = (x != x1) | (y != y1)
+        seg, x, y, x1, y1, dx, dy, sx, sy, err = (a[live] for a in (seg, x, y, x1, y1, dx, dy, sx, sy, err))
+        e2 = 2 * err
+        step_x, step_y = e2 >= dy, e2 <= dx
+        err = err + dy * step_x + dx * step_y
+        x, y = x + sx * step_x, y + sy * step_y
+    if not drawn:
+        return tuple(np.empty(0, dtype=int) for _ in range(3))
+    return tuple(np.concatenate(v) for v in zip(*drawn))
+
+
+def rasterize_stepped(points2d, spec):
+    """The oracle for metrics.rasterize_strokes: the polyline's segments
+    drawn by bresenham_stepped, then dilated to spec.stroke_px."""
+    res = spec.resolution
+    img = np.zeros((res, res), dtype=bool)
+    points2d = np.asarray(points2d, dtype=float)
+    lo = points2d.min(axis=0)
+    span = points2d.max(axis=0) - lo
+    span = np.where(span > 0, span, 1.0)
+    pix = np.round((points2d - lo) / span * (res - 1)).astype(int)
+    _, x, y = bresenham_stepped(*pix[:-1].T, *pix[1:].T)
+    img[y, x] = True
+    for _ in range(spec.stroke_px // 2):
+        img[1:] |= img[:-1]
+        img[:-1] |= img[1:]
+        img[:, 1:] |= img[:, :-1]
+        img[:, :-1] |= img[:, 1:]
+    return img

@@ -1001,6 +1001,47 @@ class TestEval:
                      "--transform", str(t_path)]) == 1
         one_error_line(capsys, f"{t_path}: moved splat 0: bounding sphere reaches past 1e+150 m from the origin")
 
+    @pytest.mark.parametrize("out, start", [
+        ("", "--out: must name a file, got ''"),
+        ("sub/", "--out: must name a file, got 'sub/'"),
+        ("rollout_0000.csv", "--out: 'rollout_0000.csv' is the name of a rollout file"),
+        ("rollout_0001.csv", "--out: 'rollout_0001.csv' is the name of a rollout file"),
+        ("./rollout_0000.csv", "--out: './rollout_0000.csv' is the name of a rollout file"),
+    ])
+    def test_out_that_is_not_a_summary_name_exits_2(self, tmp_path, demo_csv, capsys, out, start):
+        # refused before any file is read: the scene named here does not exist
+        out_dir, _ = self.make_dataset(tmp_path, demo_csv)
+        (out_dir / "rollout_0001.csv").write_bytes((out_dir / "rollout_0000.csv").read_bytes())
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert main(["eval", str(out_dir), demo_csv, "--scene", str(tmp_path / "missing.json"), "--out", out]) == 2
+        one_error_line(capsys, start)
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    def test_debug_log_leaves_the_summary_byte_identical(self, tmp_path, demo_csv):
+        """SPLATSYNTH_LOG=DEBUG adds one stderr line after the file loop, with
+        the scene's path list counts, and writes the same summary bytes."""
+        out_dir, demo = self.make_dataset(tmp_path, demo_csv)
+        for k in (1, 2):
+            Trajectory(demo.times, demo.positions + [0.001 * k, 0.0, 0.0], demo.quaternions, demo.gripper,
+                       demo.splits).save_csv(out_dir / f"rollout_000{k}.csv")
+        scene = write_scene(tmp_path / "scene.json", [GaussianBlob(demo.positions[40], 1e-4 * np.eye(3), 1.0)])
+        runs = []
+        for level in ("WARNING", "DEBUG"):
+            env = dict(os.environ, SPLATSYNTH_LOG=level,
+                       PYTHONPATH=str(Path(splatsynth.__file__).resolve().parent.parent))
+            run = subprocess.run([sys.executable, "-m", "splatsynth.cli", "eval", str(out_dir), demo_csv,
+                                  "--scene", scene, "--writing-plane", "0,0,0,0,0,1", "--out", f"{level}.csv"],
+                                 capture_output=True, text=True, env=env, timeout=120)
+            assert run.returncode == 0, run.stderr
+            runs.append((run.stderr, (out_dir / f"{level}.csv").read_bytes()))
+        (quiet, summary), (loud, debug_summary) = runs
+        assert quiet == "" and debug_summary == summary and summary.count(b"\n") == 4
+        # the first rollout goes to density_many, the second builds the list, and the third is answered by it
+        (line,) = loud.splitlines()
+        counts = re.fullmatch(r"DEBUG:splatsynth.cli:3 files scored; scene path list: 1 rebuilds, (\d+) listed "
+                              r"pairs, (\d+) kept, 1 paths read by density_many", line)
+        assert counts and 0 < int(counts[2]) <= int(counts[1])
+
     def test_transform_bottom_row_is_one_error_line(self, tmp_path, demo_csv, capsys):
         out_dir, _ = self.make_dataset(tmp_path, demo_csv)
         scene_path = write_scene(tmp_path / "scene.json",

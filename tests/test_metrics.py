@@ -3,12 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splatsynth import metrics
 from splatsynth.geometry import Trajectory, quat_from_axis_angle
 from splatsynth.metrics import (
     MetricError,
     RasterSpec,
+    _bresenham_pixels,
     _distance_matrix,
     _fill,
     _layout,
@@ -28,7 +31,7 @@ from splatsynth.metrics import (
 )
 from splatsynth.splats import GaussianBlob, GaussianScene
 
-from helpers import letter_a_demo, line_demo, minimum_jerk
+from helpers import bresenham_stepped, letter_a_demo, line_demo, minimum_jerk, rasterize_stepped
 
 
 def traj_from_positions(pos, duration=1.0):
@@ -672,6 +675,56 @@ class TestRasterMatchesPerPixel:
         executed[3, 1] = np.nan
         with pytest.raises(MetricError, match="non-finite"):
             writing_error(demo, executed)
+
+
+@st.composite
+def polylines(draw):
+    """2 to 40 points on a small integer grid, scaled: repeated points make
+    zero-length segments, and a constant coordinate makes a flat stroke (a
+    zero-area one is redrawn)."""
+    n = draw(st.integers(2, 40))
+    size = draw(st.integers(1, 20))
+    pts = np.array(draw(st.lists(st.tuples(st.integers(0, size), st.integers(0, size)), min_size=n, max_size=n)),
+                   dtype=float)
+    if draw(st.booleans()):
+        pts[:, draw(st.integers(0, 1))] = 0.5   # a flat stroke
+    if np.all(pts.max(axis=0) <= pts.min(axis=0)):
+        pts[-1] += 1.0
+    return pts * draw(st.sampled_from([1.0, 0.01, 37.5]))
+
+
+class TestClosedFormBresenham:
+    """_bresenham_pixels puts every pixel where Bresenham's integer loop puts
+    it (helpers.bresenham_stepped), and rasterize_strokes draws the rasters of
+    that loop (helpers.rasterize_stepped)."""
+
+    @pytest.mark.parametrize("res", [64, 128])
+    def test_every_segment_of_a_canvas(self, res):
+        # every (dx, dy) that fits on the canvas, from the corner it needs, a block of dy rows at a time
+        d = np.arange(-(res - 1), res)
+        for block in np.array_split(d, 8):
+            dx, dy = (v.ravel() for v in np.meshgrid(d, block))
+            x0, y0 = np.where(dx >= 0, 0, res - 1), np.where(dy >= 0, 0, res - 1)
+            seg, x, y = bresenham_stepped(x0, y0, x0 + dx, y0 + dy)
+            order = np.argsort(seg, kind="stable")   # the loop draws all segments' k-th pixels together
+            got = _bresenham_pixels(x0, y0, x0 + dx, y0 + dy)
+            assert np.array_equal(got[0], x[order]) and np.array_equal(got[1], y[order])
+
+    def test_zero_length_segments_and_none(self):
+        x0, y0 = np.array([3, 0, 5]), np.array([4, 0, 5])
+        x, y = _bresenham_pixels(x0, y0, x0, y0)
+        assert x.tolist() == [3, 0, 5] and y.tolist() == [4, 0, 5]
+        empty = np.empty(0, dtype=int)
+        assert [v.tolist() for v in _bresenham_pixels(empty, empty, empty, empty)] == [[], []]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(pts=polylines(), res=st.sampled_from([1, 2, 7, 64, 128]), stroke_px=st.sampled_from([1, 2, 5]))
+    @example(pts=np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]), res=128, stroke_px=1)
+    @example(pts=np.array([[0.0, 0.5], [3.0, 0.5], [1.0, 0.5]]), res=128, stroke_px=2)
+    @example(pts=np.array([[0.2, 0.0], [0.2, 1.0], [0.2, 0.0]]), res=64, stroke_px=5)
+    def test_polylines_match_the_loop(self, pts, res, stroke_px):
+        spec = RasterSpec(resolution=res, stroke_px=stroke_px)
+        assert np.array_equal(rasterize_strokes(pts, spec), rasterize_stepped(pts, spec))
 
 
 class TestRasterSpec:

@@ -22,6 +22,7 @@ from splatsynth.splats import (
     SceneFormatError,
     _neighbors,
     _NeighborList,
+    _norms,
     density,
     density_bruteforce,
     density_gradient,
@@ -678,6 +679,215 @@ class TestListedProbes:
         assert probe_read(listed, np.arange(2), gradient_probes(xs[:2] + [0.01, 0.0, 0.0], 1e-3))
         assert not probe_read(listed, np.arange(2), gradient_probes(xs[:2] + [0.04, 0.0, 0.0], 1e-3))
         probe_read(listed, np.arange(0), np.empty((0, 6, 3)))   # no rows: an empty read
+
+
+# offsets whose squares are subnormal or flush to 0, signed zeros, and offsets
+# near 1e154, whose squares overflow to inf
+NORM_COORDS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e-150, 1e-150),
+    st.floats(5e153, 2e154) | st.floats(-2e154, -5e153),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.34e154, -1.34e154]),
+)
+
+
+class TestNorms:
+    """_norms has np.linalg.norm(d, axis=1)'s bits: _neighbors' exact test
+    and the list's reads rest on it."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(st.tuples(NORM_COORDS, NORM_COORDS, NORM_COORDS), max_size=12))
+    @example(rows=[(1.0e154, 1.0e154, 0.0), (1.4e154, 0.0, -0.0), (5e-324, -5e-324, 1e-162), (-0.0, -0.0, -0.0)])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # both overflow alike
+    def test_bits_of_linalg_norm(self, rows):
+        d = np.array(rows, dtype=float).reshape(-1, 3)
+        assert _norms(d).tobytes() == np.linalg.norm(d, axis=1).tobytes()
+
+    def test_gathered_offsets(self):
+        # the offsets of _neighbors and of the lists are differences of gathered rows
+        rng = np.random.default_rng(40)
+        means = rng.normal(0.0, 1.0, (500, 3)) * rng.uniform(0.0, 3.0, (500, 3)) ** 8
+        d = means[rng.integers(0, 500, 4000)] - means[rng.integers(0, 500, 4000)]
+        assert _norms(d).tobytes() == np.linalg.norm(d, axis=1).tobytes()
+
+
+def path_read(scene, xs):
+    """scene._paths.path_density(xs), checked bit for bit against
+    density_many; (rebuilds, paths sent to density_many) that the read made."""
+    paths = scene._paths
+    rebuilds, missed = paths.rebuilds, paths.missed
+    got = paths.path_density(xs)
+    want = density_many(scene, xs)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return paths.rebuilds - rebuilds, paths.missed - missed
+
+
+def unlisted(scene):
+    """A copy of scene with no path list yet: the scenes of LIST_SCENES are
+    shared between tests."""
+    return GaussianScene._from_factors(scene.means, scene.covariances, scene.inv_covariances, scene.radii,
+                                       scene.opacities, 0.0, 0, "blob")
+
+
+def ply_scene(tmp_path):
+    return load_scene(TestSceneFactors.write_ply(tmp_path, n=600, seed=41))
+
+
+class TestPathList:
+    """A scene answers a stream of paths (collision_check) through the list
+    it keeps, with density_many's bits on every path.  The list is built only
+    at a path near the one before it, and the scene keeps no list over
+    _PATH_BUDGET."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", sorted(LIST_SCENES) + ["empty", "ply"])
+    def test_stream(self, tmp_path, name):
+        scene, spread = {"empty": (GaussianScene([]), 0.05), "ply": (ply_scene(tmp_path), 0.3),
+                         **{k: (unlisted(v), spread) for k, (v, spread) in LIST_SCENES.items()}}[name]
+        rng = np.random.default_rng(42)
+        skin = splats._SKIN
+
+        def fresh(k):
+            if len(scene) == 0:
+                return rng.normal(0.0, spread, (k, 3))
+            return scene.means[rng.integers(0, len(scene), k)] + rng.normal(0.0, spread, (k, 3))
+
+        def creep(xs):   # every row within the skin of xs
+            return xs + unit_rows(rng, len(xs)) * rng.uniform(0.0, 0.9 * skin, (len(xs), 1))
+
+        p0 = fresh(30)
+        p1 = creep(p0)
+        p2 = p1.copy()
+        p2[0] += 1.0 + 10.0 * spread
+        p3 = fresh(30)
+        p5 = fresh(33)
+        p6 = creep(p5)
+        p7 = p6.copy()
+        p7[4, 1] = np.nan
+        stream = [
+            (p0, (0, 1)),              # nothing to compare with: density_many, rows remembered
+            (p1, (1, 0)),              # near them: the list is built
+            (creep(p1), (0, 0)),       # near the list: answered from it
+            (p1, (0, 0)),
+            (p2, (0, 1)),              # a jump of one row: density_many, and the list is dropped
+            (p3, (0, 1)),              # a jump of every row
+            (creep(p3), (1, 0)),
+            (p5, (0, 1)),              # a new row count starts over
+            (p6, (1, 0)),
+            (p7, (0, 1)),              # a non-finite row is never near
+            (p7, (0, 1)),
+            (p6, (0, 1)),
+            (p6[:0], (0, 1)),
+            (p6[:0], (1, 0)),          # two empty paths are near each other
+        ]
+        for i, (xs, counts) in enumerate(stream):
+            assert path_read(scene, xs) == counts, i
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(sorted(LIST_SCENES)), n=st.integers(0, 12), seed=st.integers(0, 2 ** 16),
+           moves=st.lists(st.sampled_from(WALK_MOVES), min_size=1, max_size=10))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_random_streams_match_density_many(self, name, n, seed, moves):
+        # TestNeighborList's walk, read as paths: a read rebuilds only next to its remembered path
+        scene, spread = LIST_SCENES[name]
+        scene = unlisted(scene)
+        rng = np.random.default_rng(seed)
+
+        def fresh(k):
+            rows = scene.means[rng.integers(0, len(scene), k)] + rng.normal(0.0, spread, (k, 3))
+            rows[rng.random(k) < 0.1] = np.sign(rng.normal(size=3)) * 1e150
+            return rows
+
+        xs = fresh(n)
+        assert path_read(scene, xs) == (0, 1)
+        for move in moves:
+            last = xs.copy()
+            some = rng.random(len(xs)) < 0.5
+            if move == "count":
+                xs = fresh(max(0, len(xs) + int(rng.choice([-2, -1, 1, 3]))))
+            elif move == "creep":
+                xs = xs + unit_rows(rng, len(xs)) * rng.uniform(0.0, 0.9 * splats._SKIN, (len(xs), 1))
+            elif move in ("edge", "past_edge"):
+                step = splats._SKIN if move == "edge" else np.nextafter(splats._SKIN, np.inf)
+                xs = xs.copy()
+                xs[some] += unit_rows(rng, int(some.sum())) * step
+            elif move == "non_finite":
+                xs = xs.copy()
+                xs[some, rng.integers(0, 3)] = rng.choice([np.nan, np.inf, -np.inf])
+            else:
+                xs = xs.copy()
+                xs[some] = fresh(int(some.sum()))
+            paths = scene._paths
+            remembered = paths.origin is not None and paths.row is None
+            rebuilt, missed = path_read(scene, xs)
+            assert rebuilt + missed <= 1
+            if rebuilt:
+                assert remembered and len(last) == len(xs)
+        assert scene._paths.kept <= scene._paths.listed
+
+    def test_an_unrelated_stream_builds_no_list(self, monkeypatch):
+        # every path jumps: each read is one density_many query of the tree, and nothing is listed
+        scene = cluttered_scene(200, seed=43)
+        rng = np.random.default_rng(44)
+        stream = [scene.means[rng.permutation(len(scene))[:40]] for _ in range(12)]
+        want = [density_many(scene, xs) for xs in stream]
+        calls = []
+        neighbors = splats._neighbors
+
+        def counted(scene, xs, radius, slack=0.0):
+            calls.append((len(xs), radius, slack))
+            return neighbors(scene, xs, radius, slack)
+
+        monkeypatch.setattr(splats, "_neighbors", counted)
+        for xs, rho in zip(stream, want):
+            assert scene._paths.path_density(xs).tobytes() == rho.tobytes()
+        assert calls == [(40, 0.0, 0.0)] * 12
+        paths = scene._paths
+        assert (paths.rebuilds, paths.missed, paths.listed, paths.row) == (0, 12, 0, None)
+
+    def test_a_list_over_the_budget_is_dropped(self, monkeypatch):
+        # 10 rows that list more than 30 pairs: the list answers its one path and goes
+        monkeypatch.setattr(splats, "_PATH_BUDGET", 40)
+        scene = cluttered_scene(200, seed=45)
+        rng = np.random.default_rng(46)
+        xs = rng.normal(0.0, 0.02, (10, 3))
+        assert path_read(scene, xs) == (0, 1)
+        assert path_read(scene, xs) == (1, 0)
+        paths = scene._paths
+        assert paths.listed > 30 and (paths.origin, paths.row, paths.means) == (None, None, None)
+        # paths of its row count go to density_many, unremembered, until another row count comes
+        for _ in range(3):
+            assert path_read(scene, xs) == (0, 1) and paths.origin is None
+        ys = xs[:2] + [5.0, 0.0, 0.0]   # 2 rows far from every blob: a list within the budget
+        assert path_read(scene, ys) == (0, 1)
+        assert path_read(scene, ys) == (1, 0) and paths.row is not None
+        assert path_read(scene, xs) == (0, 1) and paths.origin is not None
+        # a path of more rows than the budget is never remembered
+        zs = rng.normal(5.0, 0.01, (41, 3))
+        for _ in range(3):
+            assert path_read(scene, zs) == (0, 1) and paths.origin is None
+
+    @pytest.mark.parametrize("rows, keeps, counts", [(1_000, True, (1, 1)), (40_000, False, (1, 2)),
+                                                     (splats._PATH_BUDGET + 1, False, (0, 3))])
+    def test_a_path_over_the_budget_leaves_nothing_on_the_scene(self, rows, keeps, counts):
+        # one wide blob, so that every row lists one pair: 1000 rows keep their list; 40000
+        # rows and their pairs go over the budget, and more rows than the budget are never listed
+        scene = GaussianScene([unit_blob(sigma2=0.01)])
+        xs = np.random.default_rng(47).uniform(-0.2, 0.2, (rows, 3))
+        scene.tree, scene._paths   # made before the count starts
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(3):
+                scene._paths.path_density(xs)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert (scene._paths.rebuilds, scene._paths.missed) == counts
+        if keeps:
+            assert held > 100 * rows   # its list: a pair and a row, over 100 bytes each
+        else:
+            assert held < 16_384
 
 
 def per_row_sums(n, row, terms):
