@@ -255,6 +255,11 @@ def cmd_eval(args) -> int:
         raise UsageError(f"file not found: {args.dataset}")
     if not os.path.isdir(args.dataset):
         raise UsageError(f"not a directory: {args.dataset}")
+    out_path = os.path.join(args.dataset, args.out)
+    if os.path.isdir(out_path):
+        raise UsageError(f"--out: {args.out!r} is a directory")
+    if not os.path.isdir(os.path.dirname(out_path)):
+        raise UsageError(f"--out: {args.out!r} is not in an existing directory")
     expert = Trajectory.load(_require_file(args.expert))
     scene = None
     if args.scene:
@@ -277,7 +282,6 @@ def cmd_eval(args) -> int:
     paths = scene._paths if scene is not None else None
     log.debug("%d files scored; scene path list: %d rebuilds, %d listed pairs, %d kept, %d paths read by density_many",
               len(files), *((0,) * 4 if paths is None else (paths.rebuilds, paths.listed, paths.kept, paths.missed)))
-    out_path = os.path.join(args.dataset, args.out)
     with open(out_path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["file", "dtw_position", "dtw_orientation", "collided",

@@ -252,8 +252,10 @@ def _integrate(model: DmpModel, y, q0, goal, q_goal, dt: float, coupling=None,
     rollout_steps(tau, dt, horizon_factor) steps.  coupling, when given, is
     called as coupling(step_index, positions, velocities_m_per_s) on the
     (B, 3) rows and returns the extra accelerations added into the tau-scaled
-    dynamics (tau*dv/dt = a_dmp + a_coupling).  The phase's basis table is
+    dynamics (tau*dv/dt = a_dmp + a_coupling).  The phase's forcing table is
     built once, before the step loop; orientation, q0 * exp(r(t)), after it.
+    Position and rotation vector step as one (B, 6) state [y | r], with every
+    operation elementwise, so each column rounds as it would on its own.
 
     Every row is computed exactly as it would be alone.  Returns the (n+1,)
     times, the (B, n+1, 3) positions and (B, n+1, 4) quaternions, not yet
@@ -262,48 +264,48 @@ def _integrate(model: DmpModel, y, q0, goal, q_goal, dt: float, coupling=None,
     tau = model.canonical.tau
     n_steps = rollout_steps(tau, dt, horizon_factor)
     rot_goal = np.array([quat_log(quat_mul(quat_conj(a), b)) for a, b in zip(q0, q_goal)]).reshape(-1, 3)
-    v, r, rv = np.zeros_like(y), np.zeros_like(y), np.zeros_like(y)
     # degenerate-at-fit channels keep their stored scale; others rescale
     # with the new goal amplitude
-    pos_scale = np.where(model.pos_degenerate, model.pos_scale, goal - y)
-    rot_scale = np.where(model.rot_degenerate, model.rot_scale, rot_goal)
+    scale = np.concatenate([np.where(model.pos_degenerate, model.pos_scale, goal - y),
+                            np.where(model.rot_degenerate, model.rot_scale, rot_goal)], axis=1)
+    target = np.concatenate([goal, rot_goal], axis=1)
 
     alpha_s = model.canonical.alpha_s
-    az, bz = model.alpha_z, model.beta_z
+    az, bz, h = model.alpha_z, model.beta_z, dt / tau
 
     phase = np.empty(n_steps)
     s = 1.0
     for n in range(n_steps):
-        phase[n], s = s, s - alpha_s * s * (dt / tau)
+        phase[n], s = s, s - alpha_s * s * h
     # fit_dmp and from_dict give both forcing terms the same centers and widths
-    basis = _basis(phase, model.position_forcing.centers, model.position_forcing.widths)
-    pos_w, rot_w = model.position_forcing.weights, model.orientation_forcing.weights
+    basis = _basis(phase, model.position_forcing.centers, model.position_forcing.widths)[:, :, None]
+    # every step's (3, n) product per system, batched, rounds as w @ basis[n] does; one (6, n) product does not
+    forcing = np.concatenate([(term.weights[None] @ basis)[..., 0]
+                              for term in (model.position_forcing, model.orientation_forcing)], axis=1)
 
-    positions = np.empty((len(y), n_steps + 1, 3))
-    rots = np.empty((len(y), n_steps, 3))
-    positions[:, 0] = y
+    x = np.concatenate([y, np.zeros_like(y)], axis=1)
+    v = np.zeros_like(x)
+    states = np.empty((len(y), n_steps + 1, 6))
+    states[:, 0] = x
     failed = np.full(len(y), -1)
     for n in range(n_steps):
-        a = az * (bz * (goal - y) - v) + (pos_w @ basis[n]) * pos_scale
-        if coupling is not None:
-            a = a + coupling(n, y, v / tau)
-        a_r = az * (bz * (rot_goal - r) - rv) + (rot_w @ basis[n]) * rot_scale
-        state = (y, v, r, rv)
-        v = v + a * (dt / tau)
-        y = y + v * (dt / tau)
-        rv = rv + a_r * (dt / tau)
-        r = r + rv * (dt / tau)
-        bad = ~(np.isfinite(y).all(axis=1) & np.isfinite(r).all(axis=1))
-        if bad.any():
+        a = az * (bz * (target - x) - v) + forcing[n] * scale
+        if coupling is not None:   # the hook gets a copy of the positions, its own to keep
+            a[:, :3] += coupling(n, x[:, :3].copy(), v[:, :3] / tau)
+        state = (x, v)
+        v = v + a * h
+        x = x + v * h
+        finite = np.isfinite(x).all(axis=1)
+        if not finite.all():
+            bad = ~finite
             failed[bad & (failed < 0)] = n
-            y, v, r, rv = (np.where(bad[:, None], old, new) for old, new in zip(state, (y, v, r, rv)))
-        positions[:, n + 1] = y
-        rots[:, n] = r
+            x, v = (np.where(bad[:, None], old, new) for old, new in zip(state, (x, v)))
+        states[:, n + 1] = x
 
     quaternions = np.empty((len(y), n_steps + 1, 4))
     quaternions[:, 0] = q0
-    quaternions[:, 1:] = quat_mul(q0[:, None], quat_exp(rots))
-    return np.arange(n_steps + 1) * dt, positions, quaternions, failed
+    quaternions[:, 1:] = quat_mul(q0[:, None], quat_exp(states[:, 1:, 3:]))
+    return np.arange(n_steps + 1) * dt, states[..., :3].copy(), quaternions, failed
 
 
 def rollout_batch(model: DmpModel, starts, goals, dt: float = 0.01, coupling=None,

@@ -200,6 +200,11 @@ class Pose:
 _CSV_FIELDS = ["t", "x", "y", "z", "qw", "qx", "qy", "qz", "gripper", "split"]
 
 
+def _column_text(column: np.ndarray) -> list:
+    """The CSV text of each value of a column: repr of its Python number."""
+    return list(map(repr, column.tolist()))
+
+
 @dataclass
 class Trajectory:
     """Timestamped end-effector poses with gripper state and split markers.
@@ -313,13 +318,23 @@ class Trajectory:
         t, pos, quat, grip = (values[:, c].copy() for c in (0, slice(1, 4), slice(4, 8), 8))
         return cls(t, pos, quat, grip, np.flatnonzero(flags).tolist())
 
-    def to_csv(self) -> str:
-        rows = [",".join(_CSV_FIELDS)] + [",".join(map(repr, row)) for row in self._table()]
-        return "\n".join(rows) + "\n"
+    def _shared_columns(self) -> tuple:
+        """The t, gripper and split-flag columns, the ones every rollout of a synthesized batch shares."""
+        flags = np.zeros(len(self), dtype=int)
+        flags[self.splits] = 1
+        return self.times, self.gripper, flags
 
-    def save_csv(self, path) -> None:
+    def to_csv(self, _text=None) -> str:
+        """The CSV text.  _text, when given, is the text of _shared_columns(),
+        as _column_text makes it, which a batch's export formats once."""
+        t, gripper, flags = _text or [_column_text(column) for column in self._shared_columns()]
+        middle = np.column_stack((self.positions, self.quaternions)).tolist()
+        rows = [f"{a},{','.join(map(repr, row))},{b},{c}" for a, row, b, c in zip(t, middle, gripper, flags)]
+        return "\n".join([",".join(_CSV_FIELDS), *rows]) + "\n"
+
+    def save_csv(self, path, _text=None) -> None:
         with open(path, "w", newline="") as f:
-            f.write(self.to_csv())
+            f.write(self.to_csv(_text))
 
     @classmethod
     def load_csv(cls, path) -> "Trajectory":

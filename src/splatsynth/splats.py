@@ -608,8 +608,10 @@ def _scene_from_ply(path, opacity_floor: float) -> GaussianScene:
                 out[k][kept:kept + n] = src
             kept += n
             rejected += dropped
-    for k in range(len(out)):   # in place, with no copy: out[k] is the array's one reference
-        out[k].resize((kept, *out[k].shape[1:]))
+    # in place, with no copy: out[k] is the array's one reference.  numpy's refcheck counts a profiler's or
+    # tracer's transient hold on the bound method as a second one, so it is off
+    for k in range(len(out)):
+        out[k].resize((kept, *out[k].shape[1:]), refcheck=False)
     return GaussianScene._from_factors(*out, opacity_floor, rejected, name)
 
 

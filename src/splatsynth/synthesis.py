@@ -24,7 +24,8 @@ from .dmp import DEFAULT_ALPHA_S, DEFAULT_ALPHA_Z, DEFAULT_HORIZON_FACTOR, DEFAU
 from .dmp import MIN_SEGMENT_SAMPLES
 # rollout stays bound here for bench/tracing.py, which wraps it where it is looked up
 from .dmp import DmpModel, RolloutError, _integrate, fit_dmp, rollout, rollout_steps  # noqa: F401
-from .geometry import FieldError, Trajectory, check_fields, param, quat_canonical, quat_exp, quat_mul, quat_normalize
+from .geometry import FieldError, Trajectory, _column_text, check_fields, param
+from .geometry import quat_canonical, quat_exp, quat_mul, quat_normalize
 # trajectory_dtw stays bound here for bench/tracing.py, which wraps it where it is looked up
 from .metrics import trajectory_dtw, trajectory_dtw_many  # noqa: F401
 from .obstacles import ObstacleParams, make_coupling
@@ -285,12 +286,19 @@ def export_dataset(trajectories, manifest, out_dir):
     except OSError as exc:
         raise ExportError(f"cannot create output directory {out_dir}: {exc}") from exc
     written = []
+    # per shared column, the bits and the text of the last one formatted: a batch's rollouts share one
+    # times, gripper and split list, and bits, not ==, tell -0.0 from 0.0, whose reprs differ
+    last = [(None, None)] * 3
     for traj, entry in zip(trajectories, manifest["rollouts"]):
         if traj is None:
             entry["file"] = None
             continue
+        for k, column in enumerate(traj._shared_columns()):
+            bits = column.tobytes()
+            if bits != last[k][0]:
+                last[k] = (bits, _column_text(column))
         name = f"rollout_{entry['index']:04d}.csv"
-        traj.save_csv(os.path.join(out_dir, name))
+        traj.save_csv(os.path.join(out_dir, name), _text=[text for _, text in last])
         entry["file"] = name
         written.append(entry)
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:

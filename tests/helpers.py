@@ -7,7 +7,16 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from splatsynth.alignment import AlignmentError, IcpParams, IcpResult, RigidTransform, _procrustes
-from splatsynth.geometry import Trajectory, quat_from_axis_angle, quat_to_matrix
+from splatsynth.dmp import DEFAULT_HORIZON_FACTOR, _basis, rollout_steps
+from splatsynth.geometry import (
+    Trajectory,
+    quat_conj,
+    quat_exp,
+    quat_from_axis_angle,
+    quat_log,
+    quat_mul,
+    quat_to_matrix,
+)
 from splatsynth.splats import (
     _PLY_TYPES,
     CUTOFF_SIGMA,
@@ -270,3 +279,47 @@ def rasterize_stepped(points2d, spec):
         img[:, 1:] |= img[:, :-1]
         img[:, :-1] |= img[:, 1:]
     return img
+
+
+def integrate_two_systems(model, y, q0, goal, q_goal, dt, coupling=None, horizon_factor=DEFAULT_HORIZON_FACTOR):
+    """The oracle for dmp._integrate: position and rotation vector stepped as
+    two systems of (B, 3) arrays, each with its own per-step (3, n) forcing
+    product, finite test and store.  Same arguments and returns."""
+    tau = model.canonical.tau
+    n_steps = rollout_steps(tau, dt, horizon_factor)
+    rot_goal = np.array([quat_log(quat_mul(quat_conj(a), b)) for a, b in zip(q0, q_goal)]).reshape(-1, 3)
+    v, r, rv = np.zeros_like(y), np.zeros_like(y), np.zeros_like(y)
+    pos_scale = np.where(model.pos_degenerate, model.pos_scale, goal - y)
+    rot_scale = np.where(model.rot_degenerate, model.rot_scale, rot_goal)
+    alpha_s = model.canonical.alpha_s
+    az, bz = model.alpha_z, model.beta_z
+    phase = np.empty(n_steps)
+    s = 1.0
+    for n in range(n_steps):
+        phase[n], s = s, s - alpha_s * s * (dt / tau)
+    basis = _basis(phase, model.position_forcing.centers, model.position_forcing.widths)
+    pos_w, rot_w = model.position_forcing.weights, model.orientation_forcing.weights
+    positions = np.empty((len(y), n_steps + 1, 3))
+    rots = np.empty((len(y), n_steps, 3))
+    positions[:, 0] = y
+    failed = np.full(len(y), -1)
+    for n in range(n_steps):
+        a = az * (bz * (goal - y) - v) + (pos_w @ basis[n]) * pos_scale
+        if coupling is not None:
+            a = a + coupling(n, y, v / tau)
+        a_r = az * (bz * (rot_goal - r) - rv) + (rot_w @ basis[n]) * rot_scale
+        state = (y, v, r, rv)
+        v = v + a * (dt / tau)
+        y = y + v * (dt / tau)
+        rv = rv + a_r * (dt / tau)
+        r = r + rv * (dt / tau)
+        bad = ~(np.isfinite(y).all(axis=1) & np.isfinite(r).all(axis=1))
+        if bad.any():
+            failed[bad & (failed < 0)] = n
+            y, v, r, rv = (np.where(bad[:, None], old, new) for old, new in zip(state, (y, v, r, rv)))
+        positions[:, n + 1] = y
+        rots[:, n] = r
+    quaternions = np.empty((len(y), n_steps + 1, 4))
+    quaternions[:, 0] = q0
+    quaternions[:, 1:] = quat_mul(q0[:, None], quat_exp(rots))
+    return np.arange(n_steps + 1) * dt, positions, quaternions, failed

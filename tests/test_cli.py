@@ -1017,6 +1017,30 @@ class TestEval:
         one_error_line(capsys, start)
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
+    @pytest.mark.parametrize("out, start", [
+        (".", "--out: '.' is a directory"),
+        ("sub", "--out: 'sub' is a directory"),
+        ("nosuchdir/summary.csv", "--out: 'nosuchdir/summary.csv' is not in an existing directory"),
+        ("manifest.json/summary.csv", "--out: 'manifest.json/summary.csv' is not in an existing directory"),
+    ])
+    def test_out_that_cannot_be_written_exits_2_before_scoring(self, tmp_path, demo_csv, capsys, out, start):
+        # refused before any file is read: the scene named here does not exist
+        out_dir, _ = self.make_dataset(tmp_path, demo_csv)
+        (out_dir / "sub").mkdir()
+        (out_dir / "manifest.json").write_text("{}")
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()}
+        assert main(["eval", str(out_dir), demo_csv, "--scene", str(tmp_path / "missing.json"), "--out", out]) == 2
+        one_error_line(capsys, start)
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()} == before
+        assert sorted(p.name for p in out_dir.iterdir() if p.is_dir()) == ["sub"]
+
+    def test_absolute_out_in_a_missing_directory_exits_2(self, tmp_path, demo_csv, capsys):
+        out_dir, _ = self.make_dataset(tmp_path, demo_csv)
+        out = str(tmp_path / "missing" / "summary.csv")
+        assert main(["eval", str(out_dir), demo_csv, "--out", out]) == 2
+        one_error_line(capsys, f"--out: {out!r} is not in an existing directory")
+        assert not (tmp_path / "missing").exists()
+
     def test_debug_log_leaves_the_summary_byte_identical(self, tmp_path, demo_csv):
         """SPLATSYNTH_LOG=DEBUG adds one stderr line after the file loop, with
         the scene's path list counts, and writes the same summary bytes."""
@@ -1075,12 +1099,12 @@ class TestPathErrors:
         assert main(["fit", demo_csv, "--out", demo_csv]) == 1
         one_error_line(capsys, "[Errno 17] File exists")
 
-    def test_eval_out_is_a_directory_exits_1(self, tmp_path, demo_csv, capsys):
+    def test_eval_out_is_a_directory_exits_2(self, tmp_path, demo_csv, capsys):
         out_dir = tmp_path / "data"
         (out_dir / "summary.csv").mkdir(parents=True)
         Trajectory.load_csv(demo_csv).save_csv(out_dir / "rollout_0000.csv")
-        assert main(["eval", str(out_dir), demo_csv]) == 1
-        one_error_line(capsys, "[Errno 21] Is a directory")
+        assert main(["eval", str(out_dir), demo_csv]) == 2
+        one_error_line(capsys, "--out: 'summary.csv' is a directory")
 
 
 class TestCalibrateRho:

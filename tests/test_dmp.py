@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splatsynth.dmp import (
     MAX_ROLLOUT_STEPS,
@@ -10,6 +12,8 @@ from splatsynth.dmp import (
     DmpModel,
     FitError,
     RolloutError,
+    _basis,
+    _integrate,
     canonical_phase,
     fit_dmp,
     rollout,
@@ -31,7 +35,7 @@ from splatsynth.metrics import dtw
 from splatsynth.obstacles import ObstacleParams, make_coupling
 from splatsynth.splats import GaussianBlob, GaussianScene
 
-from helpers import letter_a_demo, line_demo, minimum_jerk, nominal_positions
+from helpers import integrate_two_systems, letter_a_demo, line_demo, minimum_jerk, nominal_positions
 
 
 def minjerk_demo_1d(n=201, duration=1.0):
@@ -425,3 +429,98 @@ class TestRolloutBatch:
     def test_empty_batch(self):
         model, _, _ = self.model_and_poses()
         assert rollout_batch(model, [], [], dt=0.01) == []
+
+
+# models the step loop is compared on: a turning line, a 1-D motion whose y, z and rotation channels are
+# degenerate at fit time, and a letter stroke
+INTEGRATE_MODELS = {
+    "line": fit_dmp(line_demo([0.1, -0.2, 0.3], [0.4, 0.1, 0.0], n=151, angle=0.6)),
+    "degenerate": fit_dmp(minjerk_demo_1d()),
+    "letter": fit_dmp(letter_a_demo().segment(1), n_basis=20),
+}
+INTEGRATE_SCENE = GaussianScene([GaussianBlob([0.25, -0.05, 0.15], 0.03 ** 2 * np.eye(3), 1.0),
+                                 GaussianBlob([0.6, 0.0, 0.0], 0.02 ** 2 * np.eye(3), 1.0)])
+INTEGRATE_PARAMS = ObstacleParams(rho_th=0.005, lambda_max=100.0, gamma=2.0, lookahead=0.015, return_gain=4.0)
+
+
+def integrate_rows(model, b, seed):
+    """b starts and goals scattered around the model's own, as _integrate takes them."""
+    rng = np.random.default_rng(seed)
+    y = model.y0 + rng.normal(0.0, 0.02, (b, 3))
+    goal = model.goal + rng.normal(0.0, 0.05, (b, 3))
+    q0 = np.array([quat_mul(model.q0, quat_from_axis_angle(rng.normal(size=3), a))
+                   for a in rng.uniform(-0.3, 0.3, b)]).reshape(-1, 4)
+    q_goal = np.array([quat_mul(model.q_goal, quat_from_axis_angle(rng.normal(size=3), a))
+                       for a in rng.uniform(-0.5, 0.5, b)]).reshape(-1, 4)
+    return y, q0, goal, q_goal
+
+
+class TestIntegrateMatchesTwoSystems:
+    """_integrate steps one (B, 6) state; tests/helpers.integrate_two_systems,
+    the oracle, steps position and rotation as two (B, 3) systems.  Every
+    output is equal bit for bit: times, positions, quaternions and failed."""
+
+    @staticmethod
+    def hooks(kind, model, rows, dt, horizon_factor, nan_row, nan_step):
+        """A fresh hook of the kind for each of the two runs, or None."""
+        if kind == "none":
+            return None, None
+        if kind == "coupling":
+            nominal = integrate_two_systems(model, *rows, dt, horizon_factor=horizon_factor)[1]
+            return tuple(make_coupling(INTEGRATE_SCENE, INTEGRATE_PARAMS, nominal, dt) for _ in range(2))
+
+        def nan_hook(step, y, v):
+            a = 0.5 * np.sin(40.0 * y) - 0.1 * v
+            if step == nan_step:
+                a[nan_row % len(y), 1] = np.nan
+            return a
+        return nan_hook, nan_hook
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(sorted(INTEGRATE_MODELS)), b=st.integers(1, 9), seed=st.integers(0, 2**16),
+           dt=st.sampled_from([0.004, 0.01, 0.013]), horizon_factor=st.sampled_from([0.5, 1.0, 1.25, 1.9]),
+           kind=st.sampled_from(["none", "coupling", "nan"]), nan_row=st.integers(0, 8), nan_step=st.integers(0, 60))
+    def test_bit_equal_to_the_two_system_oracle(self, name, b, seed, dt, horizon_factor, kind, nan_row, nan_step):
+        model = INTEGRATE_MODELS[name]
+        rows = integrate_rows(model, b, seed)
+        hook, oracle_hook = self.hooks(kind, model, rows, dt, horizon_factor, nan_row, nan_step)
+        got = _integrate(model, *rows, dt, coupling=hook, horizon_factor=horizon_factor)
+        want = integrate_two_systems(model, *rows, dt, coupling=oracle_hook, horizon_factor=horizon_factor)
+        for label, g, w in zip(("times", "positions", "quaternions", "failed"), got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes(), label
+        if kind == "nan" and nan_step < len(got[0]) - 1:   # the row fails at that step, and only it
+            assert got[3].tolist() == [nan_step if r == nan_row % b else -1 for r in range(b)]
+
+    def test_hook_keeps_the_rows_it_was_given(self):
+        """A hook that holds on to its y and v still sees the values it was
+        given: the state is updated out of place."""
+        model = INTEGRATE_MODELS["line"]
+        kept = []
+
+        def hook(step, y, v):
+            kept.append((y, y.copy(), v, v.copy()))
+            return -y
+
+        got = _integrate(model, *integrate_rows(model, 4, 3), 0.01, coupling=hook)
+        assert len(kept) == len(got[0]) - 1
+        for step, (y, y_then, v, v_then) in enumerate(kept):
+            assert y.tobytes() == y_then.tobytes() and v.tobytes() == v_then.tobytes(), step
+            assert y.tobytes() == got[1][:, step].tobytes(), step
+
+    @pytest.mark.parametrize("n_basis", [2, 20, 30, 50])
+    def test_stacked_forcing_products_equal_the_per_step_products(self, n_basis):
+        """_integrate computes every step's forcing before the loop, as one
+        batched (3, n) product per system.  That rests on an assumption about
+        the matrix library: the batched product rounds as the per-step
+        w @ basis[n] does.  (A single (6, n) product on both systems' weights
+        stacked does not; it differs for every n_basis in {20, 30, 50}.)"""
+        model = fit_dmp(letter_a_demo().segment(0), n_basis=n_basis)
+        phase = np.exp(-model.canonical.alpha_s * np.linspace(0.0, 1.25, 157))
+        basis = _basis(phase, model.position_forcing.centers, model.position_forcing.widths)
+        for w in (model.position_forcing.weights, model.orientation_forcing.weights):
+            stacked = (w[None] @ basis[:, :, None])[..., 0]
+            per_step = np.array([w @ basis[n] for n in range(len(basis))])
+            assert stacked.tobytes() == per_step.tobytes(), (
+                "assumption broken: the batched per-system forcing product (w[None] @ basis[:, :, None]) no "
+                "longer equals the per-step w @ basis[n] bit for bit on this numpy and BLAS; _integrate's "
+                "forcing table would change every rollout")

@@ -1,6 +1,8 @@
+import cProfile
 import io
 import json
 import struct
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -1567,6 +1569,29 @@ class TestPlyStreaming:
                                       scene.opacities))
         assert (len(scene), scene.rejected_count) == (6161, 3455)
         assert held <= 1.1 * kept, f"held {held / 1e6:.2f} MB, kept arrays {kept / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("tool", ["settrace", "cprofile"])
+    def test_loads_under_a_tracer_or_profiler(self, tmp_path, tool):
+        # a profiler or tracer holds the bound method of a C call, which numpy's resize refcheck counted as
+        # a second reference to the array being shrunk
+        path = write_ply_3dgs(tmp_path / "scene.ply", ply_rows_3dgs(3 * CHUNK + 17, seed=5))
+        plain = load_scene(path)
+        if tool == "settrace":
+            previous = sys.gettrace()
+            sys.settrace(lambda frame, event, arg: None)
+            try:
+                traced = load_scene(path)
+            finally:
+                sys.settrace(previous)
+        else:
+            profile = cProfile.Profile()
+            profile.enable()
+            try:
+                traced = load_scene(path)
+            finally:
+                profile.disable()
+        assert len(plain) < 3 * CHUNK + 17 - plain.rejected_count   # the arrays were shrunk
+        self.assert_same_scene(traced, plain)
 
 # ---- loader fuzz: mutations of valid scene files -------------------------------
 

@@ -620,6 +620,50 @@ class TestExportDataset:
         assert man["rollouts"][1]["file"] is None
 
 
+def export_rows(n, seed, t0=0.0, zero_at=None, splits=()):
+    """A rollout of n samples with its own positions and orientations; t
+    starts at t0, and gripper holds -0.0 at zero_at and 0.0 elsewhere."""
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(n, 4))
+    times = 0.01 * np.arange(n)
+    times[0] = t0
+    gripper = np.zeros(n)
+    if zero_at is not None:
+        gripper[zero_at] = -0.0
+    return Trajectory(times, rng.normal(size=(n, 3)), q / np.linalg.norm(q, axis=1, keepdims=True), gripper,
+                      [0, *splits, n - 1])
+
+
+class TestSharedColumnText:
+    """export_dataset formats the t, gripper and split-flag columns once and
+    reuses that text for a later rollout whose column has the same bits:
+    every file still equals its own traj.to_csv()."""
+
+    @pytest.mark.parametrize("batch", [
+        # one batch's shared columns, as synthesize makes them
+        [dict(n=20, seed=k) for k in range(4)],
+        # t or gripper that differ from the last rollout's only by -0.0 against 0.0
+        [dict(n=20, seed=0), dict(n=20, seed=1, t0=-0.0), dict(n=20, seed=2), dict(n=20, seed=3, t0=-0.0)],
+        [dict(n=20, seed=0), dict(n=20, seed=1, zero_at=5), dict(n=20, seed=2, zero_at=5), dict(n=20, seed=3)],
+        # mixed lengths, the shorter t a prefix of the longer
+        [dict(n=20, seed=0), dict(n=31, seed=1), dict(n=20, seed=2), dict(n=20, seed=3), dict(n=31, seed=4)],
+        # one length, differing splits
+        [dict(n=20, seed=0), dict(n=20, seed=1, splits=(7,)), dict(n=20, seed=2, splits=(7, 12)), dict(n=20, seed=3)],
+    ], ids=["shared", "signed_zero_t", "signed_zero_gripper", "mixed_lengths", "differing_splits"])
+    def test_every_file_equals_its_own_text(self, tmp_path, batch):
+        trajs = [export_rows(**kw) for kw in batch]
+        manifest = {"rollouts": [{"index": i, "dtw_position": 0.0, "dtw_orientation": 0.0}
+                                 for i in range(len(trajs))]}
+        files = export_dataset(trajs, manifest, tmp_path)
+        assert len(files) == len(trajs)
+        for name, traj in zip(files, trajs):
+            assert (tmp_path / name).read_bytes() == traj.to_csv().encode(), name
+
+    def test_signed_zeros_reach_the_text(self):
+        assert export_rows(20, 0, t0=-0.0).to_csv().splitlines()[1].startswith("-0.0,")
+        assert export_rows(20, 0, zero_at=5).to_csv().splitlines()[6].endswith(",-0.0,0")
+
+
 class TestJobValidation:
     def test_rejects_bad_n_demos(self):
         with pytest.raises(ValueError):
