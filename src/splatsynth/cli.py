@@ -133,6 +133,30 @@ def _require_file(path: str) -> str:
     return path
 
 
+def _output_file(flag: str, path: str, shown: str) -> None:
+    """Refuse, naming flag, an output file path that names no file, is a
+    directory or lies in a missing directory; shown is the path as given."""
+    if not os.path.basename(path):
+        raise UsageError(f"{flag}: must name a file, got {shown!r}")
+    if os.path.isdir(path):
+        raise UsageError(f"{flag}: {shown!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError(f"{flag}: {shown!r} is not in an existing directory")
+
+
+def _output_dir(flag: str, path: str) -> None:
+    """Refuse, naming flag, an output directory that is a file or lies in
+    one; its missing directories are left to be made."""
+    if not path:
+        raise UsageError(f"{flag}: must name a directory, got ''")
+    head = path
+    while not os.path.exists(head or "."):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head or "."):
+        where = "" if head == path else f" lies in {head!r}, which"
+        raise UsageError(f"{flag}: {path!r}{where} is not a directory")
+
+
 def _load_points(path: str) -> np.ndarray:
     """Point set from a scene's means, or from a CSV whose rows start with x, y
     and z: blank rows are skipped and line 1 may be a header; any other row
@@ -173,10 +197,14 @@ def _moved(scene, T, path: str):
 
 def cmd_align(args) -> int:
     params = alignment.IcpParams(max_iters=args.max_iters, tol=args.tol, max_corr_dist=args.max_corr_dist)
+    _output_file("--out", args.out, args.out)
     scene = None
     if args.aligned_scene:
         if not args.scene.endswith((".json", ".ply")):
             raise UsageError(f"--aligned-scene needs a .json or .ply scene to transform, got {args.scene}")
+        _output_file("--aligned-scene", args.aligned_scene, args.aligned_scene)
+        if os.path.realpath(args.aligned_scene) == os.path.realpath(args.out):
+            raise UsageError(f"--aligned-scene: {args.aligned_scene!r} is also --out")
         scene = splats.load_scene(_require_file(args.scene), opacity_floor=0.0)
     source = _load_points(args.scene) if scene is None else scene.means
     target = _load_points(args.proxy)
@@ -190,6 +218,7 @@ def cmd_align(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    _output_dir("--out", args.out)
     demo = Trajectory.load(_require_file(args.demo))
     try:
         synthesis.check_n_basis(demo, args.n_basis)
@@ -208,6 +237,7 @@ def cmd_fit(args) -> int:
 
 def cmd_synth(args) -> int:
     job = _job_from_config(_load_config(args.config))
+    _output_dir("output.dir", job.output_dir)
     trajectories, manifest = synthesis.synthesize(job)
     synthesis.export_dataset(trajectories, manifest, job.output_dir)
     n_ok = 0
@@ -241,10 +271,7 @@ def _is_rollout(name: str) -> bool:
 
 
 def cmd_eval(args) -> int:
-    out_name = os.path.basename(args.out)
-    if not out_name:
-        raise UsageError(f"--out: must name a file, got {args.out!r}")
-    if _is_rollout(out_name):
+    if _is_rollout(os.path.basename(args.out)):
         raise UsageError(f"--out: {args.out!r} is the name of a rollout file, which eval reads")
     if not args.scene and (args.transform or args.scene_unaligned):
         raise UsageError(f"{'--transform' if args.transform else '--scene-unaligned'} needs --scene")
@@ -256,11 +283,13 @@ def cmd_eval(args) -> int:
     if not os.path.isdir(args.dataset):
         raise UsageError(f"not a directory: {args.dataset}")
     out_path = os.path.join(args.dataset, args.out)
-    if os.path.isdir(out_path):
-        raise UsageError(f"--out: {args.out!r} is a directory")
-    if not os.path.isdir(os.path.dirname(out_path)):
-        raise UsageError(f"--out: {args.out!r} is not in an existing directory")
+    _output_file("--out", out_path, args.out)
     expert = Trajectory.load(_require_file(args.expert))
+    if raster is not None:
+        try:   # draws the expert, which every file's writing error reads, before any file
+            metrics.writing_error(expert, expert, raster)
+        except metrics.MetricError as exc:
+            raise UsageError(f"--writing-plane: the expert's strokes on this plane: {exc}") from exc
     scene = None
     if args.scene:
         scene = splats.load_scene(_require_file(args.scene))
@@ -273,8 +302,12 @@ def cmd_eval(args) -> int:
     reports = []
     rows = []
     for name in files:
-        traj = Trajectory.load_csv(os.path.join(args.dataset, name))
-        rep = metrics.evaluate_rollout(traj, expert, scene, args.rho_th, raster)
+        path = os.path.join(args.dataset, name)
+        traj = Trajectory.load_csv(path)
+        try:
+            rep = metrics.evaluate_rollout(traj, expert, scene, args.rho_th, raster)
+        except metrics.MetricError as exc:
+            raise metrics.MetricError(f"{path}: {exc}") from exc
         reports.append(rep)
         rows.append([name, repr(rep.dtw_position), repr(rep.dtw_orientation),
                      int(rep.collided), repr(rep.max_density),

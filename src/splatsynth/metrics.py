@@ -238,8 +238,10 @@ def collision_check(traj: Trajectory, scene: GaussianScene, rho_th: float):
     Returns (collided, max_density, first_violation_index_or_None).  The
     densities have density_many's bits.  They are read through the neighbour
     list that the scene keeps for a stream of paths, its one piece of mutable
-    state (_NeighborList.path_density): the paths of one dataset lie near
-    each other, and one list answers most of them.
+    state (_NeighborList.path_density): the list is built at the first path
+    of a row count and answers each later path within its skin, so the paths
+    of one dataset, which share a row count and lie near each other, are
+    mostly answered by one list.
     """
     rhos = scene._paths.path_density(traj.positions)
     max_density = float(rhos.max()) if len(rhos) else 0.0

@@ -9,11 +9,11 @@ candidate (row, blob) pair as one array.  A stream of row batches that move
 little from one to the next, as the coupling hook's are, is answered with the
 same bits from a neighbour list that is queried again only when a row moves
 more than its skin (_NeighborList); so are the gradient probes around a
-listed row that lie within the skin of where the row was listed, and a stream
-of whole paths that lie near each other, through a list the scene keeps
-(GaussianScene._paths, for collision_check).  The rows
-with 1 to 7 kernel terms are summed in one padded reduction, the others per
-term count (_density_sums).
+listed row that lie within the skin of where the row was listed, and the
+paths of a stream that lie within the skin of its first path, through a list
+the scene keeps (GaussianScene._paths, for collision_check).  The rows with 1
+to 7 kernel terms are summed in one padded reduction, the others per term
+count (_density_sums).
 Contributions are truncated at a fixed cutoff of CUTOFF_SIGMA standard
 deviations (bounding radius per blob), which keeps the truncation error below
 1e-6 relative on scenes whose blob spacing exceeds the cutoff radius.
@@ -53,8 +53,8 @@ class GaussianBlob:
 class GaussianScene:
     """Splat scene with vectorized density queries.  Its splats never change
     after it is made; its one piece of mutable state is the neighbour list
-    that collision_check reads paths through (_paths), which changes no
-    result's bits."""
+    that collision_check reads paths through (_paths), built at the first
+    path of each row count, which changes no result's bits."""
 
     def __init__(self, blobs, opacity_floor: float = DEFAULT_OPACITY_FLOOR):
         blobs = list(blobs)
@@ -204,15 +204,15 @@ class _NeighborList:
     was listed is answered from that row's pairs.  probed and past_skin count
     the probe points answered so and those sent to density_many.
 
-    A stream of whole paths, which may or may not lie near each other, is
-    read through path_density, which lists only where reuse is shown and
-    within _PATH_BUDGET; missed counts the paths it sends to density_many."""
+    A stream of whole paths is read through path_density, which lists the
+    first path of each row count and keeps that list; missed counts the
+    paths it sends to density_many."""
 
     def __init__(self, scene: GaussianScene):
         self.scene = scene
         self.skin = _SKIN
         self._drop()
-        self.too_big = -1   # the row count whose path list went over _PATH_BUDGET, or -1
+        self.path_rows = -1   # the row count of path_density's stream, or -1
         self.rebuilds = self.listed = self.kept = self.probed = self.past_skin = self.missed = 0
 
     def _drop(self) -> None:
@@ -242,15 +242,6 @@ class _NeighborList:
         """Whether xs has the row count of the origin, each row within its skin."""
         return self.origin is not None and len(xs) == len(self.origin) and self._inside(xs, self.origin)
 
-    def _jumped(self, xs: np.ndarray) -> bool:
-        """Whether the middle row of xs, of the origin's row count, moved past
-        the skin: a quick test that a path jumped, as its middle row most
-        likely has.  Python floats take no numpy call and warn of nothing."""
-        if self.origin is None or len(xs) != len(self.origin) or not len(xs):
-            return False
-        (a, b, c), (d, e, f) = xs[len(xs) // 2].tolist(), self.origin[len(xs) // 2].tolist()
-        return (a - d) * (a - d) + (b - e) * (b - e) + (c - f) * (c - f) > self.skin * self.skin
-
     def density(self, xs: np.ndarray) -> np.ndarray:
         """rho at each (n, 3) row, as density_many(scene, xs) gives it."""
         if not self._near(xs):
@@ -266,31 +257,27 @@ class _NeighborList:
 
     def path_density(self, xs: np.ndarray) -> np.ndarray:
         """rho at each (n, 3) row of one path of a stream, as
-        density_many(scene, xs) gives it.  A rebuild costs more than a
-        density_many read, so the list is built only where reuse is shown.  A
-        path that is not near the last one (the same row count, every row
-        within the skin) is answered by density_many, and its rows are
-        remembered.  The next path near those rows builds the list, and the
-        list answers the paths after it while they stay near it.  A list over
-        _PATH_BUDGET pairs and rows answers its own path and is dropped; the
-        paths of its row count then go to density_many, and are not
-        remembered, until a path of another row count comes."""
+        density_many(scene, xs) gives it.  The first path of a row count
+        builds the list, which answers each later path of that count whose
+        rows all lie within the skin of it; every other path goes to
+        density_many, and the list stays.  A path of over _PATH_BUDGET rows is
+        never listed, and a list over _PATH_BUDGET pairs and rows answers its
+        own path only: the paths of that row count then go to density_many
+        until a path of another row count comes."""
         n = len(xs)
-        if self._jumped(xs) or not self._near(xs):
-            self.missed += 1
+        if n != self.path_rows:
+            self.path_rows = n
             self._drop()
-            if n != self.too_big:
-                self.too_big = -1
-                if n <= _PATH_BUDGET:
-                    self.origin = xs.copy()
-            return density_many(self.scene, xs)
-        if self.row is None:
-            self._rebuild(xs)
-        rho = self._listed_density(xs)
-        if len(self.row) + n > _PATH_BUDGET:
-            self._drop()
-            self.too_big = n
-        return rho
+            if n <= _PATH_BUDGET:
+                self._rebuild(xs)
+                rho = self._listed_density(xs)
+                if len(self.row) + n > _PATH_BUDGET:
+                    self._drop()
+                return rho
+        elif self._near(xs):
+            return self._listed_density(xs)
+        self.missed += 1
+        return density_many(self.scene, xs)
 
     def probe_density(self, rows: np.ndarray, probes: np.ndarray) -> np.ndarray:
         """rho at (m, p, 3) probes, probes[i] lying near the list's row rows[i],

@@ -43,6 +43,13 @@ def one_error_line(capsys, start):
     assert err.splitlines() == [err.strip()] and err.startswith(f"error: {start}"), err
 
 
+def forbid(monkeypatch, module, name):
+    """Make module.name fail the test if it is called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the input was refused")
+    monkeypatch.setattr(module, name, refuse)
+
+
 # file name: (scene file text, what the error line names after the file)
 BAD_SCENES = {
     "number.json": ("5", "scene JSON must be an object"),
@@ -1060,10 +1067,10 @@ class TestEval:
             runs.append((run.stderr, (out_dir / f"{level}.csv").read_bytes()))
         (quiet, summary), (loud, debug_summary) = runs
         assert quiet == "" and debug_summary == summary and summary.count(b"\n") == 4
-        # the first rollout goes to density_many, the second builds the list, and the third is answered by it
+        # the first rollout builds the list, and it answers the two within its skin
         (line,) = loud.splitlines()
         counts = re.fullmatch(r"DEBUG:splatsynth.cli:3 files scored; scene path list: 1 rebuilds, (\d+) listed "
-                              r"pairs, (\d+) kept, 1 paths read by density_many", line)
+                              r"pairs, (\d+) kept, 0 paths read by density_many", line)
         assert counts and 0 < int(counts[2]) <= int(counts[1])
 
     def test_transform_bottom_row_is_one_error_line(self, tmp_path, demo_csv, capsys):
@@ -1075,6 +1082,29 @@ class TestEval:
         assert main(["eval", str(out_dir), demo_csv, "--scene", scene_path,
                      "--transform", str(t_path)]) == 1
         one_error_line(capsys, f"{t_path}: bottom row must be [0, 0, 0, 1], got [5.0, 5.0, 5.0, 5.0]")
+
+    def test_plane_that_flattens_the_expert_exits_2(self, tmp_path, capsys, monkeypatch):
+        forbid(monkeypatch, splatsynth.metrics, "evaluate_rollout")   # refused before any file is scored
+        demo = line_demo([0.0, 0.0, 0.0], [0.4, 0.0, 0.0])
+        demo_path, data = tmp_path / "demo.csv", tmp_path / "data"
+        demo.save_csv(demo_path)
+        data.mkdir()
+        demo.save_csv(data / "rollout_0000.csv")
+        assert main(["eval", str(data), str(demo_path), "--writing-plane", "0,0,0,1,0,0"]) == 2
+        one_error_line(capsys, "--writing-plane: the expert's strokes on this plane: "
+                               "degenerate bounding box: zero area")
+        assert sorted(p.name for p in data.iterdir()) == ["rollout_0000.csv"]
+
+    def test_flattened_rollout_names_its_file(self, tmp_path, demo_csv, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        demo = Trajectory.load_csv(demo_csv)
+        demo.save_csv(data / "rollout_0000.csv")
+        still = np.broadcast_to(demo.positions[0], demo.positions.shape)
+        Trajectory(demo.times, still, demo.quaternions, demo.gripper, demo.splits).save_csv(data / "rollout_0001.csv")
+        assert main(["eval", str(data), demo_csv, "--writing-plane", "0,0,0,0,0,1"]) == 1
+        one_error_line(capsys, f"{data / 'rollout_0001.csv'}: degenerate bounding box: zero area")
+        assert not (data / "summary.csv").exists()
 
 
 class TestPathErrors:
@@ -1095,9 +1125,11 @@ class TestPathErrors:
         assert main([a.format(**names) for a in argv]) == 2
         one_error_line(capsys, start.format(**names))
 
-    def test_fit_out_is_a_file_exits_1(self, demo_csv, capsys):
-        assert main(["fit", demo_csv, "--out", demo_csv]) == 1
-        one_error_line(capsys, "[Errno 17] File exists")
+    def test_fit_out_is_a_file_exits_2(self, demo_csv, capsys):
+        before = Path(demo_csv).read_bytes()
+        assert main(["fit", demo_csv, "--out", demo_csv]) == 2
+        one_error_line(capsys, f"--out: {demo_csv!r} is not a directory")
+        assert Path(demo_csv).read_bytes() == before
 
     def test_eval_out_is_a_directory_exits_2(self, tmp_path, demo_csv, capsys):
         out_dir = tmp_path / "data"
@@ -1105,6 +1137,68 @@ class TestPathErrors:
         Trajectory.load_csv(demo_csv).save_csv(out_dir / "rollout_0000.csv")
         assert main(["eval", str(out_dir), demo_csv]) == 2
         one_error_line(capsys, "--out: 'summary.csv' is a directory")
+
+
+class TestOutputPaths:
+    """An output path that cannot be written is refused before any work: exit
+    2, one error line naming the flag or key, and nothing written."""
+
+    @staticmethod
+    def files(root):
+        return sorted((str(p.relative_to(root)), p.read_bytes() if p.is_file() else None) for p in root.rglob("*"))
+
+    @pytest.mark.parametrize("out, line", [
+        ("afile", "output.dir: '{root}/afile' is not a directory"),
+        ("afile/deeper", "output.dir: '{root}/afile/deeper' lies in '{root}/afile', which is not a directory"),
+        ("", "output.dir: must name a directory, got ''"),
+    ])
+    def test_synth_output_dir(self, tmp_path, demo_csv, capsys, monkeypatch, out, line):
+        forbid(monkeypatch, splatsynth.synthesis, "synthesize")
+        (tmp_path / "afile").write_text("kept")
+        cfg = write_config(tmp_path, demo_csv, tmp_path / out if out else "")
+        before = self.files(tmp_path)
+        assert main(["synth", cfg]) == 2
+        one_error_line(capsys, line.format(root=tmp_path))
+        assert self.files(tmp_path) == before
+
+    def test_synth_makes_missing_parent_directories(self, tmp_path, demo_csv):
+        out_dir = tmp_path / "nosuch" / "deeper" / "ok"
+        assert main(["synth", write_config(tmp_path, demo_csv, out_dir)]) == 0
+        assert (out_dir / "manifest.json").is_file()
+
+    @pytest.mark.parametrize("out, line", [
+        ("afile/models", "--out: 'afile/models' lies in 'afile', which is not a directory"),
+        ("", "--out: must name a directory, got ''"),
+    ])
+    def test_fit_out(self, tmp_path, demo_csv, capsys, monkeypatch, out, line):
+        forbid(monkeypatch, splatsynth.dmp, "fit_dmp")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("kept")
+        before = self.files(tmp_path)
+        assert main(["fit", demo_csv, "--out", out]) == 2
+        one_error_line(capsys, line)
+        assert self.files(tmp_path) == before
+
+    @pytest.mark.parametrize("flags, line", [
+        (["--out", "."], "--out: '.' is a directory"),
+        (["--out", "sub"], "--out: 'sub' is a directory"),
+        (["--out", "sub/"], "--out: must name a file, got 'sub/'"),
+        (["--out", "nosuchdir/t.json"], "--out: 'nosuchdir/t.json' is not in an existing directory"),
+        (["--out", "afile/t.json"], "--out: 'afile/t.json' is not in an existing directory"),
+        (["--aligned-scene", "sub"], "--aligned-scene: 'sub' is a directory"),
+        (["--aligned-scene", "nosuchdir/a.json"], "--aligned-scene: 'nosuchdir/a.json' is not in an existing directory"),
+        (["--aligned-scene", "./transform.json"], "--aligned-scene: './transform.json' is also --out"),
+    ])
+    def test_align_out(self, tmp_path, capsys, monkeypatch, flags, line):
+        forbid(monkeypatch, splatsynth.alignment, "icp_align")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "afile").write_text("kept")
+        write_scene(tmp_path / "scene.json", [GaussianBlob(np.zeros(3), 1e-4 * np.eye(3), 1.0)])
+        before = self.files(tmp_path)
+        assert main(["align", "scene.json", "scene.json", *flags]) == 2
+        one_error_line(capsys, line)
+        assert self.files(tmp_path) == before
 
 
 class TestCalibrateRho:

@@ -737,8 +737,9 @@ def ply_scene(tmp_path):
 
 class TestPathList:
     """A scene answers a stream of paths (collision_check) through the list
-    it keeps, with density_many's bits on every path.  The list is built only
-    at a path near the one before it, and the scene keeps no list over
+    it keeps, with density_many's bits on every path.  The first path of a
+    row count builds the list, which answers the later paths within its skin
+    and stays through the others, and the scene keeps no list over
     _PATH_BUDGET."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -767,20 +768,23 @@ class TestPathList:
         p7 = p6.copy()
         p7[4, 1] = np.nan
         stream = [
-            (p0, (0, 1)),              # nothing to compare with: density_many, rows remembered
-            (p1, (1, 0)),              # near them: the list is built
-            (creep(p1), (0, 0)),       # near the list: answered from it
+            (p0, (1, 0)),              # the first path of a row count builds the list
+            (p1, (0, 0)),              # within its skin: answered from it
+            (creep(p0), (0, 0)),
+            (p0, (0, 0)),
+            (p2, (0, 1)),              # a jump of one row: density_many, and the list stays
             (p1, (0, 0)),
-            (p2, (0, 1)),              # a jump of one row: density_many, and the list is dropped
             (p3, (0, 1)),              # a jump of every row
-            (creep(p3), (1, 0)),
-            (p5, (0, 1)),              # a new row count starts over
-            (p6, (1, 0)),
+            (creep(p3), (0, 1)),       # near the missed path, not the list: density_many
+            (p1, (0, 0)),
+            (p5, (1, 0)),              # a new row count lists again
+            (p6, (0, 0)),
             (p7, (0, 1)),              # a non-finite row is never near
             (p7, (0, 1)),
-            (p6, (0, 1)),
-            (p6[:0], (0, 1)),
-            (p6[:0], (1, 0)),          # two empty paths are near each other
+            (p6, (0, 0)),
+            (p6[:0], (1, 0)),
+            (p6[:0], (0, 0)),          # two empty paths are near each other
+            (p0, (1, 0)),              # back to 30 rows: listed again
         ]
         for i, (xs, counts) in enumerate(stream):
             assert path_read(scene, xs) == counts, i
@@ -790,7 +794,8 @@ class TestPathList:
            moves=st.lists(st.sampled_from(WALK_MOVES), min_size=1, max_size=10))
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_random_streams_match_density_many(self, name, n, seed, moves):
-        # TestNeighborList's walk, read as paths: a read rebuilds only next to its remembered path
+        # TestNeighborList's walk, read as paths: a read rebuilds exactly at a new row count, and
+        # a path within the skin of where the list was built is answered from it
         scene, spread = LIST_SCENES[name]
         scene = unlisted(scene)
         rng = np.random.default_rng(seed)
@@ -801,7 +806,7 @@ class TestPathList:
             return rows
 
         xs = fresh(n)
-        assert path_read(scene, xs) == (0, 1)
+        assert path_read(scene, xs) == (1, 0)
         for move in moves:
             last = xs.copy()
             some = rng.random(len(xs)) < 0.5
@@ -819,16 +824,70 @@ class TestPathList:
             else:
                 xs = xs.copy()
                 xs[some] = fresh(int(some.sum()))
-            paths = scene._paths
-            remembered = paths.origin is not None and paths.row is None
+            origin = scene._paths.origin
             rebuilt, missed = path_read(scene, xs)
-            assert rebuilt + missed <= 1
-            if rebuilt:
-                assert remembered and len(last) == len(xs)
+            assert rebuilt + missed <= 1 and rebuilt == (len(xs) != len(last))
+            if not rebuilt:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    moved = np.linalg.norm(xs - origin, axis=1)
+                # rows clear of the skin's edge, where rounding may go either way
+                if np.all(moved <= 0.999 * splats._SKIN):
+                    assert missed == 0
+                if np.any(~(moved <= 1.001 * splats._SKIN)):
+                    assert missed == 1
         assert scene._paths.kept <= scene._paths.listed
 
+    def test_scattered_misses_keep_the_list(self):
+        # paths of one row count around one letter, with a far path now and then: one list
+        # answers every near path, and each far path goes to density_many
+        scene = cluttered_scene(200, seed=48)
+        rng = np.random.default_rng(49)
+        base = scene.means[rng.integers(0, len(scene), 25)]
+        assert path_read(scene, base) == (1, 0)
+        far = 0
+        for i in range(24):
+            if i % 5 == 2:
+                xs, counts = base + rng.normal(0.0, 0.1, base.shape) + [0.0, 0.0, 0.2], (0, 1)
+                far += 1
+            else:
+                xs, counts = base + unit_rows(rng, 25) * rng.uniform(0.0, 0.9 * splats._SKIN, (25, 1)), (0, 0)
+            assert path_read(scene, xs) == counts, i
+        paths = scene._paths
+        assert (paths.rebuilds, paths.missed) == (1, far) and far == 5
+
+    def test_each_path_read_twice(self):
+        # a stream P, P, Q, Q, ...: the list of the first path answers every read within its
+        # skin, both reads of a far path go to density_many, and nothing is listed again
+        scene = cluttered_scene(200, seed=50)
+        rng = np.random.default_rng(51)
+        base = scene.means[rng.integers(0, len(scene), 40)]
+        stream = [base] + [base + rng.normal(0.0, 0.01, base.shape) for _ in range(15)]
+        served = 0
+        for xs in stream:
+            near = np.all(np.linalg.norm(xs - base, axis=1) <= splats._SKIN)
+            for _ in range(2):
+                rebuilt, missed = path_read(scene, xs)
+                assert missed == (not near)
+            served += 2 * near
+        paths = scene._paths
+        assert paths.rebuilds == 1 and paths.missed == 2 * len(stream) - served
+        assert 2 < served < 2 * len(stream)   # both kinds of path in the stream
+
+    def test_an_outlier_first_path(self):
+        # the list is built at the first path, however far it lies from the rest: the paths after
+        # it go to density_many, and the list stays
+        scene = cluttered_scene(200, seed=52)
+        rng = np.random.default_rng(53)
+        base = scene.means[rng.integers(0, len(scene), 20)]
+        assert path_read(scene, base + [0.0, 0.1, 0.0]) == (1, 0)
+        for _ in range(6):
+            assert path_read(scene, base + rng.normal(0.0, 0.002, base.shape)) == (0, 1)
+        paths = scene._paths
+        assert (paths.rebuilds, paths.missed) == (1, 6) and paths.row is not None
+
     def test_an_unrelated_stream_builds_no_list(self, monkeypatch):
-        # every path jumps: each read is one density_many query of the tree, and nothing is listed
+        # every path jumps: the first lists its pairs, and each other is one density_many query of
+        # the tree; the list of the first path stays, and nothing else is listed
         scene = cluttered_scene(200, seed=43)
         rng = np.random.default_rng(44)
         stream = [scene.means[rng.permutation(len(scene))[:40]] for _ in range(12)]
@@ -843,9 +902,10 @@ class TestPathList:
         monkeypatch.setattr(splats, "_neighbors", counted)
         for xs, rho in zip(stream, want):
             assert scene._paths.path_density(xs).tobytes() == rho.tobytes()
-        assert calls == [(40, 0.0, 0.0)] * 12
+        assert calls == [(40, splats._SKIN, 1e-9)] + [(40, 0.0, 0.0)] * 11
         paths = scene._paths
-        assert (paths.rebuilds, paths.missed, paths.listed, paths.row) == (0, 12, 0, None)
+        assert (paths.rebuilds, paths.missed, paths.listed) == (1, 11, len(paths.row))
+        assert paths.origin.tobytes() == stream[0].tobytes()
 
     def test_a_list_over_the_budget_is_dropped(self, monkeypatch):
         # 10 rows that list more than 30 pairs: the list answers its one path and goes
@@ -853,23 +913,23 @@ class TestPathList:
         scene = cluttered_scene(200, seed=45)
         rng = np.random.default_rng(46)
         xs = rng.normal(0.0, 0.02, (10, 3))
-        assert path_read(scene, xs) == (0, 1)
         assert path_read(scene, xs) == (1, 0)
         paths = scene._paths
         assert paths.listed > 30 and (paths.origin, paths.row, paths.means) == (None, None, None)
-        # paths of its row count go to density_many, unremembered, until another row count comes
+        # paths of its row count go to density_many, and nothing is listed, until another row count comes
         for _ in range(3):
             assert path_read(scene, xs) == (0, 1) and paths.origin is None
         ys = xs[:2] + [5.0, 0.0, 0.0]   # 2 rows far from every blob: a list within the budget
-        assert path_read(scene, ys) == (0, 1)
         assert path_read(scene, ys) == (1, 0) and paths.row is not None
-        assert path_read(scene, xs) == (0, 1) and paths.origin is not None
-        # a path of more rows than the budget is never remembered
+        assert path_read(scene, ys) == (0, 0)
+        assert path_read(scene, xs) == (1, 0) and paths.origin is None   # listed again, and dropped again
+        # a path of more rows than the budget is never listed
         zs = rng.normal(5.0, 0.01, (41, 3))
         for _ in range(3):
             assert path_read(scene, zs) == (0, 1) and paths.origin is None
+        assert path_read(scene, ys) == (1, 0) and paths.row is not None
 
-    @pytest.mark.parametrize("rows, keeps, counts", [(1_000, True, (1, 1)), (40_000, False, (1, 2)),
+    @pytest.mark.parametrize("rows, keeps, counts", [(1_000, True, (1, 0)), (40_000, False, (1, 2)),
                                                      (splats._PATH_BUDGET + 1, False, (0, 3))])
     def test_a_path_over_the_budget_leaves_nothing_on_the_scene(self, rows, keeps, counts):
         # one wide blob, so that every row lists one pair: 1000 rows keep their list; 40000
