@@ -332,8 +332,8 @@ def rasterize_strokes(points2d: np.ndarray, spec: RasterSpec) -> np.ndarray:
     x, y = _bresenham_pixels(*pix[:-1].T, *pix[1:].T)
     img[y, x] = True
     # the square stamp: grow by one pixel along each axis, stroke_px // 2 times;
-    # the shifted slices stop at the canvas border
-    for _ in range(spec.stroke_px // 2):
+    # the shifted slices stop at the canvas border, and res - 1 steps fill it
+    for _ in range(min(spec.stroke_px // 2, res - 1)):
         img[1:] |= img[:-1]
         img[:-1] |= img[1:]
         img[:, 1:] |= img[:, :-1]

@@ -11,9 +11,9 @@ same bits from a neighbour list that is queried again only when a row moves
 more than its skin (_NeighborList); so are the gradient probes around a
 listed row that lie within the skin of where the row was listed, and the
 paths of a stream that lie within the skin of its first path, through a list
-the scene keeps (GaussianScene._paths, for collision_check).  The rows with 1
-to 7 kernel terms are summed in one padded reduction, the others per term
-count (_density_sums).
+the scene keeps (GaussianScene._paths, for collision_check).  Every read sums
+each row's kernel terms in pair order, left to right from +0.0, in one
+weighted bincount (_density_sums).
 Contributions are truncated at a fixed cutoff of CUTOFF_SIGMA standard
 deviations (bounding radius per blob), which keeps the truncation error below
 1e-6 relative on scenes whose blob spacing exceeds the cutoff radius.
@@ -320,38 +320,14 @@ def density_many(scene: GaussianScene, xs) -> np.ndarray:
     return rho.reshape(xs.shape[:-1])
 
 
-# np.sum adds a run of fewer terms than this left to right, and longer runs pairwise
-_PAIRWISE_FROM = 8
-
-
 def _density_sums(n: int, row, d, inv_covs, opacities) -> np.ndarray:
-    """rho at n rows from their kernel pairs, grouped by row: each pair's row,
-    offset d = x - mean, inverse covariance and opacity."""
+    """rho at n rows from their kernel pairs: each pair's row, offset
+    d = x - mean, inverse covariance and opacity.  Each row's terms are added
+    in pair order, left to right from +0.0."""
     if len(row) == 0:
         return np.zeros(n)
     m = np.einsum("ni,nij,nj->n", d, inv_covs, d)
-    terms = opacities * np.exp(-0.5 * m)
-    # A row's sum must round as np.sum of its k terms alone.  np.sum adds fewer
-    # than _PAIRWISE_FROM terms left to right from +0.0, so trailing +0.0 terms
-    # keep its bits: the rows of 1 to 7 terms are summed as one padded array.
-    # It adds longer rows pairwise, so the rows with k >= 8 terms are summed
-    # together as one (rows, k) array per k.
-    counts = np.bincount(row, minlength=n)
-    first = np.cumsum(counts) - counts
-    width = _PAIRWISE_FROM - 1
-    padded = np.zeros((n, width))
-    cell = row * width + (np.arange(len(row)) - first[row])   # each term's place in padded.ravel()
-    long = counts >= _PAIRWISE_FROM
-    if not long.any():
-        padded.reshape(-1)[cell] = terms
-        return padded.sum(axis=1)
-    short = ~long[row]
-    padded.reshape(-1)[cell[short]] = terms[short]
-    rho = padded.sum(axis=1)
-    for k in np.unique(counts[long]):
-        sel = np.flatnonzero(counts == k)
-        rho[sel] = terms[first[sel, None] + np.arange(k)].sum(axis=1)
-    return rho
+    return np.bincount(row, weights=opacities * np.exp(-0.5 * m), minlength=n)
 
 
 def density(scene: GaussianScene, x) -> float:

@@ -834,6 +834,12 @@ class TestSynth:
         assert lines[3] == f"2/3 rollouts written to {out_dir}"
         assert not (out_dir / "rollout_0001.csv").exists()
 
+    def test_out_of_memory_is_one_error_line(self, tmp_path, demo_csv, capsys):
+        # 10^14 rollouts need petabytes, past any 64-bit address space: refused at once
+        cfg = write_config(tmp_path, demo_csv, tmp_path / "out", n_demos=10 ** 14)
+        assert main(["synth", cfg]) == 1
+        one_error_line(capsys, "Unable to allocate")
+
     def test_rerun_byte_identical(self, tmp_path, demo_csv):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -985,6 +991,13 @@ class TestEval:
         out_dir, _ = self.make_dataset(tmp_path, demo_csv)
         assert main(["eval", str(out_dir), demo_csv, "--writing-plane", "0,0,0,0,0,1",
                      "--raster-resolution", "1", "--stroke-px", "1"]) == 0
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path, demo_csv, capsys):
+        # a 10^8-pixel-wide canvas needs petabytes, past any 64-bit address space: refused at once
+        out_dir, _ = self.make_dataset(tmp_path, demo_csv)
+        assert main(["eval", str(out_dir), demo_csv, "--writing-plane", "0,0,0,0,0,1",
+                     "--raster-resolution", str(10 ** 8)]) == 1
+        one_error_line(capsys, "Unable to allocate")
 
     @pytest.mark.parametrize("name", BAD_TRANSFORMS)
     def test_malformed_transform_is_one_error_line(self, tmp_path, demo_csv, capsys, name):

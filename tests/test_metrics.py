@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -654,6 +655,17 @@ class TestRasterMatchesPerPixel:
         spec = RasterSpec(resolution=res, stroke_px=stroke_px)
         for _ in range(3):
             assert_matches_per_pixel(np.cumsum(rng.normal(size=(600, 2)), axis=0), spec)
+
+    @pytest.mark.parametrize("res", [1, 2, 5, 128])
+    def test_stroke_wider_than_the_canvas_stops_growing(self, res):
+        # res - 1 growth steps fill the canvas, so 5e6 more (about a minute at
+        # res 128) change nothing
+        start = time.perf_counter()
+        wide = rasterize_strokes(BORDER[:3], RasterSpec(resolution=res, stroke_px=10 ** 7))
+        assert time.perf_counter() - start < 5.0
+        full = RasterSpec(resolution=res, stroke_px=max(1, 2 * (res - 1)))
+        assert np.array_equal(wide, rasterize_strokes(BORDER[:3], full))
+        assert wide.all()
 
     def test_single_point_is_degenerate_for_both(self):
         for res in (1, 128):

@@ -1,10 +1,12 @@
 import cProfile
 import io
 import json
+import math
 import struct
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -234,7 +236,15 @@ def density_pointwise(scene, x):
         return 0.0
     d = x - scene.means[idx]
     m = np.einsum("ni,nij,nj->n", d, scene.inv_covariances[idx], d)
-    return float(np.sum(scene.opacities[idx] * np.exp(-0.5 * m)))
+    return left_to_right_sum(scene.opacities[idx] * np.exp(-0.5 * m))
+
+
+def left_to_right_sum(terms):
+    """Oracle: the terms added one by one, left to right from +0.0."""
+    total = 0.0
+    for t in terms:
+        total += float(t)
+    return total
 
 
 def scene_blobs(scene):
@@ -374,7 +384,7 @@ class TestDensityManyMatchesPointwise:
         self.assert_matches(scene, np.concatenate([near_blob_queries(scene, 400, seed=n), far]))
 
     def test_mixed_neighbour_counts(self):
-        # every pairwise-summation regime of np.sum: k < 8, 8 <= k <= 128, k > 128
+        # term counts below 8, from 8 to 128, and above 128
         scene = cluttered_scene(600, seed=4)
         xs = np.random.default_rng(5).normal(0.0, 0.15, (1000, 3))
         counts = {len(query_neighbors(scene, x, 0.0)) for x in xs}
@@ -953,16 +963,16 @@ class TestPathList:
 
 
 def per_row_sums(n, row, terms):
-    """Oracle: each of n rows' np.sum of its own terms, grouped by row; +0.0
-    for a row with none."""
+    """Oracle: each of n rows' terms added left to right from +0.0, grouped by
+    row; +0.0 for a row with none."""
     counts = np.bincount(row, minlength=n)
     ends = np.cumsum(counts)
-    return np.array([np.sum(terms[b - c:b]) for c, b in zip(counts, ends)], dtype=float)
+    return np.array([left_to_right_sum(terms[b - c:b]) for c, b in zip(counts, ends)], dtype=float)
 
 
 class TestDensitySums:
-    """_density_sums sums the rows of 1 to 7 terms in one padded array and
-    the longer rows per count, with the bits of each row's own np.sum."""
+    """_density_sums adds each row's kernel terms in pair order, left to right
+    from +0.0, whatever the row's term count."""
 
     @staticmethod
     def assert_sums(counts, terms):
@@ -1012,25 +1022,30 @@ class TestDensitySums:
         assert (counts == 0).any() and ((counts > 0) & (counts < 8)).any() and (counts >= 8).any()
         assert density_many(scene, xs).tobytes() == per_row_sums(len(xs), row, terms).tobytes()
 
-    def test_numpy_sums_short_rows_left_to_right_from_positive_zero(self):
-        """_density_sums pads the rows of under 8 terms with +0.0 and sums them
-        in one call: that keeps each row's np.sum bits only while np.sum adds
-        fewer than 8 terms left to right, starting from +0.0."""
-        rng = np.random.default_rng(43)
-        for k in range(1, splats._PAIRWISE_FROM):
-            rows = rng.normal(size=(4000, k)) * 10.0 ** rng.integers(-8, 9, (4000, k))
-            rows[::11] = -0.0
-            want = np.zeros(len(rows))
-            for j in range(k):
-                want = want + rows[:, j]
-            if k >= 3:   # the rows hold sums that another order rounds otherwise
-                assert (want != rows[:, 0] + (rows[:, 1:].sum(axis=1))).any()
-            padded = np.zeros((len(rows), splats._PAIRWISE_FROM - 1))
-            padded[:, :k] = rows
-            for got in (rows.sum(axis=1), np.array([np.sum(r) for r in rows]), padded.sum(axis=1)):
-                assert got.tobytes() == want.tobytes(), (
-                    f"numpy {np.__version__} no longer sums {k} terms left to right from +0.0, "
-                    "as splats._density_sums' padded sums of short rows assume")
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(counts=st.lists(st.integers(0, 300), max_size=6), seed=st.integers(0, 2 ** 16))
+    @example(counts=[0, 1, 2, 7, 8, 9, 127, 128, 129, 300], seed=4)
+    def test_rows_lie_within_the_left_to_right_error_bound(self, counts, seed):
+        """Each row of k terms lies within gamma * sum|t| of the exact sum, with
+        gamma = (k-1)u / (1 - (k-1)u) and u = 2**-53 (Higham 1993), measured
+        exactly in rationals; a row of at most two terms is math.fsum's."""
+        rng = np.random.default_rng(seed)
+        k = sum(counts)
+        width = rng.choice([1.0, 16.0, 323.0])   # decades spanned; the lowest reach the subnormals
+        top = rng.uniform(width - 323.0, 0.0)
+        terms = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(top - width, top, k)
+        terms[rng.random(k) < 0.1] = rng.choice([0.0, -0.0])
+        tiny = rng.random(k) < 0.05
+        terms[tiny] = rng.choice([-1.0, 1.0], tiny.sum()) * rng.integers(1, 2 ** 20, tiny.sum()) * 5e-324
+        row = np.repeat(np.arange(len(counts)), counts)
+        got = splats._density_sums(len(counts), row, np.zeros((k, 3)), np.tile(np.eye(3), (k, 1, 1)), terms)
+        for c, b, total in zip(counts, np.cumsum(counts, dtype=int), got):
+            t = terms[b - c:b]
+            exact = sum(map(Fraction, t), Fraction(0))
+            if c <= 2:   # one addition at most: correctly rounded
+                assert total == math.fsum(t)
+            gamma = Fraction(max(c - 1, 0), 2 ** 53 - max(c - 1, 0))
+            assert abs(Fraction(total) - exact) <= gamma * sum(map(Fraction, np.abs(t)), Fraction(0))
 
 
 class TestTruncationBound:
