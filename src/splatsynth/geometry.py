@@ -201,8 +201,10 @@ _CSV_FIELDS = ["t", "x", "y", "z", "qw", "qx", "qy", "qz", "gripper", "split"]
 
 
 def _column_text(column: np.ndarray) -> list:
-    """The CSV text of each value of a column: repr of its Python number."""
-    return list(map(repr, column.tolist()))
+    """The CSV text of each row of a column or an (n, k) block: the reprs of its Python numbers, comma-joined."""
+    if column.ndim == 1:
+        return list(map(repr, column.tolist()))
+    return [",".join(map(repr, row)) for row in column.tolist()]
 
 
 @dataclass
@@ -319,17 +321,17 @@ class Trajectory:
         return cls(t, pos, quat, grip, np.flatnonzero(flags).tolist())
 
     def _shared_columns(self) -> tuple:
-        """The t, gripper and split-flag columns, the ones every rollout of a synthesized batch shares."""
+        """The t, gripper and split-flag columns and the (n, 4) quaternion block:
+        the ones the rollouts of a synthesized batch share (the quaternions when sigma_r is 0)."""
         flags = np.zeros(len(self), dtype=int)
         flags[self.splits] = 1
-        return self.times, self.gripper, flags
+        return self.times, self.gripper, flags, self.quaternions
 
     def to_csv(self, _text=None) -> str:
         """The CSV text.  _text, when given, is the text of _shared_columns(),
-        as _column_text makes it, which a batch's export formats once."""
-        t, gripper, flags = _text or [_column_text(column) for column in self._shared_columns()]
-        middle = np.column_stack((self.positions, self.quaternions)).tolist()
-        rows = [f"{a},{','.join(map(repr, row))},{b},{c}" for a, row, b, c in zip(t, middle, gripper, flags)]
+        as _column_text makes it, which a batch's export formats once for the rollouts that share its bits."""
+        t, gripper, flags, quats = _text or [_column_text(column) for column in self._shared_columns()]
+        rows = [f"{a},{p},{q},{b},{c}" for a, p, q, b, c in zip(t, _column_text(self.positions), quats, gripper, flags)]
         return "\n".join([",".join(_CSV_FIELDS), *rows]) + "\n"
 
     def save_csv(self, path, _text=None) -> None:

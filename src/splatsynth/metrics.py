@@ -125,13 +125,11 @@ def dtw(a, b, dist: str = "euclidean", normalized: bool = False):
     path); cost is divided by the warping-path length when normalized is
     requested."""
     if callable(dist):
-        b = list(b)
-        D = np.array([[dist(x, y) for y in b] for x in a], dtype=float)
-    else:
-        D = _distance_matrix(a, b, dist)
-    n, m = D.shape
-    if n == 0 or m == 0:
+        a, b = list(a), list(b)
+    if len(a) == 0 or len(b) == 0:
         raise ValueError("sequences must be non-empty")
+    D = np.array([[dist(x, y) for y in b] for x in a], dtype=float) if callable(dist) else _distance_matrix(a, b, dist)
+    n, m = D.shape
     stage = np.empty((1, (n + 1) * (m + 1)))
     stage[0, :n * m] = D.ravel()
     acc = _sweep(stage, n, m)[:, 0]
@@ -196,40 +194,47 @@ def trajectory_dtw(a: Trajectory, b: Trajectory):
 
 
 # float cells (4 MB) that one chunk of trajectory_dtw_many may hold; it scores
-# its rollouts in chunks of this size, so its memory stays bounded whatever the batch
+# its tracks in chunks of this size, so its memory stays bounded whatever the batch
 _CHUNK_CELLS = 1 << 19
 
 
 def trajectory_dtw_many(rollouts: list, expert: Trajectory) -> list:
-    """trajectory_dtw(r, expert) for each rollout r, all of one length.  The
-    position and orientation tables of a chunk of rollouts are filled by one
-    sweep, interleaved innermost, and walked back for the path lengths; the
-    results are bit-identical to dtw(..., normalized=True).  A table costs
-    its staging row, its column of the sweep and its column of the fill's
-    scratch buffer, and a chunk holds at most _CHUNK_CELLS of those cells."""
+    """trajectory_dtw(r, expert) for each rollout r, all of one length,
+    bit-identical to dtw(..., normalized=True).  Each distinct track, a
+    rollout's positions or quaternions keyed by their bytes, gets one table,
+    whose score every rollout that carries it shares: with sigma_r 0 a batch
+    has one orientation track.  The tables of a chunk of tracks are filled by
+    one sweep, interleaved innermost, and walked back for the path lengths.
+    A table costs its staging row, its column of the sweep and its column of
+    the fill's scratch buffer, and a chunk holds at most _CHUNK_CELLS of
+    those cells."""
     if not rollouts:
         return []
     n, m = len(rollouts[0]), len(expert)
     if any(len(r) != n for r in rollouts):
         raise ValueError("rollouts must all have the same length")
+    keys, tracks = {}, []   # (kind, bytes) -> table index; each table's (kind, dist, rollout column)
+    index = []
+    for r in rollouts:
+        for kind, dist in (("positions", "euclidean"), ("quaternions", "quaternion")):
+            column = getattr(r, kind)
+            index.append(keys.setdefault((kind, column.tobytes()), len(keys)))
+            if len(tracks) < len(keys):
+                tracks.append((kind, dist, column))
     cells = (n + 1) * (m + 1)
-    chunk = max(1, _CHUNK_CELLS // (2 * (2 * cells + min(n, m))))
+    chunk = max(1, _CHUNK_CELLS // (2 * cells + min(n, m)))
     off = _layout(n, m)[0] if cells <= _CHUNK_CELLS else _offsets(n, m)
     scores = []
-    for start in range(0, len(rollouts), chunk):
-        part = rollouts[start:start + chunk]
-        b = len(part)
-        stage = np.empty((2 * b, cells))
-        for c, r in enumerate(part):
-            _distance_matrix(r.positions, expert.positions, "euclidean", out=stage[c, :n * m].reshape(n, m))
-            _distance_matrix(r.quaternions, expert.quaternions, "quaternion",
-                             out=stage[b + c, :n * m].reshape(n, m))
+    for start in range(0, len(tracks), chunk):
+        part = tracks[start:start + chunk]
+        stage = np.empty((len(part), cells))
+        for c, (kind, dist, column) in enumerate(part):
+            _distance_matrix(column, getattr(expert, kind), dist, out=stage[c, :n * m].reshape(n, m))
         acc = _sweep(stage, n, m)
-        lengths = [len(_warping_path(acc[:, c], n, m, off)) for c in range(2 * b)]
-        normalized = (acc[-1] / lengths).tolist()
-        scores.extend(zip(normalized[:b], normalized[b:]))
+        lengths = [len(_warping_path(acc[:, c], n, m, off)) for c in range(len(part))]
+        scores.extend((acc[-1] / lengths).tolist())
         del stage, acc   # the next chunk's buffers must not meet these
-    return scores
+    return [(scores[p], scores[q]) for p, q in zip(index[::2], index[1::2])]
 
 
 def collision_check(traj: Trajectory, scene: GaussianScene, rho_th: float):

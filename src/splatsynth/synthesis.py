@@ -278,7 +278,9 @@ def synthesize(job: SynthesisJob):
 
 
 def export_dataset(trajectories, manifest, out_dir):
-    """Write one CSV per successful rollout plus manifest.json and summary.csv."""
+    """Write one CSV per successful rollout plus manifest.json and summary.csv.
+    The columns of Trajectory._shared_columns are formatted anew only where
+    their bits differ from the last rollout's, whose text is passed on."""
     if not trajectories:
         raise ExportError("nothing to export")
     try:
@@ -287,8 +289,9 @@ def export_dataset(trajectories, manifest, out_dir):
         raise ExportError(f"cannot create output directory {out_dir}: {exc}") from exc
     written = []
     # per shared column, the bits and the text of the last one formatted: a batch's rollouts share one
-    # times, gripper and split list, and bits, not ==, tell -0.0 from 0.0, whose reprs differ
-    last = [(None, None)] * 3
+    # times, gripper, split list and, with sigma_r 0, quaternion block, and bits, not ==, tell -0.0
+    # from 0.0, whose reprs differ
+    last = [(None, None)] * 4
     for traj, entry in zip(trajectories, manifest["rollouts"]):
         if traj is None:
             entry["file"] = None

@@ -211,6 +211,16 @@ class TestDtw:
         with pytest.raises(ValueError):
             dtw(np.empty((0, 3)), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("a,b", [([], [[0, 0, 0]]), ([[0, 0, 0]], []), ([], [])],
+                             ids=["empty_a", "empty_b", "both_empty"])
+    @pytest.mark.parametrize("dist", ["euclidean", "quaternion", "callable"])
+    def test_empty_named_before_any_distance(self, a, b, dist):
+        calls = []
+        selector = (lambda x, y: calls.append((x, y)) or 0.0) if dist == "callable" else dist
+        with pytest.raises(ValueError, match="^sequences must be non-empty$"):
+            dtw(a, b, selector)
+        assert calls == []
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_distance_rejected(self, bad):
         # a NaN used to give cost nan and a path that depended on min's order
@@ -343,6 +353,47 @@ class TestTrajectoryDtwMany:
         widths = self.spy_sweeps(monkeypatch)
         assert trajectory_dtw_many(rollouts, expert) == expected
         assert widths == [2 * min(chunk, b - start) for start in range(0, b, chunk)]
+
+    def test_one_orientation_track_is_one_table(self, monkeypatch):
+        # 16 rollouts with their own positions and one orientation track, as
+        # synthesize makes them with sigma_r 0: 16 position tables and one
+        rng = np.random.default_rng(14)
+        expert = random_traj(rng, 12)
+        rollouts = [Trajectory(expert.times, expert.positions + rng.normal(scale=1e-3, size=(12, 3)),
+                               expert.quaternions, expert.gripper) for _ in range(16)]
+        expected = [trajectory_dtw(r, expert) for r in rollouts]
+        widths = self.spy_sweeps(monkeypatch)
+        assert trajectory_dtw_many(rollouts, expert) == expected
+        assert widths == [17]
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), m=st.integers(2, 6),
+           picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=8),
+           chunk=st.integers(1, 5))
+    def test_shared_tracks_score_as_alone(self, seed, n, m, picks, chunk):
+        # each rollout picks one of three position and three quaternion tracks:
+        # a lattice track, its twin with every zero negated, and a random one;
+        # a budget of chunk tables puts the tables of a shared track in other
+        # chunks than the rollouts that carry it
+        rng = np.random.default_rng(seed)
+        lattice = rng.integers(-1, 2, size=(n, 3)).astype(float)
+        lattice[0, 0] = 0.0   # so that its twin differs
+        positions = [lattice, np.where(lattice == 0, -0.0, lattice), rng.normal(size=(n, 3))]
+        lattice = LATTICE_QUATS[rng.integers(0, 4, size=n)]
+        lattice[0] = LATTICE_QUATS[0]   # a row with zeros, so that its twin differs
+        random_quats = rng.normal(size=(n, 4))
+        quats = [lattice, np.where(lattice == 0, -0.0, lattice),
+                 random_quats / np.linalg.norm(random_quats, axis=1, keepdims=True)]
+        rollouts = [Trajectory(np.linspace(0, 1, n), positions[p], quats[q], np.zeros(n)) for p, q in picks]
+        expert = random_traj(rng, m)
+        alone = [trajectory_dtw(r, expert) for r in rollouts]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_CHUNK_CELLS", chunk * (2 * (n + 1) * (m + 1) + min(n, m)))
+            widths = self.spy_sweeps(patch)
+            scores = trajectory_dtw_many(rollouts, expert)
+        assert np.array_equal(np.array(scores).view(np.uint64), np.array(alone).view(np.uint64))
+        assert sum(widths) == len({p for p, _ in picks}) + len({q for _, q in picks})
+        assert max(widths) <= chunk
 
     def test_trajectory_dtw_is_one_sweep_of_two_tables(self, monkeypatch):
         rng = np.random.default_rng(11)

@@ -620,24 +620,30 @@ class TestExportDataset:
         assert man["rollouts"][1]["file"] is None
 
 
-def export_rows(n, seed, t0=0.0, zero_at=None, splits=()):
+def export_rows(n, seed, t0=0.0, zero_at=None, splits=(), qseed=None, qx=None):
     """A rollout of n samples with its own positions and orientations; t
-    starts at t0, and gripper holds -0.0 at zero_at and 0.0 elsewhere."""
+    starts at t0, and gripper holds -0.0 at zero_at and 0.0 elsewhere.  The
+    orientations are drawn from qseed instead, when it is given, so that
+    rollouts share them; with qx, sample 5's is (1, qx, 0, 0)."""
     rng = np.random.default_rng(seed)
     q = rng.normal(size=(n, 4))
+    if qseed is not None:
+        q = np.random.default_rng(qseed).normal(size=(n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    if qx is not None:
+        q[5] = 1.0, qx, 0.0, 0.0
     times = 0.01 * np.arange(n)
     times[0] = t0
     gripper = np.zeros(n)
     if zero_at is not None:
         gripper[zero_at] = -0.0
-    return Trajectory(times, rng.normal(size=(n, 3)), q / np.linalg.norm(q, axis=1, keepdims=True), gripper,
-                      [0, *splits, n - 1])
+    return Trajectory(times, rng.normal(size=(n, 3)), q, gripper, [0, *splits, n - 1])
 
 
 class TestSharedColumnText:
-    """export_dataset formats the t, gripper and split-flag columns once and
-    reuses that text for a later rollout whose column has the same bits:
-    every file still equals its own traj.to_csv()."""
+    """export_dataset formats the t, gripper and split-flag columns and the
+    quaternion block once and reuses that text for a later rollout whose
+    column has the same bits: every file still equals its own traj.to_csv()."""
 
     @pytest.mark.parametrize("batch", [
         # one batch's shared columns, as synthesize makes them
@@ -649,7 +655,16 @@ class TestSharedColumnText:
         [dict(n=20, seed=0), dict(n=31, seed=1), dict(n=20, seed=2), dict(n=20, seed=3), dict(n=31, seed=4)],
         # one length, differing splits
         [dict(n=20, seed=0), dict(n=20, seed=1, splits=(7,)), dict(n=20, seed=2, splits=(7, 12)), dict(n=20, seed=3)],
-    ], ids=["shared", "signed_zero_t", "signed_zero_gripper", "mixed_lengths", "differing_splits"])
+        # one quaternion block for the batch, as with sigma_r 0
+        [dict(n=20, seed=k, qseed=0) for k in range(4)],
+        # shared, distinct, and shared again after a distinct one
+        [dict(n=20, seed=0, qseed=0), dict(n=20, seed=1, qseed=0), dict(n=20, seed=2),
+         dict(n=20, seed=3, qseed=0), dict(n=20, seed=4, qseed=1), dict(n=31, seed=5, qseed=0)],
+        # quaternion blocks that differ from the last rollout's only by -0.0 against 0.0
+        [dict(n=20, seed=0, qseed=0, qx=0.0), dict(n=20, seed=1, qseed=0, qx=-0.0),
+         dict(n=20, seed=2, qseed=0, qx=-0.0), dict(n=20, seed=3, qseed=0, qx=0.0)],
+    ], ids=["shared", "signed_zero_t", "signed_zero_gripper", "mixed_lengths", "differing_splits",
+            "shared_quaternions", "mixed_quaternions", "signed_zero_quaternions"])
     def test_every_file_equals_its_own_text(self, tmp_path, batch):
         trajs = [export_rows(**kw) for kw in batch]
         manifest = {"rollouts": [{"index": i, "dtw_position": 0.0, "dtw_orientation": 0.0}
@@ -662,6 +677,7 @@ class TestSharedColumnText:
     def test_signed_zeros_reach_the_text(self):
         assert export_rows(20, 0, t0=-0.0).to_csv().splitlines()[1].startswith("-0.0,")
         assert export_rows(20, 0, zero_at=5).to_csv().splitlines()[6].endswith(",-0.0,0")
+        assert ",1.0,-0.0,0.0,0.0,0.0,0" in export_rows(20, 0, qseed=0, qx=-0.0).to_csv().splitlines()[6]
 
 
 class TestJobValidation:
