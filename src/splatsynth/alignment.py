@@ -109,6 +109,12 @@ def _procrustes(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     return RigidTransform(R, cd - R @ cs)
 
 
+# Coordinates past this are refused: the target tree squares coordinate
+# differences, which overflow past about 1e154, and the fit sums products of
+# them over the rows.  It lies above splats._MAX_REACH, so that a scene fitted
+# to a proxy past that reach is refused as a moved scene, naming its transform.
+_MAX_COORD = 1e151
+
 # a source of at least 2 * _COARSE_ROWS rows first converges on about
 # _COARSE_ROWS of them (Rusinkiewicz & Levoy, 3DIM 2001)
 _COARSE_ROWS = 1000
@@ -116,25 +122,49 @@ _COARSE_ROWS = 1000
 
 def _icp_loop(source, target, tree, order, params: IcpParams, T: RigidTransform, stage: str) -> IcpResult:
     """Point-to-point ICP of the source rows from T, querying them in the
-    given order and logging one DEBUG line per iteration as "icp <stage>iteration"."""
-    dist, nn = np.empty(len(source)), np.empty(len(source), dtype=np.intp)
-    residuals = []
-    prev_rms = None
-    n_inliers = 0
+    given order and logging one DEBUG line per iteration as "icp <stage>iteration".
+
+    A row is queried for its 2 nearest targets within reach, just past
+    max_corr_dist, and keeps that match unqueried while the triangle
+    inequality certifies it: moved delta from where it was queried, its
+    nearest (d1) stays nearer than its second (at least d2), and on the same
+    side of max_corr_dist, with eps to spare for rounding.  A row whose two
+    are equidistant is queried again unbounded, which breaks the tie as a
+    plain query does.  An iteration that queries no row keeps the previous
+    one's matches, and so its transform, rms and inliers."""
+    n, cap = len(source), params.max_corr_dist
+    reach = cap * (1 + 1e-6)   # cKDTree keeps only targets strictly nearer than its bound
+    at, nn = np.zeros_like(source), np.empty(n, dtype=np.intp)
+    d1, d2 = np.full(n, math.inf), np.empty(n)
+    scale = 1 + np.abs(target).max() + np.abs(source).max()
+    residuals, prev_rms, n_inliers = [], None, 0
     for it in range(1, params.max_iters + 1):
         moved = T.apply(source)
-        dist[order], nn[order] = tree.query(moved[order])
-        mask = dist <= params.max_corr_dist
-        n_inliers = int(np.count_nonzero(mask))
-        if n_inliers < 3:
-            raise AlignmentError("no usable correspondences within max_corr_dist")
-        src, matched = source[mask], target[nn[mask]]
-        T = _procrustes(src, matched)
-        rms = float(np.sqrt(np.mean(np.sum((T.apply(src) - matched) ** 2, axis=1))))
+        step = moved - at
+        delta = np.sqrt(np.einsum("ij,ij->i", step, step))
+        eps = 1e-12 * (scale + np.abs(moved).max())   # bounds the rounding of d1, d2 and delta
+        kept = (np.isfinite(d1) & (d1 + 2 * delta + eps < d2)
+                & ((d1 + delta + eps <= cap) | (d1 > cap + delta + eps)))
+        rows = order[~kept[order]]
+        if len(rows):
+            dist, match = tree.query(moved[rows], k=2, distance_upper_bound=reach)
+            at[rows], d1[rows], nn[rows] = moved[rows], dist[:, 0], match[:, 0]
+            d2[rows] = np.minimum(dist[:, 1], reach)
+            tie = rows[np.isfinite(dist[:, 0]) & (dist[:, 0] == dist[:, 1])]
+            if len(tie):
+                d1[tie], nn[tie] = tree.query(moved[tie])
+            mask = d1 <= cap
+            n_inliers = int(np.count_nonzero(mask))
+            if n_inliers < 3:
+                raise AlignmentError("no usable correspondences within max_corr_dist")
+            src, matched = source[mask], target[nn[mask]]
+            T = _procrustes(src, matched)
+            rms = float(np.sqrt(np.mean(np.sum((T.apply(src) - matched) ** 2, axis=1))))
         residuals.append(rms)
         change = math.inf if prev_rms is None else abs(prev_rms - rms)
-        log.debug("icp %siteration %d/%d: %d of %d inliers, rms %.9g m, rms change %.3g (tol %.3g)",
-                  stage, it, params.max_iters, n_inliers, len(source), rms, change, params.tol)
+        log.debug("icp %siteration %d/%d: %d of %d inliers, rms %.9g m, rms change %.3g (tol %.3g), "
+                  "%d of %d rows queried", stage, it, params.max_iters, n_inliers, n, rms, change,
+                  params.tol, len(rows), n)
         if change < params.tol:
             break
         prev_rms = rms
@@ -145,14 +175,16 @@ def _icp_loop(source, target, tree, order, params: IcpParams, T: RigidTransform,
 def icp_align(source, target, params: IcpParams | None = None,
               init: RigidTransform | None = None) -> IcpResult:
     """Point-to-point ICP: nearest-neighbor matching capped at max_corr_dist,
-    closed-form SVD update, until RMS change < tol or max_iters.  A non-finite
-    row in either array is an AlignmentError naming it.
+    closed-form SVD update, until RMS change < tol or max_iters.  A row in
+    either array that is not finite, or lies past _MAX_COORD on an axis, is
+    an AlignmentError naming it.
 
     The moved source rows query the target tree in the leaf order of a k-d
     tree of their own, so that consecutive queries walk the same branches.
-    Each row's query is unbounded and independent of the others, and the
-    distances and matches are scattered back to the caller's order, so the
-    result is bit for bit that of querying in the caller's order.
+    Each iteration queries only the rows whose match can have changed (see
+    _icp_loop); each row's match is exact and independent of the others, so
+    the result is bit for bit that of a plain, unbounded query of every row,
+    in the caller's order, in every iteration.
 
     A source of n >= 2 * _COARSE_ROWS rows first runs a coarse stage on every
     k-th row of that leaf order, k = n // _COARSE_ROWS, from init to the same
@@ -166,9 +198,12 @@ def icp_align(source, target, params: IcpParams | None = None,
     if len(source) < 3 or len(target) < 3:
         raise AlignmentError("need at least 3 points in source and target")
     for name, points in (("source", source), ("target", target)):
-        bad = np.flatnonzero(~np.all(np.isfinite(points), axis=1))
+        bad = np.flatnonzero(~np.all(np.abs(points) <= _MAX_COORD, axis=1))
         if len(bad):
-            raise AlignmentError(f"{name} row {bad[0]}: non-finite point {points[bad[0]].tolist()}")
+            row = points[bad[0]].tolist()
+            what = (f"point {row} lies past {_MAX_COORD:g} m from the origin" if np.all(np.isfinite(row))
+                    else f"non-finite point {row}")
+            raise AlignmentError(f"{name} row {bad[0]}: {what}")
     tree = cKDTree(target)
     order = cKDTree(source, balanced_tree=False, compact_nodes=False).indices
     T = init or RigidTransform.identity()

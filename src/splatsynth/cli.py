@@ -160,7 +160,8 @@ def _output_dir(flag: str, path: str) -> None:
 def _load_points(path: str) -> np.ndarray:
     """Point set from a scene's means, or from a CSV whose rows start with x, y
     and z: blank rows are skipped and line 1 may be a header; any other row
-    that does not start with 3 finite numbers is a ValueError naming its line."""
+    that does not start with 3 finite numbers, each within
+    alignment._MAX_COORD of 0, is a ValueError naming its line."""
     _require_file(path)
     if path.endswith(".json") or path.endswith(".ply"):
         return splats.load_scene(path, opacity_floor=0.0).means
@@ -178,6 +179,9 @@ def _load_points(path: str) -> np.ndarray:
                 if xyz is None or len(xyz) < 3 or not np.all(np.isfinite(xyz)):
                     raise ValueError(f"{path}: line {reader.line_num}: expected 3 finite numbers x,y,z, "
                                      f"got {','.join(row)!r}")
+                if not np.all(np.abs(xyz) <= alignment._MAX_COORD):
+                    raise ValueError(f"{path}: line {reader.line_num}: expected x,y,z within "
+                                     f"{alignment._MAX_COORD:g} m of the origin, got {','.join(row)!r}")
                 rows.append(xyz)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from splatsynth import alignment
@@ -12,6 +14,7 @@ from splatsynth.alignment import (
     AlignmentError,
     IcpParams,
     RigidTransform,
+    _procrustes,
     apply_transform,
     icp_align,
 )
@@ -231,44 +234,120 @@ class TestIcpMatchesReference:
         assert assert_icp_matches_reference(src, src + 10.0) is None
 
 
-class TestIcpQueries:
-    def test_one_leaf_ordered_query_per_iteration(self, monkeypatch):
-        """Each iteration sends every source row to the target tree once, in
-        the leaf order of a k-d tree of the source."""
-        queries = []
+@st.composite
+def icp_cases(draw):
+    """(source, target, params): a cloud and a copy moved by a planted
+    transform, with any of noise, partial overlap, far outliers, duplicated
+    targets, and source rows within a few ulps of equidistant from a target
+    and its nearest neighbour."""
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    cloud = random_cloud(draw(st.integers(8, 150)), seed)
+    angle, shift = draw(st.sampled_from([(0.0, 0.0), (1.0, 0.005), (8.0, 0.05)]))
+    source, target = cloud, random_rigid(seed + 1, angle, shift).apply(cloud)
+    target = target + rng.normal(scale=draw(st.sampled_from([0.0, 1e-9, 1e-4, 0.003, 0.01])), size=target.shape)
+    if draw(st.booleans()):   # partial overlap: the source's lowest x, the target's highest
+        rank, m = np.argsort(np.argsort(cloud[:, 0])), int(draw(st.floats(0.3, 0.8)) * len(cloud))
+        source, target = source[rank < m], target[rank >= len(cloud) - m]
+    if draw(st.booleans()):   # far outliers
+        source = np.vstack([source, rng.uniform(1.0, 2.0, size=(draw(st.integers(1, 20)), 3))])
+    if draw(st.booleans()):   # exact ties: duplicated targets
+        target = np.vstack([target, target[rng.integers(0, len(target), size=draw(st.integers(1, 5)))]])
+    if draw(st.booleans()):   # near ties, each mirrored through its nearer target so that their pulls cancel
+        a = target[rng.integers(0, len(target), size=draw(st.integers(1, 10)))]
+        b = target[cKDTree(target).query(a, k=2)[1][:, 1]]
+        f = 0.5 + draw(st.integers(-4, 4)) * 2.0**-52
+        near = a if f <= 0.5 else b
+        mid = a + f * (b - a)
+        source = np.vstack([source, mid, 2 * near - mid])
+    cap = draw(st.sampled_from([0.005, 0.01, 0.03, 0.1, 0.5, math.inf]))
+    if cap < math.inf and draw(st.booleans()):
+        # pairs a few ulps from the cap on either side of a target, whose pulls cancel
+        a = target[rng.integers(0, len(target), size=draw(st.integers(1, 5)))]
+        u = rng.normal(size=a.shape)
+        u *= cap * (1 + draw(st.integers(-4, 4)) * 2.0**-52) / np.linalg.norm(u, axis=1, keepdims=True)
+        source = np.vstack([source, a + u, a - u])
+    params = IcpParams(max_iters=draw(st.integers(1, 25)),
+                       tol=draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-4])), max_corr_dist=cap)
+    return source[rng.permutation(len(source))], target, params
 
-        class Tree(cKDTree):
-            def query(self, x, *args, **kwargs):
-                queries.append((self.n, np.array(x), kwargs))
-                return super().query(x, *args, **kwargs)
 
-        monkeypatch.setattr(alignment, "cKDTree", Tree)
-        src = random_cloud(500, 80)
-        dst = random_rigid(81, max_angle_deg=2.0, max_trans=0.01).apply(src)
-        res = icp_align(src, dst, IcpParams(max_corr_dist=0.1))
-        order = cKDTree(src, balanced_tree=False, compact_nodes=False).indices
-        assert not np.array_equal(order, np.arange(len(src)))
-        assert len(queries) == len(res.residuals) >= 3
-        assert all(n == len(dst) and x.shape == src.shape and kwargs == {} for n, x, kwargs in queries)
-        assert np.array_equal(queries[0][1], src[order])   # the first query moves nothing
+class TestIcpCertificate:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=icp_cases())
+    def test_matches_reference(self, case):
+        """A match kept unqueried is the one a plain query would return."""
+        assert_icp_matches_reference(*case)
+
+    def test_rounding_slack(self):
+        # near ties mirrored so that their pulls cancel: of 3000 seeds of this
+        # construction, the one where a certificate without eps keeps a wrong match
+        rng = np.random.default_rng(2976)
+        target = rng.uniform(-0.3, 0.3, size=(rng.integers(8, 60), 3))
+        a = target[rng.integers(0, len(target), size=rng.integers(1, 10))]
+        b = target[cKDTree(target).query(a, k=2)[1][:, 1]]
+        mid = a + (0.5 + rng.integers(-4, 5) * 2.0**-52) * (b - a)
+        source = np.vstack([target, mid, 2 * b - mid])
+        assert_icp_matches_reference(source, target, IcpParams(max_iters=10, tol=0.0, max_corr_dist=math.inf))
 
 
 @pytest.fixture
 def queries(monkeypatch):
-    """The (tree size, query rows) of each query icp_align sends to its target tree."""
+    """The (tree size, query rows, keyword arguments) of each query icp_align
+    sends to its target tree."""
     seen = []
 
     class Tree(cKDTree):
         def query(self, x, *args, **kwargs):
-            seen.append((self.n, np.array(x)))
+            seen.append((self.n, np.array(x), kwargs))
             return super().query(x, *args, **kwargs)
 
     monkeypatch.setattr(alignment, "cKDTree", Tree)
     return seen
 
 
+@pytest.fixture
+def fits(monkeypatch):
+    """The transforms icp_align's Procrustes fits return, in call order."""
+    seen = []
+
+    def procrustes(src, dst):
+        seen.append(_procrustes(src, dst))
+        return seen[-1]
+
+    monkeypatch.setattr(alignment, "_procrustes", procrustes)
+    return seen
+
+
 def leaf_order(points):
     return cKDTree(points, balanced_tree=False, compact_nodes=False).indices
+
+
+def assert_leaf_ordered_rows(x, moved):
+    """The rows of x are a subsequence of moved's rows, bit for bit and in order."""
+    position = {row.tobytes(): k for k, row in enumerate(moved)}
+    found = np.array([position.get(row.tobytes(), -1) for row in x])
+    assert np.all(found >= 0) and np.all(np.diff(found) > 0)
+
+
+class TestIcpQueries:
+    def test_one_leaf_ordered_query_per_iteration(self, queries, fits):
+        """Each iteration sends the target tree at most one 2-neighbour query,
+        bounded just past max_corr_dist: every source row in the first
+        iteration, in the leaf order of a k-d tree of the source, then a
+        leaf-ordered subsequence, the rows whose match can have changed."""
+        src = random_cloud(500, 80)
+        dst = random_rigid(81, max_angle_deg=2.0, max_trans=0.01).apply(src)
+        res = icp_align(src, dst, IcpParams(max_corr_dist=0.1))
+        order = leaf_order(src)
+        assert not np.array_equal(order, np.arange(len(src)))
+        assert len(queries) == len(fits) == len(res.residuals) >= 3
+        assert np.array_equal(queries[0][1], src[order])   # the first query moves nothing
+        for (n, x, kwargs), T in zip(queries, [RigidTransform.identity()] + fits):
+            assert n == len(dst) and kwargs.keys() == {"k", "distance_upper_bound"} and kwargs["k"] == 2
+            assert 0.1 < kwargs["distance_upper_bound"] <= 0.1 * (1 + 1e-5)
+            assert_leaf_ordered_rows(x, T.apply(src)[order])
+        assert len(queries[1][1]) < len(src) and len(queries[-1][1]) < len(queries[1][1])
 
 
 class TestIcpCoarseStage:
@@ -289,29 +368,38 @@ class TestIcpCoarseStage:
         assert 2 <= len(got.residuals) < len(ref.residuals)
         assert np.all(np.diff(got.residuals) <= 1e-12)
 
-    def test_no_coarse_queries_below_the_threshold(self, queries):
+    def test_no_coarse_queries_below_the_threshold(self, queries, fits):
         src = random_cloud(2 * alignment._COARSE_ROWS - 1, 910)
         dst = random_rigid(911, max_angle_deg=1.0, max_trans=0.02).apply(src)
         res = assert_icp_matches_reference(src, dst)
-        assert len(queries) == len(res.residuals) >= 2
-        assert all(x.shape == src.shape for _, x in queries)
+        order = leaf_order(src)
+        assert np.array_equal(queries[0][1], src[order])   # every row first
+        for (_, x, _), T in zip(queries, [RigidTransform.identity()] + fits):
+            assert_leaf_ordered_rows(x, T.apply(src)[order])
+        # an exact copy: the converged iteration keeps every match unqueried
+        assert len(queries) == len(fits) == len(res.residuals) - 1 >= 2
 
-    def test_sample_queries_then_every_row(self, queries):
+    def test_sample_queries_then_every_row(self, queries, fits):
         src = random_cloud(3000, 920)
         dst = random_rigid(921, max_angle_deg=1.0, max_trans=0.02).apply(src)
         res = icp_align(src, dst)
         order = leaf_order(src)
         sample = src[order[::len(src) // alignment._COARSE_ROWS]]
         coarse = icp_reference(sample, dst)
-        n_coarse = len(coarse.residuals)
-        assert len(sample) == 1000 and n_coarse >= 2
-        assert len(queries) == n_coarse + len(res.residuals)
-        assert all(n == len(dst) for n, _ in queries)
+        assert len(sample) == 1000 and len(coarse.residuals) >= 2
+        n_coarse = [len(x) for _, x, _ in queries].index(len(src))
+        assert 2 <= n_coarse <= len(coarse.residuals) and len(queries) == len(fits)
+        assert all(n == len(dst) for n, _, _ in queries)
         assert np.array_equal(queries[0][1], sample)   # leaf-ordered, moved by nothing
-        assert all(x.shape == sample.shape for _, x in queries[:n_coarse])
-        assert all(x.shape == src.shape for _, x in queries[n_coarse:])
+        starts = [RigidTransform.identity()] + fits
+        for (_, x, _), T in zip(queries[:n_coarse], starts):
+            assert_leaf_ordered_rows(x, T.apply(sample))
         # the full stage starts from the coarse transform, every row in leaf order
         assert np.array_equal(queries[n_coarse][1], coarse.transform.apply(src)[order])
+        for (_, x, _), T in zip(queries[n_coarse:], starts[n_coarse:]):
+            assert_leaf_ordered_rows(x, T.apply(src)[order])
+        # an exact copy: the full stage's converged iteration queries nothing
+        assert len(queries) - n_coarse == len(res.residuals) - 1
 
     def test_sample_without_inliers_falls_back_to_init(self, queries):
         # a 1 cm lattice whose target copies only the rows at odd leaf
@@ -351,8 +439,25 @@ class TestIcpNonFinite:
         with pytest.raises(AlignmentError, match=f"^{re.escape(message)}$"):
             icp_align(points["source"], points["target"])
 
+    @pytest.mark.parametrize("value", [1e200, -1e200, 1.0000000000000002e151])
+    @pytest.mark.parametrize("name", ["source", "target"])
+    def test_first_far_row_named(self, name, value):
+        points = {"source": random_cloud(100, 88), "target": random_cloud(100, 89)}
+        points[name][50, 1] = value
+        points[name][70, 2] = math.nan
+        message = f"{name} row 50: point {points[name][50].tolist()} lies past 1e+151 m from the origin"
+        with pytest.raises(AlignmentError, match=f"^{re.escape(message)}$"):
+            icp_align(points["source"], points["target"])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rows_at_the_reach_accepted(self):
+        src = random_cloud(100, 90) * 3e150
+        src[0, 0], src[1, 1] = 1e151, -1e151
+        assert icp_align(src, src, IcpParams(max_corr_dist=math.inf, max_iters=3)).n_inliers == len(src)
+
 
 class TestIcpLogging:
+
     def test_one_debug_line_per_iteration(self, caplog):
         src = random_cloud(300, 84)
         dst = random_rigid(85).apply(src)
@@ -361,7 +466,7 @@ class TestIcpLogging:
         lines = [r.getMessage() for r in caplog.records if r.name == "splatsynth.alignment"]
         assert len(lines) == len(res.residuals) >= 3
         assert lines[0] == (f"icp iteration 1/100: 300 of 300 inliers, rms {res.residuals[0]:.9g} m, "
-                            "rms change inf (tol 1e-08)")
+                            "rms change inf (tol 1e-08), 300 of 300 rows queried")
         for k, (line, rms) in enumerate(zip(lines, res.residuals), start=1):
             assert line.startswith(f"icp iteration {k}/100: 300 of 300 inliers, rms {rms:.9g} m, rms change ")
         change = float(re.search(r"rms change (\S+) ", lines[-1]).group(1))

@@ -568,6 +568,21 @@ class TestAlign:
             assert code == 1
             one_error_line(capsys, f"{src}: line {line}: expected 3 finite numbers x,y,z, got {row!r}")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would be a second stderr line
+    @pytest.mark.parametrize("far", [("source",), ("target",), ("source", "target")])
+    def test_points_csv_past_the_reach(self, tmp_path, capsys, far):
+        """A point set of coordinates near 1e200 is refused at its first line,
+        before ICP squares them."""
+        paths = {}
+        for side in ("source", "target"):
+            paths[side] = tmp_path / f"{side}.csv"
+            scale = 1e200 if side in far else 1.0
+            np.savetxt(paths[side], np.random.default_rng(4).uniform(size=(50, 3)) * scale, delimiter=",")
+        assert main(["align", str(paths["source"]), str(paths["target"]), "--out", str(tmp_path / "T.json")]) == 1
+        bad = paths[far[0]]
+        row = bad.read_text().splitlines()[0]
+        one_error_line(capsys, f"{bad}: line 1: expected x,y,z within 1e+151 m of the origin, got {row!r}")
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--max-iters", "0", "--max-iters: must be at least 1, got 0"),
         ("--max-iters", "-3", "--max-iters: must be at least 1, got -3"),
