@@ -48,17 +48,9 @@ def _distance_matrix(a: np.ndarray, b: np.ndarray, dist: str, out: np.ndarray | 
     raise ValueError(f"unknown distance selector: {dist}")
 
 
-def _offsets(n: int, m: int) -> tuple:
-    """The off of _layout(n, m), without the rest of the layout."""
-    ds = np.arange(n + m + 1)
-    lo = np.maximum(0, ds - m)
-    size = np.minimum(n, ds) - lo + 1
-    return tuple((np.cumsum(size) - size - lo).tolist())
-
-
 # only a table of at most _CHUNK_CELLS cells is cached: a larger one's gather
 # (8 bytes a cell) and steps would outlive its sweep, so _sweep builds it through
-# _layout.__wrapped__ and passes it down, and trajectory_dtw_many takes its _offsets
+# _layout.__wrapped__ for that sweep alone
 @functools.lru_cache(maxsize=16)
 def _layout(n: int, m: int):
     """The diagonal-major layout of an (n+1) x (m+1) DTW table: anti-diagonal
@@ -68,7 +60,10 @@ def _layout(n: int, m: int):
     the fill's steps: per diagonal d >= 2, the slices of its cells off row
     and column 0, of their up, left and diagonal neighbours, and of the
     scratch rows for their minima, which never number more than min(n, m)."""
-    off = _offsets(n, m)
+    ds = np.arange(n + m + 1)
+    lo = np.maximum(0, ds - m)
+    size = np.minimum(n, ds) - lo + 1
+    off = tuple((np.cumsum(size) - size - lo).tolist())
     i, j = np.indices((n + 1, m + 1))
     src = np.where((i > 0) & (j > 0), (i - 1) * m + j - 1, n * m)
     src[0, 0] = n * m + 1
@@ -84,7 +79,7 @@ def _layout(n: int, m: int):
     return off, gather, tuple(steps)
 
 
-def _fill(acc: np.ndarray, n: int, m: int, steps: tuple | None = None) -> None:
+def _fill(acc: np.ndarray, n: int, m: int, steps: tuple) -> None:
     """Fill in place the DTW tables acc, ((n+1)(m+1), T): T tables in the
     diagonal-major layout of _layout, interleaved innermost.  It goes one
     anti-diagonal at a time (Sakoe & Chiba, 1978).  acc holds 0 at (0, 0),
@@ -92,10 +87,9 @@ def _fill(acc: np.ndarray, n: int, m: int, steps: tuple | None = None) -> None:
     D[i-1, j-1] + min(up, left, diagonal) with one addition, as in row order,
     so every table is bit-identical to it.  A diagonal's cells and each of
     their three neighbour sets are one contiguous block, so a diagonal costs
-    three ufunc calls into one scratch buffer.  steps are _layout(n, m)'s,
-    when the caller has built them."""
+    three ufunc calls into one scratch buffer.  steps are _layout(n, m)'s."""
     scratch = np.empty((min(n, m),) + acc.shape[1:])
-    for cells, up, left, diag, part in _layout(n, m)[2] if steps is None else steps:
+    for cells, up, left, diag, part in steps:
         low = scratch[part]
         np.minimum(acc[up], acc[left], out=low)
         np.minimum(low, acc[diag], out=low)
@@ -103,19 +97,19 @@ def _fill(acc: np.ndarray, n: int, m: int, steps: tuple | None = None) -> None:
         np.add(target, low, out=target)
 
 
-def _sweep(stage: np.ndarray, n: int, m: int) -> np.ndarray:
+def _sweep(stage: np.ndarray, n: int, m: int) -> tuple:
     """The T DTW tables whose distance matrices are the rows of stage, filled
     in one sweep.  stage is (T, (n+1)(m+1)); row t holds table t's (n, m)
     distance matrix, row-major, in its first n*m cells, and the sweep writes
-    the next two.  One gather lays the rows out as _fill takes them, and the
-    filled tables are returned in that layout."""
+    the next two.  One gather lays the rows out as _fill takes them.  Returns
+    (acc, off): the filled tables in that layout, and its off."""
     if not np.all(np.isfinite(stage[:, :n * m])):
         raise ValueError("non-finite distance")
     stage[:, n * m:n * m + 2] = np.inf, 0.0   # the border and the corner (0, 0) gather these
-    layout = (_layout if stage.shape[1] <= _CHUNK_CELLS else _layout.__wrapped__)(n, m)
-    acc = stage.T[layout[1]]
-    _fill(acc, n, m, layout[2])
-    return acc
+    off, gather, steps = (_layout if stage.shape[1] <= _CHUNK_CELLS else _layout.__wrapped__)(n, m)
+    acc = stage.T[gather]
+    _fill(acc, n, m, steps)
+    return acc, off
 
 
 def dtw(a, b, dist: str = "euclidean", normalized: bool = False):
@@ -132,23 +126,22 @@ def dtw(a, b, dist: str = "euclidean", normalized: bool = False):
     n, m = D.shape
     stage = np.empty((1, (n + 1) * (m + 1)))
     stage[0, :n * m] = D.ravel()
-    acc = _sweep(stage, n, m)[:, 0]
-    path = _warping_path(acc, n, m)
-    cost = float(acc[-1])
+    acc, off = _sweep(stage, n, m)
+    path = _warping_path(acc[:, 0], n, m, off)
+    cost = float(acc[-1, 0])
     if normalized:
         cost /= len(path)
     return cost, path
 
 
-def _warping_path(acc: np.ndarray, n: int, m: int, off: tuple | None = None) -> list:
+def _warping_path(acc: np.ndarray, n: int, m: int, off: tuple) -> list:
     """The optimal warping path through one filled DTW table acc (a 1-D array
     of (n+1)(m+1) cells in the diagonal-major layout of _layout), as 0-based
     (i, j) index pairs in order.  It is walked back from (n, m): each step
     moves to the least of the diagonal, up and left neighbours, a tie going
     to the diagonal, then up, then left; on row or column 0 only the move
-    along it remains.  off is _layout(n, m)'s, when the caller has it."""
+    along it remains.  off is _layout(n, m)'s."""
     cells = memoryview(acc)   # reads each cell as a Python float, without numpy's per-item cost
-    off = off or _offsets(n, m)
     i, d = n, n + m
     path = []
     while d:
@@ -223,14 +216,13 @@ def trajectory_dtw_many(rollouts: list, expert: Trajectory) -> list:
                 tracks.append((kind, dist, column))
     cells = (n + 1) * (m + 1)
     chunk = max(1, _CHUNK_CELLS // (2 * cells + min(n, m)))
-    off = _layout(n, m)[0] if cells <= _CHUNK_CELLS else _offsets(n, m)
     scores = []
     for start in range(0, len(tracks), chunk):
         part = tracks[start:start + chunk]
         stage = np.empty((len(part), cells))
         for c, (kind, dist, column) in enumerate(part):
             _distance_matrix(column, getattr(expert, kind), dist, out=stage[c, :n * m].reshape(n, m))
-        acc = _sweep(stage, n, m)
+        acc, off = _sweep(stage, n, m)
         lengths = [len(_warping_path(acc[:, c], n, m, off)) for c in range(len(part))]
         scores.extend((acc[-1] / lengths).tolist())
         del stage, acc   # the next chunk's buffers must not meet these

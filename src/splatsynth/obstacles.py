@@ -43,11 +43,10 @@ def _unit(x, epsilon: float) -> np.ndarray:
 
 
 def outward_normal(scene: GaussianScene, x, epsilon: float = ObstacleParams.epsilon,
-                   gradient_step: float = DEFAULT_GRADIENT_STEP, _listed=None) -> np.ndarray:
+                   gradient_step: float = DEFAULT_GRADIENT_STEP) -> np.ndarray:
     """n_hat = -grad(rho) / (||grad(rho)|| + eps) per (..., 3) row: points away
-    from mass, degrades gracefully to ~0 where the gradient vanishes.  _listed
-    is density_gradient's private plumbing, passed on."""
-    return -_unit(density_gradient(scene, x, gradient_step, _listed), epsilon)
+    from mass, degrades gracefully to ~0 where the gradient vanishes."""
+    return -_unit(density_gradient(scene, x, gradient_step), epsilon)
 
 
 def tangential_direction(n_hat, v, epsilon: float = ObstacleParams.epsilon) -> np.ndarray:
@@ -63,15 +62,16 @@ def obstacle_accel(scene: GaussianScene, x_look, v, rho, params: ObstacleParams,
     lambda_max * sigma_rho * sigma_dir: sigma_rho ramps rho above rho_th and
     sigma_dir is active only when moving into the obstacle; exactly zero when
     rho <= rho_th.  Only the rows above rho_th probe the gradient.  _listed is
-    private plumbing for the coupling hook: its _NeighborList, whose first n
-    rows were x_look at its last read, answers the gradient probes."""
+    private plumbing for the coupling hook: its _NeighborList, which holds the
+    gradient step and whose first n rows were x_look at its last read, answers
+    the gradient probes through density_gradient."""
     out = np.zeros(np.shape(x_look))
     act = np.flatnonzero(rho > params.rho_th)
     if params.lambda_max == 0.0 or len(act) == 0:
         return out
     v_hat = _unit(v[act], params.epsilon)
-    n_hat = outward_normal(scene, x_look[act], params.epsilon, params.gradient_step,
-                           None if _listed is None else (_listed, act))
+    grad = density_gradient(scene, x_look[act], params.gradient_step, None if _listed is None else (_listed, act))
+    n_hat = -_unit(grad, params.epsilon)
     sigma_dir = np.minimum(np.maximum(-rowdot(v_hat, n_hat), 0.0), 1.0)
     on = sigma_dir != 0.0   # moving along or away from the obstacle: exactly zero
     act, n_hat, sigma_dir = act[on], n_hat[on], sigma_dir[on]
@@ -112,18 +112,19 @@ def make_coupling(scene: GaussianScene, params: ObstacleParams, nominal, dt: flo
     when return_gain is zero).
     Each step reads the density of the lookahead probes when the repulsion is
     on and of the positions when the pull is on, as density_many gives it,
-    from the hook's own splats._NeighborList, hook.neighbors.  The repulsion's
-    gradient probes around the active lookahead probes are read from the same
-    list, through obstacles.density_gradient, with density_many's bits.  None
-    when both are off, so that the coupled rollout is bitwise identical to
-    the plain one."""
+    from the hook's own splats._NeighborList, hook.neighbors, which also holds
+    the gradient step: the repulsion's gradient probes are read from it,
+    through obstacles.density_gradient, or from density_many when the list
+    does not hold the step (neighbors.probe_step 0).  None when both are off,
+    so that the coupled rollout is bitwise identical to the plain one."""
     repel, pull = params.lambda_max > 0.0, params.return_gain > 0.0
     if not (repel or pull):
         return None
     if pull:   # on the grid of sample times, which np.gradient rounds otherwise than the scalar dt
         ref_vel = np.gradient(nominal, np.arange(nominal.shape[1]) * dt, axis=1)
 
-    neighbors = _NeighborList(scene)
+    neighbors = _NeighborList(scene, params.gradient_step if repel else 0.0)
+    listed = neighbors if neighbors.probe_step else None
     rows = np.empty((0, 3))   # the probes, then the positions; one buffer per row count
 
     def hook(step, y, v):
@@ -139,7 +140,7 @@ def make_coupling(scene: GaussianScene, params: ObstacleParams, nominal, dt: flo
         if pull:
             rows[-b:] = y
         rho = neighbors.density(rows)
-        a = obstacle_accel(scene, x_look, v, rho[:b], params, neighbors) if repel else np.zeros(y.shape)
+        a = obstacle_accel(scene, x_look, v, rho[:b], params, listed) if repel else np.zeros(y.shape)
         if pull:
             i = min(step, nominal.shape[1] - 1)
             a = a + return_to_reference(y, v - ref_vel[:, i], nominal[:, i], rho[-b:], params)

@@ -8,12 +8,12 @@ dual-tree query against a small tree of the rows, which returns every
 candidate (row, blob) pair as one array.  A stream of row batches that move
 little from one to the next, as the coupling hook's are, is answered with the
 same bits from a neighbour list that is queried again only when a row moves
-more than its skin (_NeighborList); so are the gradient probes around a
-listed row that lie within the skin of where the row was listed, and the
-paths of a stream that lie within the skin of its first path, through a list
-the scene keeps (GaussianScene._paths, for collision_check).  Every read sums
-each row's kernel terms in pair order, left to right from +0.0, in one
-weighted bincount (_density_sums).
+more than its skin (_NeighborList); so are the coupling hook's gradient
+probes, from a list that also holds each row's splats within the gradient
+step, and the paths of a stream that lie within the skin of its first path,
+through a list the scene keeps (GaussianScene._paths, for collision_check).
+Every read sums each row's kernel terms in pair order, left to right from
++0.0, in one weighted bincount (_density_sums).
 Contributions are truncated at a fixed cutoff of CUTOFF_SIGMA standard
 deviations (bounding radius per blob), which keeps the truncation error below
 1e-6 relative on scenes whose blob spacing exceeds the cutoff radius.
@@ -187,9 +187,9 @@ class _NeighborList:
     batch to the next, each batch answered bit for bit as density_many
     answers it, from a Verlet list (Verlet, Phys. Rev. 159, 98, 1967).
 
-    A rebuild lists the blobs within _SKIN of each row's reach, by one
-    _neighbors query whose exact test is padded by 1e-9 relative, so that
-    no rounding drops a blob.  It keeps each pair's row, mean, inverse
+    A rebuild lists the blobs within _SKIN + probe_step of each row's reach,
+    by one _neighbors query whose exact test is padded by 1e-9 relative, so
+    that no rounding drops a blob.  It keeps each pair's row, mean, inverse
     covariance, radius and opacity, grouped by row with blobs ascending.
     While every row stays within _SKIN of where the list was built, the
     triangle inequality keeps each of its true neighbours listed: a batch
@@ -199,21 +199,23 @@ class _NeighborList:
     the list.  rebuilds, listed and kept count the rebuilds and the pairs
     tested and kept over every batch.
 
-    The same argument serves points near a listed row, such as the gradient
-    probes around it (probe_density): a point within _SKIN of where its row
-    was listed is answered from that row's pairs.  probed and past_skin count
-    the probe points answered so and those sent to density_many.
+    The coupling hook's list also holds each row's splats within its
+    gradient step, probe_step: a probe that close to a row read by density
+    lies within _SKIN + probe_step of where the row was listed, and is
+    answered from the row's pairs (probe_density).  A step past _SKIN is not
+    listed (probe_step 0).  probed counts the probe points answered.
 
     A stream of whole paths is read through path_density, which lists the
     first path of each row count and keeps that list; missed counts the
     paths it sends to density_many."""
 
-    def __init__(self, scene: GaussianScene):
+    def __init__(self, scene: GaussianScene, probe_step: float = 0.0):
         self.scene = scene
         self.skin = _SKIN
+        self.probe_step = probe_step if probe_step <= self.skin else 0.0
         self._drop()
         self.path_rows = -1   # the row count of path_density's stream, or -1
-        self.rebuilds = self.listed = self.kept = self.probed = self.past_skin = self.missed = 0
+        self.rebuilds = self.listed = self.kept = self.probed = self.missed = 0
 
     def _drop(self) -> None:
         """Forget the list and where it was built."""
@@ -222,7 +224,7 @@ class _NeighborList:
 
     def _rebuild(self, xs: np.ndarray) -> None:
         scene = self.scene
-        self.row, idx = _neighbors(scene, xs, self.skin, slack=1e-9)
+        self.row, idx = _neighbors(scene, xs, self.skin + self.probe_step, slack=1e-9)
         self.means, self.inv_covariances = scene.means[idx], scene.inv_covariances[idx]
         self.radii, self.opacities = scene.radii[idx], scene.opacities[idx]
         self.counts = np.bincount(self.row, minlength=len(xs))   # each row's listed pairs, from first
@@ -230,17 +232,15 @@ class _NeighborList:
         self.origin = xs.copy()
         self.rebuilds += 1
 
-    def _inside(self, xs: np.ndarray, origin: np.ndarray) -> bool:
-        """Whether every (..., 3) row of xs is within the skin of its origin;
-        False for a non-finite or far row."""
+    def _near(self, xs: np.ndarray) -> bool:
+        """Whether xs has the row count of the origin, each row within the
+        skin of its origin; False for a non-finite or far row."""
+        if self.origin is None or len(xs) != len(self.origin):
+            return False
         with np.errstate(invalid="ignore", over="ignore"):
-            moved = xs - origin
+            moved = xs - self.origin
             d2 = np.einsum("...i,...i->...", moved, moved)
         return np.count_nonzero(d2 <= self.skin * self.skin) == d2.size
-
-    def _near(self, xs: np.ndarray) -> bool:
-        """Whether xs has the row count of the origin, each row within its skin."""
-        return self.origin is not None and len(xs) == len(self.origin) and self._inside(xs, self.origin)
 
     def density(self, xs: np.ndarray) -> np.ndarray:
         """rho at each (n, 3) row, as density_many(scene, xs) gives it."""
@@ -280,16 +280,10 @@ class _NeighborList:
         return density_many(self.scene, xs)
 
     def probe_density(self, rows: np.ndarray, probes: np.ndarray) -> np.ndarray:
-        """rho at (m, p, 3) probes, probes[i] lying near the list's row rows[i],
-        as density_many(scene, probes) gives it.  When every probe is within
-        the skin of its row's origin, each is answered from its row's listed
-        pairs by _neighbors' exact test; otherwise, or when a row is not in
-        the list, all go to density_many."""
-        origin = self.origin
-        if self.row is None or (len(rows) and rows.max() >= len(origin)) \
-                or not self._inside(probes, origin[rows, None]):
-            self.past_skin += len(rows) * probes.shape[1]
-            return density_many(self.scene, probes)
+        """rho at (m, p, 3) probes, as density_many(scene, probes) gives it,
+        given that each of probes[i] lies within probe_step of the list's row
+        rows[i] as the last density call read it.  Each probe is answered
+        from its row's listed pairs by _neighbors' exact test."""
         flat = probes.reshape(-1, 3)
         self.probed += len(flat)
         owner = np.repeat(rows, probes.shape[1])
@@ -345,9 +339,9 @@ def density_bruteforce(scene: GaussianScene, x) -> float:
 def density_gradient(scene: GaussianScene, x, h: float = DEFAULT_GRADIENT_STEP, _listed=None) -> np.ndarray:
     """Central-difference gradient of rho at (..., 3) rows, step h per axis:
     the six probes of every row go to one density_many call.  _listed is
-    private plumbing for the coupling hook: a (_NeighborList, rows) pair
-    whose list rows `rows` are the (m, 3) rows x, so that the list answers
-    the probes (_NeighborList.probe_density), with the same bits."""
+    private plumbing for the coupling hook: a (_NeighborList, rows) pair, the
+    list of probe_step h whose rows `rows` are the (m, 3) rows x as it last
+    read them, so that it answers the probes (probe_density), bit for bit."""
     if not 0.0 < h < np.inf:
         raise ValueError(f"gradient step h must be finite and positive, got {h}")
     steps = h * np.eye(3)

@@ -181,9 +181,9 @@ def _synthesize_rows(job: SynthesisJob, models: list[DmpModel], indices) -> list
     after one uncoupled nominal pass when the return pull reads it, and one
     concatenation chains the segments.  A coupled pass logs one DEBUG line
     with its rows, its steps, and its hook's neighbour list rebuilds, listed
-    and kept pairs, and gradient probe rows answered from the list and past
-    its skin.  Returns, per index, (Trajectory, manifest entry)
-    or the RolloutError that ended it."""
+    and kept pairs, and gradient probe rows answered from the list.  Returns,
+    per index, (Trajectory, manifest entry) or the RolloutError that ended
+    it."""
     flags = _perturbable_flags(job.spec, len(job.demo.splits))
     target_p, target_q, entries = _targets(job, flags, indices)
     y, q = target_p[:, 0].copy(), target_q[:, 0].copy()   # each row's start of its next segment
@@ -212,9 +212,8 @@ def _synthesize_rows(job: SynthesisJob, models: list[DmpModel], indices) -> list
         if coupling is not None and log.isEnabledFor(logging.DEBUG):
             listed = getattr(coupling, "neighbors", None)   # a wrapped hook, as bench/tracing.py makes, hides it
             log.debug("segment %d: %d rows, %d steps, neighbour list: %s rebuilds, %s listed pairs, %s kept, "
-                      "%s probe rows, %s past the skin", k, rows, len(times) - 1,
-                      *(("?",) * 5 if listed is None else (listed.rebuilds, listed.listed, listed.kept,
-                                                           listed.probed, listed.past_skin)))
+                      "%s probe rows", k, rows, len(times) - 1,
+                      *(("?",) * 4 if listed is None else (listed.rebuilds, listed.listed, listed.kept, listed.probed)))
         if not len(alive):
             return outcome
         # a segment's quaternions are made unit here, and again in the chained Trajectory

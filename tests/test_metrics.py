@@ -271,7 +271,7 @@ def filled_table(Ds):
     for i in range(1, n + 1):
         for j in range(1, m + 1):
             acc[off[i + j] + i] = [D[i - 1, j - 1] for D in Ds]
-    _fill(acc, n, m)
+    _fill(acc, n, m, _layout(n, m)[2])
     return acc
 
 
@@ -485,11 +485,12 @@ class TestDiagonalLayout:
         stage = np.empty((len(seqs), (n + 1) * (m + 1)))
         for c, a in enumerate(seqs):
             stage[c, :n * m] = _distance_matrix(a, b, "euclidean").ravel()
-        acc = _sweep(stage, n, m)
+        acc, off = _sweep(stage, n, m)
+        assert off == _layout(n, m)[0]
         for c, a in enumerate(seqs):
             _, table, cost, path = dtw_rowwise(a, b)
             assert np.array_equal(row_major(acc[:, c], n, m), table)
-            assert _warping_path(acc[:, c], n, m) == path
+            assert _warping_path(acc[:, c], n, m, off) == path
             assert dtw(a, b) == (cost, path)
             assert cost == pytest.approx(dtw_bruteforce(a, b), abs=1e-12)
 
@@ -514,14 +515,15 @@ class TestPathLengths:
         b = rng.integers(0, 3, size=m).astype(float)
         seqs = [rng.integers(0, 3, size=n).astype(float) for _ in range(5)]
         acc = filled_table([_distance_matrix(a, b, "euclidean") for a in seqs])
-        assert [_warping_path(acc[:, c], n, m) for c in range(len(seqs))] == [dtw_rowwise(a, b)[3] for a in seqs]
+        off = _layout(n, m)[0]
+        assert [_warping_path(acc[:, c], n, m, off) for c in range(len(seqs))] == [dtw_rowwise(a, b)[3] for a in seqs]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_table_walks_the_border(self):
         # sums past the float range tie at inf, so the walk reaches row 0 before (0, 0)
         acc = filled_table([np.full((4, 6), 1e308)])
         path = dtw_rowwise(range(4), range(6), lambda r, c: 1e308)[3]
-        assert path[0][0] == -1 and _warping_path(acc[:, 0], 4, 6) == path
+        assert path[0][0] == -1 and _warping_path(acc[:, 0], 4, 6, _layout(4, 6)[0]) == path
 
     def test_columns_fill_as_rowwise_tables(self):
         rng = np.random.default_rng(4)

@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import splatsynth.obstacles as obstacles
 import splatsynth.splats as splats
 from splatsynth.dmp import fit_dmp, rollout, rollout_batch
 from splatsynth.geometry import Pose
@@ -299,11 +300,11 @@ class TestHookDensityQueries:
     def test_one_query_per_step(self, monkeypatch, lambda_max, return_gain, per_row):
         """Each step of a B-row batch sends the rows its active terms read to
         the hook's neighbour list: B probes and/or B positions.  A step that
-        rebuilds the list makes one _neighbors call; a step whose rows all
-        stayed within the skin of where the list was built makes none.  The
-        repulsion's gradient probes are read from the same list: a gradient
-        step whose probes all lie within the skin makes no _neighbors call,
-        and one past it makes one, counted as a fallback."""
+        rebuilds the list makes one _neighbors call, whose radius is the skin
+        plus the gradient step when the repulsion is on; a step whose rows
+        all stayed within the skin of where the list was built makes none.
+        The repulsion's gradient probes are read from the same list and make
+        no _neighbors call."""
         model = fit_dmp(line_demo([0, 0, 0], [0.4, 0, 0], n=151))
         starts = [Pose([0.0, dy, 0.0], [1.0, 0, 0, 0]) for dy in (-0.004, 0.0, 0.004)]
         goals = [Pose([0.4, dy, 0.0], [1.0, 0, 0, 0]) for dy in (-0.004, 0.0, 0.004)]
@@ -311,7 +312,7 @@ class TestHookDensityQueries:
         params = ObstacleParams(rho_th=0.05, lambda_max=lambda_max, lookahead=0.03, return_gain=return_gain)
         hook = make_coupling(blob_scene(mu=(0.2, 0.004, 0.0), sigma=0.02), params, nominal_positions(nominals), 0.01)
         queries, steps = [], []   # steps: (rows' shape, _neighbors calls, rows within the skin)
-        probes = []   # per gradient step: (_neighbors calls, probes within the skin, rows probed)
+        probes = []   # per gradient step: (_neighbors calls, rows probed)
         neighbors, density, probe_density = splats._neighbors, splats._NeighborList.density, \
             splats._NeighborList.probe_density
 
@@ -328,10 +329,9 @@ class TestHookDensityQueries:
             return rho
 
         def probed(self, rows, xs):
-            inside = np.linalg.norm(xs - self.origin[rows, None], axis=2).max() <= self.skin
             before = len(queries)
             rho = probe_density(self, rows, xs)
-            probes.append((len(queries) - before, inside, len(rows)))
+            probes.append((len(queries) - before, len(rows)))
             return rho
         monkeypatch.setattr(splats, "_neighbors", counted)
         monkeypatch.setattr(splats._NeighborList, "density", listed)
@@ -341,13 +341,12 @@ class TestHookDensityQueries:
         assert [shape for shape, _, _ in steps] == [(per_row * len(starts), 3)] * (len(outs[0]) - 1)
         assert [calls for _, calls, _ in steps] == [int(not inside) for _, _, inside in steps]
         assert 0 < hook.neighbors.rebuilds < len(steps)   # both kinds of step ran
-        # a gradient step queries the scene, with no skin, only when a probe lies past the skin
-        assert [calls for calls, _, _ in probes] == [int(not inside) for _, inside, _ in probes]
-        fallbacks = sum(calls for calls, _, _ in probes)
-        assert queries.count(0.0) == fallbacks == len(queries) - hook.neighbors.rebuilds
-        assert hook.neighbors.past_skin == 6 * sum(n for calls, _, n in probes if calls)
-        assert hook.neighbors.probed == 6 * sum(n for calls, _, n in probes if not calls)
-        assert (len(probes) > fallbacks) == (lambda_max > 0.0)   # the repulsion's probes were answered from the list
+        # only the rebuilds query the scene, each at the skin plus the gradient step: never with no skin
+        reach = splats._SKIN + (params.gradient_step if lambda_max > 0.0 else 0.0)
+        assert queries == [reach] * hook.neighbors.rebuilds
+        assert [calls for calls, _ in probes] == [0] * len(probes)
+        assert hook.neighbors.probed == 6 * sum(n for _, n in probes)
+        assert (len(probes) > 0) == (lambda_max > 0.0)   # the repulsion's probes were answered from the list
 
 
 def cluttered_line_scene(seed=3):
@@ -409,3 +408,37 @@ class TestHookNeighborList:
         for g, w in zip(got, want):
             assert g.positions.tobytes() == w.positions.tobytes()
             assert g.quaternions.tobytes() == w.quaternions.tobytes()
+
+    def test_step_past_the_skin_reads_as_a_listed_step(self, monkeypatch):
+        # a 5 cm gradient step lies past the 3 cm skin: that hook's list does not hold it, and its
+        # probes go to density_many; with the skin raised above the step, the list answers them
+        model, starts, goals, nominals, params = self.batch()
+        scene = cluttered_line_scene()
+        params = dataclasses.replace(params, gradient_step=0.05)
+        plain = make_coupling(scene, params, nominal_positions(nominals), 0.01)
+        want = rollout_batch(model, starts, goals, dt=0.01, coupling=plain)
+        monkeypatch.setattr(splats, "_SKIN", 0.06)
+        listed = make_coupling(scene, params, nominal_positions(nominals), 0.01)
+        got = rollout_batch(model, starts, goals, dt=0.01, coupling=listed)
+        assert (plain.neighbors.probe_step, plain.neighbors.probed) == (0.0, 0)
+        assert listed.neighbors.probe_step == 0.05 and listed.neighbors.probed > 0
+        assert not any(np.array_equal(w.positions, n.positions) for w, n in zip(want, nominals))
+        for g, w in zip(got, want):
+            assert g.positions.tobytes() == w.positions.tobytes()
+            assert g.quaternions.tobytes() == w.quaternions.tobytes()
+
+    def test_gradient_read_goes_through_the_module_binding(self, monkeypatch):
+        # a tracer wraps obstacles.density_gradient to see the hook's gradient reads: the hook
+        # must reach its list through that binding, not around it
+        model, starts, goals, nominals, params = self.batch()
+        hook = make_coupling(cluttered_line_scene(), params, nominal_positions(nominals), 0.01)
+        gradient = obstacles.density_gradient
+        reads = []
+
+        def spy(scene, x, h, _listed=None):
+            reads.append(_listed)
+            return gradient(scene, x, h, _listed)
+        monkeypatch.setattr(obstacles, "density_gradient", spy)
+        rollout_batch(model, starts, goals, dt=0.01, coupling=hook)
+        assert reads and all(r is not None and r[0] is hook.neighbors for r in reads)
+        assert hook.neighbors.probed == 6 * sum(len(r[1]) for r in reads)

@@ -5,7 +5,7 @@ import math
 import struct
 import sys
 import tracemalloc
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import numpy as np
@@ -566,16 +566,26 @@ class TestNeighborList:
             assert np.array_equal(row, want[0]) and np.array_equal(blob, want[1])
 
 
-def probe_read(listed, rows, probes) -> bool:
+@contextmanager
+def no_scene_queries():
+    """Within it, a _neighbors call fails the test."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a probe read queried the scene")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(splats, "_neighbors", refused)
+        yield
+
+
+def probe_read(listed, rows, probes):
     """listed.probe_density(rows, probes), checked bit for bit against
-    density_many and against its counters; whether the list answered it."""
-    probed, past = listed.probed, listed.past_skin
-    got = listed.probe_density(rows, probes)
+    density_many and against probed; it must make no _neighbors call."""
+    probed = listed.probed
+    with no_scene_queries():
+        got = listed.probe_density(rows, probes)
     want = density_many(listed.scene, probes)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    served, fell = listed.probed - probed, listed.past_skin - past
-    assert sorted([served, fell]) == [0, len(rows) * probes.shape[1]]
-    return served > 0
+    assert listed.probed == probed + len(rows) * probes.shape[1]
+    return got
 
 
 def gradient_probes(xs, h):
@@ -584,16 +594,16 @@ def gradient_probes(xs, h):
 
 
 class TestListedProbes:
-    """Gradient probes read through a _NeighborList, as the coupling hook
-    reads them after each density read, give density_gradient(scene, ...)'s
-    bits, whether they lie within the skin of their rows' origins (answered
-    from the list) or not (sent to density_many)."""
+    """Gradient probes read through a _NeighborList made with their step h,
+    as the coupling hook reads them after each density read, give
+    density_gradient(scene, ...)'s bits from the list alone: the list holds
+    each row's splats within the skin plus h, which covers every probe."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(name=st.sampled_from(sorted(LIST_SCENES)), n=st.integers(0, 12), seed=st.integers(0, 2 ** 16),
            moves=st.lists(st.sampled_from(WALK_MOVES), min_size=1, max_size=10),
-           h=st.sampled_from([1e-4, 1e-3, 0.01, 0.05]))
+           h=st.sampled_from([1e-4, 1e-3, 0.01, splats._SKIN]))
     def test_random_walks_match_density_gradient(self, name, n, seed, moves, h):
         # TestNeighborList's walk, with a probe read of some rows after each density read
         scene, spread = LIST_SCENES[name]
@@ -605,18 +615,17 @@ class TestListedProbes:
             return rows
 
         xs = fresh(n)
-        listed = _NeighborList(scene)
+        listed = _NeighborList(scene, h)
+        assert listed.probe_step == h
         for move in ["start"] + moves:
             origin = listed.origin
             some = rng.random(len(xs)) < 0.5
-            inside = False
             if move == "count":
                 xs = fresh(max(0, len(xs) + int(rng.choice([-2, -1, 1, 3]))))
             elif move == "creep" and np.isfinite(origin).all():
-                # rows and probes within the skin of where the list was built, for h below a tenth of it
-                inside = h < 0.1 * listed.skin
                 xs[:] = origin + unit_rows(rng, len(xs)) * rng.uniform(0.0, 0.9 * listed.skin, (len(xs), 1))
             elif move in ("edge", "past_edge"):
+                # rows the skin from the list's origin, whose probes reach the skin plus h; or one ulp past it
                 step = listed.skin if move == "edge" else np.nextafter(listed.skin, np.inf)
                 xs[some] = origin[some] + unit_rows(rng, int(some.sum())) * step
             elif move == "non_finite":
@@ -626,71 +635,86 @@ class TestListedProbes:
             listed.density(xs)
             rows = np.flatnonzero(rng.random(len(xs)) < 0.6)
             probed = listed.probed
-            got = density_gradient(scene, xs[rows], h, _listed=(listed, rows))
+            with no_scene_queries():
+                got = density_gradient(scene, xs[rows], h, _listed=(listed, rows))
             want = density_gradient(scene, xs[rows], h)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            if inside:
-                assert listed.probed == probed + 6 * len(rows)
+            assert listed.probed == probed + 6 * len(rows)
 
     def test_probe_on_the_skin_is_answered_from_the_list(self):
-        # a probe exactly the skin from its row's origin is answered from the list; one ulp farther falls back
+        # a row moved exactly the skin keeps the list, and its probes, the skin plus h from
+        # where it was listed, are answered from it
         scene = cluttered_scene(50, seed=34)
-        listed = _NeighborList(scene)
+        listed = _NeighborList(scene, 1e-3)
         xs = np.array([[0.0, 0.01, -0.02], [0.03, 0.0, 0.01]])
         listed.density(xs)
-        rows = np.arange(2)
+        xs[0, 0] = listed.skin
+        listed.density(xs)
+        assert listed.rebuilds == 1
         probes = gradient_probes(xs, 1e-3)
-        assert probe_read(listed, rows, probes)
-        probes[0, 3] = [listed.skin, 0.01, -0.02]
-        assert density_many(scene, probes[0, 3]) > 0.0
-        assert probe_read(listed, rows, probes)
-        probes[0, 3, 0] = np.nextafter(listed.skin, np.inf)
-        assert not probe_read(listed, rows, probes)
-        assert listed.rebuilds == 1 and (listed.probed, listed.past_skin) == (24, 12)
+        assert probes[0, 0, 0] == listed.skin + 1e-3
+        assert probe_read(listed, np.arange(2), probes)[0].all()
 
     def test_probe_on_the_skin_counts_a_blob_at_the_edge_of_the_list(self, monkeypatch):
-        # the row's list holds a blob at exactly its reach plus the skin, which a probe
-        # exactly the skin away ends on
+        # the row's list holds a blob at exactly its reach plus the skin plus h, which a
+        # probe exactly the skin plus h away ends on
         monkeypatch.setattr(splats, "_SKIN", 1 / 64)
-        scene = GaussianScene([unit_blob(mu=(0.25 + 1 / 64, 0.0, 0.0), sigma2=1 / 256)])
-        listed = _NeighborList(scene)
-        listed.density(np.zeros((1, 3)))
-        probes = np.zeros((1, 2, 3))
-        probes[0, 1, 0] = 1 / 64
-        assert probe_read(listed, np.array([0]), probes)
-        assert listed.probe_density(np.array([0]), probes)[0, 1] == np.exp(-8.0)
+        h = 1 / 128
+        scene = GaussianScene([unit_blob(mu=(0.25 + 1 / 64 + h, 0.0, 0.0), sigma2=1 / 256)])
+        assert scene.radii[0] == 0.25
+        listed = _NeighborList(scene, h)
+        xs = np.zeros((1, 3))
+        listed.density(xs)
+        xs[0, 0] = 1 / 64
+        assert listed.density(xs)[0] == 0.0 and listed.rebuilds == 1
+        probes = gradient_probes(xs, h)
+        assert probes[0, 0, 0] == 1 / 64 + h
+        assert probe_read(listed, np.array([0]), probes)[0, 0] == np.exp(-8.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_non_finite_probe_rows_fall_back(self):
+    def test_non_finite_rows_read_zero(self):
+        # a row listed as non-finite has no pairs, and its probes read 0, as density_many reads them
         scene = cluttered_scene(50, seed=35)
-        listed = _NeighborList(scene)
+        listed = _NeighborList(scene, 1e-3)
         xs = np.random.default_rng(36).normal(0.0, 0.02, (4, 3))
-        xs[1, 0] = np.nan
-        listed.density(xs)
-        rows = np.arange(4)
         for bad in (np.nan, np.inf, -np.inf):
-            # a row listed as non-finite, and a finite row whose probes are not
             x = xs.copy()
             x[2, 1] = bad
-            assert not probe_read(listed, rows, gradient_probes(x, 1e-3))
-            assert not probe_read(listed, rows[[0, 2]], gradient_probes(x[[0, 2]], 1e-3))
-            assert probe_read(listed, rows[[0, 3]], gradient_probes(x[[0, 3]], 1e-3))
+            listed.density(x)
+            rows = np.arange(4)
+            assert not probe_read(listed, rows, gradient_probes(x, 1e-3))[2].any()
+            assert probe_read(listed, rows[[0, 3]], gradient_probes(x[[0, 3]], 1e-3)).any()
 
     def test_row_count_change_between_the_density_and_the_probe_read(self):
+        # a density read of another row count rebuilds the list, and the probes of its new rows
+        # are answered from it
         scene = cluttered_scene(50, seed=35)
-        listed = _NeighborList(scene)
+        listed = _NeighborList(scene, 1e-3)
         xs = np.random.default_rng(36).normal(0.0, 0.05, (6, 3))
         listed.density(xs)
-        listed.density(xs[:4])   # rebuilt on 4 rows
+        probe_read(listed, np.arange(6), gradient_probes(xs, 1e-3))
+        listed.density(xs[:4])
         assert listed.rebuilds == 2
-        # rows 4 and 5 are no longer listed: the probes of any row set holding one fall back
-        assert not probe_read(listed, np.array([1, 4]), gradient_probes(xs[[1, 4]], 1e-3))
-        assert not probe_read(listed, np.array([5]), gradient_probes(xs[[5]], 1e-3))
-        assert probe_read(listed, np.array([0, 2, 3]), gradient_probes(xs[[0, 2, 3]], 1e-3))
-        # a 2-row batch read as the list's rows 0 and 1: answered near their origins only
-        assert probe_read(listed, np.arange(2), gradient_probes(xs[:2] + [0.01, 0.0, 0.0], 1e-3))
-        assert not probe_read(listed, np.arange(2), gradient_probes(xs[:2] + [0.04, 0.0, 0.0], 1e-3))
+        probe_read(listed, np.array([0, 2, 3]), gradient_probes(xs[[0, 2, 3]], 1e-3))
+        moved = xs[:4] + [0.01, 0.0, 0.0]
+        listed.density(moved)
+        assert listed.rebuilds == 2
+        probe_read(listed, np.arange(4), gradient_probes(moved, 1e-3))
         probe_read(listed, np.arange(0), np.empty((0, 6, 3)))   # no rows: an empty read
+
+    def test_step_past_the_skin_is_not_listed(self):
+        # a list holds a probe step up to the skin; past it, probe_step is 0 and a rebuild lists
+        # only the skin, as the scene's path list does
+        scene = cluttered_scene(50, seed=37)
+        skin = splats._SKIN
+        assert [_NeighborList(scene, h).probe_step for h in (0.0, 1e-3, skin, np.nextafter(skin, np.inf), 0.5)] \
+            == [0.0, 1e-3, skin, 0.0, 0.0]
+        assert scene._paths.probe_step == 0.0
+        xs = np.random.default_rng(38).normal(0.0, 0.05, (5, 3))
+        for h, reach in ((1e-3, skin + 1e-3), (0.5, skin)):
+            listed = _NeighborList(scene, h)
+            listed.density(xs)
+            assert np.array_equal(listed.row, _neighbors(scene, xs, reach, slack=1e-9)[0])
 
 
 # offsets whose squares are subnormal or flush to 0, signed zeros, and offsets

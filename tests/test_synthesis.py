@@ -530,11 +530,11 @@ class TestCoupledBatchLog:
     """Each coupled segment batch logs one DEBUG line through the
     splatsynth.synthesis logger: its rows and steps, and its hook's neighbour
     list rebuilds, listed and kept pairs, and gradient probe rows answered
-    from the list and past its skin."""
+    from the list."""
 
     LINE = (r"segment (\d+): (\d+) rows, (\d+) steps, "
             r"neighbour list: (\d+) rebuilds, (\d+) listed pairs, (\d+) kept, "
-            r"(\d+) probe rows, (\d+) past the skin")
+            r"(\d+) probe rows")
 
     def test_one_line_per_coupled_segment(self, caplog):
         job = coupled_job("letter", n_demos=3)
@@ -545,9 +545,9 @@ class TestCoupledBatchLog:
         for k, (line, model) in enumerate(zip(lines, fit_segments(job))):
             got = [int(v) for v in re.fullmatch(self.LINE, line).groups()]
             assert got[:3] == [k, 3, rollout_steps(model.canonical.tau, job.dt, job.horizon_factor)]
-            rebuilds, listed, kept, probed, past_skin = got[3:]
+            rebuilds, listed, kept, probed = got[3:]
             assert 1 <= rebuilds < got[2] and 0 < kept <= listed
-            assert probed > 0 and probed % 6 == past_skin % 6 == 0   # six probes per active row
+            assert probed > 0 and probed % 6 == 0   # six probes per active row
 
     def test_a_wrapped_hook_logs_question_marks(self, caplog, monkeypatch):
         # a hook wrapped as bench/tracing.py wraps it hides its neighbour list
@@ -563,7 +563,7 @@ class TestCoupledBatchLog:
             synthesize(job)
         (line,) = [r.getMessage() for r in caplog.records if r.name == "splatsynth.synthesis"]
         assert line == (f"segment 0: 2 rows, {steps} steps, neighbour list: ? rebuilds, ? listed pairs, ? kept, "
-                        "? probe rows, ? past the skin")
+                        "? probe rows")
 
     def test_no_line_above_debug_or_without_a_scene(self, caplog):
         with caplog.at_level(logging.INFO, logger="splatsynth"):
