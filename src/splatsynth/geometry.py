@@ -198,6 +198,11 @@ class Pose:
 
 
 _CSV_FIELDS = ["t", "x", "y", "z", "qw", "qx", "qy", "qz", "gripper", "split"]
+# A trajectory file's positions stay within this distance of the origin on each axis.  The fit scales
+# coordinate differences by the inverse square of the sample spacing and by the goal amplitude, and the
+# rollout squares velocities, so coordinates overflow long before 1e308: a demo within 1e150 m sampled every
+# 10 us already does.  1e100 leaves a factor of 1e50 for the timing.
+_MAX_COORD = 1e100
 
 
 def _column_text(column: np.ndarray) -> list:
@@ -239,7 +244,8 @@ class Trajectory:
         samples = (self.times, self.positions, self.quaternions, self.gripper)
         if not all(np.all(np.isfinite(x)) for x in samples):
             raise TrajectoryError("non-finite sample values")
-        norms = np.linalg.norm(self.quaternions, axis=1)
+        with np.errstate(over="ignore"):   # a norm that overflows is not 1, and is refused as such
+            norms = np.linalg.norm(self.quaternions, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-6):
             raise TrajectoryError("orientations must be unit quaternions")
         self.quaternions = quat_canonical(self.quaternions / norms[:, None])
@@ -291,7 +297,8 @@ class Trajectory:
     def _from_table(cls, table, unit: str) -> "Trajectory":
         """Trajectory from a CSV file's data rows of number strings (unit "row")
         or a JSON document {"samples": [{column: number}, ...]} (unit "sample").
-        The one check of outside input: each fault names its row or sample."""
+        The one check of outside input: each fault names its row or sample,
+        a finite position past _MAX_COORD on an axis included."""
         if unit == "sample":
             samples = table.get("samples") if isinstance(table, dict) else None
             if not isinstance(samples, list):
@@ -318,6 +325,10 @@ class Trajectory:
         if len(bad):
             raise TrajectoryError(f"{unit} {bad[0]}: split flag must be 0 or 1, got {flags[bad[0]]:g}")
         t, pos, quat, grip = (values[:, c].copy() for c in (0, slice(1, 4), slice(4, 8), 8))
+        far = np.flatnonzero(np.any((np.abs(pos) > _MAX_COORD) & np.isfinite(pos), axis=1))   # else: non-finite
+        if len(far):
+            raise TrajectoryError(f"{unit} {far[0]}: x,y,z must lie within {_MAX_COORD:g} m of the origin, "
+                                  f"got {pos[far[0]].tolist()}")
         return cls(t, pos, quat, grip, np.flatnonzero(flags).tolist())
 
     def _shared_columns(self) -> tuple:

@@ -4,8 +4,9 @@ The acceleration pushes along the outward density normal plus a tangential
 component that encourages sliding around dense regions.  It is gated by the
 density at a short lookahead probe relative to the threshold rho_th, and by
 whether the motion is directed into the obstacle; below the threshold the
-coupling is exactly zero.  A bounded return-to-reference correction pulls the
-rollout back toward the nominal phase-indexed trajectory once density drops.
+coupling is exactly zero, the pull's too while the repulsion has not moved the
+rollout off its nominal.  A bounded return-to-reference correction pulls the
+rollout back toward its uncoupled nominal once density drops.
 """
 
 from __future__ import annotations
@@ -82,10 +83,12 @@ def obstacle_accel(scene: GaussianScene, x_look, v, rho, params: ObstacleParams,
 
 
 def return_to_reference(x, v_err, x_ref, rho, params: ObstacleParams) -> np.ndarray:
-    """Bounded pull toward the nominal phase-indexed rollout position per (n, 3)
-    row, with v_err the velocity difference to the reference and rho the row's
+    """Bounded pull toward the nominal rollout's position x_ref per (n, 3)
+    row, with v_err the velocity difference to the nominal and rho the row's
     density.  The damping 2*sqrt(return_gain) keeps it critically damped; the
-    weight w = clamp(1 - rho/rho_th, 0, 1) disables the pull in high density."""
+    weight w = clamp(1 - rho/rho_th, 0, 1) disables the pull in high density.
+    A pull longer than return_cap is scaled to it, also where its length or
+    terms overflow, taking its direction from the pull over return_gain."""
     if params.return_gain == 0.0:
         return np.zeros(np.shape(x))
     w = np.minimum(np.maximum(1.0 - rho / params.rho_th, 0.0), 1.0)
@@ -94,42 +97,44 @@ def return_to_reference(x, v_err, x_ref, rho, params: ObstacleParams) -> np.ndar
         out = np.zeros(np.shape(x))
         on = np.flatnonzero(w != 0.0)
         w, x, v_err, x_ref = w[on], x[on], v_err[on], x_ref[on]
-    a = w[:, None] * (params.return_gain * (x_ref - x) - 2.0 * math.sqrt(params.return_gain) * v_err)
-    mag = np.sqrt(rowdot(a, a))
-    over = mag > params.return_cap
+    with np.errstate(over="ignore", invalid="ignore"):   # the rows that overflow are capped below
+        a = w[:, None] * (params.return_gain * (x_ref - x) - 2.0 * math.sqrt(params.return_gain) * v_err)
+        mag = np.sqrt(rowdot(a, a))
+    over = ~(mag <= params.return_cap)   # NaN where the pull's terms overflowed
     if over.any():
-        a[over] *= (params.return_cap / mag[over])[:, None]
+        huge = over & ~np.isfinite(mag)   # scaled to its largest component, the direction squares safely
+        u = w[huge, None] * ((x_ref - x)[huge] - 2.0 / math.sqrt(params.return_gain) * v_err[huge])
+        a[huge] = u / np.abs(u).max(axis=1, keepdims=True)
+        a[over] *= (params.return_cap / np.sqrt(rowdot(a[over], a[over])))[:, None]
     if out is None:
         return a
     out[on] = a
     return out
 
 
-def make_coupling(scene: GaussianScene, params: ObstacleParams, nominal, dt: float):
-    """The coupling hook (step, y, v) -> accelerations for (B, 3) rows of
-    positions and velocities.  nominal holds the (B, n+1, 3) positions of the
-    rows' uncoupled rollouts, which only the return pull reads (None will do
-    when return_gain is zero).
-    Each step reads the density of the lookahead probes when the repulsion is
-    on and of the positions when the pull is on, as density_many gives it,
-    from the hook's own splats._NeighborList, hook.neighbors, which also holds
-    the gradient step: the repulsion's gradient probes are read from it,
-    through obstacles.density_gradient, or from density_many when the list
-    does not hold the step (neighbors.probe_step 0).  None when both are off,
-    so that the coupled rollout is bitwise identical to the plain one."""
+def make_coupling(scene: GaussianScene, params: ObstacleParams, dt: float):
+    """The coupling hook (step, y, v) -> accelerations for rows of positions
+    and velocities.  With the return pull on, rows [0, B) are the uncoupled
+    nominals of rows [B, 2B), in the same state: the pull reads a nominal's
+    own position and velocity, and the nominals get exact zeros.  Each step
+    reads the density of the coupled rows' lookahead probes (repulsion on) and
+    positions (pull on), as density_many gives it, from the hook's own
+    splats._NeighborList, hook.neighbors, which also answers the repulsion's
+    gradient probes through obstacles.density_gradient, unless it does not
+    hold the gradient step (neighbors.probe_step 0) and density_many does.
+    None when both are off, so that the rollout is bitwise the plain one."""
     repel, pull = params.lambda_max > 0.0, params.return_gain > 0.0
     if not (repel or pull):
         return None
-    if pull:   # on the grid of sample times, which np.gradient rounds otherwise than the scalar dt
-        ref_vel = np.gradient(nominal, np.arange(nominal.shape[1]) * dt, axis=1)
-
     neighbors = _NeighborList(scene, params.gradient_step if repel else 0.0)
     listed = neighbors if neighbors.probe_step else None
     rows = np.empty((0, 3))   # the probes, then the positions; one buffer per row count
 
     def hook(step, y, v):
         nonlocal rows
-        b = len(y)
+        b = len(y) // 2 if pull else len(y)
+        if pull:   # rows [0, b) are the nominals of rows [b, 2b); an odd count returns a row short
+            y_ref, y, v_ref, v = y[:b], y[-b:], v[:b], v[-b:]
         if len(rows) != (repel + pull) * b:
             rows = np.empty(((repel + pull) * b, 3))
         if repel:
@@ -142,8 +147,7 @@ def make_coupling(scene: GaussianScene, params: ObstacleParams, nominal, dt: flo
         rho = neighbors.density(rows)
         a = obstacle_accel(scene, x_look, v, rho[:b], params, listed) if repel else np.zeros(y.shape)
         if pull:
-            i = min(step, nominal.shape[1] - 1)
-            a = a + return_to_reference(y, v - ref_vel[:, i], nominal[:, i], rho[-b:], params)
+            a = np.concatenate([np.zeros(y_ref.shape), a + return_to_reference(y, v - v_ref, y_ref, rho[-b:], params)])
         return a
 
     hook.neighbors = neighbors

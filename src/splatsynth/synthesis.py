@@ -178,41 +178,32 @@ def _targets(job: SynthesisJob, flags, indices):
 def _synthesize_rows(job: SynthesisJob, models: list[DmpModel], indices) -> list:
     """Chained multi-segment rollouts for the given rollout indices, as row
     blocks: each segment is one _integrate pass over the rows still alive,
-    after one uncoupled nominal pass when the return pull reads it, and one
-    concatenation chains the segments.  A coupled pass logs one DEBUG line
-    with its rows, its steps, and its hook's neighbour list rebuilds, listed
-    and kept pairs, and gradient probe rows answered from the list.  Returns,
-    per index, (Trajectory, manifest entry) or the RolloutError that ended
-    it."""
+    and one concatenation chains the segments.  With the return pull on, the
+    pass stacks each row's uncoupled nominal above it, as the hook pairs them,
+    and a row fails at its nominal's failing step, else at its own.  A coupled
+    pass logs one DEBUG line with its rollouts, its steps, and its hook's
+    neighbour list rebuilds, listed and kept pairs, and gradient probe rows
+    answered from the list.  Returns, per index, (Trajectory, manifest entry)
+    or the RolloutError that ended it."""
     flags = _perturbable_flags(job.spec, len(job.demo.splits))
     target_p, target_q, entries = _targets(job, flags, indices)
     y, q = target_p[:, 0].copy(), target_q[:, 0].copy()   # each row's start of its next segment
     outcome, alive = [None] * len(entries), np.arange(len(entries))
     chain, splits, offset = [], [0], 0.0   # per segment: its rows, times, positions, quaternions, gripper
     for k, model in enumerate(models):
-
-        def run(coupling):
-            """One pass over the alive rows; the rows that fail leave."""
-            nonlocal alive
-            times, p, qs, failed = _integrate(model, y[alive], q[alive], target_p[alive, k + 1],
-                                              target_q[alive, k + 1], job.dt, coupling=coupling,
-                                              horizon_factor=job.horizon_factor)
-            for i, f in zip(alive[failed >= 0], failed[failed >= 0]):
-                outcome[i] = RolloutError(f"non-finite state at step {f}")
-            alive = alive[failed < 0]
-            return times, p[failed < 0], qs[failed < 0]
-
-        coupling = None
-        if job.scene is not None and len(job.scene):
-            # the hook reads the nominal (uncoupled) positions only for its return pull
-            nominal = run(None)[1] if job.obstacle.return_gain > 0.0 else None
-            coupling = make_coupling(job.scene, job.obstacle, nominal, job.dt) if len(alive) else None
-        rows = len(alive)
-        times, p, qs = run(coupling)
+        coupling = make_coupling(job.scene, job.obstacle, job.dt) if job.scene else None   # None or no splats
+        n = len(alive)
+        rows = np.tile(alive, 2) if coupling is not None and job.obstacle.return_gain > 0.0 else alive
+        times, p, qs, failed = _integrate(model, y[rows], q[rows], target_p[rows, k + 1], target_q[rows, k + 1],
+                                          job.dt, coupling=coupling, horizon_factor=job.horizon_factor)
+        failed = np.where(failed[:n] >= 0, failed[:n], failed[-n:])
+        for i, f in zip(alive[failed >= 0], failed[failed >= 0]):
+            outcome[i] = RolloutError(f"non-finite state at step {f}")
+        alive, p, qs = alive[failed < 0], p[-n:][failed < 0], qs[-n:][failed < 0]
         if coupling is not None and log.isEnabledFor(logging.DEBUG):
             listed = getattr(coupling, "neighbors", None)   # a wrapped hook, as bench/tracing.py makes, hides it
             log.debug("segment %d: %d rows, %d steps, neighbour list: %s rebuilds, %s listed pairs, %s kept, "
-                      "%s probe rows", k, rows, len(times) - 1,
+                      "%s probe rows", k, n, len(times) - 1,
                       *(("?",) * 4 if listed is None else (listed.rebuilds, listed.listed, listed.kept, listed.probed)))
         if not len(alive):
             return outcome

@@ -779,6 +779,56 @@ class TestFit:
         assert main(["synth", write_config(tmp_path, str(path), tmp_path / "out")]) == 2
         one_error_line(capsys, f"demo: {path}: ")
 
+    # (column, value, the error after the file): the letter-A demo's file with that column set to the value
+    # in every row; each was one error line only after numpy's overflow warnings, or not refused at all
+    HUGE_COLUMNS = [
+        (1, "1e308", "row 0: x,y,z must lie within 1e+100 m of the origin, got [1e+308, 0.0, 0.0]"),
+        (3, "-1.5e100", "row 0: x,y,z must lie within 1e+100 m of the origin, got [0.0, 0.0, -1.5e+100]"),
+        (4, "1e200", "orientations must be unit quaternions"),
+    ]
+
+    @staticmethod
+    def demo_with_column(path, column, value):
+        lines = letter_a_demo().to_csv().splitlines()
+        lines[1:] = [",".join(row[:column] + [value] + row[column + 1:]) for row in (s.split(",") for s in lines[1:])]
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")   # a numpy warning would be a second stderr line
+    @pytest.mark.parametrize("column, value, message", HUGE_COLUMNS)
+    def test_huge_demo_value_is_one_error_line(self, tmp_path, capsys, column, value, message):
+        good, bad = str(tmp_path / "good.csv"), self.demo_with_column(tmp_path / "bad.csv", column, value)
+        letter_a_demo().save_csv(good)
+        assert main(["fit", bad, "--out", str(tmp_path / "models")]) == 1
+        one_error_line(capsys, f"{bad}: {message}")
+        assert main(["synth", write_config(tmp_path, bad, tmp_path / "bad_out")]) == 2
+        one_error_line(capsys, f"demo: {bad}: {message}")
+        assert main(["synth", write_config(tmp_path, good, tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(tmp_path / "out"), bad]) == 1
+        one_error_line(capsys, f"{bad}: {message}")
+        os.replace(bad, tmp_path / "out" / "rollout_0001.csv")
+        assert main(["eval", str(tmp_path / "out"), good]) == 1
+        one_error_line(capsys, f"{tmp_path / 'out' / 'rollout_0001.csv'}: {message}")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("column, value", [(1, "1e100"), (2, "-1e100"), (None, 1e101)])
+    def test_demo_on_the_coordinate_bound_runs_without_warnings(self, tmp_path, capsys, column, value):
+        # a column on the bound, or the whole letter (0.1 m across) scaled to reach it; the scaled
+        # letter's rollouts overshoot the bound, and eval refuses them, so it is fit and synthesized only
+        demo = str(tmp_path / "far.csv")
+        if column is None:
+            letter = letter_a_demo()
+            letter.positions *= value
+            letter.save_csv(demo)
+        else:
+            self.demo_with_column(tmp_path / "far.csv", column, value)
+        assert main(["fit", demo, "--out", str(tmp_path / "models")]) == 0
+        assert main(["synth", write_config(tmp_path, demo, tmp_path / "out")]) == 0
+        if column is not None:
+            assert main(["eval", str(tmp_path / "out"), demo]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("name, text, message", [
         ("truncated.json", '{"samples": [', "Expecting value: line 1 column 14 (char 13)"),
         ("one.csv", "t,x,y,z,qw,qx,qy,qz,gripper,split\n0,0,0,0,1,0,0,0,0,1\n",

@@ -35,7 +35,7 @@ from splatsynth.metrics import dtw
 from splatsynth.obstacles import ObstacleParams, make_coupling
 from splatsynth.splats import GaussianBlob, GaussianScene
 
-from helpers import integrate_two_systems, letter_a_demo, line_demo, minimum_jerk, nominal_positions
+from helpers import coupled_batch, integrate_two_systems, letter_a_demo, line_demo, minimum_jerk
 
 
 def minjerk_demo_1d(n=201, duration=1.0):
@@ -348,13 +348,13 @@ class TestRolloutMatchesPerStep:
             assert_rollout_matches_per_step(fit_dmp(demo.segment(k)), dt=0.01)
 
     def test_coupled(self):
+        # the repulsion alone: a hook with the return pull on reads each row's nominal from a paired row,
+        # which TestIntegrateMatchesTwoSystems feeds it
         demo = line_demo([0, 0, 0], [0.4, 0, 0], n=151)
         model = fit_dmp(demo)
         scene = GaussianScene([GaussianBlob([0.2, 0.004, 0.0], 0.02 ** 2 * np.eye(3), 1.0)])
-        params = ObstacleParams(rho_th=0.005, lambda_max=100.0, gamma=2.0,
-                                lookahead=0.015, return_gain=4.0)
-        hook = make_coupling(scene, params, nominal_positions([rollout(model, dt=0.01)]), 0.01)
-        assert_rollout_matches_per_step(model, dt=0.01, coupling=hook)
+        params = ObstacleParams(rho_th=0.005, lambda_max=100.0, gamma=2.0, lookahead=0.015)
+        assert_rollout_matches_per_step(model, dt=0.01, coupling=make_coupling(scene, params, 0.01))
 
     def test_degenerate_channels(self):
         # y, z and every orientation channel have goal == start at fit time
@@ -403,12 +403,11 @@ class TestRolloutBatch:
         params = ObstacleParams(rho_th=0.005, lambda_max=100.0, gamma=2.0,
                                 lookahead=0.015, return_gain=4.0)
         nominals = rollout_batch(model, starts, goals, dt=0.01)
-        outs = rollout_batch(model, starts, goals, dt=0.01,
-                             coupling=make_coupling(scene, params, nominal_positions(nominals), 0.01))
+        outs = coupled_batch(model, starts, goals, 0.01, make_coupling(scene, params, 0.01), params)
         assert not any(np.array_equal(o.positions, n.positions) for o, n in zip(outs, nominals))
-        for out, start, goal, nominal in zip(outs, starts, goals, nominals):
-            hook = make_coupling(scene, params, nominal_positions([nominal]), 0.01)
-            self.assert_same(out, rollout(model, start, goal, dt=0.01, coupling=hook))
+        for out, start, goal in zip(outs, starts, goals):
+            (alone,) = coupled_batch(model, [start], [goal], 0.01, make_coupling(scene, params, 0.01), params)
+            self.assert_same(out, alone)
 
     def test_non_finite_row_fails_alone(self):
         model, starts, goals = self.model_and_poses()
@@ -466,8 +465,7 @@ class TestIntegrateMatchesTwoSystems:
         if kind == "none":
             return None, None
         if kind == "coupling":
-            nominal = integrate_two_systems(model, *rows, dt, horizon_factor=horizon_factor)[1]
-            return tuple(make_coupling(INTEGRATE_SCENE, INTEGRATE_PARAMS, nominal, dt) for _ in range(2))
+            return tuple(make_coupling(INTEGRATE_SCENE, INTEGRATE_PARAMS, dt) for _ in range(2))
 
         def nan_hook(step, y, v):
             a = 0.5 * np.sin(40.0 * y) - 0.1 * v
@@ -483,6 +481,8 @@ class TestIntegrateMatchesTwoSystems:
     def test_bit_equal_to_the_two_system_oracle(self, name, b, seed, dt, horizon_factor, kind, nan_row, nan_step):
         model = INTEGRATE_MODELS[name]
         rows = integrate_rows(model, b, seed)
+        if kind == "coupling":   # the return pull reads rows [0, b), the nominals of rows [b, 2b)
+            rows = tuple(np.concatenate([r, r]) for r in rows)
         hook, oracle_hook = self.hooks(kind, model, rows, dt, horizon_factor, nan_row, nan_step)
         got = _integrate(model, *rows, dt, coupling=hook, horizon_factor=horizon_factor)
         want = integrate_two_systems(model, *rows, dt, coupling=oracle_hook, horizon_factor=horizon_factor)

@@ -17,6 +17,11 @@ assembly was folded into one path (from_arrays and _from_factors).
 The eval, writing-error and PLY digests were re-pinned when every density row
 came to be summed left to right (splats._density_sums), which moved the last
 bit of some rows of 8 or more kernel terms.
+
+The export and both PLY digests were re-pinned when the return pull came to
+read each rollout's nominal from the same integrator state (rows [0, B) of
+one _integrate pass), in place of np.gradient of a separately integrated
+nominal, which moved every coupled rollout with the pull on.
 """
 
 import hashlib
@@ -33,11 +38,11 @@ from splatsynth.synthesis import PerturbationSpec, SynthesisJob, export_dataset,
 
 from helpers import letter_a_demo, line_demo
 
-EXPORT_DIGEST = "6202fa5086750320f766503229f6e8b73207428d91c77f3d40cbcc86ae792412"
+EXPORT_DIGEST = "1ff9ca5be7a29daec9c6228e70b4f8550c495d8dfea8dfe5d36cdf9d779dba19"
 EVAL_DIGEST = "ee3eeb0ee91e6a7d7a87b908387078565b3613d164efa7db3f808743666c419b"
 WRITING_DIGEST = "9f8fb56737914c54d3a049595a049cfb0658c8bfb2c62056fe9a47720e7402a9"
-PLY_EXPORT_DIGEST = "29feabb744cfbf68fc0e62351c380808816aaa226fe042b8dc984548bdab83b5"
-PLY_EVAL_DIGEST = "2e3432b8ed38bcb60e6b4ed34c0e7998c796e3fc1b4abb8d51633abd974a67fd"
+PLY_EXPORT_DIGEST = "2c1d4e84630b9a2f701694c915acb7240cc95b06829c8fd3d087cae01a46f060"
+PLY_EVAL_DIGEST = "cf0d9a51db43b433a3b054bf0a42743e5b9177a6aeca9feacc0459fe3da5d92e"
 
 
 def dir_digest(path) -> str:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -19,7 +20,7 @@ from splatsynth.obstacles import (
 )
 from splatsynth.splats import GaussianBlob, GaussianScene, density, density_many
 
-from helpers import line_demo, nominal_positions
+from helpers import coupled_batch, line_demo
 
 
 def blob_scene(mu=(0.2, 0.0, 0.0), sigma=0.05, alpha=1.0):
@@ -208,6 +209,36 @@ class TestReturnToReference:
         assert np.all(a[0] == 0.0) and not np.signbit(a[0]).any()
         assert abs(np.linalg.norm(a[1]) - 5.0) < 1e-9
 
+    def test_cap_holds_where_the_pull_overflows(self):
+        # gain 1e200: a 1 mm offset pulls at 1e197 m/s^2, whose square overflows, and a 1 m offset
+        # overflows the pull's own terms; each is scaled to the cap along -x, never to 0 or NaN
+        p = ObstacleParams(return_gain=1e200, return_cap=5.0, rho_th=0.1)
+        x = np.array([[1e-3, 0.0, 0.0], [1.0, 0.0, 0.0], [1e-3, 2e-3, 0.0]])
+        v_err = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1e-90, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = return_to_reference(x, v_err, np.zeros((3, 3)), np.zeros(3), p)
+        assert np.all(np.isfinite(a))
+        assert np.linalg.norm(a, axis=1) == pytest.approx([5.0, 5.0, 5.0], rel=1e-12)
+        assert a[:2, 0].tolist() == [-5.0, -5.0] and a[:2, 1:].tolist() == [[0.0, 0.0]] * 2
+        assert a[2] == pytest.approx(-5.0 * np.array([1.0, 2.0, 0.0]) / math.sqrt(5.0), rel=1e-12)
+
+    def test_rows_that_do_not_overflow_keep_their_bits(self):
+        # the cap scales an over-long pull by return_cap / |a| whatever the other rows hold
+        p = ObstacleParams(return_gain=1e150, return_cap=5.0, rho_th=0.1)
+        x = np.array([[1e-3, 0.0, 0.0], [1e-160, -3e-161, 0.0], [1e10, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        v_err = np.array([[0.0, 0.0, 0.0], [1e-90, 0.0, 2e-90], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        a = return_to_reference(x, v_err, np.zeros((4, 3)), np.zeros(4), p)
+        for i in (0, 1, 3):
+            want = 1.0 * (p.return_gain * (0.0 - x[i]) - 2.0 * math.sqrt(p.return_gain) * v_err[i])
+            mag = math.sqrt(float(np.dot(want, want)))
+            if mag > p.return_cap:
+                want = want * (p.return_cap / mag)
+            assert a[i].tobytes() == want.tobytes()
+            assert np.array_equal(a[i], pull_at(x[i], v_err[i], np.zeros(3), 0.0, p))
+        assert np.linalg.norm(a[[0, 2]], axis=1) == pytest.approx([5.0, 5.0], rel=1e-12)
+        assert np.linalg.norm(a[1]) < 5.0 and not a[3].any()
+
     def test_zero_at_reference(self):
         p = ObstacleParams(return_gain=10.0, rho_th=0.1)
         a = pull_at([0.3, 0.1, 0], [0, 0, 0], [0.3, 0.1, 0], 0.0, p)
@@ -219,19 +250,25 @@ class TestMakeCoupling:
         demo = line_demo([0, 0, 0], [0.4, 0, 0], n=151)
         return demo, fit_dmp(demo)
 
+    @staticmethod
+    def start(model, offset=0.0):
+        return Pose(model.y0 + offset, model.q0)
+
+    @staticmethod
+    def goal(model, offset=0.0):
+        return Pose(model.goal + offset, model.q_goal)
+
     def test_inert_coupling_is_none(self):
-        demo, model = self.demo_and_model()
-        nominal = rollout(model, dt=0.01)
         scene = blob_scene()
         params = ObstacleParams(lambda_max=0.0, return_gain=0.0)
-        assert make_coupling(scene, params, nominal_positions([nominal]), 0.01) is None
+        assert make_coupling(scene, params, 0.01) is None
 
     def test_inert_coupling_bitwise_identical(self):
         demo, model = self.demo_and_model()
         nominal = rollout(model, dt=0.01)
         scene = blob_scene()
         params = ObstacleParams(lambda_max=0.0, return_gain=0.0)
-        hook = make_coupling(scene, params, nominal_positions([nominal]), 0.01)
+        hook = make_coupling(scene, params, 0.01)
         out = rollout(model, dt=0.01, coupling=hook)
         assert np.array_equal(out.positions, nominal.positions)
         assert np.array_equal(out.quaternions, nominal.quaternions)
@@ -243,8 +280,8 @@ class TestMakeCoupling:
         scene = blob_scene(mu=(0.2, 0.004, 0.0), sigma=0.02)
         params = ObstacleParams(rho_th=0.05, lambda_max=40.0, gamma=1.0,
                                 lookahead=0.03, return_gain=4.0)
-        hook = make_coupling(scene, params, nominal_positions([nominal]), dt)
-        out = rollout(model, dt=dt, coupling=hook)
+        hook = make_coupling(scene, params, dt)
+        (out,) = coupled_batch(model, [self.start(model)], [self.goal(model)], dt, hook, params)
         rho_nom = max(density(scene, x) for x in nominal.positions)
         rho_avd = max(density(scene, x) for x in out.positions)
         assert rho_nom > 0.5          # nominal path goes through the blob
@@ -257,39 +294,62 @@ class TestMakeCoupling:
         # the peak lateral deflection should not decrease as rho_th drops
         demo, model = self.demo_and_model()
         dt = 0.005
-        nominal = rollout(model, dt=dt)
         scene = blob_scene(mu=(0.2, 0.004, 0.0), sigma=0.02)
         defl = []
         for rho_th in (0.4, 0.2, 0.1, 0.05):
             params = ObstacleParams(rho_th=rho_th, lambda_max=40.0,
                                     lookahead=0.03, return_gain=4.0)
-            hook = make_coupling(scene, params, nominal_positions([nominal]), dt)
-            out = rollout(model, dt=dt, coupling=hook)
+            hook = make_coupling(scene, params, dt)
+            (out,) = coupled_batch(model, [self.start(model)], [self.goal(model)], dt, hook, params)
             defl.append(np.abs(out.positions[:, 1]).max())
         assert all(b >= a - 1e-6 for a, b in zip(defl, defl[1:]))
 
     def test_return_pull_drags_toward_reference(self):
-        # no obstacle force; give the hook a reference path offset in +y and
-        # check the rollout is pulled toward it, more so at higher gain
-        from splatsynth.geometry import Trajectory
+        # no obstacle force; the nominal row starts and ends offset in +y, so
+        # its path is the coupled row's shifted by the offset: the coupled row
+        # is pulled toward it, more so at higher gain
         demo, model = self.demo_and_model()
         dt = 0.005
-        nominal = rollout(model, dt=dt)
         offset = np.array([0.0, 0.01, 0.0])
-        shifted = Trajectory(nominal.times, nominal.positions + offset,
-                             nominal.quaternions, nominal.gripper)
         scene = blob_scene(mu=(10.0, 10.0, 10.0), sigma=0.01)  # far away
         mean_y = []
         for gain in (0.0, 50.0, 400.0):
-            hook = make_coupling(scene, ObstacleParams(
-                lambda_max=0.0, return_gain=gain, return_cap=50.0), nominal_positions([shifted]), dt)
-            out = rollout(model, dt=dt, coupling=hook)
+            hook = make_coupling(scene, ObstacleParams(lambda_max=0.0, return_gain=gain, return_cap=50.0), dt)
+            starts = [self.start(model, offset), self.start(model)]
+            goals = [self.goal(model, offset), self.goal(model)]
+            nominal, out = rollout_batch(model, starts, goals, dt, hook)
+            assert np.allclose(nominal.positions, rollout(model, dt=dt).positions + offset, rtol=0, atol=1e-12)
             mean_y.append(out.positions[:, 1].mean())
         assert mean_y[0] == pytest.approx(0.0, abs=1e-9)
         assert mean_y[1] > 1e-4
         assert mean_y[2] > mean_y[1]
         assert mean_y[2] < offset[1] + 1e-6
 
+    def test_pull_without_a_splat_in_reach_leaves_the_nominal(self):
+        # every rollout the repulsion never moves is bit-equal to its nominal, pull on or off
+        model = fit_dmp(line_demo([0, 0, 0], [0.4, 0, 0], n=151))
+        rng = np.random.default_rng(5)
+        starts = [Pose(rng.normal(0.0, 0.01, 3), [1.0, 0, 0, 0]) for _ in range(4)]
+        goals = [Pose([0.4, 0, 0] + rng.normal(0.0, 0.02, 3), [1.0, 0, 0, 0]) for _ in range(4)]
+        nominals = rollout_batch(model, starts, goals, dt=0.01)
+        for gain in (4.0, 100.0):
+            params = ObstacleParams(rho_th=0.005, lambda_max=100.0, lookahead=0.015, return_gain=gain)
+            hook = make_coupling(blob_scene(mu=(100.0, 0.0, 0.0), sigma=0.02), params, 0.01)
+            outs = coupled_batch(model, starts, goals, 0.01, hook, params)
+            for out, nominal in zip(outs, nominals):
+                assert out.positions.tobytes() == nominal.positions.tobytes()
+                assert out.quaternions.tobytes() == nominal.quaternions.tobytes()
+
+    @pytest.mark.parametrize("lambda_max", [0.0, 100.0])
+    def test_pull_refuses_unpaired_rows(self, lambda_max):
+        # with the pull on, a row without its nominal, as rollout gives it, or an odd batch is an error
+        demo, model = self.demo_and_model()
+        params = ObstacleParams(rho_th=0.005, lambda_max=lambda_max, lookahead=0.015, return_gain=4.0)
+        with pytest.raises(ValueError):
+            rollout(model, dt=0.01, coupling=make_coupling(blob_scene(), params, 0.01))
+        with pytest.raises(ValueError):
+            rollout_batch(model, [self.start(model)] * 3, [self.goal(model)] * 3, 0.01,
+                          make_coupling(blob_scene(), params, 0.01))
 
 class TestHookDensityQueries:
     @pytest.mark.parametrize("lambda_max, return_gain, per_row", [
@@ -310,7 +370,7 @@ class TestHookDensityQueries:
         goals = [Pose([0.4, dy, 0.0], [1.0, 0, 0, 0]) for dy in (-0.004, 0.0, 0.004)]
         nominals = rollout_batch(model, starts, goals, dt=0.01)
         params = ObstacleParams(rho_th=0.05, lambda_max=lambda_max, lookahead=0.03, return_gain=return_gain)
-        hook = make_coupling(blob_scene(mu=(0.2, 0.004, 0.0), sigma=0.02), params, nominal_positions(nominals), 0.01)
+        hook = make_coupling(blob_scene(mu=(0.2, 0.004, 0.0), sigma=0.02), params, 0.01)
         queries, steps = [], []   # steps: (rows' shape, _neighbors calls, rows within the skin)
         probes = []   # per gradient step: (_neighbors calls, rows probed)
         neighbors, density, probe_density = splats._neighbors, splats._NeighborList.density, \
@@ -336,8 +396,9 @@ class TestHookDensityQueries:
         monkeypatch.setattr(splats, "_neighbors", counted)
         monkeypatch.setattr(splats._NeighborList, "density", listed)
         monkeypatch.setattr(splats._NeighborList, "probe_density", probed)
-        outs = rollout_batch(model, starts, goals, dt=0.01, coupling=hook)
-        assert not any(np.array_equal(o.positions, n.positions) for o, n in zip(outs, nominals))
+        outs = coupled_batch(model, starts, goals, 0.01, hook, params)
+        moved = [not np.array_equal(o.positions, n.positions) for o, n in zip(outs, nominals)]
+        assert moved == [lambda_max > 0.0] * len(outs)   # the pull alone never leaves the nominal
         assert [shape for shape, _, _ in steps] == [(per_row * len(starts), 3)] * (len(outs[0]) - 1)
         assert [calls for _, calls, _ in steps] == [int(not inside) for _, _, inside in steps]
         assert 0 < hook.neighbors.rebuilds < len(steps)   # both kinds of step ran
@@ -386,22 +447,21 @@ class TestHookNeighborList:
         monkeypatch.setattr(splats._NeighborList, "density", checked)
         repel = dataclasses.replace(params, return_gain=0.0)
         for terms, rows in ((repel, [3, 4]), (params, [4, 4])):
-            hook = make_coupling(scene, terms, nominal_positions(nominals), 0.01)
+            hook = make_coupling(scene, terms, 0.01)
             for n in rows:
-                got = rollout_batch(model, starts[:n], goals[:n], dt=0.01, coupling=hook)
-                want = rollout_batch(model, starts[:n], goals[:n], dt=0.01,
-                                     coupling=make_coupling(scene, terms, nominal_positions(nominals), 0.01))
+                got = coupled_batch(model, starts[:n], goals[:n], 0.01, hook, terms)
+                want = coupled_batch(model, starts[:n], goals[:n], 0.01, make_coupling(scene, terms, 0.01), terms)
                 assert [g.positions.tobytes() for g in got] == [w.positions.tobytes() for w in want]
         assert sum(reads) > len(reads)   # the rows read density at many steps
 
     def test_rebuilding_every_step_gives_the_same_rollouts(self, monkeypatch):
         model, starts, goals, nominals, params = self.batch()
         scene = cluttered_line_scene()
-        listed = make_coupling(scene, params, nominal_positions(nominals), 0.01)
-        want = rollout_batch(model, starts, goals, dt=0.01, coupling=listed)
+        listed = make_coupling(scene, params, 0.01)
+        want = coupled_batch(model, starts, goals, 0.01, listed, params)
         monkeypatch.setattr(splats, "_SKIN", 0.0)
-        every = make_coupling(scene, params, nominal_positions(nominals), 0.01)
-        got = rollout_batch(model, starts, goals, dt=0.01, coupling=every)
+        every = make_coupling(scene, params, 0.01)
+        got = coupled_batch(model, starts, goals, 0.01, every, params)
         steps = len(want[0]) - 1
         assert every.neighbors.rebuilds > 0.9 * steps > 2 * listed.neighbors.rebuilds
         assert not any(np.array_equal(w.positions, n.positions) for w, n in zip(want, nominals))
@@ -415,11 +475,11 @@ class TestHookNeighborList:
         model, starts, goals, nominals, params = self.batch()
         scene = cluttered_line_scene()
         params = dataclasses.replace(params, gradient_step=0.05)
-        plain = make_coupling(scene, params, nominal_positions(nominals), 0.01)
-        want = rollout_batch(model, starts, goals, dt=0.01, coupling=plain)
+        plain = make_coupling(scene, params, 0.01)
+        want = coupled_batch(model, starts, goals, 0.01, plain, params)
         monkeypatch.setattr(splats, "_SKIN", 0.06)
-        listed = make_coupling(scene, params, nominal_positions(nominals), 0.01)
-        got = rollout_batch(model, starts, goals, dt=0.01, coupling=listed)
+        listed = make_coupling(scene, params, 0.01)
+        got = coupled_batch(model, starts, goals, 0.01, listed, params)
         assert (plain.neighbors.probe_step, plain.neighbors.probed) == (0.0, 0)
         assert listed.neighbors.probe_step == 0.05 and listed.neighbors.probed > 0
         assert not any(np.array_equal(w.positions, n.positions) for w, n in zip(want, nominals))
@@ -431,7 +491,7 @@ class TestHookNeighborList:
         # a tracer wraps obstacles.density_gradient to see the hook's gradient reads: the hook
         # must reach its list through that binding, not around it
         model, starts, goals, nominals, params = self.batch()
-        hook = make_coupling(cluttered_line_scene(), params, nominal_positions(nominals), 0.01)
+        hook = make_coupling(cluttered_line_scene(), params, 0.01)
         gradient = obstacles.density_gradient
         reads = []
 
@@ -439,6 +499,6 @@ class TestHookNeighborList:
             reads.append(_listed)
             return gradient(scene, x, h, _listed)
         monkeypatch.setattr(obstacles, "density_gradient", spy)
-        rollout_batch(model, starts, goals, dt=0.01, coupling=hook)
+        coupled_batch(model, starts, goals, 0.01, hook, params)
         assert reads and all(r is not None and r[0] is hook.neighbors for r in reads)
         assert hook.neighbors.probed == 6 * sum(len(r[1]) for r in reads)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -338,7 +339,8 @@ class TestSynthesize:
 
 
 class TestNominalRollout:
-    """The uncoupled nominal rollout feeds only the coupling's return pull."""
+    """The uncoupled nominal rollout feeds only the coupling's return pull,
+    which reads it from the same _integrate state as the coupled rows."""
 
     def blob_job(self, **obstacle):
         demo = line_demo([0, 0, 0], [0.4, 0, 0], n=151)
@@ -347,7 +349,7 @@ class TestNominalRollout:
                             obstacle=ObstacleParams(rho_th=0.005, gamma=2.0, lookahead=0.015, **obstacle))
 
     def count_rollouts(self, monkeypatch, job):
-        """(coupled, rows) of every _integrate call: one per integration pass."""
+        """(coupled, rows) of every _integrate call: one per segment."""
         import splatsynth.synthesis as synth_mod
         calls = []
         real = synth_mod._integrate
@@ -361,42 +363,55 @@ class TestNominalRollout:
         return calls
 
     @pytest.mark.parametrize("lambda_max,return_gain,expected", [
-        (100.0, 0.0, [True]),           # coupled, no return pull: nominal skipped
-        (100.0, 4.0, [False, True]),    # nominal, then the coupled rollout
-        (0.0, 0.0, [False]),            # inert coupling: the nominal is the piece
+        (100.0, 0.0, (True, 1)),    # coupled, no return pull: no nominal
+        (100.0, 4.0, (True, 2)),    # the nominals, then the coupled rows, in one state
+        (0.0, 0.0, (False, 1)),     # inert coupling: the nominal is the piece
+        (0.0, 4.0, (True, 2)),      # the return pull alone
     ])
     def test_rollout_calls(self, monkeypatch, lambda_max, return_gain, expected):
-        # the line demo has one segment: one batch of all rollouts per pass
+        # the line demo has one segment: one _integrate call over all rollouts' rows
         job = self.blob_job(lambda_max=lambda_max, return_gain=return_gain)
-        assert self.count_rollouts(monkeypatch, job) == [(c, job.n_demos) for c in expected]
+        coupled, copies = expected
+        assert self.count_rollouts(monkeypatch, job) == [(coupled, copies * job.n_demos)]
 
     def test_skipped_nominal_output_unchanged(self, monkeypatch, tmp_path):
-        # the same batch along the path that integrates the nominals and hands
-        # them to the hook before each coupled batch: byte-identical files
+        # with the return pull off no nominal is integrated: the same batch along the path that
+        # stacks every coupled pass's rows below a copy of themselves, as the pull stacks its
+        # nominals, writes byte-identical files
         import splatsynth.synthesis as synth_mod
         job = self.blob_job(lambda_max=100.0, return_gain=0.0)
         trajs, manifest = synthesize(job)
         export_dataset(trajs, manifest, tmp_path / "skipped")
-        real_integrate, real_make = synth_mod._integrate, synth_mod.make_coupling
-        nominals = []
+        real_integrate = synth_mod._integrate
+        copies = []
 
-        def with_nominal(model, y, q0, goal, q_goal, dt, coupling=None, horizon_factor=1.25):
-            if coupling is not None:
-                nominal = real_integrate(model, y, q0, goal, q_goal, dt, coupling=None,
-                                         horizon_factor=horizon_factor)[1]
-                nominals.extend(nominal)
-                coupling = real_make(job.scene, job.obstacle, nominal, dt)
-            return real_integrate(model, y, q0, goal, q_goal, dt, coupling=coupling,
-                                  horizon_factor=horizon_factor)
+        def with_copies(model, y, q0, goal, q_goal, dt, coupling=None, horizon_factor=1.25):
+            if coupling is None:
+                return real_integrate(model, y, q0, goal, q_goal, dt, horizon_factor=horizon_factor)
+            rows = [np.concatenate([r, r]) for r in (y, q0, goal, q_goal)]
+            times, p, qs, failed = real_integrate(model, *rows, dt, coupling=coupling, horizon_factor=horizon_factor)
+            copies.extend(p[:len(y)])
+            return times, p[len(y):], qs[len(y):], failed[len(y):]
 
-        monkeypatch.setattr(synth_mod, "_integrate", with_nominal)
+        monkeypatch.setattr(synth_mod, "_integrate", with_copies)
         trajs, manifest = synthesize(job)
         export_dataset(trajs, manifest, tmp_path / "nominal")
-        assert len(nominals) == job.n_demos
+        assert len(copies) == job.n_demos
         names = sorted(p.name for p in (tmp_path / "skipped").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "nominal").iterdir())
         for name in names:
             assert (tmp_path / "skipped" / name).read_bytes() == (tmp_path / "nominal" / name).read_bytes()
+
+    @pytest.mark.parametrize("kind", ["line", "letter"])
+    def test_pull_without_a_splat_in_reach_leaves_the_nominal(self, kind):
+        # the coupled job's one splat moved 100 m away: no rollout meets it, so the repulsion never
+        # acts, and with the return pull on every rollout is bit-equal to the uncoupled one
+        job = coupled_job(kind, n_demos=8)
+        assert job.obstacle.return_gain > 0.0 and job.obstacle.lambda_max > 0.0
+        far = GaussianScene([GaussianBlob([100.0, 0.0, 0.0], 0.02 ** 2 * np.eye(3), 1.0)])
+        nominal, _ = synthesize(dataclasses.replace(job, scene=None))
+        coupled, _ = synthesize(dataclasses.replace(job, scene=far))
+        assert [t.to_csv() for t in coupled] == [t.to_csv() for t in nominal]
 
 
 def coupled_job(kind, n_demos=16):
@@ -440,7 +455,7 @@ class TestBatchIndependence:
             def wrapped(step, y, v):
                 a = hook(step, y, v)
                 if step == 9:
-                    a[1] = np.nan
+                    a[len(a) // 2 + 1] = np.nan   # rollout 1's coupled row, below the nominals
                 return a
             return wrapped
 
@@ -469,7 +484,7 @@ class TestBatchIndependence:
             def wrapped(step, y, v):
                 a = hook(step, y, v)
                 if segment == 1 and step == 9:
-                    a[1] = np.nan
+                    a[len(a) // 2 + 1] = np.nan
                 return a
             return wrapped
 
@@ -484,6 +499,8 @@ class TestBatchIndependence:
             assert manifest["rollouts"][i] == clean_manifest["rollouts"][i]
 
     def test_failed_nominal_row_skips_its_coupled_rollout(self, monkeypatch):
+        # rollout 0's nominal fails at step 5 and its coupled row at step 2: the rollout fails at its
+        # nominal's step; rollout 1's coupled row alone fails at step 4
         import splatsynth.synthesis as synth_mod
         job = coupled_job("letter", n_demos=3)
         clean, _ = synthesize(job)
@@ -493,16 +510,17 @@ class TestBatchIndependence:
         def failing_nominal(model, y, *args, **kwargs):
             times, positions, quaternions, failed = real(model, y, *args, **kwargs)
             rows.append((kwargs["coupling"] is not None, len(y)))
-            if kwargs["coupling"] is None and len(y) == 3:
-                failed[0] = 2
+            if len(y) == 6:
+                failed[[0, 3, 4]] = [5, 2, 4]
             return times, positions, quaternions, failed
 
         monkeypatch.setattr(synth_mod, "_integrate", failing_nominal)
         trajs, manifest = synthesize(job)
-        assert rows == [(False, 3), (True, 2), (False, 2), (True, 2)]
-        assert manifest["rollouts"][0]["error"] == "non-finite state at step 2"
-        assert trajs[0] is None
-        assert [t.to_csv() for t in trajs[1:]] == [t.to_csv() for t in clean[1:]]
+        assert rows == [(True, 6), (True, 2)]
+        assert [e.get("error") for e in manifest["rollouts"]] == ["non-finite state at step 5",
+                                                                   "non-finite state at step 4", None]
+        assert trajs[:2] == [None, None]
+        assert trajs[2].to_csv() == clean[2].to_csv()
 
 
 class TestRowBlocks:
