@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -212,6 +213,67 @@ def _column_text(column: np.ndarray) -> list:
     return [",".join(map(repr, row)) for row in column.tolist()]
 
 
+def _csv_template(text) -> str:
+    """A CSV file's text as a %-template: the text of Trajectory._shared_columns,
+    as _column_text makes it and with % escaped, and %r for each position value."""
+    t, gripper, flags, quats = ([s.replace("%", "%%") for s in column] for column in text)
+    rows = [f"{a},%r,%r,%r,{q},{b},{c}" for a, q, b, c in zip(t, quats, gripper, flags)]
+    return "\n".join([",".join(_CSV_FIELDS), *rows]) + "\n"
+
+
+def _row_values(rows, unit: str) -> np.ndarray:
+    """The (n, 10) values of rows of numbers or number strings, one row at a
+    time, each string read as float() reads it; a TrajectoryError names the
+    first row that does not hold ten numbers."""
+    width = len(_CSV_FIELDS)
+    values = np.empty((len(rows), width))
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise TrajectoryError(f"{unit} {i}: expected {width} values, got {len(row)}")
+        try:
+            values[i] = row   # numpy parses each string as float() does
+        except (ValueError, OverflowError) as exc:
+            raise TrajectoryError(f"{unit} {i}: {exc}") from None
+    return values
+
+
+def _is_header(row) -> bool:
+    """Whether a CSV file's first row, None for an empty file, is the trajectory header, each name stripped."""
+    return row is not None and [c.strip() for c in row] == _CSV_FIELDS
+
+
+def _read_rows(path) -> list:
+    """The non-empty data rows of a CSV file as lists of cell strings, after its header is checked."""
+    with open(path, newline="") as f:
+        header, *rows = list(csv.reader(f)) or [None]
+    if not _is_header(header):
+        raise TrajectoryError(f"bad trajectory header: expected {_CSV_FIELDS}")
+    return [row for row in rows if row]
+
+
+def _read_values(path):
+    """The (n, 10) values of a CSV file's data rows in one np.loadtxt pass over
+    its lines, split as csv.reader splits them, after its header is checked.
+    None where the header, the text encoding or that pass refuses the file,
+    where the pass warns or reads another width, or where csv.reader could
+    refuse a cell for its length.  loadtxt reads each cell it accepts as
+    float() reads it, and skips only the lines that csv.reader reads as empty
+    rows, which the per-row read skips too."""
+    try:
+        with open(path, newline="") as f:
+            if not _is_header(next(csv.reader(f), None)):
+                return None
+            lines = list(f)
+        if max(map(len, lines), default=0) >= csv.field_size_limit():
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a file with no data row warns
+            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except (csv.Error, ValueError, Warning):
+        return None
+    return values if values.shape[1] == len(_CSV_FIELDS) else None
+
+
 @dataclass
 class Trajectory:
     """Timestamped end-effector poses with gripper state and split markers.
@@ -295,10 +357,11 @@ class Trajectory:
 
     @classmethod
     def _from_table(cls, table, unit: str) -> "Trajectory":
-        """Trajectory from a CSV file's data rows of number strings (unit "row")
-        or a JSON document {"samples": [{column: number}, ...]} (unit "sample").
-        The one check of outside input: each fault names its row or sample,
-        a finite position past _MAX_COORD on an axis included."""
+        """Trajectory from the (n, 10) values of a CSV file's data rows (unit
+        "row") or a JSON document {"samples": [{column: number}, ...]} (unit
+        "sample").  The one check of outside input, with _row_values: each
+        fault names its row or sample, a finite position past _MAX_COORD on an
+        axis included."""
         if unit == "sample":
             samples = table.get("samples") if isinstance(table, dict) else None
             if not isinstance(samples, list):
@@ -310,21 +373,12 @@ class Trajectory:
                 bad = next((k for k in _CSV_FIELDS if type(sample.get(k)) not in (int, float)), None)
                 if bad is not None:
                     raise TrajectoryError(f"sample {i}: expected a number at key {bad!r}")
-            table = [[sample[k] for k in _CSV_FIELDS] for sample in samples]
-        width = len(_CSV_FIELDS)
-        values = np.empty((len(table), width))
-        for i, row in enumerate(table):
-            if len(row) != width:
-                raise TrajectoryError(f"{unit} {i}: expected {width} values, got {len(row)}")
-            try:
-                values[i] = row   # numpy parses each string as float() does
-            except (ValueError, OverflowError) as exc:
-                raise TrajectoryError(f"{unit} {i}: {exc}") from None
-        flags = values[:, -1]
+            table = _row_values([[sample[k] for k in _CSV_FIELDS] for sample in samples], unit)
+        flags = table[:, -1]
         bad = np.flatnonzero((flags != 0) & (flags != 1))
         if len(bad):
             raise TrajectoryError(f"{unit} {bad[0]}: split flag must be 0 or 1, got {flags[bad[0]]:g}")
-        t, pos, quat, grip = (values[:, c].copy() for c in (0, slice(1, 4), slice(4, 8), 8))
+        t, pos, quat, grip = (table[:, c].copy() for c in (0, slice(1, 4), slice(4, 8), 8))
         far = np.flatnonzero(np.any((np.abs(pos) > _MAX_COORD) & np.isfinite(pos), axis=1))   # else: non-finite
         if len(far):
             raise TrajectoryError(f"{unit} {far[0]}: x,y,z must lie within {_MAX_COORD:g} m of the origin, "
@@ -338,25 +392,26 @@ class Trajectory:
         flags[self.splits] = 1
         return self.times, self.gripper, flags, self.quaternions
 
-    def to_csv(self, _text=None) -> str:
-        """The CSV text.  _text, when given, is the text of _shared_columns(),
-        as _column_text makes it, which a batch's export formats once for the rollouts that share its bits."""
-        t, gripper, flags, quats = _text or [_column_text(column) for column in self._shared_columns()]
-        rows = [f"{a},{p},{q},{b},{c}" for a, p, q, b, c in zip(t, _column_text(self.positions), quats, gripper, flags)]
-        return "\n".join([",".join(_CSV_FIELDS), *rows]) + "\n"
+    def to_csv(self, _template=None) -> str:
+        """The CSV text, as one % over the positions.  _template, when given, is
+        _csv_template of the text of _shared_columns(), which a batch's export
+        makes once for the rollouts that share its bits."""
+        template = _template or _csv_template([_column_text(column) for column in self._shared_columns()])
+        return template % tuple(self.positions.ravel().tolist())
 
-    def save_csv(self, path, _text=None) -> None:
+    def save_csv(self, path, _template=None) -> None:
         with open(path, "w", newline="") as f:
-            f.write(self.to_csv(_text))
+            f.write(self.to_csv(_template))
 
     @classmethod
     def load_csv(cls, path) -> "Trajectory":
+        """The trajectory in a CSV file.  Its data rows are read in one
+        np.loadtxt pass; a file that pass refuses is read again row by row,
+        cell by cell, which accepts and refuses what it always did, with the
+        same message."""
         try:
-            with open(path, newline="") as f:
-                header, *rows = list(csv.reader(f)) or [None]
-            if header is None or [c.strip() for c in header] != _CSV_FIELDS:
-                raise TrajectoryError(f"bad trajectory header: expected {_CSV_FIELDS}")
-            return cls._from_table([row for row in rows if row], "row")
+            values = _read_values(path)
+            return cls._from_table(_row_values(_read_rows(path), "row") if values is None else values, "row")
         except (csv.Error, ValueError) as exc:   # a TrajectoryError or the text encoding
             raise TrajectoryError(f"{path}: {exc}") from exc
 

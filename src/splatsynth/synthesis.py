@@ -24,7 +24,7 @@ from .dmp import DEFAULT_ALPHA_S, DEFAULT_ALPHA_Z, DEFAULT_HORIZON_FACTOR, DEFAU
 from .dmp import MIN_SEGMENT_SAMPLES
 # rollout stays bound here for bench/tracing.py, which wraps it where it is looked up
 from .dmp import DmpModel, RolloutError, _integrate, fit_dmp, rollout, rollout_steps  # noqa: F401
-from .geometry import FieldError, Trajectory, _column_text, check_fields, param
+from .geometry import _MAX_COORD, FieldError, Trajectory, _column_text, _csv_template, check_fields, param
 from .geometry import quat_canonical, quat_exp, quat_mul, quat_normalize
 # trajectory_dtw stays bound here for bench/tracing.py, which wraps it where it is looked up
 from .metrics import trajectory_dtw, trajectory_dtw_many  # noqa: F401
@@ -180,8 +180,10 @@ def _synthesize_rows(job: SynthesisJob, models: list[DmpModel], indices) -> list
     blocks: each segment is one _integrate pass over the rows still alive,
     and one concatenation chains the segments.  With the return pull on, the
     pass stacks each row's uncoupled nominal above it, as the hook pairs them,
-    and a row fails at its nominal's failing step, else at its own.  A coupled
-    pass logs one DEBUG line with its rollouts, its steps, and its hook's
+    and a row fails at its nominal's failing step, else at its own.  A row
+    also fails at the first step where its position leaves _MAX_COORD on an
+    axis, since a trajectory file refuses such a position.  A coupled pass
+    logs one DEBUG line with its rollouts, its steps, and its hook's
     neighbour list rebuilds, listed and kept pairs, and gradient probe rows
     answered from the list.  Returns, per index, (Trajectory, manifest entry)
     or the RolloutError that ended it."""
@@ -199,7 +201,12 @@ def _synthesize_rows(job: SynthesisJob, models: list[DmpModel], indices) -> list
         failed = np.where(failed[:n] >= 0, failed[:n], failed[-n:])
         for i, f in zip(alive[failed >= 0], failed[failed >= 0]):
             outcome[i] = RolloutError(f"non-finite state at step {f}")
-        alive, p, qs = alive[failed < 0], p[-n:][failed < 0], qs[-n:][failed < 0]
+        far = np.any(np.abs(p[-n:]) > _MAX_COORD, axis=-1) & (failed < 0)[:, None]   # a file eval refuses
+        out = far.any(axis=1)
+        for i, f in zip(alive[out], far[out].argmax(axis=1)):
+            outcome[i] = RolloutError(f"position past {_MAX_COORD:g} m from the origin at step {f}")
+        keep = (failed < 0) & ~out
+        alive, p, qs = alive[keep], p[-n:][keep], qs[-n:][keep]
         if coupling is not None and log.isEnabledFor(logging.DEBUG):
             listed = getattr(coupling, "neighbors", None)   # a wrapped hook, as bench/tracing.py makes, hides it
             log.debug("segment %d: %d rows, %d steps, neighbour list: %s rebuilds, %s listed pairs, %s kept, "
@@ -270,7 +277,8 @@ def synthesize(job: SynthesisJob):
 def export_dataset(trajectories, manifest, out_dir):
     """Write one CSV per successful rollout plus manifest.json and summary.csv.
     The columns of Trajectory._shared_columns are formatted anew only where
-    their bits differ from the last rollout's, whose text is passed on."""
+    their bits differ from the last rollout's, and the CSV template made from
+    their text is made anew only then."""
     if not trajectories:
         raise ExportError("nothing to export")
     try:
@@ -280,8 +288,8 @@ def export_dataset(trajectories, manifest, out_dir):
     written = []
     # per shared column, the bits and the text of the last one formatted: a batch's rollouts share one
     # times, gripper, split list and, with sigma_r 0, quaternion block, and bits, not ==, tell -0.0
-    # from 0.0, whose reprs differ
-    last = [(None, None)] * 4
+    # from 0.0, whose reprs differ; beside them, the CSV template made from those texts
+    last, template = [(None, None)] * 4, None
     for traj, entry in zip(trajectories, manifest["rollouts"]):
         if traj is None:
             entry["file"] = None
@@ -289,9 +297,10 @@ def export_dataset(trajectories, manifest, out_dir):
         for k, column in enumerate(traj._shared_columns()):
             bits = column.tobytes()
             if bits != last[k][0]:
-                last[k] = (bits, _column_text(column))
+                last[k], template = (bits, _column_text(column)), None
+        template = template or _csv_template([text for _, text in last])
         name = f"rollout_{entry['index']:04d}.csv"
-        traj.save_csv(os.path.join(out_dir, name), _text=[text for _, text in last])
+        traj.save_csv(os.path.join(out_dir, name), _template=template)
         entry["file"] = name
         written.append(entry)
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:

@@ -812,22 +812,35 @@ class TestFit:
         one_error_line(capsys, f"{tmp_path / 'out' / 'rollout_0001.csv'}: {message}")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("column, value", [(1, "1e100"), (2, "-1e100"), (None, 1e101)])
-    def test_demo_on_the_coordinate_bound_runs_without_warnings(self, tmp_path, capsys, column, value):
-        # a column on the bound, or the whole letter (0.1 m across) scaled to reach it; the scaled
-        # letter's rollouts overshoot the bound, and eval refuses them, so it is fit and synthesized only
-        demo = str(tmp_path / "far.csv")
+    @pytest.mark.parametrize("column, value, n_failed", [
+        pytest.param(1, "1e100", 0, id="1-1e100"), pytest.param(2, "-1e100", 0, id="2--1e100"),
+        pytest.param(None, 1e101, 6, id="None-1e+101"), pytest.param(None, 0.99e101, 4, id="None-9.9e+100")])
+    def test_demo_on_the_coordinate_bound_runs_without_warnings(self, tmp_path, capsys, column, value, n_failed):
+        # a column on the bound, or the whole letter (0.1 m across) scaled to reach it or to stop 1% short, its
+        # goals perturbed by 1% of its size: the letter's rollouts overshoot its right foot by about 0.75%, so
+        # synth fails those that leave the bound, and eval reads every file that synth writes
+        demo, out = str(tmp_path / "far.csv"), tmp_path / "out"
         if column is None:
             letter = letter_a_demo()
             letter.positions *= value
             letter.save_csv(demo)
+            perturbation = {"sigma_p": [value * 1e-3] * 3, "bound_p": [value * 2e-3] * 3, "seed": 1}
+            config = write_config(tmp_path, demo, out, n_demos=6, perturbation=perturbation)
         else:
             self.demo_with_column(tmp_path / "far.csv", column, value)
+            config = write_config(tmp_path, demo, out, n_demos=6)
         assert main(["fit", demo, "--out", str(tmp_path / "models")]) == 0
-        assert main(["synth", write_config(tmp_path, demo, tmp_path / "out")]) == 0
-        if column is not None:
-            assert main(["eval", str(tmp_path / "out"), demo]) == 0
-        assert capsys.readouterr().err == ""
+        assert main(["synth", config]) == (1 if n_failed else 0)
+        errors = [r["error"] for r in json.loads((out / "manifest.json").read_text())["rollouts"]
+                  if r["status"] == "failed"]
+        assert len(errors) == n_failed
+        assert all(re.fullmatch(r"position past 1e\+100 m from the origin at step \d+", e) for e in errors)
+        if n_failed < 6:
+            assert main(["eval", str(out), demo]) == 0
+            assert capsys.readouterr().err == ""
+        else:
+            assert main(["eval", str(out), demo]) == 2
+            assert capsys.readouterr().err == f"error: no rollout CSVs found in {out}\n"
 
     @pytest.mark.parametrize("name, text, message", [
         ("truncated.json", '{"samples": [', "Expecting value: line 1 column 14 (char 13)"),

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -404,6 +405,13 @@ class TestTrajectoryFiles:
         with pytest.raises(TrajectoryError, match="field larger than field limit"):
             Trajectory.load_csv(path)
 
+    def test_csv_number_over_the_reader_limit(self, tmp_path):
+        # x is 0.0 written with 200 000 digits, which float() and np.loadtxt read but csv.reader refuses
+        path = tmp_path / "t.csv"
+        path.write_text(",".join(COLUMNS) + "\n0,0." + "0" * 200_000 + ",0,0,1,0,0,0,0,1\n1,0,0,0,1,0,0,0,0,1\n")
+        with pytest.raises(TrajectoryError, match="field larger than field limit"):
+            Trajectory.load_csv(path)
+
     @pytest.mark.parametrize("doc, message", [
         ({"samples": [1]}, "sample 0: expected an object, got 1"),
         ({"samples": 5}, "expected a JSON object with a 'samples' list"),
@@ -552,6 +560,106 @@ class TestLoaderFuzz:
         path = fuzz_dir / "demo.json"
         path.write_text(text)
         load_or_fail_cleanly(path)
+
+
+# ---- the one-call CSV read against the per-row read ------------------------------
+
+# cells that float() and np.loadtxt may read apart: loadtxt refuses the first three, which float() reads
+SPLIT_READ_CELLS = ["1_0", '"0.5"', "\u0661", "", " 1.0 ", "-0.0", "5e-324", "1e400", "nan", "iNfInItY"]
+
+
+@st.composite
+def reread_csv(draw):
+    """FUZZ_TRAJ's CSV text with up to three cells replaced, up to two blank,
+    whitespace-only or trailing-comma lines, LF, CRLF or CR line ends, and one
+    time in eight only its header."""
+    lines = FUZZ_TRAJ.to_csv().splitlines()
+    cells = st.sampled_from(SPLIT_READ_CELLS) | st.floats(allow_nan=False).map(lambda v: f"{v:.17g}")
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(1, len(lines) - 1))
+        row = lines[i].split(",")
+        row[draw(st.integers(0, len(row) - 1))] = draw(cells)
+        lines[i] = ",".join(row)
+    for _ in range(draw(st.integers(0, 2))):
+        kind, i = draw(st.sampled_from(["blank", "whitespace", "comma"])), draw(st.integers(1, len(lines)))
+        if kind == "comma":
+            lines[i - 1] += ","
+        else:
+            lines.insert(i, "" if kind == "blank" else draw(st.sampled_from([" ", "\t", " \t "])))
+    if draw(st.sampled_from(["rows"] * 7 + ["header only"])) == "header only":
+        lines = lines[:1]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + end
+
+
+def per_row_load(path):
+    """The CSV loader that the one np.loadtxt pass replaced: csv.reader, then
+    one numpy row assignment per non-empty row, then Trajectory's checks."""
+    try:
+        with open(path, newline="") as f:
+            header, *rows = list(csv.reader(f)) or [None]
+        if header is None or [c.strip() for c in header] != COLUMNS:
+            raise TrajectoryError(f"bad trajectory header: expected {COLUMNS}")
+        rows = [row for row in rows if row]
+        values = np.empty((len(rows), len(COLUMNS)))
+        for i, row in enumerate(rows):
+            if len(row) != len(COLUMNS):
+                raise TrajectoryError(f"row {i}: expected {len(COLUMNS)} values, got {len(row)}")
+            try:
+                values[i] = row
+            except (ValueError, OverflowError) as exc:
+                raise TrajectoryError(f"row {i}: {exc}") from None
+        return Trajectory._from_table(values, "row")
+    except (csv.Error, ValueError) as exc:
+        raise TrajectoryError(f"{path}: {exc}") from exc
+
+
+def load_outcome(load, path):
+    """The bits of the four sample arrays and the splits that load reads, or its TrajectoryError's text."""
+    try:
+        traj = load(path)
+    except TrajectoryError as exc:
+        return str(exc)
+    return [getattr(traj, k).tobytes() for k in ("times", "positions", "quaternions", "gripper")] + [traj.splits]
+
+
+class TestOneCallRead:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=reread_csv())
+    def test_matches_the_per_row_read(self, fuzz_dir, text):
+        path = fuzz_dir / "reread.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # loadtxt's warning on a file with no data row stays inside
+            assert load_outcome(Trajectory.load_csv, path) == load_outcome(per_row_load, path)
+
+    def test_header_only_file_leaks_no_warning(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(",".join(COLUMNS) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TrajectoryError, match="trajectory needs at least 2 samples"):
+                Trajectory.load_csv(path)
+        assert caught == []
+
+    @pytest.mark.parametrize("change", [lambda row: row + ",0", lambda row: row.rsplit(",", 1)[0]],
+                             ids=["eleven", "nine"])
+    def test_every_row_of_another_width_is_refused(self, tmp_path, change):
+        lines = FUZZ_TRAJ.to_csv().splitlines()
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines[:1] + [change(row) for row in lines[1:]]) + "\n")
+        with pytest.raises(TrajectoryError, match="row 0: expected 10 values, got"):
+            Trajectory.load_csv(path)
+
+    @pytest.mark.parametrize("cell", SPLIT_READ_CELLS)
+    def test_each_cell_matches_the_per_row_read(self, tmp_path, cell):
+        lines = FUZZ_TRAJ.to_csv().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:8] + [cell, "0"])   # the gripper column
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_outcome(Trajectory.load_csv, path) == load_outcome(per_row_load, path)
 
 
 class TestPose:

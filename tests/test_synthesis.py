@@ -1,8 +1,11 @@
 import dataclasses
+import importlib.util
 import json
 import logging
 import math
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ import scipy.stats
 from splatsynth.dmp import MIN_SEGMENT_SAMPLES, rollout_steps
 from splatsynth.geometry import FieldError, Trajectory, quat_geodesic_distance
 from splatsynth.obstacles import ObstacleParams
-from splatsynth import synthesis
+from splatsynth import geometry, synthesis
 from splatsynth.splats import GaussianBlob, GaussianScene
 from splatsynth.synthesis import (
     PerturbationSpec,
@@ -636,6 +639,44 @@ class TestExportDataset:
         assert files == ["rollout_0000.csv"]
         man = json.loads((tmp_path / "manifest.json").read_text())
         assert man["rollouts"][1]["file"] is None
+
+
+def bench_inputs(monkeypatch):
+    """bench/inputs.py, which writes the eval benchmark's rollout files, as the module bench_inputs."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", Path(__file__).resolve().parent.parent
+                                                  / "bench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_inputs", module)   # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_written_and_benchmark_files_load_in_one_pass(tmp_path, monkeypatch):
+    """Every file export_dataset writes, coupled or not and with sigma_r 0 or
+    not, and the eval benchmark's letter-A rollouts load without the per-row
+    parse, which runs only for files the one np.loadtxt pass refuses."""
+    for name, job in [("line", coupled_job("line", n_demos=3)), ("letter", coupled_job("letter", n_demos=3)),
+                      ("rotated", make_job(spec=small_spec(seed=2, sigma_r=0.1, bound_r=0.2), n_demos=3))]:
+        export_dataset(*synthesize(job), tmp_path / name)
+    inputs = bench_inputs(monkeypatch)
+    (tmp_path / "eval").mkdir()
+    for i, text in enumerate(inputs.eval_rollouts(7, inputs.LetterA(), 3)):
+        (tmp_path / "eval" / f"rollout_{i:04d}.csv").write_text(text)
+    paths = sorted(tmp_path.glob("*/rollout_*.csv"))
+    assert len(paths) == 12
+
+    def per_row(path):
+        raise AssertionError(f"{path} took the per-row parse")
+
+    monkeypatch.setattr(geometry, "_read_rows", per_row)
+    for path in paths:
+        Trajectory.load_csv(path)
+    # a quoted cell, which only the per-row parse reads, shows that the patch is in place
+    quoted = tmp_path / "quoted.csv"
+    lines = (tmp_path / "eval" / "rollout_0000.csv").read_text().splitlines()
+    quoted.write_text("\n".join([lines[0], '"' + lines[1].replace(",", '",', 1), *lines[2:]]) + "\n")
+    with pytest.raises(AssertionError, match="took the per-row parse"):
+        Trajectory.load_csv(quoted)
 
 
 def export_rows(n, seed, t0=0.0, zero_at=None, splits=(), qseed=None, qx=None):
