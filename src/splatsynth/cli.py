@@ -28,6 +28,14 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors are a UsageError, so that main prints
+    them as one line, as it prints every other usage error."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -391,7 +399,7 @@ def _flag(p: argparse.ArgumentParser, flag: str, cls, name: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="splatsynth",
         description="Expert-preserving demonstration synthesis in splat scenes.")
     # per command, {flag or positional: its RANGES rule}, checked before the command runs
@@ -458,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         level = (os.environ.get("SPLATSYNTH_LOG") or "WARNING").upper()
         if not isinstance(logging.getLevelName(level), int):   # a known name maps to its number
             raise UsageError(f"SPLATSYNTH_LOG: unknown level {level!r}, expected DEBUG, INFO, WARNING, "

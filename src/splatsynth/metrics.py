@@ -59,7 +59,9 @@ def _layout(n: int, m: int):
     tuple), the read-only gather that lays out a staging row (see _sweep), and
     the fill's steps: per diagonal d >= 2, the slices of its cells off row
     and column 0, of their up, left and diagonal neighbours, and of the
-    scratch rows for their minima, which never number more than min(n, m)."""
+    scratch rows for their minima, which never number more than min(n, m).
+    _views turns the steps into the operands of _fill, once per shape for a
+    two-table sweep (_workspace) and once per sweep for any other."""
     ds = np.arange(n + m + 1)
     lo = np.maximum(0, ds - m)
     size = np.minimum(n, ds) - lo + 1
@@ -79,22 +81,45 @@ def _layout(n: int, m: int):
     return off, gather, tuple(steps)
 
 
-def _fill(acc: np.ndarray, n: int, m: int, steps: tuple) -> None:
-    """Fill in place the DTW tables acc, ((n+1)(m+1), T): T tables in the
-    diagonal-major layout of _layout, interleaved innermost.  It goes one
-    anti-diagonal at a time (Sakoe & Chiba, 1978).  acc holds 0 at (0, 0),
-    inf on the rest of row and column 0, and D elsewhere; each cell becomes
-    D[i-1, j-1] + min(up, left, diagonal) with one addition, as in row order,
-    so every table is bit-identical to it.  A diagonal's cells and each of
-    their three neighbour sets are one contiguous block, so a diagonal costs
-    three ufunc calls into one scratch buffer.  steps are _layout(n, m)'s."""
+def _views(acc: np.ndarray, n: int, m: int, steps: tuple):
+    """Per diagonal of the tables acc, ((n+1)(m+1), T) in the layout of
+    _layout, the operands of _fill: (low, up, left, diag, cells), low a view
+    of a new scratch buffer of min(n, m) rows and the others views of acc.
+    steps are _layout(n, m)'s."""
     scratch = np.empty((min(n, m),) + acc.shape[1:])
     for cells, up, left, diag, part in steps:
-        low = scratch[part]
-        np.minimum(acc[up], acc[left], out=low)
-        np.minimum(low, acc[diag], out=low)
-        target = acc[cells]
-        np.add(target, low, out=target)
+        yield scratch[part], acc[up], acc[left], acc[diag], acc[cells]
+
+
+@functools.lru_cache(maxsize=16)
+def _workspace(n: int, m: int):
+    """(acc, take, views) for two-table sweeps of shape (n, m), built once:
+    acc, a ((n+1)(m+1), 2) table array in the layout of _layout; take, the
+    layout's gather widened to both tables, so that acc.flat[k] is
+    stage.flat[take.flat[k]] for a (2, (n+1)(m+1)) stage, and writeable,
+    since np.take copies a read-only index; and the views of _views over acc
+    and its scratch for each diagonal.  Only a table of at most _CHUNK_CELLS
+    cells gets one, as with _layout."""
+    _, gather, steps = _layout(n, m)
+    acc = np.empty(((n + 1) * (m + 1), 2))
+    return acc, np.stack([gather, gather + len(gather)], axis=1), tuple(_views(acc, n, m, steps))
+
+
+def _fill(views) -> None:
+    """Fill in place the DTW tables whose per-diagonal operands views gives,
+    as _views makes them: the tables are in the diagonal-major layout of
+    _layout, interleaved innermost, and go one anti-diagonal at a time (Sakoe
+    & Chiba, 1978).  They hold 0 at (0, 0), inf on the rest of row and column
+    0, and D elsewhere; each cell becomes D[i-1, j-1] + min(up, left,
+    diagonal) with one addition, as in row order, so every table is
+    bit-identical to it.  A diagonal's cells and each of their three
+    neighbour sets are one contiguous block, so a diagonal costs three ufunc
+    calls into its scratch rows low, and no slicing when the views are a
+    _workspace's."""
+    for low, up, left, diag, cells in views:
+        np.minimum(up, left, out=low)
+        np.minimum(low, diag, out=low)
+        np.add(cells, low, out=cells)
 
 
 def _sweep(stage: np.ndarray, n: int, m: int) -> tuple:
@@ -102,13 +127,29 @@ def _sweep(stage: np.ndarray, n: int, m: int) -> tuple:
     in one sweep.  stage is (T, (n+1)(m+1)); row t holds table t's (n, m)
     distance matrix, row-major, in its first n*m cells, and the sweep writes
     the next two.  One gather lays the rows out as _fill takes them.  Returns
-    (acc, off): the filled tables in that layout, and its off."""
+    (acc, off): the filled tables in that layout, and its off.
+
+    Two tables of at most _CHUNK_CELLS cells are gathered into the cached
+    _workspace(n, m) and filled through its views, so the acc returned is
+    valid only until the next sweep of that shape; the library starts no
+    threads, and each caller reads acc before it sweeps again.  Any other
+    sweep gathers into a new array and slices its views as it fills: a
+    batch's widths vary from chunk to chunk, and a workspace kept for each
+    would outlive the batch."""
     if not np.all(np.isfinite(stage[:, :n * m])):
         raise ValueError("non-finite distance")
     stage[:, n * m:n * m + 2] = np.inf, 0.0   # the border and the corner (0, 0) gather these
-    off, gather, steps = (_layout if stage.shape[1] <= _CHUNK_CELLS else _layout.__wrapped__)(n, m)
-    acc = stage.T[gather]
-    _fill(acc, n, m, steps)
+    cached = stage.shape[1] <= _CHUNK_CELLS
+    off, gather, steps = (_layout if cached else _layout.__wrapped__)(n, m)
+    if cached and len(stage) == 2:
+        acc, take, views = _workspace(n, m)
+        # the indices are the layout's own, so always in range: "clip" checks
+        # nothing and, unlike "raise", writes acc without a buffer
+        np.take(stage.ravel(), take, out=acc, mode="clip")
+    else:
+        acc = stage.T[gather]
+        views = _views(acc, n, m, steps)
+    _fill(views)
     return acc, off
 
 
@@ -200,7 +241,8 @@ def trajectory_dtw_many(rollouts: list, expert: Trajectory) -> list:
     one sweep, interleaved innermost, and walked back for the path lengths.
     A table costs its staging row, its column of the sweep and its column of
     the fill's scratch buffer, and a chunk holds at most _CHUNK_CELLS of
-    those cells."""
+    those cells; a chunk of two tables fills the cached workspace of its
+    shape instead (see _sweep)."""
     if not rollouts:
         return []
     n, m = len(rollouts[0]), len(expert)

@@ -281,6 +281,20 @@ class TestFlagRanges:
         assert main([a.format(f=tmp_path / "missing") for a in argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["density", "s.json", "abc", "0", "0"], "splatsynth density: argument x: invalid float value: 'abc'"),
+        (["density", "s.json", "0"], "splatsynth density: the following arguments are required: y, z"),
+        (["fit", "demo.csv", "--n-basis", "many"], "splatsynth fit: argument --n-basis: invalid int value: 'many'"),
+        (["eval", "d", "e.csv", "--rho-th"], "splatsynth eval: argument --rho-th: expected one argument"),
+        (["fit", "demo.csv", "--bogus"], "splatsynth: unrecognized arguments: --bogus"),
+        (["paint"], "splatsynth: argument command: invalid choice: 'paint'"),
+        ([], "splatsynth: the following arguments are required: command"),
+    ])
+    def test_parse_error_is_one_line(self, capsys, argv, message):
+        # argparse's own refusals: one line naming the command, no usage line
+        assert main(argv) == 2
+        one_error_line(capsys, message)
+
     @pytest.mark.parametrize("level, code, err", [
         ("LOUD", 2, "error: SPLATSYNTH_LOG: unknown level 'LOUD', expected DEBUG, INFO, WARNING, ERROR or CRITICAL\n"),
         ("debug", 0, ""),

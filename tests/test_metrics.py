@@ -18,6 +18,7 @@ from splatsynth.metrics import (
     _layout,
     _plane_basis,
     _sweep,
+    _views,
     _warping_path,
     collision_check,
     dtw,
@@ -271,7 +272,7 @@ def filled_table(Ds):
     for i in range(1, n + 1):
         for j in range(1, m + 1):
             acc[off[i + j] + i] = [D[i - 1, j - 1] for D in Ds]
-    _fill(acc, n, m, _layout(n, m)[2])
+    _fill(_views(acc, n, m, _layout(n, m)[2]))
     return acc
 
 
@@ -281,17 +282,24 @@ def row_major(column, n, m):
     return np.array([[column[off[i + j] + i] for j in range(m + 1)] for i in range(n + 1)])
 
 
-def per_pair_oracle(r, expert):
-    """(position, orientation) of r against expert from two dtw(...,
-    normalized=True) calls, checked against the row-by-row oracle."""
+def rowwise_scores(r, expert):
+    """(position, orientation) of r against expert from the row-by-row oracle
+    alone, so that computing it sweeps nothing."""
     scores = []
     for a, b, dist in ((r.positions, expert.positions, "euclidean"),
                        (r.quaternions, expert.quaternions, "quaternion")):
         _, _, cost, path = dtw_rowwise(a, b, dist)
-        score = dtw(a, b, dist, normalized=True)[0]
-        assert score == cost / len(path)
-        scores.append(score)
+        scores.append(cost / len(path))
     return tuple(scores)
+
+
+def per_pair_oracle(r, expert):
+    """(position, orientation) of r against expert from two dtw(...,
+    normalized=True) calls, checked against the row-by-row oracle."""
+    scores = (dtw(r.positions, expert.positions, normalized=True)[0],
+              dtw(r.quaternions, expert.quaternions, "quaternion", normalized=True)[0])
+    assert scores == rowwise_scores(r, expert)
+    return scores
 
 
 class TestTrajectoryDtwMany:
@@ -411,12 +419,15 @@ class TestTrajectoryDtwMany:
     @pytest.mark.parametrize("chunk", [1, 3, 10])
     def test_peak_memory_within_budget(self, monkeypatch, chunk):
         # every buffer a chunk holds (staging, the sweep's tables, the fill's
-        # scratch) counts against the budget, and no chunk's buffers outlive it
+        # scratch) counts against the budget, and no chunk's buffers outlive
+        # it; a chunk of one rollout is a two-table sweep, which fills the
+        # cached workspace, so its peak is its staging alone
         n, m = 60, 70
         rng = np.random.default_rng(12)
         rollouts, expert = [random_traj(rng, n) for _ in range(10)], random_traj(rng, m)
-        trajectory_dtw_many(rollouts[:1], expert)   # the layout is cached, not a chunk's
+        trajectory_dtw_many(rollouts[:1], expert)   # the layout and the two-table workspace are cached, not a chunk's
         budget = 2 * chunk * (2 * (n + 1) * (m + 1) + min(n, m))
+        floor = 2 * (n + 1) * (m + 1) * 8 if chunk == 1 else budget * 8
         monkeypatch.setattr(metrics, "_CHUNK_CELLS", budget)
         tracemalloc.start()
         try:
@@ -425,20 +436,50 @@ class TestTrajectoryDtwMany:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert budget * 8 <= peak <= budget * 8 + (64 << 10)
+        assert floor <= peak <= budget * 8 + (64 << 10)
 
-    def test_table_past_the_budget_is_not_cached(self):
+    def test_table_past_the_budget_is_not_cached(self, monkeypatch):
         # 801 x 801 cells exceed _CHUNK_CELLS: the layout is built for the sweep
-        # and dropped with it, so the cache is neither read nor grown (a full
+        # and dropped with it, so neither cache is read nor grown (a full
         # cache keeps its size as it evicts), and the scores stay dtw()'s
         rng = np.random.default_rng(13)
         rollout, expert = random_traj(rng, 800), random_traj(rng, 800)
         assert 801 * 801 > metrics._CHUNK_CELLS
-        cached = metrics._layout.cache_info()
+        cached = metrics._layout.cache_info(), metrics._workspace.cache_info()
         scores = trajectory_dtw_many([rollout], expert)
-        assert metrics._layout.cache_info() == cached
+        assert (metrics._layout.cache_info(), metrics._workspace.cache_info()) == cached
         assert scores == [(dtw(rollout.positions, expert.positions, normalized=True)[0],
                            dtw(rollout.quaternions, expert.quaternions, "quaternion", normalized=True)[0])]
+        # a two-table sweep past the budget bypasses the workspace as well
+        # (trajectory_dtw_many would sweep such tables one at a time)
+        a, b = random_traj(rng, 12), random_traj(rng, 9)
+        expected = trajectory_dtw(a, b)
+        monkeypatch.setattr(metrics, "_CHUNK_CELLS", 13 * 10 - 1)
+        stage = np.empty((2, 13 * 10))
+        stage[0, :12 * 9] = _distance_matrix(a.positions, b.positions, "euclidean").ravel()
+        stage[1, :12 * 9] = _distance_matrix(a.quaternions, b.quaternions, "quaternion").ravel()
+        cached = metrics._layout.cache_info(), metrics._workspace.cache_info()
+        acc, off = _sweep(stage, 12, 9)
+        assert (metrics._layout.cache_info(), metrics._workspace.cache_info()) == cached
+        lengths = [len(_warping_path(acc[:, c], 12, 9, off)) for c in range(2)]
+        assert tuple((acc[-1] / lengths).tolist()) == expected
+
+    @pytest.mark.parametrize("width", [1, 3, 17])
+    def test_workspace_holds_two_table_sweeps_only(self, width):
+        # a sweep of one table or of more than two reads and grows no
+        # workspace; a two-table sweep of a new shape adds one, and the next
+        # sweep of that shape reuses it
+        rng = np.random.default_rng(width)
+        n, m = 7, 5 + width
+        stage = rng.random((width, (n + 1) * (m + 1)))
+        cached = metrics._workspace.cache_info()
+        _sweep(stage, n, m)
+        assert metrics._workspace.cache_info() == cached
+        metrics._workspace.cache_clear()
+        first = _sweep(rng.random((2, (n + 1) * (m + 1))), n, m)[0]
+        again = _sweep(rng.random((2, (n + 1) * (m + 1))), n, m)[0]
+        info = metrics._workspace.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1) and again is first
 
     def test_unequal_lengths_rejected(self):
         rng = np.random.default_rng(9)
@@ -453,6 +494,48 @@ class TestTrajectoryDtwMany:
         rollouts[1].positions[4, 2] = bad
         with pytest.raises(ValueError, match="non-finite distance"):
             trajectory_dtw_many(rollouts, random_traj(rng, 7))
+
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestSweepStream:
+    """A stream of calls over more than 16 shapes, each twice, evicts and
+    rebuilds the cached layouts and two-table workspaces and reuses the ones
+    still cached; every result has the row-by-row oracle's bits, so no call
+    reads what an earlier one left, a refused one included."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_interleaved_shapes_match_rowwise(self, data):
+        shapes = data.draw(st.lists(st.tuples(st.integers(2, 9), st.integers(2, 9)),
+                                    min_size=17, max_size=20, unique=True))
+        stream = shapes + data.draw(st.permutations(shapes))
+        kinds = data.draw(st.lists(st.sampled_from(["dtw", "trajectory_dtw", "many"]),
+                                   min_size=len(stream), max_size=len(stream)))
+        bad = data.draw(st.integers(len(shapes) - 2, len(shapes) + 2))   # near the first eviction
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for k, ((n, m), kind) in enumerate(zip(stream, kinds)):
+            expert = random_traj(rng, m)
+            rollouts = [random_traj(rng, n) for _ in range(1 if kind != "many" else rng.integers(2, 6))]
+            if k == bad:
+                # the same call with a non-finite sample is refused first
+                rollouts[-1].positions[n // 2, 1] = math.nan
+                with pytest.raises(ValueError, match="non-finite distance"):
+                    if kind == "dtw":
+                        dtw(rollouts[0].positions, expert.positions)
+                    else:
+                        trajectory_dtw_many(rollouts, expert)
+                rollouts[-1].positions[n // 2, 1] = 0.5
+            if kind == "dtw":
+                cost, path = dtw(rollouts[0].positions, expert.positions)
+                _, _, expected_cost, expected_path = dtw_rowwise(rollouts[0].positions, expert.positions)
+                assert path == expected_path and bits(cost) == bits(expected_cost)
+            elif kind == "trajectory_dtw":
+                assert bits(trajectory_dtw(rollouts[0], expert)) == bits(rowwise_scores(rollouts[0], expert))
+            else:
+                assert bits(trajectory_dtw_many(rollouts, expert)) == bits([rowwise_scores(r, expert) for r in rollouts])
 
 
 DEGENERATE_SHAPES = [(1, 1), (1, 9), (9, 1), (2, 9), (9, 2)]
