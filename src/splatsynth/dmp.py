@@ -210,8 +210,7 @@ def fit_dmp(segment: Trajectory, n_basis: int = DEFAULT_N_BASIS,
         centers, widths, ridge_lambda)
 
     q0 = segment.quaternions[0]
-    q0_inv = quat_conj(q0)
-    rs = unwrap_rotation_vectors([quat_log(q) for q in quat_mul(q0_inv, segment.quaternions)])
+    rs = unwrap_rotation_vectors(quat_log(quat_mul(quat_conj(q0), segment.quaternions)))
     rot_goal = rs[-1].copy()
     rot_w, rot_scale, rot_deg = _fit_channels(
         rs, times, s, rot_goal, np.zeros(3), tau, alpha_z, beta_z,
@@ -263,7 +262,7 @@ def _integrate(model: DmpModel, y, q0, goal, q_goal, dt: float, coupling=None,
     such a row is frozen, and the others carry on."""
     tau = model.canonical.tau
     n_steps = rollout_steps(tau, dt, horizon_factor)
-    rot_goal = np.array([quat_log(quat_mul(quat_conj(a), b)) for a, b in zip(q0, q_goal)]).reshape(-1, 3)
+    rot_goal = quat_log(quat_mul(quat_conj(q0), q_goal))
     # degenerate-at-fit channels keep their stored scale; others rescale
     # with the new goal amplitude
     scale = np.concatenate([np.where(model.pos_degenerate, model.pos_scale, goal - y),
@@ -295,9 +294,8 @@ def _integrate(model: DmpModel, y, q0, goal, q_goal, dt: float, coupling=None,
         state = (x, v)
         v = v + a * h
         x = x + v * h
-        finite = np.isfinite(x).all(axis=1)
-        if not finite.all():
-            bad = ~finite
+        if not np.isfinite(x).all():   # the rows' own test, only on a step where some row fails
+            bad = ~np.isfinite(x).all(axis=1)
             failed[bad & (failed < 0)] = n
             x, v = (np.where(bad[:, None], old, new) for old, new in zip(state, (x, v)))
         states[:, n + 1] = x

@@ -62,11 +62,12 @@ def param(default, text: str, check: str | None = None, **metadata):
 
 def rowdot(a, b) -> np.ndarray:
     """Dot products of matching rows of (..., d) arrays, each bit-equal to
-    np.dot of the two rows (a stacked matmul makes the same BLAS dot call;
-    einsum and (a * b).sum(-1) round differently)."""
-    a = np.ascontiguousarray(a, dtype=float)
-    b = np.ascontiguousarray(b, dtype=float)
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    np.dot of the two rows.  np.vecdot makes np.dot's BLAS ddot call per row,
+    but ddot sums a row of unit stride in another order than a strided one
+    (a Fortran-ordered (n, 4) block differs from np.dot in the last bit), so
+    the rows are made contiguous first; einsum and (a * b).sum(-1) round
+    differently."""
+    return np.vecdot(np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float))
 
 
 def quat_canonical(q: np.ndarray) -> np.ndarray:
@@ -98,26 +99,36 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def quat_conj(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    """Conjugate [w, -x, -y, -z] of (..., 4) rows, x, y and z negated as
+    unary minus negates them (a product by -1 keeps a NaN's sign bit)."""
+    q = np.asarray(q, dtype=float)
+    out = np.negative(q)
+    out[..., 0] = q[..., 0]
+    return out
 
 
 def quat_log(q: np.ndarray) -> np.ndarray:
-    """Rotation vector of a unit quaternion, with norm in [0, pi].
+    """Rotation vector of a unit quaternion, with norm in [0, pi], per (..., 4)
+    row; a row's bits do not depend on the other rows.  The angle is
+    math.atan2 of each row's Python floats, since np.arctan2 can differ from
+    it in the last bit.
 
     quat_exp(quat_log(q)) recovers q up to the double-cover sign.
     """
     q = np.asarray(q, dtype=float)
-    if q[0] < 0.0:
-        q = -q
-    w = min(q[0], 1.0)
-    v = q[1:4]
-    n = np.linalg.norm(v)
-    if n < SMALL_ANGLE:
-        # second-order series of 2*atan2(n, w)/n about n = 0
-        scale = 2.0 / w * (1.0 - n * n / (3.0 * w * w))
-    else:
-        scale = 2.0 * math.atan2(n, w) / n
-    return v * scale
+    q = np.where(q[..., :1] < 0.0, -q, q)
+    w = np.minimum(q[..., 0], 1.0)
+    v = q[..., 1:4]
+    n = np.sqrt(np.vecdot(v, v))   # the bits of np.linalg.norm of one row
+    scale = np.empty(n.shape)
+    small = n < SMALL_ANGLE
+    ws, ns = w[small], n[small]
+    # second-order series of 2*atan2(n, w)/n about n = 0
+    scale[small] = 2.0 / ws * (1.0 - ns * ns / (3.0 * ws * ws))
+    big = ~small
+    nb = n[big]
+    scale[big] = 2.0 * np.array(list(map(math.atan2, nb.tolist(), w[big].tolist()))) / nb
+    return v * scale[..., None]
 
 
 def quat_exp(r: np.ndarray) -> np.ndarray:

@@ -116,7 +116,9 @@ def make_coupling(scene: GaussianScene, params: ObstacleParams, dt: float):
     """The coupling hook (step, y, v) -> accelerations for rows of positions
     and velocities.  With the return pull on, rows [0, B) are the uncoupled
     nominals of rows [B, 2B), in the same state: the pull reads a nominal's
-    own position and velocity, and the nominals get exact zeros.  Each step
+    own position and velocity, and the nominals get exact zeros; on a step
+    where every coupled row's offsets from its nominal are +0.0, the pull is
+    exactly +0.0, and the hook adds that without computing it.  Each step
     reads the density of the coupled rows' lookahead probes (repulsion on) and
     positions (pull on), as density_many gives it, from the hook's own
     splats._NeighborList, hook.neighbors, which also answers the repulsion's
@@ -146,9 +148,15 @@ def make_coupling(scene: GaussianScene, params: ObstacleParams, dt: float):
             rows[-b:] = y
         rho = neighbors.density(rows)
         a = obstacle_accel(scene, x_look, v, rho[:b], params, listed) if repel else np.zeros(y.shape)
-        if pull:
-            a = np.concatenate([np.zeros(y_ref.shape), a + return_to_reference(y, v - v_ref, y_ref, rho[-b:], params)])
-        return a
+        if not pull:
+            return a
+        out = np.zeros((2 * b, 3))
+        v_err = v - v_ref
+        # offsets y_ref - y and v_err of +0.0 (all bits zero) give a pull of exactly +0.0
+        zero = bytes(v_err.nbytes)
+        on_nominal = (y_ref - y).tobytes() == zero and v_err.tobytes() == zero
+        np.add(a, 0.0 if on_nominal else return_to_reference(y, v_err, y_ref, rho[-b:], params), out=out[b:])
+        return out
 
     hook.neighbors = neighbors
     return hook

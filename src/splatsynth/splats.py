@@ -239,8 +239,8 @@ class _NeighborList:
             return False
         with np.errstate(invalid="ignore", over="ignore"):
             moved = xs - self.origin
-            d2 = np.einsum("...i,...i->...", moved, moved)
-        return np.count_nonzero(d2 <= self.skin * self.skin) == d2.size
+            d2 = np.vecdot(moved, moved)
+        return d2.max(initial=0.0) <= self.skin * self.skin   # a row that is not finite makes the max NaN
 
     def density(self, xs: np.ndarray) -> np.ndarray:
         """rho at each (n, 3) row, as density_many(scene, xs) gives it."""

@@ -25,7 +25,7 @@ from .dmp import MIN_SEGMENT_SAMPLES
 # rollout stays bound here for bench/tracing.py, which wraps it where it is looked up
 from .dmp import DmpModel, RolloutError, _integrate, fit_dmp, rollout, rollout_steps  # noqa: F401
 from .geometry import _MAX_COORD, FieldError, Trajectory, _column_text, _csv_template, check_fields, param
-from .geometry import quat_canonical, quat_exp, quat_mul, quat_normalize
+from .geometry import quat_canonical, quat_exp, quat_mul, quat_normalize, rowdot
 # trajectory_dtw stays bound here for bench/tracing.py, which wraps it where it is looked up
 from .metrics import trajectory_dtw, trajectory_dtw_many  # noqa: F401
 from .obstacles import ObstacleParams, make_coupling
@@ -59,27 +59,39 @@ class PerturbationSpec:
         check_fields(self)
 
 
-def sample_boundary_perturbation(spec: PerturbationSpec, boundary_index: int,
-                                 rollout_index: int = 0):
-    """Deterministic (dp, dq) for one boundary of one rollout, in closed form
-    from the same 7 draws whatever the spec: per axis, dp is N(0, sigma_p^2)
-    truncated to +-bound_p, by inverse CDF; dq = exp(delta), delta in a uniform
-    direction with norm sigma_r * chi(3) truncated at bound_r."""
-    rng = np.random.default_rng([spec.seed, rollout_index, boundary_index])
-    u, direction, w = rng.random(3), rng.standard_normal(3), rng.random()
-    dp, delta = np.zeros(3), np.zeros(3)
+def sample_perturbations(spec: PerturbationSpec, keys):
+    """Deterministic (dp, dq) rows, (m, 3) and (m, 4), for m (rollout index,
+    boundary index) keys.  Each row comes in closed form from the same 7
+    draws of its own stream, default_rng([seed, rollout, boundary]), whatever
+    the spec: per axis, dp is N(0, sigma_p^2) truncated to +-bound_p, by
+    inverse CDF; dq = exp(delta), delta in a uniform direction with norm
+    sigma_r * chi(3) truncated at bound_r.  The rest runs on the rows as
+    arrays, each row with the bits it has alone."""
+    m = len(keys)
+    u, direction, w = np.empty((m, 3)), np.empty((m, 3)), np.empty(m)
+    for k, (i, b) in enumerate(keys):
+        rng = np.random.default_rng([spec.seed, i, b])
+        u[k], direction[k], w[k] = rng.random(3), rng.standard_normal(3), rng.random()
+    dp, delta = np.zeros((m, 3)), np.zeros((m, 3))
     on = (spec.sigma_p > 0.0) & (spec.bound_p > 0.0)
     sigma, bound = spec.sigma_p[on], spec.bound_p[on]
     # a bound/sigma ratio that overflows to inf leaves that normal untruncated
     with np.errstate(over="ignore"):
         lo = ndtr(-bound / sigma)
         # clipping keeps rounding and the u = 0 endpoint inside the box
-        dp[on] = np.clip(sigma * ndtri(lo + u[on] * (1.0 - 2.0 * lo)), -bound, bound)
+        dp[:, on] = np.clip(sigma * ndtri(lo + u[:, on] * (1.0 - 2.0 * lo)), -bound, bound)
         if spec.sigma_r > 0.0 and spec.bound_r > 0.0:
             top = gammainc(1.5, 0.5 * np.square(spec.bound_r / spec.sigma_r))
-            radius = min(spec.sigma_r * np.sqrt(2.0 * gammaincinv(1.5, w * top)), spec.bound_r)
-            delta = radius * direction / np.linalg.norm(direction)
+            radius = np.minimum(spec.sigma_r * np.sqrt(2.0 * gammaincinv(1.5, w * top)), spec.bound_r)
+            delta = radius[:, None] * direction / np.sqrt(rowdot(direction, direction))[:, None]
     return dp, quat_exp(delta)
+
+
+def sample_boundary_perturbation(spec: PerturbationSpec, boundary_index: int,
+                                 rollout_index: int = 0):
+    """sample_perturbations' (dp, dq) for one boundary of one rollout."""
+    dp, dq = sample_perturbations(spec, [(rollout_index, boundary_index)])
+    return dp[0], dq[0]
 
 
 def _rollout(default, key: str, text: str, check: str):
@@ -162,16 +174,13 @@ def _targets(job: SynthesisJob, flags, indices):
     perturbed = [b for b, flag in enumerate(flags) if flag]
     positions = np.repeat(demo.positions[None, demo.splits], n, axis=0)
     quaternions = np.repeat(quat_normalize(demo.quaternions[demo.splits])[None], n, axis=0)
-    entries = []
-    for r, i in enumerate(indices):
-        perturbations = []
-        for b in perturbed:
-            dp, dq = sample_boundary_perturbation(job.spec, b, i)
-            positions[r, b] += dp
-            quaternions[r, b] = quat_mul(quaternions[r, b], dq)
-            perturbations.append({"boundary": b, "dp": [float(v) for v in dp], "dq": [float(v) for v in dq]})
-        entries.append({"index": i, "status": "ok", "perturbations": perturbations})
-    quaternions[:, perturbed] = quat_normalize(quaternions[:, perturbed])
+    dp, dq = sample_perturbations(job.spec, [(i, b) for i in indices for b in perturbed])
+    dp, dq = dp.reshape(n, len(perturbed), 3), dq.reshape(n, len(perturbed), 4)
+    positions[:, perturbed] += dp
+    quaternions[:, perturbed] = quat_normalize(quat_mul(quaternions[:, perturbed], dq))
+    entries = [{"index": i, "status": "ok",
+                "perturbations": [{"boundary": b, "dp": p, "dq": q} for b, p, q in zip(perturbed, ps, qs)]}
+               for i, ps, qs in zip(indices, dp.tolist(), dq.tolist())]
     return positions, quaternions, entries
 
 

@@ -15,7 +15,9 @@ from splatsynth.geometry import (
     Pose,
     Trajectory,
     TrajectoryError,
+    SMALL_ANGLE,
     quat_canonical,
+    quat_conj,
     quat_exp,
     quat_from_axis_angle,
     quat_geodesic_distance,
@@ -178,6 +180,54 @@ class TestQuaternionRows:
         assert np.array_equal(quat_canonical(q), expect)
         traj = Trajectory(np.arange(4.0), np.zeros((4, 3)), q, np.zeros(4))
         assert np.array_equal(traj.quaternions, expect)
+
+    def test_conj_rows(self):
+        """Each (..., 4) row is conjugated, with the bits of negating x, y and z, -0.0 and NaN included."""
+        rng = np.random.default_rng(14)
+        q = rng.normal(size=(6, 4))
+        q[0] = [0.0, -0.0, 0.0, np.nan]
+        q[1] = [-0.0, np.inf, -np.inf, 0.0]
+        rows = quat_conj(q)
+        assert rows.shape == (6, 4)
+        want = np.array([[w, -x, -y, -z] for w, x, y, z in q])
+        assert rows.tobytes() == want.tobytes()
+        assert quat_conj(q.reshape(2, 3, 4)).tobytes() == want.tobytes()
+        assert all(quat_conj(x).tobytes() == y.tobytes() for x, y in zip(q, want))
+
+    @staticmethod
+    def log_row(q):
+        """quat_log of one (4,) row, as it was computed one row at a time: the oracle of quat_log's rows."""
+        q = np.asarray(q, dtype=float)
+        if q[0] < 0.0:
+            q = -q
+        w = min(q[0], 1.0)
+        v = q[1:4]
+        n = np.linalg.norm(v)
+        if n < SMALL_ANGLE:
+            scale = 2.0 / w * (1.0 - n * n / (3.0 * w * w))
+        else:
+            scale = 2.0 * math.atan2(n, w) / n
+        return v * scale
+
+    def test_log_rows(self):
+        rng = np.random.default_rng(15)
+        axes = rng.normal(size=(120, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        angles = np.concatenate([np.logspace(-12, -3, 60), rng.uniform(0.0, 2 * math.pi, 60)])
+        series = np.column_stack([np.cos(angles / 2), axes * np.sin(angles / 2)[:, None]])
+        q = np.concatenate([
+            random_unit_quats(400, seed=16),   # half with w < 0
+            series, -series,                   # the small-angle series, on both signs
+            [[1.0 + 2e-16, 0.0, 0.0, 0.0], [1.0 + 4e-16, 1e-9, -2e-9, 0.0],   # w just above 1
+             [1.0 + 2e-16, 0.3, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, -0.0, 0.0],
+             [0.0, 1.0, 0.0, 0.0], [-0.0, -1.0, 0.0, 0.0]]])
+        assert np.count_nonzero(np.linalg.norm(q[:, 1:], axis=1) < SMALL_ANGLE) > 20
+        assert np.count_nonzero(q[:, 0] < 0) > 200 and np.count_nonzero(q[:, 0] > 1.0) == 3
+        want = np.array([self.log_row(x) for x in q])
+        assert quat_log(q).tobytes() == want.tobytes()
+        assert quat_log(q[:-1].reshape(2, -1, 4)).tobytes() == want[:-1].tobytes()
+        assert all(quat_log(x).shape == (3,) and quat_log(x).tobytes() == y.tobytes() for x, y in zip(q, want))
+        assert quat_log(np.empty((0, 4))).shape == (0, 3)
 
 
 def make_traj(n=10, splits=None):

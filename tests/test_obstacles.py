@@ -5,6 +5,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import splatsynth.obstacles as obstacles
 import splatsynth.splats as splats
@@ -502,3 +504,79 @@ class TestHookNeighborList:
         coupled_batch(model, starts, goals, 0.01, hook, params)
         assert reads and all(r is not None and r[0] is hook.neighbors for r in reads)
         assert hook.neighbors.probed == 6 * sum(len(r[1]) for r in reads)
+
+
+def always_pull(scene, params, dt, y, v):
+    """The hook's rows as they read when the return pull runs on every step:
+    zeros for the nominals [0, b), and for rows [b, 2b) the repulsion (from a
+    hook with the pull off) plus return_to_reference at the positions'
+    density_many."""
+    b = len(y) // 2
+    repel = make_coupling(scene, dataclasses.replace(params, return_gain=0.0), dt)
+    a = np.zeros((b, 3)) if repel is None else repel(0, y[b:].copy(), v[b:].copy())
+    pull = return_to_reference(y[b:], v[b:] - v[:b], y[:b], density_many(scene, y[b:]), params)
+    return np.concatenate([np.zeros((b, 3)), a + pull])
+
+
+def coordinate():
+    return st.one_of(st.just(0.0), st.floats(-0.03, 0.03))
+
+
+class TestHookPullSkip:
+    """On a step where every coupled row sits on its nominal, the hook adds
+    +0.0 instead of running the return pull; its bits are those of the pull
+    run on every step."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_bits_equal_always_pull(self, data):
+        b = data.draw(st.integers(1, 5))
+        params = ObstacleParams(rho_th=0.05, lambda_max=data.draw(st.sampled_from([0.0, 40.0])), lookahead=0.03,
+                                return_gain=4.0, return_cap=data.draw(st.sampled_from([5.0, 0.05])))
+        point = st.tuples(st.floats(0.08, 0.32), coordinate(), coordinate())
+        speed = st.tuples(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), coordinate(), coordinate())
+        y_ref = np.array(data.draw(st.lists(point, min_size=b, max_size=b)))
+        v_ref = np.array(data.draw(st.lists(speed, min_size=b, max_size=b)))
+        y_ref[:, 2], v_ref[:, 2] = 0.0, 0.0   # a zero on every row, for its sign to differ
+        y, v = y_ref.copy(), v_ref.copy()
+        # a row on its nominal, off it, on it but for the sign of a zero, or NaN in its nominal too or alone;
+        # every row on, on but for signs, on or NaN in both, or any mix
+        signs = ["on", "+0 below -0", "-0 below +0"]
+        modes = data.draw(st.sampled_from([["on"], signs, signs, ["on", "nan in both"],
+                                           signs + ["off", "nan in both", "nan"]]))
+        for r in range(b):
+            mode = data.draw(st.sampled_from(modes))
+            which = y if data.draw(st.booleans()) else v
+            ref = y_ref if which is y else v_ref
+            if mode == "off":
+                which[r, data.draw(st.integers(0, 2))] += data.draw(st.sampled_from([1e-3, -1e-12]))
+            elif mode == "+0 below -0":
+                ref[r, 2] = -0.0
+            elif mode == "-0 below +0":
+                which[r, 2] = -0.0
+            elif mode == "nan in both":
+                which[r, 1] = ref[r, 1] = np.nan
+            elif mode == "nan":
+                which[r, 0] = np.nan
+        negative_zeros = data.draw(st.booleans())
+        scene = blob_scene(mu=(0.2, 0.004, 0.0), sigma=0.02)
+        Y, V = np.concatenate([y_ref, y]), np.concatenate([v_ref, v])
+        pulls = []
+        accel, pull = obstacles.obstacle_accel, obstacles.return_to_reference
+
+        def signed(*args):   # the repulsion with every zero component made -0.0
+            a = accel(*args)
+            return np.where(a == 0.0, -0.0, a) if negative_zeros else a
+
+        def counted(*args):
+            pulls.append(len(args[0]))
+            return pull(*args)
+        with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+            mp.setattr(obstacles, "obstacle_accel", signed)
+            want = always_pull(scene, params, 0.01, Y, V)
+            mp.setattr(obstacles, "return_to_reference", counted)
+            got = make_coupling(scene, params, 0.01)(0, Y.copy(), V.copy())
+        assert got.tobytes() == want.tobytes()
+        # bit for bit on its nominal, a row's pull is skipped; so may be one whose offsets are still +0.0
+        on_nominal = np.isfinite([Y, V]).all() and Y[:b].tobytes() == y.tobytes() and V[:b].tobytes() == v.tobytes()
+        assert pulls in ([], [b]) and (pulls == [] or not on_nominal)

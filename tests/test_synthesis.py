@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.special import gammainc, gammaincinv, ndtr, ndtri
 
 from splatsynth.dmp import MIN_SEGMENT_SAMPLES, rollout_steps
-from splatsynth.geometry import FieldError, Trajectory, quat_geodesic_distance
+from splatsynth.geometry import FieldError, Trajectory, quat_exp, quat_geodesic_distance
 from splatsynth.obstacles import ObstacleParams
 from splatsynth import geometry, synthesis
 from splatsynth.splats import GaussianBlob, GaussianScene
@@ -23,6 +24,7 @@ from splatsynth.synthesis import (
     export_dataset,
     fit_segments,
     sample_boundary_perturbation,
+    sample_perturbations,
     synthesize,
     synthesize_one,
 )
@@ -164,6 +166,53 @@ class TestTruncatedNormal:
 
         with pytest.raises(ValueError, match="sigma_p must be finite"):
             run_within(10, infinite_sigma)
+
+
+def perturbation_of_key(spec, boundary_index, rollout_index):
+    """(dp, dq) of one key, drawn and computed one row at a time, as the
+    sampler did before it took rows: the oracle of sample_perturbations."""
+    rng = np.random.default_rng([spec.seed, rollout_index, boundary_index])
+    u, direction, w = rng.random(3), rng.standard_normal(3), rng.random()
+    dp, delta = np.zeros(3), np.zeros(3)
+    on = (spec.sigma_p > 0.0) & (spec.bound_p > 0.0)
+    sigma, bound = spec.sigma_p[on], spec.bound_p[on]
+    with np.errstate(over="ignore"):
+        lo = ndtr(-bound / sigma)
+        dp[on] = np.clip(sigma * ndtri(lo + u[on] * (1.0 - 2.0 * lo)), -bound, bound)
+        if spec.sigma_r > 0.0 and spec.bound_r > 0.0:
+            top = gammainc(1.5, 0.5 * np.square(spec.bound_r / spec.sigma_r))
+            radius = min(spec.sigma_r * np.sqrt(2.0 * gammaincinv(1.5, w * top)), spec.bound_r)
+            delta = radius * direction / np.linalg.norm(direction)
+    return dp, quat_exp(delta)
+
+
+class TestSamplePerturbations:
+    """Each (rollout, boundary) row of sample_perturbations has the bits of
+    that key drawn and computed alone."""
+
+    @pytest.mark.parametrize("spec", [
+        small_spec(seed=3),                                             # sigma_r off
+        small_spec(seed=4, sigma_r=0.2, bound_r=0.3),                   # sigma_r on
+        small_spec(seed=5, sigma=0.02, bound=math.inf, sigma_r=0.1, bound_r=math.inf),   # infinite bounds
+        PerturbationSpec(sigma_p=[0.0, 0.01, 0.03], bound_p=[0.1, 0.0, math.inf], sigma_r=0.0, bound_r=0.2,
+                         seed=6),                                       # a zero sigma, a zero bound
+        PerturbationSpec(sigma_p=[1e-320, 1e-200, 1.0], bound_p=[1.0, 1e200, 1.0], sigma_r=1e-160, bound_r=1.0,
+                         seed=7),                                       # ratios that overflow
+        zero_spec(8),
+    ])
+    def test_rows_match_each_key(self, spec):
+        keys = [(i, b) for i in (0, 1, 2, 17, 300) for b in (0, 1, 3)] + [(5, 2), (0, 1)]
+        dp, dq = sample_perturbations(spec, keys)
+        assert dp.shape == (len(keys), 3) and dq.shape == (len(keys), 4)
+        for (i, b), p, q in zip(keys, dp, dq):
+            want_p, want_q = perturbation_of_key(spec, b, i)
+            assert p.tobytes() == want_p.tobytes() and q.tobytes() == want_q.tobytes()
+            one_p, one_q = sample_boundary_perturbation(spec, b, i)
+            assert one_p.tobytes() == want_p.tobytes() and one_q.tobytes() == want_q.tobytes()
+
+    def test_no_keys(self):
+        dp, dq = sample_perturbations(small_spec(seed=3, sigma_r=0.1, bound_r=0.2), [])
+        assert dp.shape == (0, 3) and dq.shape == (0, 4)
 
 
 class TestSampleBoundaryPerturbation:
