@@ -245,7 +245,7 @@ def rollout_steps(tau: float, dt: float, horizon_factor: float) -> int:
 
 
 def _integrate(model: DmpModel, y, q0, goal, q_goal, dt: float, coupling=None,
-               horizon_factor: float = DEFAULT_HORIZON_FACTOR):
+               horizon_factor: float = DEFAULT_HORIZON_FACTOR, paired: bool = False):
     """Integrate the DMP from B starts to B goals at once, given as (B, 3)
     positions and (B, 4) unit quaternions, with semi-implicit Euler for
     rollout_steps(tau, dt, horizon_factor) steps.  coupling, when given, is
@@ -256,10 +256,19 @@ def _integrate(model: DmpModel, y, q0, goal, q_goal, dt: float, coupling=None,
     Position and rotation vector step as one (B, 6) state [y | r], with every
     operation elementwise, so each column rounds as it would on its own.
 
+    paired, for a coupling whose return pull reads each row's uncoupled
+    nominal (make_coupling's hook.paired), stacks the B rows below a copy of
+    themselves in the one state: coupling then gets (2B, 3) rows, [0, B) the
+    nominals of [B, 2B).  Only the B coupled rows are returned, and each
+    fails at its nominal's failing step, else at its own.
+
     Every row is computed exactly as it would be alone.  Returns the (n+1,)
     times, the (B, n+1, 3) positions and (B, n+1, 4) quaternions, not yet
     normalized, and per row the step its state went non-finite at, or -1:
     such a row is frozen, and the others carry on."""
+    b = len(y)
+    if paired:
+        y, q0, goal, q_goal = (np.concatenate([rows, rows]) for rows in (y, q0, goal, q_goal))
     tau = model.canonical.tau
     n_steps = rollout_steps(tau, dt, horizon_factor)
     rot_goal = quat_log(quat_mul(quat_conj(q0), q_goal))
@@ -300,7 +309,10 @@ def _integrate(model: DmpModel, y, q0, goal, q_goal, dt: float, coupling=None,
             x, v = (np.where(bad[:, None], old, new) for old, new in zip(state, (x, v)))
         states[:, n + 1] = x
 
-    quaternions = np.empty((len(y), n_steps + 1, 4))
+    if paired:
+        failed = np.where(failed[:b] >= 0, failed[:b], failed[b:])
+        states, q0 = states[b:], q0[b:]
+    quaternions = np.empty((b, n_steps + 1, 4))
     quaternions[:, 0] = q0
     quaternions[:, 1:] = quat_mul(q0[:, None], quat_exp(states[:, 1:, 3:]))
     return np.arange(n_steps + 1) * dt, states[..., :3].copy(), quaternions, failed
@@ -309,10 +321,13 @@ def _integrate(model: DmpModel, y, q0, goal, q_goal, dt: float, coupling=None,
 def rollout_batch(model: DmpModel, starts, goals, dt: float = 0.01, coupling=None,
                   horizon_factor: float = DEFAULT_HORIZON_FACTOR) -> list:
     """_integrate from B start Poses to B goal Poses: one Trajectory per row,
-    or the RolloutError of a row whose state went non-finite."""
+    or the RolloutError of a row whose state went non-finite.  A coupling
+    whose paired attribute is true, as make_coupling's hook with the return
+    pull on, runs each row beside its own nominal (_integrate's paired)."""
     y, goal = (np.array([p.position for p in poses], dtype=float).reshape(-1, 3) for poses in (starts, goals))
     q0, q_goal = (np.array([p.orientation for p in poses], dtype=float).reshape(-1, 4) for poses in (starts, goals))
-    times, positions, quaternions, failed = _integrate(model, y, q0, goal, q_goal, dt, coupling, horizon_factor)
+    times, positions, quaternions, failed = _integrate(model, y, q0, goal, q_goal, dt, coupling, horizon_factor,
+                                                       paired=getattr(coupling, "paired", False))
     return [RolloutError(f"non-finite state at step {f}") if f >= 0 else
             Trajectory(times.copy(), positions[b], quaternions[b], np.zeros(len(times)), [0, len(times) - 1])
             for b, f in enumerate(failed)]
@@ -324,7 +339,8 @@ def rollout(model: DmpModel, new_start: Pose | None = None,
             horizon_factor: float = DEFAULT_HORIZON_FACTOR) -> Trajectory:
     """One rollout: rollout_batch on a single row, from new_start (default the
     demo's start) to new_goal (default the demo's goal).  coupling is called
-    with (1, 3) rows.  Raises RolloutError when the state goes non-finite."""
+    with (1, 3) rows, or (2, 3) when it is paired: the nominal, then the
+    rollout.  Raises RolloutError when the state goes non-finite."""
     start = new_start or Pose(model.y0, model.q0)
     goal = new_goal or Pose(model.goal, model.q_goal)
     (out,) = rollout_batch(model, [start], [goal], dt, coupling, horizon_factor)

@@ -253,36 +253,31 @@ def _is_header(row) -> bool:
     return row is not None and [c.strip() for c in row] == _CSV_FIELDS
 
 
-def _read_rows(path) -> list:
-    """The non-empty data rows of a CSV file as lists of cell strings, after its header is checked."""
-    with open(path, newline="") as f:
-        header, *rows = list(csv.reader(f)) or [None]
-    if not _is_header(header):
-        raise TrajectoryError(f"bad trajectory header: expected {_CSV_FIELDS}")
-    return [row for row in rows if row]
-
-
 def _read_values(path):
-    """The (n, 10) values of a CSV file's data rows in one np.loadtxt pass over
-    its lines, split as csv.reader splits them, after its header is checked.
-    None where the header, the text encoding or that pass refuses the file,
-    where the pass warns or reads another width, or where csv.reader could
-    refuse a cell for its length.  loadtxt reads each cell it accepts as
-    float() reads it, and skips only the lines that csv.reader reads as empty
-    rows, which the per-row read skips too."""
-    try:
-        with open(path, newline="") as f:
-            if not _is_header(next(csv.reader(f), None)):
-                return None
-            lines = list(f)
-        if max(map(len, lines), default=0) >= csv.field_size_limit():
-            return None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")   # a file with no data row warns
-            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except (csv.Error, ValueError, Warning):
-        return None
-    return values if values.shape[1] == len(_CSV_FIELDS) else None
+    """The (n, 10) values of a CSV file's data rows, from its lines read once,
+    after its header is checked.  One np.loadtxt pass over the lines, split
+    as csv.reader splits them, reads them, unless that pass refuses them,
+    warns or reads another width, or csv.reader could refuse a cell for its
+    length; then the header's csv.reader goes on over the same lines, and
+    _row_values reads its non-empty rows one at a time, cell by cell, naming
+    the first row it refuses.  loadtxt reads each cell it accepts as float()
+    reads it, and skips only the lines that csv.reader reads as empty rows,
+    which the per-row read skips too."""
+    with open(path, newline="") as f:
+        lines = list(f)
+    rows = csv.reader(lines)
+    if not _is_header(next(rows, None)):
+        raise TrajectoryError(f"bad trajectory header: expected {_CSV_FIELDS}")
+    if max(map(len, lines), default=0) < csv.field_size_limit():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")   # a file with no data row warns
+                values = np.loadtxt(lines[rows.line_num:], delimiter=",", comments=None, ndmin=2)
+            if values.shape[1] == len(_CSV_FIELDS):
+                return values
+        except (ValueError, Warning):
+            pass
+    return _row_values([row for row in rows if row], "row")
 
 
 @dataclass
@@ -327,8 +322,6 @@ class Trajectory:
             raise TrajectoryError("splits must start at 0 and end at the last index")
         if any(b <= a for a, b in zip(self.splits, self.splits[1:])):
             raise TrajectoryError("splits must be strictly increasing")
-        if any(b - a < 1 for a, b in zip(self.splits, self.splits[1:])):
-            raise TrajectoryError("each segment needs at least 2 samples")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -416,13 +409,9 @@ class Trajectory:
 
     @classmethod
     def load_csv(cls, path) -> "Trajectory":
-        """The trajectory in a CSV file.  Its data rows are read in one
-        np.loadtxt pass; a file that pass refuses is read again row by row,
-        cell by cell, which accepts and refuses what it always did, with the
-        same message."""
+        """The trajectory in a CSV file, as _read_values reads its rows."""
         try:
-            values = _read_values(path)
-            return cls._from_table(_row_values(_read_rows(path), "row") if values is None else values, "row")
+            return cls._from_table(_read_values(path), "row")
         except (csv.Error, ValueError) as exc:   # a TrajectoryError or the text encoding
             raise TrajectoryError(f"{path}: {exc}") from exc
 

@@ -50,8 +50,10 @@ def _distance_matrix(a: np.ndarray, b: np.ndarray, dist: str, out: np.ndarray | 
 
 # only a table of at most _CHUNK_CELLS cells is cached: a larger one's gather
 # (8 bytes a cell) and steps would outlive its sweep, so _sweep builds it through
-# _layout.__wrapped__ for that sweep alone
-@functools.lru_cache(maxsize=16)
+# _layout.__wrapped__ for that sweep alone.  A synth or eval run sweeps tables of
+# one shape, and a shape of 680 x 700 samples holds about 5 MB here and in _workspace,
+# so each cache keeps two shapes
+@functools.lru_cache(maxsize=2)
 def _layout(n: int, m: int):
     """The diagonal-major layout of an (n+1) x (m+1) DTW table: anti-diagonal
     d = i + j holds the cells (i, d - i), i ascending, and the diagonals
@@ -91,7 +93,7 @@ def _views(acc: np.ndarray, n: int, m: int, steps: tuple):
         yield scratch[part], acc[up], acc[left], acc[diag], acc[cells]
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=2)
 def _workspace(n: int, m: int):
     """(acc, take, views) for two-table sweeps of shape (n, m), built once:
     acc, a ((n+1)(m+1), 2) table array in the layout of _layout; take, the

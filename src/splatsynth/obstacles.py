@@ -114,9 +114,11 @@ def return_to_reference(x, v_err, x_ref, rho, params: ObstacleParams) -> np.ndar
 
 def make_coupling(scene: GaussianScene, params: ObstacleParams, dt: float):
     """The coupling hook (step, y, v) -> accelerations for rows of positions
-    and velocities.  With the return pull on, rows [0, B) are the uncoupled
-    nominals of rows [B, 2B), in the same state: the pull reads a nominal's
-    own position and velocity, and the nominals get exact zeros; on a step
+    and velocities.  With the return pull on, hook.paired is True, and
+    dmp._integrate, told so, stacks each rollout below its uncoupled nominal
+    in the same state: rows [0, B) are the nominals of rows [B, 2B), the pull
+    reads a nominal's own position and velocity, the nominals get exact
+    zeros, and an odd row count is a ValueError; on a step
     where every coupled row's offsets from its nominal are +0.0, the pull is
     exactly +0.0, and the hook adds that without computing it.  Each step
     reads the density of the coupled rows' lookahead probes (repulsion on) and
@@ -135,8 +137,10 @@ def make_coupling(scene: GaussianScene, params: ObstacleParams, dt: float):
     def hook(step, y, v):
         nonlocal rows
         b = len(y) // 2 if pull else len(y)
-        if pull:   # rows [0, b) are the nominals of rows [b, 2b); an odd count returns a row short
-            y_ref, y, v_ref, v = y[:b], y[-b:], v[:b], v[-b:]
+        if pull:
+            if len(y) % 2:
+                raise ValueError(f"the return pull reads rows in pairs, nominal then rollout; got {len(y)} rows")
+            y_ref, y, v_ref, v = y[:b], y[b:], v[:b], v[b:]
         if len(rows) != (repel + pull) * b:
             rows = np.empty(((repel + pull) * b, 3))
         if repel:
@@ -158,5 +162,5 @@ def make_coupling(scene: GaussianScene, params: ObstacleParams, dt: float):
         np.add(a, 0.0 if on_nominal else return_to_reference(y, v_err, y_ref, rho[-b:], params), out=out[b:])
         return out
 
-    hook.neighbors = neighbors
+    hook.neighbors, hook.paired = neighbors, pull
     return hook

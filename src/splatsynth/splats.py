@@ -118,21 +118,22 @@ class GaussianScene:
 
 def _kept_splats(means, radii, opacities, opacity_floor, name: str, numbers=None) -> np.ndarray:
     """The reach and floor rules of every scene, on valid splats: refuse a
-    splat whose mean is not finite or whose bounding sphere reaches past
-    _MAX_REACH on an axis (a SceneFormatError naming the first as
-    "<name> <numbers[k]>", numbers defaulting to k), and mask the splats at
-    or above the opacity floor."""
+    splat whose mean or opacity is not finite or whose bounding sphere
+    reaches past _MAX_REACH on an axis (a SceneFormatError naming the first
+    as "<name> <numbers[k]>", numbers defaulting to k), and mask the splats
+    at or above the opacity floor."""
     # a splat's largest |mean| over the axes, plus its radius, rounds as the largest sum
     # does; one axis at a time keeps the temporaries to a column
     reach = np.abs(means[:, 0])
     for d in (1, 2):
         np.maximum(reach, np.abs(means[:, d]), out=reach)
     reach += radii
-    far = np.flatnonzero(~(reach <= _MAX_REACH))
-    if len(far):
-        k = far[0]
-        what = (f"bounding sphere reaches past {_MAX_REACH:g} m from the origin"
-                if np.all(np.isfinite(means[k])) else f"non-finite mean {means[k].tolist()}")
+    bad = np.flatnonzero(~(reach <= _MAX_REACH) | ~np.isfinite(opacities))
+    if len(bad):
+        k = bad[0]
+        what = (f"non-finite mean {means[k].tolist()}" if not np.all(np.isfinite(means[k])) else
+                f"non-finite opacity {opacities[k]}" if not np.isfinite(opacities[k]) else
+                f"bounding sphere reaches past {_MAX_REACH:g} m from the origin")
         raise SceneFormatError(f"{name} {k if numbers is None else numbers[k]}: {what}")
     return opacities >= opacity_floor
 

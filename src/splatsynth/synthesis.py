@@ -188,8 +188,10 @@ def _synthesize_rows(job: SynthesisJob, models: list[DmpModel], indices) -> list
     """Chained multi-segment rollouts for the given rollout indices, as row
     blocks: each segment is one _integrate pass over the rows still alive,
     and one concatenation chains the segments.  With the return pull on, the
-    pass stacks each row's uncoupled nominal above it, as the hook pairs them,
-    and a row fails at its nominal's failing step, else at its own.  A row
+    pass is paired: _integrate stacks each row's uncoupled nominal above it,
+    as the hook reads them, and a row fails at its nominal's failing step,
+    else at its own.  The job, not the hook, says so, since a hook wrapped in
+    a plain function, as bench/tracing.py wraps it, hides hook.paired.  A row
     also fails at the first step where its position leaves _MAX_COORD on an
     axis, since a trajectory file refuses such a position.  A coupled pass
     logs one DEBUG line with its rollouts, its steps, and its hook's
@@ -204,18 +206,17 @@ def _synthesize_rows(job: SynthesisJob, models: list[DmpModel], indices) -> list
     for k, model in enumerate(models):
         coupling = make_coupling(job.scene, job.obstacle, job.dt) if job.scene else None   # None or no splats
         n = len(alive)
-        rows = np.tile(alive, 2) if coupling is not None and job.obstacle.return_gain > 0.0 else alive
-        times, p, qs, failed = _integrate(model, y[rows], q[rows], target_p[rows, k + 1], target_q[rows, k + 1],
-                                          job.dt, coupling=coupling, horizon_factor=job.horizon_factor)
-        failed = np.where(failed[:n] >= 0, failed[:n], failed[-n:])
+        times, p, qs, failed = _integrate(model, y[alive], q[alive], target_p[alive, k + 1], target_q[alive, k + 1],
+                                          job.dt, coupling=coupling, horizon_factor=job.horizon_factor,
+                                          paired=coupling is not None and job.obstacle.return_gain > 0.0)
         for i, f in zip(alive[failed >= 0], failed[failed >= 0]):
             outcome[i] = RolloutError(f"non-finite state at step {f}")
-        far = np.any(np.abs(p[-n:]) > _MAX_COORD, axis=-1) & (failed < 0)[:, None]   # a file eval refuses
+        far = np.any(np.abs(p) > _MAX_COORD, axis=-1) & (failed < 0)[:, None]   # a file eval refuses
         out = far.any(axis=1)
         for i, f in zip(alive[out], far[out].argmax(axis=1)):
             outcome[i] = RolloutError(f"position past {_MAX_COORD:g} m from the origin at step {f}")
         keep = (failed < 0) & ~out
-        alive, p, qs = alive[keep], p[-n:][keep], qs[-n:][keep]
+        alive, p, qs = alive[keep], p[keep], qs[keep]
         if coupling is not None and log.isEnabledFor(logging.DEBUG):
             listed = getattr(coupling, "neighbors", None)   # a wrapped hook, as bench/tracing.py makes, hides it
             log.debug("segment %d: %d rows, %d steps, neighbour list: %s rebuilds, %s listed pairs, %s kept, "

@@ -7,7 +7,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from splatsynth.alignment import AlignmentError, IcpParams, IcpResult, RigidTransform, _procrustes
-from splatsynth.dmp import DEFAULT_HORIZON_FACTOR, _basis, rollout_batch, rollout_steps
+from splatsynth.dmp import DEFAULT_HORIZON_FACTOR, _basis, rollout_steps
 from splatsynth.geometry import (
     Trajectory,
     quat_conj,
@@ -51,16 +51,6 @@ def separated_scene(n, seed, sigma=0.01, separation_sigmas=9.0, box=2.0,
             cov = 0.5 * (cov + cov.T)
         blobs.append(GaussianBlob(mu, cov, rng.uniform(0.3, 1.0)))
     return GaussianScene(blobs, opacity_floor=0.0)
-
-
-def coupled_batch(model, starts, goals, dt, coupling, params):
-    """rollout_batch's rollouts with a make_coupling hook made from params.
-    With the return pull on, the rows are stacked below a copy of themselves,
-    their uncoupled nominals, as _synthesize_rows stacks them; only the
-    coupled rows are returned."""
-    if params.return_gain == 0.0:
-        return rollout_batch(model, starts, goals, dt, coupling)
-    return rollout_batch(model, list(starts) * 2, list(goals) * 2, dt, coupling)[len(starts):]
 
 
 def relative_gap(got, ref) -> float:

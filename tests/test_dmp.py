@@ -35,7 +35,7 @@ from splatsynth.metrics import dtw
 from splatsynth.obstacles import ObstacleParams, make_coupling
 from splatsynth.splats import GaussianBlob, GaussianScene
 
-from helpers import coupled_batch, integrate_two_systems, letter_a_demo, line_demo, minimum_jerk
+from helpers import integrate_two_systems, letter_a_demo, line_demo, minimum_jerk
 
 
 def minjerk_demo_1d(n=201, duration=1.0):
@@ -403,10 +403,10 @@ class TestRolloutBatch:
         params = ObstacleParams(rho_th=0.005, lambda_max=100.0, gamma=2.0,
                                 lookahead=0.015, return_gain=4.0)
         nominals = rollout_batch(model, starts, goals, dt=0.01)
-        outs = coupled_batch(model, starts, goals, 0.01, make_coupling(scene, params, 0.01), params)
+        outs = rollout_batch(model, starts, goals, 0.01, make_coupling(scene, params, 0.01))
         assert not any(np.array_equal(o.positions, n.positions) for o, n in zip(outs, nominals))
         for out, start, goal in zip(outs, starts, goals):
-            (alone,) = coupled_batch(model, [start], [goal], 0.01, make_coupling(scene, params, 0.01), params)
+            (alone,) = rollout_batch(model, [start], [goal], 0.01, make_coupling(scene, params, 0.01))
             self.assert_same(out, alone)
 
     def test_non_finite_row_fails_alone(self):
@@ -506,6 +506,35 @@ class TestIntegrateMatchesTwoSystems:
         for step, (y, y_then, v, v_then) in enumerate(kept):
             assert y.tobytes() == y_then.tobytes() and v.tobytes() == v_then.tobytes(), step
             assert y.tobytes() == got[1][:, step].tobytes(), step
+
+    @pytest.mark.parametrize("kind", ["coupling", "nan"])
+    def test_paired_rows_are_the_stacked_rows_trimmed(self, kind):
+        """paired stacks the B rows below a copy of themselves, the nominals
+        that the hook reads as rows [0, B): the oracle's run on the 2B stacked
+        rows, with only rows [B, 2B) kept, each failing at its nominal's
+        failing step, else at its own."""
+        model, b, dt = INTEGRATE_MODELS["line"], 4, 0.01
+        rows = integrate_rows(model, b, 7)
+        seen = set()
+
+        def nan_hook(step, y, v):
+            seen.add(len(y))
+            a = 0.5 * np.sin(40.0 * y) - 0.1 * v
+            for row, at in ((0, 5), (4, 2), (5, 4), (2, 6)):   # nominals 0 and 2, rollouts 0 and 1
+                if step == at:
+                    a[row, 1] = np.nan
+            return a
+        hooks = ([make_coupling(INTEGRATE_SCENE, INTEGRATE_PARAMS, dt) for _ in range(2)] if kind == "coupling"
+                 else [nan_hook] * 2)
+        got = _integrate(model, *rows, dt, coupling=hooks[0], paired=True)
+        times, p, q, failed = integrate_two_systems(model, *(np.concatenate([r, r]) for r in rows), dt,
+                                                    coupling=hooks[1])
+        want = (times, p[b:], q[b:], np.where(failed[:b] >= 0, failed[:b], failed[b:]))
+        for label, g, w in zip(("times", "positions", "quaternions", "failed"), got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes(), label
+        if kind == "nan":
+            assert seen == {2 * b}
+            assert got[3].tolist() == [5, 4, 6, -1]
 
     @pytest.mark.parametrize("n_basis", [2, 20, 30, 50])
     def test_stacked_forcing_products_equal_the_per_step_products(self, n_basis):

@@ -481,6 +481,27 @@ class TestTrajectoryDtwMany:
         info = metrics._workspace.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1) and again is first
 
+    def test_caches_hold_two_shapes(self):
+        # a synth or eval run sweeps tables of one shape: rollouts of eight lengths leave the layout
+        # and workspace caches holding the memory of two shapes, not of eight
+        rng = np.random.default_rng(14)
+        rollouts, expert = [random_traj(rng, n) for n in range(297, 289, -1)], random_traj(rng, 300)
+        metrics._layout.cache_clear()
+        metrics._workspace.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            trajectory_dtw(rollouts[0], expert)
+            one = tracemalloc.get_traced_memory()[0] - base
+            for rollout in rollouts[1:]:
+                trajectory_dtw(rollout, expert)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            metrics._layout.cache_clear()
+            metrics._workspace.cache_clear()
+        assert one > 298 * 301 * 8 and held <= 2 * one + (64 << 10)   # the first shape is the largest
+
     def test_unequal_lengths_rejected(self):
         rng = np.random.default_rng(9)
         with pytest.raises(ValueError, match="same length"):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import splatsynth.obstacles as obstacles
 import splatsynth.splats as splats
-from splatsynth.dmp import fit_dmp, rollout, rollout_batch
+from splatsynth.dmp import _integrate, fit_dmp, rollout, rollout_batch
 from splatsynth.geometry import Pose
 from splatsynth.obstacles import (
     ObstacleParams,
@@ -22,7 +22,7 @@ from splatsynth.obstacles import (
 )
 from splatsynth.splats import GaussianBlob, GaussianScene, density, density_many
 
-from helpers import coupled_batch, line_demo
+from helpers import line_demo
 
 
 def blob_scene(mu=(0.2, 0.0, 0.0), sigma=0.05, alpha=1.0):
@@ -283,7 +283,7 @@ class TestMakeCoupling:
         params = ObstacleParams(rho_th=0.05, lambda_max=40.0, gamma=1.0,
                                 lookahead=0.03, return_gain=4.0)
         hook = make_coupling(scene, params, dt)
-        (out,) = coupled_batch(model, [self.start(model)], [self.goal(model)], dt, hook, params)
+        (out,) = rollout_batch(model, [self.start(model)], [self.goal(model)], dt, hook)
         rho_nom = max(density(scene, x) for x in nominal.positions)
         rho_avd = max(density(scene, x) for x in out.positions)
         assert rho_nom > 0.5          # nominal path goes through the blob
@@ -302,26 +302,28 @@ class TestMakeCoupling:
             params = ObstacleParams(rho_th=rho_th, lambda_max=40.0,
                                     lookahead=0.03, return_gain=4.0)
             hook = make_coupling(scene, params, dt)
-            (out,) = coupled_batch(model, [self.start(model)], [self.goal(model)], dt, hook, params)
+            (out,) = rollout_batch(model, [self.start(model)], [self.goal(model)], dt, hook)
             defl.append(np.abs(out.positions[:, 1]).max())
         assert all(b >= a - 1e-6 for a, b in zip(defl, defl[1:]))
 
     def test_return_pull_drags_toward_reference(self):
-        # no obstacle force; the nominal row starts and ends offset in +y, so
-        # its path is the coupled row's shifted by the offset: the coupled row
+        # no obstacle force; an unpaired _integrate pass hands the hook a nominal row that starts and
+        # ends offset in +y, so its path is the coupled row's shifted by the offset: the coupled row
         # is pulled toward it, more so at higher gain
         demo, model = self.demo_and_model()
         dt = 0.005
         offset = np.array([0.0, 0.01, 0.0])
         scene = blob_scene(mu=(10.0, 10.0, 10.0), sigma=0.01)  # far away
+        starts, goals = [self.start(model, offset), self.start(model)], [self.goal(model, offset), self.goal(model)]
+        rows = [np.array([getattr(pose, k) for pose in poses]) for poses in (starts, goals)
+                for k in ("position", "orientation")]
         mean_y = []
         for gain in (0.0, 50.0, 400.0):
             hook = make_coupling(scene, ObstacleParams(lambda_max=0.0, return_gain=gain, return_cap=50.0), dt)
-            starts = [self.start(model, offset), self.start(model)]
-            goals = [self.goal(model, offset), self.goal(model)]
-            nominal, out = rollout_batch(model, starts, goals, dt, hook)
-            assert np.allclose(nominal.positions, rollout(model, dt=dt).positions + offset, rtol=0, atol=1e-12)
-            mean_y.append(out.positions[:, 1].mean())
+            _, (nominal, out), _, failed = _integrate(model, *rows, dt, hook, paired=False)
+            assert failed.tolist() == [-1, -1]
+            assert np.allclose(nominal, rollout(model, dt=dt).positions + offset, rtol=0, atol=1e-12)
+            mean_y.append(out[:, 1].mean())
         assert mean_y[0] == pytest.approx(0.0, abs=1e-9)
         assert mean_y[1] > 1e-4
         assert mean_y[2] > mean_y[1]
@@ -337,21 +339,49 @@ class TestMakeCoupling:
         for gain in (4.0, 100.0):
             params = ObstacleParams(rho_th=0.005, lambda_max=100.0, lookahead=0.015, return_gain=gain)
             hook = make_coupling(blob_scene(mu=(100.0, 0.0, 0.0), sigma=0.02), params, 0.01)
-            outs = coupled_batch(model, starts, goals, 0.01, hook, params)
+            outs = rollout_batch(model, starts, goals, 0.01, hook)
             for out, nominal in zip(outs, nominals):
                 assert out.positions.tobytes() == nominal.positions.tobytes()
                 assert out.quaternions.tobytes() == nominal.quaternions.tobytes()
 
     @pytest.mark.parametrize("lambda_max", [0.0, 100.0])
     def test_pull_refuses_unpaired_rows(self, lambda_max):
-        # with the pull on, a row without its nominal, as rollout gives it, or an odd batch is an error
+        # with the pull on, the hook reads its rows in pairs, nominal then rollout. rollout and
+        # rollout_batch pair them, as hook.paired asks; a plain function wrapping the hook hides that
+        # attribute, so its rows come unpaired, and an odd count is an error
         demo, model = self.demo_and_model()
         params = ObstacleParams(rho_th=0.005, lambda_max=lambda_max, lookahead=0.015, return_gain=4.0)
-        with pytest.raises(ValueError):
-            rollout(model, dt=0.01, coupling=make_coupling(blob_scene(), params, 0.01))
-        with pytest.raises(ValueError):
-            rollout_batch(model, [self.start(model)] * 3, [self.goal(model)] * 3, 0.01,
-                          make_coupling(blob_scene(), params, 0.01))
+        hook = make_coupling(blob_scene(), params, 0.01)
+        assert hook.paired
+        if lambda_max > 0.0:   # the repulsion alone reads no nominal
+            assert not make_coupling(blob_scene(), dataclasses.replace(params, return_gain=0.0), 0.01).paired
+        rollout(model, dt=0.01, coupling=hook)
+        rollout_batch(model, [self.start(model)] * 3, [self.goal(model)] * 3, 0.01, hook)
+
+        def wrapped(step, y, v):
+            return hook(step, y, v)
+        for n in (1, 3):
+            with pytest.raises(ValueError, match=f"reads rows in pairs, nominal then rollout; got {n} rows"):
+                rollout_batch(model, [self.start(model)] * n, [self.goal(model)] * n, 0.01, wrapped)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_each_row_of_a_paired_batch_is_its_own_rollout(self, n):
+        # rollout_batch pairs every row with its own nominal: each rollout's bits are those of its one-row
+        # rollout with a fresh hook, and every nominal path here crosses the blob, so no rollout is the
+        # free one
+        demo, model = self.demo_and_model()
+        scene = blob_scene(mu=(0.2, 0.004, 0.0), sigma=0.02)
+        params = ObstacleParams(rho_th=0.005, lambda_max=100.0, gamma=2.0, lookahead=0.015, return_gain=4.0)
+        starts = [self.start(model)] * n
+        goals = [self.goal(model, [0.0, dy, 0.0]) for dy in np.linspace(-0.003, 0.003, n)]
+        outs = rollout_batch(model, starts, goals, 0.01, make_coupling(scene, params, 0.01))
+        for out, start, goal, free in zip(outs, starts, goals, rollout_batch(model, starts, goals, 0.01)):
+            assert density_many(scene, free.positions).max() > 0.5
+            assert not np.array_equal(out.positions, free.positions)
+            alone = rollout(model, start, goal, 0.01, make_coupling(scene, params, 0.01))
+            for name in ("times", "positions", "quaternions"):
+                assert getattr(out, name).tobytes() == getattr(alone, name).tobytes(), name
+
 
 class TestHookDensityQueries:
     @pytest.mark.parametrize("lambda_max, return_gain, per_row", [
@@ -398,7 +428,7 @@ class TestHookDensityQueries:
         monkeypatch.setattr(splats, "_neighbors", counted)
         monkeypatch.setattr(splats._NeighborList, "density", listed)
         monkeypatch.setattr(splats._NeighborList, "probe_density", probed)
-        outs = coupled_batch(model, starts, goals, 0.01, hook, params)
+        outs = rollout_batch(model, starts, goals, 0.01, hook)
         moved = [not np.array_equal(o.positions, n.positions) for o, n in zip(outs, nominals)]
         assert moved == [lambda_max > 0.0] * len(outs)   # the pull alone never leaves the nominal
         assert [shape for shape, _, _ in steps] == [(per_row * len(starts), 3)] * (len(outs[0]) - 1)
@@ -451,8 +481,8 @@ class TestHookNeighborList:
         for terms, rows in ((repel, [3, 4]), (params, [4, 4])):
             hook = make_coupling(scene, terms, 0.01)
             for n in rows:
-                got = coupled_batch(model, starts[:n], goals[:n], 0.01, hook, terms)
-                want = coupled_batch(model, starts[:n], goals[:n], 0.01, make_coupling(scene, terms, 0.01), terms)
+                got = rollout_batch(model, starts[:n], goals[:n], 0.01, hook)
+                want = rollout_batch(model, starts[:n], goals[:n], 0.01, make_coupling(scene, terms, 0.01))
                 assert [g.positions.tobytes() for g in got] == [w.positions.tobytes() for w in want]
         assert sum(reads) > len(reads)   # the rows read density at many steps
 
@@ -460,10 +490,10 @@ class TestHookNeighborList:
         model, starts, goals, nominals, params = self.batch()
         scene = cluttered_line_scene()
         listed = make_coupling(scene, params, 0.01)
-        want = coupled_batch(model, starts, goals, 0.01, listed, params)
+        want = rollout_batch(model, starts, goals, 0.01, listed)
         monkeypatch.setattr(splats, "_SKIN", 0.0)
         every = make_coupling(scene, params, 0.01)
-        got = coupled_batch(model, starts, goals, 0.01, every, params)
+        got = rollout_batch(model, starts, goals, 0.01, every)
         steps = len(want[0]) - 1
         assert every.neighbors.rebuilds > 0.9 * steps > 2 * listed.neighbors.rebuilds
         assert not any(np.array_equal(w.positions, n.positions) for w, n in zip(want, nominals))
@@ -478,10 +508,10 @@ class TestHookNeighborList:
         scene = cluttered_line_scene()
         params = dataclasses.replace(params, gradient_step=0.05)
         plain = make_coupling(scene, params, 0.01)
-        want = coupled_batch(model, starts, goals, 0.01, plain, params)
+        want = rollout_batch(model, starts, goals, 0.01, plain)
         monkeypatch.setattr(splats, "_SKIN", 0.06)
         listed = make_coupling(scene, params, 0.01)
-        got = coupled_batch(model, starts, goals, 0.01, listed, params)
+        got = rollout_batch(model, starts, goals, 0.01, listed)
         assert (plain.neighbors.probe_step, plain.neighbors.probed) == (0.0, 0)
         assert listed.neighbors.probe_step == 0.05 and listed.neighbors.probed > 0
         assert not any(np.array_equal(w.positions, n.positions) for w, n in zip(want, nominals))
@@ -501,7 +531,7 @@ class TestHookNeighborList:
             reads.append(_listed)
             return gradient(scene, x, h, _listed)
         monkeypatch.setattr(obstacles, "density_gradient", spy)
-        coupled_batch(model, starts, goals, 0.01, hook, params)
+        rollout_batch(model, starts, goals, 0.01, hook)
         assert reads and all(r is not None and r[0] is hook.neighbors for r in reads)
         assert hook.neighbors.probed == 6 * sum(len(r[1]) for r in reads)
 

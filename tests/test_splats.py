@@ -1322,6 +1322,18 @@ class TestSceneFactors:
         with pytest.raises(SceneFormatError, match=r"^blob 1: non-finite mean \["):
             GaussianScene([unit_blob(), GaussianBlob(mean, np.eye(3), 1.0)])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_from_arrays_refuses_infinite_opacity(self):
+        # such a splat read density inf where its kernel is positive, and NaN where it underflows
+        with pytest.raises(SceneFormatError, match=r"^blob 0: non-finite opacity inf$"):
+            GaussianScene.from_arrays([[0, 0, 0]], [np.diag([1, 1e-6, 1e-6])], [np.inf])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_blobs_refuse_nan_opacity(self):
+        # the floor test dropped such a splat without counting it in rejected_count
+        with pytest.raises(SceneFormatError, match=r"^blob 1: non-finite opacity nan$"):
+            GaussianScene([unit_blob(), GaussianBlob(np.zeros(3), np.eye(3), np.nan)])
+
     BLOB_CASES = {
         "empty": lambda: ([], 0.05),
         # rejected covariances, then one valid blob below the floor
@@ -1467,6 +1479,15 @@ class TestMalformedScene:
         assert len(scene) == 1 and scene.rejected_count == 2
         path.write_bytes(path.read_bytes().replace(b"\n1 0 0 1000", b"\nnan 0 0 1000"))
         with pytest.raises(SceneFormatError, match=r"vertex 1: non-finite position \[nan, 0.0, 0.0\]"):
+            load_scene(path)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ply_nan_opacity_logit(self, tmp_path):
+        path = tmp_path / "scene.ply"
+        body = ["0 0 0 0 0 0 1 0 0 0 0", "1 0 0 0 0 0 1 0 0 0 nan"]
+        path.write_bytes(("\n".join(["ply", "format ascii 1.0", "element vertex 2"] + PLY_TAIL[1:] + body)
+                          + "\n").encode())
+        with pytest.raises(SceneFormatError, match=r"vertex 1: non-finite opacity nan$"):
             load_scene(path)
 
     @pytest.mark.parametrize("mu,cov", [([0, 1e200, 0], np.eye(3)), ([0, 0, -2e150], np.eye(3)),

@@ -401,13 +401,13 @@ class TestNominalRollout:
                             obstacle=ObstacleParams(rho_th=0.005, gamma=2.0, lookahead=0.015, **obstacle))
 
     def count_rollouts(self, monkeypatch, job):
-        """(coupled, rows) of every _integrate call: one per segment."""
+        """(coupled, paired, rows) of every _integrate call: one per segment."""
         import splatsynth.synthesis as synth_mod
         calls = []
         real = synth_mod._integrate
 
         def counted(model, y, *args, **kwargs):
-            calls.append((kwargs["coupling"] is not None, len(y)))
+            calls.append((kwargs["coupling"] is not None, kwargs["paired"], len(y)))
             return real(model, y, *args, **kwargs)
 
         monkeypatch.setattr(synth_mod, "_integrate", counted)
@@ -415,40 +415,41 @@ class TestNominalRollout:
         return calls
 
     @pytest.mark.parametrize("lambda_max,return_gain,expected", [
-        (100.0, 0.0, (True, 1)),    # coupled, no return pull: no nominal
-        (100.0, 4.0, (True, 2)),    # the nominals, then the coupled rows, in one state
-        (0.0, 0.0, (False, 1)),     # inert coupling: the nominal is the piece
-        (0.0, 4.0, (True, 2)),      # the return pull alone
+        (100.0, 0.0, (True, False)),    # coupled, no return pull: no nominal
+        (100.0, 4.0, (True, True)),     # each row beside its nominal, in one state
+        (0.0, 0.0, (False, False)),     # inert coupling: the nominal is the piece
+        (0.0, 4.0, (True, True)),       # the return pull alone
     ])
     def test_rollout_calls(self, monkeypatch, lambda_max, return_gain, expected):
-        # the line demo has one segment: one _integrate call over all rollouts' rows
+        # the line demo has one segment: one _integrate call over all rollouts' rows, which pairs them
+        # with their nominals when the pull is on
         job = self.blob_job(lambda_max=lambda_max, return_gain=return_gain)
-        coupled, copies = expected
-        assert self.count_rollouts(monkeypatch, job) == [(coupled, copies * job.n_demos)]
+        assert self.count_rollouts(monkeypatch, job) == [(*expected, job.n_demos)]
 
     def test_skipped_nominal_output_unchanged(self, monkeypatch, tmp_path):
-        # with the return pull off no nominal is integrated: the same batch along the path that
-        # stacks every coupled pass's rows below a copy of themselves, as the pull stacks its
-        # nominals, writes byte-identical files
+        # with the return pull off no nominal is integrated: the same batch with every coupled pass
+        # paired, so that the hook gets each row below a copy of itself, writes byte-identical files
         import splatsynth.synthesis as synth_mod
         job = self.blob_job(lambda_max=100.0, return_gain=0.0)
         trajs, manifest = synthesize(job)
         export_dataset(trajs, manifest, tmp_path / "skipped")
         real_integrate = synth_mod._integrate
-        copies = []
+        rows = set()
 
-        def with_copies(model, y, q0, goal, q_goal, dt, coupling=None, horizon_factor=1.25):
+        def paired_pass(model, *args, coupling=None, paired=False, **kwargs):
+            assert not paired
             if coupling is None:
-                return real_integrate(model, y, q0, goal, q_goal, dt, horizon_factor=horizon_factor)
-            rows = [np.concatenate([r, r]) for r in (y, q0, goal, q_goal)]
-            times, p, qs, failed = real_integrate(model, *rows, dt, coupling=coupling, horizon_factor=horizon_factor)
-            copies.extend(p[:len(y)])
-            return times, p[len(y):], qs[len(y):], failed[len(y):]
+                return real_integrate(model, *args, paired=False, **kwargs)
 
-        monkeypatch.setattr(synth_mod, "_integrate", with_copies)
+            def counted(step, y, v):
+                rows.add(len(y))
+                return coupling(step, y, v)
+            return real_integrate(model, *args, coupling=counted, paired=True, **kwargs)
+
+        monkeypatch.setattr(synth_mod, "_integrate", paired_pass)
         trajs, manifest = synthesize(job)
         export_dataset(trajs, manifest, tmp_path / "nominal")
-        assert len(copies) == job.n_demos
+        assert rows == {2 * job.n_demos}
         names = sorted(p.name for p in (tmp_path / "skipped").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "nominal").iterdir())
         for name in names:
@@ -552,23 +553,30 @@ class TestBatchIndependence:
 
     def test_failed_nominal_row_skips_its_coupled_rollout(self, monkeypatch):
         # rollout 0's nominal fails at step 5 and its coupled row at step 2: the rollout fails at its
-        # nominal's step; rollout 1's coupled row alone fails at step 4
+        # nominal's step; rollout 1's coupled row alone fails at step 4, and rollout 2 alone goes on,
+        # beside its nominal, into the second segment
         import splatsynth.synthesis as synth_mod
         job = coupled_job("letter", n_demos=3)
         clean, _ = synthesize(job)
-        real = synth_mod._integrate
-        rows = []
+        real_make = synth_mod.make_coupling
+        rows = []   # per segment, the rows its hook gets
 
-        def failing_nominal(model, y, *args, **kwargs):
-            times, positions, quaternions, failed = real(model, y, *args, **kwargs)
-            rows.append((kwargs["coupling"] is not None, len(y)))
-            if len(y) == 6:
-                failed[[0, 3, 4]] = [5, 2, 4]
-            return times, positions, quaternions, failed
+        def failing_rows(*args):
+            hook, segment = real_make(*args), len(rows)
+            rows.append(set())
 
-        monkeypatch.setattr(synth_mod, "_integrate", failing_nominal)
+            def wrapped(step, y, v):
+                rows[segment].add(len(y))
+                a = hook(step, y, v)
+                for row, at in ((0, 5), (3, 2), (4, 4)):   # rows [0, 3) are the nominals of rows [3, 6)
+                    if segment == 0 and step == at:
+                        a[row] = np.nan
+                return a
+            return wrapped
+
+        monkeypatch.setattr(synth_mod, "make_coupling", failing_rows)
         trajs, manifest = synthesize(job)
-        assert rows == [(True, 6), (True, 2)]
+        assert rows == [{6}, {2}]
         assert [e.get("error") for e in manifest["rollouts"]] == ["non-finite state at step 5",
                                                                    "non-finite state at step 4", None]
         assert trajs[:2] == [None, None]
@@ -714,10 +722,14 @@ def test_written_and_benchmark_files_load_in_one_pass(tmp_path, monkeypatch):
     paths = sorted(tmp_path.glob("*/rollout_*.csv"))
     assert len(paths) == 12
 
-    def per_row(path):
-        raise AssertionError(f"{path} took the per-row parse")
+    row_values = geometry._row_values
 
-    monkeypatch.setattr(geometry, "_read_rows", per_row)
+    def per_row(rows, unit):
+        if unit == "row":   # a CSV file's rows; a JSON file's samples take this parse too
+            raise AssertionError("a file took the per-row parse")
+        return row_values(rows, unit)
+
+    monkeypatch.setattr(geometry, "_row_values", per_row)
     for path in paths:
         Trajectory.load_csv(path)
     # a quoted cell, which only the per-row parse reads, shows that the patch is in place
