@@ -325,8 +325,8 @@ def cmd_eval(args) -> int:
                      int(rep.collided), repr(rep.max_density),
                      "" if rep.writing_error is None else repr(rep.writing_error)])
     paths = scene._paths if scene is not None else None
-    log.debug("%d files scored; scene path list: %d rebuilds, %d listed pairs, %d kept, %d paths read by density_many",
-              len(files), *((0,) * 4 if paths is None else (paths.rebuilds, paths.listed, paths.kept, paths.missed)))
+    log.debug("%d files scored; scene path list: %d rebuilds, %d listed pairs, %d kept",
+              len(files), *((0,) * 3 if paths is None else (paths.rebuilds, paths.listed, paths.kept)))
     with open(out_path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["file", "dtw_position", "dtw_orientation", "collided",

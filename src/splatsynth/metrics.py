@@ -12,7 +12,7 @@ from scipy.spatial.distance import cdist
 
 from .geometry import FieldError, Trajectory, check_fields, param
 # density stays bound here for bench/tracing.py, which wraps it where it is looked up
-from .splats import GaussianScene, density  # noqa: F401
+from .splats import GaussianScene, density, density_many  # noqa: F401
 
 
 class MetricError(ValueError):
@@ -273,18 +273,33 @@ def trajectory_dtw_many(rollouts: list, expert: Trajectory) -> list:
     return [(scores[p], scores[q]) for p, q in zip(index[::2], index[1::2])]
 
 
+# Listed pairs plus rows that the scene's path list may hold, at about 120 and
+# 40 bytes each: a path that needs more is answered without leaving a list on
+# the scene, as _CHUNK_CELLS bounds the DTW layouts kept here.
+_PATH_BUDGET = 1 << 16
+
+
 def collision_check(traj: Trajectory, scene: GaussianScene, rho_th: float):
     """Evaluate rho at every sample; collided iff any exceeds rho_th.
 
     Returns (collided, max_density, first_violation_index_or_None).  The
     densities have density_many's bits.  They are read through the neighbour
-    list that the scene keeps for a stream of paths, its one piece of mutable
-    state (_NeighborList.path_density): the list is built at the first path
-    of a row count and answers each later path within its skin, so the paths
-    of one dataset, which share a row count and lie near each other, are
-    mostly answered by one list.
+    list that the scene keeps, its one piece of mutable state
+    (GaussianScene._paths): the list is built again only when the path has
+    another row count than the one it was built at, or a row farther than its
+    skin from it, so the paths of one dataset, which share a row count and
+    lie near each other, are mostly answered by one list.  A path of over
+    _PATH_BUDGET rows is read by density_many and never listed, and a list
+    over _PATH_BUDGET pairs and rows answers its own path only: the scene
+    drops it, and the next path makes a new one.
     """
-    rhos = scene._paths.path_density(traj.positions)
+    xs = traj.positions
+    if len(xs) > _PATH_BUDGET:
+        rhos = density_many(scene, xs)
+    else:
+        rhos = scene._paths.density(xs)
+        if len(scene._paths.row) + len(xs) > _PATH_BUDGET:
+            del scene._paths
     max_density = float(rhos.max()) if len(rhos) else 0.0
     over = np.nonzero(rhos > rho_th)[0]
     if len(over):

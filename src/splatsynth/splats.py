@@ -10,8 +10,8 @@ little from one to the next, as the coupling hook's are, is answered with the
 same bits from a neighbour list that is queried again only when a row moves
 more than its skin (_NeighborList); so are the coupling hook's gradient
 probes, from a list that also holds each row's splats within the gradient
-step, and the paths of a stream that lie within the skin of its first path,
-through a list the scene keeps (GaussianScene._paths, for collision_check).
+step, and the paths that collision_check reads, from a list the scene keeps
+(GaussianScene._paths).
 Every read sums each row's kernel terms in pair order, left to right from
 +0.0, in one weighted bincount (_density_sums).
 Contributions are truncated at a fixed cutoff of CUTOFF_SIGMA standard
@@ -53,8 +53,8 @@ class GaussianBlob:
 class GaussianScene:
     """Splat scene with vectorized density queries.  Its splats never change
     after it is made; its one piece of mutable state is the neighbour list
-    that collision_check reads paths through (_paths), built at the first
-    path of each row count, which changes no result's bits."""
+    that collision_check reads paths through (_paths), which changes no
+    result's bits."""
 
     def __init__(self, blobs, opacity_floor: float = DEFAULT_OPACITY_FLOOR):
         blobs = list(blobs)
@@ -107,9 +107,9 @@ class GaussianScene:
 
     @cached_property
     def _paths(self) -> "_NeighborList":
-        """The neighbour list that answers a stream of paths
-        (_NeighborList.path_density), made at the first path, as tree is.  It
-        holds the scene through a weak proxy, so that the two form no cycle."""
+        """The neighbour list that collision_check reads a stream of paths
+        through, made at the first path, as tree is.  It holds the scene
+        through a weak proxy, so that the two form no cycle."""
         return _NeighborList(weakref.proxy(self))
 
     def __len__(self) -> int:
@@ -177,12 +177,6 @@ def _neighbors(scene: GaussianScene, xs: np.ndarray, radius: float, slack: float
 _SKIN = 0.03
 
 
-# Listed pairs plus rows that a scene's path list may hold, at about 120 and
-# 40 bytes each: a path that needs more is answered by density_many, and the
-# scene keeps nothing of it, as _CHUNK_CELLS bounds the DTW layouts metrics keeps.
-_PATH_BUDGET = 1 << 16
-
-
 class _NeighborList:
     """Densities of a stream of (n, 3) row batches that move little from one
     batch to the next, each batch answered bit for bit as density_many
@@ -206,22 +200,15 @@ class _NeighborList:
     answered from the row's pairs (probe_density).  A step past _SKIN is not
     listed (probe_step 0).  probed counts the probe points answered.
 
-    A stream of whole paths is read through path_density, which lists the
-    first path of each row count and keeps that list; missed counts the
-    paths it sends to density_many."""
+    The scene's list (GaussianScene._paths) reads each path of
+    collision_check's stream through density, by the same rule."""
 
     def __init__(self, scene: GaussianScene, probe_step: float = 0.0):
         self.scene = scene
         self.skin = _SKIN
         self.probe_step = probe_step if probe_step <= self.skin else 0.0
-        self._drop()
-        self.path_rows = -1   # the row count of path_density's stream, or -1
-        self.rebuilds = self.listed = self.kept = self.probed = self.missed = 0
-
-    def _drop(self) -> None:
-        """Forget the list and where it was built."""
-        self.origin = self.row = self.means = self.inv_covariances = None
-        self.radii = self.opacities = self.counts = self.first = None
+        self.origin = None   # the rows as the list was built, or None before the first batch
+        self.rebuilds = self.listed = self.kept = self.probed = 0
 
     def _rebuild(self, xs: np.ndarray) -> None:
         scene = self.scene
@@ -247,38 +234,11 @@ class _NeighborList:
         """rho at each (n, 3) row, as density_many(scene, xs) gives it."""
         if not self._near(xs):
             self._rebuild(xs)
-        return self._listed_density(xs)
-
-    def _listed_density(self, xs: np.ndarray) -> np.ndarray:
         d = xs[self.row] - self.means
         keep = np.flatnonzero(_norms(d) <= self.radii)
         self.listed += len(d)
         self.kept += len(keep)
         return _density_sums(len(xs), self.row[keep], d[keep], self.inv_covariances[keep], self.opacities[keep])
-
-    def path_density(self, xs: np.ndarray) -> np.ndarray:
-        """rho at each (n, 3) row of one path of a stream, as
-        density_many(scene, xs) gives it.  The first path of a row count
-        builds the list, which answers each later path of that count whose
-        rows all lie within the skin of it; every other path goes to
-        density_many, and the list stays.  A path of over _PATH_BUDGET rows is
-        never listed, and a list over _PATH_BUDGET pairs and rows answers its
-        own path only: the paths of that row count then go to density_many
-        until a path of another row count comes."""
-        n = len(xs)
-        if n != self.path_rows:
-            self.path_rows = n
-            self._drop()
-            if n <= _PATH_BUDGET:
-                self._rebuild(xs)
-                rho = self._listed_density(xs)
-                if len(self.row) + n > _PATH_BUDGET:
-                    self._drop()
-                return rho
-        elif self._near(xs):
-            return self._listed_density(xs)
-        self.missed += 1
-        return density_many(self.scene, xs)
 
     def probe_density(self, rows: np.ndarray, probes: np.ndarray) -> np.ndarray:
         """rho at (m, p, 3) probes, as density_many(scene, probes) gives it,
@@ -376,9 +336,9 @@ def _json_floats(entry: dict, key: str) -> np.ndarray:
 
 def _arrays_from_json(data, path):
     """(means, covariances, opacities) of a {"blobs": [{"mu", "cov", "alpha"},
-    ...]} scene, one row per blob; a cov that is not 3x3 becomes a NaN row,
-    which the scene rejects.  Any other flaw is a SceneFormatError naming the
-    file and blob."""
+    ...]} scene, one row per blob, each alpha an opacity in [0, 1]; a cov
+    that is not 3x3 becomes a NaN row, which the scene rejects.  Any other
+    flaw is a SceneFormatError naming the file and blob."""
     if not isinstance(data, dict) or not isinstance(data.get("blobs"), list):
         raise SceneFormatError(f"{path}: scene JSON must be an object with a 'blobs' list")
     means, covs, opacities = [], [], []
@@ -392,8 +352,9 @@ def _arrays_from_json(data, path):
             raise SceneFormatError(f"{where}: {exc}") from exc
         if mu.shape != (3,) or not np.all(np.isfinite(mu)):
             raise SceneFormatError(f"{where}: 'mu' must hold 3 finite numbers, got {json.dumps(entry['mu'])}")
-        if alpha.shape != () or not np.isfinite(alpha):
-            raise SceneFormatError(f"{where}: 'alpha' must be a finite number, got {json.dumps(entry['alpha'])}")
+        if alpha.shape != () or not 0.0 <= alpha <= 1.0:   # an opacity, as a PLY logit's sigmoid is
+            raise SceneFormatError(f"{where}: 'alpha' must be a finite number in [0, 1], "
+                                   f"got {json.dumps(entry['alpha'])}")
         means.append(mu)
         covs.append(cov if cov.shape == (3, 3) else np.full((3, 3), np.nan))
         opacities.append(float(alpha))

@@ -926,6 +926,18 @@ class TestSynth:
         assert lines[3] == f"2/3 rollouts written to {out_dir}"
         assert not (out_dir / "rollout_0001.csv").exists()
 
+    @pytest.mark.parametrize("alpha", ["2", "1e200", "1e308", "-0.5"])
+    def test_scene_alpha_outside_the_unit_interval_is_one_error_line(self, tmp_path, demo_csv, capsys, alpha):
+        # refused before any rollout: past 1, the coupling overflows (1e200) or fails every rollout (1e308)
+        scene = tmp_path / "scene.json"
+        scene.write_text('{"blobs": [{"mu": [0.03, 0.05, 0.0], "cov": [[4e-4, 0, 0], [0, 4e-4, 0], [0, 0, 4e-4]], '
+                         f'"alpha": {alpha}}}]}}')
+        cfg = write_config(tmp_path, demo_csv, tmp_path / "out", scene=str(scene),
+                           obstacle={"rho_th": 0.005, "lambda_max": 100.0, "lookahead": 0.015})
+        assert main(["synth", cfg]) == 2
+        one_error_line(capsys, f"scene: {scene}: blob 0: 'alpha' must be a finite number in [0, 1], got ")
+        assert not (tmp_path / "out").exists()
+
     def test_out_of_memory_is_one_error_line(self, tmp_path, demo_csv, capsys):
         # 10^14 rollouts need petabytes, past any 64-bit address space: refused at once
         cfg = write_config(tmp_path, demo_csv, tmp_path / "out", n_demos=10 ** 14)
@@ -1175,7 +1187,7 @@ class TestEval:
         # the first rollout builds the list, and it answers the two within its skin
         (line,) = loud.splitlines()
         counts = re.fullmatch(r"DEBUG:splatsynth.cli:3 files scored; scene path list: 1 rebuilds, (\d+) listed "
-                              r"pairs, (\d+) kept, 0 paths read by density_many", line)
+                              r"pairs, (\d+) kept", line)
         assert counts and 0 < int(counts[2]) <= int(counts[1])
 
     def test_transform_bottom_row_is_one_error_line(self, tmp_path, demo_csv, capsys):

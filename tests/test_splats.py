@@ -14,10 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from splatsynth import splats
+from splatsynth import metrics, splats
 from splatsynth.alignment import RigidTransform, apply_transform
 from splatsynth.cli import main
-from splatsynth.geometry import quat_normalize, quat_to_matrix
+from splatsynth.geometry import Trajectory, quat_normalize, quat_to_matrix
+from splatsynth.metrics import collision_check
 from splatsynth.splats import (
     _PLY_CHUNK_ROWS,
     CUTOFF_SIGMA,
@@ -748,14 +749,25 @@ class TestNorms:
 
 
 def path_read(scene, xs):
-    """scene._paths.path_density(xs), checked bit for bit against
-    density_many; (rebuilds, paths sent to density_many) that the read made."""
+    """scene._paths.density(xs), the read collision_check makes, checked bit
+    for bit against density_many; the rebuilds that the read made."""
     paths = scene._paths
-    rebuilds, missed = paths.rebuilds, paths.missed
-    got = paths.path_density(xs)
+    rebuilds = paths.rebuilds
+    got = paths.density(xs)
     want = density_many(scene, xs)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    return paths.rebuilds - rebuilds, paths.missed - missed
+    return paths.rebuilds - rebuilds
+
+
+def path_trajectory(xs):
+    n = len(xs)
+    return Trajectory(np.linspace(0.0, 1.0, n), xs, np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)), np.zeros(n))
+
+
+def checked_path(scene, xs):
+    """collision_check of the path xs, whose max_density must be
+    density_many's at xs, bit for bit."""
+    assert collision_check(path_trajectory(xs), scene, 0.1)[1] == density_many(scene, xs).max()
 
 
 def unlisted(scene):
@@ -771,9 +783,9 @@ def ply_scene(tmp_path):
 
 class TestPathList:
     """A scene answers a stream of paths (collision_check) through the list
-    it keeps, with density_many's bits on every path.  The first path of a
-    row count builds the list, which answers the later paths within its skin
-    and stays through the others, and the scene keeps no list over
+    it keeps, with density_many's bits on every path.  The list is rebuilt
+    exactly where a path is not near it: at another row count, or at a row
+    past its skin or not finite.  The scene keeps no list over
     _PATH_BUDGET."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -802,34 +814,34 @@ class TestPathList:
         p7 = p6.copy()
         p7[4, 1] = np.nan
         stream = [
-            (p0, (1, 0)),              # the first path of a row count builds the list
-            (p1, (0, 0)),              # within its skin: answered from it
-            (creep(p0), (0, 0)),
-            (p0, (0, 0)),
-            (p2, (0, 1)),              # a jump of one row: density_many, and the list stays
-            (p1, (0, 0)),
-            (p3, (0, 1)),              # a jump of every row
-            (creep(p3), (0, 1)),       # near the missed path, not the list: density_many
-            (p1, (0, 0)),
-            (p5, (1, 0)),              # a new row count lists again
-            (p6, (0, 0)),
-            (p7, (0, 1)),              # a non-finite row is never near
-            (p7, (0, 1)),
-            (p6, (0, 0)),
-            (p6[:0], (1, 0)),
-            (p6[:0], (0, 0)),          # two empty paths are near each other
-            (p0, (1, 0)),              # back to 30 rows: listed again
+            (p0, 1),              # the first path builds the list
+            (p1, 0),              # within its skin: answered from it
+            (creep(p0), 0),
+            (p0, 0),
+            (p2, 1),              # a jump of one row lists the path
+            (p1, 1),              # and so does the jump back
+            (p3, 1),              # a jump of every row
+            (creep(p3), 0),       # near the path listed last
+            (p1, 1),
+            (p5, 1),              # a new row count lists again
+            (p6, 0),
+            (p7, 1),              # a non-finite row is never near
+            (p7, 1),
+            (p6, 1),              # nor is a list that holds one
+            (p6[:0], 1),
+            (p6[:0], 0),          # two empty paths are near each other
+            (p0, 1),
         ]
-        for i, (xs, counts) in enumerate(stream):
-            assert path_read(scene, xs) == counts, i
+        for i, (xs, rebuilt) in enumerate(stream):
+            assert path_read(scene, xs) == rebuilt, i
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(name=st.sampled_from(sorted(LIST_SCENES)), n=st.integers(0, 12), seed=st.integers(0, 2 ** 16),
            moves=st.lists(st.sampled_from(WALK_MOVES), min_size=1, max_size=10))
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_random_streams_match_density_many(self, name, n, seed, moves):
-        # TestNeighborList's walk, read as paths: a read rebuilds exactly at a new row count, and
-        # a path within the skin of where the list was built is answered from it
+        # TestNeighborList's walk, read as new paths: a read rebuilds at a new row count, and
+        # where a row lies past the skin of where the list was built
         scene, spread = LIST_SCENES[name]
         scene = unlisted(scene)
         rng = np.random.default_rng(seed)
@@ -840,9 +852,8 @@ class TestPathList:
             return rows
 
         xs = fresh(n)
-        assert path_read(scene, xs) == (1, 0)
+        assert path_read(scene, xs) == 1
         for move in moves:
-            last = xs.copy()
             some = rng.random(len(xs)) < 0.5
             if move == "count":
                 xs = fresh(max(0, len(xs) + int(rng.choice([-2, -1, 1, 3]))))
@@ -859,73 +870,25 @@ class TestPathList:
                 xs = xs.copy()
                 xs[some] = fresh(int(some.sum()))
             origin = scene._paths.origin
-            rebuilt, missed = path_read(scene, xs)
-            assert rebuilt + missed <= 1 and rebuilt == (len(xs) != len(last))
-            if not rebuilt:
-                with np.errstate(invalid="ignore", over="ignore"):
-                    moved = np.linalg.norm(xs - origin, axis=1)
-                # rows clear of the skin's edge, where rounding may go either way
-                if np.all(moved <= 0.999 * splats._SKIN):
-                    assert missed == 0
-                if np.any(~(moved <= 1.001 * splats._SKIN)):
-                    assert missed == 1
+            rebuilt = path_read(scene, xs)
+            if len(xs) != len(origin):
+                assert rebuilt == 1
+                continue
+            with np.errstate(invalid="ignore", over="ignore"):
+                moved = np.linalg.norm(xs - origin, axis=1)
+            # rows clear of the skin's edge, where rounding may go either way
+            if np.all(moved <= 0.999 * splats._SKIN):
+                assert rebuilt == 0
+            if np.any(~(moved <= 1.001 * splats._SKIN)):
+                assert rebuilt == 1
         assert scene._paths.kept <= scene._paths.listed
 
-    def test_scattered_misses_keep_the_list(self):
-        # paths of one row count around one letter, with a far path now and then: one list
-        # answers every near path, and each far path goes to density_many
-        scene = cluttered_scene(200, seed=48)
-        rng = np.random.default_rng(49)
-        base = scene.means[rng.integers(0, len(scene), 25)]
-        assert path_read(scene, base) == (1, 0)
-        far = 0
-        for i in range(24):
-            if i % 5 == 2:
-                xs, counts = base + rng.normal(0.0, 0.1, base.shape) + [0.0, 0.0, 0.2], (0, 1)
-                far += 1
-            else:
-                xs, counts = base + unit_rows(rng, 25) * rng.uniform(0.0, 0.9 * splats._SKIN, (25, 1)), (0, 0)
-            assert path_read(scene, xs) == counts, i
-        paths = scene._paths
-        assert (paths.rebuilds, paths.missed) == (1, far) and far == 5
-
-    def test_each_path_read_twice(self):
-        # a stream P, P, Q, Q, ...: the list of the first path answers every read within its
-        # skin, both reads of a far path go to density_many, and nothing is listed again
-        scene = cluttered_scene(200, seed=50)
-        rng = np.random.default_rng(51)
-        base = scene.means[rng.integers(0, len(scene), 40)]
-        stream = [base] + [base + rng.normal(0.0, 0.01, base.shape) for _ in range(15)]
-        served = 0
-        for xs in stream:
-            near = np.all(np.linalg.norm(xs - base, axis=1) <= splats._SKIN)
-            for _ in range(2):
-                rebuilt, missed = path_read(scene, xs)
-                assert missed == (not near)
-            served += 2 * near
-        paths = scene._paths
-        assert paths.rebuilds == 1 and paths.missed == 2 * len(stream) - served
-        assert 2 < served < 2 * len(stream)   # both kinds of path in the stream
-
-    def test_an_outlier_first_path(self):
-        # the list is built at the first path, however far it lies from the rest: the paths after
-        # it go to density_many, and the list stays
-        scene = cluttered_scene(200, seed=52)
-        rng = np.random.default_rng(53)
-        base = scene.means[rng.integers(0, len(scene), 20)]
-        assert path_read(scene, base + [0.0, 0.1, 0.0]) == (1, 0)
-        for _ in range(6):
-            assert path_read(scene, base + rng.normal(0.0, 0.002, base.shape)) == (0, 1)
-        paths = scene._paths
-        assert (paths.rebuilds, paths.missed) == (1, 6) and paths.row is not None
-
-    def test_an_unrelated_stream_builds_no_list(self, monkeypatch):
-        # every path jumps: the first lists its pairs, and each other is one density_many query of
-        # the tree; the list of the first path stays, and nothing else is listed
+    def test_a_jumping_stream_rebuilds_on_every_path(self, monkeypatch):
+        # every path jumps, its rows the scene's means in a new order: each path is listed by
+        # one _neighbors query with the skin, and read with density_many's bits
         scene = cluttered_scene(200, seed=43)
         rng = np.random.default_rng(44)
         stream = [scene.means[rng.permutation(len(scene))[:40]] for _ in range(12)]
-        want = [density_many(scene, xs) for xs in stream]
         calls = []
         neighbors = splats._neighbors
 
@@ -934,52 +897,60 @@ class TestPathList:
             return neighbors(scene, xs, radius, slack)
 
         monkeypatch.setattr(splats, "_neighbors", counted)
-        for xs, rho in zip(stream, want):
-            assert scene._paths.path_density(xs).tobytes() == rho.tobytes()
-        assert calls == [(40, splats._SKIN, 1e-9)] + [(40, 0.0, 0.0)] * 11
-        paths = scene._paths
-        assert (paths.rebuilds, paths.missed, paths.listed) == (1, 11, len(paths.row))
-        assert paths.origin.tobytes() == stream[0].tobytes()
+        for i, xs in enumerate(stream):
+            assert path_read(scene, xs) == 1, i
+        # path_read's density_many makes the other query of each path
+        assert calls == [(40, splats._SKIN, 1e-9), (40, 0.0, 0.0)] * len(stream)
+        assert scene._paths.rebuilds == len(stream) and scene._paths.origin.tobytes() == stream[-1].tobytes()
 
     def test_a_list_over_the_budget_is_dropped(self, monkeypatch):
-        # 10 rows that list more than 30 pairs: the list answers its one path and goes
-        monkeypatch.setattr(splats, "_PATH_BUDGET", 40)
+        # 10 rows that list more than 30 pairs: the list answers its one path, and the scene drops it
+        monkeypatch.setattr(metrics, "_PATH_BUDGET", 40)
         scene = cluttered_scene(200, seed=45)
         rng = np.random.default_rng(46)
         xs = rng.normal(0.0, 0.02, (10, 3))
-        assert path_read(scene, xs) == (1, 0)
-        paths = scene._paths
-        assert paths.listed > 30 and (paths.origin, paths.row, paths.means) == (None, None, None)
-        # paths of its row count go to density_many, and nothing is listed, until another row count comes
-        for _ in range(3):
-            assert path_read(scene, xs) == (0, 1) and paths.origin is None
+        assert len(_neighbors(scene, xs, splats._SKIN, slack=1e-9)[0]) > 30
+        for _ in range(3):   # each path of its row count is listed again, and dropped again
+            checked_path(scene, xs)
+            assert "_paths" not in vars(scene)
         ys = xs[:2] + [5.0, 0.0, 0.0]   # 2 rows far from every blob: a list within the budget
-        assert path_read(scene, ys) == (1, 0) and paths.row is not None
-        assert path_read(scene, ys) == (0, 0)
-        assert path_read(scene, xs) == (1, 0) and paths.origin is None   # listed again, and dropped again
-        # a path of more rows than the budget is never listed
+        checked_path(scene, ys)
+        paths = scene._paths
+        checked_path(scene, ys)
+        assert scene._paths is paths and paths.rebuilds == 1
+        # a path of more rows than the budget is never listed, and the list stays
         zs = rng.normal(5.0, 0.01, (41, 3))
         for _ in range(3):
-            assert path_read(scene, zs) == (0, 1) and paths.origin is None
-        assert path_read(scene, ys) == (1, 0) and paths.row is not None
+            checked_path(scene, zs)
+        assert scene._paths is paths and paths.rebuilds == 1 and paths.origin.tobytes() == ys.tobytes()
+        checked_path(scene, xs)
+        assert "_paths" not in vars(scene)
 
-    @pytest.mark.parametrize("rows, keeps, counts", [(1_000, True, (1, 0)), (40_000, False, (1, 2)),
-                                                     (splats._PATH_BUDGET + 1, False, (0, 3))])
-    def test_a_path_over_the_budget_leaves_nothing_on_the_scene(self, rows, keeps, counts):
+    @pytest.mark.parametrize("rows, keeps, counts", [(1_000, True, (1,)), (40_000, False, (3,)),
+                                                     (metrics._PATH_BUDGET + 1, False, (0,))])
+    def test_a_path_over_the_budget_leaves_nothing_on_the_scene(self, monkeypatch, rows, keeps, counts):
         # one wide blob, so that every row lists one pair: 1000 rows keep their list; 40000
         # rows and their pairs go over the budget, and more rows than the budget are never listed
         scene = GaussianScene([unit_blob(sigma2=0.01)])
-        xs = np.random.default_rng(47).uniform(-0.2, 0.2, (rows, 3))
+        traj = path_trajectory(np.random.default_rng(47).uniform(-0.2, 0.2, (rows, 3)))
+        rebuilds = []
+        rebuild = _NeighborList._rebuild
+
+        def counted(self, xs):
+            rebuilds.append(len(xs))
+            rebuild(self, xs)
+
+        monkeypatch.setattr(_NeighborList, "_rebuild", counted)
         scene.tree, scene._paths   # made before the count starts
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             for _ in range(3):
-                scene._paths.path_density(xs)
+                collision_check(traj, scene, 0.1)
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert (scene._paths.rebuilds, scene._paths.missed) == counts
+        assert (len(rebuilds),) == counts
         if keeps:
             assert held > 100 * rows   # its list: a pair and a row, over 100 bytes each
         else:
@@ -1406,6 +1377,11 @@ BAD_SCENE_JSON = {
     "alpha_list": (json.dumps({"blobs": [dict(BLOB, alpha=[1, 2])]}), "blob 0: 'alpha' must be a finite number"),
     "alpha_bool": (json.dumps({"blobs": [dict(BLOB, alpha=True)]}), "blob 0: 'alpha' must hold only numbers"),
     "alpha_nan": (json.dumps({"blobs": [dict(BLOB, alpha=float("nan"))]}), "blob 0: 'alpha' must be a finite"),
+    # an opacity lies in [0, 1], as a PLY logit's sigmoid does
+    **{f"alpha_{name}": (json.dumps({"blobs": [BLOB, dict(BLOB, alpha=alpha)]}),
+                         f"blob 1: 'alpha' must be a finite number in [0, 1], got {shown}")
+       for name, alpha, shown in [("above_one", 2, "2"), ("huge", 1e308, "1e+308"), ("negative", -0.5, "-0.5"),
+                                  ("just_above_one", 1.0000000000000002, "1.0000000000000002")]},
     "mu_string": (json.dumps({"blobs": [dict(BLOB, mu=["0", 0, 0])]}), "blob 0: 'mu' must hold only numbers"),
     "mu_ragged": (json.dumps({"blobs": [dict(BLOB, mu=[[0, 0], 0])]}), "blob 0: 'mu' must hold only numbers"),
     "mu_infinite": (json.dumps({"blobs": [dict(BLOB, mu=[float("inf"), 0, 0])]}),
