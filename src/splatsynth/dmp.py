@@ -50,6 +50,10 @@ REST_PAD_WEIGHT = 10.0
 MAX_ROLLOUT_STEPS = 100_000
 # the fewest samples a segment is fit from, whatever n_basis
 MIN_SEGMENT_SAMPLES = 10
+# The steps _integrate's look-ahead runs without the hook before it asks the hook's rule about them.  A
+# step run past the first hot one is run again, and each chunk makes one density read: of 16, 32 and 64,
+# 16 ran fastest on bench/run.py's scene_synth, and c05_batch could not tell them apart.
+_QUIET_CHUNK = 16
 
 
 class FitError(RuntimeError):
@@ -262,6 +266,21 @@ def _integrate(model: DmpModel, y, q0, goal, q_goal, dt: float, coupling=None,
     nominals of [B, 2B).  Only the B coupled rows are returned, and each
     fails at its nominal's failing step, else at its own.
 
+    A coupling with a quiet rule (make_coupling's hook.quiet) gets a
+    look-ahead.  _integrate runs _QUIET_CHUNK steps without the hook, then
+    asks the rule, with one read of every row's probes at those steps, on
+    how many of them the hook would have returned +0.0 (on every row whose
+    state is finite: a row that is not keeps its state, whatever it gets).
+    At the first step the hook could act, the state, the velocity and failed
+    are rewound to that step, and the hook is called on every step from
+    there to the end.  A step run
+    without the hook leaves out the hook's +0.0, so an acceleration of -0.0
+    stays -0.0.  That changes no bit of the state: the velocity starts at
+    +0.0, and a float sum is -0.0 only when both of its terms are, so the
+    velocity is never -0.0, and v + a h is the same for a h of +0.0 or -0.0.
+    A coupling without the rule, such as a plain function wrapping the hook,
+    is called on every step.
+
     Every row is computed exactly as it would be alone.  Returns the (n+1,)
     times, the (B, n+1, 3) positions and (B, n+1, 4) quaternions, not yet
     normalized, and per row the step its state went non-finite at, or -1:
@@ -296,18 +315,36 @@ def _integrate(model: DmpModel, y, q0, goal, q_goal, dt: float, coupling=None,
     states = np.empty((len(y), n_steps + 1, 6))
     states[:, 0] = x
     failed = np.full(len(y), -1)
-    for n in range(n_steps):
+
+    def step(n, x, v, hook):
         a = az * (bz * (target - x) - v) + forcing[n] * scale
-        if coupling is not None:   # the hook gets a copy of the positions, its own to keep
-            a[:, :3] += coupling(n, x[:, :3].copy(), v[:, :3] / tau)
-        state = (x, v)
-        v = v + a * h
-        x = x + v * h
-        if not np.isfinite(x).all():   # the rows' own test, only on a step where some row fails
-            bad = ~np.isfinite(x).all(axis=1)
+        if hook is not None:   # the hook gets a copy of the positions, its own to keep
+            a[:, :3] += hook(n, x[:, :3].copy(), v[:, :3] / tau)
+        v_next = v + a * h
+        x_next = x + v_next * h
+        if not np.isfinite(x_next).all():   # the rows' own test, only on a step where some row fails
+            bad = ~np.isfinite(x_next).all(axis=1)
             failed[bad & (failed < 0)] = n
-            x, v = (np.where(bad[:, None], old, new) for old, new in zip(state, (x, v)))
-        states[:, n + 1] = x
+            x_next, v_next = (np.where(bad[:, None], old, new) for old, new in ((x, x_next), (v, v_next)))
+        states[:, n + 1] = x_next
+        return x_next, v_next
+
+    n, quiet = 0, getattr(coupling, "quiet", None)
+    if quiet is not None:
+        block = np.empty((len(y), _QUIET_CHUNK, 6))   # the velocities at a chunk's steps
+    while quiet is not None and n < n_steps:   # the look-ahead: a chunk run free, then read by the rule
+        chunk = range(n, min(n + _QUIET_CHUNK, n_steps))
+        for m in chunk:
+            block[:, m - n] = v
+            x, v = step(m, x, v, None)
+        k = quiet(states[:, n:chunk.stop, :3], block[:, :len(chunk), :3] / tau, paired)
+        if k < len(chunk):   # rewind to the first step where the hook could act
+            x, v = states[:, n + k].copy(), block[:, k].copy()
+            failed[failed >= n + k] = -1
+            quiet = None
+        n += k
+    for n in range(n, n_steps):
+        x, v = step(n, x, v, coupling)
 
     if paired:
         failed = np.where(failed[:b] >= 0, failed[:b], failed[b:])

@@ -30,6 +30,14 @@ class FieldError(ValueError):
         self.field, self.detail = name, detail
 
 
+# The coupling's gains stay within this bound: obstacle.lambda_max and return_cap in m/s^2, return_gain in
+# 1/s^2.  An acceleration of A m/s^2 adds A dt / tau^2 m/s per step, at most A / (2500 dt) with dt <= tau/50,
+# so 40 A with steps of 10 us, and MAX_ROLLOUT_STEPS (1e5) such steps reach 4e6 A m/s; the coupling hook
+# squares speeds, which overflow past about 1e154 m/s, so A past about 1e147.  1e100 leaves a factor of 1e47
+# for the timing (the repulsion is lambda_max times 1 + gamma, at most), and the pull's stiffness times an
+# offset within _MAX_COORD stays within 1e200.
+_MAX_GAIN = 1e100
+
 # the range rules a field's metadata "check" may name: each tests a value, or every element of an array
 RANGES = {
     "positive": lambda v: v > 0,
@@ -39,6 +47,7 @@ RANGES = {
     "finite": lambda v: abs(v) < math.inf,
     "finite and positive": lambda v: (v > 0) & (v < math.inf),
     "finite and non-negative": lambda v: (v >= 0) & (v < math.inf),
+    "non-negative, at most 1e100": lambda v: (v >= 0) & (v <= _MAX_GAIN),
 }
 
 

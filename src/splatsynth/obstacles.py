@@ -7,6 +7,11 @@ whether the motion is directed into the obstacle; below the threshold the
 coupling is exactly zero, the pull's too while the repulsion has not moved the
 rollout off its nominal.  A bounded return-to-reference correction pulls the
 rollout back toward its uncoupled nominal once density drops.
+
+The coupling hook carries the rule that says so, hook.quiet: from the
+lookahead probes of a block of steps, the steps on which the hook provably
+returns +0.0.  dmp._integrate runs such steps without calling the hook.  A
+term that can act below rho_th must join that rule, or it is skipped.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import numpy as np
 from .geometry import check_fields, param, rowdot
 # density stays bound here for bench/tracing.py, which wraps it where it is looked up
 from .splats import DEFAULT_GRADIENT_STEP, GaussianScene, _NeighborList, density, density_gradient  # noqa: F401
+from .splats import density_many
 
 
 @dataclass(frozen=True)
@@ -26,12 +32,12 @@ class ObstacleParams:
     """The obstacle coupling's gains; each field is the job-config key obstacle.<name>."""
 
     rho_th: float = param(0.1, "density threshold", "positive")
-    lambda_max: float = param(10.0, "peak repulsion gain, m/s^2", "finite and non-negative")
+    lambda_max: float = param(10.0, "peak repulsion gain, m/s^2", "non-negative, at most 1e100")
     gamma: float = param(1.0, "tangential bias", "finite and non-negative")
     epsilon: float = param(1e-8, "normalizer guard", "finite and positive")
     lookahead: float = param(0.02, "probe distance floor, m", "finite and non-negative")
-    return_gain: float = param(0.0, "return-to-reference stiffness", "finite and non-negative")
-    return_cap: float = param(5.0, "return correction bound, m/s^2", "non-negative")
+    return_gain: float = param(0.0, "return-to-reference stiffness", "non-negative, at most 1e100")
+    return_cap: float = param(5.0, "return correction bound, m/s^2", "non-negative, at most 1e100")
     gradient_step: float = param(DEFAULT_GRADIENT_STEP, "central-difference step, m", "finite and positive")
 
     def __post_init__(self):
@@ -55,6 +61,14 @@ def tangential_direction(n_hat, v, epsilon: float = ObstacleParams.epsilon) -> n
     n_hat = np.asarray(n_hat, dtype=float)
     v_hat = _unit(np.asarray(v, dtype=float), epsilon)
     return _unit(n_hat - rowdot(n_hat, v_hat)[..., None] * v_hat, epsilon)
+
+
+def _probes(y, v, params: ObstacleParams, dt: float, out=None) -> np.ndarray:
+    """The repulsion's lookahead probes y + d * v_hat per (..., 3) row of
+    positions y and velocities v, at d = max(lookahead, 3 dt |v|)."""
+    speed = np.sqrt(rowdot(v, v))
+    probe = np.maximum(params.lookahead, 3.0 * dt * speed)
+    return np.add(y, probe[..., None] * (v / (speed + params.epsilon)[..., None]), out=out)
 
 
 def obstacle_accel(scene: GaussianScene, x_look, v, rho, params: ObstacleParams, _listed=None) -> np.ndarray:
@@ -126,7 +140,21 @@ def make_coupling(scene: GaussianScene, params: ObstacleParams, dt: float):
     splats._NeighborList, hook.neighbors, which also answers the repulsion's
     gradient probes through obstacles.density_gradient, unless it does not
     hold the gradient step (neighbors.probe_step 0) and density_many does.
-    None when both are off, so that the rollout is bitwise the plain one."""
+    None when both are off, so that the rollout is bitwise the plain one.
+
+    hook.quiet(y, v, paired) is the hook's own rule for dmp._integrate's
+    look-ahead: given the (R, K, 3) positions and velocities of K steps, as
+    the hook would get them with paired as _integrate's, it returns on how
+    many leading steps the hook returns +0.0 on every finite row, and adds
+    them to hook.quiet_steps.  A step is hot when some coupled row's probe, by the
+    hook's own formula (_probes), reads a density_many above rho_th: below it
+    the repulsion is +0.0, and so is the pull while the repulsion has not
+    moved a rollout off its nominal.  With lambda_max 0 no step is hot.  An
+    unpaired call of a pull-on hook gets 0, since its rows need not start on
+    their nominals.  The rule is an attribute of the hook, not derived from
+    the job, because it holds only for this hook's output: a plain function
+    wrapping the hook, which may change that output (a test's NaN injector,
+    bench/tracing.py's timer), hides it, and is called on every step."""
     repel, pull = params.lambda_max > 0.0, params.return_gain > 0.0
     if not (repel or pull):
         return None
@@ -144,10 +172,7 @@ def make_coupling(scene: GaussianScene, params: ObstacleParams, dt: float):
         if len(rows) != (repel + pull) * b:
             rows = np.empty(((repel + pull) * b, 3))
         if repel:
-            speed = np.sqrt(rowdot(v, v))
-            probe = np.maximum(params.lookahead, 3.0 * dt * speed)
-            x_look = rows[:b]
-            np.add(y, probe[:, None] * (v / (speed + params.epsilon)[:, None]), out=x_look)   # y + probe _unit(v)
+            x_look = _probes(y, v, params, dt, out=rows[:b])
         if pull:
             rows[-b:] = y
         rho = neighbors.density(rows)
@@ -162,5 +187,17 @@ def make_coupling(scene: GaussianScene, params: ObstacleParams, dt: float):
         np.add(a, 0.0 if on_nominal else return_to_reference(y, v_err, y_ref, rho[-b:], params), out=out[b:])
         return out
 
-    hook.neighbors, hook.paired = neighbors, pull
+    def quiet(y, v, paired):
+        k = y.shape[1]
+        if pull and not paired:   # the rows need not start on their nominals: the pull may act at once
+            k = 0
+        elif repel:   # the coupled rows' probes, as the hook reads them
+            b = len(y) // 2 if pull else len(y)
+            hot = np.flatnonzero((density_many(scene, _probes(y[len(y) - b:], v[len(y) - b:], params, dt))
+                                  > params.rho_th).any(axis=0))
+            k = int(hot[0]) if len(hot) else k
+        hook.quiet_steps += k
+        return k
+
+    hook.neighbors, hook.paired, hook.quiet, hook.quiet_steps = neighbors, pull, quiet, 0
     return hook

@@ -194,7 +194,9 @@ def _synthesize_rows(job: SynthesisJob, models: list[DmpModel], indices) -> list
     a plain function, as bench/tracing.py wraps it, hides hook.paired.  A row
     also fails at the first step where its position leaves _MAX_COORD on an
     axis, since a trajectory file refuses such a position.  A coupled pass
-    logs one DEBUG line with its rollouts, its steps, and its hook's
+    logs one DEBUG line with its rollouts, its steps, the first step that
+    called its hook (the hook's quiet_steps), or "free" when _integrate's
+    look-ahead found no step where the hook could act, and its hook's
     neighbour list rebuilds, listed and kept pairs, and gradient probe rows
     answered from the list.  Returns, per index, (Trajectory, manifest entry)
     or the RolloutError that ended it."""
@@ -219,8 +221,10 @@ def _synthesize_rows(job: SynthesisJob, models: list[DmpModel], indices) -> list
         alive, p, qs = alive[keep], p[keep], qs[keep]
         if coupling is not None and log.isEnabledFor(logging.DEBUG):
             listed = getattr(coupling, "neighbors", None)   # a wrapped hook, as bench/tracing.py makes, hides it
-            log.debug("segment %d: %d rows, %d steps, neighbour list: %s rebuilds, %s listed pairs, %s kept, "
+            quiet = getattr(coupling, "quiet_steps", "?")
+            log.debug("segment %d: %d rows, %d steps, %s, neighbour list: %s rebuilds, %s listed pairs, %s kept, "
                       "%s probe rows", k, n, len(times) - 1,
+                      "free" if quiet == len(times) - 1 else f"coupled from step {quiet}",
                       *(("?",) * 4 if listed is None else (listed.rebuilds, listed.listed, listed.kept, listed.probed)))
         if not len(alive):
             return outcome

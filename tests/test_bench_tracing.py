@@ -3,6 +3,7 @@ including bindings that only the tracer reads (the `# noqa: F401` imports in
 obstacles, metrics and synthesis).  Installing and removing its wrappers
 against this source tree must find every binding and restore each one."""
 
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -78,3 +79,27 @@ def test_tracer_sees_the_paired_hook(monkeypatch, tmp_path):
     assert names == sorted(p.name for p in (tmp_path / "traced").iterdir())
     for name in names:
         assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "traced" / name).read_bytes()
+
+
+def test_traced_and_untraced_c05_parts_write_the_same_files(tmp_path, monkeypatch):
+    """The tracer wraps the coupling hook in a plain function, which hides the
+    hook's rule: a traced part calls the hook on every step, an untraced one
+    from the first step where it could act.  bench/run.py's c05_batch part
+    writes the same bytes either way."""
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    workloads = importlib.import_module("workloads")
+    workload = workloads.C05Batch(7, tmp_path)
+    workload.prepare()
+    setup = workload.setup()
+    steps = len(workload.run(setup, tmp_path / "plain", 0)[0][0]) - 1
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        workload.run(setup, tmp_path / "traced", 0)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["obstacles.hook"] == steps   # one segment, every step
+    names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert len(names) == setup.job.n_demos + 2 and names == sorted(p.name for p in (tmp_path / "traced").iterdir())
+    for name in names:
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "traced" / name).read_bytes(), name

@@ -20,7 +20,7 @@ from splatsynth.geometry import RANGES, Trajectory
 from splatsynth.metrics import RasterSpec
 from splatsynth.obstacles import ObstacleParams
 from splatsynth.splats import GaussianBlob, GaussianScene, save_scene_json
-from splatsynth.synthesis import SynthesisJob
+from splatsynth.synthesis import PerturbationSpec, SynthesisJob, synthesize
 
 from helpers import letter_a_demo, line_demo, run_within
 
@@ -193,7 +193,8 @@ NUMERIC_KEYS = [(key, f, hint) for key, f, hint in _config_keys() if hint in (fl
 
 # per range rule: the number just outside it
 JUST_OUTSIDE = {"positive": 0.0, "finite and positive": 0.0, "non-negative": -5e-324,
-                "finite and non-negative": -5e-324, "at least 1": 0.0, "at least 2": 1.0}
+                "finite and non-negative": -5e-324, "non-negative, at most 1e100": -5e-324,
+                "at least 1": 0.0, "at least 2": 1.0}
 
 
 class TestRanges:
@@ -211,12 +212,12 @@ class TestRanges:
             "perturbation.bound_r": "non-negative",
             "perturbation.seed": "non-negative",
             "obstacle.rho_th": "positive",
-            "obstacle.lambda_max": "finite and non-negative",
+            "obstacle.lambda_max": "non-negative, at most 1e100",
             "obstacle.gamma": "finite and non-negative",
             "obstacle.epsilon": "finite and positive",
             "obstacle.lookahead": "finite and non-negative",
-            "obstacle.return_gain": "finite and non-negative",
-            "obstacle.return_cap": "non-negative",
+            "obstacle.return_gain": "non-negative, at most 1e100",
+            "obstacle.return_cap": "non-negative, at most 1e100",
             "obstacle.gradient_step": "finite and positive",
             "output.n_demos": "at least 1",
             "rollout.dt": "positive",
@@ -231,7 +232,7 @@ class TestRanges:
     def test_out_of_range_exits_2_naming_key(self, tmp_path, demo_csv, capsys, key, f, hint):
         rule = f.metadata["check"]
         outside = math.floor(JUST_OUTSIDE[rule]) if hint is int else JUST_OUTSIDE[rule]
-        values = [outside, math.nan, -math.inf] + [math.inf] * (rule.startswith("finite") or hint is int)
+        values = [outside, math.nan, -math.inf] + [math.inf] * (not RANGES[rule](math.inf) or hint is int)
         path = Path(write_config(tmp_path, demo_csv, tmp_path / "out"))
         for i, value in enumerate(values):
             value = [value, 0.0, 0.0] if hint is np.ndarray else value
@@ -337,6 +338,36 @@ class TestSchemaFlags:
         with pytest.raises(SystemExit):
             main([argv[0], "--help"])
         assert f"{f.metadata['help']} (default: {f.default})" in " ".join(capsys.readouterr().out.split())
+
+
+class TestCouplingGainBounds:
+    """obstacle.lambda_max, return_gain and return_cap stop at 1e100, far
+    below where the coupling hook's squared speeds overflow: a value past it
+    exits 2 with one line naming the key, and the Criterion-05 job runs at
+    the bound with no numpy warning (a RuntimeWarning fails the test)."""
+
+    C05 = {"rho_th": 0.005, "lambda_max": 100.0, "gamma": 2.0, "lookahead": 0.015, "return_gain": 4.0}
+
+    @pytest.mark.parametrize("value", [1e200, float(np.nextafter(1e100, math.inf))])
+    @pytest.mark.parametrize("key", ["lambda_max", "return_gain", "return_cap"])
+    def test_past_the_bound_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
+        demo = tmp_path / "demo.csv"
+        line_demo([0, 0, 0], [0.4, 0, 0], n=151).save_csv(demo)
+        scene = write_scene(tmp_path / "scene.json", [GaussianBlob(np.array([0.2, 0.004, 0.0]),
+                                                                   0.02 ** 2 * np.eye(3), 1.0)])
+        cfg = write_config(tmp_path, str(demo), tmp_path / "out", scene=scene, obstacle={**self.C05, key: value})
+        assert main(["synth", cfg]) == 2
+        assert capsys.readouterr().err == f"error: obstacle.{key}: must be non-negative, at most 1e100, got {value}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("keys", [["lambda_max"], ["return_gain"], ["return_cap"],
+                                      ["lambda_max", "return_gain", "return_cap"]])
+    def test_the_c05_job_runs_at_the_bound(self, keys):
+        scene = GaussianScene([GaussianBlob(np.array([0.2, 0.004, 0.0]), 0.02 ** 2 * np.eye(3), 1.0)])
+        params = ObstacleParams(**{**self.C05, **dict.fromkeys(keys, 1e100)})
+        job = SynthesisJob(demo=line_demo([0, 0, 0], [0.4, 0, 0], n=151), scene=scene, n_demos=8, dt=0.01,
+                           spec=PerturbationSpec(sigma_p=[0.01] * 3, bound_p=[0.02] * 3, seed=3), obstacle=params)
+        assert len(synthesize(job)[1]["rollouts"]) == 8
 
 
 class TestReadmeRanges:
@@ -976,7 +1007,8 @@ class TestSynth:
         assert quiet == "" and debug_files == files and len(files) == 5
         lines = [line for line in loud.splitlines() if line.startswith("DEBUG:splatsynth.synthesis:")]
         assert [line.split(":")[2] for line in lines] == ["segment 0", "segment 1"]
-        assert all(re.search(r"3 rows, \d+ steps, neighbour list: \d+ rebuilds", line) for line in lines)
+        assert all(re.search(r"3 rows, \d+ steps, (free|coupled from step \d+), neighbour list: \d+ rebuilds", line)
+                   for line in lines)
 
 
 class TestEval:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import warnings
 from dataclasses import asdict
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import splatsynth.dmp as dmp
 import splatsynth.obstacles as obstacles
 import splatsynth.splats as splats
 from splatsynth.dmp import _integrate, fit_dmp, rollout, rollout_batch
@@ -22,7 +24,7 @@ from splatsynth.obstacles import (
 )
 from splatsynth.splats import GaussianBlob, GaussianScene, density, density_many
 
-from helpers import line_demo
+from helpers import letter_a_demo, line_demo
 
 
 def blob_scene(mu=(0.2, 0.0, 0.0), sigma=0.05, alpha=1.0):
@@ -212,11 +214,11 @@ class TestReturnToReference:
         assert abs(np.linalg.norm(a[1]) - 5.0) < 1e-9
 
     def test_cap_holds_where_the_pull_overflows(self):
-        # gain 1e200: a 1 mm offset pulls at 1e197 m/s^2, whose square overflows, and a 1 m offset
-        # overflows the pull's own terms; each is scaled to the cap along -x, never to 0 or NaN
-        p = ObstacleParams(return_gain=1e200, return_cap=5.0, rho_th=0.1)
-        x = np.array([[1e-3, 0.0, 0.0], [1.0, 0.0, 0.0], [1e-3, 2e-3, 0.0]])
-        v_err = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1e-90, 0.0]])
+        # gain 1e100, its bound: an offset of 1e97 m pulls at 1e197 m/s^2, whose square overflows, and
+        # one of 1e210 m overflows the pull's own terms; each is scaled to the cap along -x, never to 0 or NaN
+        p = ObstacleParams(return_gain=1e100, return_cap=5.0, rho_th=0.1)
+        x = np.array([[1e97, 0.0, 0.0], [1e210, 0.0, 0.0], [1e97, 2e97, 0.0]])
+        v_err = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1e-3, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             a = return_to_reference(x, v_err, np.zeros((3, 3)), np.zeros(3), p)
@@ -227,9 +229,9 @@ class TestReturnToReference:
 
     def test_rows_that_do_not_overflow_keep_their_bits(self):
         # the cap scales an over-long pull by return_cap / |a| whatever the other rows hold
-        p = ObstacleParams(return_gain=1e150, return_cap=5.0, rho_th=0.1)
-        x = np.array([[1e-3, 0.0, 0.0], [1e-160, -3e-161, 0.0], [1e10, 0.0, 1.0], [0.0, 0.0, 0.0]])
-        v_err = np.array([[0.0, 0.0, 0.0], [1e-90, 0.0, 2e-90], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        p = ObstacleParams(return_gain=1e100, return_cap=5.0, rho_th=0.1)
+        x = np.array([[1e47, 0.0, 0.0], [1e-110, -3e-111, 0.0], [1e60, 0.0, 1e50], [0.0, 0.0, 0.0]])
+        v_err = np.array([[0.0, 0.0, 0.0], [1e-65, 0.0, 2e-65], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         a = return_to_reference(x, v_err, np.zeros((4, 3)), np.zeros(4), p)
         for i in (0, 1, 3):
             want = 1.0 * (p.return_gain * (0.0 - x[i]) - 2.0 * math.sqrt(p.return_gain) * v_err[i])
@@ -314,9 +316,7 @@ class TestMakeCoupling:
         dt = 0.005
         offset = np.array([0.0, 0.01, 0.0])
         scene = blob_scene(mu=(10.0, 10.0, 10.0), sigma=0.01)  # far away
-        starts, goals = [self.start(model, offset), self.start(model)], [self.goal(model, offset), self.goal(model)]
-        rows = [np.array([getattr(pose, k) for pose in poses]) for poses in (starts, goals)
-                for k in ("position", "orientation")]
+        rows = pose_rows([self.start(model, offset), self.start(model)], [self.goal(model, offset), self.goal(model)])
         mean_y = []
         for gain in (0.0, 50.0, 400.0):
             hook = make_coupling(scene, ObstacleParams(lambda_max=0.0, return_gain=gain, return_cap=50.0), dt)
@@ -383,26 +383,82 @@ class TestMakeCoupling:
                 assert getattr(out, name).tobytes() == getattr(alone, name).tobytes(), name
 
 
+def probe_rho(scene, params, dt, y, v):
+    """rho at the hook's lookahead probes y + max(lookahead, 3 dt |v|) v / (|v| + epsilon)
+    of (..., 3) positions y and velocities v, the formula written out."""
+    speed = np.linalg.norm(v, axis=-1)
+    reach = np.maximum(params.lookahead, 3.0 * dt * speed)
+    return density_many(scene, y + (reach / (speed + params.epsilon))[..., None] * v)
+
+
+def free_states(model, rows, dt, horizon_factor=1.25):
+    """The (R, n, 3) positions and velocities, in m/s, that a hook gets at
+    each step of a free _integrate run of rows: a plain function returning
+    zeros is called on every step, and changes no bit."""
+    seen = []
+
+    def record(step, y, v):
+        seen.append((y, v.copy()))
+        return np.zeros_like(y)
+    _integrate(model, *rows, dt, record, horizon_factor)
+    return tuple(np.stack(a, axis=1) for a in zip(*seen))
+
+
+def first_hot_step(scene, params, dt, y, v):
+    """The first step at which some row's probe reads above rho_th, or None."""
+    hot = np.flatnonzero((probe_rho(scene, params, dt, y, v) > params.rho_th).any(axis=0))
+    return int(hot[0]) if len(hot) else None
+
+
+def pose_rows(starts, goals):
+    """_integrate's (B, 3) and (B, 4) rows of start and goal Poses."""
+    return tuple(np.array([getattr(pose, k) for pose in poses], dtype=float)
+                 for poses in (starts, goals) for k in ("position", "orientation"))
+
+
+TERMS = [(40.0, 4.0, 2),   # probes and positions
+         (40.0, 0.0, 1),   # probes only
+         (0.0, 4.0, 1)]    # positions only
+
+
 class TestHookDensityQueries:
-    @pytest.mark.parametrize("lambda_max, return_gain, per_row", [
-        (40.0, 4.0, 2),   # probes and positions
-        (40.0, 0.0, 1),   # probes only
-        (0.0, 4.0, 1),    # positions only
-    ])
+    @pytest.mark.parametrize("lambda_max, return_gain, per_row", TERMS)
     def test_one_query_per_step(self, monkeypatch, lambda_max, return_gain, per_row):
-        """Each step of a B-row batch sends the rows its active terms read to
-        the hook's neighbour list: B probes and/or B positions.  A step that
-        rebuilds the list makes one _neighbors call, whose radius is the skin
-        plus the gradient step when the repulsion is on; a step whose rows
-        all stayed within the skin of where the list was built makes none.
-        The repulsion's gradient probes are read from the same list and make
-        no _neighbors call."""
+        """Each step that calls the hook on a B-row batch sends the rows its
+        active terms read to the hook's neighbour list: B probes and/or B
+        positions.  The hook is called from the first step whose probes read
+        above rho_th on, never with the repulsion off.  A step that rebuilds
+        the list makes one _neighbors call, whose radius is the skin plus the
+        gradient step when the repulsion is on; a step whose rows all stayed
+        within the skin of where the list was built makes none.  The
+        repulsion's gradient probes are read from the same list and make no
+        _neighbors call."""
+        self.check(monkeypatch, lambda_max, return_gain, per_row, wrapped=False)
+
+    @pytest.mark.parametrize("lambda_max, return_gain, per_row", TERMS)
+    def test_a_wrapped_hook_reads_on_every_step(self, monkeypatch, lambda_max, return_gain, per_row):
+        """A plain function wrapping the hook hides its rule: the hook is
+        called, and reads, on every step."""
+        self.check(monkeypatch, lambda_max, return_gain, per_row, wrapped=True)
+
+    @staticmethod
+    def check(monkeypatch, lambda_max, return_gain, per_row, wrapped):
         model = fit_dmp(line_demo([0, 0, 0], [0.4, 0, 0], n=151))
         starts = [Pose([0.0, dy, 0.0], [1.0, 0, 0, 0]) for dy in (-0.004, 0.0, 0.004)]
         goals = [Pose([0.4, dy, 0.0], [1.0, 0, 0, 0]) for dy in (-0.004, 0.0, 0.004)]
         nominals = rollout_batch(model, starts, goals, dt=0.01)
         params = ObstacleParams(rho_th=0.05, lambda_max=lambda_max, lookahead=0.03, return_gain=return_gain)
-        hook = make_coupling(blob_scene(mu=(0.2, 0.004, 0.0), sigma=0.02), params, 0.01)
+        scene = blob_scene(mu=(0.2, 0.004, 0.0), sigma=0.02)
+        hook = make_coupling(scene, params, 0.01)
+        coupling = hook
+        if wrapped:
+            def coupling(step, y, v):
+                return hook(step, y, v)
+            coupling.paired = hook.paired
+        n_steps = len(nominals[0]) - 1
+        first = first_hot_step(scene, params, 0.01, *free_states(model, pose_rows(starts, goals), 0.01))
+        first = 0 if wrapped else n_steps if lambda_max == 0.0 else first
+        assert 0 < first < n_steps or wrapped or lambda_max == 0.0
         queries, steps = [], []   # steps: (rows' shape, _neighbors calls, rows within the skin)
         probes = []   # per gradient step: (_neighbors calls, rows probed)
         neighbors, density, probe_density = splats._neighbors, splats._NeighborList.density, \
@@ -428,15 +484,21 @@ class TestHookDensityQueries:
         monkeypatch.setattr(splats, "_neighbors", counted)
         monkeypatch.setattr(splats._NeighborList, "density", listed)
         monkeypatch.setattr(splats._NeighborList, "probe_density", probed)
-        outs = rollout_batch(model, starts, goals, 0.01, hook)
+        outs = rollout_batch(model, starts, goals, 0.01, coupling)
         moved = [not np.array_equal(o.positions, n.positions) for o, n in zip(outs, nominals)]
         assert moved == [lambda_max > 0.0] * len(outs)   # the pull alone never leaves the nominal
-        assert [shape for shape, _, _ in steps] == [(per_row * len(starts), 3)] * (len(outs[0]) - 1)
+        assert [shape for shape, _, _ in steps] == [(per_row * len(starts), 3)] * (n_steps - first)
         assert [calls for _, calls, _ in steps] == [int(not inside) for _, _, inside in steps]
-        assert 0 < hook.neighbors.rebuilds < len(steps)   # both kinds of step ran
-        # only the rebuilds query the scene, each at the skin plus the gradient step: never with no skin
+        if steps:
+            assert 0 < hook.neighbors.rebuilds < len(steps)   # both kinds of step ran
+        else:
+            assert hook.neighbors.rebuilds == 0
+        # only the rebuilds query the scene, each at the skin plus the gradient step; the rule reads
+        # each chunk of the look-ahead with one density_many call, with no skin
         reach = splats._SKIN + (params.gradient_step if lambda_max > 0.0 else 0.0)
-        assert queries == [reach] * hook.neighbors.rebuilds
+        assert [r for r in queries if r != 0.0] == [reach] * hook.neighbors.rebuilds
+        chunks = 0 if wrapped or lambda_max == 0.0 else first // dmp._QUIET_CHUNK + 1
+        assert queries.count(0.0) == chunks
         assert [calls for calls, _ in probes] == [0] * len(probes)
         assert hook.neighbors.probed == 6 * sum(n for _, n in probes)
         assert (len(probes) > 0) == (lambda_max > 0.0)   # the repulsion's probes were answered from the list
@@ -610,3 +672,146 @@ class TestHookPullSkip:
         # bit for bit on its nominal, a row's pull is skipped; so may be one whose offsets are still +0.0
         on_nominal = np.isfinite([Y, V]).all() and Y[:b].tobytes() == y.tobytes() and V[:b].tobytes() == v.tobytes()
         assert pulls in ([], [b]) and (pulls == [] or not on_nominal)
+
+
+def counting(hook, called):
+    """A plain function that records each step the hook is called at and
+    returns its output unchanged, so it may keep the hook's rule."""
+    def counted(step, y, v):
+        called.append(step)
+        return hook(step, y, v)
+    counted.paired, counted.quiet = hook.paired, hook.quiet
+    return counted
+
+
+class TestLookAheadCalls:
+    """_integrate calls make_coupling's hook from the first step where it
+    could act on, by counts: a change that turns the look-ahead off fails
+    here, not only in the bench."""
+
+    C05 = ObstacleParams(rho_th=0.005, lambda_max=100.0, gamma=2.0, lookahead=0.015, return_gain=4.0)
+
+    def batch(self):
+        model = fit_dmp(line_demo([0, 0, 0], [0.4, 0, 0], n=151))
+        rng = np.random.default_rng(11)
+        starts = [Pose(rng.normal(0.0, 0.005, 3), [1.0, 0, 0, 0]) for _ in range(4)]
+        goals = [Pose([0.4, 0, 0] + rng.normal(0.0, 0.01, 3), [1.0, 0, 0, 0]) for _ in range(4)]
+        return model, starts, goals
+
+    @pytest.mark.parametrize("return_gain", [0.0, 4.0])
+    def test_a_scene_out_of_reach_is_never_called(self, return_gain):
+        model, starts, goals = self.batch()
+        params = dataclasses.replace(self.C05, return_gain=return_gain)
+        called = []
+        hook = make_coupling(blob_scene(mu=(100.0, 0.0, 0.0), sigma=0.02), params, 0.01)
+        outs = rollout_batch(model, starts, goals, 0.01, counting(hook, called))
+        assert called == [] and hook.quiet_steps == len(outs[0]) - 1
+        for out, free in zip(outs, rollout_batch(model, starts, goals, 0.01)):
+            assert out.positions.tobytes() == free.positions.tobytes()
+
+    @pytest.mark.parametrize("return_gain", [0.0, 4.0])
+    def test_first_call_at_the_first_step_whose_probe_reads_above_rho_th(self, return_gain):
+        # the Criterion-05 line past one blob, as bench/workloads.py's c05_batch runs it
+        model, starts, goals = self.batch()
+        params = dataclasses.replace(self.C05, return_gain=return_gain)
+        scene = blob_scene(mu=(0.2, 0.004, 0.0), sigma=0.02)
+        first = first_hot_step(scene, params, 0.01, *free_states(model, pose_rows(starts, goals), 0.01))
+        called = []
+        hook = make_coupling(scene, params, 0.01)
+        outs = rollout_batch(model, starts, goals, 0.01, counting(hook, called))
+        steps = len(outs[0]) - 1
+        assert 0 < first < steps
+        assert called == list(range(first, steps)) and hook.quiet_steps == first
+        oracle = make_coupling(scene, params, 0.01)
+
+        def every_step(step, y, v):   # hides the rule
+            return oracle(step, y, v)
+        every_step.paired = oracle.paired
+        want = rollout_batch(model, starts, goals, 0.01, every_step)
+        assert [o.positions.tobytes() for o in outs] == [w.positions.tobytes() for w in want]
+
+
+# The letter A's second stroke: its forcing peaks mid-stroke, so a row whose goal lies 10**e m
+# away, e in about [305.67, 306.05], overflows the forcing product at a step from 27 to 57 of a
+# free run, and fails there whatever the coupling does before.
+LETTER = fit_dmp(letter_a_demo().segment(1), n_basis=20)
+
+
+@functools.cache
+def overflow_exponents():
+    """{step: e}: a goal 10**e m past LETTER's, along x, fails its free run at that step."""
+    found = {}
+    for e in np.linspace(305.6, 306.1, 301):
+        row = (LETTER.y0[None], LETTER.q0[None], (LETTER.goal + [10.0 ** e, 0.0, 0.0])[None], LETTER.q_goal[None])
+        with np.errstate(all="ignore"):
+            found.setdefault(int(_integrate(LETTER, *row, 0.01)[3][0]), float(e))
+    return found
+
+
+class TestLookAheadBitEqual:
+    """_integrate with the look-ahead is bit-equal to the same hook called on
+    every step through a plain function, which hides its rule."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_bit_equal_to_the_hook_on_every_step(self, data):
+        lambda_max, return_gain = data.draw(st.sampled_from([(100.0, 0.0), (100.0, 4.0), (0.0, 4.0)]))
+        paired = data.draw(st.booleans())
+        params = ObstacleParams(rho_th=0.005, lambda_max=lambda_max, gamma=2.0, lookahead=0.015,
+                                return_gain=return_gain)
+        dt, b = 0.01, data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        y = LETTER.y0 + rng.normal(0.0, 0.003, (b, 3))
+        goal = LETTER.goal + rng.normal(0.0, 0.005, (b, 3))
+        q0, q_goal = np.tile(LETTER.q0, (b, 1)), np.tile(LETTER.q_goal, (b, 1))
+        # a blob on the stroke, near where it is at some step: the first hot step m falls in any chunk
+        path, speed = free_states(LETTER, (y, q0, goal, q_goal), dt)
+        at = path[0, data.draw(st.one_of(st.integers(0, 110), st.integers(40, 80)))] + rng.normal(0.0, 0.004, 3)
+        scene = blob_scene(mu=at, sigma=data.draw(st.sampled_from([0.008, 0.015])))
+        m = first_hot_step(scene, params, dt, path, speed)
+        m = 0 if m is None or lambda_max == 0.0 else m
+        # one more row that goes non-finite in the free run: at its start, before the chunk that
+        # holds step m, inside it before or after m, or after it
+        chunk = m - m % dmp._QUIET_CHUNK
+        steps = overflow_exponents()
+        where = {"before": [f for f in steps if 0 <= f < chunk], "inside before": [f for f in steps if chunk <= f < m],
+                 "inside after": [f for f in steps if m <= f < chunk + dmp._QUIET_CHUNK],
+                 "after": [f for f in steps if f >= chunk + dmp._QUIET_CHUNK]}
+        kinds = ["none", "nan start"] + [k for k, fs in where.items() if fs]
+        kind = data.draw(st.sampled_from(kinds + ["inside after"] * ("inside after" in kinds)))
+        fails_at = data.draw(st.sampled_from(sorted(where[kind]))) if kind in where else -1
+        if kind != "none":
+            e = steps[fails_at] if kind in where else 0.0
+            y = np.concatenate([y, [LETTER.y0 if kind in where else [np.nan] * 3]])
+            goal = np.concatenate([goal, [LETTER.goal + [10.0 ** e, 0.0, 0.0]]])
+            q0, q_goal = np.concatenate([q0, q0[:1]]), np.concatenate([q_goal, q_goal[:1]])
+        rows = (y, q0, goal, q_goal)
+        if return_gain > 0.0 and not paired:   # the hook reads rows [0, B) as the nominals of [B, 2B)
+            moved = y + rng.normal(0.0, 0.002, y.shape) * data.draw(st.sampled_from([0.0, 1.0]))
+            rows = tuple(np.concatenate([r, r2]) for r, r2 in zip(rows, (moved, q0, goal, q_goal)))
+        n_hook = len(rows[0]) * (2 if paired else 1)
+        # a hook row made NaN from some step on, wherever some finite row's output is not +0.0, so that
+        # the hook's rule still holds: at times the overflowing row (its nominal, when paired, whose failing
+        # step its rollout takes), from a step before its own failure
+        if fails_at > m and data.draw(st.booleans()):
+            nan_row, nan_from = len(rows[0]) - 1, data.draw(st.integers(m, fails_at - 1))
+        else:
+            nan_row = data.draw(st.integers(0, n_hook - 1))
+            nan_from = m + data.draw(st.one_of(st.integers(0, 40), st.just(10**6)))
+
+        def injecting(hook):
+            def inject(step, y, v):
+                a = hook(step, y, v)
+                if step >= nan_from and np.any(a[np.isfinite(y).all(axis=1)] != 0.0):
+                    a[nan_row] = np.nan
+                return a
+            return inject
+
+        hook = make_coupling(scene, params, dt)
+        subject = injecting(hook)
+        subject.quiet = hook.quiet
+        with np.errstate(all="ignore"):
+            got = _integrate(LETTER, *rows, dt, subject, paired=paired)
+            want = _integrate(LETTER, *rows, dt, injecting(make_coupling(scene, params, dt)), paired=paired)
+        for label, g, w in zip(("times", "positions", "quaternions", "failed"), got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), label

@@ -606,26 +606,56 @@ class TestRowBlocks:
 
 class TestCoupledBatchLog:
     """Each coupled segment batch logs one DEBUG line through the
-    splatsynth.synthesis logger: its rows and steps, and its hook's neighbour
-    list rebuilds, listed and kept pairs, and gradient probe rows answered
-    from the list."""
+    splatsynth.synthesis logger: its rows and steps, the first step that
+    called its hook, or "free", and its hook's neighbour list rebuilds,
+    listed and kept pairs, and gradient probe rows answered from the list."""
 
-    LINE = (r"segment (\d+): (\d+) rows, (\d+) steps, "
+    LINE = (r"segment (\d+): (\d+) rows, (\d+) steps, coupled from step (\d+), "
             r"neighbour list: (\d+) rebuilds, (\d+) listed pairs, (\d+) kept, "
             r"(\d+) probe rows")
 
-    def test_one_line_per_coupled_segment(self, caplog):
+    def test_one_line_per_coupled_segment(self, caplog, monkeypatch):
         job = coupled_job("letter", n_demos=3)
+        make, first = synthesis.make_coupling, []
+
+        def spied(*args):   # records the steps each hook is called at, and keeps its attributes
+            hook, called = make(*args), []
+
+            def counted(step, y, v):
+                called.append(step)
+                return hook(step, y, v)
+
+            def quiet(y, v, paired):
+                k = hook.quiet(y, v, paired)
+                counted.quiet_steps = hook.quiet_steps
+                return k
+            first.append(called)
+            counted.quiet, counted.quiet_steps, counted.neighbors = quiet, 0, hook.neighbors
+            return counted
+        monkeypatch.setattr(synthesis, "make_coupling", spied)
         with caplog.at_level(logging.DEBUG, logger="splatsynth"):
             synthesize(job)
         lines = [r.getMessage() for r in caplog.records if r.name == "splatsynth.synthesis"]
         assert len(lines) == job.demo.n_segments == 2
-        for k, (line, model) in enumerate(zip(lines, fit_segments(job))):
+        for k, (line, model, called) in enumerate(zip(lines, fit_segments(job), first)):
             got = [int(v) for v in re.fullmatch(self.LINE, line).groups()]
-            assert got[:3] == [k, 3, rollout_steps(model.canonical.tau, job.dt, job.horizon_factor)]
-            rebuilds, listed, kept, probed = got[3:]
+            steps = rollout_steps(model.canonical.tau, job.dt, job.horizon_factor)
+            assert got[:4] == [k, 3, steps, called[0]] and called == list(range(called[0], steps))
+            rebuilds, listed, kept, probed = got[4:]
             assert 1 <= rebuilds < got[2] and 0 < kept <= listed
             assert probed > 0 and probed % 6 == 0   # six probes per active row
+        assert first[1][0] > 0   # the look-ahead ran segment 1's first steps free
+
+    def test_a_segment_the_hook_never_acts_on_logs_free(self, caplog):
+        job = dataclasses.replace(coupled_job("letter", n_demos=3),
+                                  scene=GaussianScene([GaussianBlob([5.0, 5.0, 5.0], 0.02 ** 2 * np.eye(3), 1.0)]))
+        with caplog.at_level(logging.DEBUG, logger="splatsynth"):
+            synthesize(job)
+        lines = [r.getMessage() for r in caplog.records if r.name == "splatsynth.synthesis"]
+        for k, (line, model) in enumerate(zip(lines, fit_segments(job))):
+            steps = rollout_steps(model.canonical.tau, job.dt, job.horizon_factor)
+            assert line == (f"segment {k}: 3 rows, {steps} steps, free, neighbour list: 0 rebuilds, "
+                            "0 listed pairs, 0 kept, 0 probe rows")
 
     def test_a_wrapped_hook_logs_question_marks(self, caplog, monkeypatch):
         # a hook wrapped as bench/tracing.py wraps it hides its neighbour list
@@ -640,8 +670,8 @@ class TestCoupledBatchLog:
         with caplog.at_level(logging.DEBUG, logger="splatsynth"):
             synthesize(job)
         (line,) = [r.getMessage() for r in caplog.records if r.name == "splatsynth.synthesis"]
-        assert line == (f"segment 0: 2 rows, {steps} steps, neighbour list: ? rebuilds, ? listed pairs, ? kept, "
-                        "? probe rows")
+        assert line == (f"segment 0: 2 rows, {steps} steps, coupled from step ?, neighbour list: ? rebuilds, "
+                        "? listed pairs, ? kept, ? probe rows")
 
     def test_no_line_above_debug_or_without_a_scene(self, caplog):
         with caplog.at_level(logging.INFO, logger="splatsynth"):
