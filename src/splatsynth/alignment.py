@@ -119,38 +119,80 @@ _MAX_COORD = 1e151
 # _COARSE_ROWS of them (Rusinkiewicz & Levoy, 3DIM 2001)
 _COARSE_ROWS = 1000
 
+# After a fit, an inlier's match lies within the largest inlier residual r, so
+# its nearest target does too, and the next query of the row looks only
+# _INLIER_REACH * r far.  The match needs one r; the second leaves the bound
+# that stands in for an unfound second target at least r above the match, so
+# that the certificate can keep the match while later fits move the row by up
+# to about r / 2 (matches change little from one iteration to the next:
+# Nuechter, Lingemann & Hertzberg, 3DIM 2007).
+_INLIER_REACH = 2.0
 
-def _icp_loop(source, target, tree, order, params: IcpParams, T: RigidTransform, stage: str) -> IcpResult:
+# A row that was an outlier is queried _OUTLIER_REACH times as far as
+# max_corr_dist: with no target within that reach, the reach is a lower bound
+# on its nearest distance, which certifies it an outlier until it moves about
+# max_corr_dist, where a reach just past max_corr_dist certifies nothing.
+_OUTLIER_REACH = 2.0
+
+
+def _icp_loop(source, target, tree, order, params: IcpParams, T: RigidTransform, stage: str,
+              radius: float = math.inf) -> tuple[IcpResult, float]:
     """Point-to-point ICP of the source rows from T, querying them in the
     given order and logging one DEBUG line per iteration as "icp <stage>iteration".
+    Returns the result and the largest inlier residual of its last fit.
 
-    A row is queried for its 2 nearest targets within reach, just past
-    max_corr_dist, and keeps that match unqueried while the triangle
-    inequality certifies it: moved delta from where it was queried, its
-    nearest (d1) stays nearer than its second (at least d2), and on the same
-    side of max_corr_dist, with eps to spare for rounding.  A row whose two
-    are equidistant is queried again unbounded, which breaks the tie as a
-    plain query does.  An iteration that queries no row keeps the previous
-    one's matches, and so its transform, rms and inliers."""
+    A row is queried for its 2 nearest targets, and keeps that match
+    unqueried while the triangle inequality certifies it: moved delta from
+    where it was queried, its nearest (d1) stays nearer than its second (at
+    least d2), and within max_corr_dist; or d1, a lower bound on its nearest
+    distance, stays past max_corr_dist, with eps to spare for rounding.  A
+    row whose two are equidistant is queried again unbounded, which breaks
+    the tie as a plain query does.  An iteration that queries no row keeps
+    the previous one's matches, and so its transform, rms and inliers.
+
+    How far a row is queried is sized by what the last fit proved.  Every row
+    at the first iteration, and each row that was an inlier, is first queried
+    within b = _INLIER_REACH * radius + 4 eps (radius being the largest inlier
+    residual, or the caller's for the first iteration), or within reach, just
+    past max_corr_dist, if that is nearer; d2 is then the second's distance
+    or b, whichever is less.  A row with no target within b, and each row that
+    was an outlier, is queried within _OUTLIER_REACH * reach, whose reach
+    stands for d1 where it finds no target.  Each row's nearest within any
+    bound is its nearest, so every pick is that of an unbounded query."""
     n, cap = len(source), params.max_corr_dist
     reach = cap * (1 + 1e-6)   # cKDTree keeps only targets strictly nearer than its bound
+    far = _OUTLIER_REACH * reach
     at, nn = np.zeros_like(source), np.empty(n, dtype=np.intp)
-    d1, d2 = np.full(n, math.inf), np.empty(n)
+    d1, d2 = np.zeros(n), np.zeros(n)   # certify nothing, and send each row to the bounded query first
     scale = 1 + np.abs(target).max() + np.abs(source).max()
     residuals, prev_rms, n_inliers = [], None, 0
+
+    def query(moved, sub, b):
+        """Query the rows sub within b, and record what it proves; their found and tied flags."""
+        dist, match = tree.query(moved[sub], k=2, distance_upper_bound=b)
+        at[sub], nn[sub] = moved[sub], match[:, 0]
+        d1[sub], d2[sub] = np.minimum(dist[:, 0], b), np.minimum(dist[:, 1], b)
+        found = np.isfinite(dist[:, 0])
+        return found, found & (dist[:, 0] == dist[:, 1])
+
     for it in range(1, params.max_iters + 1):
         moved = T.apply(source)
         step = moved - at
         delta = np.sqrt(np.einsum("ij,ij->i", step, step))
-        eps = 1e-12 * (scale + np.abs(moved).max())   # bounds the rounding of d1, d2 and delta
-        kept = (np.isfinite(d1) & (d1 + 2 * delta + eps < d2)
-                & ((d1 + delta + eps <= cap) | (d1 > cap + delta + eps)))
+        eps = 1e-12 * (scale + np.abs(moved).max())   # bounds the rounding of d1, d2, delta and radius
+        kept = (((d1 + 2 * delta + eps < d2) & (d1 + delta + eps <= cap))
+                | (d1 > cap + delta + eps))
         rows = order[~kept[order]]
+        bound = min(reach, _INLIER_REACH * radius + 4 * eps)
+        past = d1[rows] > cap   # of rows, those queried past bound: outliers, then the bound's misses
         if len(rows):
-            dist, match = tree.query(moved[rows], k=2, distance_upper_bound=reach)
-            at[rows], d1[rows], nn[rows] = moved[rows], dist[:, 0], match[:, 0]
-            d2[rows] = np.minimum(dist[:, 1], reach)
-            tie = rows[np.isfinite(dist[:, 0]) & (dist[:, 0] == dist[:, 1])]
+            near, tied = ~past, np.zeros(len(rows), dtype=bool)
+            if near.any():
+                found, tied[near] = query(moved, rows[near], bound)
+                past[near] = ~found
+            if past.any():
+                tied[past] = query(moved, rows[past], far)[1]
+            tie = rows[tied]
             if len(tie):
                 d1[tie], nn[tie] = tree.query(moved[tie])
             mask = d1 <= cap
@@ -159,17 +201,17 @@ def _icp_loop(source, target, tree, order, params: IcpParams, T: RigidTransform,
                 raise AlignmentError("no usable correspondences within max_corr_dist")
             src, matched = source[mask], target[nn[mask]]
             T = _procrustes(src, matched)
-            rms = float(np.sqrt(np.mean(np.sum((T.apply(src) - matched) ** 2, axis=1))))
+            sq = np.sum((T.apply(src) - matched) ** 2, axis=1)
+            rms, radius = float(np.sqrt(np.mean(sq))), math.sqrt(sq.max())
         residuals.append(rms)
         change = math.inf if prev_rms is None else abs(prev_rms - rms)
         log.debug("icp %siteration %d/%d: %d of %d inliers, rms %.9g m, rms change %.3g (tol %.3g), "
-                  "%d of %d rows queried", stage, it, params.max_iters, n_inliers, n, rms, change,
-                  params.tol, len(rows), n)
+                  "%d of %d rows queried within %.3g m, %d past it", stage, it, params.max_iters,
+                  n_inliers, n, rms, change, params.tol, len(rows), n, bound, np.count_nonzero(past))
         if change < params.tol:
             break
         prev_rms = rms
-    return IcpResult(transform=T, rms=residuals[-1], residuals=residuals,
-                     n_inliers=n_inliers)
+    return IcpResult(transform=T, rms=residuals[-1], residuals=residuals, n_inliers=n_inliers), radius
 
 
 def icp_align(source, target, params: IcpParams | None = None,
@@ -181,17 +223,21 @@ def icp_align(source, target, params: IcpParams | None = None,
 
     The moved source rows query the target tree in the leaf order of a k-d
     tree of their own, so that consecutive queries walk the same branches.
-    Each iteration queries only the rows whose match can have changed (see
-    _icp_loop); each row's match is exact and independent of the others, so
-    the result is bit for bit that of a plain, unbounded query of every row,
-    in the caller's order, in every iteration.
+    Each iteration queries only the rows whose match can have changed, each
+    only as far as the last fit proves it must (see _icp_loop); each row's
+    match is exact and independent of the others, so the result is bit for
+    bit that of a plain, unbounded query of every row, in the caller's order,
+    in every iteration.
 
     A source of n >= 2 * _COARSE_ROWS rows first runs a coarse stage on every
     k-th row of that leaf order, k = n // _COARSE_ROWS, from init to the same
     stopping rule; the full stage then runs on every row from the coarse
-    transform, or from init if the coarse stage raised an AlignmentError.
-    The result's residuals, rms and n_inliers are the full stage's.  Each
-    iteration logs one DEBUG line, "icp coarse iteration" in the coarse stage."""
+    transform, its first query bounded by the coarse fit's largest inlier
+    residual, or from init as if alone if the coarse stage raised an
+    AlignmentError.  The result's residuals, rms and n_inliers are the full
+    stage's.  Each iteration logs one DEBUG line, "icp coarse iteration" in
+    the coarse stage, which ends with how many rows it queried, how far their
+    first query reached, and how many it queried past that."""
     params = params or IcpParams()
     source = np.asarray(source, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -206,15 +252,16 @@ def icp_align(source, target, params: IcpParams | None = None,
             raise AlignmentError(f"{name} row {bad[0]}: {what}")
     tree = cKDTree(target)
     order = cKDTree(source, balanced_tree=False, compact_nodes=False).indices
-    T = init or RigidTransform.identity()
+    T, radius = init or RigidTransform.identity(), math.inf
     k = len(source) // _COARSE_ROWS
     if k >= 2:
         sample = source[order[::k]]
         try:
-            T = _icp_loop(sample, target, tree, np.arange(len(sample)), params, T, "coarse ").transform
+            coarse, radius = _icp_loop(sample, target, tree, np.arange(len(sample)), params, T, "coarse ")
+            T = coarse.transform
         except AlignmentError:
             pass   # the full stage starts from init
-    return _icp_loop(source, target, tree, order, params, T, "")
+    return _icp_loop(source, target, tree, order, params, T, "", radius)[0]
 
 
 def _rotated(R: np.ndarray, C: np.ndarray) -> np.ndarray:

@@ -33,10 +33,15 @@ class FieldError(ValueError):
 # The coupling's gains stay within this bound: obstacle.lambda_max and return_cap in m/s^2, return_gain in
 # 1/s^2.  An acceleration of A m/s^2 adds A dt / tau^2 m/s per step, at most A / (2500 dt) with dt <= tau/50,
 # so 40 A with steps of 10 us, and MAX_ROLLOUT_STEPS (1e5) such steps reach 4e6 A m/s; the coupling hook
-# squares speeds, which overflow past about 1e154 m/s, so A past about 1e147.  1e100 leaves a factor of 1e47
-# for the timing (the repulsion is lambda_max times 1 + gamma, at most), and the pull's stiffness times an
-# offset within _MAX_COORD stays within 1e200.
+# squares speeds, which overflow past about 1e154 m/s, so A past about 1e147.  The repulsion is lambda_max
+# times 1 + gamma, at most, so 1e100 with _MAX_BIAS leaves a factor of 1e41 for the timing, and the pull's
+# stiffness times an offset within _MAX_COORD stays within 1e200.
 _MAX_GAIN = 1e100
+
+# obstacle.gamma, the dimensionless tangential bias, stays within this bound: the repulsion is
+# lambda_max * (n_hat + gamma * t_hat) with both vectors unit or shorter, so both gains at their bounds give at
+# most about 1e106 m/s^2, within the 1e147 above.  A bias of 1e6 already makes the push all but tangential.
+_MAX_BIAS = 1e6
 
 # the range rules a field's metadata "check" may name: each tests a value, or every element of an array
 RANGES = {
@@ -48,6 +53,7 @@ RANGES = {
     "finite and positive": lambda v: (v > 0) & (v < math.inf),
     "finite and non-negative": lambda v: (v >= 0) & (v < math.inf),
     "non-negative, at most 1e100": lambda v: (v >= 0) & (v <= _MAX_GAIN),
+    "non-negative, at most 1e6": lambda v: (v >= 0) & (v <= _MAX_BIAS),
 }
 
 

@@ -33,7 +33,7 @@ class ObstacleParams:
 
     rho_th: float = param(0.1, "density threshold", "positive")
     lambda_max: float = param(10.0, "peak repulsion gain, m/s^2", "non-negative, at most 1e100")
-    gamma: float = param(1.0, "tangential bias", "finite and non-negative")
+    gamma: float = param(1.0, "tangential bias", "non-negative, at most 1e6")
     epsilon: float = param(1e-8, "normalizer guard", "finite and positive")
     lookahead: float = param(0.02, "probe distance floor, m", "finite and non-negative")
     return_gain: float = param(0.0, "return-to-reference stiffness", "non-negative, at most 1e100")

@@ -332,10 +332,12 @@ def assert_leaf_ordered_rows(x, moved):
 
 class TestIcpQueries:
     def test_one_leaf_ordered_query_per_iteration(self, queries, fits):
-        """Each iteration sends the target tree at most one 2-neighbour query,
-        bounded just past max_corr_dist: every source row in the first
-        iteration, in the leaf order of a k-d tree of the source, then a
-        leaf-ordered subsequence, the rows whose match can have changed."""
+        """With every row an inlier, each iteration sends the target tree at
+        most one 2-neighbour query: every source row in the first iteration,
+        in the leaf order of a k-d tree of the source, bounded just past
+        max_corr_dist; then a leaf-ordered subsequence, the rows whose match
+        can have changed, bounded by twice the last fit's largest inlier
+        residual and a rounding margin."""
         src = random_cloud(500, 80)
         dst = random_rigid(81, max_angle_deg=2.0, max_trans=0.01).apply(src)
         res = icp_align(src, dst, IcpParams(max_corr_dist=0.1))
@@ -343,11 +345,20 @@ class TestIcpQueries:
         assert not np.array_equal(order, np.arange(len(src)))
         assert len(queries) == len(fits) == len(res.residuals) >= 3
         assert np.array_equal(queries[0][1], src[order])   # the first query moves nothing
-        for (n, x, kwargs), T in zip(queries, [RigidTransform.identity()] + fits):
+        starts = [RigidTransform.identity()] + fits
+        for j, ((n, x, kwargs), T) in enumerate(zip(queries, starts)):
             assert n == len(dst) and kwargs.keys() == {"k", "distance_upper_bound"} and kwargs["k"] == 2
-            assert 0.1 < kwargs["distance_upper_bound"] <= 0.1 * (1 + 1e-5)
             assert_leaf_ordered_rows(x, T.apply(src)[order])
+            bound = kwargs["distance_upper_bound"]
+            if j == 0:
+                assert 0.1 < bound <= 0.1 * (1 + 1e-5)
+            else:
+                # the last fit's inliers are the rows a plain query matches from where its iteration started
+                dist, nn = cKDTree(dst).query(starts[j - 1].apply(src))
+                radius = np.linalg.norm(T.apply(src) - dst[nn], axis=1)[dist <= 0.1].max()
+                assert min(2 * radius, 0.1) < bound <= min(2 * radius + 1e-10, 0.1 * (1 + 1e-5))
         assert len(queries[1][1]) < len(src) and len(queries[-1][1]) < len(queries[1][1])
+        assert queries[-1][2]["distance_upper_bound"] < 1e-10
 
 
 class TestIcpCoarseStage:
@@ -410,8 +421,16 @@ class TestIcpCoarseStage:
         init = random_rigid(930, max_angle_deg=0.05, max_trans=0.001)
         res = assert_icp_matches_reference(src, dst, IcpParams(max_corr_dist=0.002), init)
         assert res.n_inliers == len(dst)
-        assert len(queries) == 1 + len(res.residuals)
-        assert queries[0][1].shape == (len(src) // 2, 3)
+        sizes = [len(x) for _, x, _ in queries]
+        bounds = [kwargs["distance_upper_bound"] for _, _, kwargs in queries]
+        # the coarse stage queries every sample row just past max_corr_dist,
+        # then again twice as far, finds no match, and so raises
+        assert sizes[:2] == [len(src) // 2] * 2
+        assert 0.002 < bounds[0] <= 0.002 * (1 + 1e-5) and bounds[1] == 2 * bounds[0]
+        # the full stage starts from init as if alone: every row, then the rows
+        # with no copy twice as far; its second iteration certifies every match
+        assert sizes[2:] == [len(src), len(src) - len(dst)] and bounds[2:] == bounds[:2]
+        assert len(res.residuals) == 2
 
     def test_coarse_debug_lines_come_first(self, caplog):
         src = random_cloud(3000, 940)
@@ -425,6 +444,121 @@ class TestIcpCoarseStage:
             assert line.startswith(f"icp coarse iteration {k}/100: 1000 of 1000 inliers, rms ")
         for k, (line, rms) in enumerate(zip(lines[n_coarse:], res.residuals), start=1):
             assert line.startswith(f"icp iteration {k}/100: 3000 of 3000 inliers, rms {rms:.9g} m, ")
+
+
+def room_copy(n, seed):
+    """A scan and its proxy as the benchmark's desk scene builds them: n
+    uniform room points stored as float32, and their exact copy moved by a
+    planted transform of at most 1 degree and 2 cm."""
+    rng = np.random.default_rng(seed)
+    src = rng.uniform([-1.4, -1.4, -0.8], [1.4, 1.4, 1.2], size=(n, 3)).astype(np.float32).astype(float)
+    return src, random_rigid(seed + 1, max_angle_deg=1.0, max_trans=0.02).apply(src)
+
+
+def assert_fit_matches_reference(source, target):
+    """icp_align's transform, rms and inliers are the oracle's bit for bit;
+    a coarse stage leaves fewer residuals."""
+    ref, got = icp_reference(source, target), icp_align(source, target)
+    assert got.transform.rotation.tobytes() == ref.transform.rotation.tobytes()
+    assert got.transform.translation.tobytes() == ref.transform.translation.tobytes()
+    assert (got.rms, got.n_inliers) == (ref.rms, ref.n_inliers)
+    return got
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """("query", rows, keyword arguments) for each query icp_align sends to
+    its target tree, and ("fit", transform) for each Procrustes fit, in call
+    order."""
+    seen = []
+
+    class Tree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            seen.append(("query", np.array(x), kwargs))
+            return super().query(x, *args, **kwargs)
+
+    def procrustes(src, dst):
+        seen.append(("fit", _procrustes(src, dst)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(alignment, "cKDTree", Tree)
+    monkeypatch.setattr(alignment, "_procrustes", procrustes)
+    return seen
+
+
+def full_stage(calls, n):
+    """The transform the full stage of an n-row source starts from, and its
+    iterations' queries, [(rows, keyword arguments), ...] per iteration
+    that queries."""
+    start = next(k for k, call in enumerate(calls) if call[0] == "query" and len(call[1]) == n)
+    fits = [call[1] for call in calls[:start] if call[0] == "fit"]
+    iterations = [[]]
+    for call in calls[start:]:
+        if call[0] == "fit":
+            iterations.append([])
+        else:
+            iterations[-1].append(call[1:])
+    return (fits[-1] if fits else RigidTransform.identity()), iterations[:-1]
+
+
+class TestIcpQueryReach:
+    """Each query reaches as far as the last fit proves it must: an inlier
+    within twice the largest inlier residual, and a row with no target
+    there, or that was an outlier, twice as far as max_corr_dist."""
+
+    def test_exact_copy_queries_within_the_coarse_residual(self, calls, caplog):
+        src, dst = room_copy(10_000, 950)
+        with caplog.at_level(logging.DEBUG, logger="splatsynth"):
+            res = icp_align(src, dst)
+        _, iterations = full_stage(calls, len(src))
+        # one query of every row, bounded by the coarse fit's residual, that no row misses
+        assert [len(queries) for queries in iterations] == [1]
+        rows, kwargs = iterations[0][0]
+        assert len(rows) == len(src) and kwargs["distance_upper_bound"] < 1e-6
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("icp iteration")]
+        assert len(lines) == len(res.residuals) == 2 and res.n_inliers == len(src)
+        assert lines[0].endswith(f"10000 of 10000 rows queried within {kwargs['distance_upper_bound']:.3g} m, 0 past it")
+        assert re.search(r", 0 of 10000 rows queried within \S+ m, 0 past it$", lines[1])   # converged
+
+    def test_certified_outliers_are_not_queried_again(self, calls):
+        # a proxy cropped to x < 0.3 m, with 1 mm noise and 2% uniform floaters
+        src, dst = room_copy(10_000, 960)
+        rng = np.random.default_rng(961)
+        noisy = dst + rng.normal(scale=0.001, size=dst.shape)
+        crop = noisy[noisy[:, 0] < 0.3]
+        target = np.vstack([crop, rng.uniform(dst.min(axis=0), dst.max(axis=0), size=(len(crop) // 50, 3))])
+        res = icp_align(src, target)
+        T, iterations = full_stage(calls, len(src))
+        fits = [call[1] for call in calls if call[0] == "fit"][-len(iterations):]
+        cap = IcpParams().max_corr_dist
+        # what the first full iteration proves of each outlier: its distance, or twice the reach
+        at = T.apply(src)
+        bound = np.minimum(cKDTree(target).query(at)[0], 2 * cap)
+        certified = bound > cap
+        for queries, T in zip(iterations[1:], fits):
+            moved = T.apply(src)
+            certified &= bound - np.linalg.norm(moved - at, axis=1) > cap + 1e-9
+            position = {row.tobytes(): k for k, row in enumerate(moved)}
+            queried = [position[row.tobytes()] for rows, _ in queries for row in rows]
+            assert not np.any(certified[queried])
+            assert 0 < len(queried) < np.count_nonzero(certified) / 4
+        assert np.count_nonzero(certified) > 0.9 * (len(src) - res.n_inliers) and len(iterations) >= 3
+        assert_fit_matches_reference(src, target)
+
+    def test_rows_past_the_coarse_residual_are_queried_again(self, calls):
+        # five targets off the coarse sample moved by about 5 mm: their rows
+        # miss the full stage's first bound, and their second query finds them
+        src, dst = room_copy(10_000, 970)
+        order = leaf_order(src)
+        moved_rows = np.sort(np.random.default_rng(971).choice(order[1::10], 5, replace=False))
+        dst[moved_rows] += [0.003, -0.004, 0.0]
+        res = assert_fit_matches_reference(src, dst)
+        T, iterations = full_stage(calls, len(src))
+        (_, near), (second, far) = iterations[0]
+        assert near["distance_upper_bound"] < 1e-6 and far["distance_upper_bound"] == 2 * 0.1 * (1 + 1e-6)
+        missed = T.apply(src)[order]
+        assert second.tobytes() == missed[np.isin(order, moved_rows)].tobytes()
+        assert res.n_inliers == len(src)
 
 
 class TestIcpNonFinite:
@@ -466,7 +600,7 @@ class TestIcpLogging:
         lines = [r.getMessage() for r in caplog.records if r.name == "splatsynth.alignment"]
         assert len(lines) == len(res.residuals) >= 3
         assert lines[0] == (f"icp iteration 1/100: 300 of 300 inliers, rms {res.residuals[0]:.9g} m, "
-                            "rms change inf (tol 1e-08), 300 of 300 rows queried")
+                            "rms change inf (tol 1e-08), 300 of 300 rows queried within 0.5 m, 0 past it")
         for k, (line, rms) in enumerate(zip(lines, res.residuals), start=1):
             assert line.startswith(f"icp iteration {k}/100: 300 of 300 inliers, rms {rms:.9g} m, rms change ")
         change = float(re.search(r"rms change (\S+) ", lines[-1]).group(1))

@@ -194,6 +194,7 @@ NUMERIC_KEYS = [(key, f, hint) for key, f, hint in _config_keys() if hint in (fl
 # per range rule: the number just outside it
 JUST_OUTSIDE = {"positive": 0.0, "finite and positive": 0.0, "non-negative": -5e-324,
                 "finite and non-negative": -5e-324, "non-negative, at most 1e100": -5e-324,
+                "non-negative, at most 1e6": -5e-324,
                 "at least 1": 0.0, "at least 2": 1.0}
 
 
@@ -213,7 +214,7 @@ class TestRanges:
             "perturbation.seed": "non-negative",
             "obstacle.rho_th": "positive",
             "obstacle.lambda_max": "non-negative, at most 1e100",
-            "obstacle.gamma": "finite and non-negative",
+            "obstacle.gamma": "non-negative, at most 1e6",
             "obstacle.epsilon": "finite and positive",
             "obstacle.lookahead": "finite and non-negative",
             "obstacle.return_gain": "non-negative, at most 1e100",
@@ -367,6 +368,38 @@ class TestCouplingGainBounds:
         params = ObstacleParams(**{**self.C05, **dict.fromkeys(keys, 1e100)})
         job = SynthesisJob(demo=line_demo([0, 0, 0], [0.4, 0, 0], n=151), scene=scene, n_demos=8, dt=0.01,
                            spec=PerturbationSpec(sigma_p=[0.01] * 3, bound_p=[0.02] * 3, seed=3), obstacle=params)
+        assert len(synthesize(job)[1]["rollouts"]) == 8
+
+
+class TestTangentialBiasBound:
+    """obstacle.gamma stops at 1e6: the repulsion is lambda_max times up to
+    1 + gamma, so both gains at their bounds stay far below where the
+    coupling hook overflows, and a gamma past it exits 2 with one line naming
+    the key (a RuntimeWarning fails the test)."""
+
+    C05 = TestCouplingGainBounds.C05
+
+    @pytest.mark.parametrize("value", [1e200, float(np.nextafter(1e6, math.inf))])
+    def test_past_the_bound_exits_2_naming_the_key(self, tmp_path, capsys, value):
+        demo = tmp_path / "demo.csv"
+        line_demo([0, 0, 0], [0.4, 0, 0], n=151).save_csv(demo)
+        scene = write_scene(tmp_path / "scene.json", [GaussianBlob(np.array([0.2, 0.004, 0.0]),
+                                                                   0.02 ** 2 * np.eye(3), 1.0)])
+        cfg = write_config(tmp_path, str(demo), tmp_path / "out", scene=scene, obstacle={**self.C05, "gamma": value})
+        assert main(["synth", cfg]) == 2
+        assert capsys.readouterr().err == f"error: obstacle.gamma: must be non-negative, at most 1e6, got {value}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_the_c05_job_runs_with_both_gains_at_their_bounds(self):
+        bounds = {}
+        for key in ("lambda_max", "gamma"):
+            rule = ObstacleParams.__dataclass_fields__[key].metadata["check"]
+            assert rule.startswith("non-negative, at most ")
+            bounds[key] = float(rule.rsplit(" ", 1)[1])
+        scene = GaussianScene([GaussianBlob(np.array([0.2, 0.004, 0.0]), 0.02 ** 2 * np.eye(3), 1.0)])
+        job = SynthesisJob(demo=line_demo([0, 0, 0], [0.4, 0, 0], n=151), scene=scene, n_demos=8, dt=0.01,
+                           spec=PerturbationSpec(sigma_p=[0.01] * 3, bound_p=[0.02] * 3, seed=3),
+                           obstacle=ObstacleParams(**{**self.C05, **bounds}))
         assert len(synthesize(job)[1]["rollouts"]) == 8
 
 
