@@ -11,7 +11,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import check_fields, param
-from .splats import GaussianScene
+from .splats import GaussianScene, _squares
 
 log = logging.getLogger(__name__)
 
@@ -201,7 +201,7 @@ def _icp_loop(source, target, tree, order, params: IcpParams, T: RigidTransform,
                 raise AlignmentError("no usable correspondences within max_corr_dist")
             src, matched = source[mask], target[nn[mask]]
             T = _procrustes(src, matched)
-            sq = np.sum((T.apply(src) - matched) ** 2, axis=1)
+            sq = _squares(T.apply(src) - matched)
             rms, radius = float(np.sqrt(np.mean(sq))), math.sqrt(sq.max())
         residuals.append(rms)
         change = math.inf if prev_rms is None else abs(prev_rms - rms)
@@ -244,8 +244,8 @@ def icp_align(source, target, params: IcpParams | None = None,
     if len(source) < 3 or len(target) < 3:
         raise AlignmentError("need at least 3 points in source and target")
     for name, points in (("source", source), ("target", target)):
-        bad = np.flatnonzero(~np.all(np.abs(points) <= _MAX_COORD, axis=1))
-        if len(bad):
+        if not np.abs(points).max() <= _MAX_COORD:   # one test of the array; a NaN fails it too
+            bad = np.flatnonzero(~np.all(np.abs(points) <= _MAX_COORD, axis=1))
             row = points[bad[0]].tolist()
             what = (f"point {row} lies past {_MAX_COORD:g} m from the origin" if np.all(np.isfinite(row))
                     else f"non-finite point {row}")

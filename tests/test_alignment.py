@@ -583,6 +583,25 @@ class TestIcpNonFinite:
         with pytest.raises(AlignmentError, match=f"^{re.escape(message)}$"):
             icp_align(points["source"], points["target"])
 
+    @pytest.mark.parametrize("clean_source", [False, True])
+    def test_first_of_several_bad_rows_named(self, clean_source):
+        # several bad rows in each array, far and non-finite mixed: the source is checked first, and within
+        # an array the first bad row is named, whatever the later ones are
+        points = {"source": random_cloud(300, 91), "target": random_cloud(300, 92)}
+        bad = {"source": {12: 1e200, 40: math.nan, 41: -math.inf, 250: 2e151},
+               "target": {3: math.nan, 7: 1e200, 150: math.inf}}
+        if clean_source:
+            del bad["source"]
+        for name, rows in bad.items():
+            for row, value in rows.items():
+                points[name][row, row % 3] = value
+        if clean_source:
+            message = f"target row 3: non-finite point {points['target'][3].tolist()}"
+        else:
+            message = f"source row 12: point {points['source'][12].tolist()} lies past 1e+151 m from the origin"
+        with pytest.raises(AlignmentError, match=f"^{re.escape(message)}$"):
+            icp_align(points["source"], points["target"])
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rows_at_the_reach_accepted(self):
         src = random_cloud(100, 90) * 3e150

@@ -302,13 +302,16 @@ class TestFlagRanges:
         ("debug", 0, ""),
     ])
     def test_log_level(self, tmp_path, level, code, err):
-        """SPLATSYNTH_LOG takes a level name in any case; another word exits 2 with one line."""
+        """SPLATSYNTH_LOG takes a level name in any case; another word exits 2 with one line.  At DEBUG,
+        stderr is err and then the scene load's line."""
         scene = write_scene(tmp_path / "scene.json", [GaussianBlob(np.zeros(3), np.eye(3), 1.0)])
         env = dict(os.environ, SPLATSYNTH_LOG=level,
                    PYTHONPATH=str(Path(splatsynth.__file__).resolve().parent.parent))
         run = subprocess.run([sys.executable, "-m", "splatsynth.cli", "density", scene, "0", "0", "0"],
                              capture_output=True, text=True, env=env, timeout=60)
-        assert (run.returncode, run.stderr) == (code, err)
+        loaded = (f"DEBUG:splatsynth.splats:scene {scene}: 1 records, 1 splats kept, 0 rejected as invalid, "
+                  "0 below the opacity floor 0.05\n")
+        assert (run.returncode, run.stderr) == (code, err + (loaded if level == "debug" else ""))
 
 
 # (command and its positionals, flag, the schema field it sets)
@@ -1043,6 +1046,36 @@ class TestSynth:
         assert all(re.search(r"3 rows, \d+ steps, (free|coupled from step \d+), neighbour list: \d+ rebuilds", line)
                    for line in lines)
 
+    def test_debug_log_of_a_ply_scene_leaves_the_dataset_byte_identical(self, tmp_path, demo_csv):
+        """At DEBUG, synth on a PLY scene logs what the load kept and dropped,
+        and writes the same dataset bytes as at WARNING."""
+        scene = tmp_path / "scene.ply"
+        props = ["x", "y", "z", "scale_0", "scale_1", "scale_2", "rot_0", "rot_1", "rot_2", "rot_3", "opacity"]
+        s = math.log(0.02)
+        rows = [[0.03, 0.05, 0.0, s, s, s, 1, 0, 0, 0, 3.0],         # kept
+                [0.5, 0.5, 0.5, s, s, s, 0, 0, 0, 0, 3.0],          # a zero quaternion, rejected
+                [0.5, -0.5, 0.5, s, s, s, 1, 0, 0, 0, -6.0]]        # below the 0.05 floor
+        scene.write_bytes(("ply\nformat binary_little_endian 1.0\nelement vertex 3\n"
+                           + "".join(f"property float {p}\n" for p in props) + "end_header\n").encode()
+                          + np.array(rows, dtype="<f4").tobytes())
+        obstacle = {"rho_th": 0.005, "lambda_max": 100.0, "lookahead": 0.015, "return_gain": 4.0}
+        runs = []
+        for level in ("WARNING", "DEBUG"):
+            out_dir = tmp_path / level
+            out_dir.mkdir()
+            cfg = write_config(out_dir, demo_csv, out_dir / "data", n_demos=2, scene=str(scene), obstacle=obstacle)
+            env = dict(os.environ, SPLATSYNTH_LOG=level,
+                       PYTHONPATH=str(Path(splatsynth.__file__).resolve().parent.parent))
+            run = subprocess.run([sys.executable, "-m", "splatsynth.cli", "synth", cfg],
+                                 capture_output=True, text=True, env=env, timeout=120)
+            assert run.returncode == 0, run.stderr
+            runs.append((run.stderr, {p.name: p.read_bytes() for p in sorted((out_dir / "data").iterdir())}))
+        (quiet, files), (loud, debug_files) = runs
+        assert quiet == "" and debug_files == files and len(files) == 4
+        assert [line for line in loud.splitlines() if line.startswith("DEBUG:splatsynth.splats:")] == [
+            f"DEBUG:splatsynth.splats:scene {scene}: 3 records, 1 splats kept, 1 rejected as invalid, "
+            "1 below the opacity floor 0.05"]
+
 
 class TestEval:
     def make_dataset(self, tmp_path, demo_csv):
@@ -1249,8 +1282,11 @@ class TestEval:
             runs.append((run.stderr, (out_dir / f"{level}.csv").read_bytes()))
         (quiet, summary), (loud, debug_summary) = runs
         assert quiet == "" and debug_summary == summary and summary.count(b"\n") == 4
-        # the first rollout builds the list, and it answers the two within its skin
-        (line,) = loud.splitlines()
+        # the scene's load line, then the file loop's: the first rollout builds the list, and it answers the
+        # two within its skin
+        loaded, line = loud.splitlines()
+        assert loaded == (f"DEBUG:splatsynth.splats:scene {scene}: 1 records, 1 splats kept, 0 rejected as invalid, "
+                          "0 below the opacity floor 0.05")
         counts = re.fullmatch(r"DEBUG:splatsynth.cli:3 files scored; scene path list: 1 rebuilds, (\d+) listed "
                               r"pairs, (\d+) kept", line)
         assert counts and 0 < int(counts[2]) <= int(counts[1])

@@ -1,6 +1,7 @@
 import cProfile
 import io
 import json
+import logging
 import math
 import struct
 import sys
@@ -28,6 +29,7 @@ from splatsynth.splats import (
     _neighbors,
     _NeighborList,
     _norms,
+    _squares,
     density,
     density_bruteforce,
     density_gradient,
@@ -748,6 +750,22 @@ class TestNorms:
         assert _norms(d).tobytes() == np.linalg.norm(d, axis=1).tobytes()
 
 
+class TestColumnReductions:
+    """The column arithmetic that stands for numpy's reductions over short
+    rows has their bits: _squares and _norms on the (n, 3) and (n, 4) rows
+    that ICP and the PLY loader reduce."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(rows=st.sampled_from([3, 4]).flatmap(lambda k: st.lists(st.tuples(*[NORM_COORDS] * k), max_size=12)
+                                                .map(lambda r: np.array(r, dtype=float).reshape(-1, k))))
+    @example(rows=np.array([[1e154, 1e154, 0.0, 0.0], [5e-324, -5e-324, 1e-162, -0.0], [np.nan, 0.0, 1.0, 2.0],
+                            [np.inf, -np.inf, 0.0, 0.0], [-0.0, -0.0, -0.0, -0.0], [1.0, 1e-8, 1e-8, 1e-8]]))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # both overflow alike
+    def test_row_sums_of_squares(self, rows):
+        assert _squares(rows).tobytes() == np.sum(rows ** 2, axis=1).tobytes()
+        assert _norms(rows).tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+
+
 def path_read(scene, xs):
     """scene._paths.density(xs), the read collision_check makes, checked bit
     for bit against density_many; the rebuilds that the read made."""
@@ -1405,6 +1423,35 @@ BAD_PLY_HEADERS = {
 }
 
 
+class TestLoadLog:
+    """load_scene logs one DEBUG line per load: the records it read, and how
+    many it kept, rejected as invalid and dropped below the opacity floor."""
+
+    def test_json_counts(self, tmp_path, caplog):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"blobs": [
+            {"mu": [0, 0, 0], "cov": np.eye(3).tolist(), "alpha": 0.5},
+            {"mu": [1, 0, 0], "cov": (-np.eye(3)).tolist(), "alpha": 0.5},   # not positive definite
+            {"mu": [2, 0, 0], "cov": [[1, 0], [0, 1]], "alpha": 0.5},          # not 3x3
+            {"mu": [3, 0, 0], "cov": np.eye(3).tolist(), "alpha": 0.01}]}))
+        with caplog.at_level(logging.DEBUG, logger="splatsynth"):
+            scene = load_scene(path, opacity_floor=0.02)
+        assert (len(scene), scene.rejected_count) == (1, 2)
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("splatsynth.splats", logging.DEBUG,
+             f"scene {path}: 4 records, 1 splats kept, 2 rejected as invalid, 1 below the opacity floor 0.02")]
+
+    def test_refused_and_quiet_loads_log_nothing(self, tmp_path, caplog):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"blobs": [{"mu": [0, 0, 2e150], "cov": np.eye(3).tolist(), "alpha": 0.5}]}))
+        with caplog.at_level(logging.DEBUG, logger="splatsynth"), pytest.raises(SceneFormatError):
+            load_scene(path)
+        path.write_text(json.dumps({"blobs": [{"mu": [0, 0, 0], "cov": np.eye(3).tolist(), "alpha": 0.5}]}))
+        with caplog.at_level(logging.INFO, logger="splatsynth"):
+            load_scene(path)
+        assert not caplog.records
+
+
 class TestMalformedScene:
     @pytest.mark.parametrize("name", BAD_SCENE_JSON)
     def test_json_names_file_and_blob(self, tmp_path, name):
@@ -1615,6 +1662,38 @@ class TestPlyStreaming:
         assert str(got.value).startswith(f"{path}: vertex {at}: {FAULT_MESSAGES[first]}")
         nan_row = at if first == "nan" else later
         assert str(whole_file.value).startswith(f"{path}: vertex {nan_row}: non-finite position")
+
+    # one record of each class load_scene drops, in file order from start, then a refused position
+    DROPS = {"zero quaternion": (PLY_ROTS, [0.0] * 4), "non-finite quaternion": (PLY_ROTS[2], np.inf),
+             "overflowing scale": (PLY_SCALES[1], 1000.0), "s^2 at most 1e-12": (PLY_SCALES[0], -13.9),
+             "below the opacity floor": (PLY_COL["opacity"], -6.0)}
+
+    @pytest.mark.parametrize("start", [10, CHUNK - 3], ids=["inside_a_chunk", "across_the_chunk_boundary"])
+    def test_each_drop_and_refusal_class(self, tmp_path, start, caplog):
+        rng = np.random.default_rng(start)
+        n = CHUNK + 40
+        rows = rng.normal(size=(n, len(PLY_3DGS)))
+        rows[:, :3] = rng.uniform(-1, 1, (n, 3))
+        rows[:, PLY_SCALES] = np.log(rng.uniform(0.004, 0.05, (n, 3)))
+        rows[:, PLY_COL["opacity"]] = rng.uniform(0.0, 4.0, n)
+        for k, (cols, value) in enumerate(self.DROPS.values()):
+            rows[start + k, cols] = value
+        path = write_ply_3dgs(tmp_path / "scene.ply", rows.astype(np.float32))
+        with caplog.at_level(logging.DEBUG, logger="splatsynth"):
+            scene = load_scene(path)
+        self.assert_same_scene(scene, ply_scene_reference(path))
+        assert (len(scene), scene.rejected_count) == (n - 5, 4)
+        assert [r.getMessage() for r in caplog.records if r.name == "splatsynth.splats"] == [
+            f"scene {path}: {n} records, {n - 5} splats kept, 4 rejected as invalid, 1 below the opacity floor 0.05"]
+        # a non-finite position after them refuses the file, naming its vertex
+        rows[start + 5, 1] = np.nan
+        write_ply_3dgs(path, rows.astype(np.float32))
+        with pytest.raises(SceneFormatError) as got:
+            load_scene(path)
+        with pytest.raises(SceneFormatError) as want:
+            ply_scene_reference(path)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{path}: vertex {start + 5}: non-finite position [")
 
     def test_peak_memory_near_the_kept_scene(self, tmp_path):
         # 2e5 splats in the 3DGS layout, 1% below the floor and 0.5% with a zero quaternion, as bench/inputs
