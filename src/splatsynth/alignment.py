@@ -11,7 +11,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import check_fields, param
-from .splats import GaussianScene, _squares
+from .splats import GaussianScene, _MovedCovariances, _rotated, _squares
 
 log = logging.getLogger(__name__)
 
@@ -264,19 +264,14 @@ def icp_align(source, target, params: IcpParams | None = None,
     return _icp_loop(source, target, tree, order, params, T, "", radius)[0]
 
 
-def _rotated(R: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """R @ C @ R.T of each matrix in the (n, 3, 3) stack C.  The right-hand
-    product is one flat (3n, 3) GEMM, which gives the same bits as the
-    broadcast product at a fraction of its per-matrix cost."""
-    return ((R @ C).reshape(-1, 3) @ R.T).reshape(C.shape)
-
-
 def apply_transform(scene: GaussianScene, T: RigidTransform) -> GaussianScene:
     """Rigidly move a scene: mu <- R mu + t, Sigma <- R Sigma R^T, and so
     Sigma^-1 <- R Sigma^-1 R^T with the radii unchanged; density is
-    transform-equivariant: rho'(R x + t) = rho(x).  A SceneFormatError names
-    the first splat whose bounding sphere the move takes too far."""
+    transform-equivariant: rho'(R x + t) = rho(x).  The moved covariances
+    are formed at their first read, from R and what the source holds for
+    them (_MovedCovariances).  A SceneFormatError names the first splat whose
+    bounding sphere the move takes too far."""
     R = T.rotation
-    return GaussianScene._from_factors(T.apply(scene.means), _rotated(R, scene.covariances),
+    return GaussianScene._from_factors(T.apply(scene.means), _MovedCovariances(R, scene._covariance_source()),
                                        _rotated(R, scene.inv_covariances), scene.radii, scene.opacities,
                                        scene.opacity_floor, scene.rejected_count, "moved splat")

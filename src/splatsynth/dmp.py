@@ -48,6 +48,8 @@ REST_PAD_WEIGHT = 10.0
 # A rollout's step budget, at least a hundred times the most steps of any run in bench/, the tests or the
 # README: every step is a Python iteration, and the rollout's arrays grow with the count.
 MAX_ROLLOUT_STEPS = 100_000
+# the longest segment fit_dmp fits, s: the target forcing squares the duration, which overflows past about 1e154
+_MAX_DURATION = 1e150
 # the fewest samples a segment is fit from, whatever n_basis
 MIN_SEGMENT_SAMPLES = 10
 # The steps _integrate's look-ahead runs without the hook before it asks the hook's rule about them.  A
@@ -89,9 +91,18 @@ def rbf_centers_widths(n_basis: int, alpha_s: float):
 
 
 def _basis(phase: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """(T, n) rows psi(s) * s / sum(psi(s)), one per phase value s in (T,)."""
+    """(T, n) rows psi(s) * s / sum(psi(s)), one per phase value s in (T,).
+    A phase many widths from every center, as past the last one, can make
+    every psi underflow: where sum(psi(s)) is 0, or s / sum(psi(s))
+    overflows, the row is zeros, and adds no forcing."""
     psi = np.exp(-widths * (phase[:, None] - centers) ** 2)
-    return psi * (phase[:, None] / np.sum(psi, axis=1, keepdims=True))
+    total = np.sum(psi, axis=1, keepdims=True)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scale = phase[:, None] / total
+    far = (total == 0.0) | np.isinf(scale)
+    if far.any():
+        scale[far] = 0.0
+    return psi * scale
 
 
 @dataclass(frozen=True)
@@ -159,9 +170,14 @@ def _fit_channels(values: np.ndarray, times: np.ndarray, s: np.ndarray,
                   ridge_lambda: float):
     """Ridge-fit forcing weights for a multi-channel signal; returns
     (weights (dims, n), scale (dims,), degenerate (dims,))."""
-    # np.gradient uses the exact three-point weights on non-uniform grids
-    vel = np.gradient(values, times, axis=0)
-    acc = np.gradient(vel, times, axis=0)
+    # np.gradient uses the exact three-point weights on non-uniform grids.  Samples close enough together, or
+    # far enough apart, overflow them or the target forcing, and the fit is refused
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vel = np.gradient(values, times, axis=0)
+        acc = np.gradient(vel, times, axis=0)
+        f_targets = tau ** 2 * acc - alpha_z * (beta_z * (goal - values) - tau * vel)
+    if not np.isfinite(f_targets).all():
+        raise FitError("the segment's sample times make its target forcing overflow")
     basis = _basis(s, centers, widths)  # (T, n)
     # Anchor the small-phase tail: the demo ends at rest at its goal, so the
     # continuation beyond tau has zero target forcing.  Weighted rest rows on
@@ -181,13 +197,14 @@ def _fit_channels(values: np.ndarray, times: np.ndarray, s: np.ndarray,
             degenerate[c] = True
             amp = max(abs(amp), float(np.ptp(values[:, c])), DEGENERATE_GOAL_TOL)
         scale[c] = amp
-        f_target = tau ** 2 * acc[:, c] - alpha_z * (beta_z * (goal[c] - values[:, c]) - tau * vel[:, c])
         phi = np.vstack([basis, pad]) * amp
-        rhs = np.concatenate([f_target, np.zeros(len(pad))])
+        rhs = np.concatenate([f_targets[:, c], np.zeros(len(pad))])
         A = phi.T @ phi + ridge_lambda * np.eye(n)
         if ridge_lambda == 0.0 and np.linalg.cond(A) > 1e12:
             raise FitError("singular normal equations with ridge_lambda=0")
         weights[c] = np.linalg.solve(A, phi.T @ rhs)
+    if not np.isfinite(weights).all():
+        raise FitError("non-finite forcing weights")
     return weights, scale, degenerate
 
 
@@ -203,6 +220,8 @@ def fit_dmp(segment: Trajectory, n_basis: int = DEFAULT_N_BASIS,
     beta_z = alpha_z / 4.0  # critical damping
     times = segment.times - segment.times[0]
     tau = float(times[-1])
+    if not tau <= _MAX_DURATION:
+        raise FitError(f"segment lasts {tau:g} s, past {_MAX_DURATION:g} s")
     cs = CanonicalSystem(alpha_s=alpha_s, tau=tau)
     s = np.exp(-alpha_s * times / tau)
     centers, widths = rbf_centers_widths(n_basis, alpha_s)
@@ -238,6 +257,7 @@ def rollout_steps(tau: float, dt: float, horizon_factor: float) -> int:
     """ceil(horizon_factor * tau / dt), the step count of a rollout of a
     segment of duration tau; a FieldError when dt is not in (0, tau/50] or
     the count passes MAX_ROLLOUT_STEPS."""
+    tau = float(tau)   # a subnormal dt makes the count inf, which is refused, and a numpy scalar warns of it
     if not 0.0 < dt <= tau / 50.0:
         raise FieldError("dt", f"must be <= tau/50 = {tau / 50.0} and positive, got {dt}")
     steps = horizon_factor * tau / dt

@@ -43,6 +43,23 @@ _MAX_GAIN = 1e100
 # most about 1e106 m/s^2, within the 1e147 above.  A bias of 1e6 already makes the push all but tangential.
 _MAX_BIAS = 1e6
 
+# output.n_demos stays within this bound: synth holds every rollout until it exports the dataset, about 48 kB
+# a rollout, so 1e6 rollouts already ask for about 48 GB and one directory of 1e6 files; a count past it is a
+# slip, and near 2**63 numpy cannot even size the perturbation arrays.
+_MAX_DEMOS = 10 ** 6
+
+# rollout.alpha_s, the canonical decay rate, stays within these bounds: the rollout's Euler phase step
+# s <- s (1 - alpha_s dt / tau) keeps s in [0, s] only while alpha_s dt / tau <= 1, so for every dt <= tau/50
+# only up to alpha_s 50, where s falls to exp(-50) by tau; below 1e-3 the phase barely decays (s(tau) > 0.999),
+# and the basis centers crowd together until they round to one.
+_MIN_DECAY, _MAX_DECAY = 1e-3, 50.0
+
+# rollout.alpha_z, the transformation gain, stays within this bound: with k = alpha_z dt / tau and
+# beta_z = alpha_z / 4, the rollout's semi-implicit Euler step on (y - g, v) has determinant 1 - k and trace
+# 2 - k - k^2 / 4, so it diverges past k = 4 sqrt(2) - 4 (about 1.66), where a rollout overflows before it
+# leaves the coordinate bound.  At k <= 1 its velocity factor 1 - k stays in [0, 1), for every dt <= tau/50.
+_MAX_STIFFNESS = 50.0
+
 # the range rules a field's metadata "check" may name: each tests a value, or every element of an array
 RANGES = {
     "positive": lambda v: v > 0,
@@ -54,6 +71,9 @@ RANGES = {
     "finite and non-negative": lambda v: (v >= 0) & (v < math.inf),
     "non-negative, at most 1e100": lambda v: (v >= 0) & (v <= _MAX_GAIN),
     "non-negative, at most 1e6": lambda v: (v >= 0) & (v <= _MAX_BIAS),
+    "at least 1, at most 1e6": lambda v: (v >= 1) & (v <= _MAX_DEMOS),
+    "at least 1e-3, at most 50": lambda v: (v >= _MIN_DECAY) & (v <= _MAX_DECAY),
+    "positive, at most 50": lambda v: (v > 0) & (v <= _MAX_STIFFNESS),
 }
 
 

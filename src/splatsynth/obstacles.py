@@ -71,6 +71,18 @@ def _probes(y, v, params: ObstacleParams, dt: float, out=None) -> np.ndarray:
     return np.add(y, probe[..., None] * (v / (speed + params.epsilon)[..., None]), out=out)
 
 
+def _density_ramp(rho, rho_th: float) -> np.ndarray:
+    """min((rho - rho_th) / rho_th, 1) with its bits, from rho - rho_th
+    capped at rho_th first: the quotient overflows at a subnormal rho_th."""
+    return np.minimum(rho - rho_th, rho_th) / rho_th
+
+
+def _pull_weight(rho, rho_th: float) -> np.ndarray:
+    """clamp(1 - rho / rho_th, 0, 1) with its bits, from rho capped at rho_th
+    first: the quotient overflows at a subnormal rho_th."""
+    return np.minimum(np.maximum(1.0 - np.minimum(rho, rho_th) / rho_th, 0.0), 1.0)
+
+
 def obstacle_accel(scene: GaussianScene, x_look, v, rho, params: ObstacleParams, _listed=None) -> np.ndarray:
     """Repulsion lambda * (n_hat + gamma * t_hat) per (n, 3) row of lookahead
     probes x_look, with velocities v and probe densities rho.  The gain is
@@ -90,7 +102,7 @@ def obstacle_accel(scene: GaussianScene, x_look, v, rho, params: ObstacleParams,
     sigma_dir = np.minimum(np.maximum(-rowdot(v_hat, n_hat), 0.0), 1.0)
     on = sigma_dir != 0.0   # moving along or away from the obstacle: exactly zero
     act, n_hat, sigma_dir = act[on], n_hat[on], sigma_dir[on]
-    sigma_rho = np.minimum((rho[act] - params.rho_th) / params.rho_th, 1.0)
+    sigma_rho = _density_ramp(rho[act], params.rho_th)
     t_hat = tangential_direction(n_hat, v[act], params.epsilon)
     out[act] = (params.lambda_max * sigma_rho * sigma_dir)[:, None] * (n_hat + params.gamma * t_hat)
     return out
@@ -105,7 +117,7 @@ def return_to_reference(x, v_err, x_ref, rho, params: ObstacleParams) -> np.ndar
     terms overflow, taking its direction from the pull over return_gain."""
     if params.return_gain == 0.0:
         return np.zeros(np.shape(x))
-    w = np.minimum(np.maximum(1.0 - rho / params.rho_th, 0.0), 1.0)
+    w = _pull_weight(rho, params.rho_th)
     out = None
     if not np.all(w != 0.0):   # the pull runs on the rows it weighs, scattered back among zeros
         out = np.zeros(np.shape(x))

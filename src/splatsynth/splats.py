@@ -32,6 +32,8 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .geometry import quat_to_matrix
+
 log = logging.getLogger(__name__)
 
 CUTOFF_SIGMA = 4.0
@@ -55,9 +57,10 @@ class GaussianBlob:
 
 class GaussianScene:
     """Splat scene with vectorized density queries.  Its splats never change
-    after it is made; its one piece of mutable state is the neighbour list
-    that collision_check reads paths through (_paths), which changes no
-    result's bits."""
+    after it is made.  What it fills in at a first read changes no result's
+    bits: its neighbour index (tree), the neighbour list that collision_check
+    reads paths through (_paths), and, for a PLY scene or a moved one, its
+    covariances, which no density read uses."""
 
     def __init__(self, blobs, opacity_floor: float = DEFAULT_OPACITY_FLOOR):
         blobs = list(blobs)
@@ -92,18 +95,37 @@ class GaussianScene:
                       name: str, numbers=None) -> "GaussianScene":
         """The one tail every scene goes through, given its valid splats with
         their inverse covariances and radii: _kept_splats' reach and floor
-        rules, then the splats at or above the floor.  The neighbour index is
-        built at the first query."""
+        rules, then the splats at or above the floor.  covs is the covariance
+        array, held as given, or what forms it at the first read
+        (_PlyCovariances, _MovedCovariances).  The neighbour index is built at
+        the first query."""
         kept = _kept_splats(means, radii, opacities, opacity_floor, name, numbers)
         if not kept.all():
             means, covs, inv_covs, radii, opacities = (a[kept] for a in (means, covs, inv_covs, radii, opacities))
         scene = cls.__new__(cls)
         scene.opacity_floor = float(opacity_floor)
         scene.rejected_count = int(rejected_count)
-        scene.means, scene.covariances, scene.inv_covariances = means, covs, inv_covs
+        if isinstance(covs, np.ndarray):
+            scene.covariances = covs
+        else:
+            scene._unformed = covs
+        scene.means, scene.inv_covariances = means, inv_covs
         scene.radii, scene.opacities = radii, opacities
         scene.max_radius = float(np.max(radii, initial=0.0))
         return scene
+
+    @cached_property
+    def covariances(self) -> np.ndarray:
+        """The (n, 3, 3) covariances.  A scene made from them holds them from
+        the start; any other forms them here, at the first read, from what
+        _unformed holds, and then drops that."""
+        return _formed(vars(self).pop("_unformed"))
+
+    def _covariance_source(self):
+        """The covariances if they are formed, else what forms them: what a
+        scene moved from this one holds instead of this one."""
+        held = vars(self)
+        return held["covariances"] if "covariances" in held else held["_unformed"]
 
     @cached_property
     def tree(self) -> cKDTree:
@@ -119,6 +141,60 @@ class GaussianScene:
 
     def __len__(self) -> int:
         return len(self.means)
+
+
+class _PlyCovariances:
+    """A PLY scene's covariances before their first read: each splat's unit
+    quaternion and s^2, the factors of R diag(s^2) R^T.  [rows] keeps rows."""
+
+    def __init__(self, unit: np.ndarray, s2: np.ndarray):
+        self.unit, self.s2 = unit, s2
+
+    def __getitem__(self, rows) -> "_PlyCovariances":
+        return _PlyCovariances(self.unit[rows], self.s2[rows])
+
+    def form(self) -> np.ndarray:
+        """R diag(s^2) R^T of every splat, with the bits that loading the
+        file whole would give them, _PLY_CHUNK_ROWS splats at a time into one
+        array: besides it, a read holds one block's temporaries."""
+        out = np.empty((len(self.s2), 3, 3))
+        for a in range(0, len(out), _PLY_CHUNK_ROWS):
+            b = a + _PLY_CHUNK_ROWS
+            rot = quat_to_matrix(self.unit[a:b].T).transpose(2, 0, 1)
+            # a contiguous right factor keeps numpy's stacked matmul off its slow strided path
+            rt = np.ascontiguousarray(rot.transpose(0, 2, 1))
+            covs = (rot * self.s2[a:b, None, :]) @ rt
+            np.add(covs, covs.transpose(0, 2, 1), out=out[a:b])
+            out[a:b] *= 0.5
+        return out
+
+
+def _rotated(R: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """R @ C @ R.T of each matrix in the (n, 3, 3) stack C.  The right-hand
+    product is one flat (3n, 3) GEMM, which gives the same bits as the
+    broadcast product at a fraction of its per-matrix cost."""
+    return ((R @ C).reshape(-1, 3) @ R.T).reshape(C.shape)
+
+
+class _MovedCovariances:
+    """A moved scene's covariances before their first read: _rotated(R, C) of
+    the covariances C of the scene it was moved from, held as that scene held
+    them (an array, or what forms them), never as that scene, so that a moved
+    scene keeps none of its source's other arrays alive.  [rows] keeps rows."""
+
+    def __init__(self, R: np.ndarray, source):
+        self.R, self.source = R, source
+
+    def __getitem__(self, rows) -> "_MovedCovariances":
+        return _MovedCovariances(self.R, self.source[rows])
+
+    def form(self) -> np.ndarray:
+        return _rotated(self.R, _formed(self.source))
+
+
+def _formed(covs) -> np.ndarray:
+    """The covariance array that covs is or forms."""
+    return covs if isinstance(covs, np.ndarray) else covs.form()
 
 
 def _kept_splats(means, radii, opacities, opacity_floor, name: str, numbers=None) -> np.ndarray:
@@ -480,12 +556,11 @@ def _ply_records(f, path, record, count, start):
 
 def _ply_factors(records, first, opacity_floor, name):
     """(rejected count, kept factors) of the PLY records numbered from first:
-    the means, covariances, inverse covariances, radii and opacities of the
-    valid splats that pass _kept_splats.  A splat is valid when its quaternion
-    is non-zero and finite and its s^2 are finite and above 1e-12.  Rows are
-    checked in file order: a non-finite position is refused after the rows
-    before it."""
-    from .geometry import quat_to_matrix
+    the means, unit quaternions, s^2, inverse covariances, radii and
+    opacities of the valid splats that pass _kept_splats.  A splat is valid
+    when its quaternion is non-zero and finite and its s^2 are finite and
+    above 1e-12.  Rows are checked in file order: a non-finite position is
+    refused after the rows before it."""
 
     def stack(*names):
         return np.stack([np.asarray(records[n], dtype=float) for n in names], axis=1)
@@ -517,22 +592,21 @@ def _ply_factors(records, first, opacity_floor, name):
         kept = _kept_splats(means[valid], radii, opacities[valid], opacity_floor, name, first + numbers)
         rows = numbers[kept]
         s2 = s2[rows]
-        rot = quat_to_matrix((quats[rows] / norms[rows, None]).T).transpose(2, 0, 1)
+        unit = quats[rows] / norms[rows, None]
+        rot = quat_to_matrix(unit.T).transpose(2, 0, 1)
         # a contiguous right factor keeps numpy's stacked matmul off its slow strided path
         rt = np.ascontiguousarray(rot.transpose(0, 2, 1))
-        # a covariance that overflows belongs to a splat that the reach check refuses
-        covs = (rot * s2[:, None, :]) @ rt
-        covs = covs + covs.transpose(0, 2, 1)
-        covs *= 0.5
         inv_covs = (rot / s2[:, None, :]) @ rt
-    return len(valid) - len(numbers), (means[rows], covs, inv_covs, radii[kept], opacities[rows])
+    return len(valid) - len(numbers), (means[rows], unit, s2, inv_covs, radii[kept], opacities[rows])
 
 
 def _scene_from_ply(path, opacity_floor: float) -> tuple[int, GaussianScene]:
     """Scene of a 3DGS PLY, whose scales are log-scales and whose opacities
     are logits, as 3DGS exports them.  Each splat's covariance is
     R diag(s^2) R^T, so its inverse R diag(s^-2) R^T and its radius
-    CUTOFF_SIGMA max|s| come from the same factors.  The body streams through
+    CUTOFF_SIGMA max|s| come from the same factors.  The scene keeps each
+    splat's unit quaternion and s^2, and forms the covariances from them only
+    if something reads them (_PlyCovariances).  The body streams through
     _ply_factors chunk by chunk, and the kept splats go straight into arrays
     of the header's row count, shrunk in place to the kept rows at the end:
     besides the scene, a load holds one chunk's records and temporaries, and
@@ -541,7 +615,7 @@ def _scene_from_ply(path, opacity_floor: float) -> tuple[int, GaussianScene]:
     name = f"{path}: vertex"
     with open(path, "rb") as f:
         count, chunks = _parse_ply(f, path)
-        out = [np.empty((count, *shape)) for shape in ((3,), (3, 3), (3, 3), (), ())]
+        out = [np.empty((count, *shape)) for shape in ((3,), (4,), (3,), (3, 3), (), ())]
         kept = rejected = 0
         for first, records in chunks:
             dropped, factors = _ply_factors(records, first, opacity_floor, name)
@@ -554,7 +628,8 @@ def _scene_from_ply(path, opacity_floor: float) -> tuple[int, GaussianScene]:
     # tracer's transient hold on the bound method as a second one, so it is off
     for k in range(len(out)):
         out[k].resize((kept, *out[k].shape[1:]), refcheck=False)
-    return count, GaussianScene._from_factors(*out, opacity_floor, rejected, name)
+    means, unit, s2, *rest = out
+    return count, GaussianScene._from_factors(means, _PlyCovariances(unit, s2), *rest, opacity_floor, rejected, name)
 
 
 def load_scene(path, opacity_floor: float = DEFAULT_OPACITY_FLOOR) -> GaussianScene:

@@ -109,13 +109,13 @@ class SynthesisJob:
     scene: GaussianScene | None = field(default=None, metadata={"help": "splat scene PLY/JSON path, or null"})
     spec: PerturbationSpec = field(default_factory=PerturbationSpec, metadata={"key": "perturbation"})
     obstacle: ObstacleParams = field(default_factory=ObstacleParams, metadata={"key": "obstacle"})
-    n_demos: int = param(1, "rollouts to synthesize", "at least 1", key="output.n_demos")
+    n_demos: int = param(1, "rollouts to synthesize", "at least 1, at most 1e6", key="output.n_demos")
     dt: float = _rollout(0.02, "dt", "integration step, s", "positive")
     n_basis: int = _rollout(DEFAULT_N_BASIS, "n_basis", "RBF count per channel", "at least 2")
     ridge_lambda: float = _rollout(DEFAULT_RIDGE_LAMBDA, "ridge_lambda", "ridge regularizer",
                                    "finite and non-negative")
-    alpha_z: float = _rollout(DEFAULT_ALPHA_Z, "alpha_z", "transformation gain", "finite and positive")
-    alpha_s: float = _rollout(DEFAULT_ALPHA_S, "alpha_s", "canonical decay rate", "finite and positive")
+    alpha_z: float = _rollout(DEFAULT_ALPHA_Z, "alpha_z", "transformation gain", "positive, at most 50")
+    alpha_s: float = _rollout(DEFAULT_ALPHA_S, "alpha_s", "canonical decay rate", "at least 1e-3, at most 50")
     horizon_factor: float = _rollout(DEFAULT_HORIZON_FACTOR, "horizon", "horizon as a multiple of tau",
                                      "finite and positive")
     output_dir: str = field(default=".", metadata={"key": "output.dir", "help": "dataset directory",

@@ -3,14 +3,17 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import splatsynth
@@ -194,7 +197,8 @@ NUMERIC_KEYS = [(key, f, hint) for key, f, hint in _config_keys() if hint in (fl
 # per range rule: the number just outside it
 JUST_OUTSIDE = {"positive": 0.0, "finite and positive": 0.0, "non-negative": -5e-324,
                 "finite and non-negative": -5e-324, "non-negative, at most 1e100": -5e-324,
-                "non-negative, at most 1e6": -5e-324,
+                "non-negative, at most 1e6": -5e-324, "at least 1, at most 1e6": 0.0,
+                "at least 1e-3, at most 50": float(np.nextafter(1e-3, 0.0)), "positive, at most 50": 0.0,
                 "at least 1": 0.0, "at least 2": 1.0}
 
 
@@ -220,12 +224,12 @@ class TestRanges:
             "obstacle.return_gain": "non-negative, at most 1e100",
             "obstacle.return_cap": "non-negative, at most 1e100",
             "obstacle.gradient_step": "finite and positive",
-            "output.n_demos": "at least 1",
+            "output.n_demos": "at least 1, at most 1e6",
             "rollout.dt": "positive",
             "rollout.n_basis": "at least 2",
             "rollout.ridge_lambda": "finite and non-negative",
-            "rollout.alpha_z": "finite and positive",
-            "rollout.alpha_s": "finite and positive",
+            "rollout.alpha_z": "positive, at most 50",
+            "rollout.alpha_s": "at least 1e-3, at most 50",
             "rollout.horizon": "finite and positive",
         }
 
@@ -404,6 +408,62 @@ class TestTangentialBiasBound:
                            spec=PerturbationSpec(sigma_p=[0.01] * 3, bound_p=[0.02] * 3, seed=3),
                            obstacle=ObstacleParams(**{**self.C05, **bounds}))
         assert len(synthesize(job)[1]["rollouts"]) == 8
+
+
+class TestDemoCountDecayAndThresholdBounds:
+    """output.n_demos stops at 1e6, rollout.alpha_s lies in [1e-3, 50] and
+    rollout.alpha_z stops at 50: a value past any exits 2 with one line naming
+    the key, where numpy overflowed or divided by zero before.  At the ends of
+    those ranges, and at the least subnormal rho_th, the coupled job runs with
+    no numpy warning (a RuntimeWarning fails the test)."""
+
+    C05 = TestCouplingGainBounds.C05
+
+    @staticmethod
+    def c05_config(tmp_path, **overrides):
+        demo = tmp_path / "demo.csv"
+        line_demo([0, 0, 0], [0.4, 0, 0], n=151).save_csv(demo)
+        scene = write_scene(tmp_path / "scene.json", [GaussianBlob(np.array([0.2, 0.004, 0.0]),
+                                                                   0.02 ** 2 * np.eye(3), 1.0)])
+        return write_config(tmp_path, str(demo), tmp_path / "out", scene=scene, **overrides)
+
+    @pytest.mark.parametrize("value", [1e100, 10 ** 6 + 1, 10 ** 400], ids=["1e100", "1e6+1", "10**400"])
+    def test_n_demos_past_the_bound(self, tmp_path, capsys, value):
+        assert main(["synth", self.c05_config(tmp_path, n_demos=value, obstacle=self.C05)]) == 2
+        one_error_line(capsys, "output.n_demos: must be at least 1, at most 1e6, got ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [1e6, 1e200, float(np.nextafter(50.0, math.inf)), 5e-324,
+                                       float(np.nextafter(1e-3, 0.0))])
+    def test_alpha_s_outside_the_range(self, tmp_path, capsys, value):
+        cfg = self.c05_config(tmp_path, rollout={"dt": 0.01, "alpha_s": value}, obstacle=self.C05)
+        assert main(["synth", cfg]) == 2
+        assert capsys.readouterr().err == f"error: rollout.alpha_s: must be at least 1e-3, at most 50, got {value}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("alpha_s", [1e-3, 50.0])
+    def test_alpha_s_at_its_bounds_runs(self, tmp_path, capsys, alpha_s):
+        # at dt = tau/50 and alpha_s 50 the Euler phase reaches exactly 0, where every psi underflows
+        cfg = self.c05_config(tmp_path, rollout={"dt": 0.02, "alpha_s": alpha_s}, obstacle=self.C05)
+        assert main(["synth", cfg]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("value", [232.0, float(np.nextafter(50.0, math.inf))])
+    def test_alpha_z_past_the_bound(self, tmp_path, capsys, value):
+        cfg = self.c05_config(tmp_path, rollout={"dt": 0.01, "alpha_z": value}, obstacle=self.C05)
+        assert main(["synth", cfg]) == 2
+        assert capsys.readouterr().err == f"error: rollout.alpha_z: must be positive, at most 50, got {value}\n"
+
+    def test_alpha_z_at_the_bound_runs(self, tmp_path, capsys):
+        cfg = self.c05_config(tmp_path, rollout={"dt": 0.02, "alpha_z": 50.0, "horizon": 300.0}, obstacle=self.C05)
+        assert main(["synth", cfg]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_subnormal_rho_th_runs(self, tmp_path, capsys):
+        cfg = self.c05_config(tmp_path, n_demos=4, obstacle={**self.C05, "rho_th": 5e-324})
+        assert main(["synth", cfg]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(list((tmp_path / "out").glob("rollout_*.csv"))) == 4
 
 
 class TestReadmeRanges:
@@ -1005,10 +1065,17 @@ class TestSynth:
         one_error_line(capsys, f"scene: {scene}: blob 0: 'alpha' must be a finite number in [0, 1], got ")
         assert not (tmp_path / "out").exists()
 
-    def test_out_of_memory_is_one_error_line(self, tmp_path, demo_csv, capsys):
-        # 10^14 rollouts need petabytes, past any 64-bit address space: refused at once
+    def test_out_of_memory_is_one_error_line(self, tmp_path, demo_csv, capsys, monkeypatch):
+        # 10^14 rollouts need petabytes, past any 64-bit address space: output.n_demos' bound refuses them
+        # before anything is allocated
         cfg = write_config(tmp_path, demo_csv, tmp_path / "out", n_demos=10 ** 14)
-        assert main(["synth", cfg]) == 1
+        assert main(["synth", cfg]) == 2
+        one_error_line(capsys, "output.n_demos: must be at least 1, at most 1e6, got 100000000000000")
+        # and an allocation that fails within the bound is one line too
+        def refuse(job):
+            raise MemoryError("Unable to allocate 48.0 GiB for an array")
+        monkeypatch.setattr(splatsynth.synthesis, "synthesize", refuse)
+        assert main(["synth", write_config(tmp_path, demo_csv, tmp_path / "out", n_demos=10 ** 6)]) == 1
         one_error_line(capsys, "Unable to allocate")
 
     def test_rerun_byte_identical(self, tmp_path, demo_csv):
@@ -1482,3 +1549,132 @@ class TestDensity:
         path.write_text(data)
         assert main(["density", str(path), "0", "0", "0"]) == 1
         one_error_line(capsys, f"{path}: {start}")
+
+
+# ---- whole-CLI fuzz: align, fit, synth and eval on mutated inputs -----------
+
+# numbers past every range, on its edges and in between, as JSON and CSV text can hold them
+CLI_NUMBERS = st.one_of(
+    st.sampled_from([0, -0.0, 5e-324, -5e-324, 1e-300, 1e-3, 0.5, 1, 2, 50, 51, 1e6, 10 ** 6 + 1, 1e100, 1e200,
+                     1e308, -1, -1e308, math.inf, -math.inf, math.nan]),
+    st.floats(), st.integers(-3, 400))
+# the splats of the fuzz's PLY scene: x, y, z, log-scales, quaternion, opacity logit
+CLI_PLY_ROWS = [[0.2 + 0.05 * (i % 3), 0.05 * (i // 3), 0.01 * (7 * i % 5), -4.0, -4.2, -3.9,
+                 1.0, 0.1 * i, 0.0, 0.0, 2.0] for i in range(8)]
+CLI_PLY_PROPS = ["x", "y", "z", "scale_0", "scale_1", "scale_2", "rot_0", "rot_1", "rot_2", "rot_3", "opacity"]
+# config keys whose every value is drawn from CLI_NUMBERS; output.n_demos is drawn apart, below
+CLI_KEYS = [key for key, _, hint in NUMERIC_KEYS if key != "output.n_demos"]
+
+
+def cli_base_case(command: str, scene: str = "json", config=(), demo=(), n_basis: int = 30) -> dict:
+    """The whole-CLI fuzz's case of command on its unchanged inputs: a
+    41-sample line demo (rows of CSV cells), an 8-blob JSON or 8-splat PLY
+    scene, a coupled job config (TestCouplingGainBounds.C05) and --n-basis;
+    then the given changes, config {dotted key: value} and demo
+    {(row, column): value}."""
+    case = {"command": command, "scene": scene,
+            "demo": [line.split(",") for line in line_demo([0, 0, 0], [0.4, 0, 0], n=41).to_csv().splitlines()],
+            "blob": {"mu": [0.2, 0.004, 0.0], "cov": (0.02 ** 2 * np.eye(3)).tolist(), "alpha": 1.0},
+            "ply": [list(r) for r in CLI_PLY_ROWS], "n_basis": n_basis,
+            "config": {"rollout": {"dt": 0.01}, "output": {"n_demos": 2},
+                       "obstacle": dict(TestCouplingGainBounds.C05),
+                       "perturbation": {"sigma_p": [0.005] * 3, "bound_p": [0.01] * 3, "seed": 1}}}
+    for key, value in dict(config).items():
+        section, _, name = key.rpartition(".")
+        case["config"].setdefault(section, {})[name] = value
+    for (row, col), value in dict(demo).items():
+        case["demo"][row][col] = repr(float(value))
+    return case
+
+
+@st.composite
+def cli_case(draw):
+    """cli_base_case of a drawn command and scene, with one to three changes:
+    a demo cell, a scene field or a config value set to a number from
+    CLI_NUMBERS, or --n-basis drawn.  output.n_demos is drawn outside
+    (8, 1e6], where a job is valid but long, 1e6 + 1 and 1e100 included."""
+    case = cli_base_case(draw(st.sampled_from(["align", "fit", "synth", "eval"])),
+                         draw(st.sampled_from(["json", "ply"])))
+    blob, config = case["blob"], case["config"]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["demo", "blob", "ply", "config", "config", "n_demos", "n_basis"]))
+        if kind == "demo":
+            row, col = draw(st.integers(1, len(case["demo"]) - 1)), draw(st.integers(0, 8))
+            case["demo"][row][col] = repr(float(draw(CLI_NUMBERS)))
+        elif kind == "blob":
+            name = draw(st.sampled_from(["mu", "cov", "alpha"]))
+            if name == "alpha":
+                blob["alpha"] = draw(CLI_NUMBERS)
+            elif name == "mu":
+                blob["mu"][draw(st.integers(0, 2))] = draw(CLI_NUMBERS)
+            else:
+                blob["cov"][draw(st.integers(0, 2))][draw(st.integers(0, 2))] = draw(CLI_NUMBERS)
+        elif kind == "ply":
+            case["ply"][draw(st.integers(0, len(CLI_PLY_ROWS) - 1))][draw(st.integers(0, len(CLI_PLY_PROPS) - 1))] = \
+                float(draw(CLI_NUMBERS))
+        elif kind == "config":
+            section, _, name = draw(st.sampled_from(CLI_KEYS)).rpartition(".")
+            value = draw(CLI_NUMBERS)
+            config.setdefault(section, {})[name] = [value, 0.005, 0.005] if name in ("sigma_p", "bound_p") else value
+        elif kind == "n_demos":
+            config["output"]["n_demos"] = draw(CLI_NUMBERS.filter(lambda v: not 8 < v <= 1e6))
+        else:
+            case["n_basis"] = draw(st.one_of(st.integers(-2, 45), st.sampled_from([10 ** 6, 2 ** 63])))
+    return case
+
+
+def cli_case_argv(case, root: Path) -> list:
+    """Write the case's files under root and return its command line."""
+    demo = "".join(",".join(row) + "\n" for row in case["demo"])
+    (root / "demo.csv").write_text(demo)
+    # the JSON scene is the case's blob, then a blob at each other PLY splat's mean, so that align has a fit too
+    blobs = [case["blob"]] + [{"mu": r[:3], "cov": (0.02 ** 2 * np.eye(3)).tolist(), "alpha": 0.5}
+                              for r in CLI_PLY_ROWS[1:]]
+    (root / "scene.json").write_text(json.dumps({"blobs": blobs}))
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {len(case['ply'])}"]
+    header += [f"property double {p}" for p in CLI_PLY_PROPS] + ["end_header", ""]
+    (root / "scene.ply").write_bytes("\n".join(header).encode() + np.array(case["ply"], dtype="<f8").tobytes())
+    scene = str(root / f"scene.{case['scene']}")
+    # the proxy is the PLY's means 1 cm away, so that align has a fit to find
+    (root / "proxy.csv").write_text("".join(f"{x + 0.01!r},{y!r},{z!r}\n" for x, y, z, *_ in CLI_PLY_ROWS))
+    config = {**case["config"], "demo": str(root / "demo.csv"), "scene": scene}
+    config["output"] = {**config["output"], "dir": str(root / "out")}
+    (root / "job.json").write_text(json.dumps(config))
+    (root / "data").mkdir()
+    line_demo([0, 0, 0], [0.4, 0, 0], n=41).save_csv(root / "data" / "rollout_0000.csv")
+    (root / "data" / "rollout_0001.csv").write_text(demo)
+    return {"align": ["align", scene, str(root / "proxy.csv"), "--out", str(root / "T.json"),
+                      "--aligned-scene", str(root / "moved.json")],
+            "fit": ["fit", str(root / "demo.csv"), "--out", str(root / "models"), "--n-basis", str(case["n_basis"])],
+            "synth": ["synth", str(root / "job.json")],
+            "eval": ["eval", str(root / "data"), str(root / "demo.csv"), "--scene", scene]}[case["command"]]
+
+
+class TestWholeCliFuzz:
+    """align, fit, synth and eval, run in-process on mutated demos, scenes,
+    job configs and --n-basis, exit 0, 1 or 2, with no traceback and no numpy
+    warning; an exit 2 prints exactly one stderr line."""
+
+    @settings(max_examples=100, deadline=timedelta(seconds=20), derandomize=True, database=None)
+    @given(case=cli_case())
+    # the faults this fuzz found, each once an uncaught exception or a numpy warning
+    @example(case=cli_base_case("synth", config={"output.n_demos": 1e100}))
+    @example(case=cli_base_case("synth", config={"obstacle.rho_th": 5e-324}))
+    @example(case=cli_base_case("synth", config={"rollout.alpha_s": 1e6}))
+    @example(case=cli_base_case("synth", "ply", config={"rollout.alpha_z": 232, "rollout.horizon": 392}))
+    @example(case=cli_base_case("synth", config={"rollout.dt": 5e-324}))
+    @example(case=cli_base_case("fit", demo={(2, 0): 1e-300}))
+    @example(case=cli_base_case("fit", demo={(41, 0): 1e160}))
+    def test_exit_codes_and_stderr(self, tmp_path_factory, case):
+        root = tmp_path_factory.mktemp("cli_fuzz")
+        argv = cli_case_argv(case, root)
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a numpy warning raises, and fails the case
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = run_within(30, main, argv)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        assert code != 2 or len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+        shutil.rmtree(root)

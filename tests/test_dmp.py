@@ -16,6 +16,7 @@ from splatsynth.dmp import (
     _integrate,
     canonical_phase,
     fit_dmp,
+    rbf_centers_widths,
     rollout,
     rollout_batch,
     rollout_steps,
@@ -132,6 +133,70 @@ class TestFit:
         out_a = rollout(model, dt=0.005)
         out_b = rollout(back, dt=0.005)
         assert np.array_equal(out_a.positions, out_b.positions)
+
+
+class TestBasisUnderflow:
+    """Past the last basis center by many widths every psi underflows: such a
+    row of _basis is zeros, so it adds no forcing, and every other row keeps
+    the bits of psi * s / sum(psi).  A fit with many basis functions then
+    gives finite weights and a rollout that reaches its goal."""
+
+    DEMO = staticmethod(lambda: line_demo([0, 0, 0], [0.3, 0.1, 0.2], n=400))
+
+    @pytest.mark.parametrize("n_basis", [30, 200, 350])
+    def test_rows(self, n_basis):
+        centers, widths = rbf_centers_widths(n_basis, 4.0)
+        phase = np.exp(-4.0 * np.linspace(0.0, 1.6, 801))
+        with np.errstate(all="ignore"):
+            psi = np.exp(-widths * (phase[:, None] - centers) ** 2)
+            plain = psi * (phase[:, None] / np.sum(psi, axis=1, keepdims=True))
+        got = _basis(phase, centers, widths)
+        good = np.isfinite(plain).all(axis=1)
+        assert got[good].tobytes() == plain[good].tobytes()
+        assert np.all(got[~good] == 0.0)
+        assert (~good).any() == (n_basis > 30)
+
+    def test_zero_phase_with_every_psi_underflowed(self):
+        centers, widths = rbf_centers_widths(350, 4.0)
+        assert _basis(np.array([0.0, 1e-300]), centers, widths).tobytes() == bytes(2 * 350 * 8)
+
+    @pytest.mark.parametrize("n_basis", [200, 300, 350])
+    def test_many_basis_functions_fit_and_reach_the_goal(self, n_basis):
+        demo = self.DEMO()
+        model = fit_dmp(demo, n_basis=n_basis)
+        assert np.isfinite(model.position_forcing.weights).all()
+        assert np.isfinite(model.orientation_forcing.weights).all()
+        out = rollout(model, dt=0.002)
+        assert np.abs(out.positions[-1] - demo.positions[-1]).max() < 1e-4
+
+    def test_non_finite_weights_are_refused(self, monkeypatch):
+        # a basis with a non-finite row, as one whose psi all underflowed once was, fails the fit
+        import splatsynth.dmp as dmp_module
+
+        def nan_row(phase, centers, widths):
+            rows = _basis(phase, centers, widths)
+            rows[-1] = np.nan
+            return rows
+        monkeypatch.setattr(dmp_module, "_basis", nan_row)
+        with pytest.raises(FitError, match="^non-finite forcing weights$"):
+            fit_dmp(self.DEMO())
+
+
+class TestFitSampleTimes:
+    """Sample times close enough together, or a segment long enough, to make
+    the fit's derivatives or target forcing overflow are refused with a
+    FitError, where numpy warned before."""
+
+    @pytest.mark.parametrize("row, time, message", [
+        (1, 1e-300, "the segment's sample times make its target forcing overflow"),
+        (1, 5e-324, "the segment's sample times make its target forcing overflow"),
+        (40, 1e160, "segment lasts 1e+160 s, past 1e+150 s")])
+    def test_refused(self, row, time, message):
+        demo = line_demo([0, 0, 0], [0.4, 0, 0], n=41)
+        times = demo.times.copy()
+        times[row] = time
+        with pytest.raises(FitError, match=f"^{re.escape(message)}$"):
+            fit_dmp(Trajectory(times, demo.positions, demo.quaternions, np.zeros(41)))
 
 
 class TestRollout:

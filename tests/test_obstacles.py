@@ -16,6 +16,8 @@ from splatsynth.dmp import _integrate, fit_dmp, rollout, rollout_batch
 from splatsynth.geometry import Pose
 from splatsynth.obstacles import (
     ObstacleParams,
+    _density_ramp,
+    _pull_weight,
     make_coupling,
     obstacle_accel,
     outward_normal,
@@ -815,3 +817,28 @@ class TestLookAheadBitEqual:
             want = _integrate(LETTER, *rows, dt, injecting(make_coupling(scene, params, dt)), paired=paired)
         for label, g, w in zip(("times", "positions", "quaternions", "failed"), got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes(), label
+
+
+class TestSubnormalThreshold:
+    """The repulsion's ramp and the pull's weight take a rho_th down to the
+    least subnormal: each gives the bits of its quotient form,
+    min((rho - rho_th) / rho_th, 1) and clamp(1 - rho / rho_th, 0, 1),
+    NaN and +-0.0 included, and without the overflow of that quotient at a
+    density rho >= 0."""
+
+    RHO = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.nan, -math.nan, 5e-324, 1.0, 1e308]))
+    RHO_TH = st.one_of(st.floats(min_value=5e-324, allow_infinity=False), st.sampled_from([5e-324, 1e-310, 0.1]))
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(rho=RHO, rho_th=RHO_TH)
+    def test_bits_of_the_quotient_form(self, rho, rho_th):
+        rho = np.array([rho, -rho])
+        with np.errstate(all="ignore"):
+            ramp = np.minimum((rho - rho_th) / rho_th, 1.0)
+            weight = np.minimum(np.maximum(1.0 - rho / rho_th, 0.0), 1.0)
+            assert _density_ramp(rho, rho_th).tobytes() == ramp.tobytes()
+            assert _pull_weight(rho, rho_th).tobytes() == weight.tobytes()
+        density = np.abs(rho[np.isfinite(rho)])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):   # underflow is no warning
+            _density_ramp(density, rho_th)
+            _pull_weight(density, rho_th)

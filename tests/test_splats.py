@@ -1,4 +1,5 @@
 import cProfile
+import gc
 import io
 import json
 import logging
@@ -6,6 +7,7 @@ import math
 import struct
 import sys
 import tracemalloc
+import weakref
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -1607,6 +1609,16 @@ def plant(rows, row, fault):
 FAULT_MESSAGES = {"far": "bounding sphere reaches past 1e+150 m from the origin", "nan": "non-finite position"}
 
 
+def held_bytes(scene):
+    """The bytes of the arrays a loaded scene holds, before its covariances
+    are read: means, unit quaternions, s^2, inverse covariances, radii and
+    opacities, 23 floats a splat."""
+    assert "covariances" not in vars(scene)
+    unformed = scene._unformed
+    return sum(a.nbytes for a in (scene.means, unformed.unit, unformed.s2, scene.inv_covariances, scene.radii,
+                                  scene.opacities))
+
+
 class TestPlyStreaming:
     """load_scene reads a binary PLY body _PLY_CHUNK_ROWS records at a time;
     its scenes are bit for bit those of tests/helpers.ply_scene_reference,
@@ -1724,8 +1736,7 @@ class TestPlyStreaming:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = sum(a.nbytes for a in (scene.means, scene.covariances, scene.inv_covariances, scene.radii,
-                                      scene.opacities))
+        kept = held_bytes(scene)
         assert len(scene) == n - n // 100 - n // 200
         assert peak <= 1.25 * kept, f"peak {peak / 1e6:.1f} MB, kept arrays {kept / 1e6:.1f} MB"
 
@@ -1740,8 +1751,7 @@ class TestPlyStreaming:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        kept = sum(a.nbytes for a in (scene.means, scene.covariances, scene.inv_covariances, scene.radii,
-                                      scene.opacities))
+        kept = held_bytes(scene)
         assert (len(scene), scene.rejected_count) == (6161, 3455)
         assert held <= 1.1 * kept, f"held {held / 1e6:.2f} MB, kept arrays {kept / 1e6:.2f} MB"
 
@@ -1767,6 +1777,115 @@ class TestPlyStreaming:
                 profile.disable()
         assert len(plain) < 3 * CHUNK + 17 - plain.rejected_count   # the arrays were shrunk
         self.assert_same_scene(traced, plain)
+
+# ---- covariances formed on demand: a PLY scene, and one moved from it ----------
+
+def turn(seed):
+    """A rigid transform with a random rotation and a translation within 0.1 m."""
+    rng = np.random.default_rng(seed)
+    return RigidTransform(quat_to_matrix(quat_normalize(rng.normal(size=4))), rng.uniform(-0.1, 0.1, 3))
+
+
+class TestCovariancesOnDemand:
+    """A PLY scene keeps each splat's unit quaternion and s^2 and forms its
+    covariances at their first read; a moved scene forms its covariances from
+    its rotation and what its source held for them, never from the source
+    scene.  Either read gives the bits an eager load and move gave."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        # three chunks and a part, a third of the splats below the floor, so the kept rows cross boundaries
+        return write_ply_3dgs(tmp_path / "scene.ply", ply_rows_3dgs(3 * CHUNK + 17, seed=11))
+
+    def test_ply_covariances_on_first_read(self, path):
+        scene = load_scene(path)
+        assert "covariances" not in vars(scene)
+        assert len(scene) > CHUNK
+        want = ply_scene_reference(path).covariances
+        assert scene.covariances.tobytes() == want.tobytes()
+        assert "_unformed" not in vars(scene)   # the factors are dropped once the covariances are formed
+        assert scene.covariances is scene.covariances
+
+    def test_held_factors(self, path):
+        scene = load_scene(path)
+        unformed = scene._unformed
+        assert (unformed.unit.shape, unformed.s2.shape) == ((len(scene), 4), (len(scene), 3))
+        assert np.max(np.abs(np.sqrt(_squares(unformed.unit)) - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("read_source_first", [False, True])
+    def test_moved_covariances_on_first_read(self, path, read_source_first):
+        loaded = load_scene(path)
+        T = turn(1)
+        if read_source_first:
+            loaded.covariances
+        moved = apply_transform(loaded, T)
+        twice = apply_transform(moved, turn(2))
+        assert "covariances" not in vars(moved) and "covariances" not in vars(twice)
+        got_twice, got = twice.covariances, moved.covariances
+        assert got.tobytes() == splats._rotated(T.rotation, loaded.covariances).tobytes()
+        assert got_twice.tobytes() == splats._rotated(turn(2).rotation, got).tobytes()
+
+    def test_moved_eager_scene(self):
+        scene = separated_scene(30, seed=4)
+        T = turn(3)
+        moved = apply_transform(scene, T)
+        assert "covariances" not in vars(moved)
+        assert moved.covariances.tobytes() == splats._rotated(T.rotation, scene.covariances).tobytes()
+
+    def test_kept_rows_filter_the_factors(self, path):
+        # _from_factors' floor rule keeps the rows of what backs the covariances, as it keeps an array's
+        loaded = load_scene(path)
+        source = loaded._covariance_source()
+        kept = loaded.opacities >= 0.5
+        for covs in (source, splats._MovedCovariances(turn(5).rotation, source)):
+            scene = GaussianScene._from_factors(loaded.means, covs, loaded.inv_covariances, loaded.radii,
+                                                loaded.opacities, 0.5, 0, "splat")
+            assert 0 < len(scene) < len(loaded)
+            want = splats._formed(covs)[kept]
+            assert scene.covariances.tobytes() == want.tobytes()
+
+    def test_load_move_and_densities_form_no_covariance(self, path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("covariances formed")
+        monkeypatch.setattr(splats._PlyCovariances, "form", refuse)
+        monkeypatch.setattr(splats._MovedCovariances, "form", refuse)
+        loaded = load_scene(path)
+        moved = apply_transform(loaded, turn(6))
+        xs = moved.means[:50] + 0.001
+        density_many(moved, xs)
+        density_gradient(moved, xs)
+        collision_check(Trajectory(np.arange(50.0), xs, np.tile([1.0, 0, 0, 0], (50, 1)), np.zeros(50)), moved, 0.1)
+        for scene in (loaded, moved):
+            assert "covariances" not in vars(scene)
+
+    def test_moved_scene_holds_no_source_scene(self, path):
+        loaded = load_scene(path)
+        loaded.tree, density_many(loaded, loaded.means[:5])
+        source = weakref.ref(loaded)
+        moved = apply_transform(loaded, turn(7))
+        del loaded
+        gc.collect()
+        assert source() is None
+        assert moved.covariances.shape == (len(moved), 3, 3)
+
+    def test_reading_holds_one_block_of_temporaries(self, tmp_path):
+        n = 15 * CHUNK
+        rows = ply_rows_3dgs(n, seed=12)
+        rows[:, PLY_ROTS[0]] = 1.0   # every splat valid and above the floor
+        rows[:, PLY_SCALES] = np.log(0.01)
+        rows[:, PLY_COL["opacity"]] = 4.0
+        scene = load_scene(write_ply_3dgs(tmp_path / "scene.ply", rows))
+        assert len(scene) == n
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            covs = scene.covariances
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # forming them whole would hold about four more arrays of their size
+        assert peak <= covs.nbytes + 12 * 72 * CHUNK, f"peak {peak / 1e6:.2f} MB, covariances {covs.nbytes / 1e6:.2f}"
+
 
 # ---- loader fuzz: mutations of valid scene files -------------------------------
 

@@ -908,7 +908,7 @@ class TestJobValidation:
         (lambda: PerturbationSpec(bound_p=[0.0, -1.0, 0.0]), "bound_p",
          "bound_p must be non-negative, got [0.0, -1.0, 0.0]"),
         (lambda: ObstacleParams(gamma=-1.0), "gamma", "gamma must be non-negative, at most 1e6, got -1.0"),
-        (lambda: make_job(n_demos=0), "n_demos", "n_demos must be at least 1, got 0"),
+        (lambda: make_job(n_demos=0), "n_demos", "n_demos must be at least 1, at most 1e6, got 0"),
         (lambda: make_job(horizon_factor=math.inf), "horizon_factor",
          "horizon_factor must be finite and positive, got inf"),
         (lambda: make_job(spec=PerturbationSpec(perturbable=(True,))), "spec.perturbable",
