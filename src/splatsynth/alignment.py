@@ -11,7 +11,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import check_fields, param
-from .splats import GaussianScene, _MovedCovariances, _rotated, _squares
+from .splats import GaussianScene, _moved, _squares
 
 log = logging.getLogger(__name__)
 
@@ -268,10 +268,11 @@ def apply_transform(scene: GaussianScene, T: RigidTransform) -> GaussianScene:
     """Rigidly move a scene: mu <- R mu + t, Sigma <- R Sigma R^T, and so
     Sigma^-1 <- R Sigma^-1 R^T with the radii unchanged; density is
     transform-equivariant: rho'(R x + t) = rho(x).  The moved covariances
-    are formed at their first read, from R and what the source holds for
-    them (_MovedCovariances).  A SceneFormatError names the first splat whose
-    bounding sphere the move takes too far."""
+    and inverses are formed as the source's are, the covariances at their
+    first read and each inverse at the first density read that needs it,
+    from R and what the source holds for them (_moved).  A SceneFormatError
+    names the first splat whose bounding sphere the move takes too far."""
     R = T.rotation
-    return GaussianScene._from_factors(T.apply(scene.means), _MovedCovariances(R, scene._covariance_source()),
-                                       _rotated(R, scene.inv_covariances), scene.radii, scene.opacities,
+    return GaussianScene._from_factors(T.apply(scene.means), _moved(R, scene, "covariances"),
+                                       _moved(R, scene, "inv_covariances"), scene.radii, scene.opacities,
                                        scene.opacity_floor, scene.rejected_count, "moved splat")

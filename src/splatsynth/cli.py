@@ -77,8 +77,9 @@ def _config_help() -> str:
 
 
 def _build(cls, values: dict, prefix: str = ""):
-    """cls from the {config key: JSON value} map.  A FieldError from
-    __post_init__ names its field; the error names that field's key."""
+    """cls from the {config key: JSON value} map, each value checked against
+    its field's range rule as given, before it is converted.  A FieldError
+    from __post_init__ names its field; the error names that field's key."""
     kwargs, keys = {}, {}
     for key, f, hint in _config_keys(cls, prefix, nested=False):
         keys[f.name] = key
@@ -91,9 +92,11 @@ def _build(cls, values: dict, prefix: str = ""):
             try:
                 if not valid(values[key]):
                     raise TypeError(f"expected {what}, got {json.dumps(values[key])}")
+                if f.metadata.get("check"):   # on the value as given: an integer field's parse expands a float
+                    check_range(f.name, values[key], f.metadata["check"])
                 kwargs[f.name] = parse(values[key])
             except (UsageError, TypeError, ValueError, LookupError, ArithmeticError, OSError) as exc:
-                raise UsageError(f"{key}: {exc}") from exc
+                raise UsageError(f"{key}: {getattr(exc, 'detail', exc)}") from exc   # a FieldError's detail
         elif f.metadata.get("required"):
             raise UsageError(f"missing config key: {key}")
     try:
@@ -327,8 +330,10 @@ def cmd_eval(args) -> int:
                      int(rep.collided), repr(rep.max_density),
                      "" if rep.writing_error is None else repr(rep.writing_error)])
     paths = scene._paths if scene is not None else None
-    log.debug("%d files scored; scene path list: %d rebuilds, %d listed pairs, %d kept",
-              len(files), *((0,) * 3 if paths is None else (paths.rebuilds, paths.listed, paths.kept)))
+    log.debug("%d files scored; scene path list: %d rebuilds, %d listed pairs, %d kept; "
+              "inverse covariances formed: %d of %d", len(files),
+              *((0,) * 3 if paths is None else (paths.rebuilds, paths.listed, paths.kept)),
+              *((0, 0) if scene is None else (scene._inverses_formed(), len(scene))))
     with open(out_path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["file", "dtw_position", "dtw_orientation", "collided",

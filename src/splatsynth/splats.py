@@ -60,7 +60,8 @@ class GaussianScene:
     after it is made.  What it fills in at a first read changes no result's
     bits: its neighbour index (tree), the neighbour list that collision_check
     reads paths through (_paths), and, for a PLY scene or a moved one, its
-    covariances, which no density read uses."""
+    covariances, which no density read uses, and each splat's inverse
+    covariance, formed at the first density read that needs it (_inverse)."""
 
     def __init__(self, blobs, opacity_floor: float = DEFAULT_OPACITY_FLOOR):
         blobs = list(blobs)
@@ -95,22 +96,22 @@ class GaussianScene:
                       name: str, numbers=None) -> "GaussianScene":
         """The one tail every scene goes through, given its valid splats with
         their inverse covariances and radii: _kept_splats' reach and floor
-        rules, then the splats at or above the floor.  covs is the covariance
-        array, held as given, or what forms it at the first read
-        (_PlyCovariances, _MovedCovariances).  The neighbour index is built at
-        the first query."""
+        rules, then the splats at or above the floor.  covs and inv_covs are
+        each an array, held as given, or what forms it (_Unformed): the
+        covariances whole at their first read, the inverses row by row at the
+        first density read of each.  The neighbour index is built at the
+        first query."""
         kept = _kept_splats(means, radii, opacities, opacity_floor, name, numbers)
         if not kept.all():
             means, covs, inv_covs, radii, opacities = (a[kept] for a in (means, covs, inv_covs, radii, opacities))
         scene = cls.__new__(cls)
         scene.opacity_floor = float(opacity_floor)
         scene.rejected_count = int(rejected_count)
-        if isinstance(covs, np.ndarray):
-            scene.covariances = covs
-        else:
-            scene._unformed = covs
-        scene.means, scene.inv_covariances = means, inv_covs
-        scene.radii, scene.opacities = radii, opacities
+        for attr, held in (("covariances", covs), ("inv_covariances", inv_covs)):
+            setattr(scene, attr if isinstance(held, np.ndarray) else "_unformed_" + attr, held)
+        if not isinstance(inv_covs, np.ndarray):   # the rows formed so far, and which they are
+            scene._inverses, scene._formed = np.empty((len(means), 3, 3)), np.zeros(len(means), dtype=bool)
+        scene.means, scene.radii, scene.opacities = means, radii, opacities
         scene.max_radius = float(np.max(radii, initial=0.0))
         return scene
 
@@ -118,14 +119,34 @@ class GaussianScene:
     def covariances(self) -> np.ndarray:
         """The (n, 3, 3) covariances.  A scene made from them holds them from
         the start; any other forms them here, at the first read, from what
-        _unformed holds, and then drops that."""
-        return _formed(vars(self).pop("_unformed"))
+        _unformed_covariances holds, and then drops that."""
+        return vars(self).pop("_unformed_covariances").form(np.empty((len(self), 3, 3)))
 
-    def _covariance_source(self):
-        """The covariances if they are formed, else what forms them: what a
-        scene moved from this one holds instead of this one."""
+    @cached_property
+    def inv_covariances(self) -> np.ndarray:
+        """The (n, 3, 3) inverse covariances.  A scene made from arrays holds
+        them from the start; any other forms here the rows no density read
+        has formed (_inverse), and then drops what formed them."""
         held = vars(self)
-        return held["covariances"] if "covariances" in held else held["_unformed"]
+        inv = held.pop("_inverses")
+        return held.pop("_unformed_inv_covariances").form(inv, np.flatnonzero(~held.pop("_formed")))
+
+    def _inverse(self, idx: np.ndarray) -> np.ndarray:
+        """inv_covariances[idx], forming first the rows of the index array idx
+        that no read has formed."""
+        held = vars(self)
+        if "inv_covariances" in held:
+            return held["inv_covariances"][idx]
+        new = idx[~self._formed[idx]]
+        if len(new):
+            new = np.unique(new)
+            self._unformed_inv_covariances.form(self._inverses, new)
+            self._formed[new] = True
+        return self._inverses[idx]
+
+    def _inverses_formed(self) -> int:
+        """How many of the scene's inverse covariances are formed."""
+        return len(self) if "inv_covariances" in vars(self) else int(np.count_nonzero(self._formed))
 
     @cached_property
     def tree(self) -> cKDTree:
@@ -143,30 +164,48 @@ class GaussianScene:
         return len(self.means)
 
 
-class _PlyCovariances:
-    """A PLY scene's covariances before their first read: each splat's unit
-    quaternion and s^2, the factors of R diag(s^2) R^T.  [rows] keeps rows."""
+class _Unformed:
+    """An (n, 3, 3) stack before it is formed: base, then _rotated(R, M) for
+    each R of turns, in order.  base is an array or a PLY scene's factors,
+    each splat's unit quaternion, of matrix R, and s^2: R diag(s^2) R^T, or
+    R diag(s^-2) R^T with inverse set.  [rows] keeps rows."""
 
-    def __init__(self, unit: np.ndarray, s2: np.ndarray):
-        self.unit, self.s2 = unit, s2
+    def __init__(self, base, inverse: bool = False, turns: tuple = ()):
+        self.base, self.inverse, self.turns = base, inverse, turns
 
-    def __getitem__(self, rows) -> "_PlyCovariances":
-        return _PlyCovariances(self.unit[rows], self.s2[rows])
+    def __getitem__(self, rows) -> "_Unformed":
+        base = tuple(a[rows] for a in self.base) if isinstance(self.base, tuple) else self.base[rows]
+        return _Unformed(base, self.inverse, self.turns)
 
-    def form(self) -> np.ndarray:
-        """R diag(s^2) R^T of every splat, with the bits that loading the
-        file whole would give them, _PLY_CHUNK_ROWS splats at a time into one
-        array: besides it, a read holds one block's temporaries."""
-        out = np.empty((len(self.s2), 3, 3))
-        for a in range(0, len(out), _PLY_CHUNK_ROWS):
-            b = a + _PLY_CHUNK_ROWS
-            rot = quat_to_matrix(self.unit[a:b].T).transpose(2, 0, 1)
-            # a contiguous right factor keeps numpy's stacked matmul off its slow strided path
-            rt = np.ascontiguousarray(rot.transpose(0, 2, 1))
-            covs = (rot * self.s2[a:b, None, :]) @ rt
-            np.add(covs, covs.transpose(0, 2, 1), out=out[a:b])
-            out[a:b] *= 0.5
+    def form(self, out: np.ndarray, rows=None) -> np.ndarray:
+        """out, with the rows (an index array; all when None) formed into
+        out[rows] with the bits forming the whole stack gives them,
+        _PLY_CHUNK_ROWS at a time: besides out, one block's temporaries."""
+        for a in range(0, len(out) if rows is None else len(rows), _PLY_CHUNK_ROWS):
+            idx = slice(a, a + _PLY_CHUNK_ROWS) if rows is None else rows[a:a + _PLY_CHUNK_ROWS]
+            if isinstance(self.base, tuple):
+                unit, s2 = (f[idx] for f in self.base)
+                rot = quat_to_matrix(unit.T).transpose(2, 0, 1)
+                # a contiguous right factor keeps numpy's stacked matmul off its slow strided path
+                rt = np.ascontiguousarray(rot.transpose(0, 2, 1))
+                m = (rot / s2[:, None, :] if self.inverse else rot * s2[:, None, :]) @ rt
+                if not self.inverse:
+                    m = (m + m.transpose(0, 2, 1)) * 0.5
+            else:
+                m = self.base[idx]
+            for R in self.turns:
+                m = _rotated(R, m)
+            out[idx] = m
         return out
+
+
+def _moved(R: np.ndarray, scene: GaussianScene, attr: str) -> _Unformed:
+    """What forms _rotated(R, M) of the scene's attr M ("covariances" or
+    "inv_covariances"): from M if it is formed whole, else from what forms
+    it, and so from none of the scene's other arrays."""
+    held = vars(scene)
+    m = held[attr] if attr in held else held["_unformed_" + attr]
+    return _Unformed(m, turns=(R,)) if isinstance(m, np.ndarray) else _Unformed(m.base, m.inverse, m.turns + (R,))
 
 
 def _rotated(R: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -174,27 +213,6 @@ def _rotated(R: np.ndarray, C: np.ndarray) -> np.ndarray:
     product is one flat (3n, 3) GEMM, which gives the same bits as the
     broadcast product at a fraction of its per-matrix cost."""
     return ((R @ C).reshape(-1, 3) @ R.T).reshape(C.shape)
-
-
-class _MovedCovariances:
-    """A moved scene's covariances before their first read: _rotated(R, C) of
-    the covariances C of the scene it was moved from, held as that scene held
-    them (an array, or what forms them), never as that scene, so that a moved
-    scene keeps none of its source's other arrays alive.  [rows] keeps rows."""
-
-    def __init__(self, R: np.ndarray, source):
-        self.R, self.source = R, source
-
-    def __getitem__(self, rows) -> "_MovedCovariances":
-        return _MovedCovariances(self.R, self.source[rows])
-
-    def form(self) -> np.ndarray:
-        return _rotated(self.R, _formed(self.source))
-
-
-def _formed(covs) -> np.ndarray:
-    """The covariance array that covs is or forms."""
-    return covs if isinstance(covs, np.ndarray) else covs.form()
 
 
 def _kept_splats(means, radii, opacities, opacity_floor, name: str, numbers=None) -> np.ndarray:
@@ -276,7 +294,8 @@ class _NeighborList:
     A rebuild lists the blobs within _SKIN + probe_step of each row's reach,
     by one _neighbors query whose exact test is padded by 1e-9 relative, so
     that no rounding drops a blob.  It keeps each pair's row, mean, inverse
-    covariance, radius and opacity, grouped by row with blobs ascending.
+    covariance (read through the scene's _inverse, which forms only the
+    listed splats'), radius and opacity, grouped by row with blobs ascending.
     While every row stays within _SKIN of where the list was built, the
     triangle inequality keeps each of its true neighbours listed: a batch
     runs _neighbors' exact test on the listed pairs alone, and the pairs it
@@ -304,7 +323,7 @@ class _NeighborList:
     def _rebuild(self, xs: np.ndarray) -> None:
         scene = self.scene
         self.row, idx = _neighbors(scene, xs, self.skin + self.probe_step, slack=1e-9)
-        self.means, self.inv_covariances = scene.means[idx], scene.inv_covariances[idx]
+        self.means, self.inv_covariances = scene.means[idx], scene._inverse(idx)
         self.radii, self.opacities = scene.radii[idx], scene.opacities[idx]
         self.counts = np.bincount(self.row, minlength=len(xs))   # each row's listed pairs, from first
         self.first = np.cumsum(self.counts) - self.counts
@@ -361,8 +380,7 @@ def density_many(scene: GaussianScene, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     flat = xs.reshape(-1, 3)
     row, idx = _neighbors(scene, flat, 0.0)
-    rho = _density_sums(len(flat), row, flat[row] - scene.means[idx], scene.inv_covariances[idx],
-                        scene.opacities[idx])
+    rho = _density_sums(len(flat), row, flat[row] - scene.means[idx], scene._inverse(idx), scene.opacities[idx])
     return rho.reshape(xs.shape[:-1])
 
 
@@ -556,11 +574,11 @@ def _ply_records(f, path, record, count, start):
 
 def _ply_factors(records, first, opacity_floor, name):
     """(rejected count, kept factors) of the PLY records numbered from first:
-    the means, unit quaternions, s^2, inverse covariances, radii and
-    opacities of the valid splats that pass _kept_splats.  A splat is valid
-    when its quaternion is non-zero and finite and its s^2 are finite and
-    above 1e-12.  Rows are checked in file order: a non-finite position is
-    refused after the rows before it."""
+    the means, unit quaternions, s^2, radii and opacities of the valid
+    splats that pass _kept_splats.  A splat is valid when its quaternion is
+    non-zero and finite and its s^2 are finite and above 1e-12.  Rows are
+    checked in file order: a non-finite position is refused after the rows
+    before it."""
 
     def stack(*names):
         return np.stack([np.asarray(records[n], dtype=float) for n in names], axis=1)
@@ -593,11 +611,7 @@ def _ply_factors(records, first, opacity_floor, name):
         rows = numbers[kept]
         s2 = s2[rows]
         unit = quats[rows] / norms[rows, None]
-        rot = quat_to_matrix(unit.T).transpose(2, 0, 1)
-        # a contiguous right factor keeps numpy's stacked matmul off its slow strided path
-        rt = np.ascontiguousarray(rot.transpose(0, 2, 1))
-        inv_covs = (rot / s2[:, None, :]) @ rt
-    return len(valid) - len(numbers), (means[rows], unit, s2, inv_covs, radii[kept], opacities[rows])
+    return len(valid) - len(numbers), (means[rows], unit, s2, radii[kept], opacities[rows])
 
 
 def _scene_from_ply(path, opacity_floor: float) -> tuple[int, GaussianScene]:
@@ -605,8 +619,9 @@ def _scene_from_ply(path, opacity_floor: float) -> tuple[int, GaussianScene]:
     are logits, as 3DGS exports them.  Each splat's covariance is
     R diag(s^2) R^T, so its inverse R diag(s^-2) R^T and its radius
     CUTOFF_SIGMA max|s| come from the same factors.  The scene keeps each
-    splat's unit quaternion and s^2, and forms the covariances from them only
-    if something reads them (_PlyCovariances).  The body streams through
+    splat's unit quaternion and s^2, and forms from them the covariances only
+    if something reads them, and each splat's inverse only at the first
+    density read that needs it (_Unformed).  The body streams through
     _ply_factors chunk by chunk, and the kept splats go straight into arrays
     of the header's row count, shrunk in place to the kept rows at the end:
     besides the scene, a load holds one chunk's records and temporaries, and
@@ -615,7 +630,7 @@ def _scene_from_ply(path, opacity_floor: float) -> tuple[int, GaussianScene]:
     name = f"{path}: vertex"
     with open(path, "rb") as f:
         count, chunks = _parse_ply(f, path)
-        out = [np.empty((count, *shape)) for shape in ((3,), (4,), (3,), (3, 3), (), ())]
+        out = [np.empty((count, *shape)) for shape in ((3,), (4,), (3,), (), ())]
         kept = rejected = 0
         for first, records in chunks:
             dropped, factors = _ply_factors(records, first, opacity_floor, name)
@@ -628,8 +643,9 @@ def _scene_from_ply(path, opacity_floor: float) -> tuple[int, GaussianScene]:
     # tracer's transient hold on the bound method as a second one, so it is off
     for k in range(len(out)):
         out[k].resize((kept, *out[k].shape[1:]), refcheck=False)
-    means, unit, s2, *rest = out
-    return count, GaussianScene._from_factors(means, _PlyCovariances(unit, s2), *rest, opacity_floor, rejected, name)
+    means, unit, s2, radii, opacities = out
+    return count, GaussianScene._from_factors(means, _Unformed((unit, s2)), _Unformed((unit, s2), inverse=True),
+                                              radii, opacities, opacity_floor, rejected, name)
 
 
 def load_scene(path, opacity_floor: float = DEFAULT_OPACITY_FLOOR) -> GaussianScene:

@@ -197,9 +197,10 @@ def _synthesize_rows(job: SynthesisJob, models: list[DmpModel], indices) -> list
     logs one DEBUG line with its rollouts, its steps, the first step that
     called its hook (the hook's quiet_steps), or "free" when _integrate's
     look-ahead found no step where the hook could act, and its hook's
-    neighbour list rebuilds, listed and kept pairs, and gradient probe rows
-    answered from the list.  Returns, per index, (Trajectory, manifest entry)
-    or the RolloutError that ended it."""
+    neighbour list rebuilds, listed and kept pairs, gradient probe rows
+    answered from the list, and how many of the scene's inverse covariances
+    are formed so far, of all its splats.  Returns, per index, (Trajectory,
+    manifest entry) or the RolloutError that ended it."""
     flags = _perturbable_flags(job.spec, len(job.demo.splits))
     target_p, target_q, entries = _targets(job, flags, indices)
     y, q = target_p[:, 0].copy(), target_q[:, 0].copy()   # each row's start of its next segment
@@ -223,9 +224,10 @@ def _synthesize_rows(job: SynthesisJob, models: list[DmpModel], indices) -> list
             listed = getattr(coupling, "neighbors", None)   # a wrapped hook, as bench/tracing.py makes, hides it
             quiet = getattr(coupling, "quiet_steps", "?")
             log.debug("segment %d: %d rows, %d steps, %s, neighbour list: %s rebuilds, %s listed pairs, %s kept, "
-                      "%s probe rows", k, n, len(times) - 1,
+                      "%s probe rows, inverse covariances formed: %d of %d", k, n, len(times) - 1,
                       "free" if quiet == len(times) - 1 else f"coupled from step {quiet}",
-                      *(("?",) * 4 if listed is None else (listed.rebuilds, listed.listed, listed.kept, listed.probed)))
+                      *(("?",) * 4 if listed is None else (listed.rebuilds, listed.listed, listed.kept, listed.probed)),
+                      job.scene._inverses_formed(), len(job.scene))
         if not len(alive):
             return outcome
         # a segment's quaternions are made unit here, and again in the chained Trajectory

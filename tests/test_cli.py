@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import math
 import os
 import re
@@ -427,10 +428,13 @@ class TestDemoCountDecayAndThresholdBounds:
                                                                    0.02 ** 2 * np.eye(3), 1.0)])
         return write_config(tmp_path, str(demo), tmp_path / "out", scene=scene, **overrides)
 
-    @pytest.mark.parametrize("value", [1e100, 10 ** 6 + 1, 10 ** 400], ids=["1e100", "1e6+1", "10**400"])
-    def test_n_demos_past_the_bound(self, tmp_path, capsys, value):
+    # the value as the config gives it: a float is not expanded to its integer digits
+    @pytest.mark.parametrize("value, shown", [(1e100, "1e+100"), (10 ** 6 + 1, "1000001"), (1e6 + 1, "1000001.0"),
+                                              (10 ** 400, str(10 ** 400)), (0.0, "0.0"), (-2.0, "-2.0")],
+                             ids=["1e100", "1e6+1", "float 1e6+1", "10**400", "0.0", "-2.0"])
+    def test_n_demos_past_the_bound(self, tmp_path, capsys, value, shown):
         assert main(["synth", self.c05_config(tmp_path, n_demos=value, obstacle=self.C05)]) == 2
-        one_error_line(capsys, "output.n_demos: must be at least 1, at most 1e6, got ")
+        assert capsys.readouterr().err == f"error: output.n_demos: must be at least 1, at most 1e6, got {shown}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", [1e6, 1e200, float(np.nextafter(50.0, math.inf)), 5e-324,
@@ -1110,7 +1114,8 @@ class TestSynth:
         assert quiet == "" and debug_files == files and len(files) == 5
         lines = [line for line in loud.splitlines() if line.startswith("DEBUG:splatsynth.synthesis:")]
         assert [line.split(":")[2] for line in lines] == ["segment 0", "segment 1"]
-        assert all(re.search(r"3 rows, \d+ steps, (free|coupled from step \d+), neighbour list: \d+ rebuilds", line)
+        assert all(re.search(r"3 rows, \d+ steps, (free|coupled from step \d+), neighbour list: \d+ rebuilds.*, "
+                             r"inverse covariances formed: 1 of 1$", line)
                    for line in lines)
 
     def test_debug_log_of_a_ply_scene_leaves_the_dataset_byte_identical(self, tmp_path, demo_csv):
@@ -1355,8 +1360,24 @@ class TestEval:
         assert loaded == (f"DEBUG:splatsynth.splats:scene {scene}: 1 records, 1 splats kept, 0 rejected as invalid, "
                           "0 below the opacity floor 0.05")
         counts = re.fullmatch(r"DEBUG:splatsynth.cli:3 files scored; scene path list: 1 rebuilds, (\d+) listed "
-                              r"pairs, (\d+) kept", line)
+                              r"pairs, (\d+) kept; inverse covariances formed: 1 of 1", line)
         assert counts and 0 < int(counts[2]) <= int(counts[1])
+
+    def test_debug_log_counts_the_inverses_a_ply_scene_formed(self, tmp_path, demo_csv, caplog):
+        # a PLY scene forms the inverse covariance of the splat beside the path, and not of the far one
+        out_dir, demo = self.make_dataset(tmp_path, demo_csv)
+        scene = tmp_path / "scene.ply"
+        props = ["x", "y", "z", "scale_0", "scale_1", "scale_2", "rot_0", "rot_1", "rot_2", "rot_3", "opacity"]
+        s = math.log(0.01)
+        rows = [[*demo.positions[40], s, s, s, 1, 0, 0, 0, 3.0], [5.0, 5.0, 5.0, s, s, s, 1, 0, 0, 0, 3.0]]
+        scene.write_bytes(("ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+                           + "".join(f"property float {p}\n" for p in props) + "end_header\n").encode()
+                          + np.array(rows, dtype="<f4").tobytes())
+        with caplog.at_level(logging.DEBUG, logger="splatsynth"):
+            assert main(["eval", str(out_dir), demo_csv, "--scene", str(scene)]) == 0
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "splatsynth.cli"]
+        assert re.fullmatch(r"1 files scored; scene path list: 1 rebuilds, \d+ listed pairs, \d+ kept; "
+                            r"inverse covariances formed: 1 of 2", line), line
 
     def test_transform_bottom_row_is_one_error_line(self, tmp_path, demo_csv, capsys):
         out_dir, _ = self.make_dataset(tmp_path, demo_csv)

@@ -1611,11 +1611,13 @@ FAULT_MESSAGES = {"far": "bounding sphere reaches past 1e+150 m from the origin"
 
 def held_bytes(scene):
     """The bytes of the arrays a loaded scene holds, before its covariances
-    are read: means, unit quaternions, s^2, inverse covariances, radii and
-    opacities, 23 floats a splat."""
-    assert "covariances" not in vars(scene)
-    unformed = scene._unformed
-    return sum(a.nbytes for a in (scene.means, unformed.unit, unformed.s2, scene.inv_covariances, scene.radii,
+    and inverses are read: means, unit quaternions, s^2, radii, opacities,
+    and room for the inverse covariances with a flag for each formed one,
+    23 floats and a byte a splat."""
+    assert "covariances" not in vars(scene) and "inv_covariances" not in vars(scene)
+    unit, s2 = scene._unformed_covariances.base
+    assert scene._unformed_inv_covariances.base[0] is unit   # the two share the factors
+    return sum(a.nbytes for a in (scene.means, unit, s2, scene._inverses, scene._formed, scene.radii,
                                   scene.opacities))
 
 
@@ -1786,6 +1788,11 @@ def turn(seed):
     return RigidTransform(quat_to_matrix(quat_normalize(rng.normal(size=4))), rng.uniform(-0.1, 0.1, 3))
 
 
+def formed(held, n):
+    """The (n, 3, 3) stack that the _Unformed held forms."""
+    return held.form(np.empty((n, 3, 3)))
+
+
 class TestCovariancesOnDemand:
     """A PLY scene keeps each splat's unit quaternion and s^2 and forms its
     covariances at their first read; a moved scene forms its covariances from
@@ -1803,14 +1810,16 @@ class TestCovariancesOnDemand:
         assert len(scene) > CHUNK
         want = ply_scene_reference(path).covariances
         assert scene.covariances.tobytes() == want.tobytes()
-        assert "_unformed" not in vars(scene)   # the factors are dropped once the covariances are formed
+        assert "_unformed_covariances" not in vars(scene)   # dropped once the covariances are formed
         assert scene.covariances is scene.covariances
 
     def test_held_factors(self, path):
         scene = load_scene(path)
-        unformed = scene._unformed
-        assert (unformed.unit.shape, unformed.s2.shape) == ((len(scene), 4), (len(scene), 3))
-        assert np.max(np.abs(np.sqrt(_squares(unformed.unit)) - 1.0)) <= 1e-15
+        unit, s2 = scene._unformed_covariances.base
+        assert (unit.shape, s2.shape) == ((len(scene), 4), (len(scene), 3))
+        assert np.max(np.abs(np.sqrt(_squares(unit)) - 1.0)) <= 1e-15
+        inverse = scene._unformed_inv_covariances
+        assert inverse.inverse and inverse.base[0] is unit and inverse.base[1] is s2
 
     @pytest.mark.parametrize("read_source_first", [False, True])
     def test_moved_covariances_on_first_read(self, path, read_source_first):
@@ -1833,22 +1842,26 @@ class TestCovariancesOnDemand:
         assert moved.covariances.tobytes() == splats._rotated(T.rotation, scene.covariances).tobytes()
 
     def test_kept_rows_filter_the_factors(self, path):
-        # _from_factors' floor rule keeps the rows of what backs the covariances, as it keeps an array's
+        # _from_factors' floor rule keeps the rows of what backs the covariances and their inverses, as it
+        # keeps an array's
         loaded = load_scene(path)
-        source = loaded._covariance_source()
         kept = loaded.opacities >= 0.5
-        for covs in (source, splats._MovedCovariances(turn(5).rotation, source)):
-            scene = GaussianScene._from_factors(loaded.means, covs, loaded.inv_covariances, loaded.radii,
+        R = turn(5).rotation
+        for covs, inv_covs in ((loaded._unformed_covariances, loaded._unformed_inv_covariances),
+                               (splats._moved(R, loaded, "covariances"), splats._moved(R, loaded, "inv_covariances"))):
+            scene = GaussianScene._from_factors(loaded.means, covs, inv_covs, loaded.radii,
                                                 loaded.opacities, 0.5, 0, "splat")
             assert 0 < len(scene) < len(loaded)
-            want = splats._formed(covs)[kept]
-            assert scene.covariances.tobytes() == want.tobytes()
+            assert scene.covariances.tobytes() == formed(covs, len(loaded))[kept].tobytes()
+            assert scene.inv_covariances.tobytes() == formed(inv_covs, len(loaded))[kept].tobytes()
 
     def test_load_move_and_densities_form_no_covariance(self, path, monkeypatch):
-        def refuse(self):
-            raise AssertionError("covariances formed")
-        monkeypatch.setattr(splats._PlyCovariances, "form", refuse)
-        monkeypatch.setattr(splats._MovedCovariances, "form", refuse)
+        form = splats._Unformed.form
+
+        def refuse_covariances(self, out, rows=None):
+            assert self.inverse, "covariances formed"
+            form(self, out, rows)
+        monkeypatch.setattr(splats._Unformed, "form", refuse_covariances)
         loaded = load_scene(path)
         moved = apply_transform(loaded, turn(6))
         xs = moved.means[:50] + 0.001
@@ -1859,14 +1872,23 @@ class TestCovariancesOnDemand:
             assert "covariances" not in vars(scene)
 
     def test_moved_scene_holds_no_source_scene(self, path):
-        loaded = load_scene(path)
-        loaded.tree, density_many(loaded, loaded.means[:5])
-        source = weakref.ref(loaded)
-        moved = apply_transform(loaded, turn(7))
-        del loaded
-        gc.collect()
-        assert source() is None
-        assert moved.covariances.shape == (len(moved), 3, 3)
+        # neither the covariances' factors nor the inverses' (formed in part, or whole) hold the source
+        T = turn(7)
+        want = splats._rotated(T.rotation, ply_scene_reference(path).inv_covariances)
+        for read_inverses_first in (False, True):
+            loaded = load_scene(path)
+            loaded.tree, density_many(loaded, loaded.means[:5])
+            if read_inverses_first:
+                loaded.inv_covariances
+            source = weakref.ref(loaded)
+            moved = apply_transform(loaded, T)
+            del loaded
+            gc.collect()
+            assert source() is None
+            assert moved.covariances.shape == (len(moved), 3, 3)
+            assert density_many(moved, moved.means[:5]).shape == (5,)
+            assert 0 < moved._inverses_formed() < len(moved)
+            assert moved.inv_covariances.tobytes() == want.tobytes()
 
     def test_reading_holds_one_block_of_temporaries(self, tmp_path):
         n = 15 * CHUNK
@@ -1885,6 +1907,83 @@ class TestCovariancesOnDemand:
             tracemalloc.stop()
         # forming them whole would hold about four more arrays of their size
         assert peak <= covs.nbytes + 12 * 72 * CHUNK, f"peak {peak / 1e6:.2f} MB, covariances {covs.nbytes / 1e6:.2f}"
+
+
+# ---- inverse covariances formed row by row, at the first read of each -------------
+
+# index batches read through _inverse: a size, some near the chunk of _Unformed.form, and a seed that draws
+# that many rows, in any order and with repeats
+INVERSE_READS = st.lists(st.tuples(st.one_of(st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]),
+                                             st.integers(1, 40)),
+                                   st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=3)
+
+
+class TestInversesOnDemand:
+    """A PLY scene, one moved from it once or twice, and one kept above a
+    higher opacity floor form each splat's inverse covariance at the first
+    read of its row (_inverse).  Every row so formed, in any order and any
+    number of times, has the bits of the eager arrays: the whole-file
+    loader's, rotated as a move of the arrays rotates them."""
+
+    @pytest.fixture(scope="class")
+    def ply(self, tmp_path_factory):
+        # three chunks and a part, half the splats dropped: the kept rows cross the chunk size
+        path = write_ply_3dgs(tmp_path_factory.mktemp("inverses") / "scene.ply", ply_rows_3dgs(3 * CHUNK + 17, seed=11))
+        return path, ply_scene_reference(path).inv_covariances
+
+    @staticmethod
+    def scene(kind, path, eager):
+        """A fresh scene of the kind, and its eager inverse covariances."""
+        loaded = load_scene(path)
+        if kind == "ply":
+            return loaded, eager
+        if kind == "floor":
+            scene = GaussianScene._from_factors(loaded.means, loaded._unformed_covariances,
+                                                loaded._unformed_inv_covariances, loaded.radii, loaded.opacities,
+                                                0.2, 0, "splat")
+            return scene, eager[loaded.opacities >= 0.2]
+        moved, want = apply_transform(loaded, turn(1)), splats._rotated(turn(1).rotation, eager)
+        if kind == "moved":
+            return moved, want
+        return apply_transform(moved, turn(2)), splats._rotated(turn(2).rotation, want)
+
+    @pytest.mark.parametrize("kind", ["ply", "moved", "twice", "floor"])
+    @given(reads=INVERSE_READS)
+    @example(reads=[(CHUNK + 1, 0), (CHUNK + 1, 0)])   # the same rows again form nothing
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    def test_rows_formed_on_demand_match_the_eager_arrays(self, ply, kind, reads):
+        scene, want = self.scene(kind, *ply)
+        assert len(scene) > CHUNK and "inv_covariances" not in vars(scene)
+        seen = np.zeros(len(scene), dtype=bool)
+        for size, seed in reads:
+            idx = np.random.default_rng(seed).integers(0, len(scene), size)
+            assert scene._inverse(idx).tobytes() == want[idx].tobytes()
+            seen[idx] = True
+            assert np.array_equal(scene._formed, seen)
+        assert scene._inverses_formed() == np.count_nonzero(seen) < len(scene)
+        assert scene.inv_covariances.tobytes() == want.tobytes()
+        assert scene._inverses_formed() == len(scene)
+        assert not {"_inverses", "_formed", "_unformed_inv_covariances"} & vars(scene).keys()
+
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_one_density_read_forms_only_its_rows(self, ply, moved):
+        path, _ = ply
+        scene = load_scene(path)
+        if moved:
+            scene = apply_transform(scene, turn(3))
+        x = scene.means[len(scene) // 2] + 0.001
+        read = np.unique(_neighbors(scene, x.reshape(1, 3), 0.0)[1])
+        assert len(read) > 0 and scene._inverses_formed() == 0
+        rho = density_many(scene, x)
+        assert np.array_equal(np.flatnonzero(scene._formed), read)
+        assert scene._inverses_formed() == len(read) < len(scene)
+        assert density_many(scene, x) == rho and scene._inverses_formed() == len(read)
+
+    def test_a_scene_of_arrays_holds_its_inverses(self):
+        scene = separated_scene(20, seed=2)
+        assert "inv_covariances" in vars(scene) and scene._inverses_formed() == len(scene)
+        idx = np.array([3, 3, 0])
+        assert scene._inverse(idx).tobytes() == scene.inv_covariances[idx].tobytes()
 
 
 # ---- loader fuzz: mutations of valid scene files -------------------------------

@@ -12,6 +12,7 @@ import pytest
 import scipy.stats
 from scipy.special import gammainc, gammaincinv, ndtr, ndtri
 
+from splatsynth.alignment import RigidTransform, apply_transform
 from splatsynth.dmp import MIN_SEGMENT_SAMPLES, rollout_steps
 from splatsynth.geometry import FieldError, Trajectory, quat_exp, quat_geodesic_distance
 from splatsynth.obstacles import ObstacleParams
@@ -608,11 +609,12 @@ class TestCoupledBatchLog:
     """Each coupled segment batch logs one DEBUG line through the
     splatsynth.synthesis logger: its rows and steps, the first step that
     called its hook, or "free", and its hook's neighbour list rebuilds,
-    listed and kept pairs, and gradient probe rows answered from the list."""
+    listed and kept pairs, gradient probe rows answered from the list, and
+    how many of the scene's inverse covariances are formed, of all."""
 
     LINE = (r"segment (\d+): (\d+) rows, (\d+) steps, coupled from step (\d+), "
             r"neighbour list: (\d+) rebuilds, (\d+) listed pairs, (\d+) kept, "
-            r"(\d+) probe rows")
+            r"(\d+) probe rows, inverse covariances formed: (\d+) of (\d+)")
 
     def test_one_line_per_coupled_segment(self, caplog, monkeypatch):
         job = coupled_job("letter", n_demos=3)
@@ -641,8 +643,8 @@ class TestCoupledBatchLog:
             got = [int(v) for v in re.fullmatch(self.LINE, line).groups()]
             steps = rollout_steps(model.canonical.tau, job.dt, job.horizon_factor)
             assert got[:4] == [k, 3, steps, called[0]] and called == list(range(called[0], steps))
-            rebuilds, listed, kept, probed = got[4:]
-            assert 1 <= rebuilds < got[2] and 0 < kept <= listed
+            rebuilds, listed, kept, probed, formed, splats = got[4:]
+            assert 1 <= rebuilds < got[2] and 0 < kept <= listed and formed == splats == 1
             assert probed > 0 and probed % 6 == 0   # six probes per active row
         assert first[1][0] > 0   # the look-ahead ran segment 1's first steps free
 
@@ -655,7 +657,7 @@ class TestCoupledBatchLog:
         for k, (line, model) in enumerate(zip(lines, fit_segments(job))):
             steps = rollout_steps(model.canonical.tau, job.dt, job.horizon_factor)
             assert line == (f"segment {k}: 3 rows, {steps} steps, free, neighbour list: 0 rebuilds, "
-                            "0 listed pairs, 0 kept, 0 probe rows")
+                            "0 listed pairs, 0 kept, 0 probe rows, inverse covariances formed: 1 of 1")
 
     def test_a_wrapped_hook_logs_question_marks(self, caplog, monkeypatch):
         # a hook wrapped as bench/tracing.py wraps it hides its neighbour list
@@ -671,7 +673,20 @@ class TestCoupledBatchLog:
             synthesize(job)
         (line,) = [r.getMessage() for r in caplog.records if r.name == "splatsynth.synthesis"]
         assert line == (f"segment 0: 2 rows, {steps} steps, coupled from step ?, neighbour list: ? rebuilds, "
-                        "? listed pairs, ? kept, ? probe rows")
+                        "? listed pairs, ? kept, ? probe rows, inverse covariances formed: 1 of 1")
+
+    def test_a_moved_scene_counts_the_inverses_its_reads_formed(self, caplog):
+        # a moved scene forms each splat's inverse covariance at its first read: the hook reads the blob
+        # beside the stroke, and not the far ones
+        job = coupled_job("letter", n_demos=3)
+        far = [GaussianBlob([5.0 + k, 5.0, 5.0], 0.02 ** 2 * np.eye(3), 1.0) for k in range(3)]
+        scene = apply_transform(GaussianScene([GaussianBlob(job.scene.means[0], job.scene.covariances[0], 1.0),
+                                               *far]), RigidTransform.identity())
+        with caplog.at_level(logging.DEBUG, logger="splatsynth"):
+            synthesize(dataclasses.replace(job, scene=scene))
+        lines = [r.getMessage() for r in caplog.records if r.name == "splatsynth.synthesis"]
+        assert [re.fullmatch(self.LINE, line).groups()[-2:] for line in lines] == [("1", "4")] * 2
+        assert scene._inverses_formed() == 1
 
     def test_no_line_above_debug_or_without_a_scene(self, caplog):
         with caplog.at_level(logging.INFO, logger="splatsynth"):
